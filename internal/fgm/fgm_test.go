@@ -3,6 +3,7 @@ package fgm
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,21 +36,18 @@ func randomStream(n int, seed int64) []Edge {
 	return out
 }
 
+// countsOf returns the nonzero embedding counts by pattern code.
 func countsOf(m *Miner) map[string]int {
 	out := map[string]int{}
-	for code, c := range m.counts {
-		out[code] = c
+	for pid, c := range m.counts {
+		if c != 0 {
+			out[m.memo.patterns[pid].Code] = int(c)
+		}
 	}
 	return out
 }
 
-func windowEdges(m *Miner) []Edge {
-	out := make([]Edge, len(m.queue))
-	for i, we := range m.queue {
-		out[i] = we.Edge
-	}
-	return out
-}
+func windowEdges(m *Miner) []Edge { return m.window() }
 
 func TestSingleEdgePattern(t *testing.T) {
 	m := NewMiner(Config{MaxEdges: 2, MinSupport: 1})
@@ -105,6 +103,9 @@ func TestStreamingMatchesRecountQuick(t *testing.T) {
 	f := func(seed int64, nOps uint8) bool {
 		n := int(nOps)%60 + 10
 		stream := randomStream(n, seed)
+		for i := 3; i < n; i += 7 { // some edges type their source differently
+			stream[i].SrcLabel = "Q"
+		}
 		cfg := Config{MaxEdges: 3, MinSupport: 1, WindowSize: 15}
 		m := NewMiner(cfg)
 		for _, ed := range stream {
@@ -115,6 +116,24 @@ func TestStreamingMatchesRecountQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A type that only an evicted edge asserted must not outlive that edge.
+func TestEvictedEdgeTakesItsTypeAlong(t *testing.T) {
+	cfg := Config{MaxEdges: 3, MinSupport: 1, WindowSize: 2}
+	m := NewMiner(cfg)
+	m.Add(Edge{Src: 1, Dst: 2, SrcLabel: "Company", DstLabel: "P", Label: "a"})
+	m.Add(Edge{Src: 1, Dst: 3, SrcLabel: "Org", DstLabel: "P", Label: "b"})
+	m.Add(Edge{Src: 1, Dst: 4, SrcLabel: "Org", DstLabel: "P", Label: "c"})
+	for code := range countsOf(m) {
+		if strings.Contains(code, "Company") {
+			t.Fatalf("pattern %q is typed by an edge that left the window", code)
+		}
+	}
+	fresh := minerForWindow(windowEdges(m), Config{MaxEdges: 3, MinSupport: 1}, 1)
+	if got, want := countsOf(m), countsOf(fresh); !reflect.DeepEqual(got, want) {
+		t.Fatalf("streaming counts %v, recount of the same window %v", got, want)
 	}
 }
 
@@ -167,27 +186,33 @@ func TestMineWindowParallelMatchesSerial(t *testing.T) {
 }
 
 func TestCanonicalCodeInvariantUnderRelabeling(t *testing.T) {
-	c := newCanonicalizer()
+	// codeOf mines one two-edge embedding and returns its pattern's code.
+	codeOf := func(a, b Edge) string {
+		m := NewMiner(Config{MaxEdges: 2, MinSupport: 1})
+		m.Add(a)
+		m.Add(b)
+		for _, p := range m.FrequentPatterns() {
+			if len(p.Edges) == 2 {
+				return p.Code
+			}
+		}
+		t.Fatalf("no two-edge pattern for %+v, %+v", a, b)
+		return ""
+	}
 	// same structure, different concrete ids and edge orders
-	emb1 := []embEdge{
-		{src: 1, dst: 2, srcLabel: "C", dstLabel: "C", label: "acquired"},
-		{src: 2, dst: 3, srcLabel: "C", dstLabel: "P", label: "manufactures"},
-	}
-	emb2 := []embEdge{
-		{src: 30, dst: 10, srcLabel: "C", dstLabel: "P", label: "manufactures"},
-		{src: 77, dst: 30, srcLabel: "C", dstLabel: "C", label: "acquired"},
-	}
-	code1, _, _ := c.canonicalize(emb1)
-	code2, _, _ := c.canonicalize(emb2)
+	code1 := codeOf(
+		Edge{Src: 1, Dst: 2, SrcLabel: "C", DstLabel: "C", Label: "acquired"},
+		Edge{Src: 2, Dst: 3, SrcLabel: "C", DstLabel: "P", Label: "manufactures"})
+	code2 := codeOf(
+		Edge{Src: 30, Dst: 10, SrcLabel: "C", DstLabel: "P", Label: "manufactures"},
+		Edge{Src: 77, Dst: 30, SrcLabel: "C", DstLabel: "C", Label: "acquired"})
 	if code1 != code2 {
 		t.Fatalf("isomorphic embeddings got different codes:\n%s\n%s", code1, code2)
 	}
 	// direction matters
-	emb3 := []embEdge{
-		{src: 2, dst: 1, srcLabel: "C", dstLabel: "C", label: "acquired"},
-		{src: 2, dst: 3, srcLabel: "C", dstLabel: "P", label: "manufactures"},
-	}
-	code3, _, _ := c.canonicalize(emb3)
+	code3 := codeOf(
+		Edge{Src: 2, Dst: 1, SrcLabel: "C", DstLabel: "C", Label: "acquired"},
+		Edge{Src: 2, Dst: 3, SrcLabel: "C", DstLabel: "P", Label: "manufactures"})
 	if code3 == code1 {
 		t.Fatal("direction-reversed embedding got the same code")
 	}
@@ -308,7 +333,7 @@ func TestMNIEvictionConsistency(t *testing.T) {
 	}
 	m.EvictBefore(20)
 	fresh := minerForWindow(windowEdges(m), cfg, 1)
-	for code := range m.counts {
+	for code := range countsOf(m) {
 		if m.Support(code) != fresh.Support(code) {
 			t.Fatalf("MNI support desync for %s: %d vs %d", code, m.Support(code), fresh.Support(code))
 		}

@@ -52,7 +52,7 @@ func GSpan(db []TxGraph, minSupport, maxEdges int) ([]Pattern, error) {
 		maxEdges = 3
 	}
 	g := &gspanRun{db: db, minSup: minSupport, maxEdges: maxEdges,
-		canon: newCanonicalizer(), results: map[string]Pattern{}, visited: map[string]bool{}}
+		results: map[string]Pattern{}, visited: map[string]bool{}}
 
 	// Seed: all frequent single-edge patterns. Self-loops are a distinct
 	// seed shape even when the endpoint labels match.
@@ -127,7 +127,6 @@ type gspanRun struct {
 	db       []TxGraph
 	minSup   int
 	maxEdges int
-	canon    *canonicalizer
 	results  map[string]Pattern
 	visited  map[string]bool // canonical codes already expanded
 }
@@ -135,7 +134,7 @@ type gspanRun struct {
 // grow records a frequent pattern and tries all one-edge extensions of its
 // embeddings.
 func (g *gspanRun) grow(p Pattern, embs []gspanEmbedding) {
-	code := canonOfPattern(g.canon, p)
+	code := canonOfPattern(p)
 	if g.visited[code] {
 		return
 	}
@@ -249,18 +248,14 @@ func txSupport(embs []gspanEmbedding) int {
 	return len(seen)
 }
 
-// canonOfPattern canonicalizes an abstract pattern by treating positions as
-// concrete vertices.
-func canonOfPattern(c *canonicalizer, p Pattern) string {
-	emb := make([]embEdge, len(p.Edges))
+// canonOfPattern returns the canonical code of an abstract pattern; its
+// positions already are a raw vertex numbering.
+func canonOfPattern(p Pattern) string {
+	edges := make([]rawEdge, len(p.Edges))
 	for i, e := range p.Edges {
-		emb[i] = embEdge{
-			src: int64(e.Src), dst: int64(e.Dst),
-			srcLabel: p.VertexLabels[e.Src], dstLabel: p.VertexLabels[e.Dst],
-			label: e.Label,
-		}
+		edges[i] = rawEdge{src: e.Src, dst: e.Dst, label: e.Label}
 	}
-	code, _, _ := c.canonicalize(emb)
+	code, _ := canonicalForm(p.VertexLabels, edges)
 	return code
 }
 

@@ -15,10 +15,9 @@ type Instance struct {
 // the miner's current window, found by backtracking subgraph matching.
 // limit <= 0 returns all instances.
 func (m *Miner) FindInstances(p Pattern, limit int) []Instance {
-	edges := make([]Edge, 0, len(m.queue))
-	for _, we := range m.queue {
-		edges = append(edges, we.Edge)
-	}
+	m.mu.RLock()
+	edges := m.window()
+	m.mu.RUnlock()
 	return FindInstances(p, edges, limit)
 }
 

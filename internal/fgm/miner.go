@@ -1,6 +1,7 @@
 package fgm
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -43,125 +44,182 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// windowEdge is a stream edge resident in the window.
-type windowEdge struct {
-	id int64
-	Edge
+// winEdge is a stream edge resident in the window, with its labels interned
+// and its endpoints resolved to vertex slots so the kernel never touches a
+// string or a map. The type labels stay with the edge that asserts them: an
+// entity has no type of its own in the window (see kernel.count).
+type winEdge struct {
+	seq        int64 // arrival order; an embedding is born with its highest seq
+	src, dst   int64 // concrete entity ids
+	time       int64
+	sv, dv     int32  // slots in Miner.verts
+	sl, dl, el uint32 // interned SrcLabel, DstLabel, Label
+}
+
+// winVertex is an entity with at least one edge in the window.
+type winVertex struct {
+	id  int64
+	adj []int32 // incident edge slots (a self-loop appears once)
 }
 
 // Miner is the streaming closed-frequent-pattern miner. All exported
 // methods are safe for concurrent use (pattern queries run while the
 // ingestion path feeds the window); AddBatch additionally parallelizes its
 // own enumeration internally.
+//
+// Pattern counts are a pure function of the window's contents, so every
+// mutation evicts first and counts the newcomers against the smaller window.
 type Miner struct {
 	mu  sync.RWMutex
 	cfg Config
 
-	nextID int64
-	queue  []*windowEdge              // FIFO arrival order
-	adj    map[int64][]*windowEdge    // vertex -> incident window edges
-	byID   map[int64]*windowEdge      // edge id -> edge
-	counts map[string]int             // pattern code -> embedding count
-	images map[string][]map[int64]int // code -> position -> vertex -> count (MNI)
+	nextSeq   int64
+	edges     []winEdge // slab; queue and adjacency lists hold slots into it
+	freeEdges []int32
+	queue     []int32 // arrival order; the window is queue[head:]
+	head      int
+	verts     []winVertex // slab
+	freeVerts []int32
+	vertOf    map[int64]int32 // concrete id -> slot in verts
+	labelOf   map[string]uint32
+	labels    []string
 
-	canon    *canonicalizer
-	patterns map[string]Pattern // code -> abstract pattern
+	memo   shapeMemo
+	counts []int64             // embedding count by pattern id
+	images [][]map[int64]int64 // pattern id -> position -> vertex -> count; nil unless TrackMNI
+	seqK   kernel              // scratch of the sequential paths (Add, evictions)
+	emb    int64               // embeddings counted so far
+	prev   map[string]bool     // frequent codes at the last Transitions call
 
-	prevFrequent map[string]bool // for Transitions()
+	gen     uint64     // bumped by every window change
+	cacheMu sync.Mutex // readers fill cache under mu's read lock
+	cache   patternCache
+}
 
-	// stats
-	embeddingsTouched int64
+// patternCache memoizes the read side for one miner generation.
+type patternCache struct {
+	gen               uint64
+	hasFreq, hasClose bool
+	frequent, closed  []Pattern
 }
 
 // NewMiner returns an empty miner.
 func NewMiner(cfg Config) *Miner {
-	cfg = cfg.withDefaults()
-	return &Miner{
-		cfg:          cfg,
-		adj:          make(map[int64][]*windowEdge),
-		byID:         make(map[int64]*windowEdge),
-		counts:       make(map[string]int),
-		images:       make(map[string][]map[int64]int),
-		canon:        newCanonicalizer(),
-		patterns:     make(map[string]Pattern),
-		prevFrequent: make(map[string]bool),
+	m := &Miner{
+		cfg:     cfg.withDefaults(),
+		vertOf:  make(map[int64]int32),
+		labelOf: make(map[string]uint32),
+		memo:    newShapeMemo(),
+		prev:    make(map[string]bool),
 	}
+	m.seqK = newKernel(m, &m.counts, &m.images, &m.emb, false)
+	return m
 }
 
 // WindowLen returns the number of edges currently in the window.
 func (m *Miner) WindowLen() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.queue)
+	return m.windowLen()
 }
+
+func (m *Miner) windowLen() int { return len(m.queue) - m.head }
 
 // EmbeddingsTouched returns the cumulative number of embeddings enumerated —
 // the work metric compared against the from-scratch baseline.
 func (m *Miner) EmbeddingsTouched() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.embeddingsTouched
+	return m.emb
 }
 
-// Add inserts one stream edge, incrementally updating pattern counts, and
-// evicts the oldest edges if the count-based window overflows.
+// Add inserts one stream edge: it first evicts the oldest edges the
+// count-based window has no room for, then counts the embeddings born with
+// the newcomer.
 func (m *Miner) Add(e Edge) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	we := &windowEdge{id: m.nextID, Edge: e}
-	m.nextID++
-	m.insert(we)
-	m.applyEmbeddings(we, +1)
-	m.enforceWindow()
+	m.makeRoom(1)
+	slot := m.insert(e)
+	m.seqK.run(slot, m.edges[slot].seq, +1)
+	m.gen++
 }
 
 // AddBatch inserts a batch of edges and updates counts in parallel across
 // workers. Each new embedding is attributed to exactly one new edge — the
-// one with the maximum id it contains — so counts are exact.
+// one with the maximum seq it contains — so counts are exact. Edges the
+// count-based window would displace are evicted before anything is counted,
+// and of a batch larger than the window only the surviving tail is mined.
 func (m *Miner) AddBatch(es []Edge) {
 	if len(es) == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	batch := make([]*windowEdge, len(es))
-	for i, e := range es {
-		we := &windowEdge{id: m.nextID, Edge: e}
-		m.nextID++
-		m.insert(we)
-		batch[i] = we
+	if ws := m.cfg.WindowSize; ws > 0 && len(es) >= ws {
+		m.resetWindow()
+		m.nextSeq += int64(len(es) - ws)
+		es = es[len(es)-ws:]
+	} else {
+		m.makeRoom(len(es))
 	}
+	batch := make([]int32, len(es))
+	for i, e := range es {
+		batch[i] = m.insert(e)
+	}
+	m.gen++
+
 	workers := m.cfg.Workers
 	if workers > len(batch) {
 		workers = len(batch)
 	}
 	if workers <= 1 {
-		for _, we := range batch {
-			m.applyEmbeddings(we, +1)
+		for _, slot := range batch {
+			m.seqK.run(slot, m.edges[slot].seq, +1)
 		}
-	} else {
-		// Each worker enumerates with a private canonicalizer (the shared
-		// memo is not thread-safe); deltas merge under the mutex.
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				local := newDelta()
-				canon := newCanonicalizer()
-				for i := w; i < len(batch); i += workers {
-					m.enumerate(batch[i], func(f *windowEdge) bool { return f.id < batch[i].id },
-						func(set []*windowEdge) { local.record(canon, m.cfg.TrackMNI, set) })
-				}
-				mu.Lock()
-				m.applyDelta(local, +1)
-				mu.Unlock()
-			}(w)
-		}
-		wg.Wait()
+		return
 	}
-	m.enforceWindow()
+	// Workers read the window (frozen until they finish), share the shape
+	// memo and count into private deltas that merge once all are done.
+	deltas := make([]struct {
+		counts []int64
+		images [][]map[int64]int64
+		emb    int64
+	}, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			d := &deltas[w]
+			k := newKernel(m, &d.counts, &d.images, &d.emb, true)
+			for i := w; i < len(batch); i += workers {
+				k.run(batch[i], m.edges[batch[i]].seq, +1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range deltas {
+		d := &deltas[i]
+		m.emb += d.emb
+		for pid, c := range d.counts {
+			m.counts[pid] += c
+		}
+		for pid, imgs := range d.images {
+			if imgs == nil {
+				continue
+			}
+			if m.images[pid] == nil {
+				m.images[pid] = imgs
+				continue
+			}
+			for pos, byVid := range imgs {
+				for vid, c := range byVid {
+					m.images[pid][pos][vid] += c
+				}
+			}
+		}
+	}
 }
 
 // EvictBefore removes all window edges with Time < cutoff (time-based
@@ -170,240 +228,187 @@ func (m *Miner) AddBatch(es []Edge) {
 func (m *Miner) EvictBefore(cutoff int64) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
+	var victims []int32
 	kept := m.queue[:0]
-	// Evict one at a time: symmetric enumeration keeps counts exact.
-	var victims []*windowEdge
-	for _, we := range m.queue {
-		if we.Time < cutoff {
-			victims = append(victims, we)
+	for _, slot := range m.queue[m.head:] {
+		if m.edges[slot].time < cutoff {
+			victims = append(victims, slot)
 		} else {
-			kept = append(kept, we)
+			kept = append(kept, slot)
 		}
 	}
-	m.queue = kept
-	for _, we := range victims {
-		m.applyEmbeddings(we, -1)
-		m.remove(we)
-		n++
+	m.queue, m.head = kept, 0
+	// One at a time: each victim takes with it the embeddings it shares
+	// with the edges still resident.
+	for _, slot := range victims {
+		m.evict(slot)
 	}
-	return n
+	return len(victims)
 }
 
-// enforceWindow evicts oldest edges past the count-based capacity.
-func (m *Miner) enforceWindow() {
-	if m.cfg.WindowSize <= 0 {
+// makeRoom evicts the oldest edges until n more fit the count-based window.
+func (m *Miner) makeRoom(n int) {
+	ws := m.cfg.WindowSize
+	if ws <= 0 {
 		return
 	}
-	for len(m.queue) > m.cfg.WindowSize {
-		we := m.queue[0]
-		m.queue = m.queue[1:]
-		m.applyEmbeddings(we, -1)
-		m.remove(we)
+	for m.windowLen()+n > ws && m.windowLen() > 0 {
+		slot := m.queue[m.head]
+		m.head++
+		m.evict(slot)
+	}
+	// Reclaim the consumed prefix once it is the larger half, so a
+	// steady-state Add neither grows nor reallocates the queue.
+	if m.head > 32 && m.head*2 >= len(m.queue) {
+		n := copy(m.queue, m.queue[m.head:])
+		m.queue, m.head = m.queue[:n], 0
 	}
 }
 
-func (m *Miner) insert(we *windowEdge) {
-	m.queue = append(m.queue, we)
-	m.byID[we.id] = we
-	m.adj[we.Src] = append(m.adj[we.Src], we)
-	if we.Dst != we.Src {
-		m.adj[we.Dst] = append(m.adj[we.Dst], we)
+// evict un-counts every embedding that contains the edge (it must already be
+// off the queue) and removes it from the window.
+func (m *Miner) evict(slot int32) {
+	m.seqK.run(slot, math.MaxInt64, -1)
+	m.remove(slot)
+	m.gen++
+}
+
+// resetWindow empties the window and zeroes every count; the shape memo and
+// the pattern table survive.
+func (m *Miner) resetWindow() {
+	m.edges, m.freeEdges = m.edges[:0], m.freeEdges[:0]
+	m.verts, m.freeVerts = m.verts[:0], m.freeVerts[:0]
+	m.queue, m.head = m.queue[:0], 0
+	clear(m.vertOf)
+	clear(m.counts)
+	clear(m.images)
+	m.gen++
+}
+
+func (m *Miner) intern(label string) uint32 {
+	id, ok := m.labelOf[label]
+	if !ok {
+		id = uint32(len(m.labels))
+		m.labels = append(m.labels, label)
+		m.labelOf[label] = id
+	}
+	return id
+}
+
+// vertexSlot returns the slot of an entity, admitting it when it is new to
+// the window.
+func (m *Miner) vertexSlot(id int64) int32 {
+	if slot, ok := m.vertOf[id]; ok {
+		return slot
+	}
+	var slot int32
+	if n := len(m.freeVerts); n > 0 {
+		slot, m.freeVerts = m.freeVerts[n-1], m.freeVerts[:n-1]
+		m.verts[slot].id = id
+	} else {
+		slot = int32(len(m.verts))
+		m.verts = append(m.verts, winVertex{id: id})
+	}
+	m.vertOf[id] = slot
+	return slot
+}
+
+// insert appends the edge to the window and returns its slot.
+func (m *Miner) insert(e Edge) int32 {
+	we := winEdge{
+		seq: m.nextSeq, src: e.Src, dst: e.Dst, time: e.Time,
+		sl: m.intern(e.SrcLabel), dl: m.intern(e.DstLabel), el: m.intern(e.Label),
+	}
+	m.nextSeq++
+	we.sv = m.vertexSlot(e.Src)
+	we.dv = m.vertexSlot(e.Dst)
+	var slot int32
+	if n := len(m.freeEdges); n > 0 {
+		slot, m.freeEdges = m.freeEdges[n-1], m.freeEdges[:n-1]
+		m.edges[slot] = we
+	} else {
+		slot = int32(len(m.edges))
+		m.edges = append(m.edges, we)
+	}
+	m.queue = append(m.queue, slot)
+	m.verts[we.sv].adj = append(m.verts[we.sv].adj, slot)
+	if we.dv != we.sv {
+		m.verts[we.dv].adj = append(m.verts[we.dv].adj, slot)
+	}
+	return slot
+}
+
+// remove unlinks an edge from its endpoints and recycles its slot; an
+// entity left without edges leaves the window too.
+func (m *Miner) remove(slot int32) {
+	e := &m.edges[slot]
+	m.unlink(e.sv, slot)
+	if e.dv != e.sv {
+		m.unlink(e.dv, slot)
+	}
+	m.freeEdges = append(m.freeEdges, slot)
+}
+
+func (m *Miner) unlink(v, slot int32) {
+	vx := &m.verts[v]
+	for i, s := range vx.adj {
+		if s == slot {
+			last := len(vx.adj) - 1
+			vx.adj[i] = vx.adj[last]
+			vx.adj = vx.adj[:last]
+			break
+		}
+	}
+	if len(vx.adj) == 0 {
+		delete(m.vertOf, vx.id)
+		m.freeVerts = append(m.freeVerts, v)
 	}
 }
 
-func (m *Miner) remove(we *windowEdge) {
-	delete(m.byID, we.id)
-	m.adj[we.Src] = dropEdge(m.adj[we.Src], we.id)
-	if len(m.adj[we.Src]) == 0 {
-		delete(m.adj, we.Src)
-	}
-	if we.Dst != we.Src {
-		m.adj[we.Dst] = dropEdge(m.adj[we.Dst], we.id)
-		if len(m.adj[we.Dst]) == 0 {
-			delete(m.adj, we.Dst)
-		}
+// edgeAt rebuilds the stream edge held in a slot.
+func (m *Miner) edgeAt(slot int32) Edge {
+	e := &m.edges[slot]
+	return Edge{
+		Src: e.src, Dst: e.dst, Time: e.time,
+		SrcLabel: m.labels[e.sl], DstLabel: m.labels[e.dl], Label: m.labels[e.el],
 	}
 }
 
-func dropEdge(list []*windowEdge, id int64) []*windowEdge {
-	for i, e := range list {
-		if e.id == id {
-			list[i] = list[len(list)-1]
-			return list[:len(list)-1]
-		}
+// window copies the resident edges in arrival order.
+func (m *Miner) window() []Edge {
+	out := make([]Edge, 0, m.windowLen())
+	for _, slot := range m.queue[m.head:] {
+		out = append(out, m.edgeAt(slot))
 	}
-	return list
-}
-
-// delta accumulates pattern count changes from one worker.
-type delta struct {
-	counts   map[string]int
-	images   map[string][]map[int64]int
-	patterns map[string]Pattern
-	emb      int64
-}
-
-func newDelta() *delta {
-	return &delta{
-		counts:   make(map[string]int),
-		images:   make(map[string][]map[int64]int),
-		patterns: make(map[string]Pattern),
-	}
-}
-
-// applyEmbeddings enumerates the embeddings attributable to we and applies
-// sign to their pattern counts. Adds (+1) attribute an embedding to its
-// newest edge — edge ids increase monotonically, so a sequential add sees
-// exactly the embeddings born with we. Evicts (-1) touch every embedding
-// containing we, which by induction removes exactly the embeddings that die
-// with it.
-func (m *Miner) applyEmbeddings(we *windowEdge, sign int) {
-	d := newDelta()
-	extendOK := func(f *windowEdge) bool { return f.id < we.id } // add rule
-	if sign < 0 {
-		extendOK = func(f *windowEdge) bool { return true } // evict rule
-	}
-	m.enumerate(we, extendOK, func(set []*windowEdge) { d.record(m.canon, m.cfg.TrackMNI, set) })
-	m.applyDelta(d, sign)
-}
-
-// enumerate runs a DFS over connected edge supersets of {we} up to
-// MaxEdges, extending only with edges admitted by extendOK, de-duplicating
-// by edge-id set, and yielding each embedding to fn.
-func (m *Miner) enumerate(we *windowEdge, extendOK func(*windowEdge) bool, fn func([]*windowEdge)) {
-	maxE := m.cfg.MaxEdges
-	seen := map[string]bool{}
-	set := []*windowEdge{we}
-	verts := map[int64]bool{we.Src: true, we.Dst: true}
-
-	var rec func()
-	rec = func() {
-		key := edgeSetKey(set)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		fn(set)
-		if len(set) >= maxE {
-			return
-		}
-		for v := range verts {
-			for _, f := range m.adj[v] {
-				if f.id == we.id || !extendOK(f) || inSet(set, f.id) {
-					continue
-				}
-				set = append(set, f)
-				addedSrc := !verts[f.Src]
-				addedDst := !verts[f.Dst]
-				verts[f.Src] = true
-				verts[f.Dst] = true
-				rec()
-				set = set[:len(set)-1]
-				if addedSrc {
-					delete(verts, f.Src)
-				}
-				if addedDst {
-					delete(verts, f.Dst)
-				}
-			}
-		}
-	}
-	rec()
-}
-
-// record canonicalizes one embedding into the delta.
-func (d *delta) record(canon *canonicalizer, trackMNI bool, set []*windowEdge) {
-	emb := make([]embEdge, len(set))
-	for i, we := range set {
-		emb[i] = embEdge{src: we.Src, dst: we.Dst, srcLabel: we.SrcLabel, dstLabel: we.DstLabel, label: we.Label}
-	}
-	code, perm, pattern := canon.canonicalize(emb)
-	if _, ok := d.patterns[code]; !ok {
-		d.patterns[code] = pattern
-	}
-	d.counts[code]++
-	d.emb++
-	if trackMNI {
-		imgs := d.images[code]
-		if imgs == nil {
-			imgs = make([]map[int64]int, len(pattern.VertexLabels))
-			for i := range imgs {
-				imgs[i] = make(map[int64]int)
-			}
-			d.images[code] = imgs
-		}
-		for vid, pos := range perm {
-			imgs[pos][vid]++
-		}
-	}
-}
-
-// applyDelta folds a worker delta into the miner with the given sign.
-func (m *Miner) applyDelta(d *delta, sign int) {
-	m.embeddingsTouched += d.emb
-	for code, p := range d.patterns {
-		if _, ok := m.patterns[code]; !ok {
-			m.patterns[code] = p
-		}
-	}
-	for code, c := range d.counts {
-		m.counts[code] += sign * c
-		if m.counts[code] <= 0 {
-			delete(m.counts, code)
-		}
-	}
-	if !m.cfg.TrackMNI {
-		return
-	}
-	for code, imgs := range d.images {
-		cur := m.images[code]
-		if cur == nil {
-			if sign < 0 {
-				continue
-			}
-			cur = make([]map[int64]int, len(imgs))
-			for i := range cur {
-				cur[i] = make(map[int64]int)
-			}
-			m.images[code] = cur
-		}
-		for pos, byVid := range imgs {
-			for vid, c := range byVid {
-				cur[pos][vid] += sign * c
-				if cur[pos][vid] <= 0 {
-					delete(cur[pos], vid)
-				}
-			}
-		}
-		if m.counts[code] == 0 {
-			delete(m.images, code)
-		}
-	}
+	return out
 }
 
 // Support returns the current support of a pattern code.
 func (m *Miner) Support(code string) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.supportLocked(code)
+	pid, ok := m.memo.pidOf[code]
+	if !ok {
+		return 0
+	}
+	return m.supportOf(pid)
 }
 
-func (m *Miner) supportLocked(code string) int {
-	if m.cfg.TrackMNI {
-		imgs, ok := m.images[code]
-		if !ok || len(imgs) == 0 {
-			return 0
-		}
-		minImg := -1
-		for _, byVid := range imgs {
-			if minImg < 0 || len(byVid) < minImg {
-				minImg = len(byVid)
-			}
-		}
-		return minImg
+func (m *Miner) supportOf(pid int32) int {
+	if !m.cfg.TrackMNI {
+		return int(m.counts[pid])
 	}
-	return m.counts[code]
+	imgs := m.images[pid]
+	if len(imgs) == 0 {
+		return 0
+	}
+	minImg := len(imgs[0])
+	for _, byVid := range imgs[1:] {
+		if len(byVid) < minImg {
+			minImg = len(byVid)
+		}
+	}
+	return minImg
 }
 
 // FrequentPatterns returns all patterns at or above MinSupport, largest
@@ -411,20 +416,7 @@ func (m *Miner) supportLocked(code string) int {
 func (m *Miner) FrequentPatterns() []Pattern {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.frequentLocked()
-}
-
-func (m *Miner) frequentLocked() []Pattern {
-	var out []Pattern
-	for code := range m.counts {
-		if s := m.supportLocked(code); s >= m.cfg.MinSupport {
-			p := m.patterns[code]
-			p.Support = s
-			out = append(out, p)
-		}
-	}
-	sortPatterns(out)
-	return out
+	return append([]Pattern(nil), m.patternsLocked(false)...)
 }
 
 // ClosedPatterns returns the frequent patterns with no frequent
@@ -433,7 +425,41 @@ func (m *Miner) frequentLocked() []Pattern {
 func (m *Miner) ClosedPatterns() []Pattern {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return closedOf(m.frequentLocked())
+	return append([]Pattern(nil), m.patternsLocked(true)...)
+}
+
+// patternsLocked returns the frequent set of the current generation, or its
+// closed subset, computing each at most once per generation. The caller
+// holds m.mu (either mode, so the generation cannot move) and must not
+// modify the result.
+func (m *Miner) patternsLocked(closed bool) []Pattern {
+	m.cacheMu.Lock()
+	defer m.cacheMu.Unlock()
+	c := &m.cache
+	if c.gen != m.gen {
+		*c = patternCache{gen: m.gen}
+	}
+	if !c.hasFreq {
+		for pid, n := range m.counts {
+			if n <= 0 {
+				continue
+			}
+			if s := m.supportOf(int32(pid)); s >= m.cfg.MinSupport {
+				p := m.memo.patterns[pid]
+				p.Support = s
+				c.frequent = append(c.frequent, p)
+			}
+		}
+		sortPatterns(c.frequent)
+		c.hasFreq = true
+	}
+	if !closed {
+		return c.frequent
+	}
+	if !c.hasClose {
+		c.closed, c.hasClose = closedOf(c.frequent), true
+	}
+	return c.closed
 }
 
 // Transitions reports which patterns entered and left the frequent set
@@ -443,20 +469,21 @@ func (m *Miner) Transitions() (entered, left []Pattern) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := map[string]bool{}
-	for _, p := range m.frequentLocked() {
+	for _, p := range m.patternsLocked(false) {
 		cur[p.Code] = true
-		if !m.prevFrequent[p.Code] {
+		if !m.prev[p.Code] {
 			entered = append(entered, p)
 		}
 	}
-	for code := range m.prevFrequent {
+	for code := range m.prev {
 		if !cur[code] {
-			p := m.patterns[code]
-			p.Support = m.supportLocked(code)
+			pid := m.memo.pidOf[code]
+			p := m.memo.patterns[pid]
+			p.Support = m.supportOf(pid)
 			left = append(left, p)
 		}
 	}
-	m.prevFrequent = cur
+	m.prev = cur
 	sortPatterns(entered)
 	sortPatterns(left)
 	return entered, left
@@ -495,28 +522,4 @@ func sortPatterns(ps []Pattern) {
 		}
 		return ps[i].Code < ps[j].Code
 	})
-}
-
-func edgeSetKey(set []*windowEdge) string {
-	ids := make([]int64, len(set))
-	for i, e := range set {
-		ids[i] = e.id
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	key := make([]byte, 0, len(ids)*8)
-	for _, id := range ids {
-		for b := 0; b < 8; b++ {
-			key = append(key, byte(id>>(8*b)))
-		}
-	}
-	return string(key)
-}
-
-func inSet(set []*windowEdge, id int64) bool {
-	for _, e := range set {
-		if e.id == id {
-			return true
-		}
-	}
-	return false
 }

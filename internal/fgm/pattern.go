@@ -13,14 +13,17 @@
 package fgm
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 )
 
 // Edge is one typed, labeled stream edge: a triple whose endpoints carry
 // entity identities (for embedding counting) and type labels (for pattern
-// abstraction).
+// abstraction). An entity is expected to carry one type; should a stream
+// disagree with itself, each embedding abstracts the entity to the type its
+// own oldest edge at that entity asserts.
 type Edge struct {
 	Src, Dst           int64  // entity identities
 	SrcLabel, DstLabel string // entity types
@@ -56,100 +59,71 @@ func (p Pattern) String() string {
 	return strings.Join(parts, "; ")
 }
 
-// canonicalizer computes canonical codes for small embeddings, memoizing on
-// the raw (sorted-vertex-order) signature.
-type canonicalizer struct {
-	memo map[string]canonEntry
+// rawEdge is one edge of a small graph whose vertices are numbered by raw
+// position (for an embedding: ascending concrete vertex id).
+type rawEdge struct {
+	src, dst int
+	label    string
 }
 
-type canonEntry struct {
-	code string
-	// permOfRaw maps raw vertex position (by ascending concrete id) to
-	// canonical position.
-	permOfRaw []int
-	pattern   Pattern
-}
-
-func newCanonicalizer() *canonicalizer {
-	return &canonicalizer{memo: make(map[string]canonEntry)}
-}
-
-// embEdge is the abstract view of one embedding edge.
-type embEdge struct {
-	src, dst           int64
-	srcLabel, dstLabel string
-	label              string
-}
-
-// canonicalize returns the canonical code, the concrete-vertex→canonical-
-// position mapping and the abstract pattern of an embedding.
-func (c *canonicalizer) canonicalize(emb []embEdge) (string, map[int64]int, Pattern) {
-	// Collect distinct vertices in ascending concrete-id order.
-	var vids []int64
-	seen := map[int64]bool{}
-	labels := map[int64]string{}
-	for _, e := range emb {
-		if !seen[e.src] {
-			seen[e.src] = true
-			vids = append(vids, e.src)
-		}
-		if !seen[e.dst] {
-			seen[e.dst] = true
-			vids = append(vids, e.dst)
-		}
-		labels[e.src] = e.srcLabel
-		labels[e.dst] = e.dstLabel
-	}
-	sort.Slice(vids, func(i, j int) bool { return vids[i] < vids[j] })
-	rawPos := make(map[int64]int, len(vids))
-	for i, v := range vids {
-		rawPos[v] = i
-	}
-
-	rawSig := buildSig(emb, rawPos, vids, labels, identityPerm(len(vids)))
-	if ent, ok := c.memo[rawSig]; ok {
-		perm := make(map[int64]int, len(vids))
-		for i, v := range vids {
-			perm[v] = ent.permOfRaw[i]
-		}
-		return ent.code, perm, ent.pattern
-	}
-
-	k := len(vids)
-	best := ""
+// canonicalForm finds the canonical code of a small labeled graph given in
+// raw positional form, and the raw→canonical position permutation. It
+// renders the graph as "L0,L1|s>d:label;s>d:label" (edges in ascending byte
+// order) under every vertex permutation and keeps the first that gives the
+// smallest rendering, so it is a pure function of the raw form; the miner
+// calls it once per distinct raw shape (see shapeMemo).
+func canonicalForm(vlabels []string, edges []rawEdge) (string, []int) {
+	var best, sig []byte
 	var bestPerm []int
-	permute(k, func(p []int) {
-		sig := buildSig(emb, rawPos, vids, labels, p)
-		if best == "" || sig < best {
-			best = sig
+	rendered := make([][]byte, len(edges)) // scratch, reused across permutations
+	rawAt := make([]int, len(vlabels))     // likewise: position -> raw vertex
+	permute(len(vlabels), func(p []int) {
+		for raw, pos := range p {
+			rawAt[pos] = raw
+		}
+		sig = sig[:0]
+		for pos, raw := range rawAt {
+			if pos > 0 {
+				sig = append(sig, ',')
+			}
+			sig = append(sig, vlabels[raw]...)
+		}
+		sig = append(sig, '|')
+		// Most permutations already lose on the vertex labels.
+		if best != nil && bytes.Compare(sig, best[:min(len(sig), len(best))]) > 0 {
+			return
+		}
+		sig = appendEdges(sig, rendered, edges, p)
+		if best == nil || bytes.Compare(sig, best) < 0 {
+			best = append(best[:0], sig...)
 			bestPerm = append(bestPerm[:0], p...)
 		}
 	})
-
-	pattern := patternFromSig(best)
-	pattern.Code = best
-	c.memo[rawSig] = canonEntry{code: best, permOfRaw: append([]int{}, bestPerm...), pattern: pattern}
-
-	perm := make(map[int64]int, len(vids))
-	for i, v := range vids {
-		perm[v] = bestPerm[i]
-	}
-	return best, perm, pattern
+	return string(best), bestPerm
 }
 
-// buildSig renders an embedding under a raw→position permutation as
-// "L0,L1|s>d:label;s>d:label" with edges sorted.
-func buildSig(emb []embEdge, rawPos map[int64]int, vids []int64, labels map[int64]string, perm []int) string {
-	vlabels := make([]string, len(vids))
-	for i, v := range vids {
-		vlabels[perm[i]] = labels[v]
+// appendEdges renders the edges of a raw graph under a raw→position
+// permutation as "s>d:label;s>d:label", in ascending byte order.
+func appendEdges(sig []byte, rendered [][]byte, edges []rawEdge, perm []int) []byte {
+	for i, e := range edges {
+		r := strconv.AppendInt(rendered[i][:0], int64(perm[e.src]), 10)
+		r = append(r, '>')
+		r = strconv.AppendInt(r, int64(perm[e.dst]), 10)
+		r = append(r, ':')
+		r = append(r, e.label...)
+		j := i
+		for ; j > 0 && bytes.Compare(rendered[j-1], r) > 0; j-- {
+			rendered[j] = rendered[j-1]
+		}
+		rendered[j] = r // headers moved, so each buffer is still in one slot only
 	}
-	edges := make([]string, len(emb))
-	for i, e := range emb {
-		edges[i] = fmt.Sprintf("%d>%d:%s", perm[rawPos[e.src]], perm[rawPos[e.dst]], e.label)
+	for i, r := range rendered {
+		if i > 0 {
+			sig = append(sig, ';')
+		}
+		sig = append(sig, r...)
 	}
-	sort.Strings(edges)
-	return strings.Join(vlabels, ",") + "|" + strings.Join(edges, ";")
+	return sig
 }
 
 // patternFromSig parses a signature back into a Pattern.
@@ -167,7 +141,11 @@ func patternFromSig(sig string) Pattern {
 		var label string
 		if i := strings.IndexByte(es, ':'); i >= 0 {
 			label = es[i+1:]
-			fmt.Sscanf(es[:i], "%d>%d", &s, &d)
+			// Anything but "s>d" leaves the positions at zero.
+			if from, to, ok := strings.Cut(es[:i], ">"); ok {
+				s, _ = strconv.Atoi(from)
+				d, _ = strconv.Atoi(to)
+			}
 		}
 		p.Edges = append(p.Edges, PatternEdge{Src: s, Dst: d, Label: label})
 	}

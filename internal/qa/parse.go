@@ -92,7 +92,8 @@ var (
 	reRelate   = regexp.MustCompile(`(?i)^\s*(?:how|why)\s+(?:is|are|was|were|does|do|did|would|may|might)?\s*(.+?)\s+(?:related|connected|linked|relate|connect)\s*(?:to)?\s+(.+?)(?:\s+via\s+(\w+))?\s*\??\s*$`)
 	reExplain  = regexp.MustCompile(`(?i)^\s*explain\s+(?:the\s+)?(?:relationship|connection|link)\s+between\s+(.+?)\s+and\s+(.+?)(?:\s+via\s+(\w+))?\s*\??\s*$`)
 	rePattern  = regexp.MustCompile(`(?i)\b(patterns?|motifs?)\b`)
-	reDid      = regexp.MustCompile(`(?i)^\s*(?:did|does|has|have|is|was)\s+(.+?)\s+(\w+)\s+(?:the\s+)?(.+?)\s*\??\s*$`)
+	reDid      = regexp.MustCompile(`(?i)^\s*(?:did|does|has|have|is|was)\s+(.+?)\s*\??\s*$`)
+	reToken    = regexp.MustCompile(`\S+`)
 	reWho      = regexp.MustCompile(`(?i)^\s*(?:who|what|which\s+\w+)\s+(\w+)\s+(?:the\s+)?(.+?)\s*\??\s*$`)
 	reWhatDoes = regexp.MustCompile(`(?i)^\s*(?:what|whom|who)\s+(?:does|did|do|has|have)\s+(.+?)\s+(\w+)\s*\??\s*$`)
 	reWhere    = regexp.MustCompile(`(?i)^\s*where\s+is\s+(.+?)\s+(?:headquartered|based|located)\s*\??\s*$`)
@@ -361,8 +362,8 @@ func classify(q, original string) (Query, error) {
 		return Query{Class: ClassFact, Subject: cleanArg(m[1]), Predicate: "headquarteredIn"}, nil
 	}
 	if m := reDid.FindStringSubmatch(q); m != nil {
-		if pred, ok := verbToPredicate[strings.ToLower(m[2])]; ok {
-			return Query{Class: ClassFact, Subject: cleanArg(m[1]), Predicate: pred, Object: cleanArg(m[3])}, nil
+		if fact, ok := parseDid(m[1]); ok {
+			return fact, nil
 		}
 	}
 	if m := reWhatDoes.FindStringSubmatch(q); m != nil {
@@ -379,6 +380,34 @@ func classify(q, original string) (Query, error) {
 		return Query{Class: ClassEntity, Subject: cleanArg(m[1]), K: 10}, nil
 	}
 	return Query{}, parseErrf("qa: cannot classify question %q", original)
+}
+
+// parseDid splits the body of a "Did S verb O?" question. Subjects and
+// objects may be several words long ("Parrot SA", "Aeros Labs"), so every
+// interior word is tried as the verb, left to right, and the first that
+// names an ontology predicate wins; a leading "the" is dropped from the
+// object. An entity name that holds such a word ahead of the real verb still
+// misparses.
+func parseDid(body string) (Query, bool) {
+	words := reToken.FindAllStringIndex(body, -1)
+	word := func(i int) string { return body[words[i][0]:words[i][1]] }
+	for verb := 1; verb+1 < len(words); verb++ {
+		pred, ok := verbToPredicate[strings.ToLower(word(verb))]
+		if !ok {
+			continue
+		}
+		obj := verb + 1
+		if obj+1 < len(words) && strings.EqualFold(word(obj), "the") {
+			obj++
+		}
+		return Query{
+			Class:     ClassFact,
+			Subject:   cleanArg(body[:words[verb-1][1]]),
+			Predicate: pred,
+			Object:    cleanArg(body[words[obj][0]:]),
+		}, true
+	}
+	return Query{}, false
 }
 
 func cleanArg(s string) string {

@@ -74,6 +74,34 @@ func TestParsePattern(t *testing.T) {
 	}
 }
 
+// The did-form takes subjects and objects of any length: the verb is the
+// first interior word that names a predicate, not the second word.
+func TestParseDidMultiWordArguments(t *testing.T) {
+	for _, c := range []struct {
+		question, subject, predicate, object string
+	}{
+		{"Did DJI acquire Aeros?", "DJI", "acquired", "Aeros"},
+		{"Did Parrot SA acquire Aeros Labs?", "Parrot SA", "acquired", "Aeros Labs"}, // PR 11's finding
+		{"Did Parrot SA acquire Aeros?", "Parrot SA", "acquired", "Aeros"},
+		{"Did DJI acquire Aeros Labs?", "DJI", "acquired", "Aeros Labs"},
+		{"Has General Atomics Aeronautical bought Aeros Labs Inc?", "General Atomics Aeronautical", "acquired", "Aeros Labs Inc"},
+		{"Does Yuneec International Co manufacture the Typhoon H Plus?", "Yuneec International Co", "manufactures", "Typhoon H Plus"},
+		{"did  Parrot  SA   acquire  the  Aeros Labs ?", "Parrot  SA", "acquired", "Aeros Labs"},
+		{"Did DJI acquire the?", "DJI", "acquired", "the"},
+	} {
+		q, err := Parse(c.question)
+		if err != nil || q.Class != ClassFact || q.Subject != c.subject || q.Predicate != c.predicate || q.Object != c.object {
+			t.Errorf("Parse(%q) = %+v, %v; want %s %s %s", c.question, q, err, c.subject, c.predicate, c.object)
+		}
+	}
+	// No predicate word between a subject and an object: not a did-form fact.
+	for _, question := range []string{"Did Parrot SA Aeros Labs?", "Did DJI acquire?", "Did acquire Aeros?"} {
+		if q, err := Parse(question); err == nil && q.Class == ClassFact && q.Subject != "" && q.Object != "" {
+			t.Errorf("Parse(%q) = %+v; want no subject-verb-object fact", question, q)
+		}
+	}
+}
+
 func TestParseFact(t *testing.T) {
 	q, err := Parse("Did DJI acquire Aeros?")
 	if err != nil || q.Class != ClassFact || q.Subject != "DJI" || q.Predicate != "acquired" || q.Object != "Aeros" {

@@ -200,8 +200,9 @@ type Pipeline struct {
 }
 
 // NewPipeline assembles the system over a KG pre-loaded with curated
-// knowledge. The miner is seeded with the existing curated facts, so mined
-// patterns span both curated and extracted structure.
+// knowledge. The miner is seeded with the facts already in the KG (the most
+// recent Miner.WindowSize of them), so mined patterns span both curated and
+// extracted structure.
 func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	if cfg.TopicCount <= 0 {
 		cfg = DefaultConfig()
@@ -216,9 +217,12 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	p.analytics = analytics.New(kg)
 	p.analytics.SetTopicsFn(p.computeTopics)
 
-	// Seed the miner with pre-existing (curated) facts, then subscribe to
-	// live updates. Curated facts get an infinite timestamp so windowed
-	// eviction never removes them — the curated substrate persists.
+	// Seed the miner with the pre-existing facts, then subscribe to live
+	// updates. Seeding costs O(window), not O(facts): AddBatch mines only
+	// the tail the count window keeps. Curated facts get an infinite
+	// timestamp, so time-based eviction (EvictBefore) never removes them;
+	// the count window is FIFO over arrivals and does evict them once
+	// Miner.WindowSize newer facts have come in.
 	var seed []fgm.Edge
 	for _, f := range kg.AllFacts() {
 		seed = append(seed, p.minerEdge(f))
