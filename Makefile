@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint nouslint fmt bench clean
+.PHONY: all build test lint nouslint fmt bench sysbench clean
 
 all: build test lint
 
@@ -40,6 +40,17 @@ fmt:
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# sysbench runs the system benchmark (benchmark/, BENCHMARK.json) the way the
+# driver does — one fresh process per workload at --seed 1 --seconds 10 — and
+# prints each run's contract line (its last: correct/attempted/failed/metrics).
+# Run it on the parent commit and on a change to check for regressions.
+sysbench:
+	@for w in ingest_stream query_static query_live restart_recover; do \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 10 --trace 0); rc=$$?; \
+		echo "$$w $$(echo "$$out" | tail -n 1)"; \
+		[ $$rc -eq 0 ] || exit $$rc; \
+	done
 
 clean:
 	rm -rf bin

@@ -148,15 +148,10 @@ type Cache struct {
 	prior    memo[map[string]float64]
 	topics   memo[map[graph.VertexID][]float64]
 
-	// MaxWindowed caps the number of distinct windows whose PageRank is
-	// cached simultaneously; 0 means the default (maxWindowedArtifacts).
-	// Beyond the cap the least-recently-used window is evicted.
-	MaxWindowed int
-
 	// windowed memoizes PageRank per bounded time window, keyed by the
 	// window and epoch-checked like the main artifacts (so a windowed query
 	// repeated at an unchanged epoch is a map read). Entries are LRU-ordered
-	// (wlru front = most recently used) and capped at MaxWindowed; evicting
+	// (wlru front = most recently used) and capped at maxWindowedArtifacts; evicting
 	// an entry mid-compute is safe — the in-flight computation keeps its
 	// memo alive through the pointer it holds.
 	wmu              sync.Mutex
@@ -211,10 +206,10 @@ func (c *Cache) Importance(id graph.VertexID) float64 {
 	return c.PageRank()[id]
 }
 
-// maxWindowedArtifacts is the default cap on distinct windows whose PageRank
-// is cached simultaneously (see Cache.MaxWindowed). Serving workloads repeat
-// a handful of windows ("last week", "this year"); anything beyond the cap
-// recomputes.
+// maxWindowedArtifacts caps the distinct windows whose PageRank is cached
+// simultaneously; beyond it the least-recently-used window is evicted.
+// Serving workloads repeat a handful of windows ("last week", "this year");
+// anything beyond the cap recomputes.
 const maxWindowedArtifacts = 8
 
 // windowedEntry is one window's memo plus its position in the LRU list.
@@ -245,11 +240,7 @@ func (c *Cache) WindowedPageRank(w temporal.Window) map[graph.VertexID]float64 {
 		e = &windowedEntry{memo: &memo[map[graph.VertexID]float64]{}}
 		e.elem = c.wlru.PushFront(w)
 		c.windowed[w] = e
-		limit := c.MaxWindowed
-		if limit <= 0 {
-			limit = maxWindowedArtifacts
-		}
-		for c.wlru.Len() > limit {
+		for c.wlru.Len() > maxWindowedArtifacts {
 			back := c.wlru.Back()
 			c.wlru.Remove(back)
 			delete(c.windowed, back.Value.(temporal.Window))

@@ -150,7 +150,6 @@ func TestWindowedPageRankConcurrent(t *testing.T) {
 func TestWindowedPageRankHotWindowSurvivesChurn(t *testing.T) {
 	kg := windowedKG(t)
 	c := New(kg)
-	c.MaxWindowed = 4
 	hot := temporal.Window{Since: 100, Until: 1000000000}
 	c.WindowedPageRank(hot)
 	for i := 0; i < 20; i++ {
@@ -163,29 +162,7 @@ func TestWindowedPageRankHotWindowSurvivesChurn(t *testing.T) {
 	if st.WindowedComputes != 21 {
 		t.Fatalf("WindowedComputes = %d, want 21 (hot window was evicted)", st.WindowedComputes)
 	}
-	if st.WindowedArtifacts > 4 {
-		t.Fatalf("artifacts = %d exceeds configured cap 4", st.WindowedArtifacts)
-	}
-}
-
-// TestWindowedPageRankConfigurableCap pins that MaxWindowed overrides the
-// default cap in both directions.
-func TestWindowedPageRankConfigurableCap(t *testing.T) {
-	kg := windowedKG(t)
-	c := New(kg)
-	c.MaxWindowed = maxWindowedArtifacts * 2
-	for i := 0; i < maxWindowedArtifacts*2; i++ {
-		c.WindowedPageRank(temporal.Window{Since: int64(i), Until: int64(i) + 100})
-	}
-	if st := c.Stats(); st.WindowedArtifacts != maxWindowedArtifacts*2 {
-		t.Fatalf("artifacts = %d, want %d (raised cap ignored)", st.WindowedArtifacts, maxWindowedArtifacts*2)
-	}
-	c2 := New(kg)
-	c2.MaxWindowed = 2
-	for i := 0; i < 10; i++ {
-		c2.WindowedPageRank(temporal.Window{Since: int64(i), Until: int64(i) + 100})
-	}
-	if st := c2.Stats(); st.WindowedArtifacts != 2 {
-		t.Fatalf("artifacts = %d, want 2 (lowered cap ignored)", st.WindowedArtifacts)
+	if st.WindowedArtifacts > maxWindowedArtifacts {
+		t.Fatalf("artifacts = %d exceeds the cap %d", st.WindowedArtifacts, maxWindowedArtifacts)
 	}
 }

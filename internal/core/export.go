@@ -96,17 +96,7 @@ func (kg *KG) selectFacts(names []string) []Fact {
 // selectFactsWindow is selectFacts restricted to the window.
 func (kg *KG) selectFactsWindow(names []string, win temporal.Window) []Fact {
 	if len(names) == 0 {
-		all := kg.AllFacts()
-		if win.IsAll() {
-			return all
-		}
-		kept := all[:0]
-		for i := range all {
-			if factInWindow(&all[i], win) {
-				kept = append(kept, all[i])
-			}
-		}
-		return kept
+		return kg.allFacts(win)
 	}
 	seen := map[FactID]bool{}
 	var out []Fact

@@ -1,0 +1,150 @@
+package core
+
+import (
+	"time"
+
+	"nous/internal/graph"
+	"nous/internal/graph/symtab"
+	"nous/internal/ontology"
+	"nous/internal/temporal"
+)
+
+// The fact schema. A fact is stored exactly once, as a graph edge — the KG
+// keeps no second copy — so this file is the whole mapping between the two:
+//
+//	src, dst    subject and object (entity vertices; names via kg.names)
+//	label       predicate
+//	weight      confidence
+//	timestamp   provenance time in unix seconds (temporal.Timeless = undated)
+//	"stype"     the triple's subject type   ┐ not derivable from the vertices: a
+//	"otype"     the triple's object type    ┘ signature can be broader than the entity's type
+//	"curated"   "true" on curated facts, absent on extracted ones
+//	"source"    provenance source
+//	"doc"       provenance document ID
+//	"sentence"  supporting sentence, absent when empty
+//
+// factEdge is the only writer of the props and decodeLocked the only reader
+// that turns them back into a Fact; the WAL, snapshots and replication carry
+// the edge and nothing else.
+const (
+	propSType    = "stype"
+	propOType    = "otype"
+	propCurated  = "curated"
+	propSource   = "source"
+	propDoc      = "doc"
+	propSentence = "sentence"
+)
+
+// Interned once so a decode does no string hashing per edge.
+var (
+	keySType    = symtab.Intern(propSType)
+	keyOType    = symtab.Intern(propOType)
+	keyCurated  = symtab.Intern(propCurated)
+	keySource   = symtab.Intern(propSource)
+	keyDoc      = symtab.Intern(propDoc)
+	keySentence = symtab.Intern(propSentence)
+)
+
+// factEdge encodes a normalized triple between two entity vertices.
+func factEdge(t Triple, src, dst graph.VertexID) graph.EdgeSpec {
+	props := map[string]string{
+		propSource: t.Provenance.Source,
+		propDoc:    t.Provenance.DocID,
+		propSType:  string(t.SubjectType),
+		propOType:  string(t.ObjectType),
+	}
+	if t.Curated {
+		props[propCurated] = "true"
+	}
+	if t.Provenance.Sentence != "" {
+		props[propSentence] = t.Provenance.Sentence
+	}
+	return graph.EdgeSpec{
+		Src: src, Dst: dst, Label: t.Predicate,
+		Weight: t.Confidence, Timestamp: t.Provenance.Time.Unix(), Props: props,
+	}
+}
+
+// decodeLocked builds the fact an edge stores. It copies every field out of
+// the view, so the result is owned by the caller. The caller holds kg.mu; that
+// is also what makes the endpoint-type fallback's nested stripe read lock
+// safe inside a scan callback — every graph writer holds kg.mu exclusively,
+// so no writer can be queued between the two read locks.
+func (kg *KG) decodeLocked(e *graph.EdgeScan) Fact {
+	f := Fact{ID: e.ID, Src: e.Src, Dst: e.Dst, Triple: Triple{
+		Subject:     kg.names[e.Src],
+		Predicate:   e.LabelName(),
+		Object:      kg.names[e.Dst],
+		SubjectType: kg.endpointTypeLocked(prop(e, keySType), e.Src),
+		ObjectType:  kg.endpointTypeLocked(prop(e, keyOType), e.Dst),
+		Confidence:  e.Weight,
+		Curated:     e.PropEquals(keyCurated, "true"),
+		Provenance: Provenance{
+			Source:   prop(e, keySource),
+			DocID:    prop(e, keyDoc),
+			Sentence: prop(e, keySentence),
+		},
+	}}
+	// The undated sentinel decodes to the zero time exactly, the value
+	// NormalizeTriple admitted, not to a time.Unix value that merely equals it.
+	if e.Timestamp != temporal.Timeless {
+		f.Provenance.Time = time.Unix(e.Timestamp, 0)
+	}
+	return f
+}
+
+// prop reads one edge property, "" when absent.
+func prop(e *graph.EdgeScan, key symtab.SymID) string {
+	v, _ := e.Prop(key)
+	return v
+}
+
+// endpointTypeLocked resolves a fact endpoint's type: the type recorded on
+// the edge wins; an edge that records none falls back to the vertex's own.
+func (kg *KG) endpointTypeLocked(recorded string, id graph.VertexID) ontology.EntityType {
+	if recorded != "" {
+		return ontology.EntityType(recorded)
+	}
+	v, ok := kg.g.Vertex(id)
+	if !ok {
+		return ontology.TypeAny
+	}
+	if t, ok := v.Props["type"]; ok {
+		return ontology.EntityType(t)
+	}
+	return ontology.EntityType(v.Label)
+}
+
+// undated is the membership rule of KG.undated: an extracted fact whose edge
+// sits at or before the timeless sentinel, where no dated index read finds
+// it.
+func undated(curated bool, ts int64) bool {
+	return !curated && ts <= temporal.Timeless
+}
+
+// trackUndatedLocked files one edge in or out of the undated set.
+func (kg *KG) trackUndatedLocked(e *graph.EdgeScan) {
+	if undated(e.PropEquals(keyCurated, "true"), e.Timestamp) {
+		kg.undated[e.ID] = struct{}{}
+	} else {
+		delete(kg.undated, e.ID)
+	}
+}
+
+// factLocked decodes one fact by ID.
+func (kg *KG) factLocked(id FactID) (f Fact, ok bool) {
+	ok = kg.g.ScanEdge(id, func(e *graph.EdgeScan) { f = kg.decodeLocked(e) })
+	return f, ok
+}
+
+// factsLocked decodes every edge scan visits that lies in the window.
+func (kg *KG) factsLocked(scan func(func(*graph.EdgeScan) bool), w temporal.Window) []Fact {
+	var out []Fact
+	scan(func(e *graph.EdgeScan) bool {
+		if w.ContainsScan(e) {
+			out = append(out, kg.decodeLocked(e))
+		}
+		return true
+	})
+	return out
+}

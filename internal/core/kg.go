@@ -44,7 +44,9 @@ type Triple struct {
 // FactID identifies a fact stored in the KG.
 type FactID = graph.EdgeID
 
-// Fact is a stored triple plus its ID and endpoint vertex IDs.
+// Fact is a stored triple plus its ID and endpoint vertex IDs. It is a value
+// decoded from the fact's graph edge on every read (see fact.go); the KG holds
+// no Fact of its own.
 type Fact struct {
 	ID       FactID
 	Src, Dst graph.VertexID
@@ -78,17 +80,16 @@ type KG struct {
 	byAlias map[string][]string       // lowercase alias -> canonical names
 	names   map[graph.VertexID]string
 
-	facts map[FactID]*Fact
 	// tix is the per-shard time-ordered edge index, kept in sync through the
 	// graph's mutation stream. It serves windowed reads and drives
 	// EvictBefore: eviction reads the index prefix strictly before the
 	// cutoff, so the KG needs no separate insertion-order timeline.
 	tix *temporal.Index
-	// undated holds extracted facts with no provenance time. Their edges
-	// carry the timeless sentinel timestamp, which the index's dated reads
-	// skip, so EvictBefore sweeps this set separately — undated extracted
-	// knowledge counts as infinitely old, exactly as the removed timeline
-	// path treated it.
+	// undated holds the IDs of extracted facts with no provenance time (see
+	// the undated predicate). Their edges carry the timeless sentinel
+	// timestamp, which the index's dated reads skip, so EvictBefore sweeps
+	// this set separately — undated extracted knowledge counts as infinitely
+	// old.
 	undated map[FactID]struct{}
 
 	listeners []func(Event)
@@ -107,7 +108,6 @@ func NewKG(ont *ontology.Ontology) *KG {
 		byName:  make(map[string]graph.VertexID),
 		byAlias: make(map[string][]string),
 		names:   make(map[graph.VertexID]string),
-		facts:   make(map[FactID]*Fact),
 	}
 	kg.tix = temporal.Attach(kg.g)
 	return kg
@@ -384,7 +384,6 @@ func (kg *KG) AddFacts(ts []Triple) ([]FactID, []error) {
 	valid := make([]int, 0, len(ts)) // indexes into ts that passed validation
 	norm := make([]Triple, 0, len(ts))
 	specs := make([]graph.EdgeSpec, 0, len(ts))
-	endpoints := make([][2]graph.VertexID, 0, len(ts))
 	for i := range ts {
 		t, err := kg.NormalizeTriple(ts[i])
 		if err != nil {
@@ -393,29 +392,9 @@ func (kg *KG) AddFacts(ts []Triple) ([]FactID, []error) {
 		}
 		src := kg.addEntityLocked(t.Subject, t.SubjectType)
 		dst := kg.addEntityLocked(t.Object, t.ObjectType)
-		props := map[string]string{
-			"source": t.Provenance.Source,
-			"doc":    t.Provenance.DocID,
-			// The triple's endpoint types are not derivable from the
-			// vertices (a predicate signature can be broader than the
-			// entity's registered type), so persist them on the edge for
-			// recovery (see Rebuild).
-			"stype": string(t.SubjectType),
-			"otype": string(t.ObjectType),
-		}
-		if t.Curated {
-			props["curated"] = "true"
-		}
-		if t.Provenance.Sentence != "" {
-			props["sentence"] = t.Provenance.Sentence
-		}
 		valid = append(valid, i)
 		norm = append(norm, t)
-		specs = append(specs, graph.EdgeSpec{
-			Src: src, Dst: dst, Label: t.Predicate,
-			Weight: t.Confidence, Timestamp: t.Provenance.Time.Unix(), Props: props,
-		})
-		endpoints = append(endpoints, [2]graph.VertexID{src, dst})
+		specs = append(specs, factEdge(t, src, dst))
 	}
 
 	eids, err := kg.g.AddEdges(specs)
@@ -428,13 +407,12 @@ func (kg *KG) AddFacts(ts []Triple) ([]FactID, []error) {
 		return ids, errs
 	}
 	for j, i := range valid {
-		f := &Fact{ID: eids[j], Src: endpoints[j][0], Dst: endpoints[j][1], Triple: norm[j]}
-		kg.facts[f.ID] = f
-		if undatedFact(f) {
-			kg.undated[f.ID] = struct{}{}
+		ids[i] = eids[j]
+		if undated(norm[j].Curated, specs[j].Timestamp) {
+			kg.undated[eids[j]] = struct{}{}
 		}
-		ids[i] = f.ID
-		kg.notifyLocked(Event{Kind: FactAdded, Fact: *f})
+		kg.notifyLocked(Event{Kind: FactAdded,
+			Fact: Fact{ID: eids[j], Src: specs[j].Src, Dst: specs[j].Dst, Triple: norm[j]}})
 	}
 	return ids, errs
 }
@@ -452,12 +430,13 @@ func (kg *KG) PredicatesBetween(subject, object string) []string {
 	}
 	seen := map[string]bool{}
 	var out []string
-	for _, e := range kg.g.FindEdges(s, o, "") {
-		if !seen[e.Label] {
-			seen[e.Label] = true
-			out = append(out, e.Label)
+	kg.g.ForEachOutScan(s, func(e *graph.EdgeScan) bool {
+		if label := e.LabelName(); e.Dst == o && !seen[label] {
+			seen[label] = true
+			out = append(out, label)
 		}
-	}
+		return true
+	})
 	sort.Strings(out)
 	return out
 }
@@ -468,7 +447,8 @@ func (kg *KG) HasFact(subject, predicate, object string) bool {
 }
 
 // HasFactWindow reports whether a (subject, predicate, object) fact exists
-// inside the window (curated facts qualify in any window).
+// inside the window (curated facts qualify in any window). An empty
+// predicate matches any.
 func (kg *KG) HasFactWindow(subject, predicate, object string, w temporal.Window) bool {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
@@ -477,47 +457,32 @@ func (kg *KG) HasFactWindow(subject, predicate, object string, w temporal.Window
 	if !ok1 || !ok2 {
 		return false
 	}
-	edges := kg.g.FindEdges(s, o, predicate)
-	if !w.Bounded() {
-		return len(edges) > 0
-	}
-	for _, e := range edges {
-		// An edge with no fact record (impossible through AddFacts, but kept
-		// for parity with the unwindowed read) counts as present.
-		if f, ok := kg.facts[e.ID]; !ok || factInWindow(f, w) {
-			return true
-		}
-	}
-	return false
+	found := false
+	kg.g.ForEachOutScan(s, func(e *graph.EdgeScan) bool {
+		found = e.Dst == o && (predicate == "" || e.LabelName() == predicate) && w.ContainsScan(e)
+		return !found
+	})
+	return found
 }
 
 // Fact returns the stored fact by ID.
 func (kg *KG) Fact(id FactID) (Fact, bool) {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	f, ok := kg.facts[id]
-	if !ok {
-		return Fact{}, false
-	}
-	return *f, true
+	return kg.factLocked(id)
 }
 
 // SetConfidence updates a fact's confidence (e.g. after link-prediction
-// scoring) and mirrors it onto the edge weight.
+// scoring), which is its edge's weight.
 func (kg *KG) SetConfidence(id FactID, c float64) bool {
 	kg.mu.Lock()
 	defer kg.mu.Unlock()
-	f, ok := kg.facts[id]
-	if !ok {
-		return false
-	}
 	if c < 0 {
 		c = 0
 	}
 	if c > 1 {
 		c = 1
 	}
-	f.Confidence = c
 	return kg.g.SetEdgeWeight(id, c)
 }
 
@@ -529,22 +494,11 @@ func (kg *KG) RemoveFact(id FactID) bool {
 	return kg.removeLocked(id)
 }
 
-// removeLocked deletes the fact record and its edge. The edge removal's
-// mutation keeps the temporal index in sync.
+// removeLocked deletes the fact's edge. The edge removal's mutation keeps
+// the temporal index in sync.
 func (kg *KG) removeLocked(id FactID) bool {
-	if _, ok := kg.facts[id]; !ok {
-		return false
-	}
-	delete(kg.facts, id)
 	delete(kg.undated, id)
 	return kg.g.RemoveEdge(id)
-}
-
-// undatedFact reports whether an extracted fact carries no usable
-// provenance time (its edge sits at or before the timeless sentinel, so
-// DatedIn never returns it).
-func undatedFact(f *Fact) bool {
-	return !f.Curated && f.Provenance.Time.Unix() <= temporal.Timeless
 }
 
 // EvictBefore removes extracted (non-curated) facts observed strictly before
@@ -564,39 +518,24 @@ func (kg *KG) EvictBefore(cutoff time.Time) int {
 	defer kg.mu.Unlock()
 	cut := cutoff.Unix()
 	n := 0
-	for _, id := range kg.tix.DatedIn(temporal.Window{Since: math.MinInt64, Until: cut}) {
-		f, ok := kg.facts[id]
+	evict := func(id FactID) {
+		f, ok := kg.factLocked(id)
 		if !ok || f.Curated {
-			continue
+			return
 		}
 		kg.removeLocked(id)
-		kg.notifyLocked(Event{Kind: FactEvicted, Fact: *f})
+		kg.notifyLocked(Event{Kind: FactEvicted, Fact: f})
 		n++
+	}
+	for _, id := range kg.tix.DatedIn(temporal.Window{Since: math.MinInt64, Until: cut}) {
+		evict(id)
 	}
 	if temporal.Timeless < cut {
 		for id := range kg.undated {
-			f, ok := kg.facts[id]
-			if !ok {
-				delete(kg.undated, id)
-				continue
-			}
-			kg.removeLocked(id)
-			kg.notifyLocked(Event{Kind: FactEvicted, Fact: *f})
-			n++
+			evict(id)
 		}
 	}
 	return n
-}
-
-// factInWindow is the fact-level read-view rule mirroring
-// temporal.Window.ContainsEdge: curated facts are timeless background
-// knowledge and always in scope; extracted facts are scoped by provenance
-// time. The unbounded window admits everything without touching the fact.
-func factInWindow(f *Fact, w temporal.Window) bool {
-	if w.IsAll() || f.Curated {
-		return true
-	}
-	return w.Contains(f.Provenance.Time.Unix())
 }
 
 // FactsAbout returns all facts in which the named entity is subject or
@@ -615,12 +554,7 @@ func (kg *KG) FactsAboutWindow(name string, w temporal.Window) []Fact {
 	if !ok {
 		return nil
 	}
-	var out []Fact
-	for _, e := range kg.g.Edges(id) {
-		if f, ok := kg.facts[e.ID]; ok && factInWindow(f, w) {
-			out = append(out, *f)
-		}
-	}
+	out := kg.factsLocked(func(fn func(*graph.EdgeScan) bool) { kg.g.ForEachIncidentScan(id, fn) }, w)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Confidence != out[j].Confidence {
 			return out[i].Confidence > out[j].Confidence
@@ -634,32 +568,32 @@ func (kg *KG) FactsAboutWindow(name string, w temporal.Window) []Fact {
 func (kg *KG) FactsByPredicate(pred string) []Fact {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	var out []Fact
-	for _, e := range kg.g.EdgesByLabel(pred) {
-		if f, ok := kg.facts[e.ID]; ok {
-			out = append(out, *f)
-		}
-	}
-	return out
+	return byID(kg.factsLocked(func(fn func(*graph.EdgeScan) bool) { kg.g.ForEachLabelScan(pred, fn) }, temporal.All()))
 }
 
 // AllFacts returns every stored fact ordered by ID.
 func (kg *KG) AllFacts() []Fact {
+	return kg.allFacts(temporal.All())
+}
+
+// allFacts returns every stored fact inside the window, ordered by ID.
+func (kg *KG) allFacts(w temporal.Window) []Fact {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	out := make([]Fact, 0, len(kg.facts))
-	for _, f := range kg.facts {
-		out = append(out, *f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return byID(kg.factsLocked(kg.g.ScanEdges, w))
+}
+
+// byID orders facts by ID in place.
+func byID(fs []Fact) []Fact {
+	sort.Slice(fs, func(i, j int) bool { return fs[i].ID < fs[j].ID })
+	return fs
 }
 
 // NumFacts returns the number of stored facts.
 func (kg *KG) NumFacts() int {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	return len(kg.facts)
+	return kg.g.NumEdges()
 }
 
 // NumEntities returns the number of registered entities.
@@ -677,34 +611,8 @@ func (kg *KG) ObjectsOf(subject, pred string) []ScoredEntity {
 
 // ObjectsOfWindow is ObjectsOf restricted to the window.
 func (kg *KG) ObjectsOfWindow(subject, pred string, w temporal.Window) []ScoredEntity {
-	kg.mu.RLock()
-	defer kg.mu.RUnlock()
-	id, ok := kg.byName[subject]
-	if !ok {
-		return nil
-	}
-	var out []ScoredEntity
-	windowed := w.Bounded() // skip the per-edge fact lookup on the hot path
-	kg.g.ForEachOutEdge(id, func(e graph.Edge) bool {
-		if pred == "" || e.Label == pred {
-			if windowed {
-				if f, ok := kg.facts[e.ID]; ok && !factInWindow(f, w) {
-					return true
-				}
-			}
-			if n, ok := kg.names[e.Dst]; ok {
-				out = append(out, ScoredEntity{Name: n, Score: e.Weight})
-			}
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
+	return kg.scoredEndpoints(subject, pred, w, kg.g.ForEachOutScan,
+		func(e *graph.EdgeScan) graph.VertexID { return e.Dst })
 }
 
 // SubjectsOf returns the subject names of facts (*, pred, object).
@@ -714,22 +622,25 @@ func (kg *KG) SubjectsOf(pred, object string) []ScoredEntity {
 
 // SubjectsOfWindow is SubjectsOf restricted to the window.
 func (kg *KG) SubjectsOfWindow(pred, object string, w temporal.Window) []ScoredEntity {
+	return kg.scoredEndpoints(object, pred, w, kg.g.ForEachInScan,
+		func(e *graph.EdgeScan) graph.VertexID { return e.Src })
+}
+
+// scoredEndpoints lists the far endpoints of the named entity's edges in one
+// direction (scan) that carry pred (empty matches any) inside the window,
+// scored by confidence, best first.
+func (kg *KG) scoredEndpoints(name, pred string, w temporal.Window,
+	scan func(graph.VertexID, func(*graph.EdgeScan) bool), far func(*graph.EdgeScan) graph.VertexID) []ScoredEntity {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	id, ok := kg.byName[object]
+	id, ok := kg.byName[name]
 	if !ok {
 		return nil
 	}
 	var out []ScoredEntity
-	windowed := w.Bounded() // skip the per-edge fact lookup on the hot path
-	kg.g.ForEachInEdge(id, func(e graph.Edge) bool {
-		if pred == "" || e.Label == pred {
-			if windowed {
-				if f, ok := kg.facts[e.ID]; ok && !factInWindow(f, w) {
-					return true
-				}
-			}
-			if n, ok := kg.names[e.Src]; ok {
+	scan(id, func(e *graph.EdgeScan) bool {
+		if (pred == "" || e.LabelName() == pred) && w.ContainsScan(e) {
+			if n, ok := kg.names[far(e)]; ok {
 				out = append(out, ScoredEntity{Name: n, Score: e.Weight})
 			}
 		}

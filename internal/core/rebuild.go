@@ -3,31 +3,27 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"nous/internal/graph"
-	"nous/internal/ontology"
 )
 
-// Rebuild reconstructs the KG's index layer — entity name maps, the alias
-// index, fact records and the temporal edge index — from the underlying
-// property graph. It is the second half of recovery: internal/persist
-// restores the graph bytes, Rebuild re-derives everything this wrapper keeps
-// outside the graph. The KG must be freshly constructed (no entities or
-// facts); the graph is only read, never written, so rebuilding logs nothing
-// to an attached WAL.
+// Rebuild reconstructs what the KG keeps outside the property graph — the
+// entity name maps, the alias index, the undated ID set and the temporal
+// edge index — from the graph. It is the second half of recovery:
+// internal/persist restores the graph bytes, Rebuild re-derives the indexes
+// over them. Facts need no rebuilding: the edge is the only copy of a fact,
+// so a recovered graph already holds every one of them (see fact.go). The KG
+// must be freshly constructed (no entities or facts indexed); the graph is
+// only read, never written, so rebuilding logs nothing to an attached WAL.
 //
-// Every field of every fact lives in the graph: names and aliases as vertex
-// properties, predicate/confidence/provenance as the edge's label, weight,
-// timestamp and properties. The temporal index is re-scanned from graph
-// state because snapshot loads and WAL replay restore edges without
-// emitting the mutations that normally keep it in sync.
+// Names and aliases live on the vertices as properties. The temporal index is
+// re-scanned from graph state because snapshot loads and WAL replay restore
+// edges without emitting the mutations that normally keep it in sync.
 func (kg *KG) Rebuild() error {
 	kg.mu.Lock()
 	defer kg.mu.Unlock()
-	if len(kg.byName) != 0 || len(kg.facts) != 0 {
-		return fmt.Errorf("core: Rebuild requires a fresh KG (%d entities, %d facts present)",
-			len(kg.byName), len(kg.facts))
+	if len(kg.byName) != 0 {
+		return fmt.Errorf("core: Rebuild requires a fresh KG (%d entities present)", len(kg.byName))
 	}
 	for _, id := range kg.g.VertexIDs() {
 		v, ok := kg.g.Vertex(id)
@@ -41,67 +37,26 @@ func (kg *KG) Rebuild() error {
 		if prev, dup := kg.byName[name]; dup {
 			return fmt.Errorf("core: recovered vertices %d and %d share the name %q", prev, id, name)
 		}
-		kg.byName[name] = id
-		kg.names[id] = name
-		kg.registerAliasLocked(name, name)
-		if aliases := v.Props[aliasesProp]; aliases != "" {
-			for _, a := range strings.Split(aliases, aliasesSep) {
-				kg.registerAliasLocked(a, name)
-			}
-		}
+		kg.indexVertexLocked(v)
 	}
-	for _, id := range kg.g.EdgeIDs() {
-		e, ok := kg.g.Edge(id)
-		if !ok {
-			continue
-		}
-		subj, ok1 := kg.names[e.Src]
-		obj, ok2 := kg.names[e.Dst]
-		if !ok1 || !ok2 {
-			return fmt.Errorf("core: recovered edge %d references unnamed vertices (%d -> %d)", id, e.Src, e.Dst)
-		}
-		f := &Fact{
-			ID:  id,
-			Src: e.Src,
-			Dst: e.Dst,
-			Triple: Triple{
-				Subject:     subj,
-				Predicate:   e.Label,
-				Object:      obj,
-				SubjectType: kg.factTypeLocked(e.Props["stype"], e.Src),
-				ObjectType:  kg.factTypeLocked(e.Props["otype"], e.Dst),
-				Confidence:  e.Weight,
-				Curated:     e.Props["curated"] == "true",
-				Provenance: Provenance{
-					Source:   e.Props["source"],
-					DocID:    e.Props["doc"],
-					Sentence: e.Props["sentence"],
-					Time:     time.Unix(e.Timestamp, 0),
-				},
-			},
-		}
-		kg.facts[id] = f
-		if undatedFact(f) {
-			kg.undated[id] = struct{}{}
-		}
-	}
+	kg.g.ScanEdges(func(e *graph.EdgeScan) bool {
+		kg.trackUndatedLocked(e)
+		return true
+	})
 	kg.tix.Rebuild()
 	return nil
 }
 
-// factTypeLocked resolves a fact endpoint's type: the type recorded on the
-// edge itself wins (a triple's endpoint type can be broader than the
-// entity's registered type); the vertex's own type is the fallback.
-func (kg *KG) factTypeLocked(recorded string, id graph.VertexID) ontology.EntityType {
-	if recorded != "" {
-		return ontology.EntityType(recorded)
+// indexVertexLocked registers a named vertex, with the alias set mirrored on
+// it, in the entity indexes.
+func (kg *KG) indexVertexLocked(v graph.Vertex) {
+	name := v.Props["name"]
+	kg.byName[name] = v.ID
+	kg.names[v.ID] = name
+	kg.registerAliasLocked(name, name)
+	if aliases := v.Props[aliasesProp]; aliases != "" {
+		for _, a := range strings.Split(aliases, aliasesSep) {
+			kg.registerAliasLocked(a, name)
+		}
 	}
-	v, ok := kg.g.Vertex(id)
-	if !ok {
-		return ontology.TypeAny
-	}
-	if t, ok := v.Props["type"]; ok {
-		return ontology.EntityType(t)
-	}
-	return ontology.EntityType(v.Label)
 }

@@ -3,30 +3,53 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"nous/internal/graph"
 )
 
 // ApplyReplicated applies one leader-authored mutation to a follower KG: the
 // graph mutation goes through graph.ApplyReplicated (which adopts the
-// leader's epoch stamp and feeds the attached temporal index), then the KG's
-// own index layer — entity name maps, alias index, fact records, the undated
-// set — is maintained incrementally with the same derivations Rebuild uses
-// on a full scan. Fact-level listeners see FactAdded/FactEvicted exactly as
-// they would on a leader, so miners and detectors stay live on a replica.
+// leader's epoch stamp and feeds the attached temporal index), and with it
+// every fact it carries — the edge is the fact. What the KG keeps outside
+// the graph — entity name maps, alias index, the undated set — is maintained
+// incrementally with the same derivations Rebuild uses on a full scan.
+// Fact-level listeners see FactAdded/FactEvicted exactly as they would on a
+// leader, so miners and detectors stay live on a replica.
 //
 // Duplicate delivery (a resumed stream re-sending applied records) converges:
 // adds of known facts and removes/updates of unknown ones are no-ops.
 func (kg *KG) ApplyReplicated(m graph.Mutation) error {
 	kg.mu.Lock()
 	defer kg.mu.Unlock()
+	switch m.Kind {
+	case graph.MutAddEdges:
+		return kg.replicateEdgesLocked(m)
+	case graph.MutRemoveEdge:
+		// Decode the eviction payload while the edge still exists.
+		f, ok := kg.factLocked(m.EdgeID)
+		if err := kg.g.ApplyReplicated(m); err != nil {
+			return err
+		}
+		if ok {
+			delete(kg.undated, m.EdgeID)
+			kg.notifyLocked(Event{Kind: FactEvicted, Fact: f})
+		}
+		return nil
+	}
 	if err := kg.g.ApplyReplicated(m); err != nil {
 		return err
 	}
 	switch m.Kind {
 	case graph.MutAddVertex:
-		kg.replicateVertexLocked(m.Vertex)
+		// A vertex whose name is already bound (duplicate delivery, or the
+		// bootstrap snapshot already held it) is left alone; a nameless
+		// vertex has no entity identity and is indexed by the graph layer
+		// only.
+		if name := m.Vertex.Props["name"]; name != "" {
+			if _, dup := kg.byName[name]; !dup {
+				kg.indexVertexLocked(m.Vertex)
+			}
+		}
 	case graph.MutSetVertexProp:
 		if m.Key == aliasesProp {
 			if name, ok := kg.names[m.VertexID]; ok {
@@ -35,113 +58,40 @@ func (kg *KG) ApplyReplicated(m graph.Mutation) error {
 				}
 			}
 		}
-	case graph.MutAddEdges:
-		return kg.replicateEdgesLocked(m.Edges)
-	case graph.MutRemoveEdge:
-		if f, ok := kg.facts[m.EdgeID]; ok {
-			ev := *f
-			delete(kg.facts, m.EdgeID)
-			delete(kg.undated, m.EdgeID)
-			kg.notifyLocked(Event{Kind: FactEvicted, Fact: ev})
-		}
-	case graph.MutSetEdgeWeight:
-		if f, ok := kg.facts[m.EdgeID]; ok {
-			f.Confidence = m.Weight
-		}
 	case graph.MutSetEdgeProp:
-		if f, ok := kg.facts[m.EdgeID]; ok {
-			kg.replicateEdgePropLocked(f, m.Key, m.Value)
+		// The curated flag is half of the undated rule.
+		if m.Key == propCurated {
+			kg.g.ScanEdge(m.EdgeID, kg.trackUndatedLocked)
 		}
 	}
 	return nil
 }
 
-// replicateVertexLocked registers a replicated vertex in the entity indexes.
-// A vertex whose name is already bound (duplicate delivery, or the bootstrap
-// snapshot already held it) is left alone; a nameless vertex has no entity
-// identity and is indexed by the graph layer only.
-func (kg *KG) replicateVertexLocked(v graph.Vertex) {
-	name := v.Props["name"]
-	if name == "" {
-		return
-	}
-	if _, dup := kg.byName[name]; dup {
-		return
-	}
-	kg.byName[name] = v.ID
-	kg.names[v.ID] = name
-	kg.registerAliasLocked(name, name)
-	if aliases := v.Props[aliasesProp]; aliases != "" {
-		for _, a := range strings.Split(aliases, aliasesSep) {
-			kg.registerAliasLocked(a, name)
-		}
-	}
-}
-
-// replicateEdgesLocked materializes fact records for a replicated edge
-// batch, using the same field derivations Rebuild applies to a recovered
-// edge. Edges whose fact already exists are skipped without an event.
-func (kg *KG) replicateEdgesLocked(edges []graph.Edge) error {
-	for _, e := range edges {
-		if _, dup := kg.facts[e.ID]; dup {
-			continue
-		}
-		subj, ok1 := kg.names[e.Src]
-		obj, ok2 := kg.names[e.Dst]
+// replicateEdgesLocked applies a replicated edge batch and announces the
+// facts it added. Edges the graph already held (duplicate delivery) are
+// skipped without an event.
+func (kg *KG) replicateEdgesLocked(m graph.Mutation) error {
+	fresh := make([]graph.EdgeID, 0, len(m.Edges))
+	for _, e := range m.Edges {
+		_, ok1 := kg.names[e.Src]
+		_, ok2 := kg.names[e.Dst]
 		if !ok1 || !ok2 {
 			return fmt.Errorf("core: replicated edge %d references unnamed vertices (%d -> %d)", e.ID, e.Src, e.Dst)
 		}
-		f := &Fact{
-			ID:  e.ID,
-			Src: e.Src,
-			Dst: e.Dst,
-			Triple: Triple{
-				Subject:     subj,
-				Predicate:   e.Label,
-				Object:      obj,
-				SubjectType: kg.factTypeLocked(e.Props["stype"], e.Src),
-				ObjectType:  kg.factTypeLocked(e.Props["otype"], e.Dst),
-				Confidence:  e.Weight,
-				Curated:     e.Props["curated"] == "true",
-				Provenance: Provenance{
-					Source:   e.Props["source"],
-					DocID:    e.Props["doc"],
-					Sentence: e.Props["sentence"],
-					Time:     time.Unix(e.Timestamp, 0),
-				},
-			},
+		if !kg.g.ScanEdge(e.ID, func(*graph.EdgeScan) {}) {
+			fresh = append(fresh, e.ID)
 		}
-		kg.facts[e.ID] = f
-		if undatedFact(f) {
-			kg.undated[e.ID] = struct{}{}
-		}
-		kg.notifyLocked(Event{Kind: FactAdded, Fact: *f})
+	}
+	if err := kg.g.ApplyReplicated(m); err != nil {
+		return err
+	}
+	for _, id := range fresh {
+		var f Fact
+		kg.g.ScanEdge(id, func(e *graph.EdgeScan) {
+			kg.trackUndatedLocked(e)
+			f = kg.decodeLocked(e)
+		})
+		kg.notifyLocked(Event{Kind: FactAdded, Fact: f}) // listeners run outside the stripe lock
 	}
 	return nil
-}
-
-// replicateEdgePropLocked folds an edge property update into the stored
-// fact, mirroring Rebuild's property-to-field mapping. Curated toggles also
-// move the fact in or out of the undated set, whose membership depends on
-// the flag.
-func (kg *KG) replicateEdgePropLocked(f *Fact, key, value string) {
-	switch key {
-	case "source":
-		f.Provenance.Source = value
-	case "doc":
-		f.Provenance.DocID = value
-	case "sentence":
-		f.Provenance.Sentence = value
-	case "stype":
-		f.SubjectType = kg.factTypeLocked(value, f.Src)
-	case "otype":
-		f.ObjectType = kg.factTypeLocked(value, f.Dst)
-	case "curated":
-		f.Curated = value == "true"
-		if undatedFact(f) {
-			kg.undated[f.ID] = struct{}{}
-		} else {
-			delete(kg.undated, f.ID)
-		}
-	}
 }

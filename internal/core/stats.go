@@ -2,6 +2,8 @@ package core
 
 import (
 	"sort"
+
+	"nous/internal/temporal"
 )
 
 // Stats summarises the quality-related statistics the NOUS demo surfaces
@@ -26,14 +28,17 @@ type Stats struct {
 func (kg *KG) Stats() Stats {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
+	// ID order fixes the float summation order, so equal graphs report
+	// bit-equal means whatever order their slabs were filled in.
+	facts := byID(kg.factsLocked(kg.g.ScanEdges, temporal.All()))
 	s := Stats{
 		Entities:        len(kg.byName),
-		Facts:           len(kg.facts),
+		Facts:           len(facts),
 		PredicateCounts: make(map[string]int),
 		SourceCounts:    make(map[string]int),
 	}
 	sum, n := 0.0, 0
-	for _, f := range kg.facts {
+	for _, f := range facts {
 		s.PredicateCounts[f.Predicate]++
 		s.SourceCounts[f.Provenance.Source]++
 		if f.Curated {

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -221,6 +222,46 @@ func TestPageRankSumsToOne(t *testing.T) {
 	}
 	if math.Abs(sum-1.0) > 1e-6 {
 		t.Fatalf("PageRank sum = %v, want ~1", sum)
+	}
+}
+
+// TestPageRankBitReproducible pins "equal epochs serve byte-identical
+// reads" at its source: recomputing importance over an unchanged graph must
+// give bitwise-equal ranks however the stripe workers interleave.
+func TestPageRankBitReproducible(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	g := New()
+	const n = 300
+	ids := make([]VertexID, n)
+	for i := range ids {
+		ids[i] = g.AddVertex("V")
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 6000; i++ { // IDs round-robin, so every stripe holds edges
+		if _, err := g.AddEdgeFull(ids[rng.Intn(n)], ids[rng.Intn(n/10)], "r", 1, int64(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := func(e *EdgeScan) bool { return e.Timestamp%3 != 0 }
+	for name, run := range map[string]func() map[VertexID]float64{
+		"PageRank":         func() map[VertexID]float64 { return PageRank(g, 0.85, 20) },
+		"PageRankFiltered": func() map[VertexID]float64 { return PageRankFiltered(g, 0.85, 20, keep) },
+	} {
+		want := run()
+		for i := 0; i < 24; i++ {
+			got := run()
+			if len(got) != len(want) {
+				t.Fatalf("%s run %d: %d ranks, want %d", name, i, len(got), len(want))
+			}
+			for id, r := range want {
+				if math.Float64bits(got[id]) != math.Float64bits(r) {
+					t.Fatalf("%s run %d: rank of vertex %d = %x, first run gave %x",
+						name, i, id, math.Float64bits(got[id]), math.Float64bits(r))
+				}
+			}
+		}
 	}
 }
 

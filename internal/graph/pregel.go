@@ -224,10 +224,12 @@ func countKeptOutEdges(g *Graph, keep func(*EdgeScan) bool) map[VertexID]float64
 // gatherContributions computes, for every vertex, the sum of rank shares sent
 // to it by its in-neighbors (restricted to edges passing keep when keep is
 // non-nil) with one parallel columnar pass: each worker scans whole stripes
-// sequentially and accumulates into a local map, merged under one mutex.
+// sequentially and accumulates into that stripe's local map. The locals are
+// merged in stripe order after the workers join — float addition is not
+// associative, so merging in worker-completion order would let the last ulp
+// of a rank differ between two runs over the same graph.
 func gatherContributions(g *Graph, ranks, outdeg map[VertexID]float64, keep func(*EdgeScan) bool) map[VertexID]float64 {
-	var mu sync.Mutex
-	contrib := make(map[VertexID]float64, len(ranks))
+	var locals [numShards]map[VertexID]float64
 	forEachShardParallel(func(si int) {
 		local := make(map[VertexID]float64)
 		g.scanShard(si, func(e *EdgeScan) bool {
@@ -240,12 +242,14 @@ func gatherContributions(g *Graph, ranks, outdeg map[VertexID]float64, keep func
 			}
 			return true
 		})
-		mu.Lock()
+		locals[si] = local
+	})
+	contrib := make(map[VertexID]float64, len(ranks))
+	for _, local := range locals {
 		for k, v := range local {
 			contrib[k] += v
 		}
-		mu.Unlock()
-	})
+	}
 	return contrib
 }
 

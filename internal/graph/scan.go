@@ -121,6 +121,64 @@ func (g *Graph) ForEachIncidentScan(id VertexID, fn func(*EdgeScan) bool) {
 	g.scanRefs(s.in[id], &ev, fn)
 }
 
+// ScanEdge calls fn with a view of the edge with the given ID and reports
+// whether the edge exists. fn must not mutate the graph or retain the view.
+func (g *Graph) ScanEdge(id EdgeID, fn func(*EdgeScan)) bool {
+	si := shardIdx(uint64(id))
+	s := &g.shards[si]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	slot, ok := s.lookup(seqOf(id))
+	if !ok {
+		return false
+	}
+	c, off := s.slab.chunk(slot)
+	var ev EdgeScan
+	ev.fill(si, c, off)
+	fn(&ev)
+	return true
+}
+
+// ForEachLabelScan calls fn with a view of every live edge carrying label
+// while fn returns true — shard by shard off the per-label index, so the
+// cost is O(matching edges), in insertion order within each shard (not
+// global ID order). fn must not mutate the graph or retain the view.
+func (g *Graph) ForEachLabelScan(label string, fn func(*EdgeScan) bool) {
+	sym, known := symtab.Lookup(label)
+	if !known {
+		return // a never-interned label is carried by no edge
+	}
+	for si := range g.shards {
+		if !g.scanLabelShard(si, sym, fn) {
+			return
+		}
+	}
+}
+
+// scanLabelShard scans one shard's live slots for one label under its read
+// lock. It reports whether the scan should continue into the next shard.
+func (g *Graph) scanLabelShard(si int, label symtab.SymID, fn func(*EdgeScan) bool) bool {
+	s := &g.shards[si]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ls := s.byLabel[label]
+	if ls == nil {
+		return true
+	}
+	var ev EdgeScan
+	for _, slot := range ls.slots {
+		c, off := s.slab.chunk(slot)
+		if c.dead[off] {
+			continue
+		}
+		ev.fill(si, c, off)
+		if !fn(&ev) {
+			return false
+		}
+	}
+	return true
+}
+
 // ScanEdges calls fn with a view of every live edge while fn returns true —
 // shard by shard, in slab (insertion) order within each shard. This is the
 // sequential-memory whole-graph scan: one pass over the columnar chunks with

@@ -96,12 +96,14 @@ type Pipeline struct {
 // disambiguation prior; use NewWith to share one cache with the query
 // engine.
 func New(kg *core.KG, cfg Config) *Pipeline {
-	return NewWith(kg, cfg, nil)
+	return NewWith(kg, cfg, nil, kg.AllFacts())
 }
 
 // NewWith builds a pipeline whose disambiguation popularity prior is served
-// by the given analytics cache (nil constructs a private one).
-func NewWith(kg *core.KG, cfg Config, ac *analytics.Cache) *Pipeline {
+// by the given analytics cache (nil constructs a private one). facts is the
+// KG's current fact list (kg.AllFacts()), passed in so an assembler that
+// already decoded it does not pay for a second pass over the graph.
+func NewWith(kg *core.KG, cfg Config, ac *analytics.Cache, facts []core.Fact) *Pipeline {
 	if ac == nil {
 		ac = analytics.New(kg)
 	}
@@ -117,7 +119,6 @@ func NewWith(kg *core.KG, cfg Config, ac *analytics.Cache) *Pipeline {
 	})
 	mapper := predmap.NewMapper(kg.Ontology(), predmap.DefaultConfig())
 	mapper.AddDefaultSeeds()
-	facts := kg.AllFacts()
 	triples := make([]core.Triple, len(facts))
 	for i, f := range facts {
 		triples[i] = f.Triple

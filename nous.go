@@ -223,9 +223,12 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	// timestamp, so time-based eviction (EvictBefore) never removes them;
 	// the count window is FIFO over arrivals and does evict them once
 	// Miner.WindowSize newer facts have come in.
-	var seed []fgm.Edge
-	for _, f := range kg.AllFacts() {
-		seed = append(seed, p.minerEdge(f))
+	// The fact list is decoded from the graph once and shared with the
+	// stream assembly below (link-prediction training, trust seeding).
+	facts := kg.AllFacts()
+	seed := make([]fgm.Edge, len(facts))
+	for i, f := range facts {
+		seed[i] = p.minerEdge(f)
 	}
 	p.miner.AddBatch(seed)
 	kg.Subscribe(func(ev core.Event) {
@@ -242,7 +245,7 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	// backfill and whole-stream diffs.
 	p.tindex = kg.TemporalIndex()
 
-	p.stream = stream.NewWith(kg, cfg.Stream, p.analytics)
+	p.stream = stream.NewWith(kg, cfg.Stream, p.analytics, facts)
 	p.searcher = pathsearch.New(kg.Graph(), nil)
 	p.exec = &qa.Executor{
 		KG:        kg,
