@@ -20,6 +20,7 @@ import (
 	"nous/internal/ner"
 	"nous/internal/ontology"
 	"nous/internal/pathsearch"
+	"nous/internal/temporal"
 )
 
 // benchWorld caches a world across benchmarks (generation itself is
@@ -429,4 +430,50 @@ func BenchmarkAblation_ConfidenceGate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// corpusView builds the graph the system benchmark's query workloads serve —
+// the ×5 corpus world's curated KB plus 1,000 ingested articles — and
+// returns it with the window "2013 onwards" its entity queries draw from.
+func corpusView(b *testing.B) (*graph.Graph, temporal.Window) {
+	b.Helper()
+	wc := DefaultWorldConfig()
+	wc.Companies *= 5
+	wc.People *= 5
+	wc.Products *= 5
+	wc.Events *= 5
+	w := GenerateWorld(wc)
+	kg, err := w.LoadKG()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := NewPipeline(kg, DefaultConfig())
+	p.IngestAll(GenerateArticles(w, DefaultArticleConfig(1000)))
+	return kg.Graph(), temporal.SinceTime(time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC))
+}
+
+// BenchmarkViewCompile is one compile of the corpus graph: what the first
+// importance read at a new epoch pays once, whatever the number of windows.
+func BenchmarkViewCompile(b *testing.B) {
+	g, _ := corpusView(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graph.Compile(g, temporal.AlwaysVisible)
+	}
+}
+
+// BenchmarkViewPageRank is one windowed importance recompute (20 iterations)
+// over the compiled corpus graph: what every windowed-LRU miss pays.
+func BenchmarkViewPageRank(b *testing.B) {
+	g, win := corpusView(b)
+	v := graph.Compile(g, temporal.AlwaysVisible)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var r *graph.Ranks
+	for i := 0; i < b.N; i++ {
+		r = v.PageRank(0.85, 20, win.ContainsStamp)
+	}
+	b.ReportMetric(float64(v.NumEdges()), "edges")
+	b.ReportMetric(float64(r.Len()), "vertices")
 }

@@ -1,9 +1,10 @@
 // Package prgate implements the nouslint rule keeping PageRank off the query
-// path: internal/analytics memoizes PageRank per mutation epoch (with
-// singleflight and a staleness budget), and that cache is only effective if
-// it is the single recompute point. A stray graph.PageRank call from a query
-// package silently reintroduces the seed's recompute-per-request behaviour —
-// the ~100× regression PR 2 removed — without failing any test.
+// path: internal/analytics memoizes the compiled graph view per epoch and its
+// PageRank vectors per (epoch, window) (with singleflight and a staleness
+// budget), and that cache is only effective if it is the single recompute
+// point. A stray graph.Compile or View.PageRank call from a query package
+// silently reintroduces the seed's recompute-per-request behaviour — the
+// ~100× regression PR 2 removed — without failing any test.
 package prgate
 
 import (
@@ -13,10 +14,11 @@ import (
 )
 
 // graphPkg is the package (matched by path suffix) whose PageRank entry
-// points are gated, and allowedPkgs are the packages permitted to call them.
+// points — compiling a view and running the kernel over one — are gated, and
+// allowedPkgs are the packages permitted to call them.
 const graphPkg = "internal/graph"
 
-var gatedFuncs = map[string]bool{"PageRank": true, "PageRankFiltered": true}
+var gatedFuncs = map[string]bool{"Compile": true, "PageRank": true}
 
 var allowedPkgs = []string{
 	"internal/analytics", // the epoch-memoized cache: the single recompute point
@@ -25,7 +27,7 @@ var allowedPkgs = []string{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "prgate",
-	Doc: "graph.PageRank/PageRankFiltered may only be called from internal/analytics " +
+	Doc: "graph.Compile and View.PageRank may only be called from internal/analytics " +
 		"(and tests); everything else must go through the epoch-memoized analytics.Cache",
 	Run: run,
 }

@@ -1,4 +1,5 @@
-// Fixture analytics package: the one place allowed to recompute PageRank.
+// Fixture analytics package: the one place allowed to compile a view and
+// recompute PageRank.
 package analytics
 
 import "nous/internal/graph"
@@ -7,6 +8,6 @@ type Cache struct {
 	g *graph.Graph
 }
 
-func (c *Cache) Recompute() map[string]float64 {
-	return c.g.PageRank(0.85, 20) // allowed: this is the memoization point
+func (c *Cache) Recompute() []float64 {
+	return graph.Compile(c.g, nil).PageRank(0.85, 20, nil) // allowed: this is the memoization point
 }

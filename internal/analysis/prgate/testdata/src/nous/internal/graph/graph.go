@@ -3,10 +3,14 @@ package graph
 
 type Graph struct{}
 
-func (g *Graph) PageRank(damping float64, iters int) map[string]float64 { return nil }
+type View struct{}
 
-func (g *Graph) PageRankFiltered(damping float64, iters int, keep func(string) bool) map[string]float64 {
+func Compile(g *Graph, timeless func(string) bool) *View { return &View{} }
+
+func (v *View) PageRank(damping float64, iters int, keep func(ts int64, timeless bool) bool) []float64 {
 	return nil
 }
+
+func (v *View) NumEdges() int { return 0 }
 
 func (g *Graph) Degree(name string) int { return 0 }

@@ -1,18 +1,23 @@
-// Fixture query package: PageRank calls here bypass the epoch-memoized cache.
+// Fixture query package: compiling a view or running PageRank here bypasses
+// the epoch-memoized cache.
 package qa
 
 import "nous/internal/graph"
 
-func rank(g *graph.Graph) map[string]float64 {
-	return g.PageRank(0.85, 20) // want `outside internal/analytics`
+func compile(g *graph.Graph) *graph.View {
+	return graph.Compile(g, nil) // want `outside internal/analytics`
 }
 
-func filtered(g *graph.Graph, keep func(string) bool) map[string]float64 {
-	return g.PageRankFiltered(0.85, 20, keep) // want `outside internal/analytics`
+func rank(v *graph.View) []float64 {
+	return v.PageRank(0.85, 20, nil) // want `outside internal/analytics`
 }
 
-func degree(g *graph.Graph) int {
-	return g.Degree("ada") // ungated graph reads are fine
+func windowed(g *graph.Graph, keep func(int64, bool) bool) []float64 {
+	return graph.Compile(g, nil).PageRank(0.85, 20, keep) // want `outside internal/analytics` `outside internal/analytics`
+}
+
+func degree(g *graph.Graph, v *graph.View) int {
+	return g.Degree("ada") + v.NumEdges() // ungated graph and view reads are fine
 }
 
 // PageRank with the same name in another package is not the gated one.
@@ -22,7 +27,7 @@ func localRank() int {
 	return PageRank()
 }
 
-func batch(g *graph.Graph) map[string]float64 {
+func batch(v *graph.View) []float64 {
 	//nouslint:allow prgate -- offline batch export, not on the query path
-	return g.PageRank(0.85, 20)
+	return v.PageRank(0.85, 20, nil)
 }

@@ -129,6 +129,11 @@ func (m *memo[T]) invalidate() {
 // Cache memoizes derived artifacts over one dynamic KG. All methods are
 // safe for concurrent use; returned maps are shared snapshots and must be
 // treated as read-only by callers.
+//
+// Every importance artifact is a kernel run over one compiled graph.View,
+// memoized per exact epoch: the windows of a query mix, the unwindowed
+// PageRank and the popularity prior at one epoch share a single compile, and
+// a cached window holds a dense rank vector (8 bytes per vertex), not a map.
 type Cache struct {
 	kg *core.KG
 
@@ -144,7 +149,8 @@ type Cache struct {
 	// unchanged epoch reads always hit regardless of MaxLag.
 	MaxLag uint64
 
-	pagerank memo[map[graph.VertexID]float64]
+	view     memo[*graph.View]
+	pagerank memo[*graph.Ranks]
 	prior    memo[map[string]float64]
 	topics   memo[map[graph.VertexID][]float64]
 
@@ -190,12 +196,32 @@ func (c *Cache) account(hit, computed bool) {
 	}
 }
 
-// PageRank returns the memoized PageRank vector for the current epoch. The
-// returned map is shared; callers must not mutate it.
-func (c *Cache) PageRank() map[graph.VertexID]float64 {
+// viewAt returns the compiled view for epoch now. The view is keyed on the
+// exact epoch (no staleness budget — MaxLag applies to the rank vectors built
+// from it) and is not counted in Stats: it is an input of the artifacts, and
+// Computes keeps counting kernel runs as it always has.
+func (c *Cache) viewAt(now uint64) *graph.View {
+	v, _, _ := c.view.get(now, 0, func() *graph.View {
+		return graph.Compile(c.kg.Graph(), temporal.AlwaysVisible)
+	})
+	return v
+}
+
+// rank runs the PageRank kernel over the view at epoch now, restricted to the
+// window's edges (the unbounded window keeps every edge without a test).
+func (c *Cache) rank(now uint64, w temporal.Window) *graph.Ranks {
+	var keep func(ts int64, alwaysVisible bool) bool
+	if w.Bounded() {
+		keep = w.ContainsStamp
+	}
+	return c.viewAt(now).PageRank(c.Damping, c.Iters, keep)
+}
+
+// PageRank returns the memoized PageRank vector for the current epoch.
+func (c *Cache) PageRank() *graph.Ranks {
 	now := c.Epoch()
-	v, hit, computed := c.pagerank.get(now, c.MaxLag, func() map[graph.VertexID]float64 {
-		return graph.PageRank(c.kg.Graph(), c.Damping, c.Iters)
+	v, hit, computed := c.pagerank.get(now, c.MaxLag, func() *graph.Ranks {
+		return c.rank(now, temporal.All())
 	})
 	c.account(hit, computed)
 	return v
@@ -203,7 +229,7 @@ func (c *Cache) PageRank() map[graph.VertexID]float64 {
 
 // Importance returns one vertex's PageRank score at the current epoch.
 func (c *Cache) Importance(id graph.VertexID) float64 {
-	return c.PageRank()[id]
+	return c.PageRank().At(id)
 }
 
 // maxWindowedArtifacts caps the distinct windows whose PageRank is cached
@@ -214,7 +240,7 @@ const maxWindowedArtifacts = 8
 
 // windowedEntry is one window's memo plus its position in the LRU list.
 type windowedEntry struct {
-	memo *memo[map[graph.VertexID]float64]
+	memo *memo[*graph.Ranks]
 	elem *list.Element
 }
 
@@ -223,8 +249,8 @@ type windowedEntry struct {
 // [Since, Until)), keyed by (epoch, window). The unbounded window delegates
 // to PageRank, so the unwindowed hot path is untouched. At the entry cap the
 // least-recently-used window is evicted, so a hot window survives churn from
-// one-off windows. The returned map is shared; callers must not mutate it.
-func (c *Cache) WindowedPageRank(w temporal.Window) map[graph.VertexID]float64 {
+// one-off windows.
+func (c *Cache) WindowedPageRank(w temporal.Window) *graph.Ranks {
 	if w.IsAll() {
 		return c.PageRank()
 	}
@@ -237,7 +263,7 @@ func (c *Cache) WindowedPageRank(w temporal.Window) map[graph.VertexID]float64 {
 	if ok {
 		c.wlru.MoveToFront(e.elem)
 	} else {
-		e = &windowedEntry{memo: &memo[map[graph.VertexID]float64]{}}
+		e = &windowedEntry{memo: &memo[*graph.Ranks]{}}
 		e.elem = c.wlru.PushFront(w)
 		c.windowed[w] = e
 		for c.wlru.Len() > maxWindowedArtifacts {
@@ -249,9 +275,9 @@ func (c *Cache) WindowedPageRank(w temporal.Window) map[graph.VertexID]float64 {
 	c.wmu.Unlock()
 
 	now := c.Epoch()
-	v, hit, computed := e.memo.get(now, c.MaxLag, func() map[graph.VertexID]float64 {
+	v, hit, computed := e.memo.get(now, c.MaxLag, func() *graph.Ranks {
 		c.windowedComputes.Add(1)
-		return graph.PageRankFiltered(c.kg.Graph(), c.Damping, c.Iters, w.ContainsScan)
+		return c.rank(now, w)
 	})
 	c.account(hit, computed)
 	return v
@@ -259,7 +285,7 @@ func (c *Cache) WindowedPageRank(w temporal.Window) map[graph.VertexID]float64 {
 
 // WindowedImportance returns one vertex's PageRank score within the window.
 func (c *Cache) WindowedImportance(id graph.VertexID, w temporal.Window) float64 {
-	return c.WindowedPageRank(w)[id]
+	return c.WindowedPageRank(w).At(id)
 }
 
 // PopularityPrior returns the disambiguation popularity prior: per entity
@@ -276,15 +302,15 @@ func (c *Cache) PopularityPrior() map[string]float64 {
 		// importance scores from different warming histories. Keeping the
 		// served memo warmed only by the query path makes equal epochs give
 		// equal answers across a leader and its read replicas.
-		pr := graph.PageRank(c.kg.Graph(), c.Damping, c.Iters)
+		pr := c.rank(now, temporal.All())
 		maxRank := 0.0
-		for _, r := range pr {
+		pr.Each(func(_ graph.VertexID, r float64) {
 			if r > maxRank {
 				maxRank = r
 			}
-		}
-		prior := make(map[string]float64, len(pr))
-		for id, r := range pr {
+		})
+		prior := make(map[string]float64, pr.Len())
+		pr.Each(func(id graph.VertexID, r float64) {
 			if name, ok := c.kg.EntityName(id); ok {
 				if maxRank > 0 {
 					prior[name] = r / maxRank
@@ -292,7 +318,7 @@ func (c *Cache) PopularityPrior() map[string]float64 {
 					prior[name] = 0
 				}
 			}
-		}
+		})
 		return prior
 	})
 	c.account(hit, computed)

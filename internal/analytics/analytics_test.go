@@ -31,7 +31,7 @@ func TestPageRankMemoizedAtUnchangedEpoch(t *testing.T) {
 	kg := testKG(t)
 	c := New(kg)
 	first := c.PageRank()
-	if len(first) == 0 {
+	if first.Len() == 0 {
 		t.Fatal("empty PageRank")
 	}
 	st0 := c.Stats()
@@ -41,7 +41,7 @@ func TestPageRankMemoizedAtUnchangedEpoch(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		again := c.PageRank()
 		// Same epoch must serve the identical snapshot, not a recomputation.
-		if len(again) != len(first) {
+		if again != first {
 			t.Fatalf("snapshot changed at unchanged epoch")
 		}
 	}
@@ -60,7 +60,7 @@ func TestEpochBumpInvalidates(t *testing.T) {
 	c.MaxLag = 0 // strict freshness for this test
 	before := c.PageRank()
 	id, _ := kg.Entity("Shenzhen")
-	prBefore := before[id]
+	prBefore := before.At(id)
 
 	// A write moves the epoch; the next read must recompute.
 	kg.AddEntity("Orbit Dynamics", "Company")
@@ -74,7 +74,7 @@ func TestEpochBumpInvalidates(t *testing.T) {
 	if st.Computes != 2 {
 		t.Fatalf("computes = %d, want 2 (one per epoch)", st.Computes)
 	}
-	if after[id] == prBefore && len(after) == len(before) {
+	if after.At(id) == prBefore && after.Len() == before.Len() {
 		t.Log("rank numerically unchanged — acceptable, but recompute must have happened")
 	}
 }
@@ -162,7 +162,7 @@ func TestConcurrentPageRankOneCompute(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if len(c.PageRank()) == 0 {
+			if c.PageRank().Len() == 0 {
 				t.Error("empty PageRank")
 			}
 		}()

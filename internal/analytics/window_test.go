@@ -52,7 +52,7 @@ func TestWindowedPageRankMemoizedPerWindow(t *testing.T) {
 		Until: time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC).Unix(),
 	}
 	first := c.WindowedPageRank(w)
-	if len(first) == 0 {
+	if first.Len() == 0 {
 		t.Fatal("empty windowed PageRank")
 	}
 	again := c.WindowedPageRank(w)
@@ -128,7 +128,7 @@ func TestWindowedPageRankConcurrent(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 20; j++ {
 				w := temporal.Window{Since: int64(j % 3), Until: int64(j%3) + 1000000000}
-				if len(c.WindowedPageRank(w)) == 0 {
+				if c.WindowedPageRank(w).Len() == 0 {
 					t.Errorf("empty windowed PageRank (worker %d)", i)
 					return
 				}

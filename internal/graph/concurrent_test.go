@@ -299,8 +299,8 @@ func TestConcurrentReadersDuringPregel(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 5; i++ {
-		pr := PageRank(g, 0.85, 5)
-		if len(pr) == 0 {
+		pr := Compile(g, nil).PageRank(0.85, 5, nil)
+		if pr.Len() == 0 {
 			t.Fatal("empty PageRank on populated graph")
 		}
 		ConnectedComponents(g)

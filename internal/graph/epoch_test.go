@@ -44,7 +44,7 @@ func TestEpochBumpsOnEveryMutation(t *testing.T) {
 	g.Neighbors(a)
 	g.NumVertices()
 	g.EdgesByLabel("r2")
-	PageRank(g, 0.85, 5)
+	Compile(g, nil).PageRank(0.85, 5, nil)
 	if got := g.Epoch(); got != before {
 		t.Fatalf("reads moved epoch %d -> %d", before, got)
 	}

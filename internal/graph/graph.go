@@ -25,6 +25,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -583,7 +584,7 @@ func (g *Graph) Neighbors(id VertexID) []VertexID {
 	for v := range seen {
 		ids = append(ids, v)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -662,7 +663,7 @@ func (g *Graph) VertexIDs() []VertexID {
 		}
 		s.mu.RUnlock()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -679,7 +680,7 @@ func (g *Graph) EdgeIDs() []EdgeID {
 		}
 		s.mu.RUnlock()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

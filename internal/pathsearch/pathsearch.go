@@ -15,7 +15,8 @@
 package pathsearch
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -223,15 +224,16 @@ type scored struct {
 
 // expand grows every frontier node by one hop. Completed paths (reaching
 // dst) are handed to complete; open extensions are returned as candidates
-// with lookahead = divSum + divergence(tail, dst) when wantLookahead is set
-// (TopK orders by it; BFS does not and skips the extra divergence per
-// candidate). The visited bitset is repopulated per frontier node from its
-// chain. Incident edges are snapshotted as compact slab projections into a
-// scratch buffer so the vertex's shard lock is held only for the copy — no
-// label-string or props materialization per candidate — not for the
-// per-edge divergence math; a long expansion must not stall concurrent
-// writers.
-func (s *Searcher) expand(frontier []*pathNode, dst graph.VertexID, topicOf map[graph.VertexID][]float64, visited *bitset, win temporal.Window, wantLookahead bool, complete func(*pathNode)) []scored {
+// with lookahead = divSum + divergence(tail, dst) when toDst is non-nil
+// (TopK orders by it; BFS does not and skips the extra divergence). toDst
+// memoizes divergence(v, dst) per vertex for the whole query: many candidates
+// of one search share a tail. The visited bitset is repopulated per frontier
+// node from its chain. Incident edges are snapshotted as compact slab
+// projections into a scratch buffer so the vertex's shard lock is held only
+// for the copy — no label-string or props materialization per candidate —
+// not for the per-edge divergence math; a long expansion must not stall
+// concurrent writers.
+func (s *Searcher) expand(frontier []*pathNode, dst graph.VertexID, topicOf map[graph.VertexID][]float64, visited *bitset, win temporal.Window, toDst map[graph.VertexID]float64, complete func(*pathNode)) []scored {
 	var next []scored
 	var edgeBuf []pathEdge
 	windowed := win.Bounded()
@@ -266,8 +268,13 @@ func (s *Searcher) expand(frontier []*pathNode, dst graph.VertexID, topicOf map[
 				continue
 			}
 			sc := scored{n: np}
-			if wantLookahead {
-				sc.lookahead = np.divSum + divergence(topicOf, nb, dst)
+			if toDst != nil {
+				d, ok := toDst[nb]
+				if !ok {
+					d = divergence(topicOf, nb, dst)
+					toDst[nb] = d
+				}
+				sc.lookahead = np.divSum + d
 			}
 			next = append(next, sc)
 		}
@@ -338,18 +345,19 @@ func (s *Searcher) TopK(src, dst graph.VertexID, opt Options) []Path {
 	frontier := []*pathNode{{vert: src}}
 	var found []Path
 	seen := map[string]bool{}
+	toDst := map[graph.VertexID]float64{}
 
 	for depth := 0; depth < opt.MaxDepth && len(frontier) > 0; depth++ {
-		next := s.expand(frontier, dst, topicOf, visited, opt.Window, true, func(np *pathNode) {
+		next := s.expand(frontier, dst, topicOf, visited, opt.Window, toDst, func(np *pathNode) {
 			finish(np, s.g, pred, wantPred, seen, &found)
 		})
 		// Look-ahead pruning: keep the Beam candidates closest (in topic
 		// space) to the target.
-		sort.SliceStable(next, func(i, j int) bool {
-			if next[i].lookahead != next[j].lookahead {
-				return next[i].lookahead < next[j].lookahead
+		slices.SortStableFunc(next, func(a, b scored) int {
+			if c := cmp.Compare(a.lookahead, b.lookahead); c != 0 {
+				return c
 			}
-			return lessVerts(next[i].verts, next[j].verts)
+			return slices.Compare(a.verts, b.verts)
 		})
 		if len(next) > opt.Beam {
 			next = next[:opt.Beam]
@@ -360,14 +368,11 @@ func (s *Searcher) TopK(src, dst graph.VertexID, opt Options) []Path {
 		}
 	}
 
-	sort.SliceStable(found, func(i, j int) bool {
-		if found[i].Coherence != found[j].Coherence {
-			return found[i].Coherence < found[j].Coherence
+	slices.SortStableFunc(found, func(a, b Path) int {
+		if c := cmp.Compare(a.Coherence, b.Coherence); c != 0 {
+			return c
 		}
-		if len(found[i].Edges) != len(found[j].Edges) {
-			return len(found[i].Edges) < len(found[j].Edges)
-		}
-		return lessVerts(found[i].Vertices, found[j].Vertices)
+		return compareShorterFirst(a, b)
 	})
 	if len(found) > opt.K {
 		found = found[:opt.K]
@@ -398,13 +403,13 @@ func (s *Searcher) BFSPaths(src, dst graph.VertexID, opt Options) []Path {
 	seen := map[string]bool{}
 
 	for depth := 0; depth < opt.MaxDepth && len(frontier) > 0; depth++ {
-		next := s.expand(frontier, dst, topicOf, visited, opt.Window, false, func(np *pathNode) {
+		next := s.expand(frontier, dst, topicOf, visited, opt.Window, nil, func(np *pathNode) {
 			finish(np, s.g, pred, wantPred, seen, &found)
 		})
 		// Unbounded BFS fan-out explodes on dense graphs; cap like GraphX
 		// jobs cap their frontier, but without topic guidance (by vertex
 		// order, which is insertion order — a neutral choice).
-		sort.SliceStable(next, func(i, j int) bool { return lessVerts(next[i].verts, next[j].verts) })
+		slices.SortStableFunc(next, func(a, b scored) int { return slices.Compare(a.verts, b.verts) })
 		if len(next) > opt.Beam*4 {
 			next = next[:opt.Beam*4]
 		}
@@ -416,12 +421,7 @@ func (s *Searcher) BFSPaths(src, dst graph.VertexID, opt Options) []Path {
 			break
 		}
 	}
-	sort.SliceStable(found, func(i, j int) bool {
-		if len(found[i].Edges) != len(found[j].Edges) {
-			return len(found[i].Edges) < len(found[j].Edges)
-		}
-		return lessVerts(found[i].Vertices, found[j].Vertices)
-	})
+	slices.SortStableFunc(found, compareShorterFirst)
 	if len(found) > opt.K {
 		found = found[:opt.K]
 	}
@@ -439,11 +439,11 @@ func pathKey(p Path) string {
 	return string(key)
 }
 
-func lessVerts(a, b []graph.VertexID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
+// compareShorterFirst orders paths by hop count, then lexicographically by
+// vertex sequence.
+func compareShorterFirst(a, b Path) int {
+	if c := cmp.Compare(len(a.Edges), len(b.Edges)); c != 0 {
+		return c
 	}
-	return len(a) < len(b)
+	return slices.Compare(a.Vertices, b.Vertices)
 }

@@ -254,3 +254,15 @@ func TestSetTopicsDuringQueries(t *testing.T) {
 	}
 	<-done
 }
+
+// lessVerts is the lexicographic vertex-sequence order the reference
+// implementation (reference_test.go) sorts by; the searcher itself uses
+// slices.Compare.
+func lessVerts(a, b []graph.VertexID) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
+}

@@ -183,7 +183,7 @@ func TestWideBoundedWindowSameFacts(t *testing.T) {
 	if !reflect.DeepEqual(plain.Entity.Facts, windowed.Entity.Facts) {
 		t.Fatalf("wide window changed the fact set:\n%+v\nvs\n%+v", plain.Entity.Facts, windowed.Entity.Facts)
 	}
-	if math.Abs(plain.Entity.Importance-windowed.Entity.Importance) > 1e-9 {
+	if plain.Entity.Importance != windowed.Entity.Importance {
 		t.Fatalf("wide window changed importance: %v vs %v", plain.Entity.Importance, windowed.Entity.Importance)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -110,16 +109,16 @@ func TestEntityWindowParams(t *testing.T) {
 	full := getJSON(t, ts.URL+"/api/entity?name=DJI&since="+
 		"1900-01-01T00:00:00Z&until=2100-01-01T00:00:00Z", 200)
 	// Same summary either way: the corpus lies entirely inside the window.
-	// Importance goes through the windowed PageRank artifact, whose parallel
-	// reduction can differ in float ulps from the cached unwindowed one, so
-	// it is compared with a tolerance rather than byte-for-byte.
+	// Importance goes through the windowed PageRank artifact, which keeps
+	// every edge of the same compiled view and sums them in the same order
+	// as the unwindowed one, so it is compared exactly.
 	if plain["Name"] != full["Name"] || plain["Type"] != full["Type"] {
 		t.Fatalf("all-covering window changed identity: %v vs %v", plain, full)
 	}
 	if !reflect.DeepEqual(plain["Facts"], full["Facts"]) {
 		t.Fatalf("all-covering window changed the facts:\n%v\nvs\n%v", plain["Facts"], full["Facts"])
 	}
-	if math.Abs(plain["Importance"].(float64)-full["Importance"].(float64)) > 1e-9 {
+	if plain["Importance"].(float64) != full["Importance"].(float64) {
 		t.Fatalf("all-covering window changed importance: %v vs %v", plain["Importance"], full["Importance"])
 	}
 	getBody(t, ts.URL+"/api/entity?name=DJI&since=not-a-date", 400)

@@ -91,17 +91,22 @@ func (w Window) ContainsEdge(e graph.Edge) bool {
 // up once so the scan-path membership test does no string hashing per edge.
 var curatedKey = symtab.Intern("curated")
 
+// AlwaysVisible reports whether the edge is visible in every window: it
+// stores a curated fact. Consumers that compile edges into columns
+// (graph.Compile) evaluate it once per edge and keep the bit.
+func AlwaysVisible(e *graph.EdgeScan) bool { return e.PropEquals(curatedKey, "true") }
+
 // ContainsScan is ContainsEdge for slab views: the same membership rule
-// applied to a graph.EdgeScan without materializing the edge. Hot paths
-// (windowed PageRank, beam expansion) call this once per scanned edge.
+// applied to a graph.EdgeScan without materializing the edge. Beam expansion
+// calls this once per scanned edge.
 func (w Window) ContainsScan(e *graph.EdgeScan) bool {
-	if w.IsAll() {
-		return true
-	}
-	if w.Contains(e.Timestamp) {
-		return true
-	}
-	return e.PropEquals(curatedKey, "true")
+	return w.Contains(e.Timestamp) || AlwaysVisible(e)
+}
+
+// ContainsStamp is the membership rule over an edge already reduced to its
+// timestamp and AlwaysVisible bit — the form a compiled graph.View stores.
+func (w Window) ContainsStamp(ts int64, alwaysVisible bool) bool {
+	return alwaysVisible || w.Contains(ts)
 }
 
 // Empty returns a canonical window containing no timestamp. (A zero-value
