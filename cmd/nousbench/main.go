@@ -3,7 +3,9 @@
 // claims (the ~3× streaming-mining speedup, closed-pattern reconstruction,
 // BPR link-prediction quality, coherence-ranked path search, AIDA-variant
 // disambiguation accuracy and WSJ-scale ingest throughput). EXPERIMENTS.md
-// records the outputs side by side with what the paper states.
+// records the outputs side by side with what the paper states. The repl
+// artifact prints WAL-shipping replication numbers, the one subsystem no
+// benchmark/ workload drives; system performance is judged by benchmark/.
 //
 // Usage:
 //
@@ -14,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -25,91 +26,46 @@ import (
 	"time"
 
 	"nous"
-	"nous/internal/analytics"
 	"nous/internal/disambig"
 	"nous/internal/fgm"
 	"nous/internal/graph"
 	"nous/internal/linkpred"
 	"nous/internal/pathsearch"
-	"nous/internal/persist"
-	"nous/internal/temporal"
 )
 
+// artifacts lists every artifact in the order -artifact all runs them.
+var artifacts = []struct {
+	name string
+	run  func(n int, seed int64)
+}{
+	{"fig1", fig1}, {"fig2", fig2}, {"fig3", fig3}, {"fig4", fig4},
+	{"fig5", fig5}, {"fig6", fig6}, {"fig7", fig7},
+	{"3x", claim3x}, {"closed", claimClosed}, {"bpr", claimBPR},
+	{"coherence", claimCoherence}, {"aida", claimAIDA}, {"scale", claimScale},
+	{"repl", claimRepl},
+}
+
 func main() {
-	artifact := flag.String("artifact", "all", "artifact to regenerate: all, fig1..fig7, 3x, closed, bpr, coherence, aida, scale, query, persist, temporal, memory, repl, plan")
+	names := []string{"all"}
+	for _, a := range artifacts {
+		names = append(names, a.name)
+	}
+	artifact := flag.String("artifact", "all", "artifact to regenerate: "+strings.Join(names, ", "))
 	n := flag.Int("n", 800, "number of articles for corpus-driven artifacts")
 	seed := flag.Int64("seed", 42, "world seed")
-	jsonOut := flag.String("json", "", "write the artifact's machine-readable metrics (BENCH_<artifact>.json shape) to this file; supported by query, persist, temporal, memory, repl and plan")
 	flag.Parse()
 
-	runners := map[string]func(int, int64){
-		"fig1": fig1, "fig2": fig2, "fig3": fig3, "fig4": fig4,
-		"fig5": fig5, "fig6": fig6, "fig7": fig7,
-		"3x": claim3x, "closed": claimClosed, "bpr": claimBPR,
-		"coherence": claimCoherence, "aida": claimAIDA, "scale": claimScale,
-		"query": claimQuery, "persist": claimPersist, "temporal": claimTemporal,
-		"memory": claimMemory, "repl": claimRepl, "plan": claimPlan,
-	}
-	if *artifact == "all" {
-		if *jsonOut != "" {
-			fmt.Fprintln(os.Stderr, "-json needs a single metric artifact (query, persist, temporal or memory), not all")
-			os.Exit(2)
+	ran := false
+	for _, a := range artifacts {
+		if *artifact == "all" || *artifact == a.name {
+			a.run(*n, *seed)
+			ran = true
 		}
-		for _, name := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-			"3x", "closed", "bpr", "coherence", "aida", "scale", "query", "persist", "temporal", "memory", "repl", "plan"} {
-			runners[name](*n, *seed)
-		}
-		return
 	}
-	run, ok := runners[*artifact]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown artifact %q\n", *artifact)
 		os.Exit(2)
 	}
-	run(*n, *seed)
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut, *artifact, *n, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "writing bench JSON:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonOut)
-	}
-}
-
-// benchMetrics collects the named throughput numbers an artifact run
-// produced. Every metric is higher-is-better by convention; cmd/benchdiff
-// relies on that when gating regressions.
-var benchMetrics = map[string]float64{}
-
-func record(name string, value float64) { benchMetrics[name] = value }
-
-// benchJSON is the BENCH_<artifact>.json wire shape shared with
-// cmd/benchdiff.
-type benchJSON struct {
-	Artifact string             `json:"artifact"`
-	Metrics  map[string]float64 `json:"metrics"`
-	Meta     map[string]any     `json:"meta"`
-}
-
-func writeBenchJSON(path, artifact string, n int, seed int64) error {
-	if len(benchMetrics) == 0 {
-		return fmt.Errorf("artifact %q records no metrics (query, persist and temporal do)", artifact)
-	}
-	b, err := json.MarshalIndent(benchJSON{
-		Artifact: artifact,
-		Metrics:  benchMetrics,
-		Meta: map[string]any{
-			"articles":   n,
-			"seed":       seed,
-			"goos":       runtime.GOOS,
-			"goarch":     runtime.GOARCH,
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 func header(title string) {
@@ -117,7 +73,7 @@ func header(title string) {
 }
 
 // buildSystem assembles world + pipeline, shared by figure artifacts.
-func buildSystem(nArticles int, seed int64) (*nous.Pipeline, *nous.World, []nous.Article) {
+func buildSystem(nArticles int, seed int64) *nous.Pipeline {
 	wcfg := nous.DefaultWorldConfig()
 	wcfg.Seed = seed
 	w := nous.GenerateWorld(wcfg)
@@ -127,9 +83,8 @@ func buildSystem(nArticles int, seed int64) (*nous.Pipeline, *nous.World, []nous
 		os.Exit(1)
 	}
 	p := nous.NewPipeline(kg, nous.DefaultConfig())
-	arts := nous.GenerateArticles(w, nous.DefaultArticleConfig(nArticles))
-	p.IngestAll(arts)
-	return p, w, arts
+	p.IngestAll(nous.GenerateArticles(w, nous.DefaultArticleConfig(nArticles)))
+	return p
 }
 
 // fig1 — the component architecture exercised end to end, with per-stage
@@ -137,7 +92,7 @@ func buildSystem(nArticles int, seed int64) (*nous.Pipeline, *nous.World, []nous
 func fig1(n int, seed int64) {
 	header("Figure 1 — NOUS components (end-to-end pipeline run)")
 	start := time.Now()
-	p, _, _ := buildSystem(n, seed)
+	p := buildSystem(n, seed)
 	st := p.Stats()
 	kgStats := p.KG().Stats()
 	fmt.Printf("documents ingested        %8d\n", st.Documents)
@@ -156,7 +111,7 @@ func fig1(n int, seed int64) {
 // per-fact probability, around DJI and Windermere.
 func fig2(n int, seed int64) {
 	header("Figure 2 — fused knowledge graph around the drone cast")
-	p, _, _ := buildSystem(n, seed)
+	p := buildSystem(n, seed)
 	for _, name := range []string{"DJI", "Windermere"} {
 		fmt.Printf("\n--- %s ---\n", name)
 		facts := p.KG().FactsAbout(name)
@@ -176,7 +131,7 @@ func fig2(n int, seed int64) {
 // fig3 — dated triples extracted from WSJ-style sentences.
 func fig3(_ int, seed int64) {
 	header("Figure 3 — dated triples extracted from article sentences")
-	p, _, _ := buildSystem(25, seed)
+	p := buildSystem(25, seed)
 	fmt.Printf("%-12s %-22s %-18s %-22s\n", "date", "subject", "predicate", "object")
 	count := 0
 	for _, f := range p.KG().AllFacts() {
@@ -192,7 +147,7 @@ func fig3(_ int, seed int64) {
 // fig4 — DOT visualization of a drone-themed subgraph.
 func fig4(n int, seed int64) {
 	header("Figure 4 — drone-themed subgraph (Graphviz DOT)")
-	p, _, _ := buildSystem(n/4+50, seed)
+	p := buildSystem(n/4+50, seed)
 	if err := p.KG().ExportDOT(os.Stdout, "DJI", "Windermere", "FAA"); err != nil {
 		fmt.Fprintln(os.Stderr, "export:", err)
 	}
@@ -201,7 +156,7 @@ func fig4(n int, seed int64) {
 // fig5 — the five query classes, each executed.
 func fig5(n int, seed int64) {
 	header("Figure 5 — five classes of natural-language-like queries")
-	p, _, _ := buildSystem(n, seed)
+	p := buildSystem(n, seed)
 	p.BuildTopics()
 	for _, q := range []string{
 		"What is trending?",
@@ -223,7 +178,7 @@ func fig5(n int, seed int64) {
 // fig6 — the entity query "Tell me about DJI".
 func fig6(n int, seed int64) {
 	header(`Figure 6 — entity query: "Tell me about DJI"`)
-	p, _, _ := buildSystem(n, seed)
+	p := buildSystem(n, seed)
 	a, err := p.About("DJI")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -235,7 +190,7 @@ func fig6(n int, seed int64) {
 // fig7 — patterns discovered from updates, with a validating instance.
 func fig7(n int, seed int64) {
 	header("Figure 7 — patterns discovered from knowledge-graph updates")
-	p, _, _ := buildSystem(n, seed)
+	p := buildSystem(n, seed)
 	entered, left := p.PatternTransitions()
 	fmt.Printf("patterns that entered the frequent set: %d (showing top 8)\n", len(entered))
 	for i, pat := range entered {
@@ -528,433 +483,6 @@ func claimScale(n int, seed int64) {
 			(time.Duration(float64(342411)/rate) * time.Second).Round(time.Second),
 			st.RawTriples, st.Accepted)
 	}
-}
-
-// claimQuery — the epoch-versioned read layer: repeated entity-summary
-// throughput at an unchanged epoch (cached importance) and with a cold
-// importance artifact per query, then mixed-class query throughput during
-// concurrent ingest.
-func claimQuery(n int, seed int64) {
-	header("Claim C7 — epoch-cached query engine: cached vs cold importance")
-	p, w, _ := buildSystem(n, seed)
-	kg := p.KG()
-
-	// Part 1: entity-summary latency at an unchanged epoch. The cache
-	// computes importance once per epoch and serves vector reads thereafter.
-	const warmIters = 500
-	if _, err := p.About("DJI"); err != nil { // prime the cache
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	epochBefore := p.QueryStats().Epoch
-	start := time.Now()
-	for i := 0; i < warmIters; i++ {
-		if _, err := p.About("DJI"); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-	}
-	cached := time.Since(start) / warmIters
-
-	// A fresh cache per query pays what the first query after a write pays:
-	// one view compile and one PageRank kernel run, plus the summary
-	// assembly. Both rates are absolute — a ratio of the two would shrink
-	// whenever the recompute itself gets faster.
-	const coldIters = 200
-	id, _ := kg.Entity("DJI")
-	start = time.Now()
-	for i := 0; i < coldIters; i++ {
-		_ = analytics.New(kg).Importance(id)
-		if _, err := p.About("DJI"); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-	}
-	cold := time.Since(start) / coldIters
-
-	fmt.Printf("graph: %d entities, %d facts, epoch %d\n", kg.NumEntities(), kg.NumFacts(), epochBefore)
-	fmt.Printf("entity summary, unchanged epoch (cached):     %12s/query\n", cached)
-	fmt.Printf("entity summary, cold importance (recompute):  %12s/query\n", cold)
-	record("cached_entity_queries_per_sec", 1/cached.Seconds())
-	record("cold_importance_queries_per_sec", 1/cold.Seconds())
-
-	// Part 2: mixed-class throughput while the stream keeps mutating the
-	// graph — the paper's core scenario, querying during construction.
-	extra := nous.GenerateArticles(w, nous.DefaultArticleConfig(n/2+50))
-	queries := []string{
-		"Tell me about DJI",
-		"What is trending?",
-		"What does DJI manufacture?",
-		"How is Windermere related to DJI?",
-		"What patterns are emerging?",
-	}
-	done := make(chan struct{})
-	ingestStart := time.Now()
-	go func() {
-		defer close(done)
-		p.IngestAll(extra)
-	}()
-	served := 0
-	var qerr error
-	for running := true; running; {
-		select {
-		case <-done:
-			running = false
-		default:
-			if _, err := p.Ask(queries[served%len(queries)]); err != nil && qerr == nil {
-				qerr = err
-			}
-			served++
-		}
-	}
-	ingestDur := time.Since(ingestStart)
-	st := p.QueryStats()
-	fmt.Printf("\nconcurrent serving: %d mixed-class queries during a %s ingest of %d articles (%.0f queries/s)\n",
-		served, ingestDur.Round(time.Millisecond), len(extra), float64(served)/ingestDur.Seconds())
-	record("concurrent_mixed_queries_per_sec", float64(served)/ingestDur.Seconds())
-	fmt.Printf("query cache: epoch=%d hits=%d misses=%d recomputes=%d topics_lag=%d\n",
-		st.Epoch, st.Hits, st.Misses, st.Computes, st.TopicsLag)
-	if qerr != nil {
-		fmt.Println("query error during concurrent ingest:", qerr)
-	}
-	fmt.Println("\nshape target: a cold importance recompute stays well under a millisecond; queries keep flowing during ingest")
-}
-
-// claimPersist — the persistence subsystem: snapshot write/load throughput
-// over a corpus-built graph, then WAL append and replay rates over a
-// synthetic mutation stream.
-func claimPersist(n int, seed int64) {
-	header("Claim C8 — durable graph: snapshot write/load throughput, WAL replay rate")
-	quiet := persist.Options{DisableAutoCheckpoint: true, FlushInterval: time.Hour}
-
-	// Part 1: snapshot a corpus-shaped graph (the state `nous build
-	// -data-dir` checkpoints) and load it back.
-	p, _, _ := buildSystem(n, seed)
-	g := p.KG().Graph()
-	dir, err := os.MkdirTemp("", "nous-persist-bench-")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	defer os.RemoveAll(dir)
-	st, err := persist.Open(dir, g, quiet)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	facts := g.NumEdges()
-	// Repeat until a steady-state window has elapsed: a single small
-	// snapshot is dominated by fsync jitter.
-	const minWindow = time.Second
-	writes := 0
-	start := time.Now()
-	for time.Since(start) < minWindow {
-		if err := st.Checkpoint(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		writes++
-	}
-	writeDur := time.Since(start) / time.Duration(writes)
-	if err := st.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	// Checkpoints of an unchanged graph share one epoch and hence one file.
-	snapBytes := dirGlobSize(dir, "snap-")
-
-	loads := 0
-	var g2 *graph.Graph
-	start = time.Now()
-	for time.Since(start) < minWindow {
-		g2 = graph.New()
-		st2, err := persist.Open(dir, g2, quiet)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		st2.Close()
-		loads++
-	}
-	loadDur := time.Since(start) / time.Duration(loads)
-	if g2.NumEdges() != facts {
-		fmt.Fprintf(os.Stderr, "snapshot round trip lost edges: %d != %d\n", g2.NumEdges(), facts)
-		return
-	}
-
-	mb := float64(snapBytes) / (1 << 20)
-	fmt.Printf("graph: %d vertices, %d facts; snapshot %.2f MiB\n", g.NumVertices(), facts, mb)
-	fmt.Printf("snapshot write: %10s  (%8.0f facts/s, %6.1f MiB/s)\n",
-		writeDur.Round(time.Millisecond), float64(facts)/writeDur.Seconds(), mb/writeDur.Seconds())
-	fmt.Printf("snapshot load:  %10s  (%8.0f facts/s, %6.1f MiB/s)\n",
-		loadDur.Round(time.Millisecond), float64(facts)/loadDur.Seconds(), mb/loadDur.Seconds())
-	record("snapshot_write_facts_per_sec", float64(facts)/writeDur.Seconds())
-	record("snapshot_load_facts_per_sec", float64(facts)/loadDur.Seconds())
-
-	// Part 2: WAL append throughput with group commit, then replay rate.
-	// Batched edge writes mirror the ingest path: one WAL record per batch.
-	dir2, err := os.MkdirTemp("", "nous-wal-bench-")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	defer os.RemoveAll(dir2)
-	g3 := graph.New()
-	st3, err := persist.Open(dir2, g3, quiet)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	const vertices, batches, perBatch = 2000, 6000, 12
-	start = time.Now()
-	ids := make([]graph.VertexID, vertices)
-	for i := range ids {
-		ids[i] = g3.AddVertexWithProps("Company", map[string]string{"name": fmt.Sprintf("v%05d", i)})
-	}
-	specs := make([]graph.EdgeSpec, perBatch)
-	for b := 0; b < batches; b++ {
-		for j := range specs {
-			k := b*perBatch + j
-			specs[j] = graph.EdgeSpec{
-				Src: ids[k%vertices], Dst: ids[(k*7+1)%vertices],
-				Label: "acquired", Weight: 0.5, Timestamp: int64(k),
-				Props: map[string]string{"source": "bench"},
-			}
-		}
-		if _, err := g3.AddEdges(specs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-	}
-	if err := st3.Sync(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	appendDur := time.Since(start)
-	walStats := st3.Stats()
-	if err := st3.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-
-	g4 := graph.New()
-	start = time.Now()
-	st4, err := persist.Open(dir2, g4, quiet)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	replayDur := time.Since(start)
-	replayed := st4.Stats().ReplayedRecords
-	st4.Close()
-
-	muts := vertices + batches // one record per vertex, one per batch
-	fmt.Printf("\nWAL: %d mutations (%d edges in %d-edge batches), %d records, %.2f MiB\n",
-		muts, batches*perBatch, perBatch, walStats.WALRecords, float64(walStats.WALBytes)/(1<<20))
-	fmt.Printf("logged append:  %10s  (%8.0f mutations/s, group commit %d KiB)\n",
-		appendDur.Round(time.Millisecond), float64(muts)/appendDur.Seconds(),
-		persist.DefaultOptions().GroupCommitBytes>>10)
-	fmt.Printf("replay:         %10s  (%8.0f records/s, %d records)\n",
-		replayDur.Round(time.Millisecond), float64(replayed)/replayDur.Seconds(), replayed)
-	record("wal_append_mutations_per_sec", float64(muts)/appendDur.Seconds())
-	record("wal_replay_records_per_sec", float64(replayed)/replayDur.Seconds())
-
-	fmt.Println("\nshape target: load >= write throughput; replay comfortably outruns live ingest")
-}
-
-// claimTemporal — the temporal query layer: windowed entity summaries and
-// path queries at a repeated window (hitting the (epoch, window)-keyed
-// PageRank artifact), unwindowed queries alongside for regression context,
-// and raw time-index window scans.
-func claimTemporal(n int, seed int64) {
-	header("Claim C9 — temporal query layer: windowed reads over the dynamic KG")
-	p, _, arts := buildSystem(n, seed)
-	p.BuildTopics()
-
-	// The query window: the middle half of the article date range — a
-	// realistic "what happened in that stretch" slice of the stream.
-	lo, hi := arts[0].Date, arts[0].Date
-	for _, a := range arts {
-		if a.Date.Before(lo) {
-			lo = a.Date
-		}
-		if a.Date.After(hi) {
-			hi = a.Date
-		}
-	}
-	span := hi.Sub(lo)
-	win := nous.Window{
-		Since: lo.Add(span / 4).Unix(),
-		Until: lo.Add(3 * span / 4).Unix(),
-	}
-	st := p.TemporalStats()
-	fmt.Printf("graph: %d entities, %d facts; index %d edges spanning %s..%s\n",
-		p.KG().NumEntities(), p.KG().NumFacts(), st.Edges,
-		time.Unix(st.MinTimestamp, 0).UTC().Format("2006-01-02"),
-		time.Unix(st.MaxTimestamp, 0).UTC().Format("2006-01-02"))
-	fmt.Printf("query window: %v (%d of %d edges by timestamp)\n",
-		win, p.TemporalIndex().Count(win), st.Edges)
-
-	// Sanity: the full-range window returns exactly the unwindowed answer.
-	plain, err := p.About("DJI")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	full, err := p.AboutWindow("DJI", nous.Window{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	if plain.Text != full.Text {
-		fmt.Fprintln(os.Stderr, "FULL-RANGE MISMATCH: windowed answer diverges from unwindowed")
-		return
-	}
-	fmt.Println("full-range window == unwindowed answer: ok")
-
-	measure := func(label string, iters int, fn func() error) (perSec float64, ok bool) {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := fn(); err != nil {
-				fmt.Fprintln(os.Stderr, label+":", err)
-				return 0, false
-			}
-		}
-		dur := time.Since(start)
-		perSec = float64(iters) / dur.Seconds()
-		fmt.Printf("%-44s %12s/query  (%8.0f queries/s)\n", label, (dur / time.Duration(iters)).Round(time.Microsecond), perSec)
-		return perSec, true
-	}
-
-	// Windowed entity summaries at a repeated window: after the first
-	// request the (epoch, window) PageRank artifact is cached, so steady
-	// state is the serving cost of a windowed Fig-6 query.
-	if _, err := p.AboutWindow("DJI", win); err != nil { // prime the artifact
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	rate, ok := measure("windowed entity summary (cached artifact)", 400, func() error {
-		_, err := p.AboutWindow("DJI", win)
-		return err
-	})
-	if !ok {
-		return
-	}
-	record("windowed_entity_queries_per_sec", rate)
-
-	if rate, ok = measure("unwindowed entity summary (hot path)", 400, func() error {
-		_, err := p.About("DJI")
-		return err
-	}); !ok {
-		return
-	}
-	record("unwindowed_entity_queries_per_sec", rate)
-
-	if rate, ok = measure("windowed relationship paths", 100, func() error {
-		_, err := p.ExplainWindow("Windermere", "DJI", "", 3, win)
-		return err
-	}); !ok {
-		return
-	}
-	record("windowed_path_queries_per_sec", rate)
-
-	ix := p.TemporalIndex()
-	if rate, ok = measure("time-index window scan (EdgesIn)", 2000, func() error {
-		if len(ix.EdgesIn(win)) == 0 {
-			return fmt.Errorf("empty window scan")
-		}
-		return nil
-	}); !ok {
-		return
-	}
-	record("index_window_scans_per_sec", rate)
-
-	// The planner's temporal workloads: windowed trend backfill (burst
-	// scoring across every bucket the window covers, off the index) and
-	// whole-stream diff queries (temporal join of two windows).
-	if _, err := p.TrendingWindow(win, 10); err != nil { // prime
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	if rate, ok = measure("windowed trend backfill (TrendScan)", 100, func() error {
-		_, err := p.TrendingWindow(win, 10)
-		return err
-	}); !ok {
-		return
-	}
-	record("windowed_trend_backfill_per_sec", rate)
-
-	mid := (win.Since + win.Until) / 2
-	winA := nous.Window{Since: win.Since, Until: mid}
-	winB := nous.Window{Since: mid, Until: win.Until}
-	if rate, ok = measure("stream diff query (Diff of two windows)", 100, func() error {
-		_, err := p.Diff("", winA, winB)
-		return err
-	}); !ok {
-		return
-	}
-	record("diff_queries_per_sec", rate)
-
-	// Reverse-chronological backfill into a fresh index: the worst case of
-	// the old memmove-per-insert path (every edge lands in front of all
-	// prior entries). The lazy per-stripe sort makes this an O(1) append;
-	// per-insert cost must stay flat as the import grows, not scale with
-	// the entries already indexed.
-	reverseRate := func(n int) float64 {
-		g := graph.New()
-		rix := temporal.Attach(g)
-		defer rix.Detach()
-		a := g.AddVertex("Company")
-		b := g.AddVertex("Company")
-		const perBatch = 64
-		specs := make([]graph.EdgeSpec, perBatch)
-		start := time.Now()
-		for done := 0; done < n; done += perBatch {
-			for j := range specs {
-				specs[j] = graph.EdgeSpec{Src: a, Dst: b, Label: "acquired",
-					Weight: 1, Timestamp: int64(n - done - j)}
-			}
-			if _, err := g.AddEdges(specs); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 0
-			}
-		}
-		// One read pays the deferred per-stripe sort; include it in the cost.
-		if got := len(rix.EdgesIn(nous.Window{})); got < n {
-			fmt.Fprintf(os.Stderr, "reverse backfill lost edges: %d < %d\n", got, n)
-			return 0
-		}
-		return float64(n) / time.Since(start).Seconds()
-	}
-	small, large := 20000, 80000
-	rSmall := reverseRate(small)
-	rLarge := reverseRate(large)
-	if rSmall == 0 || rLarge == 0 {
-		return
-	}
-	fmt.Printf("%-44s %8.0f inserts/s at n=%d, %8.0f inserts/s at n=%d (ratio %.2fx)\n",
-		"reverse-chronological index backfill", rSmall, small, rLarge, large, rSmall/rLarge)
-	record("reverse_backfill_inserts_per_sec", rLarge)
-
-	fmt.Println("\nshape target: windowed summaries within ~2x of unwindowed; scans are microsecond-scale;")
-	fmt.Println("reverse backfill throughput stays flat as the import grows (append + lazy sort, not quadratic)")
-}
-
-// dirGlobSize sums the sizes of files in dir whose names start with prefix.
-func dirGlobSize(dir, prefix string) int64 {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), prefix) {
-			if fi, err := e.Info(); err == nil {
-				total += fi.Size()
-			}
-		}
-	}
-	return total
 }
 
 // eventEdges converts a seeded world's event stream to typed miner edges.

@@ -130,7 +130,6 @@ func claimRepl(_ int, seed int64) {
 	catchup := time.Since(start)
 	fmt.Printf("catch-up: empty follower to %d facts in %s (%8.0f facts/s)\n",
 		f.KG().NumFacts(), catchup.Round(time.Millisecond), float64(totalFacts)/catchup.Seconds())
-	record("catchup_facts_per_sec", float64(totalFacts)/catchup.Seconds())
 
 	// Part 2: steady-state tail. Keep writing on the leader while the
 	// follower is connected; sample replication lag and time how long the
@@ -163,7 +162,6 @@ func claimRepl(_ int, seed int64) {
 	st := f.Follower().Status()
 	fmt.Printf("tail: %d live facts replicated in %s (%8.0f facts/s); peak lag %d mutations, final lag %d\n",
 		tailFacts, tailDur.Round(time.Millisecond), float64(tailFacts)/tailDur.Seconds(), maxLag, st.Lag)
-	record("tail_facts_per_sec", float64(tailFacts)/tailDur.Seconds())
 
 	// Part 3: read fan-out. Three more in-process replicas join, every one
 	// serving the full v1 read surface; aggregate query throughput for one
@@ -236,7 +234,6 @@ func claimRepl(_ int, seed int64) {
 	fanned := measure(servers)
 	fmt.Printf("fan-out: 1 replica %8.0f queries/s; %d replicas %8.0f queries/s (%.2fx)\n",
 		single, len(servers), fanned, fanned/single)
-	record("fanout_queries_per_sec", fanned)
 
 	fmt.Println("\nshape target: catch-up outruns live ingest; lag returns to zero after a write burst;")
 	fmt.Println("fan-out sustains aggregate reads across replicas (scales with the cores available)")

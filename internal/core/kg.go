@@ -663,23 +663,32 @@ type ScoredEntity struct {
 
 // Neighborhood returns the set of entity names within the given number of
 // hops of the named entity (excluding itself), treating edges as undirected.
+// It is a breadth-first walk that stops at depth hops.
 func (kg *KG) Neighborhood(name string, hops int) []string {
 	kg.mu.RLock()
-	id, ok := kg.byName[name]
-	kg.mu.RUnlock()
+	defer kg.mu.RUnlock()
+	src, ok := kg.byName[name]
 	if !ok || hops <= 0 {
 		return nil
 	}
-	dist := graph.SSSP(kg.g, id)
+	seen := map[graph.VertexID]bool{src: true}
 	var out []string
-	kg.mu.RLock()
-	defer kg.mu.RUnlock()
-	for v, d := range dist {
-		if d > 0 && d <= hops {
-			if n, ok := kg.names[v]; ok {
-				out = append(out, n)
+	frontier := []graph.VertexID{src}
+	for depth := 0; depth < hops && len(frontier) > 0; depth++ {
+		var next []graph.VertexID
+		for _, u := range frontier {
+			for _, v := range kg.g.Neighbors(u) {
+				if seen[v] {
+					continue
+				}
+				seen[v] = true
+				next = append(next, v)
+				if n, ok := kg.names[v]; ok {
+					out = append(out, n)
+				}
 			}
 		}
+		frontier = next
 	}
 	sort.Strings(out)
 	return out

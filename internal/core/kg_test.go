@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"nous/internal/graph"
 	"nous/internal/ontology"
 )
 
@@ -232,6 +235,79 @@ func TestNeighborhoodHops(t *testing.T) {
 	nb2 := kg.Neighborhood("A Co", 2)
 	if len(nb2) != 2 {
 		t.Fatalf("2-hop = %v", nb2)
+	}
+	kg.AddFact(curated("A Co", "acquired", "A Co")) // a self-loop never lists the source
+	if nb1 := kg.Neighborhood("A Co", 1); len(nb1) != 1 || nb1[0] != "B Co" {
+		t.Fatalf("1-hop with self-loop = %v", nb1)
+	}
+}
+
+// neighborhoodSSSP is the answer Neighborhood gave before its bounded walk:
+// hop counts by BFS over the whole connected component, then filtered to
+// 0 < d <= hops.
+func neighborhoodSSSP(kg *KG, name string, hops int) []string {
+	src, ok := kg.Entity(name)
+	if !ok || hops <= 0 {
+		return nil
+	}
+	dist := map[graph.VertexID]int{src: 0}
+	for frontier := []graph.VertexID{src}; len(frontier) > 0; {
+		var next []graph.VertexID
+		for _, u := range frontier {
+			for _, v := range kg.Graph().Neighbors(u) {
+				if _, seen := dist[v]; !seen {
+					dist[v] = dist[u] + 1
+					next = append(next, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	var out []string
+	for v, d := range dist {
+		if d > 0 && d <= hops {
+			if n, ok := kg.EntityName(v); ok {
+				out = append(out, n)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestNeighborhoodMatchesSSSPReference pins the depth-bounded walk to the
+// whole-component reference on random multigraphs: parallel edges,
+// self-loops, removed facts, isolated entities and hops 1–3.
+func TestNeighborhoodMatchesSSSPReference(t *testing.T) {
+	names := []string{"A Co", "B Co", "C Co", "D Co", "E Co", "F Co", "G Co", "H Co", "I Co", "J Co"}
+	prop := func(ends []uint8, drop []bool, hops uint8) bool {
+		kg := NewKG(nil)
+		for _, n := range names {
+			kg.AddEntity(n, ontology.TypeCompany)
+		}
+		for i := 0; i+1 < len(ends); i += 2 {
+			id, err := kg.AddFact(curated(names[int(ends[i])%len(names)], "acquired", names[int(ends[i+1])%len(names)]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j := i / 2; j < len(drop) && drop[j] {
+				kg.RemoveFact(id)
+			}
+		}
+		h := 1 + int(hops)%3
+		for _, n := range names {
+			if got, want := kg.Neighborhood(n, h), neighborhoodSSSP(kg, n, h); !slices.Equal(got, want) {
+				t.Logf("Neighborhood(%q, %d) = %v, reference %v", n, h, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if got := NewKG(nil).Neighborhood("Nobody", 2); got != nil {
+		t.Fatalf("unknown entity neighborhood = %v", got)
 	}
 }
 

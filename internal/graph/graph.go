@@ -1,9 +1,9 @@
 // Package graph implements an in-memory directed property graph with
-// per-label edge indexes, temporal edges and a Pregel-style bulk-synchronous
-// compute engine. It is the substrate NOUS's paper built on Apache Spark
-// GraphX; this implementation preserves the same API surface — vertices and
-// edges carrying arbitrary properties, neighborhood iteration, and
-// message-passing supersteps over hash partitions — at single-process scale.
+// per-label edge indexes, temporal edges and compiled views for whole-graph
+// kernels (view.go). It is the substrate NOUS's paper built on Apache Spark
+// GraphX; this implementation keeps the parts of that API surface NOUS uses —
+// vertices and edges carrying arbitrary properties, neighborhood iteration
+// and PageRank — at single-process scale.
 //
 // Storage is partitioned across lock-striped shards so unrelated mutations
 // do not contend on one global mutex: a vertex, its adjacency lists and its

@@ -245,118 +245,6 @@ func TestPageRankEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g := New()
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
-	c := g.AddVertex("C")
-	d := g.AddVertex("D")
-	e := g.AddVertex("E")
-	g.AddEdge(a, b, "r")
-	g.AddEdge(c, b, "r") // a,b,c one component (undirected)
-	g.AddEdge(d, e, "r") // d,e another
-
-	cc := ConnectedComponents(g)
-	if cc[a] != cc[b] || cc[b] != cc[c] {
-		t.Fatalf("a,b,c should share a component: %v", cc)
-	}
-	if cc[d] != cc[e] {
-		t.Fatalf("d,e should share a component: %v", cc)
-	}
-	if cc[a] == cc[d] {
-		t.Fatalf("a and d should differ: %v", cc)
-	}
-	if cc[a] != a {
-		t.Fatalf("component label should be min ID %d, got %d", a, cc[a])
-	}
-}
-
-func TestSSSPHopCounts(t *testing.T) {
-	g := New()
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
-	c := g.AddVertex("C")
-	d := g.AddVertex("D")
-	iso := g.AddVertex("ISO")
-	g.AddEdge(a, b, "r")
-	g.AddEdge(b, c, "r")
-	g.AddEdge(d, c, "r") // reachable via undirected traversal
-
-	dist := SSSP(g, a)
-	want := map[VertexID]int{a: 0, b: 1, c: 2, d: 3}
-	for v, wd := range want {
-		if dist[v] != wd {
-			t.Errorf("dist[%d] = %d, want %d", v, dist[v], wd)
-		}
-	}
-	if _, ok := dist[iso]; ok {
-		t.Error("isolated vertex should be unreachable")
-	}
-	if got := SSSP(g, 999); len(got) != 0 {
-		t.Errorf("SSSP from missing vertex = %v", got)
-	}
-}
-
-func TestPregelHaltsWithoutMessages(t *testing.T) {
-	g := New()
-	g.AddVertex("A")
-	steps := 0
-	p := &Pregel[int, int]{
-		MaxSupersteps: 100,
-		Init:          func(v Vertex) int { return 0 },
-		Compute: func(ctx *PregelContext[int], v Vertex, s int, msgs []int) int {
-			steps++
-			return s + 1 // never sends: must halt after superstep 0
-		},
-	}
-	states := p.Run(g)
-	if steps != 1 {
-		t.Fatalf("Compute ran %d times, want 1", steps)
-	}
-	for _, s := range states {
-		if s != 1 {
-			t.Fatalf("state = %d, want 1", s)
-		}
-	}
-}
-
-func TestPregelCombinerMergesMessages(t *testing.T) {
-	// Two sources send 1 to the same sink with a sum combiner; the sink must
-	// observe a single merged message of 2.
-	g := New()
-	s1 := g.AddVertex("S")
-	s2 := g.AddVertex("S")
-	sink := g.AddVertex("T")
-	g.AddEdge(s1, sink, "r")
-	g.AddEdge(s2, sink, "r")
-
-	p := &Pregel[int, int]{
-		MaxSupersteps: 3,
-		Combine:       func(a, b int) int { return a + b },
-		Init:          func(v Vertex) int { return 0 },
-		Compute: func(ctx *PregelContext[int], v Vertex, s int, msgs []int) int {
-			if ctx.Superstep == 0 && v.Label == "S" {
-				g.ForEachOutEdge(v.ID, func(e Edge) bool {
-					ctx.Send(e.Dst, 1)
-					return true
-				})
-				return s
-			}
-			if len(msgs) > 1 {
-				t.Errorf("combiner not applied: %d messages", len(msgs))
-			}
-			for _, m := range msgs {
-				s += m
-			}
-			return s
-		},
-	}
-	states := p.Run(g)
-	if states[sink] != 2 {
-		t.Fatalf("sink state = %d, want 2", states[sink])
-	}
-}
-
 func BenchmarkAddEdge(b *testing.B) {
 	g := New()
 	var ids []VertexID

@@ -91,54 +91,68 @@ func TestOptimizedPlansByteIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestPlanCacheHitAndEpochInvalidation pins the cache's contract end to end:
-// a repeated diff at an unchanged epoch is served from the cache, and a
-// graph mutation (which advances the epoch) both invalidates the entry and
-// shows up in the next answer.
+// TestPlanCacheHitAndEpochInvalidation pins the cache's contract end to end
+// for both cacheable classes: a repeat at an unchanged epoch is served from
+// the cache, and a graph mutation (which advances the epoch) invalidates the
+// entry; a mutation inside a diff's window also shows up in its next answer.
 func TestPlanCacheHitAndEpochInvalidation(t *testing.T) {
-	ex := buildWindowedExecutor(t)
-	const question = "What changed about DJI between 2015 and 2016?"
+	for _, tc := range []struct {
+		name, question string
+		// recomputed checks that the post-mutation answer shows the new fact;
+		// nil where one fact need not move the answer (a trend ranking).
+		recomputed func(t *testing.T, stale, fresh Answer)
+	}{
+		{"diff", "What changed about DJI between 2015 and 2016?", func(t *testing.T, stale, fresh Answer) {
+			if reflect.DeepEqual(stale, fresh) {
+				t.Fatal("answer unchanged after a mutation inside the diff window")
+			}
+			if fresh.Diff == nil || len(fresh.Diff.Removed) == 0 {
+				t.Fatalf("recomputed diff missing the new 2015-only fact: %+v", fresh.Diff)
+			}
+		}},
+		{"bounded trending", "What was trending in 2015?", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ex := buildWindowedExecutor(t)
+			ask := func() Answer {
+				t.Helper()
+				a, err := ex.Ask(tc.question)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
+			}
+			first := ask()
+			base := ex.PlanStats().Cache
+			if base == nil || base.Misses == 0 {
+				t.Fatalf("first ask did not populate the cache: %+v", base)
+			}
+			second := ask()
+			st := ex.PlanStats().Cache
+			if st.Hits != base.Hits+1 {
+				t.Fatalf("repeat at unchanged epoch: hits %d -> %d, want +1", base.Hits, st.Hits)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Fatal("cached answer diverges from computed answer")
+			}
 
-	ask := func() Answer {
-		t.Helper()
-		a, err := ex.Ask(question)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	first := ask()
-	base := ex.PlanStats().Cache
-	if base == nil || base.Misses == 0 {
-		t.Fatalf("first ask did not populate the cache: %+v", base)
-	}
-	second := ask()
-	st := ex.PlanStats().Cache
-	if st.Hits != base.Hits+1 {
-		t.Fatalf("repeat at unchanged epoch: hits %d -> %d, want +1", base.Hits, st.Hits)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("cached answer diverges from computed answer")
-	}
-
-	// Mutate: the epoch advances, the cached entry goes stale, and the
-	// recomputed diff now includes the new 2015 fact.
-	if _, err := ex.KG.AddFact(core.Triple{
-		Subject: "DJI", Predicate: "acquired", Object: "Aeros Labs", Confidence: 0.9,
-		Provenance: core.Provenance{Source: "wsj", Time: time.Date(2015, 7, 1, 0, 0, 0, 0, time.UTC)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	third := ask()
-	st2 := ex.PlanStats().Cache
-	if st2.Misses != st.Misses+1 {
-		t.Fatalf("ask after mutation: misses %d -> %d, want +1 (stale entry served?)", st.Misses, st2.Misses)
-	}
-	if reflect.DeepEqual(second, third) {
-		t.Fatal("answer unchanged after a mutation inside the diff window")
-	}
-	if third.Diff == nil || len(third.Diff.Removed) == 0 {
-		t.Fatalf("recomputed diff missing the new 2015-only fact: %+v", third.Diff)
+			// Mutate inside the question's window: the epoch advances and the
+			// cached entry goes stale.
+			if _, err := ex.KG.AddFact(core.Triple{
+				Subject: "DJI", Predicate: "acquired", Object: "Aeros Labs", Confidence: 0.9,
+				Provenance: core.Provenance{Source: "wsj", Time: time.Date(2015, 7, 1, 0, 0, 0, 0, time.UTC)},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			third := ask()
+			st2 := ex.PlanStats().Cache
+			if st2.Misses != st.Misses+1 {
+				t.Fatalf("ask after mutation: misses %d -> %d, want +1 (stale entry served?)", st.Misses, st2.Misses)
+			}
+			if tc.recomputed != nil {
+				tc.recomputed(t, second, third)
+			}
+		})
 	}
 }
 
