@@ -65,7 +65,13 @@ func New(rec *ner.Recognizer, ont *ontology.Ontology) *Extractor {
 // Extract processes a document sentence by sentence and returns the raw
 // triples found.
 func (e *Extractor) Extract(doc Document) []RawTriple {
-	sentences := nlp.Process(doc.Text)
+	return e.ExtractSentences(doc, nlp.Process(doc.Text))
+}
+
+// ExtractSentences is Extract over the document's text already split and
+// tagged by nlp.Process, for callers that also need the sentences. It does
+// not modify them.
+func (e *Extractor) ExtractSentences(doc Document, sentences []nlp.Sentence) []RawTriple {
 	tracker := coref.NewTracker(e.ont)
 	var out []RawTriple
 	for _, s := range sentences {

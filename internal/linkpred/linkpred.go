@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"nous/internal/core"
 )
@@ -45,8 +46,11 @@ type predModel struct {
 	objects   []string
 }
 
-// Model is a trained collection of per-predicate BPR models.
+// Model is a trained collection of per-predicate BPR models. It is safe
+// for concurrent use: online Updates from the ingest stream take the write
+// lock, and queries scoring candidate facts take the read lock.
 type Model struct {
+	mu     sync.RWMutex
 	cfg    Config
 	preds  map[string]*predModel
 	rng    *rand.Rand
@@ -70,7 +74,8 @@ func Train(triples []core.Triple, cfg Config) *Model {
 }
 
 // observe registers a triple with its predicate model, initializing factors
-// for unseen entities.
+// for unseen entities. The caller holds the write lock, or owns the model
+// before it is shared.
 func (m *Model) observe(t core.Triple) {
 	pm, ok := m.preds[t.Predicate]
 	if !ok {
@@ -171,6 +176,12 @@ func (m *Model) bprStep(pm *predModel, s, o string) {
 // factor product. Unseen predicates or entities fall back to neutral 0.5
 // scaled by how much of the triple is known.
 func (m *Model) Score(s, p, o string) float64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.score(s, p, o)
+}
+
+func (m *Model) score(s, p, o string) float64 {
 	pm, ok := m.preds[p]
 	if !ok {
 		return m.global
@@ -188,6 +199,8 @@ func (m *Model) Score(s, p, o string) float64 {
 // positive and receives a few SGD steps, supporting the paper's dynamic-KG
 // setting where extraction and scoring interleave.
 func (m *Model) Update(t core.Triple, steps int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.observe(t)
 	pm := m.preds[t.Predicate]
 	for i := 0; i < steps; i++ {
@@ -197,6 +210,8 @@ func (m *Model) Update(t core.Triple, steps int) {
 
 // Predicates returns the predicates the model covers, sorted.
 func (m *Model) Predicates() []string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	out := make([]string, 0, len(m.preds))
 	for p := range m.preds {
 		out = append(out, p)
@@ -209,6 +224,8 @@ func (m *Model) Predicates() []string {
 // held-out positive (s,o) outscores a random corrupted (s,o'). Returns 0.5
 // for unknown predicates.
 func (m *Model) AUC(p string, heldOut [][2]string, samples int, seed int64) float64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	pm, ok := m.preds[p]
 	if !ok || len(pm.objects) < 2 || len(heldOut) == 0 {
 		return 0.5
@@ -221,8 +238,8 @@ func (m *Model) AUC(p string, heldOut [][2]string, samples int, seed int64) floa
 			if pm.positives[[2]string{pos[0], negO}] || negO == pos[1] {
 				continue
 			}
-			ps := m.Score(pos[0], p, pos[1])
-			ns := m.Score(pos[0], p, negO)
+			ps := m.score(pos[0], p, pos[1])
+			ns := m.score(pos[0], p, negO)
 			switch {
 			case ps > ns:
 				wins++
@@ -240,6 +257,8 @@ func (m *Model) AUC(p string, heldOut [][2]string, samples int, seed int64) floa
 
 // String summarises the model.
 func (m *Model) String() string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	n := 0
 	for _, pm := range m.preds {
 		n += len(pm.positives)

@@ -229,6 +229,22 @@ func TestContentWordsFiltersStopwords(t *testing.T) {
 	}
 }
 
+// Property: Process keeps every sentence SplitSentences finds, so the
+// ingest stream can count sentences from the tagged ones.
+func TestProcessKeepsEverySentenceQuick(t *testing.T) {
+	alphabet := []rune("ab C. !?\n\t\u00a0\u2003'\")$1.5é\xff")
+	f := func(idx []uint8) bool {
+		var b strings.Builder
+		for _, x := range idx {
+			b.WriteRune(alphabet[int(x)%len(alphabet)])
+		}
+		return len(Process(b.String())) == len(SplitSentences(b.String()))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: tokenization never loses non-space characters for plain ASCII
 // sentences built from a safe alphabet.
 func TestTokenizePreservesLettersQuick(t *testing.T) {

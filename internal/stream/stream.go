@@ -161,9 +161,14 @@ func (p *Pipeline) Mapper() *predmap.Mapper { return p.mapper }
 // Linker returns the entity disambiguator.
 func (p *Pipeline) Linker() *disambig.Linker { return p.linker }
 
-// Trust returns the source-trust tracker (recomputed on the LearnEvery
-// cadence).
-func (p *Pipeline) Trust() *trust.Tracker { return p.tracker }
+// SourceTrust returns every source's trust as of the last fixpoint run
+// (every LearnEvery documents), sorted by descending trust. It reads under
+// the stream lock, so it is safe during ingestion.
+func (p *Pipeline) SourceTrust() []trust.SourceTrust {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tracker.Sources()
+}
 
 // Stats returns a snapshot of pipeline counters.
 func (p *Pipeline) Stats() Stats {
@@ -174,8 +179,7 @@ func (p *Pipeline) Stats() Stats {
 
 // Process runs one article through the pipeline.
 func (p *Pipeline) Process(a corpus.Article) {
-	raws := p.extractArticle(a)
-	p.integrate(a, raws)
+	p.integrate(a, p.extractArticle(a))
 }
 
 // Run processes articles through a bounded worker pool: the embarrassingly
@@ -204,9 +208,9 @@ func (p *Pipeline) Run(articles []corpus.Article) Stats {
 	// Receiving every per-article result below is what joins the workers:
 	// once results[n-1] arrives, all extractions have completed.
 	jobs := make(chan int)
-	results := make([]chan []extract.RawTriple, n)
+	results := make([]chan extraction, n)
 	for i := range results {
-		results[i] = make(chan []extract.RawTriple, 1)
+		results[i] = make(chan extraction, 1)
 	}
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -229,22 +233,37 @@ func (p *Pipeline) Run(articles []corpus.Article) Stats {
 	return p.Stats()
 }
 
+// extraction is everything the serial stage needs from a document's text,
+// so that all of the document's NLP runs in the parallel stage.
+type extraction struct {
+	raws      []extract.RawTriple
+	sentences int
+	context   []string // sorted content-word lemmas, the disambiguation context
+}
+
 // extractArticle is the stateless, parallel-safe stage.
-func (p *Pipeline) extractArticle(a corpus.Article) []extract.RawTriple {
+func (p *Pipeline) extractArticle(a corpus.Article) extraction {
+	// nlp.Process keeps every sentence nlp.SplitSentences finds (each is a
+	// non-blank string, so it has a token), so len(sents) is the count.
+	sents := nlp.Process(a.Text)
 	doc := extract.Document{ID: a.ID, Source: a.Source, Date: a.Date, Text: a.Text}
-	return p.ext.Extract(doc)
+	return extraction{
+		raws:      p.ext.ExtractSentences(doc, sents),
+		sentences: len(sents),
+		context:   contentWords(sents),
+	}
 }
 
 // integrate maps, disambiguates, scores and stores one document's raw
 // triples; it must run in document order.
-func (p *Pipeline) integrate(a corpus.Article, raws []extract.RawTriple) {
+func (p *Pipeline) integrate(a corpus.Article, ex extraction) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
 	p.stats.Documents++
-	p.stats.Sentences += len(nlp.SplitSentences(a.Text))
-	p.stats.RawTriples += len(raws)
-	p.learnBuf = append(p.learnBuf, raws...)
+	p.stats.Sentences += ex.sentences
+	p.stats.RawTriples += len(ex.raws)
+	p.learnBuf = append(p.learnBuf, ex.raws...)
 
 	// Edge writes for facts accepted from this document are deferred into
 	// one batch (each graph shard locked once) after the per-triple
@@ -252,19 +271,18 @@ func (p *Pipeline) integrate(a corpus.Article, raws []extract.RawTriple) {
 	// accept time: entities register immediately (so later mentions in the
 	// same document resolve against them) and `pending` stands in for the
 	// not-yet-written edges in the duplicate check.
-	context := contentWordsOf(a.Text)
 	var batch []core.Triple
 	pending := make(map[[3]string]bool)
 	entitiesBefore := p.kg.NumEntities()
-	for _, rt := range raws {
+	for _, rt := range ex.raws {
 		mapped, ok := p.mapper.Map(rt)
 		if !ok {
 			continue
 		}
 		p.stats.Mapped++
 
-		mapped.Subject = p.resolveEntity(mapped.Subject, context)
-		mapped.Object = p.resolveEntity(mapped.Object, context)
+		mapped.Subject = p.resolveEntity(mapped.Subject, ex.context)
+		mapped.Object = p.resolveEntity(mapped.Object, ex.context)
 		if mapped.Subject == "" || mapped.Object == "" || mapped.Subject == mapped.Object {
 			continue
 		}
@@ -357,9 +375,9 @@ func (p *Pipeline) resolveEntity(surface string, context []string) string {
 	return cands[0]
 }
 
-func contentWordsOf(text string) []string {
+func contentWords(sents []nlp.Sentence) []string {
 	var out []string
-	for _, s := range nlp.Process(text) {
+	for _, s := range sents {
 		out = append(out, nlp.ContentWords(s)...)
 	}
 	sort.Strings(out)

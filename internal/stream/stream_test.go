@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"nous/internal/corpus"
+	"nous/internal/trust"
 )
 
 func smallWorld() *corpus.World {
@@ -175,9 +177,10 @@ func TestDistantSupervisionLearnsRules(t *testing.T) {
 
 // TestWorkerCountInvariance: the fan-out/in-order-integrate pipeline must
 // produce byte-identical outcomes no matter how many extraction workers
-// run. Under -race this is also the concurrency gate for Pipeline.Run.
+// run, source trust included, bit for bit. Under -race this is also the
+// concurrency gate for Pipeline.Run.
 func TestWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) (Stats, int) {
+	run := func(workers int) (Stats, int, []trust.SourceTrust) {
 		w := smallWorld()
 		kg, err := w.LoadKG()
 		if err != nil {
@@ -185,18 +188,28 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.Workers = workers
+		cfg.LearnEvery = 20 // four trust fixpoints over the 80 articles
 		p := New(kg, cfg)
 		st := p.Run(corpus.GenerateArticles(w, corpus.DefaultArticleConfig(80)))
-		return st, kg.NumFacts()
+		return st, kg.NumFacts(), p.SourceTrust()
 	}
-	serialStats, serialFacts := run(1)
+	serialStats, serialFacts, serialTrust := run(1)
 	for _, workers := range []int{2, 4, 8} {
-		st, facts := run(workers)
+		st, facts, tr := run(workers)
 		if st != serialStats {
 			t.Fatalf("workers=%d stats diverged from serial:\n%+v\n%+v", workers, st, serialStats)
 		}
 		if facts != serialFacts {
 			t.Fatalf("workers=%d facts=%d, serial=%d", workers, facts, serialFacts)
+		}
+		if len(tr) != len(serialTrust) {
+			t.Fatalf("workers=%d: %d sources, serial %d", workers, len(tr), len(serialTrust))
+		}
+		for i, s := range tr {
+			want := serialTrust[i]
+			if s.Source != want.Source || math.Float64bits(s.Trust) != math.Float64bits(want.Trust) {
+				t.Fatalf("workers=%d: source %d = %s %v, serial %s %v", workers, i, s.Source, s.Trust, want.Source, want.Trust)
+			}
 		}
 	}
 }

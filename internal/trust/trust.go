@@ -10,6 +10,7 @@ package trust
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"nous/internal/ontology"
@@ -39,20 +40,37 @@ func DefaultConfig() Config {
 	return Config{PriorTrust: 0.5, Iterations: 10, Damping: 0.3}
 }
 
-// Tracker maintains source trust scores from streamed assertions.
+// Tracker maintains source trust scores from streamed assertions. Sources
+// and facts are interned to dense ids in first-seen order when observed, so
+// Recompute is a few linear passes over slices that sum and multiply in a
+// fixed order: equal observation streams give bit-equal trust.
+//
+// A Tracker is not safe for concurrent use; callers synchronize.
 type Tracker struct {
-	cfg    Config
-	ont    *ontology.Ontology
-	pinned map[string]float64
+	cfg Config
+	ont *ontology.Ontology
 
-	assertions []Assertion
-	// index: fact key -> asserting sources (set)
-	bySources map[string]map[string]bool
-	// functional conflict detection: (subject, functional predicate) -> objects
-	functional map[string]map[string]bool
+	// Sources by id.
+	srcID  map[string]int32
+	names  []string
+	trust  []float64
+	pinned []bool
+	nfacts []int32 // distinct facts the source asserts
 
-	trust map[string]float64
+	// Facts by id.
+	factID  map[factKey]int32
+	sources [][]int32 // asserting sources, first-seen order
+	group   []int32   // functional (subject, predicate) group, or -1
+
+	// Functional (subject, predicate) groups by id. Facts are distinct
+	// triples, so a group's fact count is its count of distinct objects.
+	groupID  map[[2]string]int32
+	distinct []int32
+
+	sum []float64 // Recompute scratch: belief sum per source
 }
+
+type factKey struct{ subject, predicate, object string }
 
 // NewTracker returns an empty tracker. A nil ontology gets the default
 // (the ontology supplies which predicates are functional).
@@ -64,139 +82,143 @@ func NewTracker(ont *ontology.Ontology, cfg Config) *Tracker {
 		ont = ontology.Default()
 	}
 	return &Tracker{
-		cfg:        cfg,
-		ont:        ont,
-		pinned:     make(map[string]float64),
-		bySources:  make(map[string]map[string]bool),
-		functional: make(map[string]map[string]bool),
-		trust:      make(map[string]float64),
+		cfg:     cfg,
+		ont:     ont,
+		srcID:   make(map[string]int32),
+		factID:  make(map[factKey]int32),
+		groupID: make(map[[2]string]int32),
 	}
 }
 
 // Pin fixes a source's trust (e.g. the curated KB at 1.0); pinned sources
 // anchor the fixpoint.
 func (t *Tracker) Pin(source string, trust float64) {
-	t.pinned[source] = clamp01(trust)
-	t.trust[source] = t.pinned[source]
+	s := t.source(source)
+	t.pinned[s] = true
+	t.trust[s] = clamp01(trust)
 }
 
-// Observe records one assertion.
+// Observe records one assertion. Whether its predicate is functional is
+// read from the ontology when the triple is first observed.
 func (t *Tracker) Observe(a Assertion) {
 	if a.Source == "" || a.Subject == "" || a.Object == "" {
 		return
 	}
-	t.assertions = append(t.assertions, a)
-	k := factKey(a)
-	set, ok := t.bySources[k]
+	s := t.source(a.Source)
+	k := factKey{a.Subject, a.Predicate, a.Object}
+	f, ok := t.factID[k]
 	if !ok {
-		set = make(map[string]bool)
-		t.bySources[k] = set
+		f = int32(len(t.sources))
+		t.factID[k] = f
+		t.sources = append(t.sources, nil)
+		t.group = append(t.group, t.groupOf(a))
 	}
-	set[a.Source] = true
-	if p, ok := t.ont.Predicate(a.Predicate); ok && p.Functional {
-		fk := a.Subject + "\x00" + a.Predicate
-		objs, ok := t.functional[fk]
-		if !ok {
-			objs = make(map[string]bool)
-			t.functional[fk] = objs
-		}
-		objs[a.Object] = true
+	// A fact's sources are few (one per outlet reporting it), so a scan
+	// beats a set.
+	if slices.Contains(t.sources[f], s) {
+		return
 	}
-	if _, ok := t.trust[a.Source]; !ok {
-		t.trust[a.Source] = t.cfg.PriorTrust
-	}
+	t.sources[f] = append(t.sources[f], s)
+	t.nfacts[s]++
 }
 
-// Recompute runs the trust/belief fixpoint over everything observed so far
-// and returns the updated source trust map.
-func (t *Tracker) Recompute() map[string]float64 {
+// source returns the id of a source, interning it at PriorTrust.
+func (t *Tracker) source(name string) int32 {
+	if s, ok := t.srcID[name]; ok {
+		return s
+	}
+	s := int32(len(t.names))
+	t.srcID[name] = s
+	t.names = append(t.names, name)
+	t.trust = append(t.trust, t.cfg.PriorTrust)
+	t.pinned = append(t.pinned, false)
+	t.nfacts = append(t.nfacts, 0)
+	return s
+}
+
+// groupOf returns the functional group of a newly observed triple and
+// counts the triple's object in it, or -1 when the predicate is not
+// functional.
+func (t *Tracker) groupOf(a Assertion) int32 {
+	if p, ok := t.ont.Predicate(a.Predicate); !ok || !p.Functional {
+		return -1
+	}
+	k := [2]string{a.Subject, a.Predicate}
+	g, ok := t.groupID[k]
+	if !ok {
+		g = int32(len(t.distinct))
+		t.groupID[k] = g
+		t.distinct = append(t.distinct, 0)
+	}
+	t.distinct[g]++
+	return g
+}
+
+// Recompute runs the trust/belief fixpoint over everything observed so far.
+// Each pass computes every fact's belief from the previous pass's trust,
+// then moves each unpinned source's trust toward its mean belief.
+func (t *Tracker) Recompute() {
+	if cap(t.sum) < len(t.trust) {
+		t.sum = make([]float64, len(t.trust))
+	}
+	sum := t.sum[:len(t.trust)]
 	for it := 0; it < t.cfg.Iterations; it++ {
-		// 1. fact belief = 1 - Π (1 - trust(s)) over asserting sources,
-		//    halved when the fact participates in a functional conflict.
-		belief := make(map[string]float64, len(t.bySources))
-		for k, sources := range t.bySources {
-			disbelief := 1.0
-			for s := range sources {
-				disbelief *= 1 - t.trust[s]
-			}
-			b := 1 - disbelief
-			if t.conflicted(k) {
-				b *= 0.5
-			}
-			belief[k] = b
-		}
-		// 2. source trust = mean belief of asserted facts (damped).
-		sum := make(map[string]float64)
-		cnt := make(map[string]int)
-		for k, sources := range t.bySources {
-			for s := range sources {
-				sum[s] += belief[k]
-				cnt[s]++
+		clear(sum)
+		for f, srcs := range t.sources {
+			b := t.belief(int32(f))
+			for _, s := range srcs {
+				sum[s] += b
 			}
 		}
-		for s := range t.trust {
-			if pin, ok := t.pinned[s]; ok {
-				t.trust[s] = pin
+		for s, n := range t.nfacts {
+			if t.pinned[s] || n == 0 {
 				continue
 			}
-			if cnt[s] == 0 {
-				continue
-			}
-			next := sum[s] / float64(cnt[s])
+			next := sum[s] / float64(n)
 			t.trust[s] = (1-t.cfg.Damping)*next + t.cfg.Damping*t.trust[s]
 		}
 	}
-	out := make(map[string]float64, len(t.trust))
-	for s, v := range t.trust {
-		out[s] = v
-	}
-	return out
 }
 
-// conflicted reports whether the fact's (subject, predicate) binds multiple
-// objects under a functional predicate.
-func (t *Tracker) conflicted(factK string) bool {
-	a := parseKey(factK)
-	p, ok := t.ont.Predicate(a.Predicate)
-	if !ok || !p.Functional {
-		return false
-	}
-	return len(t.functional[a.Subject+"\x00"+a.Predicate]) > 1
-}
-
-// Trust returns a source's current trust (PriorTrust when unseen).
-func (t *Tracker) Trust(source string) float64 {
-	if v, ok := t.trust[source]; ok {
-		return v
-	}
-	return t.cfg.PriorTrust
-}
-
-// Belief returns the current belief in a triple given the sources that
-// asserted it (after the last Recompute's trust values).
-func (t *Tracker) Belief(subject, predicate, object string) float64 {
-	k := factKey(Assertion{Subject: subject, Predicate: predicate, Object: object})
-	sources, ok := t.bySources[k]
-	if !ok {
-		return 0
-	}
+// belief is 1 - Π (1 - trust(s)) over the fact's asserting sources, halved
+// when the fact's functional (subject, predicate) binds several objects.
+func (t *Tracker) belief(f int32) float64 {
 	disbelief := 1.0
-	for s := range sources {
+	for _, s := range t.sources[f] {
 		disbelief *= 1 - t.trust[s]
 	}
 	b := 1 - disbelief
-	if t.conflicted(k) {
+	if g := t.group[f]; g >= 0 && t.distinct[g] > 1 {
 		b *= 0.5
 	}
 	return b
 }
 
+// Trust returns a source's current trust (PriorTrust when unseen).
+func (t *Tracker) Trust(source string) float64 {
+	if s, ok := t.srcID[source]; ok {
+		return t.trust[s]
+	}
+	return t.cfg.PriorTrust
+}
+
+// Belief returns the current belief in a triple given the sources that
+// asserted it (after the last Recompute's trust values), or 0 when no
+// source asserted it.
+func (t *Tracker) Belief(subject, predicate, object string) float64 {
+	f, ok := t.factID[factKey{subject, predicate, object}]
+	if !ok {
+		return 0
+	}
+	return t.belief(f)
+}
+
 // Sources returns all known sources with their trust, sorted by descending
 // trust then name.
 func (t *Tracker) Sources() []SourceTrust {
-	out := make([]SourceTrust, 0, len(t.trust))
-	for s, v := range t.trust {
-		out = append(out, SourceTrust{Source: s, Trust: v})
+	out := make([]SourceTrust, len(t.names))
+	for s, name := range t.names {
+		out[s] = SourceTrust{Source: name, Trust: t.trust[s]}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Trust != out[j].Trust {
@@ -211,27 +233,6 @@ func (t *Tracker) Sources() []SourceTrust {
 type SourceTrust struct {
 	Source string
 	Trust  float64
-}
-
-func factKey(a Assertion) string {
-	return a.Subject + "\x00" + a.Predicate + "\x00" + a.Object
-}
-
-func parseKey(k string) Assertion {
-	var a Assertion
-	parts := [3]string{}
-	idx := 0
-	start := 0
-	for i := 0; i < len(k) && idx < 2; i++ {
-		if k[i] == 0 {
-			parts[idx] = k[start:i]
-			idx++
-			start = i + 1
-		}
-	}
-	parts[2] = k[start:]
-	a.Subject, a.Predicate, a.Object = parts[0], parts[1], parts[2]
-	return a
 }
 
 func clamp01(x float64) float64 {

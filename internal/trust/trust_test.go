@@ -2,6 +2,8 @@ package trust
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -18,13 +20,13 @@ func TestCorroborationRaisesTrust(t *testing.T) {
 		tr.Observe(fact)
 		tr.Observe(Assertion{Source: "tabloid", Subject: fmt.Sprintf("X%d", i), Predicate: "acquired", Object: fmt.Sprintf("Y%d", i)})
 	}
-	trusts := tr.Recompute()
-	if trusts["goodwire"] <= trusts["tabloid"] {
+	tr.Recompute()
+	if tr.Trust("goodwire") <= tr.Trust("tabloid") {
 		t.Fatalf("corroborated source not more trusted: goodwire=%.3f tabloid=%.3f",
-			trusts["goodwire"], trusts["tabloid"])
+			tr.Trust("goodwire"), tr.Trust("tabloid"))
 	}
-	if trusts["curated-kb"] != 1.0 {
-		t.Fatalf("pinned trust drifted: %v", trusts["curated-kb"])
+	if got := tr.Trust("curated-kb"); got != 1.0 {
+		t.Fatalf("pinned trust drifted: %v", got)
 	}
 }
 
@@ -38,10 +40,10 @@ func TestFunctionalConflictLowersTrust(t *testing.T) {
 		tr.Observe(Assertion{Source: "clean", Subject: "DJI", Predicate: "headquarteredIn", Object: "Shenzhen"})
 		tr.Observe(Assertion{Source: "conflicting", Subject: "DJI", Predicate: "headquarteredIn", Object: "Paris"})
 	}
-	trusts := tr.Recompute()
-	if trusts["conflicting"] >= trusts["clean"] {
+	tr.Recompute()
+	if tr.Trust("conflicting") >= tr.Trust("clean") {
 		t.Fatalf("conflicting source not penalized: clean=%.3f conflicting=%.3f",
-			trusts["clean"], trusts["conflicting"])
+			tr.Trust("clean"), tr.Trust("conflicting"))
 	}
 }
 
@@ -87,7 +89,8 @@ func TestMalformedAssertionsIgnored(t *testing.T) {
 	tr.Observe(Assertion{Source: "", Subject: "A", Predicate: "p", Object: "B"})
 	tr.Observe(Assertion{Source: "s", Subject: "", Predicate: "p", Object: "B"})
 	tr.Observe(Assertion{Source: "s", Subject: "A", Predicate: "p", Object: ""})
-	if got := tr.Recompute(); len(got) != 0 {
+	tr.Recompute()
+	if got := tr.Sources(); len(got) != 0 {
 		t.Fatalf("malformed assertions tracked: %v", got)
 	}
 }
@@ -110,9 +113,94 @@ func TestTrustStaysInUnitInterval(t *testing.T) {
 		tr.Observe(Assertion{Source: "kb", Subject: fmt.Sprintf("S%d", i), Predicate: "acquired", Object: "T"})
 		tr.Observe(Assertion{Source: "echo", Subject: fmt.Sprintf("S%d", i), Predicate: "acquired", Object: "T"})
 	}
-	for s, v := range tr.Recompute() {
-		if v < 0 || v > 1 {
-			t.Fatalf("trust(%s) = %v out of [0,1]", s, v)
+	tr.Recompute()
+	for _, s := range tr.Sources() {
+		if s.Trust < 0 || s.Trust > 1 {
+			t.Fatalf("trust(%s) = %v out of [0,1]", s.Source, s.Trust)
 		}
+	}
+}
+
+// synthetic returns a shuffled stream asserting exactly facts distinct
+// triples, each by one to three of twelve sources (a source may repeat
+// itself). Four triples share each subject and objects never repeat, so a
+// functional predicate drawn twice for one subject is a conflict.
+func synthetic(facts int, seed int64) []Assertion {
+	preds := []string{"acquired", "partnersWith", "headquarteredIn", "subsidiaryOf", "manufactures"}
+	r := rand.New(rand.NewSource(seed))
+	var out []Assertion
+	for i := 0; i < facts; i++ {
+		a := Assertion{
+			Subject:   fmt.Sprintf("E%d", i/4),
+			Predicate: preds[r.Intn(len(preds))],
+			Object:    fmt.Sprintf("O%d-%d", r.Intn(3), i),
+		}
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			a.Source = fmt.Sprintf("src%02d", r.Intn(12))
+			out = append(out, a)
+		}
+	}
+	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+func fed(stream []Assertion) *Tracker {
+	tr := NewTracker(nil, DefaultConfig())
+	tr.Pin("src00", 0.95)
+	for _, a := range stream {
+		tr.Observe(a)
+	}
+	return tr
+}
+
+// TestEqualStreamsGiveBitEqualTrust: twenty fresh trackers fed one
+// ≈ 3,000-assertion stream, recomputing on the ingest cadence, report
+// bitwise-equal trust.
+func TestEqualStreamsGiveBitEqualTrust(t *testing.T) {
+	stream := synthetic(1500, 1)
+	run := func() []SourceTrust {
+		tr := NewTracker(nil, DefaultConfig())
+		tr.Pin("src00", 0.95)
+		for i, a := range stream {
+			tr.Observe(a)
+			if (i+1)%200 == 0 {
+				tr.Recompute()
+			}
+		}
+		tr.Recompute()
+		return tr.Sources()
+	}
+	want := run()
+	for i := 1; i < 20; i++ {
+		got := run()
+		for j := range want {
+			if got[j].Source != want[j].Source || math.Float64bits(got[j].Trust) != math.Float64bits(want[j].Trust) {
+				t.Fatalf("rebuild %d: source %d = %s %v, first build %s %v", i, j, got[j].Source, got[j].Trust, want[j].Source, want[j].Trust)
+			}
+		}
+	}
+}
+
+// TestRecomputeAllocs: Recompute reuses its scratch buffer, so what it
+// allocates does not grow with the facts observed.
+func TestRecomputeAllocs(t *testing.T) {
+	var allocs [2]float64
+	for i, facts := range []int{1000, 10000} {
+		tr := fed(synthetic(facts, 1))
+		allocs[i] = testing.AllocsPerRun(5, tr.Recompute)
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 1 {
+		t.Fatalf("Recompute allocations at 1k / 10k facts = %v / %v, want equal and at most 1", allocs[0], allocs[1])
+	}
+}
+
+// BenchmarkRecompute runs the fixpoint over ≈ 7,000 facts, the size of
+// the restart benchmark's data directory.
+func BenchmarkRecompute(b *testing.B) {
+	tr := fed(synthetic(7000, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Recompute()
 	}
 }

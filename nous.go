@@ -651,9 +651,9 @@ func (p *Pipeline) Stats() StreamStats { return p.stream.Stats() }
 func (p *Pipeline) Linker() *disambig.Linker { return p.stream.Linker() }
 
 // SourceTrust returns the current per-source trust scores (§3.4's source-
-// level trust tracking), sorted by descending trust.
+// level trust tracking), sorted by descending trust. Safe during ingestion.
 func (p *Pipeline) SourceTrust() []trust.SourceTrust {
-	return p.stream.Trust().Sources()
+	return p.stream.SourceTrust()
 }
 
 // LinkPredictor exposes the BPR confidence model.
