@@ -1,10 +1,11 @@
 // Package prgate implements the nouslint rule keeping PageRank off the query
-// path: internal/analytics memoizes the compiled graph view per epoch and its
-// PageRank vectors per (epoch, window) (with singleflight and a staleness
-// budget), and that cache is only effective if it is the single recompute
-// point. A stray graph.Compile or View.PageRank call from a query package
-// silently reintroduces the seed's recompute-per-request behaviour — the
-// ~100× regression PR 2 removed — without failing any test.
+// path: core.KG.CompileView compiles the graph view under the KG lock (the
+// exact epoch cut), internal/analytics memoizes that view per epoch and its
+// PageRank vectors per (epoch, window) with singleflight, and that cache is
+// only effective if it is the single recompute point. A stray graph.Compile
+// or View.PageRank call from a query package silently reintroduces the
+// seed's recompute-per-request behaviour — a ~100× regression — without
+// failing any test, and a Compile outside the KG lock can read a torn view.
 package prgate
 
 import (
@@ -15,28 +16,25 @@ import (
 
 // graphPkg is the package (matched by path suffix) whose PageRank entry
 // points — compiling a view and running the kernel over one — are gated, and
-// allowedPkgs are the packages permitted to call them.
+// allowedPkg names the one package permitted to call each (besides graphPkg
+// itself).
 const graphPkg = "internal/graph"
 
-var gatedFuncs = map[string]bool{"Compile": true, "PageRank": true}
-
-var allowedPkgs = []string{
-	"internal/analytics", // the epoch-memoized cache: the single recompute point
-	"internal/graph",     // the implementation itself
+var allowedPkg = map[string]string{
+	"Compile":  "internal/core",      // KG.CompileView: compiles under the KG read lock
+	"PageRank": "internal/analytics", // the epoch-memoized cache: the single recompute point
 }
 
 var Analyzer = &analysis.Analyzer{
 	Name: "prgate",
-	Doc: "graph.Compile and View.PageRank may only be called from internal/analytics " +
-		"(and tests); everything else must go through the epoch-memoized analytics.Cache",
+	Doc: "graph.Compile may only be called from internal/core and View.PageRank only from " +
+		"internal/analytics (and tests); everything else must go through the epoch-memoized analytics.Cache",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	for _, allowed := range allowedPkgs {
-		if analysis.PkgPathIs(pass.Pkg.Path(), allowed) {
-			return nil, nil
-		}
+	if analysis.PkgPathIs(pass.Pkg.Path(), graphPkg) {
+		return nil, nil
 	}
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset.Position(f.Pos()).Filename) {
@@ -48,15 +46,16 @@ func run(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			fn := analysis.CalleeFunc(pass.TypesInfo, call)
-			if fn == nil || !gatedFuncs[fn.Name()] {
+			if fn == nil {
 				return true
 			}
-			if !analysis.PkgPathIs(analysis.FuncPkgPath(fn), graphPkg) {
+			allowed, gated := allowedPkg[fn.Name()]
+			if !gated || !analysis.PkgPathIs(analysis.FuncPkgPath(fn), graphPkg) || analysis.PkgPathIs(pass.Pkg.Path(), allowed) {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"call to graph.%s outside internal/analytics: query paths must use the epoch-memoized analytics.Cache",
-				fn.Name())
+				"call to graph.%s outside %s: query paths must use the epoch-memoized analytics.Cache",
+				fn.Name(), allowed)
 			return true
 		})
 	}

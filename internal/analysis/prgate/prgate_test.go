@@ -9,5 +9,5 @@ import (
 
 func TestPRGate(t *testing.T) {
 	analysistest.Run(t, "testdata", prgate.Analyzer,
-		"nous/internal/qa", "nous/internal/analytics")
+		"nous/internal/qa", "nous/internal/analytics", "nous/internal/core")
 }

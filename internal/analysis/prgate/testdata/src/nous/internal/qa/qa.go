@@ -5,7 +5,7 @@ package qa
 import "nous/internal/graph"
 
 func compile(g *graph.Graph) *graph.View {
-	return graph.Compile(g, nil) // want `outside internal/analytics`
+	return graph.Compile(g, nil) // want `outside internal/core`
 }
 
 func rank(v *graph.View) []float64 {
@@ -13,7 +13,7 @@ func rank(v *graph.View) []float64 {
 }
 
 func windowed(g *graph.Graph, keep func(int64, bool) bool) []float64 {
-	return graph.Compile(g, nil).PageRank(0.85, 20, keep) // want `outside internal/analytics` `outside internal/analytics`
+	return graph.Compile(g, nil).PageRank(0.85, 20, keep) // want `outside internal/analytics` `outside internal/core`
 }
 
 func degree(g *graph.Graph, v *graph.View) int {

@@ -1,6 +1,8 @@
 package analytics
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,7 +59,6 @@ func TestPageRankMemoizedAtUnchangedEpoch(t *testing.T) {
 func TestEpochBumpInvalidates(t *testing.T) {
 	kg := testKG(t)
 	c := New(kg)
-	c.MaxLag = 0 // strict freshness for this test
 	before := c.PageRank()
 	id, _ := kg.Entity("Shenzhen")
 	prBefore := before.At(id)
@@ -79,20 +80,28 @@ func TestEpochBumpInvalidates(t *testing.T) {
 	}
 }
 
-func TestMaxLagServesBoundedStaleness(t *testing.T) {
+// TestOnlyThePriorLags pins the one staleness budget left: a write makes
+// PageRank recompute at once, while the popularity prior is served until
+// more than priorLag mutations have passed.
+func TestOnlyThePriorLags(t *testing.T) {
 	kg := testKG(t)
 	c := New(kg)
-	c.MaxLag = 1000
+	prior, at := c.PopularityPrior(), c.Epoch()
 	c.PageRank()
-	// A handful of writes stays inside the budget: no recompute.
+	base := c.Stats().Computes
 	kg.AddEntity("Nimbus Labs", "Company")
 	c.PageRank()
-	st := c.Stats()
-	if st.Computes != 1 {
-		t.Fatalf("computes = %d, want 1 within staleness budget", st.Computes)
+	if got := c.Stats().Computes; got != base+1 {
+		t.Fatalf("computes = %d after a write, want %d (PageRank is epoch-exact)", got, base+1)
 	}
-	if st.Hits != 1 {
-		t.Fatalf("hits = %d, want 1", st.Hits)
+	if again := c.PopularityPrior(); reflect.ValueOf(again).Pointer() != reflect.ValueOf(prior).Pointer() {
+		t.Fatal("prior recomputed inside its staleness budget")
+	}
+	for i := 0; c.Epoch()-at <= priorLag; i++ {
+		kg.AddEntity(fmt.Sprintf("Padding %d", i), "Company")
+	}
+	if again := c.PopularityPrior(); reflect.ValueOf(again).Pointer() == reflect.ValueOf(prior).Pointer() {
+		t.Fatal("prior served past its staleness budget")
 	}
 }
 
@@ -250,17 +259,5 @@ func TestRefreshDuringInFlightBuildRecomputes(t *testing.T) {
 	}
 	if _, ok := refreshed[graph.VertexID(2)]; !ok {
 		t.Fatalf("refresh returned the stale build: %v", refreshed)
-	}
-}
-
-func TestInvalidatePriorForcesRecompute(t *testing.T) {
-	kg := testKG(t)
-	c := New(kg)
-	c.PopularityPrior()
-	base := c.Stats().Computes
-	c.InvalidatePrior()
-	c.PopularityPrior()
-	if got := c.Stats().Computes; got <= base {
-		t.Fatalf("computes = %d after invalidate, want > %d", got, base)
 	}
 }

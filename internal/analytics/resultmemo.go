@@ -20,57 +20,55 @@ type ResultMemoStats struct {
 	Entries int
 }
 
-// rmEntry is one cached value: its epoch, LRU position and singleflight
-// channel (non-nil while one goroutine computes for this key).
+// rmEntry is one cached value: the epoch it is exact at, its LRU position
+// and its singleflight channel (non-nil while one goroutine computes it).
 type rmEntry[V any] struct {
 	epoch  uint64
 	valid  bool
 	value  V
 	flight chan struct{}
-	elem   *list.Element // value: the string key
+	elem   *list.Element // value: the key
 }
 
-// ResultMemo is a bounded, epoch-aware, string-keyed memo with singleflight:
-// the generalization of this package's per-artifact memo to an open key
-// space (the plan layer keys it by normalized plan strings; the epoch is the
-// graph's mutation epoch). A cached value is fresh for a key when it was
-// computed at an epoch within maxLag of the requested one; staler entries
-// recompute in place. Entries beyond maxEntries evict least-recently-used.
-// Failed computes are never cached. All methods are safe for concurrent use.
+// ResultMemo is this package's one memo: bounded, keyed, epoch-aware, with
+// singleflight. Every memoized artifact is one — the compiled view, PageRank
+// per time window, the popularity prior and the topic vectors here, and the
+// plan layer's results keyed by normalized plan strings.
 //
-// It is generic over the value type so this package — which must not import
-// its consumers — can host the cache for any layer above it.
-type ResultMemo[V any] struct {
+// A value is stored with the epoch it is exact at, which its compute
+// reports. A lookup at epoch now is served by a value stored at now or
+// later; anything older recomputes in place. The memo has no staleness
+// budget: a caller that can tolerate lag asks for an older epoch. Entries
+// beyond the cap evict least-recently-used. Failed computes are never
+// cached. All methods are safe for concurrent use.
+//
+// It is generic so this package — which must not import its consumers — can
+// host the cache for any layer above it.
+type ResultMemo[K comparable, V any] struct {
 	mu         sync.Mutex
 	maxEntries int
-	maxLag     uint64
-	entries    map[string]*rmEntry[V]
-	lru        *list.List // of string keys; front = most recently used
+	entries    map[K]*rmEntry[V]
+	lru        *list.List // of keys; front = most recently used
 
 	hits, misses, coalesced, evictions uint64
 }
 
-// NewResultMemo returns a memo holding at most maxEntries values (<= 0
-// means 256) serving entries up to maxLag epochs stale (0 = epoch-exact,
-// which is what replica byte-identity at equal epochs requires).
-func NewResultMemo[V any](maxEntries int, maxLag uint64) *ResultMemo[V] {
-	if maxEntries <= 0 {
-		maxEntries = 256
-	}
-	return &ResultMemo[V]{
+// NewResultMemo returns a memo holding at most maxEntries values.
+func NewResultMemo[K comparable, V any](maxEntries int) *ResultMemo[K, V] {
+	return &ResultMemo[K, V]{
 		maxEntries: maxEntries,
-		maxLag:     maxLag,
-		entries:    make(map[string]*rmEntry[V]),
+		entries:    make(map[K]*rmEntry[V]),
 		lru:        list.New(),
 	}
 }
 
-// Get returns the value for key at epoch now, computing it at most once per
-// epoch change across concurrent callers. hit reports whether a cached (or
-// coalesced in-flight) value was served without this caller computing.
-// Errors propagate to the caller that computed and are not cached; waiters
-// observing a failed flight retry the compute themselves.
-func (m *ResultMemo[V]) Get(now uint64, key string, compute func() (V, error)) (v V, hit bool, err error) {
+// Get returns the value for key fresh at epoch now, computing it at most once
+// across concurrent callers. compute returns the value and the epoch it is
+// exact at (at least now, when it reads the live graph). hit reports whether
+// a cached (or coalesced in-flight) value was served without this caller
+// computing. Errors propagate to the caller that computed and are not
+// cached; waiters observing a failed flight retry the compute themselves.
+func (m *ResultMemo[K, V]) Get(now uint64, key K, compute func() (V, uint64, error)) (v V, hit bool, err error) {
 	m.mu.Lock()
 	waited := false
 	for {
@@ -78,9 +76,7 @@ func (m *ResultMemo[V]) Get(now uint64, key string, compute func() (V, error)) (
 		if e == nil {
 			break
 		}
-		// e.epoch > now happens when another flight stored a newer value
-		// while we waited — newer than requested is always fresh enough.
-		if e.valid && (e.epoch >= now || now-e.epoch <= m.maxLag) {
+		if e.valid && e.epoch >= now {
 			m.lru.MoveToFront(e.elem)
 			if waited {
 				m.coalesced++
@@ -115,39 +111,43 @@ func (m *ResultMemo[V]) Get(now uint64, key string, compute func() (V, error)) (
 	m.misses++
 	m.mu.Unlock()
 
+	var at uint64
 	ok := false
 	defer func() {
-		// Release waiters even if compute panicked; store only on success.
+		// Release waiters even if compute panicked; store only on success,
+		// and never over a value exact at a later epoch.
 		m.mu.Lock()
-		if ok && (!e.valid || e.epoch <= now) {
-			e.value, e.epoch, e.valid = v, now, true
+		if ok && (!e.valid || e.epoch <= at) {
+			e.value, e.epoch, e.valid = v, at, true
 		}
 		e.flight = nil
 		close(ch)
 		m.mu.Unlock()
 	}()
-	v, err = compute()
+	v, at, err = compute()
 	ok = err == nil
 	return v, false, err
 }
 
-// Peek reports whether a fresh value for key exists at epoch now, without
-// touching LRU order or counters.
-func (m *ResultMemo[V]) Peek(now uint64, key string) bool {
+// Peek returns the value for key if one fresh at epoch now is cached,
+// without touching LRU order or counters.
+func (m *ResultMemo[K, V]) Peek(now uint64, key K) (v V, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := m.entries[key]
-	return e != nil && e.valid && (e.epoch >= now || now-e.epoch <= m.maxLag)
+	if e := m.entries[key]; e != nil && e.valid && e.epoch >= now {
+		return e.value, true
+	}
+	return v, false
 }
 
 // evictLocked drops least-recently-used entries beyond the cap. Entries with
 // a compute in flight are skipped — evicting one would orphan its waiters'
 // singleflight — so the map can transiently exceed the cap by the number of
 // concurrent flights.
-func (m *ResultMemo[V]) evictLocked() {
+func (m *ResultMemo[K, V]) evictLocked() {
 	for el := m.lru.Back(); el != nil && m.lru.Len() > m.maxEntries; {
 		prev := el.Prev()
-		key := el.Value.(string)
+		key := el.Value.(K)
 		if e := m.entries[key]; e != nil && e.flight == nil {
 			m.lru.Remove(el)
 			delete(m.entries, key)
@@ -158,7 +158,7 @@ func (m *ResultMemo[V]) evictLocked() {
 }
 
 // Stats snapshots the memo's counters.
-func (m *ResultMemo[V]) Stats() ResultMemoStats {
+func (m *ResultMemo[K, V]) Stats() ResultMemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return ResultMemoStats{

@@ -9,12 +9,12 @@ import (
 )
 
 func TestResultMemoHitAtSameEpoch(t *testing.T) {
-	m := NewResultMemo[string](8, 0)
+	m := NewResultMemo[string, string](8)
 	computes := 0
 	get := func(epoch uint64, key string) string {
-		v, _, err := m.Get(epoch, key, func() (string, error) {
+		v, _, err := m.Get(epoch, key, func() (string, uint64, error) {
 			computes++
-			return fmt.Sprintf("%s@%d", key, epoch), nil
+			return fmt.Sprintf("%s@%d", key, epoch), epoch, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -43,51 +43,46 @@ func TestResultMemoHitAtSameEpoch(t *testing.T) {
 	}
 }
 
-func TestResultMemoMaxLag(t *testing.T) {
-	m := NewResultMemo[int](8, 3)
+// TestResultMemoLabelsComputedEpoch: a value is stored at the epoch its
+// compute reports, so a view compiled past the requested epoch serves every
+// read up to its own epoch and no later one.
+func TestResultMemoLabelsComputedEpoch(t *testing.T) {
+	m := NewResultMemo[string, int](8)
 	computes := 0
-	get := func(epoch uint64) int {
-		v, _, _ := m.Get(epoch, "k", func() (int, error) {
+	get := func(now uint64) int {
+		v, _, _ := m.Get(now, "k", func() (int, uint64, error) {
 			computes++
-			return int(epoch), nil
+			return int(now) + 3, now + 3, nil
 		})
 		return v
 	}
-	if get(10) != 10 || get(13) != 10 {
-		t.Fatal("within-lag read must serve the cached value")
+	if get(5) != 8 || get(7) != 8 || get(8) != 8 {
+		t.Fatal("reads up to the computed epoch must serve the cached value")
 	}
 	if computes != 1 {
 		t.Fatalf("computes = %d, want 1", computes)
 	}
-	if get(14) != 14 {
-		t.Fatal("beyond-lag read must recompute")
-	}
-	if computes != 2 {
-		t.Fatalf("computes = %d, want 2", computes)
-	}
-	// Epoch-exact memo: any epoch move recomputes.
-	exact := NewResultMemo[int](8, 0)
-	n := 0
-	exact.Get(5, "k", func() (int, error) { n++; return 0, nil })
-	exact.Get(6, "k", func() (int, error) { n++; return 0, nil })
-	if n != 2 {
-		t.Fatalf("epoch-exact computes = %d, want 2", n)
+	if get(9) != 12 || computes != 2 {
+		t.Fatalf("read past the computed epoch must recompute (computes = %d)", computes)
 	}
 }
 
 func TestResultMemoLRUEviction(t *testing.T) {
-	m := NewResultMemo[int](2, 0)
-	compute := func(v int) func() (int, error) {
-		return func() (int, error) { return v, nil }
+	m := NewResultMemo[string, int](2)
+	compute := func(v int) func() (int, uint64, error) {
+		return func() (int, uint64, error) { return v, 1, nil }
 	}
 	m.Get(1, "a", compute(1))
 	m.Get(1, "b", compute(2))
 	m.Get(1, "a", compute(0)) // refresh a's recency
 	m.Get(1, "c", compute(3)) // evicts b, the LRU
-	if !m.Peek(1, "a") || !m.Peek(1, "c") {
+	if _, ok := m.Peek(1, "a"); !ok {
+		t.Fatal("recently used entry was evicted")
+	}
+	if _, ok := m.Peek(1, "c"); !ok {
 		t.Fatal("recently used entries were evicted")
 	}
-	if m.Peek(1, "b") {
+	if _, ok := m.Peek(1, "b"); ok {
 		t.Fatal("LRU entry survived past the cap")
 	}
 	st := m.Stats()
@@ -97,7 +92,7 @@ func TestResultMemoLRUEviction(t *testing.T) {
 }
 
 func TestResultMemoSingleflight(t *testing.T) {
-	m := NewResultMemo[int](8, 0)
+	m := NewResultMemo[string, int](8)
 	var computes atomic.Int32
 	gate := make(chan struct{})
 	const workers = 8
@@ -107,10 +102,10 @@ func TestResultMemoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := m.Get(7, "k", func() (int, error) {
+			v, _, err := m.Get(7, "k", func() (int, uint64, error) {
 				computes.Add(1)
 				<-gate
-				return 42, nil
+				return 42, 7, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -138,30 +133,30 @@ func TestResultMemoSingleflight(t *testing.T) {
 }
 
 func TestResultMemoErrorsNotCached(t *testing.T) {
-	m := NewResultMemo[int](8, 0)
+	m := NewResultMemo[string, int](8)
 	boom := errors.New("boom")
-	if _, _, err := m.Get(1, "k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := m.Get(1, "k", func() (int, uint64, error) { return 0, 1, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if m.Peek(1, "k") {
+	if _, ok := m.Peek(1, "k"); ok {
 		t.Fatal("failed compute was cached")
 	}
-	v, hit, err := m.Get(1, "k", func() (int, error) { return 9, nil })
+	v, hit, err := m.Get(1, "k", func() (int, uint64, error) { return 9, 1, nil })
 	if err != nil || hit || v != 9 {
 		t.Fatalf("retry after error: v=%d hit=%v err=%v", v, hit, err)
 	}
-	if !m.Peek(1, "k") {
+	if v, ok := m.Peek(1, "k"); !ok || v != 9 {
 		t.Fatal("successful retry not cached")
 	}
 }
 
 func TestResultMemoNewerEpochServesWaiters(t *testing.T) {
 	// A value stored at a newer epoch than requested is fresh enough — the
-	// memo must not recompute for an older "now" (mirrors memo.get).
-	m := NewResultMemo[int](8, 0)
+	// memo must not recompute for an older "now".
+	m := NewResultMemo[string, int](8)
 	computes := 0
-	m.Get(9, "k", func() (int, error) { computes++; return 99, nil })
-	v, hit, _ := m.Get(7, "k", func() (int, error) { computes++; return 77, nil })
+	m.Get(9, "k", func() (int, uint64, error) { computes++; return 99, 9, nil })
+	v, hit, _ := m.Get(7, "k", func() (int, uint64, error) { computes++; return 77, 7, nil })
 	if !hit || v != 99 || computes != 1 {
 		t.Fatalf("older-epoch read: v=%d hit=%v computes=%d", v, hit, computes)
 	}

@@ -1,10 +1,14 @@
 package analytics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,9 +129,9 @@ func TestImportanceBitIdenticalAcrossCopies(t *testing.T) {
 }
 
 // TestViewImmutableUnderWrites runs windowed readers against a concurrent
-// writer (under -race): a compiled view never changes, a read past the
-// staleness budget recompiles, and the compute counters count kernel runs
-// exactly as they did before views existed.
+// writer (under -race): a compiled view never changes, a read at a new epoch
+// recompiles, and the compute counters count kernel runs exactly as they did
+// before views existed.
 func TestViewImmutableUnderWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	kg := core.NewKG(nil)
@@ -143,11 +147,11 @@ func TestViewImmutableUnderWrites(t *testing.T) {
 	c := New(kg)
 	w := temporal.Between(day0.AddDate(0, 0, 10), day0.AddDate(0, 0, 60))
 
-	held := c.viewAt(c.Epoch())
+	held := c.compiled()
 	before := held.PageRank(c.Damping, c.Iters, w.ContainsStamp)
 	first := c.WindowedPageRank(w)
 	sameBits(t, "cache vs its own view", first, before)
-	if c.viewAt(c.Epoch()) != held {
+	if c.compiled() != held {
 		t.Fatal("view recompiled at an unchanged epoch")
 	}
 
@@ -180,13 +184,12 @@ func TestViewImmutableUnderWrites(t *testing.T) {
 	readers.Wait()
 
 	sameBits(t, "held view after 400 writes", held.PageRank(c.Damping, c.Iters, w.ContainsStamp), before)
-	if fresh := c.viewAt(c.Epoch()); fresh == held || fresh.NumEdges() <= held.NumEdges() {
+	if fresh := c.compiled(); fresh == held || fresh.NumEdges() <= held.NumEdges() {
 		t.Fatalf("view at the new epoch has %d edges, the held one %d", fresh.NumEdges(), held.NumEdges())
 	}
 
-	// Quiescent accounting: one kernel run per artifact past the budget, none
-	// inside it, the shared view not counted.
-	c.MaxLag = 0
+	// Quiescent accounting: one kernel run per artifact at a new epoch, none
+	// at an unchanged one, the shared view not counted.
 	c.WindowedPageRank(w)
 	c.PageRank()
 	st0 := c.Stats()
@@ -200,6 +203,79 @@ func TestViewImmutableUnderWrites(t *testing.T) {
 	c.PageRank()
 	c.WindowedPageRank(temporal.SinceTime(day0))
 	if st := c.Stats(); st.Computes != st0.Computes+3 || st.WindowedComputes != st0.WindowedComputes+2 || st.Misses != st0.Misses+3 {
-		t.Fatalf("after one write with MaxLag 0: %+v, before %+v", st, st0)
+		t.Fatalf("after one write: %+v, before %+v", st, st0)
+	}
+}
+
+// TestViewLabelIsExactEpoch runs view readers against a concurrent writer
+// (under -race): every view the cache hands out holds exactly the edges the
+// mutation hook emitted up to the epoch it is labelled with — none later,
+// none missing. Each view is checked against the view of a replica fed the
+// hook's mutations up to that epoch.
+func TestViewLabelIsExactEpoch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	kg := core.NewKG(nil)
+	var mu sync.Mutex
+	var muts []graph.Mutation
+	kg.Graph().AddMutationHook(func(m graph.Mutation) {
+		m.Edges = append([]graph.Edge(nil), m.Edges...)
+		mu.Lock()
+		muts = append(muts, m)
+		mu.Unlock()
+	})
+	c := New(kg)
+
+	// Each reader records one view before the writer starts and keeps
+	// reading until it has seen the final epoch, so every reader's views
+	// span the whole write phase.
+	var ready, readers sync.WaitGroup
+	var done atomic.Bool
+	seen := make([][]epochView, 4)
+	for i := range seen {
+		ready.Add(1)
+		readers.Add(1)
+		go func(i int) {
+			defer readers.Done()
+			for {
+				v := c.compiled()
+				if len(seen[i]) == 0 {
+					ready.Done()
+				}
+				if len(seen[i]) == 0 || seen[i][len(seen[i])-1] != v {
+					seen[i] = append(seen[i], v)
+				}
+				if done.Load() && v.epoch == c.Epoch() {
+					return
+				}
+			}
+		}(i)
+	}
+	ready.Wait()
+	for i := 0; i < 300; i++ {
+		if _, err := kg.AddFact(randomTriple(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	readers.Wait()
+
+	var views []epochView
+	for _, vs := range seen {
+		views = append(views, vs...)
+	}
+	slices.SortFunc(views, func(a, b epochView) int { return cmp.Compare(a.epoch, b.epoch) })
+	slices.SortFunc(muts, func(a, b graph.Mutation) int { return cmp.Compare(a.Epoch, b.Epoch) })
+	replica := core.NewKG(nil)
+	next := 0
+	for _, v := range views {
+		for ; next < len(muts) && muts[next].Epoch <= v.epoch; next++ {
+			if err := replica.ApplyReplicated(muts[next]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, _ := replica.CompileView()
+		if !reflect.DeepEqual(v.View, want) {
+			t.Fatalf("view labelled epoch %d differs from the replica's view at that epoch (%d vs %d edges)", v.epoch, v.NumEdges(), want.NumEdges())
+		}
 	}
 }

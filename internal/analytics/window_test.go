@@ -72,8 +72,7 @@ func TestWindowedPageRankMemoizedPerWindow(t *testing.T) {
 	if st := c.Stats(); st.WindowedComputes != 2 || st.WindowedArtifacts != 2 {
 		t.Fatalf("second window stats: %+v", st)
 	}
-	// A mutation (beyond MaxLag) invalidates windowed artifacts too.
-	c.MaxLag = 0
+	// A mutation invalidates windowed artifacts too.
 	if _, err := kg.AddFact(core.Triple{Subject: "DJI", Predicate: "acquired", Object: "RoboPix",
 		Confidence: 0.9, Provenance: core.Provenance{Source: "wsj", Time: time.Date(2015, 1, 10, 0, 0, 0, 0, time.UTC)}}); err != nil {
 		t.Fatal(err)
@@ -111,10 +110,10 @@ func TestWindowedPageRankRespectsWindow(t *testing.T) {
 func TestWindowedPageRankCapEvicts(t *testing.T) {
 	kg := windowedKG(t)
 	c := New(kg)
-	for i := 0; i < maxWindowedArtifacts+4; i++ {
+	for i := 0; i < maxRanks+4; i++ {
 		c.WindowedPageRank(temporal.Window{Since: int64(i), Until: int64(i) + 100})
 	}
-	if st := c.Stats(); st.WindowedArtifacts > maxWindowedArtifacts {
+	if st := c.Stats(); st.WindowedArtifacts > maxRanks {
 		t.Fatalf("windowed cache grew past the cap: %+v", st)
 	}
 }
@@ -162,7 +161,7 @@ func TestWindowedPageRankHotWindowSurvivesChurn(t *testing.T) {
 	if st.WindowedComputes != 21 {
 		t.Fatalf("WindowedComputes = %d, want 21 (hot window was evicted)", st.WindowedComputes)
 	}
-	if st.WindowedArtifacts > maxWindowedArtifacts {
-		t.Fatalf("artifacts = %d exceeds the cap %d", st.WindowedArtifacts, maxWindowedArtifacts)
+	if st.WindowedArtifacts > maxRanks {
+		t.Fatalf("artifacts = %d exceeds the cap %d", st.WindowedArtifacts, maxRanks)
 	}
 }

@@ -117,6 +117,16 @@ func NewKG(ont *ontology.Ontology) *KG {
 // PageRank and path search). Callers must not remove edges directly.
 func (kg *KG) Graph() *graph.Graph { return kg.g }
 
+// CompileView compiles the graph's view (graph.Compile; curated edges are
+// the timeless ones) under the KG's read lock and returns it with the epoch
+// read inside that lock. Every graph writer holds the KG lock exclusively,
+// so the view is an exact cut: it holds precisely the edges of that epoch.
+func (kg *KG) CompileView() (*graph.View, uint64) {
+	kg.mu.RLock()
+	defer kg.mu.RUnlock()
+	return graph.Compile(kg.g, temporal.AlwaysVisible), kg.g.Epoch()
+}
+
 // TemporalIndex exposes the KG's time-ordered edge index. The index is owned
 // by the KG (attached at construction, rebuilt by Rebuild) and shared with
 // every windowed consumer.

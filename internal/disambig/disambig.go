@@ -56,8 +56,9 @@ func DefaultConfig() Config {
 }
 
 // PriorSource supplies the popularity prior (per entity name, normalized to
-// [0,1]). internal/analytics.Cache implements it with an epoch-memoized
-// PageRank, so N concurrent linking calls share one computation.
+// [0,1]). internal/analytics.Cache implements it with a memoized PageRank
+// that follows the graph with a bounded lag (256 mutations), so N concurrent
+// linking calls share one computation.
 type PriorSource interface {
 	PopularityPrior() map[string]float64
 }
@@ -91,16 +92,6 @@ func NewLinkerWith(kg *core.KG, cfg Config, priors PriorSource) *Linker {
 		cfg = DefaultConfig()
 	}
 	return &Linker{kg: kg, cfg: cfg, priors: priors, profiles: make(map[string][]string)}
-}
-
-// RefreshPrior forces the popularity prior to recompute on next use,
-// bypassing the analytics cache's staleness budget. Under normal operation
-// it is unnecessary: the prior is epoch-versioned and refreshes itself
-// lazily after KG mutations.
-func (l *Linker) RefreshPrior() {
-	if inv, ok := l.priors.(interface{ InvalidatePrior() }); ok {
-		inv.InvalidatePrior()
-	}
 }
 
 // prior returns the current popularity prior map (shared, read-only).
@@ -207,7 +198,7 @@ func (l *Linker) Link(mentions []Mention) []Result {
 	var cands []candidate
 	perMention := make([][]int, len(mentions))
 
-	prior := l.prior() // one epoch-fresh snapshot for the whole document
+	prior := l.prior() // one snapshot for the whole document
 	for i, m := range mentions {
 		results[i] = Result{Surface: m.Surface}
 		names := l.kg.Candidates(m.Surface)

@@ -121,20 +121,38 @@ func TestEveryMentionKeepsACandidate(t *testing.T) {
 	}
 }
 
+// priorLag mirrors analytics' staleness budget for the popularity prior.
+const priorLag = 256
+
+// TestRefreshPriorAfterUpdates: the prior follows the graph. Within its
+// staleness budget the old prior is still served; once more than priorLag
+// mutations have passed, the boosted entity wins.
 func TestRefreshPriorAfterUpdates(t *testing.T) {
 	kg := testKG(t)
 	l := NewLinker(kg, DefaultConfig())
 	before := l.LinkPriorOnly("Apex").Entity
+	from := kg.Graph().Epoch()
 
 	// Massively boost Apex Robotics's popularity with in-links from many
-	// distinct sources.
-	for i := 0; i < 12; i++ {
-		kg.AddFact(core.Triple{
+	// distinct sources, and keep adding them until the budget has passed.
+	addInLink := func(i int) {
+		if _, err := kg.AddFact(core.Triple{
 			Subject: fmt.Sprintf("NewCo %d", i), Predicate: "partnersWith",
 			Object: "Apex Robotics", Confidence: 1, Curated: true,
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	l.RefreshPrior()
+	i := 0
+	for ; i < 12; i++ {
+		addInLink(i)
+	}
+	if got := l.LinkPriorOnly("Apex").Entity; got != before {
+		t.Fatalf("prior changed inside its staleness budget: %q -> %q", before, got)
+	}
+	for ; kg.Graph().Epoch()-from <= priorLag; i++ {
+		addInLink(i)
+	}
 	after := l.LinkPriorOnly("Apex").Entity
 	if before == after {
 		t.Fatalf("prior did not refresh: before=%q after=%q", before, after)

@@ -46,7 +46,9 @@ type viewEdge struct {
 // edge here rather than on every visit of every kernel run.
 //
 // Under concurrent mutation the result is a best-effort cut, as any
-// whole-graph scan is: stripes are read one after another. Edges are scanned
+// whole-graph scan is: stripes are read one after another. core.KG's
+// CompileView excludes writers for the scan, which makes the cut exact at
+// the epoch it reports. Edges are scanned
 // before vertices because vertices are never removed and an edge's endpoints
 // exist before the edge does — every scanned edge's endpoints are therefore
 // in the vertex list read afterwards.

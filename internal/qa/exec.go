@@ -66,14 +66,12 @@ type Executor struct {
 	TIndex *temporal.Index
 	// Now supplies the query-time clock (defaults to time.Now).
 	Now func() time.Time
-	// PlanCacheEntries caps the plan-result cache (0 = default 256).
-	PlanCacheEntries int
 
 	statsOnce sync.Once
 	stats     *plan.ExecStats
 
 	resultsOnce sync.Once
-	results     *analytics.ResultMemo[plan.Result]
+	results     *analytics.ResultMemo[string, plan.Result]
 }
 
 // Ask parses and executes a question. Temporal qualifiers in the question
@@ -148,8 +146,10 @@ func (ex *Executor) Plan(question string, w temporal.Window) (*plan.Plan, error)
 func (ex *Executor) runPlan(p *plan.Plan) (plan.Result, error) {
 	opt := plan.Optimize(p, ex.cardinality())
 	if memo := ex.resultMemo(); memo != nil && plan.Cacheable(p, ex.TIndex != nil) {
-		r, _, err := memo.Get(ex.KG.Graph().Epoch(), plan.Normalize(p), func() (plan.Result, error) {
-			return ex.planner().Run(opt.Plan)
+		epoch := ex.KG.Graph().Epoch()
+		r, _, err := memo.Get(epoch, plan.Normalize(p), func() (plan.Result, uint64, error) {
+			r, err := ex.planner().Run(opt.Plan)
+			return r, epoch, err
 		})
 		return r, err
 	}
@@ -169,16 +169,19 @@ func (ex *Executor) cardinality() plan.Cardinality {
 	return gs
 }
 
+// planCacheEntries caps the plan-result cache; beyond it the
+// least-recently-used plan is evicted.
+const planCacheEntries = 256
+
 // resultMemo returns the shared plan-result cache, creating it on first use;
-// nil without a graph (no epoch to key on). MaxLag is fixed at 0 — epoch
-// exact — because replicas pin byte-identical reads at equal epochs, and a
-// lagging cached result would break that on whichever side served it.
-func (ex *Executor) resultMemo() *analytics.ResultMemo[plan.Result] {
+// nil without a graph (no epoch to key on). Results are epoch-exact, so
+// replicas serve byte-identical reads at equal epochs.
+func (ex *Executor) resultMemo() *analytics.ResultMemo[string, plan.Result] {
 	if ex.KG == nil {
 		return nil
 	}
 	ex.resultsOnce.Do(func() {
-		ex.results = analytics.NewResultMemo[plan.Result](ex.PlanCacheEntries, 0)
+		ex.results = analytics.NewResultMemo[string, plan.Result](planCacheEntries)
 	})
 	return ex.results
 }
@@ -221,14 +224,14 @@ func (ex *Executor) ExplainQuery(question string, w temporal.Window) (*PlanRepor
 	if rep.Cacheable {
 		epoch := ex.KG.Graph().Epoch()
 		key := plan.Normalize(p)
-		if rep.Cached = memo.Peek(epoch, key); rep.Cached {
+		if _, rep.Cached = memo.Peek(epoch, key); rep.Cached {
 			return rep, nil
 		}
 		var tr *plan.Trace
-		if _, _, err := memo.Get(epoch, key, func() (plan.Result, error) {
+		if _, _, err := memo.Get(epoch, key, func() (plan.Result, uint64, error) {
 			r, t, err := ex.planner().RunTraced(opt.Plan)
 			tr = t
-			return r, err
+			return r, epoch, err
 		}); err != nil {
 			return nil, err
 		}

@@ -683,9 +683,9 @@ const indexHTML = `<!DOCTYPE html>
 async function ask(ev) {
   ev.preventDefault();
   const q = document.getElementById('q').value;
-  const res = await fetch('/api/ask?q=' + encodeURIComponent(q));
+  const res = await fetch('/api/v1/ask?q=' + encodeURIComponent(q));
   const body = await res.json();
-  document.getElementById('out').textContent = body.text || body.error;
+  document.getElementById('out').textContent = body.data ? body.data.text : body.error.message;
 }
 </script>
 </body>

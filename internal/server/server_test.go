@@ -180,6 +180,20 @@ func TestIndexServesHTML(t *testing.T) {
 	}
 }
 
+// TestIndexUsesV1Surface: the bundled console asks through /api/v1/ask and
+// references no unversioned /api/ path.
+func TestIndexUsesV1Surface(t *testing.T) {
+	rec := httptest.NewRecorder()
+	New(nous.NewPipeline(nous.NewKG(nil), nous.DefaultConfig())).ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	page := rec.Body.String()
+	if rec.Code != 200 || !strings.Contains(page, "/api/v1/ask?q=") {
+		t.Fatalf("index (status %d) does not ask through /api/v1/ask:\n%s", rec.Code, page)
+	}
+	if n := strings.Count(page, "/api/"); n != strings.Count(page, "/api/v1/") {
+		t.Fatalf("index references %d unversioned /api/ paths:\n%s", n-strings.Count(page, "/api/v1/"), page)
+	}
+}
+
 func TestMalformedKParamIs400(t *testing.T) {
 	ts := testServer(t)
 	for _, url := range []string{

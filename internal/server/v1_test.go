@@ -516,3 +516,55 @@ func TestReplicaTracksLiveWrites(t *testing.T) {
 		t.Fatalf("leader does not confirm the written fact: %v", lt)
 	}
 }
+
+// TestWarmLeaderMatchesColdReplica: importance is exact at its epoch. A
+// leader that served entity answers before a write and a follower that never
+// served one answer byte-identically once both reach the write's epoch —
+// windowed and unwindowed, on /api/v1/entity and /api/v1/ask.
+func TestWarmLeaderMatchesColdReplica(t *testing.T) {
+	leader, follower, lts, fts := newReplicaPair(t, 60)
+	paths := []string{
+		"/api/v1/entity?entity=DJI",
+		"/api/v1/entity?entity=DJI&since=2011-01-01&until=2014-01-01",
+		"/api/v1/ask?q=Tell+me+about+DJI",
+		"/api/v1/ask?q=Tell+me+about+DJI&since=2011-01-01&until=2014-01-01",
+	}
+	fetch := func(base, path string) []byte {
+		t.Helper()
+		res, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		b, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.StatusCode != 200 {
+			t.Fatalf("GET %s%s = %d: %s", base, path, res.StatusCode, b)
+		}
+		return normalizeTook(b)
+	}
+	for _, path := range paths[:2] {
+		fetch(lts.URL, path) // warm the leader's importance artifacts
+	}
+
+	res, err := http.Post(lts.URL+"/api/v1/facts", "application/json", strings.NewReader(`{"facts": [
+		{"subject": "Skyline Ventures", "predicate": "invests", "object": "DJI", "curated": true},
+		{"subject": "Harbor Capital", "predicate": "invests", "object": "DJI", "confidence": 0.9, "source": "newswire", "time": "2012-04-02"},
+		{"subject": "DJI", "predicate": "partnersWith", "object": "Skyline Ventures", "confidence": 0.9, "source": "newswire", "time": "2012-04-03"}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env := envelopeOf(t, res); env["error"] != nil {
+		t.Fatalf("leader write failed: %v", env["error"])
+	}
+	waitReplicaConverged(t, follower, leader)
+
+	for _, path := range paths {
+		if lb, fb := fetch(lts.URL, path), fetch(fts.URL, path); !bytes.Equal(lb, fb) {
+			t.Errorf("warm leader and cold follower disagree on %s\nleader:   %s\nfollower: %s", path, lb, fb)
+		}
+	}
+}

@@ -97,13 +97,7 @@ func TestAskWindowParams(t *testing.T) {
 }
 
 func TestEntityWindowParams(t *testing.T) {
-	p := smallPipeline(t)
-	// Drop the PageRank artifact the disambiguation prior computed
-	// mid-ingest: within the MaxLag staleness budget the unwindowed query
-	// would serve it, while the windowed artifact computes fresh at the
-	// current epoch — two legitimately different graph states.
-	p.Analytics().InvalidatePrior()
-	ts := httptest.NewServer(New(p))
+	ts := httptest.NewServer(New(smallPipeline(t)))
 	defer ts.Close()
 	plain := getJSON(t, ts.URL+"/api/entity?name=DJI", 200)
 	full := getJSON(t, ts.URL+"/api/entity?name=DJI&since="+
