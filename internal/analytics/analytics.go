@@ -26,7 +26,7 @@ import (
 	"nous/internal/temporal"
 )
 
-// Stats is a snapshot of cache behaviour for /api/stats and QueryStats.
+// Stats is a snapshot of cache behaviour for /api/v1/stats and QueryStats.
 type Stats struct {
 	// Epoch is the graph's current mutation epoch.
 	Epoch uint64 `json:"epoch"`

@@ -13,7 +13,7 @@
 // Diff of two WindowFiltered scans, and windowed trend backfill scores
 // bursts inside an arbitrary historical window straight off the temporal
 // index instead of the live detector's end bucket. Plans also render as
-// explain-style trees (Explain/Describe) for GET /api/plan.
+// explain-style trees (Explain/Describe) for GET /api/v1/plan.
 package plan
 
 import (
@@ -335,7 +335,7 @@ func DiffPlan(entity string, a, b temporal.Window) *Plan {
 	}
 }
 
-// NodeDesc is the JSON-able shape of one plan operator (GET /api/plan).
+// NodeDesc is the JSON-able shape of one plan operator (GET /api/v1/plan).
 // EstRows/ActualRows are present only on costed descriptions (an optimized
 // plan that was executed with tracing); EstRows is omitted when the
 // statistics could not estimate the operator.

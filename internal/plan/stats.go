@@ -44,7 +44,7 @@ type CacheStats struct {
 	Entries int `json:"entries"`
 }
 
-// Stats is a snapshot of planner activity for /api/stats.
+// Stats is a snapshot of planner activity for /api/v1/stats.
 type Stats struct {
 	// Plans counts executed plans.
 	Plans uint64 `json:"plans"`

@@ -123,7 +123,7 @@ func (ex *Executor) Run(q Query) (Answer, error) {
 
 // Plan parses a question and lowers it into its logical plan without
 // executing it — the compile half of Run, for explain-style inspection
-// (GET /api/plan). The caller window intersects like AskWindow.
+// (GET /api/v1/plan). The caller window intersects like AskWindow.
 func (ex *Executor) Plan(question string, w temporal.Window) (*plan.Plan, error) {
 	q, err := ParseAt(question, ex.now())
 	if err != nil {
@@ -208,7 +208,7 @@ func (r *PlanReport) Describe() plan.NodeDesc { return r.Costed.Describe(r.Trace
 
 // ExplainQuery compiles, optimizes and *executes* a question, reporting the
 // costed plan with per-operator estimated and actual rows — the engine
-// behind GET /api/plan. Cacheable questions go through the plan cache: an
+// behind GET /api/v1/plan. Cacheable questions go through the plan cache: an
 // explain of an already-cached question reports Cached=true and carries no
 // actual_rows (nothing was executed), and a cold explain leaves the cache
 // warm for the subsequent real query.

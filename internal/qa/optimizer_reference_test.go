@@ -157,7 +157,7 @@ func TestPlanCacheHitAndEpochInvalidation(t *testing.T) {
 }
 
 // TestExplainQueryReportsRowsAndCacheState pins the executed-explain
-// contract behind /api/plan: a cold explain carries actual_rows and warms
+// contract behind /api/v1/plan: a cold explain carries actual_rows and warms
 // the cache; a second explain of the same question reports Cached with no
 // actual_rows (nothing executed).
 func TestExplainQueryReportsRowsAndCacheState(t *testing.T) {

@@ -47,8 +47,9 @@ type Follower struct {
 	MaxBackoff time.Duration
 
 	// OnApply, when set before Start, is invoked after each replicated
-	// mutation is applied (outside the KG lock). Used to advance the
-	// follower pipeline's clock from replicated edge timestamps.
+	// mutation is applied (outside the KG lock). Derived state does not
+	// need it — KG listeners see replicated facts as they would on the
+	// leader — so it is an observation seam for tests.
 	OnApply func(m graph.Mutation)
 
 	mu     sync.Mutex

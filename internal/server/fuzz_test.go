@@ -4,33 +4,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"sync"
 	"testing"
 
 	"nous"
 )
 
-// fuzzServer builds one small pipeline-backed server per process; fuzz
-// iterations are request-cheap, world generation is not.
-var fuzzServer = sync.OnceValue(func() *Server {
-	wcfg := nous.DefaultWorldConfig()
-	wcfg.Companies = 5
-	wcfg.People = 5
-	wcfg.Products = 5
-	wcfg.Events = 20
-	w := nous.GenerateWorld(wcfg)
-	kg, err := w.LoadKG()
-	if err != nil {
-		panic(err)
-	}
-	p := nous.NewPipeline(kg, nous.DefaultConfig())
-	p.IngestAll(nous.GenerateArticles(w, nous.DefaultArticleConfig(10)))
-	return NewWithTimeout(p, 0)
-})
-
 // FuzzWindowParams throws arbitrary bytes at the time-window query
-// parameters (since/until on the read endpoints, asince/auntil/bsince/buntil
-// on /api/diff) and checks the contract: the parsers never panic, and a
+// parameters (since/until on /api/v1/recent, asince/auntil/bsince/buntil
+// on /api/v1/diff) and checks the contract: the parsers never panic, and a
 // parse failure surfaces as HTTP 400, never a 5xx.
 func FuzzWindowParams(f *testing.F) {
 	f.Add("2015", "2016")
@@ -41,6 +22,10 @@ func FuzzWindowParams(f *testing.F) {
 	f.Add("0x41", "1e9")
 	f.Add("\x00", "\xff\xfe")
 
+	// Built once per fuzzing process: iterations are request-cheap, world
+	// generation is not.
+	srv := NewWithTimeout(testPipeline(f), 0)
+
 	f.Fuzz(func(t *testing.T, since, until string) {
 		q := url.Values{}
 		if since != "" {
@@ -49,7 +34,7 @@ func FuzzWindowParams(f *testing.F) {
 		if until != "" {
 			q.Set("until", until)
 		}
-		r := httptest.NewRequest("GET", "/api/recent?"+q.Encode(), nil)
+		r := httptest.NewRequest("GET", "/api/v1/recent?"+q.Encode(), nil)
 
 		// Direct parser contract: never panics, and an absent pair is the
 		// unbounded window rather than a half-initialized one.
@@ -61,7 +46,7 @@ func FuzzWindowParams(f *testing.F) {
 		wantBad := err != nil
 
 		rec := httptest.NewRecorder()
-		fuzzServer().ServeHTTP(rec, r)
+		srv.ServeHTTP(rec, r)
 		if wantBad && rec.Code != http.StatusBadRequest {
 			t.Fatalf("since=%q until=%q: parse error %v but status %d, want 400", since, until, err, rec.Code)
 		}
@@ -75,9 +60,9 @@ func FuzzWindowParams(f *testing.F) {
 		dq.Set("auntil", until)
 		dq.Set("bsince", since)
 		dq.Set("buntil", until)
-		dr := httptest.NewRequest("GET", "/api/diff?"+dq.Encode(), nil)
+		dr := httptest.NewRequest("GET", "/api/v1/diff?"+dq.Encode(), nil)
 		drec := httptest.NewRecorder()
-		fuzzServer().ServeHTTP(drec, dr)
+		srv.ServeHTTP(drec, dr)
 		if wantBad && drec.Code != http.StatusBadRequest {
 			t.Fatalf("diff asince=%q auntil=%q: parse error expected 400, got %d", since, until, drec.Code)
 		}

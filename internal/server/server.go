@@ -5,41 +5,45 @@
 // (mutating) pipeline: every handler is safe to run while ingestion writes
 // to the KG, and each request is bounded by a per-request timeout.
 //
-// Two API surfaces share one set of handlers:
+// Every endpoint lives under /api/v1/ and, apart from the two replication
+// streams, wraps its response in one envelope:
 //
-// The versioned surface under /api/v1/ wraps every response in a uniform
-// envelope — {"data": ..., "error": {"code", "message"} | null, "meta":
-// {"epoch", "window", "took_ms"}} — with stable error codes (bad_request,
+//	{"data": ..., "error": null | {"code": ..., "message": ...},
+//	 "meta": {"epoch": ..., "window": null | {"since","until"}, "took_ms": ...}}
+//
+// data and error are mutually exclusive; all three keys are always present.
+// meta.epoch is the KG's mutation epoch at response time — on a replica it
+// is the leader epoch the answer reflects, which is what makes answers from
+// different replicas comparable. Error codes are stable: bad_request,
 // parse_error, unknown_entity, read_only_replica, timeout, wal_truncated,
-// internal). See v1.go for the endpoint list, which adds the replication
-// endpoints (GET /api/v1/wal, GET /api/v1/snapshot) and the write endpoint
-// (POST /api/v1/facts).
+// internal. Any other path under /api/, or a wrong method, is an enveloped
+// 404 bad_request naming the request.
 //
-// The original unversioned surface stays byte-compatible for existing
-// clients:
-//
-//	GET /api/ask?q=...            any of the query classes
-//	GET /api/entity?name=...      entity summary (Fig 6)
-//	GET /api/trending?k=10        trending entities/predicates
-//	GET /api/patterns?k=10        closed frequent patterns (Fig 7)
-//	GET /api/explain?src=&dst=&predicate=&k=   relationship paths
-//	GET /api/diff?entity=&asince=&auntil=&bsince=&buntil=  temporal diff
-//	GET /api/plan?q=...           the compiled logical plan for a question
-//	GET /api/stats                KG + stream + query-cache + plan statistics
-//	GET /api/graph?entity=A,B     subgraph as JSON
-//	GET /api/recent?k=20          newest facts in the window (time-index feed)
-//	GET /                         minimal HTML console
+//	GET  /api/v1/ask?q=...          any of the query classes
+//	GET  /api/v1/entity?entity=...  entity summary (Fig 6)
+//	GET  /api/v1/trending?k=10      trending entities/predicates
+//	GET  /api/v1/patterns?k=10      closed frequent patterns (Fig 7)
+//	GET  /api/v1/explain?src=&dst=&predicate=&k=   relationship paths
+//	GET  /api/v1/diff?entity=&asince=&auntil=&bsince=&buntil=  temporal diff
+//	GET  /api/v1/plan?q=...         the compiled logical plan for a question
+//	GET  /api/v1/stats              KG, stream, cache, plan, persist and replication statistics
+//	GET  /api/v1/graph?entity=A,B   subgraph as JSON
+//	GET  /api/v1/recent?k=20        newest facts in the window (time-index feed)
+//	POST /api/v1/facts              append curated/extracted facts (leader only)
+//	GET  /api/v1/wal?from=          raw WAL stream for replicas (no envelope)
+//	GET  /api/v1/snapshot           newest snapshot blob for bootstrap (no envelope)
+//	GET  /                          minimal HTML console
 //
 // The query endpoints accept since and until parameters (a bare year, unix
 // seconds, YYYY-MM-DD or RFC 3339) scoping the answer to the half-open
 // window [since, until). Curated facts are always in scope for the query
-// endpoints; /api/recent is a pure timestamp feed, so undated curated facts
-// never appear in it. Omitting both yields exactly the unwindowed answer.
-// A bounded window on /api/trending runs the planner's backfill scan —
-// bursts are scored in every bucket the window covers, off the temporal
-// index, not just the window's end bucket.
+// endpoints; /api/v1/recent is a pure timestamp feed, so undated curated
+// facts never appear in it. Omitting both yields exactly the unwindowed
+// answer. A bounded window on /api/v1/trending runs the planner's backfill
+// scan — bursts are scored in every bucket the window covers, off the
+// temporal index, not just the window's end bucket.
 //
-// /api/diff compares two windows: A = [asince, auntil), B = [bsince,
+// /api/v1/diff compares two windows: A = [asince, auntil), B = [bsince,
 // buntil), each end optional (unbounded when omitted, but each window needs
 // at least one bound). With entity set it diffs that entity's facts;
 // without, the whole extracted stream.
@@ -80,78 +84,51 @@ func New(p *nous.Pipeline) *Server {
 	return NewWithTimeout(p, DefaultRequestTimeout)
 }
 
-// legacyTimeoutBody is the unversioned surface's 503 payload, pinned by the
-// byte-compatibility reference test.
-const legacyTimeoutBody = `{"error":"request timed out"}`
-
-// v1TimeoutBody is the versioned surface's 503 payload: the uniform
-// envelope. http.TimeoutHandler only takes a static body, so the meta
-// section carries zero values.
-const v1TimeoutBody = `{"data":null,"error":{"code":"timeout","message":"request timed out"},"meta":{"epoch":0,"window":null,"took_ms":0}}`
+// timeoutBody is the 503 envelope of a timed-out request.
+// http.TimeoutHandler only takes a static body, so the meta section carries
+// zero values.
+const timeoutBody = `{"data":null,"error":{"code":"timeout","message":"request timed out"},"meta":{"epoch":0,"window":null,"took_ms":0}}`
 
 // NewWithTimeout builds a server whose handlers are cut off after timeout
-// (<= 0 disables the limit). Timed-out requests get a 503 JSON error — the
-// legacy error shape under /api/, the envelope under /api/v1/. The
+// (<= 0 disables the limit); a timed-out request gets a 503 envelope. The
 // replication endpoints (/api/v1/wal, /api/v1/snapshot) bypass the timeout:
 // a WAL stream is long-lived by design, and http.TimeoutHandler buffers
 // responses and hides the flusher both endpoints need.
 func NewWithTimeout(p *nous.Pipeline, timeout time.Duration) *Server {
 	s := &Server{pipeline: p, ask: p.AskWindow}
-
-	legacy := http.NewServeMux()
-	legacy.HandleFunc("GET /api/ask", s.handleAsk)
-	legacy.HandleFunc("GET /api/entity", s.handleEntity)
-	legacy.HandleFunc("GET /api/trending", s.handleTrending)
-	legacy.HandleFunc("GET /api/patterns", s.handlePatterns)
-	legacy.HandleFunc("GET /api/explain", s.handleExplain)
-	legacy.HandleFunc("GET /api/diff", s.handleDiff)
-	legacy.HandleFunc("GET /api/plan", s.handlePlan)
-	legacy.HandleFunc("GET /api/stats", s.handleStats)
-	legacy.HandleFunc("GET /api/graph", s.handleGraph)
-	legacy.HandleFunc("GET /api/recent", s.handleRecent)
-
-	legacyH := recoverPanics(legacy, func(w http.ResponseWriter) {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "internal server error"})
-	})
-	v1H := recoverPanics(s.v1Mux(), func(w http.ResponseWriter) {
-		s.respond(w, time.Now(), nil, nil, &apiError{
-			status: http.StatusInternalServerError, code: codeInternal, msg: "internal server error",
-		})
-	})
+	api := s.recoverPanics(s.v1Mux())
 	if timeout > 0 {
-		legacyH = jsonTimeout(legacyH, timeout, legacyTimeoutBody)
-		v1H = jsonTimeout(v1H, timeout, v1TimeoutBody)
+		api = jsonTimeout(api, timeout)
 	}
 
 	root := http.NewServeMux()
 	// The streaming replication endpoints sit outside both the timeout and
-	// the v1 mux's envelope-on-panic wrapper's buffered path.
+	// the envelope-on-panic wrapper's buffered path.
 	root.HandleFunc("GET /api/v1/wal", s.handleWAL)
 	root.HandleFunc("GET /api/v1/snapshot", s.handleSnapshot)
-	root.Handle("/api/v1/", v1H)
-	root.Handle("/api/", legacyH)
+	root.Handle("/api/", api)
 	root.HandleFunc("GET /{$}", s.handleIndex)
 	s.handler = root
 	return s
 }
 
-// jsonTimeout wraps h in http.TimeoutHandler with a JSON body.
+// jsonTimeout wraps h in http.TimeoutHandler with the timeout envelope.
 // TimeoutHandler writes its 503 body without a Content-Type, which gets
 // sniffed as text/plain; pre-setting JSON on the real writer keeps timeouts
 // on the API's uniform error contract, while normal responses overwrite it
 // with their own Content-Type (which TimeoutHandler copies over this one).
-func jsonTimeout(h http.Handler, timeout time.Duration, body string) http.Handler {
-	th := http.TimeoutHandler(h, timeout, body)
+func jsonTimeout(h http.Handler, timeout time.Duration) http.Handler {
+	th := http.TimeoutHandler(h, timeout, timeoutBody)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		th.ServeHTTP(w, r)
 	})
 }
 
-// recoverPanics converts a handler panic into a JSON 500 via onPanic
+// recoverPanics converts a handler panic into a 500 internal envelope
 // instead of net/http's default connection drop. http.ErrAbortHandler is
 // re-raised: it is the sanctioned way to abort a response mid-write.
-func recoverPanics(next http.Handler, onPanic func(http.ResponseWriter)) http.Handler {
+func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			rec := recover()
@@ -162,7 +139,9 @@ func recoverPanics(next http.Handler, onPanic func(http.ResponseWriter)) http.Ha
 				panic(rec)
 			}
 			log.Printf("server: panic serving %s: %v", r.URL.Path, rec)
-			onPanic(w)
+			s.respond(w, time.Now(), nil, nil, &apiError{
+				status: http.StatusInternalServerError, code: codeInternal, msg: "internal server error",
+			})
 		}()
 		next.ServeHTTP(w, r)
 	})
@@ -173,9 +152,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// apiError carries one endpoint failure across both surfaces: the HTTP
-// status, the v1 error code and the human-readable message (the legacy
-// surface serializes only the message).
+// apiError carries one endpoint failure: the HTTP status, the error code
+// and the human-readable message.
 type apiError struct {
 	status int
 	code   string
@@ -194,73 +172,6 @@ const (
 
 func badParam(msg string) *apiError {
 	return &apiError{status: http.StatusBadRequest, code: codeBadRequest, msg: msg}
-}
-
-// errorResponse is the legacy surface's uniform error body.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// The status line is already written; all we can do is make the
-		// truncated response visible in the server log.
-		log.Printf("server: encoding %d response: %v", status, err)
-	}
-}
-
-// legacy adapts a shared endpoint builder to the unversioned surface:
-// errors become {"error": msg} with the builder's status, successes the
-// bare data value — the original wire shapes, byte for byte.
-func (s *Server) legacy(build func(*http.Request) (any, *windowJSON, *apiError)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		data, _, e := build(r)
-		if e != nil {
-			writeJSON(w, e.status, errorResponse{Error: e.msg})
-			return
-		}
-		writeJSON(w, http.StatusOK, data)
-	}
-}
-
-func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) { s.legacy(s.buildAsk)(w, r) }
-func (s *Server) handleTrending(w http.ResponseWriter, r *http.Request) {
-	s.legacy(s.buildTrending)(w, r)
-}
-func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
-	s.legacy(s.buildPatterns)(w, r)
-}
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	s.legacy(s.buildExplain)(w, r)
-}
-func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request)   { s.legacy(s.buildDiff)(w, r) }
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request)   { s.legacy(s.buildPlan)(w, r) }
-func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) { s.legacy(s.buildRecent)(w, r) }
-
-func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
-	s.legacy(func(r *http.Request) (any, *windowJSON, *apiError) {
-		return s.buildEntity(r, "name")
-	})(w, r)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.buildStats())
-}
-
-func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	raw, _, e := s.buildGraph(r)
-	if e != nil {
-		writeJSON(w, e.status, errorResponse{Error: e.msg})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(raw); err != nil {
-		log.Printf("server: writing graph export: %v", err)
-	}
 }
 
 // askResponse carries a full structured answer.
@@ -307,12 +218,12 @@ func (s *Server) buildAsk(r *http.Request) (any, *windowJSON, *apiError) {
 	return resp, winJSON(win), nil
 }
 
-// buildEntity serves the entity summary; the name arrives as "name" on the
-// legacy surface and "entity" on v1 (matching /api/v1/graph's parameter).
-func (s *Server) buildEntity(r *http.Request, param string) (any, *windowJSON, *apiError) {
-	name := r.URL.Query().Get(param)
+// buildEntity serves the entity summary of the "entity" parameter (the name
+// /api/v1/graph uses too).
+func (s *Server) buildEntity(r *http.Request) (any, *windowJSON, *apiError) {
+	name := r.URL.Query().Get("entity")
 	if name == "" {
-		return nil, nil, badParam("missing " + param + " parameter")
+		return nil, nil, badParam("missing entity parameter")
 	}
 	win, err := windowParam(r)
 	if err != nil {
@@ -381,7 +292,7 @@ func (s *Server) buildDiff(r *http.Request) (any, *windowJSON, *apiError) {
 	return askResponse{Class: string(ans.Class), Text: ans.Text, Data: ans.Diff}, nil, nil
 }
 
-// planResponse is the /api/plan body: the cost-annotated, executed plan for
+// planResponse is the /api/v1/plan data: the cost-annotated, executed plan for
 // a question — an explain-style rendering plus the operator tree, each node
 // carrying the optimizer's est_rows and (unless the answer came from the
 // plan cache) the executor's actual_rows.
@@ -495,37 +406,39 @@ func (s *Server) buildExplain(r *http.Request) (any, *windowJSON, *apiError) {
 	return a.Paths, winJSON(win), nil
 }
 
-// statsResponse is the /api/stats body: KG quality, stream counters, the
-// epoch-versioned query cache state, the query planner's execution counters
-// and — when the pipeline is durable — the persistence layer's snapshot/WAL
-// state. The versioned surface extends it with a replication section.
+// statsResponse is the /api/v1/stats data: KG quality, stream counters, the
+// epoch-versioned query cache state, the query planner's execution
+// counters, the persistence layer's snapshot/WAL state when the pipeline is
+// durable, and the node's replication role.
 type statsResponse struct {
-	KG       nous.KGStats       `json:"kg"`
-	Stream   nous.StreamStats   `json:"stream"`
-	Query    nous.QueryStats    `json:"query"`
-	Temporal nous.TemporalStats `json:"temporal"`
-	Plan     nous.PlanStats     `json:"plan"`
-	Persist  *nous.PersistStats `json:"persist,omitempty"`
+	KG          nous.KGStats       `json:"kg"`
+	Stream      nous.StreamStats   `json:"stream"`
+	Query       nous.QueryStats    `json:"query"`
+	Temporal    nous.TemporalStats `json:"temporal"`
+	Plan        nous.PlanStats     `json:"plan"`
+	Persist     *nous.PersistStats `json:"persist,omitempty"`
+	Replication replicationJSON    `json:"replication"`
 }
 
-func (s *Server) buildStats() statsResponse {
+func (s *Server) buildStats(*http.Request) (any, *windowJSON, *apiError) {
 	resp := statsResponse{
-		KG:       s.pipeline.KG().Stats(),
-		Stream:   s.pipeline.Stats(),
-		Query:    s.pipeline.QueryStats(),
-		Temporal: s.pipeline.TemporalStats(),
-		Plan:     s.pipeline.PlanStats(),
+		KG:          s.pipeline.KG().Stats(),
+		Stream:      s.pipeline.Stats(),
+		Query:       s.pipeline.QueryStats(),
+		Temporal:    s.pipeline.TemporalStats(),
+		Plan:        s.pipeline.PlanStats(),
+		Replication: s.replication(),
 	}
 	if ps, ok := s.pipeline.PersistStats(); ok {
 		resp.Persist = &ps
 	}
-	return resp
+	return resp, nil, nil
 }
 
 // buildGraph validates the export target fully before rendering, so an
-// error can still change the status code: once the export is streaming, a
-// late failure would corrupt a 200 response.
-func (s *Server) buildGraph(r *http.Request) (json.RawMessage, *windowJSON, *apiError) {
+// error can still change the status code: the export is buffered whole and
+// becomes the envelope's data only once it succeeded.
+func (s *Server) buildGraph(r *http.Request) (any, *windowJSON, *apiError) {
 	win, err := windowParam(r)
 	if err != nil {
 		return nil, nil, badParam(err.Error())
@@ -543,7 +456,7 @@ func (s *Server) buildGraph(r *http.Request) (json.RawMessage, *windowJSON, *api
 	if err := s.pipeline.KG().ExportJSONWindow(&buf, win, names...); err != nil {
 		return nil, winJSON(win), &apiError{status: http.StatusInternalServerError, code: codeInternal, msg: err.Error()}
 	}
-	return buf.Bytes(), winJSON(win), nil
+	return json.RawMessage(buf.Bytes()), winJSON(win), nil
 }
 
 // recentFact is the wire form of one stream-feed entry.

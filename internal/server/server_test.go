@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,156 +12,116 @@ import (
 	"nous"
 )
 
-func testServer(t *testing.T) *httptest.Server {
-	t.Helper()
+// testWorld is the small deterministic drone world every test runs over.
+func testWorld() *nous.World {
 	wcfg := nous.DefaultWorldConfig()
-	wcfg.Companies = 10
-	wcfg.People = 10
-	wcfg.Products = 10
-	wcfg.Events = 80
-	w := nous.GenerateWorld(wcfg)
+	wcfg.Companies, wcfg.People, wcfg.Products, wcfg.Events = 10, 10, 10, 80
+	return nous.GenerateWorld(wcfg)
+}
+
+// testPipeline is an in-memory pipeline over testWorld's curated KB with
+// the first 60 articles of its stream ingested.
+func testPipeline(tb testing.TB) *nous.Pipeline {
+	tb.Helper()
+	w := testWorld()
 	kg, err := w.LoadKG()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	p := nous.NewPipeline(kg, nous.DefaultConfig())
 	p.IngestAll(nous.GenerateArticles(w, nous.DefaultArticleConfig(60)))
-	ts := httptest.NewServer(New(p))
+	return p
+}
+
+// serve runs h behind a real listener for the rest of the test.
+func serve(t *testing.T, h http.Handler) *httptest.Server {
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return ts
 }
 
-func getJSON(t *testing.T, url string, wantStatus int) map[string]any {
+func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	res, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != wantStatus {
-		t.Fatalf("GET %s = %d, want %d", url, res.StatusCode, wantStatus)
-	}
-	var body map[string]any
-	if err := json.NewDecoder(res.Body).Decode(&body); err != nil {
-		t.Fatalf("decoding %s: %v", url, err)
-	}
-	return body
+	return serve(t, New(testPipeline(t)))
 }
 
 func TestAskEndpoint(t *testing.T) {
 	ts := testServer(t)
-	body := getJSON(t, ts.URL+"/api/ask?q=Tell+me+about+DJI", 200)
-	if body["class"] != "entity" {
-		t.Fatalf("class = %v", body["class"])
+	data := getData(t, ts.URL+"/api/v1/ask?q=Tell+me+about+DJI").(map[string]any)
+	if data["class"] != "entity" {
+		t.Fatalf("class = %v", data["class"])
 	}
-	if !strings.Contains(body["text"].(string), "DJI") {
-		t.Fatalf("text = %v", body["text"])
+	if !strings.Contains(data["text"].(string), "DJI") {
+		t.Fatalf("text = %v", data["text"])
 	}
 }
 
 func TestAskRequiresQuery(t *testing.T) {
 	ts := testServer(t)
-	body := getJSON(t, ts.URL+"/api/ask", 400)
-	if body["error"] == "" {
-		t.Fatal("missing error message")
+	env := getV1(t, ts.URL+"/api/v1/ask", 400, "bad_request")
+	if msg := env["error"].(map[string]any)["message"].(string); !strings.Contains(msg, "classes:") {
+		t.Fatalf("message does not list the query classes: %q", msg)
 	}
 }
 
 func TestAskRejectsGibberish(t *testing.T) {
 	ts := testServer(t)
-	getJSON(t, ts.URL+"/api/ask?q=flarp+blonk", 400)
+	getV1(t, ts.URL+"/api/v1/ask?q=flarp+blonk", 400, "parse_error")
 }
 
 func TestEntityEndpoint(t *testing.T) {
 	ts := testServer(t)
-	body := getJSON(t, ts.URL+"/api/entity?name=DJI", 200)
-	if body["Name"] != "DJI" {
-		t.Fatalf("entity = %v", body)
+	data := getData(t, ts.URL+"/api/v1/entity?entity=DJI").(map[string]any)
+	if data["Name"] != "DJI" {
+		t.Fatalf("entity = %v", data)
 	}
-	getJSON(t, ts.URL+"/api/entity?name=Zorblatt+Nine", 404)
-	getJSON(t, ts.URL+"/api/entity", 400)
+	getV1(t, ts.URL+"/api/v1/entity?entity=Zorblatt+Nine", 404, "unknown_entity")
+	getV1(t, ts.URL+"/api/v1/entity", 400, "bad_request")
 }
 
 func TestTrendingEndpoint(t *testing.T) {
 	ts := testServer(t)
-	res, err := http.Get(ts.URL + "/api/trending?k=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	var trendsBody []map[string]any
-	if err := json.NewDecoder(res.Body).Decode(&trendsBody); err != nil {
-		t.Fatal(err)
-	}
-	if len(trendsBody) > 5 {
-		t.Fatalf("k ignored: %d trends", len(trendsBody))
+	if trends := getData(t, ts.URL+"/api/v1/trending?k=5").([]any); len(trends) > 5 {
+		t.Fatalf("k ignored: %d trends", len(trends))
 	}
 }
 
 func TestPatternsEndpoint(t *testing.T) {
 	ts := testServer(t)
-	res, err := http.Get(ts.URL + "/api/patterns?k=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	var ps []map[string]any
-	if err := json.NewDecoder(res.Body).Decode(&ps); err != nil {
-		t.Fatal(err)
-	}
+	ps := getData(t, ts.URL+"/api/v1/patterns?k=5").([]any)
 	if len(ps) == 0 {
 		t.Fatal("no patterns served")
 	}
-	if ps[0]["pattern"] == "" || ps[0]["support"] == nil {
-		t.Fatalf("pattern body = %v", ps[0])
+	if p := ps[0].(map[string]any); p["pattern"] == "" || p["support"] == nil {
+		t.Fatalf("pattern body = %v", p)
 	}
 }
 
 func TestExplainEndpoint(t *testing.T) {
 	ts := testServer(t)
-	res, err := http.Get(ts.URL + "/api/explain?src=DJI&dst=Shenzhen")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != 200 {
-		t.Fatalf("status = %d", res.StatusCode)
-	}
-	var paths []map[string]any
-	if err := json.NewDecoder(res.Body).Decode(&paths); err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
+	if paths, _ := getData(t, ts.URL+"/api/v1/explain?src=DJI&dst=Shenzhen").([]any); len(paths) == 0 {
 		t.Fatal("no explanation paths")
 	}
-	getJSON(t, ts.URL+"/api/explain?src=DJI", 400)
+	getV1(t, ts.URL+"/api/v1/explain?src=DJI", 400, "bad_request")
 }
 
 func TestStatsEndpoint(t *testing.T) {
 	ts := testServer(t)
-	body := getJSON(t, ts.URL+"/api/stats", 200)
-	kg, ok := body["kg"].(map[string]any)
+	data := getData(t, ts.URL+"/api/v1/stats").(map[string]any)
+	kg, ok := data["kg"].(map[string]any)
 	if !ok || kg["Facts"] == nil {
-		t.Fatalf("stats body = %v", body)
+		t.Fatalf("stats data = %v", data)
 	}
 }
 
 func TestGraphEndpoint(t *testing.T) {
 	ts := testServer(t)
-	res, err := http.Get(ts.URL + "/api/graph?entity=DJI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	var facts []map[string]any
-	if err := json.NewDecoder(res.Body).Decode(&facts); err != nil {
-		t.Fatal(err)
-	}
+	facts := getData(t, ts.URL+"/api/v1/graph?entity=DJI").([]any)
 	if len(facts) == 0 {
 		t.Fatal("no facts in DJI subgraph")
 	}
 	for _, f := range facts {
-		if f["subject"] != "DJI" && f["object"] != "DJI" {
+		if f := f.(map[string]any); f["subject"] != "DJI" && f["object"] != "DJI" {
 			t.Fatalf("fact outside subgraph: %v", f)
 		}
 	}
@@ -196,39 +155,36 @@ func TestIndexUsesV1Surface(t *testing.T) {
 
 func TestMalformedKParamIs400(t *testing.T) {
 	ts := testServer(t)
-	for _, url := range []string{
-		"/api/trending?k=abc",
-		"/api/trending?k=-3",
-		"/api/trending?k=0",
-		"/api/patterns?k=x",
-		"/api/patterns?k=-1",
-		"/api/explain?src=DJI&dst=Shenzhen&k=nope",
+	for _, path := range []string{
+		"/api/v1/trending?k=abc",
+		"/api/v1/trending?k=-3",
+		"/api/v1/trending?k=0",
+		"/api/v1/patterns?k=x",
+		"/api/v1/patterns?k=-1",
+		"/api/v1/explain?src=DJI&dst=Shenzhen&k=nope",
 	} {
-		body := getJSON(t, ts.URL+url, 400)
-		if body["error"] == "" {
-			t.Fatalf("%s: missing error message", url)
-		}
+		getV1(t, ts.URL+path, 400, "bad_request")
 	}
 }
 
 func TestGraphUnknownEntityIs404(t *testing.T) {
 	ts := testServer(t)
-	body := getJSON(t, ts.URL+"/api/graph?entity=Zorblatt+Nine", 404)
-	if !strings.Contains(body["error"].(string), "Zorblatt Nine") {
-		t.Fatalf("error body = %v", body)
+	env := getV1(t, ts.URL+"/api/v1/graph?entity=Zorblatt+Nine", 404, "unknown_entity")
+	if msg := env["error"].(map[string]any)["message"].(string); !strings.Contains(msg, "Zorblatt Nine") {
+		t.Fatalf("error message = %q", msg)
 	}
 	// Mixed known+unknown must fail wholesale, before any bytes stream.
-	getJSON(t, ts.URL+"/api/graph?entity=DJI,Zorblatt+Nine", 404)
+	getV1(t, ts.URL+"/api/v1/graph?entity=DJI,Zorblatt+Nine", 404, "unknown_entity")
 }
 
 func TestStatsReportsQueryCache(t *testing.T) {
 	ts := testServer(t)
 	// Prime the cache through an entity query, then read stats.
-	getJSON(t, ts.URL+"/api/ask?q=Tell+me+about+DJI", 200)
-	body := getJSON(t, ts.URL+"/api/stats", 200)
-	q, ok := body["query"].(map[string]any)
+	getData(t, ts.URL+"/api/v1/ask?q=Tell+me+about+DJI")
+	data := getData(t, ts.URL+"/api/v1/stats").(map[string]any)
+	q, ok := data["query"].(map[string]any)
 	if !ok {
-		t.Fatalf("stats body missing query section: %v", body)
+		t.Fatalf("stats data missing query section: %v", data)
 	}
 	if q["epoch"] == nil || q["hits"] == nil || q["misses"] == nil {
 		t.Fatalf("query cache stats incomplete: %v", q)
@@ -242,12 +198,12 @@ func TestRepeatedEntityQueriesHitCache(t *testing.T) {
 	ts := testServer(t)
 	readQuery := func() map[string]any {
 		t.Helper()
-		return getJSON(t, ts.URL+"/api/stats", 200)["query"].(map[string]any)
+		return getData(t, ts.URL+"/api/v1/stats").(map[string]any)["query"].(map[string]any)
 	}
-	getJSON(t, ts.URL+"/api/entity?name=DJI", 200) // warm the artifacts
+	getData(t, ts.URL+"/api/v1/entity?entity=DJI") // warm the artifacts
 	warm := readQuery()
 	for i := 0; i < 5; i++ {
-		getJSON(t, ts.URL+"/api/entity?name=DJI", 200)
+		getData(t, ts.URL+"/api/v1/entity?entity=DJI")
 	}
 	after := readQuery()
 	if warm["computes"] != after["computes"] {
@@ -258,37 +214,21 @@ func TestRepeatedEntityQueriesHitCache(t *testing.T) {
 	}
 }
 
+// TestRequestTimeoutReturns503: the timeout covers every enveloped endpoint
+// (TestV1TimeoutEnvelope checks the body's error code).
 func TestRequestTimeoutReturns503(t *testing.T) {
-	wcfg := nous.DefaultWorldConfig()
-	wcfg.Companies, wcfg.People, wcfg.Products, wcfg.Events = 10, 10, 10, 80
-	w := nous.GenerateWorld(wcfg)
-	kg, err := w.LoadKG()
+	ts := serve(t, NewWithTimeout(testPipeline(t), time.Nanosecond))
+	res, err := http.Get(ts.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := nous.NewPipeline(kg, nous.DefaultConfig())
-	p.IngestAll(nous.GenerateArticles(w, nous.DefaultArticleConfig(30)))
-	ts := httptest.NewServer(NewWithTimeout(p, time.Nanosecond))
-	defer ts.Close()
-	res, err := http.Get(ts.URL + "/api/ask?q=Tell+me+about+DJI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
 	if res.StatusCode != http.StatusServiceUnavailable {
+		res.Body.Close()
 		t.Fatalf("status = %d, want 503 on timeout", res.StatusCode)
 	}
-	// The timeout body must honor the API's JSON error contract, not be
-	// content-sniffed to text/plain.
-	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("timeout Content-Type = %q, want application/json", ct)
-	}
-	var body map[string]any
-	if err := json.NewDecoder(res.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body["error"] == "" {
-		t.Fatal("timeout body is not the JSON error")
+	// envelopeOf also checks the body is not content-sniffed to text/plain.
+	if env := envelopeOf(t, res); env["error"] == nil {
+		t.Fatal("timeout body carries no error")
 	}
 }
 
@@ -297,9 +237,7 @@ func TestRequestTimeoutReturns503(t *testing.T) {
 // Run under -race this exercises the whole read layer: epoch cache, linker,
 // path search, miner and trends.
 func TestConcurrentAskDuringIngest(t *testing.T) {
-	wcfg := nous.DefaultWorldConfig()
-	wcfg.Companies, wcfg.People, wcfg.Products, wcfg.Events = 12, 12, 12, 160
-	w := nous.GenerateWorld(wcfg)
+	w := testWorld()
 	kg, err := w.LoadKG()
 	if err != nil {
 		t.Fatal(err)
@@ -307,17 +245,16 @@ func TestConcurrentAskDuringIngest(t *testing.T) {
 	p := nous.NewPipeline(kg, nous.DefaultConfig())
 	arts := nous.GenerateArticles(w, nous.DefaultArticleConfig(120))
 	p.IngestAll(arts[:20]) // warm start so queries have something to chew on
-	ts := httptest.NewServer(New(p))
-	defer ts.Close()
+	ts := serve(t, New(p))
 
 	queries := []string{
-		"/api/ask?q=Tell+me+about+DJI",
-		"/api/ask?q=What+is+trending%3F",
-		"/api/ask?q=What+patterns+are+emerging%3F",
-		"/api/ask?q=What+does+DJI+manufacture%3F",
-		"/api/ask?q=How+is+Windermere+related+to+DJI%3F",
-		"/api/stats",
-		"/api/trending?k=5",
+		"/api/v1/ask?q=Tell+me+about+DJI",
+		"/api/v1/ask?q=What+is+trending%3F",
+		"/api/v1/ask?q=What+patterns+are+emerging%3F",
+		"/api/v1/ask?q=What+does+DJI+manufacture%3F",
+		"/api/v1/ask?q=How+is+Windermere+related+to+DJI%3F",
+		"/api/v1/stats",
+		"/api/v1/trending?k=5",
 	}
 
 	done := make(chan struct{})
@@ -361,9 +298,8 @@ func TestConcurrentAskDuringIngest(t *testing.T) {
 		t.Error(err)
 	}
 	// The pipeline must still answer correctly after the storm.
-	body := getJSON(t, ts.URL+"/api/ask?q=Tell+me+about+DJI", 200)
-	if body["class"] != "entity" {
-		t.Fatalf("post-ingest ask class = %v", body["class"])
+	if data := getData(t, ts.URL+"/api/v1/ask?q=Tell+me+about+DJI").(map[string]any); data["class"] != "entity" {
+		t.Fatalf("post-ingest ask class = %v", data["class"])
 	}
 }
 
@@ -381,41 +317,23 @@ func TestUnknownPathIs404(t *testing.T) {
 
 func TestStatsOmitsPersistForInMemoryPipeline(t *testing.T) {
 	ts := testServer(t)
-	body := getJSON(t, ts.URL+"/api/stats", 200)
-	if _, present := body["persist"]; present {
-		t.Fatalf("in-memory pipeline reports a persist section: %v", body["persist"])
+	data := getData(t, ts.URL+"/api/v1/stats").(map[string]any)
+	if _, present := data["persist"]; present {
+		t.Fatalf("in-memory pipeline reports a persist section: %v", data["persist"])
 	}
 }
 
 func TestStatsReportsPersistState(t *testing.T) {
-	wcfg := nous.DefaultWorldConfig()
-	wcfg.Companies = 10
-	wcfg.People = 10
-	wcfg.Products = 10
-	wcfg.Events = 80
-	w := nous.GenerateWorld(wcfg)
-	p, err := nous.OpenWithOptions(t.TempDir(), w.Ontology, nous.DefaultConfig(), nous.PersistOptions{
-		FlushInterval:         time.Hour,
-		DisableAutoCheckpoint: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	if err := w.SeedKG(p.KG()); err != nil {
-		t.Fatal(err)
-	}
-	p.IngestAll(nous.GenerateArticles(w, nous.DefaultArticleConfig(20)))
+	p := openLeader(t, t.TempDir(), 20)
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(p))
-	t.Cleanup(ts.Close)
+	ts := serve(t, New(p))
 
-	body := getJSON(t, ts.URL+"/api/stats", 200)
-	ps, ok := body["persist"].(map[string]any)
+	data := getData(t, ts.URL+"/api/v1/stats").(map[string]any)
+	ps, ok := data["persist"].(map[string]any)
 	if !ok {
-		t.Fatalf("stats body missing persist section: %v", body)
+		t.Fatalf("stats data missing persist section: %v", data)
 	}
 	for _, key := range []string{"snapshot_epoch", "wal_seq", "wal_records", "wal_bytes", "checkpoints"} {
 		if ps[key] == nil {
@@ -434,7 +352,7 @@ func TestDiffEndpoint(t *testing.T) {
 	ts := testServer(t)
 	// The synthetic drone world spans 2010..2015; compare two in-corpus
 	// years over the whole stream.
-	body := getJSON(t, ts.URL+"/api/diff?asince=2011&auntil=2012&bsince=2014&buntil=2015", 200)
+	body := getData(t, ts.URL+"/api/v1/diff?asince=2011&auntil=2012&bsince=2014&buntil=2015").(map[string]any)
 	if body["class"] != "diff" {
 		t.Fatalf("class = %v", body["class"])
 	}
@@ -449,23 +367,23 @@ func TestDiffEndpoint(t *testing.T) {
 	}
 
 	// Entity-scoped diff.
-	body = getJSON(t, ts.URL+"/api/diff?entity=DJI&asince=2011&auntil=2012&bsince=2014&buntil=2015", 200)
+	body = getData(t, ts.URL+"/api/v1/diff?entity=DJI&asince=2011&auntil=2012&bsince=2014&buntil=2015").(map[string]any)
 	if data := body["data"].(map[string]any); data["entity"] != "DJI" {
 		t.Fatalf("entity diff payload = %v", data)
 	}
 
 	// Error mapping: missing windows → 400, unknown entity → 404, malformed
 	// bound → 400, inverted window → 400.
-	getJSON(t, ts.URL+"/api/diff?asince=2011&auntil=2012", 400)
-	getJSON(t, ts.URL+"/api/diff", 400)
-	getJSON(t, ts.URL+"/api/diff?entity=Zorblatt+Unheard&asince=2011&auntil=2012&bsince=2014&buntil=2015", 404)
-	getJSON(t, ts.URL+"/api/diff?asince=notadate&auntil=2012&bsince=2014&buntil=2015", 400)
-	getJSON(t, ts.URL+"/api/diff?asince=2012&auntil=2011&bsince=2014&buntil=2015", 400)
+	getV1(t, ts.URL+"/api/v1/diff?asince=2011&auntil=2012", 400, "bad_request")
+	getV1(t, ts.URL+"/api/v1/diff", 400, "bad_request")
+	getV1(t, ts.URL+"/api/v1/diff?entity=Zorblatt+Unheard&asince=2011&auntil=2012&bsince=2014&buntil=2015", 404, "unknown_entity")
+	getV1(t, ts.URL+"/api/v1/diff?asince=notadate&auntil=2012&bsince=2014&buntil=2015", 400, "bad_request")
+	getV1(t, ts.URL+"/api/v1/diff?asince=2012&auntil=2011&bsince=2014&buntil=2015", 400, "bad_request")
 }
 
 func TestPlanEndpoint(t *testing.T) {
 	ts := testServer(t)
-	body := getJSON(t, ts.URL+"/api/plan?q=Tell+me+about+DJI&since=2014&until=2015", 200)
+	body := getData(t, ts.URL+"/api/v1/plan?q=Tell+me+about+DJI&since=2014&until=2015").(map[string]any)
 	if body["class"] != "entity" {
 		t.Fatalf("class = %v", body["class"])
 	}
@@ -484,31 +402,20 @@ func TestPlanEndpoint(t *testing.T) {
 	}
 
 	// A diff question compiles to a Diff root with two inputs.
-	body = getJSON(t, ts.URL+"/api/plan?q=What+changed+about+DJI+between+2014+and+2015%3F", 200)
+	body = getData(t, ts.URL+"/api/v1/plan?q=What+changed+about+DJI+between+2014+and+2015%3F").(map[string]any)
 	root = body["root"].(map[string]any)
 	if root["op"] != "Diff" || len(root["inputs"].([]any)) != 2 {
 		t.Fatalf("diff plan root = %v", root)
 	}
 
 	// Parse failures are the client's fault.
-	getJSON(t, ts.URL+"/api/plan?q=flarp+blonk+quux", 400)
-	getJSON(t, ts.URL+"/api/plan", 400)
+	getV1(t, ts.URL+"/api/v1/plan?q=flarp+blonk+quux", 400, "parse_error")
+	getV1(t, ts.URL+"/api/v1/plan", 400, "bad_request")
 }
 
 func TestTrendingEndpointWindowedBackfill(t *testing.T) {
 	ts := testServer(t)
-	res, err := http.Get(ts.URL + "/api/trending?k=5&since=2011&until=2015")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != 200 {
-		t.Fatalf("status = %d", res.StatusCode)
-	}
-	var trends []map[string]any
-	if err := json.NewDecoder(res.Body).Decode(&trends); err != nil {
-		t.Fatal(err)
-	}
+	trends := getData(t, ts.URL+"/api/v1/trending?k=5&since=2011&until=2015").([]any)
 	if len(trends) == 0 {
 		t.Fatal("windowed backfill found nothing in a four-year window")
 	}
@@ -516,17 +423,17 @@ func TestTrendingEndpointWindowedBackfill(t *testing.T) {
 		t.Fatalf("k ignored: %d trends", len(trends))
 	}
 	// Malformed window still 400s.
-	getJSON(t, ts.URL+"/api/trending?since=2015&until=2011", 400)
+	getV1(t, ts.URL+"/api/v1/trending?since=2015&until=2011", 400, "bad_request")
 }
 
 func TestStatsReportsPlanCounters(t *testing.T) {
 	ts := testServer(t)
-	getJSON(t, ts.URL+"/api/ask?q=Tell+me+about+DJI", 200)
-	getJSON(t, ts.URL+"/api/ask?q=What+is+trending%3F", 200)
-	body := getJSON(t, ts.URL+"/api/stats", 200)
-	planStats, ok := body["plan"].(map[string]any)
+	getData(t, ts.URL+"/api/v1/ask?q=Tell+me+about+DJI")
+	getData(t, ts.URL+"/api/v1/ask?q=What+is+trending%3F")
+	data := getData(t, ts.URL+"/api/v1/stats").(map[string]any)
+	planStats, ok := data["plan"].(map[string]any)
 	if !ok {
-		t.Fatalf("stats lack plan section: %v", body)
+		t.Fatalf("stats lack plan section: %v", data)
 	}
 	if n, _ := planStats["plans"].(float64); n < 2 {
 		t.Fatalf("plan counter = %v, want >= 2", planStats["plans"])
@@ -543,7 +450,7 @@ func TestStatsReportsPlanCounters(t *testing.T) {
 
 func TestAskEndpointDiffQuestion(t *testing.T) {
 	ts := testServer(t)
-	body := getJSON(t, ts.URL+"/api/ask?q=What+changed+about+DJI+between+2011+and+2014%3F", 200)
+	body := getData(t, ts.URL+"/api/v1/ask?q=What+changed+about+DJI+between+2011+and+2014%3F").(map[string]any)
 	if body["class"] != "diff" {
 		t.Fatalf("class = %v", body["class"])
 	}

@@ -12,32 +12,7 @@ import (
 	"nous/internal/repl"
 )
 
-// The versioned API surface. Every /api/v1/ endpoint wraps its response in
-// one envelope:
-//
-//	{"data": ..., "error": null | {"code": ..., "message": ...},
-//	 "meta": {"epoch": ..., "window": null | {"since","until"}, "took_ms": ...}}
-//
-// data and error are mutually exclusive; all three keys are always present.
-// meta.epoch is the KG's mutation epoch at response time — on a replica it
-// is the leader epoch the answer reflects, which is what makes answers from
-// different replicas comparable.
-//
-//	GET  /api/v1/ask?q=           any of the query classes
-//	GET  /api/v1/entity?entity=   entity summary
-//	GET  /api/v1/trending?k=      trending entities/predicates
-//	GET  /api/v1/patterns?k=      closed frequent patterns
-//	GET  /api/v1/explain?src=&dst=&predicate=&k=  relationship paths
-//	GET  /api/v1/diff?entity=&asince=&auntil=&bsince=&buntil=
-//	GET  /api/v1/plan?q=          compiled logical plan
-//	GET  /api/v1/stats            statistics + replication section
-//	GET  /api/v1/graph?entity=    subgraph export
-//	GET  /api/v1/recent?k=        newest facts in the window
-//	POST /api/v1/facts            append curated/extracted facts (leader only)
-//	GET  /api/v1/wal?from=        raw WAL stream for replicas (no envelope)
-//	GET  /api/v1/snapshot         newest snapshot blob for bootstrap (no envelope)
-
-// envelope is the uniform v1 response body.
+// envelope is the uniform response body (see the package comment).
 type envelope struct {
 	Data  any           `json:"data"`
 	Error *apiErrorBody `json:"error"`
@@ -55,7 +30,7 @@ type metaJSON struct {
 	TookMS int64       `json:"took_ms"`
 }
 
-// respond writes the v1 envelope for one request outcome.
+// respond writes the envelope for one request outcome.
 func (s *Server) respond(w http.ResponseWriter, start time.Time, win *windowJSON, data any, e *apiError) {
 	env := envelope{Data: data, Meta: metaJSON{
 		Epoch:  s.pipeline.KG().Graph().Epoch(),
@@ -68,10 +43,18 @@ func (s *Server) respond(w http.ResponseWriter, start time.Time, win *windowJSON
 		env.Data = nil
 		env.Error = &apiErrorBody{Code: e.code, Message: e.msg}
 	}
-	writeJSON(w, status, env)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(env); err != nil {
+		// The status line is already written; all we can do is make the
+		// truncated response visible in the server log.
+		log.Printf("server: encoding %d response: %v", status, err)
+	}
 }
 
-// v1 adapts a shared endpoint builder to the versioned surface.
+// v1 adapts an endpoint builder to the envelope.
 func (s *Server) v1(build func(*http.Request) (any, *windowJSON, *apiError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -85,29 +68,21 @@ func (s *Server) v1(build func(*http.Request) (any, *windowJSON, *apiError)) htt
 func (s *Server) v1Mux() *http.ServeMux {
 	m := http.NewServeMux()
 	m.HandleFunc("GET /api/v1/ask", s.v1(s.buildAsk))
-	m.HandleFunc("GET /api/v1/entity", s.v1(func(r *http.Request) (any, *windowJSON, *apiError) {
-		return s.buildEntity(r, "entity")
-	}))
+	m.HandleFunc("GET /api/v1/entity", s.v1(s.buildEntity))
 	m.HandleFunc("GET /api/v1/trending", s.v1(s.buildTrending))
 	m.HandleFunc("GET /api/v1/patterns", s.v1(s.buildPatterns))
 	m.HandleFunc("GET /api/v1/explain", s.v1(s.buildExplain))
 	m.HandleFunc("GET /api/v1/diff", s.v1(s.buildDiff))
 	m.HandleFunc("GET /api/v1/plan", s.v1(s.buildPlan))
 	m.HandleFunc("GET /api/v1/recent", s.v1(s.buildRecent))
-	m.HandleFunc("GET /api/v1/graph", s.v1(func(r *http.Request) (any, *windowJSON, *apiError) {
-		raw, win, e := s.buildGraph(r)
-		if e != nil {
-			return nil, win, e
-		}
-		return raw, win, nil
-	}))
-	m.HandleFunc("GET /api/v1/stats", s.v1Stats)
+	m.HandleFunc("GET /api/v1/graph", s.v1(s.buildGraph))
+	m.HandleFunc("GET /api/v1/stats", s.v1(s.buildStats))
 	m.HandleFunc("POST /api/v1/facts", s.v1Facts)
-	m.HandleFunc("/api/v1/", s.v1NotFound)
+	m.HandleFunc("/api/", s.v1NotFound)
 	return m
 }
 
-// v1NotFound keeps unknown v1 paths (and wrong methods) on the envelope
+// v1NotFound keeps unknown /api/ paths (and wrong methods) on the envelope
 // contract instead of net/http's text/plain 404.
 func (s *Server) v1NotFound(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, time.Now(), nil, nil, &apiError{
@@ -146,17 +121,6 @@ func (s *Server) replication() replicationJSON {
 		role = "leader"
 	}
 	return replicationJSON{Role: role, LeaderEpoch: epoch, AppliedEpoch: epoch}
-}
-
-// statsV1 extends the legacy statistics body with the replication section.
-type statsV1 struct {
-	statsResponse
-	Replication replicationJSON `json:"replication"`
-}
-
-func (s *Server) v1Stats(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.respond(w, start, nil, statsV1{statsResponse: s.buildStats(), Replication: s.replication()}, nil)
 }
 
 // tripleJSON is the POST /api/v1/facts wire form of one fact.

@@ -18,49 +18,50 @@ import (
 	"nous"
 )
 
-var update = flag.Bool("update", false, "rewrite the legacy byte-compat golden files")
+var update = flag.Bool("update", false, "rewrite the v1 golden files")
 
-// TestLegacyByteCompat pins the unversioned /api/ surface byte for byte
-// against committed golden files: the v1 redesign routes both surfaces
-// through shared builders, and this test is the proof that the legacy wire
-// shapes — bodies, indentation, error strings — did not move. Regenerate
-// with `go test ./internal/server -run LegacyByteCompat -update` only for a
-// deliberate, documented break.
-func TestLegacyByteCompat(t *testing.T) {
+// TestV1Golden pins the payload of fifteen representative requests byte for
+// byte against committed golden files: the data section of a success or the
+// error object of a failure, indented at top level. meta (epoch, window,
+// took_ms) is checked by the envelope tests, not here. Regenerate with
+// `go test ./internal/server -run V1Golden -update` only for a deliberate,
+// documented break.
+func TestV1Golden(t *testing.T) {
 	ts := testServer(t) // deterministic seeded world + article stream
 	cases := []struct {
 		name, path string
 	}{
-		{"ask_entity", "/api/ask?q=Tell+me+about+DJI"},
-		{"ask_missing_q", "/api/ask"},
-		{"ask_parse_error", "/api/ask?q=flarp+blonk"},
-		{"entity", "/api/entity?name=DJI"},
-		{"entity_unknown", "/api/entity?name=Zorblatt+Nine"},
-		{"entity_missing_name", "/api/entity"},
-		{"trending_windowed", "/api/trending?k=3&since=2011&until=2015"},
-		{"trending_bad_k", "/api/trending?k=abc"},
-		{"patterns", "/api/patterns?k=3"},
-		{"plan", "/api/plan?q=Tell+me+about+DJI&since=2014&until=2015"},
-		{"recent", "/api/recent?k=5"},
-		{"diff", "/api/diff?entity=DJI&asince=2011&auntil=2012&bsince=2014&buntil=2015"},
-		{"diff_missing_window", "/api/diff?asince=2011&auntil=2012"},
-		{"graph", "/api/graph?entity=DJI"},
-		{"graph_unknown", "/api/graph?entity=Zorblatt+Nine"},
+		{"ask_entity", "/api/v1/ask?q=Tell+me+about+DJI"},
+		{"ask_missing_q", "/api/v1/ask"},
+		{"ask_parse_error", "/api/v1/ask?q=flarp+blonk"},
+		{"entity", "/api/v1/entity?entity=DJI"},
+		{"entity_unknown", "/api/v1/entity?entity=Zorblatt+Nine"},
+		{"entity_missing_name", "/api/v1/entity"},
+		{"trending_windowed", "/api/v1/trending?k=3&since=2011&until=2015"},
+		{"trending_bad_k", "/api/v1/trending?k=abc"},
+		{"patterns", "/api/v1/patterns?k=3"},
+		{"plan", "/api/v1/plan?q=Tell+me+about+DJI&since=2014&until=2015"},
+		{"recent", "/api/v1/recent?k=5"},
+		{"diff", "/api/v1/diff?entity=DJI&asince=2011&auntil=2012&bsince=2014&buntil=2015"},
+		{"diff_missing_window", "/api/v1/diff?asince=2011&auntil=2012"},
+		{"graph", "/api/v1/graph?entity=DJI"},
+		{"graph_unknown", "/api/v1/graph?entity=Zorblatt+Nine"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := http.Get(ts.URL + tc.path)
-			if err != nil {
+			_, data, errObj := rawV1(t, ts.URL+tc.path)
+			payload := data
+			if string(errObj) != "null" {
+				payload = errObj
+			}
+			var got bytes.Buffer
+			if err := json.Indent(&got, payload, "", "  "); err != nil {
 				t.Fatal(err)
 			}
-			body, err := io.ReadAll(res.Body)
-			res.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			golden := filepath.Join("testdata", "legacy_"+tc.name+".golden")
+			got.WriteByte('\n')
+			golden := filepath.Join("testdata", "v1_"+tc.name+".golden")
 			if *update {
-				if err := os.WriteFile(golden, body, 0o644); err != nil {
+				if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -69,9 +70,9 @@ func TestLegacyByteCompat(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (run with -update to record): %v", err)
 			}
-			if !bytes.Equal(body, want) {
-				t.Errorf("GET %s drifted from the pinned legacy bytes\ngot:  %s\nwant: %s",
-					tc.path, body, want)
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("GET %s drifted from the pinned payload\ngot:  %s\nwant: %s",
+					tc.path, got.Bytes(), want)
 			}
 		})
 	}
@@ -140,6 +141,41 @@ func getV1(t *testing.T, url string, wantStatus int, wantCode string) map[string
 	return env
 }
 
+// getData fetches a successful v1 response and returns its decoded data.
+func getData(t *testing.T, url string) any {
+	t.Helper()
+	return getV1(t, url, http.StatusOK, "")["data"]
+}
+
+// rawV1 fetches url and returns the status and the envelope's data and
+// error sections as sent ("null" when empty), for byte comparisons.
+func rawV1(t *testing.T, url string) (status int, data, errObj json.RawMessage) {
+	t.Helper()
+	res, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var env struct {
+		Data  json.RawMessage `json:"data"`
+		Error json.RawMessage `json:"error"`
+	}
+	if err := json.NewDecoder(res.Body).Decode(&env); err != nil {
+		t.Fatalf("decoding %s: %v", url, err)
+	}
+	return res.StatusCode, env.Data, env.Error
+}
+
+// rawData is the data section of a successful v1 response, as sent.
+func rawData(t *testing.T, url string) json.RawMessage {
+	t.Helper()
+	status, data, errObj := rawV1(t, url)
+	if status != http.StatusOK || string(errObj) != "null" {
+		t.Fatalf("GET %s = %d, error %s", url, status, errObj)
+	}
+	return data
+}
+
 func TestV1EnvelopeSuccess(t *testing.T) {
 	ts := testServer(t)
 	env := getV1(t, ts.URL+"/api/v1/ask?q=Tell+me+about+DJI", 200, "")
@@ -181,6 +217,7 @@ func TestV1ErrorCodes(t *testing.T) {
 		{"/api/v1/diff?asince=2011&auntil=2012", 400, "bad_request"},
 		{"/api/v1/plan?q=flarp+blonk", 400, "parse_error"},
 		{"/api/v1/nonsuch", 404, "bad_request"},
+		{"/api/ask?q=Tell+me+about+DJI", 404, "bad_request"},
 	} {
 		env := getV1(t, ts.URL+tc.path, tc.status, tc.code)
 		if env["data"] != nil {
@@ -189,8 +226,8 @@ func TestV1ErrorCodes(t *testing.T) {
 	}
 }
 
-// TestV1EntityParam: the versioned surface names the parameter "entity"
-// (consistent with /api/v1/graph); the legacy surface keeps "name".
+// TestV1EntityParam: the entity summary names its parameter "entity"
+// (consistent with /api/v1/graph).
 func TestV1EntityParam(t *testing.T) {
 	ts := testServer(t)
 	env := getV1(t, ts.URL+"/api/v1/entity?entity=DJI", 200, "")
@@ -203,21 +240,10 @@ func TestV1EntityParam(t *testing.T) {
 	}
 }
 
-// TestV1TimeoutEnvelope: a timed-out v1 request must still produce the
-// envelope with the timeout code — the error-shape fix this PR pins down.
+// TestV1TimeoutEnvelope: a timed-out request must still produce the
+// envelope with the timeout code.
 func TestV1TimeoutEnvelope(t *testing.T) {
-	wcfg := nous.DefaultWorldConfig()
-	wcfg.Companies, wcfg.People, wcfg.Products, wcfg.Events = 10, 10, 10, 80
-	w := nous.GenerateWorld(wcfg)
-	kg, err := w.LoadKG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := nous.NewPipeline(kg, nous.DefaultConfig())
-	p.IngestAll(nous.GenerateArticles(w, nous.DefaultArticleConfig(30)))
-	ts := httptest.NewServer(NewWithTimeout(p, time.Nanosecond))
-	defer ts.Close()
-
+	ts := serve(t, NewWithTimeout(testPipeline(t), time.Nanosecond))
 	res, err := http.Get(ts.URL + "/api/v1/ask?q=Tell+me+about+DJI")
 	if err != nil {
 		t.Fatal(err)
@@ -233,39 +259,13 @@ func TestV1TimeoutEnvelope(t *testing.T) {
 	}
 }
 
-// TestV1PanicRecoveryEnvelope: a handler panic must become a JSON 500 in
-// the correct shape on both surfaces, not a dropped connection.
+// TestV1PanicRecoveryEnvelope: a handler panic must become a 500 envelope,
+// not a dropped connection.
 func TestV1PanicRecoveryEnvelope(t *testing.T) {
-	wcfg := nous.DefaultWorldConfig()
-	wcfg.Companies, wcfg.People, wcfg.Products, wcfg.Events = 10, 10, 10, 40
-	w := nous.GenerateWorld(wcfg)
-	kg, err := w.LoadKG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := nous.NewPipeline(kg, nous.DefaultConfig())
-	s := New(p)
+	s := New(nous.NewPipeline(nous.NewKG(nil), nous.DefaultConfig()))
 	s.ask = func(string, nous.Window) (nous.Answer, error) { panic("boom") }
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	res, err := http.Get(ts.URL + "/api/v1/ask?q=Tell+me+about+DJI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StatusCode != http.StatusInternalServerError {
-		res.Body.Close()
-		t.Fatalf("v1 panic status = %d, want 500", res.StatusCode)
-	}
-	env := envelopeOf(t, res)
-	if e, ok := env["error"].(map[string]any); !ok || e["code"] != "internal" {
-		t.Fatalf("v1 panic error = %v, want code internal", env["error"])
-	}
-
-	body := getJSON(t, ts.URL+"/api/ask?q=Tell+me+about+DJI", 500)
-	if body["error"] != "internal server error" {
-		t.Fatalf("legacy panic body = %v", body)
-	}
+	ts := serve(t, s)
+	getV1(t, ts.URL+"/api/v1/ask?q=Tell+me+about+DJI", 500, "internal")
 }
 
 func TestV1StatsReplicationStandalone(t *testing.T) {
@@ -273,7 +273,7 @@ func TestV1StatsReplicationStandalone(t *testing.T) {
 	env := getV1(t, ts.URL+"/api/v1/stats", 200, "")
 	data := env["data"].(map[string]any)
 	if data["kg"] == nil || data["plan"] == nil {
-		t.Fatalf("v1 stats missing legacy sections: %v", data)
+		t.Fatalf("v1 stats missing kg/plan sections: %v", data)
 	}
 	repl, ok := data["replication"].(map[string]any)
 	if !ok {
@@ -286,9 +286,7 @@ func TestV1StatsReplicationStandalone(t *testing.T) {
 
 func TestV1FactsWrite(t *testing.T) {
 	kg := nous.NewKG(nil) // default ontology
-	p := nous.NewPipeline(kg, nous.DefaultConfig())
-	ts := httptest.NewServer(New(p))
-	defer ts.Close()
+	ts := serve(t, New(nous.NewPipeline(kg, nous.DefaultConfig())))
 
 	post := func(body string) (*http.Response, error) {
 		return http.Post(ts.URL+"/api/v1/facts", "application/json", strings.NewReader(body))
@@ -358,15 +356,13 @@ func normalizeTook(b []byte) []byte {
 	return tookMS.ReplaceAll(b, []byte(`"took_ms": 0`))
 }
 
-// newReplicaPair stands up a durable leader pipeline behind a real server
-// and a follower pipeline bootstrapped and tailing through that server's
-// /api/v1/snapshot and /api/v1/wal endpoints, converged at return.
-func newReplicaPair(t *testing.T, articles int) (leader, follower *nous.Pipeline, lts, fts *httptest.Server) {
+// openLeader opens a durable pipeline over dir with testWorld's ontology,
+// checkpointing only when asked. An empty dir is seeded with the curated KB
+// and the first articles of the stream; a non-empty one is only recovered.
+func openLeader(t *testing.T, dir string, articles int) *nous.Pipeline {
 	t.Helper()
-	wcfg := nous.DefaultWorldConfig()
-	wcfg.Companies, wcfg.People, wcfg.Products, wcfg.Events = 10, 10, 10, 80
-	w := nous.GenerateWorld(wcfg)
-	p, err := nous.OpenWithOptions(t.TempDir(), w.Ontology, nous.DefaultConfig(), nous.PersistOptions{
+	w := testWorld()
+	p, err := nous.OpenWithOptions(dir, w.Ontology, nous.DefaultConfig(), nous.PersistOptions{
 		FlushInterval:         time.Hour,
 		DisableAutoCheckpoint: true,
 	})
@@ -374,30 +370,46 @@ func newReplicaPair(t *testing.T, articles int) (leader, follower *nous.Pipeline
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	if err := w.SeedKG(p.KG()); err != nil {
-		t.Fatal(err)
+	if p.KG().NumFacts() == 0 {
+		if err := w.SeedKG(p.KG()); err != nil {
+			t.Fatal(err)
+		}
+		p.IngestAll(nous.GenerateArticles(w, nous.DefaultArticleConfig(articles)))
 	}
-	p.IngestAll(nous.GenerateArticles(w, nous.DefaultArticleConfig(articles)))
-	lts = httptest.NewServer(New(p))
-	t.Cleanup(lts.Close)
+	return p
+}
 
-	src := p.WALSource()
+// followLeader serves leader behind a real server and stands up a follower
+// pipeline bootstrapped and tailing through that server's /api/v1/snapshot
+// and /api/v1/wal endpoints, converged at return.
+func followLeader(t *testing.T, leader *nous.Pipeline) (follower *nous.Pipeline, lts, fts *httptest.Server) {
+	t.Helper()
+	lts = serve(t, New(leader))
+	src := leader.WALSource()
 	if src == nil {
 		t.Fatal("durable pipeline has no WAL source")
 	}
 	src.Poll = 5 * time.Millisecond
 	src.Heartbeat = 20 * time.Millisecond
 
-	f, err := nous.Follow(context.Background(), lts.URL, w.Ontology, nous.DefaultConfig())
+	f, err := nous.Follow(context.Background(), lts.URL, testWorld().Ontology, nous.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	fts = httptest.NewServer(New(f))
-	t.Cleanup(fts.Close)
+	fts = serve(t, New(f))
 
-	waitReplicaConverged(t, f, p)
-	return p, f, lts, fts
+	waitReplicaConverged(t, f, leader)
+	return f, lts, fts
+}
+
+// newReplicaPair is a fresh durable leader with articles ingested, and its
+// converged follower.
+func newReplicaPair(t *testing.T, articles int) (leader, follower *nous.Pipeline, lts, fts *httptest.Server) {
+	t.Helper()
+	leader = openLeader(t, t.TempDir(), articles)
+	follower, lts, fts = followLeader(t, leader)
+	return leader, follower, lts, fts
 }
 
 func waitReplicaConverged(t *testing.T, f, leader *nous.Pipeline) {
@@ -567,4 +579,46 @@ func TestWarmLeaderMatchesColdReplica(t *testing.T) {
 			t.Errorf("warm leader and cold follower disagree on %s\nleader:   %s\nfollower: %s", path, lb, fb)
 		}
 	}
+}
+
+// TestClockFollowsFactLog: the pipeline clock — what "last year" and an
+// entity's recent-activity buckets resolve against — is the newest dated
+// fact in the log, on every node. A reopened leader, which ingested nothing
+// in its own process, agrees with a fresh follower; a POSTed fact dated past
+// the stream moves the leader's clock as it moves the follower's.
+func TestClockFollowsFactLog(t *testing.T) {
+	const lastYear = "/api/v1/ask?q=Tell+me+about+DJI+last+year"
+	agree := func(t *testing.T, lts, fts *httptest.Server) {
+		t.Helper()
+		for _, path := range []string{"/api/v1/entity?entity=DJI", lastYear} {
+			if lb, fb := rawData(t, lts.URL+path), rawData(t, fts.URL+path); !bytes.Equal(lb, fb) {
+				t.Errorf("leader and follower disagree on %s\nleader:   %s\nfollower: %s", path, lb, fb)
+			}
+		}
+	}
+
+	t.Run("reopened_leader", func(t *testing.T) {
+		dir := t.TempDir()
+		openLeader(t, dir, 60).Close()
+		_, lts, fts := followLeader(t, openLeader(t, dir, 0))
+		agree(t, lts, fts)
+	})
+
+	t.Run("late_dated_post", func(t *testing.T) {
+		leader, follower, lts, fts := newReplicaPair(t, 60)
+		before := rawData(t, lts.URL+lastYear)
+		res, err := http.Post(lts.URL+"/api/v1/facts", "application/json", strings.NewReader(`{"facts": [
+			{"subject": "DJI", "predicate": "acquired", "object": "Windermere", "confidence": 0.95, "source": "newswire", "time": "2017-03-01"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, _ := envelopeOf(t, res)["data"].(map[string]any); data == nil || data["added"] != 1.0 {
+			t.Fatalf("leader write not accepted: %v", data)
+		}
+		waitReplicaConverged(t, follower, leader)
+		if bytes.Equal(before, rawData(t, lts.URL+lastYear)) {
+			t.Errorf("a fact dated past the stream did not move the leader's \"last year\": %s", before)
+		}
+		agree(t, lts, fts)
+	})
 }

@@ -105,7 +105,7 @@ type Index struct {
 	detach func()
 }
 
-// Stats is a snapshot of the index for /api/stats.
+// Stats is a snapshot of the index for /api/v1/stats.
 type Stats struct {
 	// Edges is the number of indexed edges, timeless ones included.
 	Edges int `json:"edges"`

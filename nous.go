@@ -101,7 +101,7 @@ type (
 	// timestamp span).
 	TemporalStats = temporal.Stats
 	// QueryPlan is a compiled logical query plan — the operator tree a
-	// question lowers into before execution (GET /api/plan renders it).
+	// question lowers into before execution (GET /api/v1/plan renders it).
 	QueryPlan = plan.Plan
 	// PlanNode is the JSON-able shape of one plan operator.
 	PlanNode = plan.NodeDesc
@@ -193,8 +193,9 @@ type Pipeline struct {
 	leader    *repl.Leader   // non-nil iff durable: serves WAL + snapshots to replicas
 	follower  *repl.Follower // non-nil iff assembled by Follow: read replica
 
-	// clock is the pipeline clock in unix nanoseconds (0 = unset, fall back
-	// to the wall clock). Atomic because ingestion advances it while query
+	// clock is the pipeline clock in unix seconds: the newest provenance
+	// time in the fact log (0 = no dated fact yet, fall back to the wall
+	// clock). Atomic because the KG listener advances it while query
 	// handlers read it.
 	clock atomic.Int64
 }
@@ -235,6 +236,9 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 		p.detector.OnEvent(ev)
 		if ev.Kind == core.FactAdded {
 			p.miner.Add(p.minerEdge(ev.Fact))
+			if t := ev.Fact.Provenance.Time; !t.IsZero() {
+				p.advance(t)
+			}
 		}
 	})
 
@@ -244,6 +248,14 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	// windowed PageRank — plus index-driven eviction, windowed trend
 	// backfill and whole-stream diffs.
 	p.tindex = kg.TemporalIndex()
+
+	// Relative time ("last week") resolves against stream time, not the wall
+	// clock. The clock starts at the newest dated fact already in the log and
+	// the listener above moves it with every dated fact that arrives, so a
+	// fresh, a reopened and a replicated pipeline agree at equal fact logs.
+	if _, newest, ok := p.tindex.Span(); ok {
+		p.advance(time.Unix(newest, 0))
+	}
 
 	p.stream = stream.NewWith(kg, cfg.Stream, p.analytics, facts)
 	p.searcher = pathsearch.New(kg.Graph(), nil)
@@ -303,27 +315,6 @@ func Follow(ctx context.Context, leaderURL string, ont *Ontology, cfg Config) (*
 	}
 	p := NewPipeline(kg, cfg)
 	p.follower = f
-	// Resolve relative time ("last week") against stream time, not the wall
-	// clock: adopt the newest replicated timestamp now and on every applied
-	// edge batch. The curated sentinel (MaxInt64) and the timeless sentinel
-	// never advance the clock.
-	if ts := p.tindex.Stats().MaxTimestamp; ts > temporal.Timeless && ts != math.MaxInt64 {
-		p.advance(time.Unix(ts, 0))
-	}
-	f.OnApply = func(m graph.Mutation) {
-		if m.Kind != graph.MutAddEdges {
-			return
-		}
-		var latest int64
-		for _, e := range m.Edges {
-			if e.Timestamp > latest && e.Timestamp != math.MaxInt64 {
-				latest = e.Timestamp
-			}
-		}
-		if latest > temporal.Timeless {
-			p.advance(time.Unix(latest, 0))
-		}
-	}
 	f.Start()
 	return p, nil
 }
@@ -390,8 +381,8 @@ func (p *Pipeline) minerEdge(f Fact) fgm.Edge {
 }
 
 func (p *Pipeline) now() time.Time {
-	if ns := p.clock.Load(); ns != 0 {
-		return time.Unix(0, ns)
+	if s := p.clock.Load(); s != 0 {
+		return time.Unix(s, 0)
 	}
 	return time.Now()
 }
@@ -400,7 +391,6 @@ func (p *Pipeline) now() time.Time {
 // estimation and KG update.
 func (p *Pipeline) Ingest(a Article) {
 	p.stream.Process(a)
-	p.advance(a.Date)
 }
 
 // IngestAll processes a batch through the concurrent ingestion path:
@@ -410,35 +400,25 @@ func (p *Pipeline) Ingest(a Article) {
 // graph store as one batch. Results are identical to ingesting the articles
 // one at a time. It returns the cumulative stream statistics.
 func (p *Pipeline) IngestAll(articles []Article) StreamStats {
-	st := p.stream.Run(articles)
-	var latest time.Time
-	for _, a := range articles {
-		if a.Date.After(latest) {
-			latest = a.Date
-		}
-	}
-	p.advance(latest)
-	return st
+	return p.stream.Run(articles)
 }
 
-// advance moves the pipeline clock forward (never back) and synchronizes
-// the miner's window with the KG's. Safe to call while queries read the
-// clock.
+// advance moves the pipeline clock forward to t (never back) and, with a
+// stream window, slides the miner's time window along with it. Safe to call
+// while queries read the clock.
 func (p *Pipeline) advance(t time.Time) {
-	ns := t.UnixNano()
+	ts := t.Unix()
 	for {
 		cur := p.clock.Load()
-		if ns <= cur || t.IsZero() {
-			break
+		if ts <= cur {
+			return
 		}
-		if p.clock.CompareAndSwap(cur, ns) {
+		if p.clock.CompareAndSwap(cur, ts) {
 			break
 		}
 	}
 	if w := p.cfg.Stream.Window; w > 0 {
-		if cur := p.clock.Load(); cur != 0 {
-			p.miner.EvictBefore(time.Unix(0, cur).Add(-w).Unix())
-		}
+		p.miner.EvictBefore(t.Add(-w).Unix())
 	}
 }
 
@@ -584,7 +564,7 @@ func (p *Pipeline) PlanFor(question string, w Window) (*QueryPlan, error) {
 
 // ExplainPlan compiles, optimizes and executes a question, reporting the
 // costed plan with per-operator estimated and actual rows — the engine
-// behind GET /api/plan. Cacheable questions go through the plan-result
+// behind GET /api/v1/plan. Cacheable questions go through the plan-result
 // cache; an explain of an already-cached question reports Cached and skips
 // execution entirely (so it carries no actual rows).
 func (p *Pipeline) ExplainPlan(question string, w Window) (*PlanReport, error) {

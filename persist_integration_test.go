@@ -33,7 +33,7 @@ func quickPersist() nous.PersistOptions {
 // TestDurableRoundTrip locks in the acceptance invariant: ingest a corpus,
 // checkpoint, reopen in a fresh pipeline (a stand-in for a fresh process —
 // nothing is shared but the directory), and observe the identical epoch,
-// vertex/edge counts and byte-identical /api/graph export.
+// vertex/edge counts and byte-identical /api/v1/graph export.
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg, w, arts := smallPersistConfig()
@@ -89,7 +89,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wantExport.Bytes(), gotExport.Bytes()) {
-		t.Error("/api/graph export differs after recovery")
+		t.Error("/api/v1/graph export differs after recovery")
 	}
 
 	// The recovered pipeline must stay fully queryable.
