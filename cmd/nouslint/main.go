@@ -1,10 +1,9 @@
-// Command nouslint is the multichecker for NOUS's invariant suite: seven
-// analyzers that mechanically enforce the concurrency and architecture
-// rules the codebase depends on but ordinary tests cannot pin down
-// (deadlock-free shard-lock ordering, mutation-stream emission under held
-// locks, the PageRank cache gate, time-window threading, plan determinism,
-// symbol-interned graph index keys, and the zero-copy EdgeScan lifetime
-// contract). See internal/analysis/<rule> for what each rule guards and why.
+// Command nouslint is the multichecker for NOUS's invariant suite: five
+// analyzers that mechanically enforce the architecture rules the codebase
+// depends on but ordinary tests cannot pin down (the PageRank cache gate,
+// time-window threading, plan determinism, symbol-interned graph index
+// keys, and the zero-copy EdgeScan lifetime contract). See
+// internal/analysis/<rule> for what each rule guards and why.
 //
 // It runs two ways:
 //
@@ -59,18 +58,14 @@ import (
 	"sync"
 
 	"nous/internal/analysis"
-	"nous/internal/analysis/hookunderlock"
 	"nous/internal/analysis/internedkeys"
 	"nous/internal/analysis/noclock"
 	"nous/internal/analysis/prgate"
 	"nous/internal/analysis/scanescape"
-	"nous/internal/analysis/shardorder"
 	"nous/internal/analysis/windowthread"
 )
 
 var allAnalyzers = []*analysis.Analyzer{
-	shardorder.Analyzer,
-	hookunderlock.Analyzer,
 	prgate.Analyzer,
 	windowthread.Analyzer,
 	noclock.Analyzer,

@@ -7,7 +7,7 @@
 //
 // Fixture files annotate the lines they expect findings on:
 //
-//	g.shards[b].mu.Lock() // want `ascending`
+//	return graph.Compile(g, nil) // want `outside internal/core`
 //
 // Every `// want` pattern must be matched by exactly one diagnostic on that
 // line and every diagnostic must be claimed by a pattern; leftovers on

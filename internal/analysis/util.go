@@ -51,23 +51,6 @@ func CalleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// IsSyncMutex reports whether t is sync.Mutex or sync.RWMutex (possibly via
-// a pointer).
-func IsSyncMutex(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
 // FuncPkgPath returns the package path a *types.Func was declared in, or ""
 // for builtins.
 func FuncPkgPath(fn *types.Func) string {
@@ -83,9 +66,9 @@ func IsTestFile(name string) bool {
 	return strings.HasSuffix(name, "_test.go")
 }
 
-// ExprString renders a (small) expression for use in diagnostics and for
-// structural comparison of lock bases. It intentionally covers only the
-// shapes lock bases take: identifiers, selectors, indexing and unary/star.
+// ExprString renders a (small) expression for use in diagnostics. It
+// intentionally covers only the shapes diagnostics name: identifiers,
+// selectors, indexing, calls and unary/star.
 func ExprString(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:

@@ -66,17 +66,15 @@ func factEdge(t Triple, src, dst graph.VertexID) graph.EdgeSpec {
 }
 
 // decodeLocked builds the fact an edge stores. It copies every field out of
-// the view, so the result is owned by the caller. The caller holds kg.mu; that
-// is also what makes the endpoint-type fallback's nested stripe read lock
-// safe inside a scan callback — every graph writer holds kg.mu exclusively,
-// so no writer can be queued between the two read locks.
+// the view, so the result is owned by the caller. The caller holds kg.mu and
+// runs inside a graph scan callback.
 func (kg *KG) decodeLocked(e *graph.EdgeScan) Fact {
 	f := Fact{ID: e.ID, Src: e.Src, Dst: e.Dst, Triple: Triple{
 		Subject:     kg.names[e.Src],
 		Predicate:   e.LabelName(),
 		Object:      kg.names[e.Dst],
-		SubjectType: kg.endpointTypeLocked(prop(e, keySType), e.Src),
-		ObjectType:  kg.endpointTypeLocked(prop(e, keyOType), e.Dst),
+		SubjectType: endpointType(e, keySType, e.Src),
+		ObjectType:  endpointType(e, keyOType, e.Dst),
 		Confidence:  e.Weight,
 		Curated:     e.PropEquals(keyCurated, "true"),
 		Provenance: Provenance{
@@ -99,13 +97,15 @@ func prop(e *graph.EdgeScan, key symtab.SymID) string {
 	return v
 }
 
-// endpointTypeLocked resolves a fact endpoint's type: the type recorded on
-// the edge wins; an edge that records none falls back to the vertex's own.
-func (kg *KG) endpointTypeLocked(recorded string, id graph.VertexID) ontology.EntityType {
-	if recorded != "" {
+// endpointType resolves a fact endpoint's type: the type recorded on the
+// edge under key wins; an edge that records none falls back to the vertex's
+// own, read through the scan's lock (EdgeScan.Vertex) — not Graph.Vertex,
+// whose second read lock would deadlock once a writer queues in between.
+func endpointType(e *graph.EdgeScan, key symtab.SymID, id graph.VertexID) ontology.EntityType {
+	if recorded := prop(e, key); recorded != "" {
 		return ontology.EntityType(recorded)
 	}
-	v, ok := kg.g.Vertex(id)
+	v, ok := e.Vertex(id)
 	if !ok {
 		return ontology.TypeAny
 	}

@@ -377,8 +377,8 @@ func (kg *KG) AddFact(t Triple) (FactID, error) {
 }
 
 // AddFacts stores a batch of triples under one KG lock acquisition and one
-// bulk write to the sharded graph (each shard lock taken once per batch
-// rather than once per fact). It returns parallel slices: ids[i] is valid
+// bulk write to the graph (its write lock taken once per batch rather than
+// once per fact). It returns parallel slices: ids[i] is valid
 // iff errs[i] is nil. Facts are stored, and change events emitted, in batch
 // order.
 func (kg *KG) AddFacts(ts []Triple) ([]FactID, []error) {

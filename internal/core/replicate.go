@@ -91,7 +91,7 @@ func (kg *KG) replicateEdgesLocked(m graph.Mutation) error {
 			kg.trackUndatedLocked(e)
 			f = kg.decodeLocked(e)
 		})
-		kg.notifyLocked(Event{Kind: FactAdded, Fact: f}) // listeners run outside the stripe lock
+		kg.notifyLocked(Event{Kind: FactAdded, Fact: f}) // listeners run outside the graph lock
 	}
 	return nil
 }

@@ -15,8 +15,8 @@ type EdgeSpec struct {
 	Props     map[string]string
 }
 
-// AddEdges inserts a batch of edges, acquiring each involved shard lock once
-// for the whole batch instead of once per edge — the bulk-write path for
+// AddEdges inserts a batch of edges under one write-lock acquisition and
+// delivers them as one MutAddEdges record — the bulk-write path for
 // streaming ingestion. Edge IDs are assigned contiguously in batch order.
 //
 // The batch is atomic with respect to validation: if any endpoint is
@@ -25,78 +25,31 @@ func (g *Graph) AddEdges(specs []EdgeSpec) ([]EdgeID, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	// Vertices are never removed, so validating up front holds for the rest
-	// of the insertion. Endpoints are grouped by shard and each shard is
-	// read-locked once, not twice per spec.
-	byShard := make(map[int][]VertexID)
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for i := range specs {
-		byShard[shardIdx(uint64(specs[i].Src))] = append(byShard[shardIdx(uint64(specs[i].Src))], specs[i].Src)
-		byShard[shardIdx(uint64(specs[i].Dst))] = append(byShard[shardIdx(uint64(specs[i].Dst))], specs[i].Dst)
-	}
-	for si, vs := range byShard {
-		s := &g.shards[si]
-		s.mu.RLock()
-		for _, v := range vs {
-			if _, ok := s.vertices[v]; !ok {
-				s.mu.RUnlock()
+		for _, v := range [2]VertexID{specs[i].Src, specs[i].Dst} {
+			if !g.hasVertexLocked(v) {
 				return nil, fmt.Errorf("graph: add edges: endpoint vertex %d does not exist", v)
 			}
 		}
-		s.mu.RUnlock()
 	}
-
-	n := int64(len(specs))
-	base := g.nextEdge.Add(n) - n
 	ids := make([]EdgeID, len(specs))
-	// Interned labels and props are prepared before the locks are taken —
-	// interning may grow the symbol table and must not extend lock hold time.
-	syms := make([]symtab.SymID, len(specs))
-	props := make([]propMap, len(specs))
-	// Hook records are built here, before insertion: once the shard locks
-	// drop, the slab slots are reachable by concurrent mutators and may no
-	// longer be read without a lock.
 	var recs []Edge
-	if g.hooked() {
+	if len(g.hooks) > 0 {
 		recs = make([]Edge, len(specs))
 	}
-	var need [numShards]bool
 	for i := range specs {
 		sp := &specs[i]
-		id := EdgeID(base + int64(i))
+		id := EdgeID(g.nextEdge)
+		g.nextEdge++
 		ids[i] = id
-		syms[i] = symtab.Intern(sp.Label)
-		props[i] = internProps(sp.Props)
+		g.insertEdgeLocked(id, sp.Src, sp.Dst, symtab.Intern(sp.Label), sp.Weight, sp.Timestamp, internProps(sp.Props))
 		if recs != nil {
 			recs[i] = Edge{ID: id, Src: sp.Src, Dst: sp.Dst, Label: sp.Label,
 				Weight: sp.Weight, Timestamp: sp.Timestamp, Props: copyProps(sp.Props)}
 		}
-		need[shardIdx(uint64(sp.Src))] = true
-		need[shardIdx(uint64(sp.Dst))] = true
-		need[shardIdx(uint64(id))] = true
 	}
-
-	// One pass over the shards in ascending order — the same deadlock-free
-	// total order single-edge writers use.
-	for si := range need {
-		if need[si] {
-			g.shards[si].mu.Lock()
-		}
-	}
-	for i := range specs {
-		sp := &specs[i]
-		g.insertEdgeLocked(ids[i], sp.Src, sp.Dst, syms[i], sp.Weight, sp.Timestamp, props[i])
-	}
-	// Bump and emit before releasing the shard locks (as RemoveEdge does),
-	// so no concurrent remover's MutRemoveEdge can reach subscribers ahead
-	// of this batch's MutAddEdges for the same edge.
-	ep := g.bump()
-	if recs != nil {
-		g.emit(Mutation{Kind: MutAddEdges, Epoch: ep, Edges: recs})
-	}
-	for si := numShards - 1; si >= 0; si-- {
-		if need[si] {
-			g.shards[si].mu.Unlock()
-		}
-	}
+	g.commitLocked(Mutation{Kind: MutAddEdges, Edges: recs}, false)
 	return ids, nil
 }

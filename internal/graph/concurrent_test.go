@@ -120,11 +120,11 @@ func TestAddVertexWithPropsAtomic(t *testing.T) {
 	readers.Wait()
 }
 
-// TestConcurrentMutationStress hammers the sharded store from many
-// goroutines — vertex inserts, single and batch edge inserts, removals,
-// edge mutations and a full set of readers — then checks the cross-shard
-// index invariants. Run under -race this doubles as the data-race gate for
-// the stripe-locking protocol.
+// TestConcurrentMutationStress hammers the store from many goroutines —
+// vertex inserts, single and batch edge inserts, removals, edge mutations
+// and a full set of readers — then checks the cross-stripe index
+// invariants. Run under -race this doubles as the data-race gate for the
+// graph's locking.
 func TestConcurrentMutationStress(t *testing.T) {
 	g := New()
 	const nVerts = 64
@@ -309,10 +309,67 @@ func TestConcurrentPageRankDuringWrites(t *testing.T) {
 	writer.Wait()
 }
 
+// TestCompileIsExactCut runs Compile with no outer lock beside one writer
+// that adds edges in batches of ShardCount, so each batch's consecutive IDs
+// fall in consecutive stripes — one edge per stripe. Each edge is stamped
+// with its write index. Every view must hold exactly a prefix of the writes:
+// writes 0..k-1 and nothing else. A scan that reads the stripes one after
+// another breaks this whenever a batch lands between two of its stripes —
+// the view then holds the batch's edges in the stripes still ahead but not
+// those in the stripes already passed.
+func TestCompileIsExactCut(t *testing.T) {
+	g := New()
+	a, b := g.AddVertex("V"), g.AddVertex("V")
+	const batches = 300
+	var done atomic.Bool
+	var views, torn atomic.Int64
+	var ready, readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		ready.Add(1)
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for first := true; ; first = false {
+				v := Compile(g, nil)
+				views.Add(1)
+				// Every edge goes into b, so the view orders them by edge
+				// ID: write i must sit at offset i.
+				for i, ts := range v.ts {
+					if ts != int64(i) {
+						torn.Add(1)
+						break
+					}
+				}
+				if first {
+					ready.Done()
+				}
+				if done.Load() {
+					return
+				}
+			}
+		}()
+	}
+	ready.Wait()
+	batch := make([]EdgeSpec, ShardCount())
+	for w := 0; w < batches*len(batch); w += len(batch) {
+		for i := range batch {
+			batch[i] = EdgeSpec{Src: a, Dst: b, Label: "r", Weight: 1, Timestamp: int64(w + i)}
+		}
+		if _, err := g.AddEdges(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	readers.Wait()
+	if n := torn.Load(); n > 0 {
+		t.Fatalf("%d of %d views are not a prefix of the writes", n, views.Load())
+	}
+}
+
 // TestConcurrentRemoveEdgeStress mirrors the add-path stress tests for the
 // removal path: writers add timestamped edges while removers delete them and
-// readers traverse. Under -race this exercises the multi-shard lock ordering
-// of RemoveEdge; the final reconciliation asserts no index (adjacency,
+// readers traverse. Under -race this exercises RemoveEdge against concurrent
+// writers and readers; the final reconciliation asserts no index (adjacency,
 // byLabel, edges) retains a removed edge.
 func TestConcurrentRemoveEdgeStress(t *testing.T) {
 	g := New()

@@ -5,17 +5,27 @@
 // vertices and edges carrying arbitrary properties, neighborhood iteration
 // and PageRank — at single-process scale.
 //
-// Storage is partitioned across lock-striped shards so unrelated mutations
-// do not contend on one global mutex: a vertex, its adjacency lists and its
-// degree counters live in the shard owning the vertex ID, while an edge
-// record and its label-index entry live in the shard owning the edge ID.
-// Operations spanning several shards (edge insertion touches the source's
-// shard, the destination's shard and the edge's shard) acquire the distinct
-// shards in ascending index order, which makes multi-shard writers
-// deadlock-free.
+// Storage is partitioned into numShards stripes: a vertex, its adjacency
+// lists and its degree counters live in the stripe owning the vertex ID,
+// while an edge record and its label-index entry live in the stripe owning
+// the edge ID. Stripes are data partitions only. They give snapshots their
+// per-stripe sections, let snapshot encode, decode and restore run one
+// worker per stripe, and keep each stripe's seq → slot index dense.
+//
+// Concurrency: one sync.RWMutex (Graph.mu) guards the whole graph. Every
+// write holds it exclusively from validation through its epoch move and hook
+// delivery; every read method holds it shared, once per call. Code inside
+// the package calls unlocked helpers (the *Locked methods), so nothing here
+// takes the lock twice. The lock order across the store is
+//
+//	core.KG.mu → graph.Graph.mu → temporal.Index.mu
+//
+// core.KG's writers call into the graph while holding the KG lock, and the
+// temporal index is fed from the graph's mutation hook, which runs under the
+// graph's write lock. Nothing may take these locks in the opposite order.
 //
 // Memory layout: strings (labels, predicates, prop keys) are interned into
-// dense SymIDs (internal/graph/symtab) and edge records live in per-shard
+// dense SymIDs (internal/graph/symtab) and edge records live in per-stripe
 // columnar slabs (slab.go) addressed by compact 4-byte refs, not as
 // individually heap-allocated *Edge values. The exported API still traffics
 // in Vertex/Edge values with plain strings — they are materialized on demand
@@ -24,7 +34,6 @@
 package graph
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -62,10 +71,9 @@ type Edge struct {
 	Props     map[string]string
 }
 
-// numShards is the lock-stripe count. A power of two so ID → shard is a
-// mask; 16 stripes keep contention low well past the core counts this
-// process-local store targets. Must equal 1<<shardBits (slab.go), which ties
-// the EdgeID ↔ (shard, seq) split to the stripe count.
+// numShards is the stripe count. A power of two so ID → stripe is a mask.
+// Must equal 1<<shardBits (slab.go), which ties the EdgeID ↔ (shard, seq)
+// split to the stripe count and with it the snapshot layout.
 const numShards = 1 << shardBits
 
 // vertexRec is a vertex's stored form: interned label, interned-key props.
@@ -74,18 +82,11 @@ type vertexRec struct {
 	props propMap
 }
 
-// shard is one lock stripe. Vertices (with their adjacency lists) are owned
-// by the shard of their VertexID; edge records (slab slots) and the
-// per-label index entries are owned by the shard of their EdgeID.
-//
-// Invariant: an edge is reachable from three shards — its own (slab via idx,
-// byLabel), its source's (out) and its destination's (in). Any write to an
-// edge's slab cells or to the structures referencing it holds all three
-// shard locks, so a reader holding any one of them observes a consistent
-// record — including when it dereferences an edgeRef into another shard's
-// slab without taking that shard's lock.
+// shard is one stripe. Vertices (with their adjacency lists) are owned by
+// the stripe of their VertexID; edge records (slab slots) and the per-label
+// index entries are owned by the stripe of their EdgeID. An adjacency ref
+// may point into another stripe's slab.
 type shard struct {
-	mu       sync.RWMutex
 	vertices map[VertexID]vertexRec
 	out      map[VertexID][]edgeRef
 	in       map[VertexID][]edgeRef
@@ -98,22 +99,22 @@ type shard struct {
 // Graph is a mutable directed multigraph. All exported methods are safe for
 // concurrent use.
 type Graph struct {
+	// mu guards every field below except epoch (see the package comment).
+	mu     sync.RWMutex
 	shards [numShards]shard
 
-	nextVertex atomic.Int64
-	nextEdge   atomic.Int64
+	nextVertex int64
+	nextEdge   int64
 
-	// epoch counts completed mutations. It is bumped after every write
-	// finishes, so a derived artifact computed against the epoch observed
-	// before the computation started is invalidated by any write that lands
-	// during or after it.
+	// epoch counts completed mutations. It moves under the write lock, after
+	// the write's data landed and before its hook delivery, so a reader that
+	// holds the lock and reads epoch E observes exactly the state of E. It is
+	// atomic so Epoch stays lock-free.
 	epoch atomic.Uint64
 
-	// hooks is the copy-on-write list of mutation subscribers (see
-	// AddMutationHook / SetMutationHook). hookMu serializes list updates;
-	// primaryHook tracks the entry SetMutationHook owns.
-	hookMu      sync.Mutex
-	hooks       atomic.Pointer[[]*hookEntry]
+	// hooks are the mutation subscribers in registration order; primaryHook
+	// is the entry SetMutationHook owns.
+	hooks       []*hookEntry
 	primaryHook *hookEntry
 }
 
@@ -123,13 +124,22 @@ type Graph struct {
 // artifacts such as PageRank.
 func (g *Graph) Epoch() uint64 { return g.epoch.Load() }
 
-// bump records one completed mutation and returns the new epoch. Called
-// after the write's data landed (for edge writes, while the shard locks are
-// still held — any reader tagged with the new epoch that touches the
-// written shard blocks until the locks drop and therefore observes the
-// write), so no artifact can be tagged with an epoch newer than the state
-// it was computed from.
-func (g *Graph) bump() uint64 { return g.epoch.Add(1) }
+// commitLocked publishes one completed write: it moves the epoch, stamps m
+// with it and delivers m to every hook. The caller holds the write lock, so
+// the write, its epoch and its delivery form one step that no locked reader
+// can split, and subscribers receive every mutation kind in epoch order. A
+// live write bumps the epoch. A replicated one (replicate.go) keeps the
+// leader's stamp already in m and adopts it, never lowering the graph's own.
+func (g *Graph) commitLocked(m Mutation, replicated bool) {
+	if !replicated {
+		m.Epoch = g.epoch.Add(1)
+	} else if m.Epoch > g.epoch.Load() {
+		g.epoch.Store(m.Epoch)
+	}
+	for _, h := range g.hooks {
+		h.fn(m)
+	}
+}
 
 // New returns an empty graph.
 func New() *Graph {
@@ -149,44 +159,6 @@ func shardIdx(id uint64) int { return int(id & (numShards - 1)) }
 func (g *Graph) vshard(id VertexID) *shard { return &g.shards[shardIdx(uint64(id))] }
 func (g *Graph) eshard(id EdgeID) *shard   { return &g.shards[shardIdx(uint64(id))] }
 
-// sorted3 orders three shard indexes ascending.
-func sorted3(a, b, c int) (int, int, int) {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return a, b, c
-}
-
-// lockEdgeShards write-locks the distinct shards an edge write touches, in
-// ascending index order.
-func (g *Graph) lockEdgeShards(src, dst VertexID, id EdgeID) {
-	a, b, c := sorted3(shardIdx(uint64(src)), shardIdx(uint64(dst)), shardIdx(uint64(id)))
-	g.shards[a].mu.Lock()
-	if b != a {
-		g.shards[b].mu.Lock()
-	}
-	if c != b {
-		g.shards[c].mu.Lock()
-	}
-}
-
-func (g *Graph) unlockEdgeShards(src, dst VertexID, id EdgeID) {
-	a, b, c := sorted3(shardIdx(uint64(src)), shardIdx(uint64(dst)), shardIdx(uint64(id)))
-	if c != b {
-		g.shards[c].mu.Unlock()
-	}
-	if b != a {
-		g.shards[b].mu.Unlock()
-	}
-	g.shards[a].mu.Unlock()
-}
-
 // AddVertex inserts a vertex with the given label and returns its ID.
 func (g *Graph) AddVertex(label string) VertexID {
 	return g.AddVertexWithProps(label, nil)
@@ -196,39 +168,43 @@ func (g *Graph) AddVertex(label string) VertexID {
 // The props map is copied. The vertex and its properties become visible
 // atomically: no reader can observe the vertex without them.
 func (g *Graph) AddVertexWithProps(label string, props map[string]string) VertexID {
-	id := VertexID(g.nextVertex.Add(1) - 1)
 	rec := vertexRec{label: symtab.Intern(label), props: internProps(props)}
-	s := g.vshard(id)
-	s.mu.Lock()
-	s.vertices[id] = rec
-	s.mu.Unlock()
-	ep := g.bump()
-	if g.hooked() {
-		g.emit(Mutation{Kind: MutAddVertex, Epoch: ep,
-			Vertex: Vertex{ID: id, Label: label, Props: copyProps(props)}})
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	id := VertexID(g.nextVertex)
+	g.nextVertex++
+	g.vshard(id).vertices[id] = rec
+	m := Mutation{Kind: MutAddVertex}
+	if len(g.hooks) > 0 {
+		m.Vertex = Vertex{ID: id, Label: label, Props: copyProps(props)}
 	}
+	g.commitLocked(m, false)
 	return id
 }
 
 // SetVertexProp sets one property on a vertex. It reports whether the vertex
 // exists.
 func (g *Graph) SetVertexProp(id VertexID, key, value string) bool {
-	sym := symtab.Intern(key)
-	s := g.vshard(id)
-	s.mu.Lock()
-	rec, ok := s.vertices[id]
+	return g.setVertexProp(Mutation{Kind: MutSetVertexProp, VertexID: id, Key: key, Value: value}, false)
+}
+
+// setVertexProp applies a MutSetVertexProp record and commits it. A missing
+// vertex is a no-op that emits nothing.
+func (g *Graph) setVertexProp(m Mutation, replicated bool) bool {
+	sym := symtab.Intern(m.Key)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	s := g.vshard(m.VertexID)
+	rec, ok := s.vertices[m.VertexID]
 	if !ok {
-		s.mu.Unlock()
 		return false
 	}
 	if rec.props == nil {
 		rec.props = make(propMap, 1)
-		s.vertices[id] = rec
+		s.vertices[m.VertexID] = rec
 	}
-	rec.props[sym] = value
-	s.mu.Unlock()
-	ep := g.bump()
-	g.emit(Mutation{Kind: MutSetVertexProp, Epoch: ep, VertexID: id, Key: key, Value: value})
+	rec.props[sym] = m.Value
+	g.commitLocked(Mutation{Kind: MutSetVertexProp, Epoch: m.Epoch, VertexID: m.VertexID, Key: m.Key, Value: m.Value}, replicated)
 	return true
 }
 
@@ -238,10 +214,9 @@ func (g *Graph) VertexProp(id VertexID, key string) (string, bool) {
 	if !known {
 		return "", false // a never-interned key is set on no element
 	}
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rec, ok := s.vertices[id]
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	rec, ok := g.vshard(id).vertices[id]
 	if !ok || rec.props == nil {
 		return "", false
 	}
@@ -251,10 +226,13 @@ func (g *Graph) VertexProp(id VertexID, key string) (string, bool) {
 
 // Vertex returns a copy of the vertex with the given ID.
 func (g *Graph) Vertex(id VertexID) (Vertex, bool) {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rec, ok := s.vertices[id]
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.vertexLocked(id)
+}
+
+func (g *Graph) vertexLocked(id VertexID) (Vertex, bool) {
+	rec, ok := g.vshard(id).vertices[id]
 	if !ok {
 		return Vertex{}, false
 	}
@@ -263,10 +241,13 @@ func (g *Graph) Vertex(id VertexID) (Vertex, bool) {
 
 // HasVertex reports whether the vertex exists.
 func (g *Graph) HasVertex(id VertexID) bool {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.vertices[id]
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.hasVertexLocked(id)
+}
+
+func (g *Graph) hasVertexLocked(id VertexID) bool {
+	_, ok := g.vshard(id).vertices[id]
 	return ok
 }
 
@@ -277,108 +258,69 @@ func (g *Graph) AddEdge(src, dst VertexID, label string) (EdgeID, error) {
 }
 
 // AddEdgeFull inserts a directed edge with weight, timestamp and properties.
+// It is AddEdges with a batch of one.
 func (g *Graph) AddEdgeFull(src, dst VertexID, label string, weight float64, ts int64, props map[string]string) (EdgeID, error) {
-	// Vertices are never removed, so existence checked here holds for the
-	// rest of the insertion.
-	if !g.HasVertex(src) {
-		return 0, fmt.Errorf("graph: add edge %q: source vertex %d does not exist", label, src)
+	ids, err := g.AddEdges([]EdgeSpec{{Src: src, Dst: dst, Label: label, Weight: weight, Timestamp: ts, Props: props}})
+	if err != nil {
+		return 0, err
 	}
-	if !g.HasVertex(dst) {
-		return 0, fmt.Errorf("graph: add edge %q: destination vertex %d does not exist", label, dst)
-	}
-	id := EdgeID(g.nextEdge.Add(1) - 1)
-	sym := symtab.Intern(label)
-	ip := internProps(props)
-	g.lockEdgeShards(src, dst, id)
-	g.insertEdgeLocked(id, src, dst, sym, weight, ts, ip)
-	// Bump and emit before releasing the shard locks (as RemoveEdge does):
-	// once the locks drop, a concurrent remover can find the edge and emit
-	// its MutRemoveEdge — subscribers (the WAL, the temporal index) must
-	// never observe an edge's removal before its insertion.
-	ep := g.bump()
-	if g.hooked() {
-		g.emit(Mutation{Kind: MutAddEdges, Epoch: ep, Edges: []Edge{
-			{ID: id, Src: src, Dst: dst, Label: label, Weight: weight, Timestamp: ts, Props: copyProps(props)},
-		}})
-	}
-	g.unlockEdgeShards(src, dst, id)
-	return id, nil
+	return ids[0], nil
 }
 
-// insertEdgeLocked appends an edge into its owning shard's slab and wires it
-// into every index. The caller holds the write locks of the source's,
-// destination's and edge's shards. props (interned form) is retained, not
+// insertEdgeLocked appends an edge into its owning stripe and wires it into
+// both endpoints' adjacency lists. props (interned form) is retained, not
 // copied — callers pass a private map.
 func (g *Graph) insertEdgeLocked(id EdgeID, src, dst VertexID, label symtab.SymID, weight float64, ts int64, props propMap) {
-	si := shardIdx(uint64(id))
-	es := &g.shards[si]
-	seq := seqOf(id)
-	slot := es.slab.append(seq, src, dst, label, weight, ts)
-	if props != nil {
-		c, off := es.slab.chunk(slot)
-		c.setProps(off, props)
-	}
-	es.setIdx(seq, slot)
-	ls := es.byLabel[label]
-	if ls == nil {
-		ls = &labelSet{}
-		es.byLabel[label] = ls
-	}
-	ls.slots = append(ls.slots, slot)
-	ls.live++
-	es.live++
-	ref := makeRef(si, slot)
+	ref := g.eshard(id).appendEdge(id, src, dst, label, weight, ts, props)
 	ss, ds := g.vshard(src), g.vshard(dst)
 	ss.out[src] = append(ss.out[src], ref)
 	ds.in[dst] = append(ds.in[dst], ref)
 }
 
-// edgeEndpoints resolves an edge's immutable endpoints so the caller can
-// take the full shard lock set for a mutation.
-func (g *Graph) edgeEndpoints(id EdgeID) (src, dst VertexID, ok bool) {
-	es := g.eshard(id)
-	es.mu.RLock()
-	defer es.mu.RUnlock()
-	slot, ok := es.lookup(seqOf(id))
-	if !ok {
-		return 0, 0, false
+// appendEdge stores an edge record in this (its owning) stripe's slab, seq
+// index and label index and returns its ref. Adjacency is the caller's.
+func (s *shard) appendEdge(id EdgeID, src, dst VertexID, label symtab.SymID, weight float64, ts int64, props propMap) edgeRef {
+	seq := seqOf(id)
+	slot := s.slab.append(seq, src, dst, label, weight, ts)
+	if props != nil {
+		c, off := s.slab.chunk(slot)
+		c.setProps(off, props)
 	}
-	c, off := es.slab.chunk(slot)
-	return VertexID(c.src[off]), VertexID(c.dst[off]), true
+	s.setIdx(seq, slot)
+	ls := s.byLabel[label]
+	if ls == nil {
+		ls = &labelSet{}
+		s.byLabel[label] = ls
+	}
+	ls.slots = append(ls.slots, slot)
+	ls.live++
+	s.live++
+	return makeRef(shardIdx(uint64(id)), slot)
 }
 
 // RemoveEdge deletes an edge. It reports whether the edge existed.
 func (g *Graph) RemoveEdge(id EdgeID) bool {
-	src, dst, ok := g.edgeEndpoints(id)
-	if !ok {
-		return false
-	}
-	g.lockEdgeShards(src, dst, id)
-	defer g.unlockEdgeShards(src, dst, id)
-	es := g.eshard(id)
-	slot, ok := es.lookup(seqOf(id)) // may have raced with another remover
-	if !ok {
-		return false
-	}
-	g.dropEdgeLocked(id, src, dst, slot)
-	ep := g.bump()
-	g.emit(Mutation{Kind: MutRemoveEdge, Epoch: ep, EdgeID: id})
-	return true
+	return g.removeEdge(Mutation{Kind: MutRemoveEdge, EdgeID: id}, false)
 }
 
-// dropEdgeLocked tombstones an edge's slab slot and unwires it from every
-// index and adjacency list. The caller holds the write locks of the source's,
-// destination's and edge's shards and has resolved the live slot.
-func (g *Graph) dropEdgeLocked(id EdgeID, src, dst VertexID, slot uint32) {
-	si := shardIdx(uint64(id))
-	es := &g.shards[si]
-	c, off := es.slab.chunk(slot)
-	label := c.label[off]
-	c.dead[off] = true
-	if arr := c.props.Load(); arr != nil {
-		arr[off] = nil // release the props map; the slot is never reused
+// removeEdge applies a MutRemoveEdge record and commits it: the edge's slab
+// slot is tombstoned and unwired from every index and adjacency list. A
+// missing edge is a no-op that emits nothing.
+func (g *Graph) removeEdge(m Mutation, replicated bool) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	es := g.eshard(m.EdgeID)
+	slot, ok := es.lookup(seqOf(m.EdgeID))
+	if !ok {
+		return false
 	}
-	es.clearIdx(seqOf(id))
+	c, off := es.slab.chunk(slot)
+	src, dst, label := VertexID(c.src[off]), VertexID(c.dst[off]), c.label[off]
+	c.dead[off] = true
+	if c.props != nil {
+		c.props[off] = nil // release the props map; the slot is never reused
+	}
+	es.clearIdx(seqOf(m.EdgeID))
 	es.live--
 	if ls := es.byLabel[label]; ls != nil {
 		ls.live--
@@ -388,14 +330,15 @@ func (g *Graph) dropEdgeLocked(id EdgeID, src, dst VertexID, slot uint32) {
 			es.compactLabelLocked(ls)
 		}
 	}
-	ref := makeRef(si, slot)
+	ref := makeRef(shardIdx(uint64(m.EdgeID)), slot)
 	ss, ds := g.vshard(src), g.vshard(dst)
 	ss.out[src] = removeRef(ss.out[src], ref)
 	ds.in[dst] = removeRef(ds.in[dst], ref)
+	g.commitLocked(Mutation{Kind: MutRemoveEdge, Epoch: m.Epoch, EdgeID: m.EdgeID}, replicated)
+	return true
 }
 
-// compactLabelLocked drops tombstoned slots from a label set. Caller holds
-// the owning shard's write lock.
+// compactLabelLocked drops tombstoned slots from a label set.
 func (s *shard) compactLabelLocked(ls *labelSet) {
 	kept := ls.slots[:0]
 	for _, slot := range ls.slots {
@@ -406,21 +349,29 @@ func (s *shard) compactLabelLocked(ls *labelSet) {
 	ls.slots = kept
 }
 
+// edgeCellsLocked resolves a live edge to its slab chunk and offset.
+func (g *Graph) edgeCellsLocked(id EdgeID) (*edgeChunk, int, bool) {
+	s := g.eshard(id)
+	slot, ok := s.lookup(seqOf(id))
+	if !ok {
+		return nil, 0, false
+	}
+	c, off := s.slab.chunk(slot)
+	return c, off, true
+}
+
 // Edge returns a copy of the edge with the given ID.
 func (g *Graph) Edge(id EdgeID) (Edge, bool) {
-	es := g.eshard(id)
-	es.mu.RLock()
-	defer es.mu.RUnlock()
-	slot, ok := es.lookup(seqOf(id))
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	c, off, ok := g.edgeCellsLocked(id)
 	if !ok {
 		return Edge{}, false
 	}
-	c, off := es.slab.chunk(slot)
 	return materializeEdge(shardIdx(uint64(id)), c, off), true
 }
 
-// materializeEdge builds an exported Edge value from a slab slot. The caller
-// holds a lock through which the slot is reachable.
+// materializeEdge builds an exported Edge value from a slab slot.
 func materializeEdge(si int, c *edgeChunk, off int) Edge {
 	return Edge{
 		ID:        idOf(si, c.seq[off]),
@@ -433,9 +384,7 @@ func materializeEdge(si int, c *edgeChunk, off int) Edge {
 	}
 }
 
-// edgeAt materializes the edge an adjacency ref points to. The caller holds
-// a shard lock through which ref was read; the target slab's cells are
-// consistent under it per the three-shard invariant.
+// edgeAt materializes the edge an adjacency ref points to.
 func (g *Graph) edgeAt(ref edgeRef) Edge {
 	si := ref.shard()
 	c, off := g.shards[si].slab.chunk(ref.slot())
@@ -445,115 +394,106 @@ func (g *Graph) edgeAt(ref edgeRef) Edge {
 // SetEdgeProp sets one property on an edge. It reports whether the edge
 // exists.
 func (g *Graph) SetEdgeProp(id EdgeID, key, value string) bool {
-	sym := symtab.Intern(key)
-	return g.mutateEdge(id, func(c *edgeChunk, off int) {
-		p := c.propsAt(off)
-		if p == nil {
-			c.setProps(off, propMap{sym: value})
-			return
-		}
-		p[sym] = value
-	}, Mutation{Kind: MutSetEdgeProp, EdgeID: id, Key: key, Value: value})
+	return g.updateEdge(Mutation{Kind: MutSetEdgeProp, EdgeID: id, Key: key, Value: value}, false)
 }
 
 // SetEdgeWeight updates an edge's weight. It reports whether the edge exists.
 func (g *Graph) SetEdgeWeight(id EdgeID, w float64) bool {
-	return g.mutateEdge(id, func(c *edgeChunk, off int) { c.weight[off] = w },
-		Mutation{Kind: MutSetEdgeWeight, EdgeID: id, Weight: w})
+	return g.updateEdge(Mutation{Kind: MutSetEdgeWeight, EdgeID: id, Weight: w}, false)
 }
 
-// mutateEdge applies fn to an edge's slab cells under every shard lock
-// through which the record is reachable, so no concurrent reader can observe
-// a half-applied mutation. On success the mutation record m (stamped with the
-// new epoch) is delivered to the hook.
-func (g *Graph) mutateEdge(id EdgeID, fn func(c *edgeChunk, off int), m Mutation) bool {
-	src, dst, ok := g.edgeEndpoints(id)
+// updateEdge applies a MutSetEdgeProp or MutSetEdgeWeight record to its
+// edge's slab cells and commits it. A missing edge is a no-op that emits
+// nothing.
+func (g *Graph) updateEdge(m Mutation, replicated bool) bool {
+	var key symtab.SymID
+	if m.Kind == MutSetEdgeProp {
+		key = symtab.Intern(m.Key)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	c, off, ok := g.edgeCellsLocked(m.EdgeID)
 	if !ok {
 		return false
 	}
-	g.lockEdgeShards(src, dst, id)
-	defer g.unlockEdgeShards(src, dst, id)
-	es := g.eshard(id)
-	slot, ok := es.lookup(seqOf(id))
-	if !ok {
-		return false
+	if m.Kind == MutSetEdgeWeight {
+		c.weight[off] = m.Weight
+	} else if p := c.propsAt(off); p != nil {
+		p[key] = m.Value
+	} else {
+		c.setProps(off, propMap{key: m.Value})
 	}
-	c, off := es.slab.chunk(slot)
-	fn(c, off)
-	m.Epoch = g.bump()
-	g.emit(m)
+	g.commitLocked(m, replicated)
 	return true
 }
 
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	n := 0
 	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		n += len(s.vertices)
-		s.mu.RUnlock()
+		n += len(g.shards[i].vertices)
 	}
 	return n
 }
 
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.numEdgesLocked()
+}
+
+func (g *Graph) numEdgesLocked() int {
 	n := 0
 	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		n += s.live
-		s.mu.RUnlock()
+		n += g.shards[i].live
 	}
 	return n
 }
 
 // OutDegree returns the number of outgoing edges of a vertex.
 func (g *Graph) OutDegree(id VertexID) int {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.out[id])
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return len(g.vshard(id).out[id])
 }
 
 // InDegree returns the number of incoming edges of a vertex.
 func (g *Graph) InDegree(id VertexID) int {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.in[id])
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return len(g.vshard(id).in[id])
 }
 
 // Degree returns in-degree + out-degree.
 func (g *Graph) Degree(id VertexID) int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return len(s.out[id]) + len(s.in[id])
 }
 
 // OutEdges returns copies of the outgoing edges of a vertex.
 func (g *Graph) OutEdges(id VertexID) []Edge {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return g.materializeRefs(s.out[id])
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.materializeRefs(g.vshard(id).out[id])
 }
 
 // InEdges returns copies of the incoming edges of a vertex.
 func (g *Graph) InEdges(id VertexID) []Edge {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return g.materializeRefs(s.in[id])
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.materializeRefs(g.vshard(id).in[id])
 }
 
 // Edges returns copies of all edges incident to the vertex (both directions).
 func (g *Graph) Edges(id VertexID) []Edge {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	all := make([]Edge, 0, len(s.out[id])+len(s.in[id]))
 	for _, ref := range s.out[id] {
 		all = append(all, g.edgeAt(ref))
@@ -567,9 +507,9 @@ func (g *Graph) Edges(id VertexID) []Edge {
 // Neighbors returns the distinct vertices adjacent to id in either direction,
 // in ascending order.
 func (g *Graph) Neighbors(id VertexID) []VertexID {
-	s := g.vshard(id)
-	s.mu.RLock()
 	seen := make(map[VertexID]struct{})
+	g.mu.RLock()
+	s := g.vshard(id)
 	for _, ref := range s.out[id] {
 		c, off := g.shards[ref.shard()].slab.chunk(ref.slot())
 		seen[VertexID(c.dst[off])] = struct{}{}
@@ -578,7 +518,7 @@ func (g *Graph) Neighbors(id VertexID) []VertexID {
 		c, off := g.shards[ref.shard()].slab.chunk(ref.slot())
 		seen[VertexID(c.src[off])] = struct{}{}
 	}
-	s.mu.RUnlock()
+	g.mu.RUnlock()
 	delete(seen, id)
 	ids := make([]VertexID, 0, len(seen))
 	for v := range seen {
@@ -590,23 +530,11 @@ func (g *Graph) Neighbors(id VertexID) []VertexID {
 
 // EdgesByLabel returns copies of all edges carrying the given label.
 func (g *Graph) EdgesByLabel(label string) []Edge {
-	sym, known := symtab.Lookup(label)
-	if !known {
-		return nil
-	}
 	var es []Edge
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		if ls := s.byLabel[sym]; ls != nil {
-			for _, slot := range ls.slots {
-				if c, off := s.slab.chunk(slot); !c.dead[off] {
-					es = append(es, materializeEdge(i, c, off))
-				}
-			}
-		}
-		s.mu.RUnlock()
-	}
+	g.ForEachLabelScan(label, func(e *EdgeScan) bool {
+		es = append(es, e.Materialize())
+		return true
+	})
 	sort.Slice(es, func(i, j int) bool { return es[i].ID < es[j].ID })
 	return es
 }
@@ -621,14 +549,13 @@ func (g *Graph) EdgesWithLabel(label string) int {
 	if !known {
 		return 0
 	}
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	n := 0
 	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		if ls := s.byLabel[sym]; ls != nil {
+		if ls := g.shards[i].byLabel[sym]; ls != nil {
 			n += ls.live
 		}
-		s.mu.RUnlock()
 	}
 	return n
 }
@@ -636,14 +563,13 @@ func (g *Graph) EdgesWithLabel(label string) int {
 // EdgeLabels returns the distinct edge labels present in the graph, sorted.
 func (g *Graph) EdgeLabels() []string {
 	seen := make(map[symtab.SymID]struct{})
+	g.mu.RLock()
 	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		for sym := range s.byLabel {
+		for sym := range g.shards[i].byLabel {
 			seen[sym] = struct{}{}
 		}
-		s.mu.RUnlock()
 	}
+	g.mu.RUnlock()
 	labels := make([]string, 0, len(seen))
 	for sym := range seen {
 		labels = append(labels, symtab.Resolve(sym))
@@ -654,32 +580,31 @@ func (g *Graph) EdgeLabels() []string {
 
 // VertexIDs returns all vertex IDs in ascending order.
 func (g *Graph) VertexIDs() []VertexID {
+	g.mu.RLock()
+	ids := g.vertexIDsLocked()
+	g.mu.RUnlock()
+	slices.Sort(ids)
+	return ids
+}
+
+// vertexIDsLocked lists every vertex ID, unsorted.
+func (g *Graph) vertexIDsLocked() []VertexID {
 	var ids []VertexID
 	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		for id := range s.vertices {
+		for id := range g.shards[i].vertices {
 			ids = append(ids, id)
 		}
-		s.mu.RUnlock()
 	}
-	slices.Sort(ids)
 	return ids
 }
 
 // EdgeIDs returns all edge IDs in ascending order.
 func (g *Graph) EdgeIDs() []EdgeID {
 	var ids []EdgeID
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		for slot := uint32(0); slot < s.slab.len; slot++ {
-			if c, off := s.slab.chunk(slot); !c.dead[off] {
-				ids = append(ids, idOf(i, c.seq[off]))
-			}
-		}
-		s.mu.RUnlock()
-	}
+	g.ScanEdges(func(e *EdgeScan) bool {
+		ids = append(ids, e.ID)
+		return true
+	})
 	slices.Sort(ids)
 	return ids
 }
@@ -696,66 +621,37 @@ func (g *Graph) FindEdges(src, dst VertexID, label string) []Edge {
 			return nil
 		}
 	}
-	s := g.vshard(src)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var out []Edge
-	for _, ref := range s.out[src] {
-		c, off := g.shards[ref.shard()].slab.chunk(ref.slot())
-		if VertexID(c.dst[off]) == dst && (any || c.label[off] == sym) {
-			out = append(out, materializeEdge(ref.shard(), c, off))
+	g.ForEachOutScan(src, func(e *EdgeScan) bool {
+		if e.Dst == dst && (any || e.Label == sym) {
+			out = append(out, e.Materialize())
 		}
-	}
+		return true
+	})
 	return out
 }
 
 // ForEachOutEdge calls fn for each outgoing edge of id while fn returns true.
-// fn must not mutate the graph.
+// fn runs under the graph's read lock and must not call back into the graph.
 func (g *Graph) ForEachOutEdge(id VertexID, fn func(Edge) bool) {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, ref := range s.out[id] {
-		if !fn(g.edgeAt(ref)) {
-			return
-		}
-	}
+	g.ForEachOutScan(id, func(e *EdgeScan) bool { return fn(e.Materialize()) })
 }
 
 // ForEachIncidentEdge calls fn for each edge incident to id — outgoing
 // edges first, then incoming, each in insertion order (the same order
-// Edges returns) — while fn returns true. fn must not mutate the graph.
+// Edges returns) — while fn returns true. fn runs under the graph's read
+// lock and must not call back into the graph.
 func (g *Graph) ForEachIncidentEdge(id VertexID, fn func(Edge) bool) {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, ref := range s.out[id] {
-		if !fn(g.edgeAt(ref)) {
-			return
-		}
-	}
-	for _, ref := range s.in[id] {
-		if !fn(g.edgeAt(ref)) {
-			return
-		}
-	}
+	g.ForEachIncidentScan(id, func(e *EdgeScan) bool { return fn(e.Materialize()) })
 }
 
 // ForEachInEdge calls fn for each incoming edge of id while fn returns true.
-// fn must not mutate the graph.
+// fn runs under the graph's read lock and must not call back into the graph.
 func (g *Graph) ForEachInEdge(id VertexID, fn func(Edge) bool) {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, ref := range s.in[id] {
-		if !fn(g.edgeAt(ref)) {
-			return
-		}
-	}
+	g.ForEachInScan(id, func(e *EdgeScan) bool { return fn(e.Materialize()) })
 }
 
-// materializeRefs copies the edges behind a ref list. Caller holds the shard
-// lock the list was read under.
+// materializeRefs copies the edges behind a ref list.
 func (g *Graph) materializeRefs(refs []edgeRef) []Edge {
 	out := make([]Edge, len(refs))
 	for i, ref := range refs {

@@ -2,9 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"nous/internal/graph/symtab"
 )
@@ -31,9 +31,8 @@ const (
 // subscriber may retain.
 type Mutation struct {
 	Kind MutationKind
-	// Epoch is the graph's mutation epoch after this write. Concurrent
-	// writers may deliver mutations out of epoch order; epochs are unique
-	// per mutation, so a subscriber can still totally order what it saw.
+	// Epoch is the graph's mutation epoch after this write. Live writes are
+	// delivered in epoch order; a replica delivers the leader's stamps.
 	Epoch uint64
 
 	Vertex   Vertex   // MutAddVertex
@@ -46,17 +45,15 @@ type Mutation struct {
 }
 
 // MutationHook receives every completed mutation. It is invoked synchronously
-// after the write landed and its epoch bump completed. Edge mutations (add,
-// remove, prop/weight updates) deliver while the write's shard locks are
-// still held, which guarantees subscribers observe each edge's lifecycle in
-// order (an insertion is always delivered before that edge's removal);
-// vertex mutations deliver after the locks drop. That ordering is
-// load-bearing: without it a WAL could log remove-before-add for one edge
-// and resurrect it on replay. The price is that slow hook work stalls the
-// written shards, so a hook must not call back into the graph — not even
-// read methods, which would self-deadlock on the held shard locks — and
-// should do no more than hand the record off (the WAL's group-commit buffer,
-// the time index's per-stripe insert).
+// under the graph's write lock, after the write landed and the epoch moved,
+// for every mutation kind. So subscribers observe the writes in the order
+// they happened — an edge's insertion always before its removal — and
+// m.Epoch equals Epoch() during the call. That ordering is load-bearing:
+// without it a WAL could log remove-before-add for one edge and resurrect it
+// on replay. The price is that slow hook work stalls every reader and writer,
+// so a hook must not call back into the graph — any method but Epoch would
+// self-deadlock on the held lock — and should do no more than hand the
+// record off (the WAL's group-commit buffer, the temporal index's insert).
 type MutationHook func(Mutation)
 
 // hookEntry wraps one subscriber so it has an identity (func values are not
@@ -64,82 +61,41 @@ type MutationHook func(Mutation)
 type hookEntry struct{ fn MutationHook }
 
 // AddMutationHook registers an additional mutation subscriber and returns a
-// function that removes it. Hooks are invoked in registration order.
-// Registering is safe while readers run, but the caller must ensure no writer
-// is mid-mutation (install before ingestion starts — mutations in flight
-// during the swap may be delivered to either hook set).
+// function that removes it. Hooks are invoked in registration order. The
+// list changes under the write lock, so a mutation is delivered either to
+// the old list or to the new one, never to a mix.
 func (g *Graph) AddMutationHook(h MutationHook) (remove func()) {
 	e := &hookEntry{fn: h}
-	g.hookMu.Lock()
-	g.addHookLocked(e)
-	g.hookMu.Unlock()
+	g.mu.Lock()
+	g.hooks = append(g.hooks, e)
+	g.mu.Unlock()
 	return func() {
-		g.hookMu.Lock()
+		g.mu.Lock()
 		g.removeHookLocked(e)
-		g.hookMu.Unlock()
+		g.mu.Unlock()
 	}
 }
 
 // SetMutationHook installs (or, with nil, removes) the primary mutation
 // subscriber — the slot internal/persist's write-ahead log owns. It replaces
 // only the hook previously installed through SetMutationHook; subscribers
-// added via AddMutationHook are unaffected. The same in-flight caveat as
-// AddMutationHook applies.
+// added via AddMutationHook are unaffected.
 func (g *Graph) SetMutationHook(h MutationHook) {
-	g.hookMu.Lock()
-	defer g.hookMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.primaryHook != nil {
 		g.removeHookLocked(g.primaryHook)
 		g.primaryHook = nil
 	}
 	if h != nil {
 		g.primaryHook = &hookEntry{fn: h}
-		g.addHookLocked(g.primaryHook)
+		g.hooks = append(g.hooks, g.primaryHook)
 	}
 }
 
-// addHookLocked/removeHookLocked maintain the copy-on-write hook list; the
-// caller holds hookMu. Readers (emit, hooked) load the slice atomically and
-// never see a partially-updated list.
-func (g *Graph) addHookLocked(e *hookEntry) {
-	old := g.hooks.Load()
-	var next []*hookEntry
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, e)
-	g.hooks.Store(&next)
-}
-
+// removeHookLocked drops one subscriber, keeping the others in order.
 func (g *Graph) removeHookLocked(e *hookEntry) {
-	old := g.hooks.Load()
-	if old == nil {
-		return
-	}
-	next := make([]*hookEntry, 0, len(*old))
-	for _, cur := range *old {
-		if cur != e {
-			next = append(next, cur)
-		}
-	}
-	g.hooks.Store(&next)
-}
-
-// hooked reports whether any mutation subscriber is installed, letting
-// mutators skip building Mutation records (and their defensive copies) when
-// nobody listens.
-func (g *Graph) hooked() bool {
-	hs := g.hooks.Load()
-	return hs != nil && len(*hs) > 0
-}
-
-// emit delivers one mutation to every installed hook, in registration order.
-func (g *Graph) emit(m Mutation) {
-	if hs := g.hooks.Load(); hs != nil {
-		for _, e := range *hs {
-			e.fn(m)
-		}
-	}
+	g.hooks = slices.DeleteFunc(g.hooks, func(cur *hookEntry) bool { return cur == e })
 }
 
 // --- Restore API -----------------------------------------------------------
@@ -147,8 +103,7 @@ func (g *Graph) emit(m Mutation) {
 // The methods below rebuild a graph from persisted state (snapshot sections
 // and WAL records). They accept explicit IDs, never bump the epoch and never
 // fire the mutation hook: restoring is not a mutation, it is re-establishing
-// state that was already logged. They are safe for concurrent use, so a
-// loader can fan restore work out across shards.
+// state that was already logged. Each takes the write lock like any writer.
 
 // RestoreVertex inserts (or overwrites) a vertex with an explicit ID and
 // advances the vertex ID allocator past it. Overwriting is what makes WAL
@@ -156,45 +111,23 @@ func (g *Graph) emit(m Mutation) {
 // that already contains the vertex converges, because every later property
 // write is also re-applied from the log.
 func (g *Graph) RestoreVertex(v Vertex) {
-	rec := vertexRec{label: symtab.Intern(v.Label), props: internProps(v.Props)}
-	s := g.vshard(v.ID)
-	s.mu.Lock()
-	s.vertices[v.ID] = rec
-	s.mu.Unlock()
-	advancePast(&g.nextVertex, int64(v.ID))
+	g.RestoreVertices([]Vertex{v})
 }
 
-// RestoreVertices bulk-loads vertices, grouping them by owning shard so each
-// shard lock is taken once per group instead of once per vertex. Semantics
-// per vertex match RestoreVertex.
+// RestoreVertices bulk-loads vertices under one write-lock acquisition.
+// Labels and props are interned before the lock is taken, so concurrent
+// calls (one per snapshot section) overlap that work. Semantics per vertex
+// match RestoreVertex.
 func (g *Graph) RestoreVertices(vs []Vertex) {
-	var groups [numShards][]int
-	maxID := int64(-1)
+	recs := make([]vertexRec, len(vs))
 	for i := range vs {
-		si := shardIdx(uint64(vs[i].ID))
-		groups[si] = append(groups[si], i)
-		if int64(vs[i].ID) > maxID {
-			maxID = int64(vs[i].ID)
-		}
+		recs[i] = vertexRec{label: symtab.Intern(vs[i].Label), props: internProps(vs[i].Props)}
 	}
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		// Interning may grow the symbol table; do it outside the shard lock.
-		recs := make([]vertexRec, len(idxs))
-		for j, i := range idxs {
-			recs[j] = vertexRec{label: symtab.Intern(vs[i].Label), props: internProps(vs[i].Props)}
-		}
-		s := &g.shards[si]
-		s.mu.Lock()
-		for j, i := range idxs {
-			s.vertices[vs[i].ID] = recs[j]
-		}
-		s.mu.Unlock()
-	}
-	if maxID >= 0 {
-		advancePast(&g.nextVertex, maxID)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i := range vs {
+		g.vshard(vs[i].ID).vertices[vs[i].ID] = recs[i]
+		advancePast(&g.nextVertex, int64(vs[i].ID))
 	}
 }
 
@@ -203,26 +136,47 @@ func (g *Graph) RestoreVertices(vs []Vertex) {
 // idempotence); an edge whose endpoints are missing is an error, because a
 // well-formed snapshot + log always restores endpoints first.
 func (g *Graph) RestoreEdge(e Edge) error {
-	if !edgeFits(&e) {
-		return fmt.Errorf("graph: restore edge %d: ID or endpoints exceed storable range", e.ID)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	_, err := g.insertExplicitLocked([]Edge{e}, "restore")
+	return err
+}
+
+// insertExplicitLocked validates a batch of explicit-ID edges — all of them
+// before any is inserted — then inserts those not yet present, advancing the
+// edge allocator past every ID. It returns the edges it inserted. op names
+// the caller in errors.
+func (g *Graph) insertExplicitLocked(es []Edge, op string) ([]Edge, error) {
+	for i := range es {
+		if err := g.checkExplicitLocked(&es[i], op); err != nil {
+			return nil, err
+		}
 	}
-	if !g.HasVertex(e.Src) {
-		return fmt.Errorf("graph: restore edge %d: source vertex %d does not exist", e.ID, e.Src)
+	fresh := make([]Edge, 0, len(es))
+	for i := range es {
+		e := &es[i]
+		advancePast(&g.nextEdge, int64(e.ID))
+		if _, ok := g.eshard(e.ID).lookup(seqOf(e.ID)); ok {
+			continue // already present: duplicate delivery converges silently
+		}
+		g.insertEdgeLocked(e.ID, e.Src, e.Dst, symtab.Intern(e.Label), e.Weight, e.Timestamp, internProps(e.Props))
+		fresh = append(fresh, *e)
 	}
-	if !g.HasVertex(e.Dst) {
-		return fmt.Errorf("graph: restore edge %d: destination vertex %d does not exist", e.ID, e.Dst)
+	return fresh, nil
+}
+
+// checkExplicitLocked validates one explicit-ID edge from a snapshot, the
+// WAL or a replication leader: its ID and endpoints must fit the slab's
+// packed columns, and both endpoints must exist.
+func (g *Graph) checkExplicitLocked(e *Edge, op string) error {
+	switch {
+	case !edgeFits(e):
+		return fmt.Errorf("graph: %s edge %d: ID or endpoints exceed storable range", op, e.ID)
+	case !g.hasVertexLocked(e.Src):
+		return fmt.Errorf("graph: %s edge %d: source vertex %d does not exist", op, e.ID, e.Src)
+	case !g.hasVertexLocked(e.Dst):
+		return fmt.Errorf("graph: %s edge %d: destination vertex %d does not exist", op, e.ID, e.Dst)
 	}
-	sym := symtab.Intern(e.Label)
-	ip := internProps(e.Props)
-	g.lockEdgeShards(e.Src, e.Dst, e.ID)
-	es := g.eshard(e.ID)
-	if _, ok := es.lookup(seqOf(e.ID)); ok {
-		g.unlockEdgeShards(e.Src, e.Dst, e.ID)
-		return nil
-	}
-	g.insertEdgeLocked(e.ID, e.Src, e.Dst, sym, e.Weight, e.Timestamp, ip)
-	g.unlockEdgeShards(e.Src, e.Dst, e.ID)
-	advancePast(&g.nextEdge, int64(e.ID))
 	return nil
 }
 
@@ -231,45 +185,33 @@ func (g *Graph) RestoreEdge(e Edge) error {
 // groups, edge ID mod ShardCount == group index), the per-shard layout
 // snapshots already use. Endpoints must all exist (vertices restore first).
 //
-// Unlike RestoreEdge, the bulk load is not atomic per edge: it must not run
-// concurrently with mutators or with another RestoreEdges call (recovery
-// loads before the graph starts serving writes, which is the only caller).
-//
-// The load runs in two phases so no worker ever holds two shard locks:
-// phase one appends each shard's edges into its slab and label index under
-// that shard's lock alone; phase two distributes adjacency refs, each worker
-// owning one target shard and appending its refs sorted by edge ID — a
-// deterministic order regardless of worker scheduling. Edges whose ID is
-// already present are skipped (idempotence), matching RestoreEdge.
+// The load holds the write lock throughout and runs in two phases of one
+// worker per stripe, each writing only its own stripe: phase one appends each
+// stripe's edges into its slab and label index; phase two distributes
+// adjacency refs, each worker owning one target stripe and appending its refs
+// sorted by edge ID — a deterministic order regardless of worker scheduling.
+// Edges whose ID is already present are skipped (idempotence), matching
+// RestoreEdge.
 func (g *Graph) RestoreEdges(byOwner [][]Edge) error {
 	if len(byOwner) != numShards {
 		return fmt.Errorf("graph: restore edges: got %d shard groups, want %d", len(byOwner), numShards)
 	}
-	// Validate ownership, ranges and endpoints before touching any shard:
-	// workers below hold write locks and must not block on reads.
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	maxID := int64(-1)
 	for si, es := range byOwner {
 		for i := range es {
-			e := &es[i]
-			if shardIdx(uint64(e.ID)) != si {
-				return fmt.Errorf("graph: restore edges: edge %d in shard group %d", e.ID, si)
+			if shardIdx(uint64(es[i].ID)) != si {
+				return fmt.Errorf("graph: restore edges: edge %d in shard group %d", es[i].ID, si)
 			}
-			if !edgeFits(e) {
-				return fmt.Errorf("graph: restore edge %d: ID or endpoints exceed storable range", e.ID)
+			if err := g.checkExplicitLocked(&es[i], "restore"); err != nil {
+				return err
 			}
-			if !g.HasVertex(e.Src) {
-				return fmt.Errorf("graph: restore edge %d: source vertex %d does not exist", e.ID, e.Src)
-			}
-			if !g.HasVertex(e.Dst) {
-				return fmt.Errorf("graph: restore edge %d: destination vertex %d does not exist", e.ID, e.Dst)
-			}
-			if int64(e.ID) > maxID {
-				maxID = int64(e.ID)
-			}
+			maxID = max(maxID, int64(es[i].ID))
 		}
 	}
 
-	// Phase one: per owning shard, append slab slots + label-index entries.
+	// Phase one: per owning stripe, append slab slots + label-index entries.
 	// Each inserted edge's ref is collected for phase two.
 	type pendingRef struct {
 		id  EdgeID
@@ -281,48 +223,22 @@ func (g *Graph) RestoreEdges(byOwner [][]Edge) error {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			es := byOwner[si]
-			if len(es) == 0 {
-				return
-			}
-			syms := make([]symtab.SymID, len(es))
-			props := make([]propMap, len(es))
-			for i := range es {
-				syms[i] = symtab.Intern(es[i].Label)
-				props[i] = internProps(es[i].Props)
-			}
-			refs := make([]pendingRef, 0, len(es))
 			s := &g.shards[si]
-			s.mu.Lock()
-			for i := range es {
-				e := &es[i]
-				seq := seqOf(e.ID)
-				if _, ok := s.lookup(seq); ok {
+			refs := make([]pendingRef, 0, len(byOwner[si]))
+			for i := range byOwner[si] {
+				e := &byOwner[si][i]
+				if _, ok := s.lookup(seqOf(e.ID)); ok {
 					continue // already present: replay idempotence
 				}
-				slot := s.slab.append(seq, e.Src, e.Dst, syms[i], e.Weight, e.Timestamp)
-				if props[i] != nil {
-					c, off := s.slab.chunk(slot)
-					c.setProps(off, props[i])
-				}
-				s.setIdx(seq, slot)
-				ls := s.byLabel[syms[i]]
-				if ls == nil {
-					ls = &labelSet{}
-					s.byLabel[syms[i]] = ls
-				}
-				ls.slots = append(ls.slots, slot)
-				ls.live++
-				s.live++
-				refs = append(refs, pendingRef{id: e.ID, ref: makeRef(si, slot)})
+				ref := s.appendEdge(e.ID, e.Src, e.Dst, symtab.Intern(e.Label), e.Weight, e.Timestamp, internProps(e.Props))
+				refs = append(refs, pendingRef{id: e.ID, ref: ref})
 			}
-			s.mu.Unlock()
 			inserted[si] = refs
 		}(si)
 	}
 	wg.Wait()
 
-	// Phase two: distribute adjacency refs. Worker t owns target shard t and
+	// Phase two: distribute adjacency refs. Worker t owns target stripe t and
 	// appends every inserted edge's out-ref (source owned by t) and in-ref
 	// (destination owned by t), sorted by edge ID so adjacency order is
 	// deterministic and matches ascending-ID insertion.
@@ -349,12 +265,8 @@ func (g *Graph) RestoreEdges(byOwner [][]Edge) error {
 					}
 				}
 			}
-			if len(mine) == 0 {
-				return
-			}
 			sort.Slice(mine, func(i, j int) bool { return mine[i].id < mine[j].id })
 			s := &g.shards[t]
-			s.mu.Lock()
 			for _, a := range mine {
 				if a.isIn {
 					s.in[a.v] = append(s.in[a.v], a.ref)
@@ -362,13 +274,10 @@ func (g *Graph) RestoreEdges(byOwner [][]Edge) error {
 					s.out[a.v] = append(s.out[a.v], a.ref)
 				}
 			}
-			s.mu.Unlock()
 		}(t)
 	}
 	wg.Wait()
-	if maxID >= 0 {
-		advancePast(&g.nextEdge, maxID)
-	}
+	advancePast(&g.nextEdge, maxID)
 	return nil
 }
 
@@ -380,26 +289,23 @@ func (g *Graph) SetEpoch(e uint64) { g.epoch.Store(e) }
 // (never backward). A snapshot persists the allocators explicitly because a
 // crashed batch insert may have reserved IDs it never wrote.
 func (g *Graph) AdvanceIDs(nextVertex, nextEdge int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	advancePast(&g.nextVertex, nextVertex-1)
 	advancePast(&g.nextEdge, nextEdge-1)
 }
 
-// advancePast raises ctr to id+1 unless it is already greater.
-func advancePast(ctr *atomic.Int64, id int64) {
-	for {
-		cur := ctr.Load()
-		if id < cur {
-			return
-		}
-		if ctr.CompareAndSwap(cur, id+1) {
-			return
-		}
+// advancePast raises an allocator to id+1 unless it is already greater. The
+// caller holds the write lock.
+func advancePast(ctr *int64, id int64) {
+	if id >= *ctr {
+		*ctr = id + 1
 	}
 }
 
 // --- Snapshot API ----------------------------------------------------------
 
-// ShardCount returns the number of lock stripes. Snapshot files encode each
+// ShardCount returns the number of stripes. Snapshot files encode each
 // stripe's contents independently so encoding and decoding parallelize.
 func ShardCount() int { return numShards }
 
@@ -414,21 +320,18 @@ type GraphSnapshot struct {
 	NextEdge   int64
 }
 
-// Snapshot copies the whole graph under a full read barrier: every shard's
-// read lock is held simultaneously (acquired in ascending order, the same
-// total order writers use), so the copy is a consistent cut — no edge can
-// reference a vertex the copy lacks. Writers block for the duration of the
-// memory copy only; encoding happens after the locks are released.
+// Snapshot copies the whole graph under the read lock, so the copy is an
+// exact cut at the epoch it records — no edge can reference a vertex the
+// copy lacks. Writers block for the duration of the memory copy only;
+// sorting and encoding happen after the lock is released.
 func (g *Graph) Snapshot() *GraphSnapshot {
-	for i := range g.shards {
-		g.shards[i].mu.RLock()
-	}
+	g.mu.RLock()
 	snap := &GraphSnapshot{
 		Vertices:   make([][]Vertex, numShards),
 		Edges:      make([][]Edge, numShards),
 		Epoch:      g.epoch.Load(),
-		NextVertex: g.nextVertex.Load(),
-		NextEdge:   g.nextEdge.Load(),
+		NextVertex: g.nextVertex,
+		NextEdge:   g.nextEdge,
 	}
 	for i := range g.shards {
 		s := &g.shards[i]
@@ -445,9 +348,7 @@ func (g *Graph) Snapshot() *GraphSnapshot {
 		snap.Vertices[i] = vs
 		snap.Edges[i] = es
 	}
-	for i := numShards - 1; i >= 0; i-- {
-		g.shards[i].mu.RUnlock()
-	}
+	g.mu.RUnlock()
 	for i := range snap.Vertices {
 		vs, es := snap.Vertices[i], snap.Edges[i]
 		sort.Slice(vs, func(a, b int) bool { return vs[a].ID < vs[b].ID })

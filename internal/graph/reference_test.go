@@ -37,8 +37,8 @@ func refPageRank(g *Graph, damping float64, iters int, keep func(*EdgeScan) bool
 		contrib := make(map[VertexID]float64, n)
 		for si := 0; si < numShards; si++ {
 			local := make(map[VertexID]float64)
-			g.scanShard(si, func(e *EdgeScan) bool {
-				if keep == nil || keep(e) {
+			g.ScanEdges(func(e *EdgeScan) bool {
+				if shardIdx(uint64(e.ID)) == si && (keep == nil || keep(e)) {
 					local[e.Dst] += ranks[e.Src] / outdeg[e.Src]
 				}
 				return true

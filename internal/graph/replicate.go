@@ -19,29 +19,10 @@ import (
 //     hooks, so the temporal index, epoch-keyed caches and core.KG's
 //     secondary indexes stay in sync without a rebuild.
 //
-// The same ordering contract as the live mutators applies: edge mutations
-// are emitted while the write's shard locks are held, and the epoch is
-// adopted under those locks, so no subscriber can be tagged with an epoch
-// newer than the state it observed. Re-delivered records whose effect is
-// already present are skipped without emitting, which keeps duplicate
-// delivery invisible to subscribers too.
-
-// adoptEpoch raises the graph's epoch to at least e, never lowering it. It
-// is the replicated-path counterpart of bump: instead of minting a fresh
-// epoch the follower adopts the leader's stamp, so answers computed on both
-// sides at the same applied epoch describe the same graph. Returns the
-// resulting epoch.
-func (g *Graph) adoptEpoch(e uint64) uint64 {
-	for {
-		cur := g.epoch.Load()
-		if e <= cur {
-			return cur
-		}
-		if g.epoch.CompareAndSwap(cur, e) {
-			return e
-		}
-	}
-}
+// Each record is applied by the same code as its live mutator, under the
+// write lock, and committed through commitLocked with the leader's stamp.
+// Re-delivered records whose effect is already present are skipped without
+// emitting, which keeps duplicate delivery invisible to subscribers too.
 
 // ApplyReplicated applies one mutation record received from a replication
 // leader: restore semantics (explicit IDs, idempotent, tolerant of records
@@ -52,32 +33,18 @@ func (g *Graph) ApplyReplicated(m Mutation) error {
 	switch m.Kind {
 	case MutAddVertex:
 		g.applyVertexReplicated(m)
-		return nil
 	case MutSetVertexProp:
-		g.applyVertexPropReplicated(m)
-		return nil
+		g.setVertexProp(m, true)
 	case MutAddEdges:
 		return g.applyAddEdgesReplicated(m)
 	case MutRemoveEdge:
-		g.applyRemoveEdgeReplicated(m)
-		return nil
-	case MutSetEdgeProp:
-		sym := symtab.Intern(m.Key)
-		g.applyEdgeUpdateReplicated(m, func(c *edgeChunk, off int) {
-			p := c.propsAt(off)
-			if p == nil {
-				c.setProps(off, propMap{sym: m.Value})
-				return
-			}
-			p[sym] = m.Value
-		})
-		return nil
-	case MutSetEdgeWeight:
-		g.applyEdgeUpdateReplicated(m, func(c *edgeChunk, off int) { c.weight[off] = m.Weight })
-		return nil
+		g.removeEdge(m, true)
+	case MutSetEdgeProp, MutSetEdgeWeight:
+		g.updateEdge(m, true)
 	default:
 		return fmt.Errorf("graph: apply replicated: unknown mutation kind %d", m.Kind)
 	}
+	return nil
 }
 
 // applyVertexReplicated inserts (or overwrites, for re-delivered records) a
@@ -85,135 +52,25 @@ func (g *Graph) ApplyReplicated(m Mutation) error {
 // later property write is also re-applied from the stream.
 func (g *Graph) applyVertexReplicated(m Mutation) {
 	rec := vertexRec{label: symtab.Intern(m.Vertex.Label), props: internProps(m.Vertex.Props)}
-	s := g.vshard(m.Vertex.ID)
-	s.mu.Lock()
-	s.vertices[m.Vertex.ID] = rec
-	s.mu.Unlock()
-	g.adoptEpoch(m.Epoch)
-	g.emit(Mutation{Kind: MutAddVertex, Epoch: m.Epoch, Vertex: m.Vertex})
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.vshard(m.Vertex.ID).vertices[m.Vertex.ID] = rec
 	advancePast(&g.nextVertex, int64(m.Vertex.ID))
+	g.commitLocked(Mutation{Kind: MutAddVertex, Epoch: m.Epoch, Vertex: m.Vertex}, true)
 }
 
-// applyVertexPropReplicated sets one vertex property. A missing vertex is a
-// no-op (its insertion may predate what this follower bootstrapped from),
-// and no-ops are not emitted.
-func (g *Graph) applyVertexPropReplicated(m Mutation) {
-	sym := symtab.Intern(m.Key)
-	s := g.vshard(m.VertexID)
-	s.mu.Lock()
-	rec, ok := s.vertices[m.VertexID]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	if rec.props == nil {
-		rec.props = make(propMap, 1)
-		s.vertices[m.VertexID] = rec
-	}
-	rec.props[sym] = m.Value
-	s.mu.Unlock()
-	g.adoptEpoch(m.Epoch)
-	g.emit(Mutation{Kind: MutSetVertexProp, Epoch: m.Epoch, VertexID: m.VertexID, Key: m.Key, Value: m.Value})
-}
-
-// applyAddEdgesReplicated inserts a batch of leader-assigned edges, mirroring
-// AddEdges' lock discipline: every touched stripe is locked in ascending
-// order, and the batch record is emitted (restricted to the edges actually
-// inserted — re-delivered ones are skipped) before the locks drop.
+// applyAddEdgesReplicated inserts a batch of leader-assigned edges and emits
+// the batch record restricted to the edges actually inserted (re-delivered
+// ones are skipped); a batch that inserted nothing emits nothing.
 func (g *Graph) applyAddEdgesReplicated(m Mutation) error {
-	for i := range m.Edges {
-		e := &m.Edges[i]
-		if !edgeFits(e) {
-			return fmt.Errorf("graph: apply replicated edge %d: ID or endpoints exceed storable range", e.ID)
-		}
-		if !g.HasVertex(e.Src) {
-			return fmt.Errorf("graph: apply replicated edge %d: source vertex %d does not exist", e.ID, e.Src)
-		}
-		if !g.HasVertex(e.Dst) {
-			return fmt.Errorf("graph: apply replicated edge %d: destination vertex %d does not exist", e.ID, e.Dst)
-		}
-	}
-	// Interning may grow the symbol table; do it outside the shard locks.
-	syms := make([]symtab.SymID, len(m.Edges))
-	props := make([]propMap, len(m.Edges))
-	var need [numShards]bool
-	maxID := int64(-1)
-	for i := range m.Edges {
-		e := &m.Edges[i]
-		syms[i] = symtab.Intern(e.Label)
-		props[i] = internProps(e.Props)
-		need[shardIdx(uint64(e.Src))] = true
-		need[shardIdx(uint64(e.Dst))] = true
-		need[shardIdx(uint64(e.ID))] = true
-		if int64(e.ID) > maxID {
-			maxID = int64(e.ID)
-		}
-	}
-	for i := 0; i < numShards; i++ {
-		if need[i] {
-			g.shards[i].mu.Lock()
-		}
-	}
-	fresh := make([]Edge, 0, len(m.Edges))
-	for i := range m.Edges {
-		e := &m.Edges[i]
-		if _, ok := g.eshard(e.ID).lookup(seqOf(e.ID)); ok {
-			continue // already applied: duplicate delivery converges silently
-		}
-		g.insertEdgeLocked(e.ID, e.Src, e.Dst, syms[i], e.Weight, e.Timestamp, props[i])
-		fresh = append(fresh, *e)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	fresh, err := g.insertExplicitLocked(m.Edges, "apply replicated")
+	if err != nil {
+		return err
 	}
 	if len(fresh) > 0 {
-		g.adoptEpoch(m.Epoch)
-		g.emit(Mutation{Kind: MutAddEdges, Epoch: m.Epoch, Edges: fresh})
-	}
-	for i := numShards - 1; i >= 0; i-- {
-		if need[i] {
-			g.shards[i].mu.Unlock()
-		}
-	}
-	if maxID >= 0 {
-		advancePast(&g.nextEdge, maxID)
+		g.commitLocked(Mutation{Kind: MutAddEdges, Epoch: m.Epoch, Edges: fresh}, true)
 	}
 	return nil
-}
-
-// applyRemoveEdgeReplicated deletes an edge; a missing edge is a silent
-// no-op (already removed, or its insertion predates the bootstrap snapshot).
-func (g *Graph) applyRemoveEdgeReplicated(m Mutation) {
-	src, dst, ok := g.edgeEndpoints(m.EdgeID)
-	if !ok {
-		return
-	}
-	g.lockEdgeShards(src, dst, m.EdgeID)
-	defer g.unlockEdgeShards(src, dst, m.EdgeID)
-	es := g.eshard(m.EdgeID)
-	slot, ok := es.lookup(seqOf(m.EdgeID)) // may have raced with another apply
-	if !ok {
-		return
-	}
-	g.dropEdgeLocked(m.EdgeID, src, dst, slot)
-	g.adoptEpoch(m.Epoch)
-	g.emit(Mutation{Kind: MutRemoveEdge, Epoch: m.Epoch, EdgeID: m.EdgeID})
-}
-
-// applyEdgeUpdateReplicated applies fn to an edge's slab cells under the full
-// shard lock set, emitting the record with its leader epoch. A missing edge
-// is a silent no-op.
-func (g *Graph) applyEdgeUpdateReplicated(m Mutation, fn func(c *edgeChunk, off int)) {
-	src, dst, ok := g.edgeEndpoints(m.EdgeID)
-	if !ok {
-		return
-	}
-	g.lockEdgeShards(src, dst, m.EdgeID)
-	defer g.unlockEdgeShards(src, dst, m.EdgeID)
-	es := g.eshard(m.EdgeID)
-	slot, ok := es.lookup(seqOf(m.EdgeID))
-	if !ok {
-		return
-	}
-	c, off := es.slab.chunk(slot)
-	fn(c, off)
-	g.adoptEpoch(m.Epoch)
-	g.emit(m)
 }

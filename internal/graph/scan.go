@@ -10,6 +10,12 @@ import "nous/internal/graph/symtab"
 // instead: a stack-allocated projection of the slab columns, valid only
 // inside the callback, with properties readable by interned key without
 // copying the map.
+//
+// Every scan holds the graph's read lock for its whole run, callback
+// included. A callback must therefore not call back into the graph: a second
+// read lock deadlocks as soon as a writer queues between the two. What a
+// callback needs beyond the edge itself it reads through the view
+// (EdgeScan.Vertex).
 
 // EdgeScan is a read-only view of one edge's slab record. It is valid only
 // for the duration of the callback it is passed to: the graph retains
@@ -22,6 +28,7 @@ type EdgeScan struct {
 	Weight    float64
 	Timestamp int64
 	props     propMap
+	g         *Graph
 }
 
 // LabelName resolves the edge's predicate to its canonical string.
@@ -46,6 +53,11 @@ func (e *EdgeScan) PropEquals(key symtab.SymID, value string) bool {
 
 // HasProps reports whether the edge carries any properties.
 func (e *EdgeScan) HasProps() bool { return len(e.props) > 0 }
+
+// Vertex returns a copy of vertex id — typically the edge's Src or Dst —
+// read under the lock the scan already holds. It is how a callback reads a
+// vertex: calling Graph.Vertex there would take the read lock twice.
+func (e *EdgeScan) Vertex(id VertexID) (Vertex, bool) { return e.g.vertexLocked(id) }
 
 // Materialize copies the view into an owned Edge value that remains valid
 // after the callback returns.
@@ -72,8 +84,7 @@ func (e *EdgeScan) fill(si int, c *edgeChunk, off int) {
 	e.props = c.propsAt(off)
 }
 
-// scanRefs iterates a ref list into a reused view. Caller holds the shard
-// lock the list was read under.
+// scanRefs iterates a ref list into a reused view.
 func (g *Graph) scanRefs(refs []edgeRef, ev *EdgeScan, fn func(*EdgeScan) bool) bool {
 	for _, ref := range refs {
 		si := ref.shard()
@@ -87,137 +98,110 @@ func (g *Graph) scanRefs(refs []edgeRef, ev *EdgeScan, fn func(*EdgeScan) bool) 
 }
 
 // ForEachOutScan calls fn with a view of each outgoing edge of id while fn
-// returns true. fn must not mutate the graph or retain the view.
+// returns true. fn must not call back into the graph or retain the view.
 func (g *Graph) ForEachOutScan(id VertexID, fn func(*EdgeScan) bool) {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var ev EdgeScan
-	g.scanRefs(s.out[id], &ev, fn)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	ev := EdgeScan{g: g}
+	g.scanRefs(g.vshard(id).out[id], &ev, fn)
 }
 
 // ForEachInScan calls fn with a view of each incoming edge of id while fn
-// returns true. fn must not mutate the graph or retain the view.
+// returns true. fn must not call back into the graph or retain the view.
 func (g *Graph) ForEachInScan(id VertexID, fn func(*EdgeScan) bool) {
-	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var ev EdgeScan
-	g.scanRefs(s.in[id], &ev, fn)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	ev := EdgeScan{g: g}
+	g.scanRefs(g.vshard(id).in[id], &ev, fn)
 }
 
 // ForEachIncidentScan calls fn with a view of each edge incident to id —
 // outgoing first, then incoming, each in insertion order (the order
-// ForEachIncidentEdge uses) — while fn returns true. fn must not mutate the
-// graph or retain the view.
+// ForEachIncidentEdge uses) — while fn returns true. fn must not call back
+// into the graph or retain the view.
 func (g *Graph) ForEachIncidentScan(id VertexID, fn func(*EdgeScan) bool) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	s := g.vshard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var ev EdgeScan
-	if !g.scanRefs(s.out[id], &ev, fn) {
-		return
+	ev := EdgeScan{g: g}
+	if g.scanRefs(s.out[id], &ev, fn) {
+		g.scanRefs(s.in[id], &ev, fn)
 	}
-	g.scanRefs(s.in[id], &ev, fn)
 }
 
 // ScanEdge calls fn with a view of the edge with the given ID and reports
-// whether the edge exists. fn must not mutate the graph or retain the view.
+// whether the edge exists. fn must not call back into the graph or retain
+// the view.
 func (g *Graph) ScanEdge(id EdgeID, fn func(*EdgeScan)) bool {
-	si := shardIdx(uint64(id))
-	s := &g.shards[si]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	slot, ok := s.lookup(seqOf(id))
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	c, off, ok := g.edgeCellsLocked(id)
 	if !ok {
 		return false
 	}
-	c, off := s.slab.chunk(slot)
-	var ev EdgeScan
-	ev.fill(si, c, off)
+	ev := EdgeScan{g: g}
+	ev.fill(shardIdx(uint64(id)), c, off)
 	fn(&ev)
 	return true
 }
 
 // ForEachLabelScan calls fn with a view of every live edge carrying label
-// while fn returns true — shard by shard off the per-label index, so the
-// cost is O(matching edges), in insertion order within each shard (not
-// global ID order). fn must not mutate the graph or retain the view.
+// while fn returns true — stripe by stripe off the per-label index, so the
+// cost is O(matching edges), in insertion order within each stripe (not
+// global ID order). fn must not call back into the graph or retain the view.
 func (g *Graph) ForEachLabelScan(label string, fn func(*EdgeScan) bool) {
 	sym, known := symtab.Lookup(label)
 	if !known {
 		return // a never-interned label is carried by no edge
 	}
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	ev := EdgeScan{g: g}
 	for si := range g.shards {
-		if !g.scanLabelShard(si, sym, fn) {
-			return
-		}
-	}
-}
-
-// scanLabelShard scans one shard's live slots for one label under its read
-// lock. It reports whether the scan should continue into the next shard.
-func (g *Graph) scanLabelShard(si int, label symtab.SymID, fn func(*EdgeScan) bool) bool {
-	s := &g.shards[si]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ls := s.byLabel[label]
-	if ls == nil {
-		return true
-	}
-	var ev EdgeScan
-	for _, slot := range ls.slots {
-		c, off := s.slab.chunk(slot)
-		if c.dead[off] {
+		s := &g.shards[si]
+		ls := s.byLabel[sym]
+		if ls == nil {
 			continue
 		}
-		ev.fill(si, c, off)
-		if !fn(&ev) {
-			return false
-		}
-	}
-	return true
-}
-
-// ScanEdges calls fn with a view of every live edge while fn returns true —
-// shard by shard, in slab (insertion) order within each shard. This is the
-// sequential-memory whole-graph scan: one pass over the columnar chunks with
-// no per-edge allocation. fn must not mutate the graph or retain the view.
-func (g *Graph) ScanEdges(fn func(*EdgeScan) bool) {
-	for si := range g.shards {
-		if !g.scanShard(si, fn) {
-			return
-		}
-	}
-}
-
-// scanShard scans one shard's live slots under its read lock. It reports
-// whether the scan should continue into the next shard.
-func (g *Graph) scanShard(si int, fn func(*EdgeScan) bool) bool {
-	s := &g.shards[si]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := s.slab.len
-	if n == 0 {
-		return true
-	}
-	chunks := *s.slab.chunks.Load()
-	var ev EdgeScan
-	for ci := 0; uint32(ci<<chunkBits) < n; ci++ {
-		c := chunks[ci]
-		end := chunkSize
-		if rem := int(n) - ci<<chunkBits; rem < end {
-			end = rem
-		}
-		for off := 0; off < end; off++ {
+		for _, slot := range ls.slots {
+			c, off := s.slab.chunk(slot)
 			if c.dead[off] {
 				continue
 			}
 			ev.fill(si, c, off)
 			if !fn(&ev) {
-				return false
+				return
 			}
 		}
 	}
-	return true
+}
+
+// ScanEdges calls fn with a view of every live edge while fn returns true —
+// stripe by stripe, in slab (insertion) order within each stripe. This is the
+// sequential-memory whole-graph scan: one pass over the columnar chunks with
+// no per-edge allocation. fn must not call back into the graph or retain the
+// view.
+func (g *Graph) ScanEdges(fn func(*EdgeScan) bool) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	g.scanEdgesLocked(fn)
+}
+
+func (g *Graph) scanEdgesLocked(fn func(*EdgeScan) bool) {
+	ev := EdgeScan{g: g}
+	for si := range g.shards {
+		s := &g.shards[si]
+		for ci, c := range s.slab.chunks {
+			end := min(chunkSize, int(s.slab.len)-ci<<chunkBits)
+			for off := 0; off < end; off++ {
+				if c.dead[off] {
+					continue
+				}
+				ev.fill(si, c, off)
+				if !fn(&ev) {
+					return
+				}
+			}
+		}
+	}
 }

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"sync/atomic"
-
-	"nous/internal/graph/symtab"
-)
+import "nous/internal/graph/symtab"
 
 // This file implements the columnar slab that stores edge records. Edges are
 // not heap-allocated one by one; each shard appends them into fixed-size
@@ -13,16 +9,9 @@ import (
 // the sum of the column widths (~33 bytes) instead of a pointer-chased
 // ~200-byte Edge struct plus allocator overhead.
 //
-// Concurrency: chunks are fixed-size and never move once published, so a
-// slot's address is stable for the graph's lifetime. The chunk directory is
-// copy-on-write behind an atomic pointer (appending a chunk publishes a new
-// directory; old directories stay valid). Slot cells are written only by
-// writers holding the edge's full shard-lock trio (source's, destination's
-// and the edge's own shard), and readers reach a slot only through a
-// lock-guarded structure (an adjacency list, the seq index, the label index
-// or slab.len) protected by one of those same three locks — so the lock
-// handoff orders every cell write before any reader's access, and readers
-// never need a second lock to touch a slot in another shard's slab.
+// Chunks are fixed-size and never move once allocated, so a slot's address
+// is stable for the graph's lifetime. Every slab is guarded by the graph's
+// one lock (Graph.mu): writers hold it exclusively, readers shared.
 
 const (
 	// shardBits ties the edge-ID layout to the stripe count: an EdgeID is
@@ -58,8 +47,7 @@ type propsArray [chunkSize]propMap
 
 // edgeChunk is one fixed-capacity block of columnar edge storage. A slot's
 // live fields are immutable after insertion except weight (SetEdgeWeight),
-// the props cell (SetEdgeProp) and the dead flag (RemoveEdge) — all mutated
-// under the edge's shard-lock trio.
+// the props cell (SetEdgeProp) and the dead flag (RemoveEdge).
 type edgeChunk struct {
 	seq    [chunkSize]uint32       // EdgeID >> shardBits
 	src    [chunkSize]uint32       // source VertexID (fits 32 bits, see maxSlabVertex)
@@ -68,58 +56,44 @@ type edgeChunk struct {
 	weight [chunkSize]float64
 	ts     [chunkSize]int64
 	dead   [chunkSize]bool // tombstone; dead slots are skipped by scans, reclaimed never (IDs are not reused)
-	props  atomic.Pointer[propsArray]
+	props  *propsArray
 }
 
 // setProps stores an edge's props into the chunk's lazily-allocated property
-// column. Caller holds the owning shard's write lock (which serializes the
-// allocate-and-publish among writers; the pointer itself is atomic for
-// lock-free chunk readers).
+// column.
 func (c *edgeChunk) setProps(off int, p propMap) {
-	arr := c.props.Load()
-	if arr == nil {
-		arr = new(propsArray)
-		c.props.Store(arr)
+	if c.props == nil {
+		c.props = new(propsArray)
 	}
-	arr[off] = p
+	c.props[off] = p
 }
 
 // propsAt returns the props map at off, or nil.
 func (c *edgeChunk) propsAt(off int) propMap {
-	if arr := c.props.Load(); arr != nil {
-		return arr[off]
+	if c.props != nil {
+		return c.props[off]
 	}
 	return nil
 }
 
 // edgeSlab is one shard's append-only columnar edge store.
 type edgeSlab struct {
-	chunks atomic.Pointer[[]*edgeChunk]
-	len    uint32 // slots in use; written under the shard's write lock
+	chunks []*edgeChunk
+	len    uint32 // slots in use
 }
 
-// append claims the next slot, allocating and publishing a fresh chunk when
-// the current one fills. Caller holds the owning shard's write lock. The
-// returned slot is not yet reachable by readers; the caller wires it into
-// the shard's indexes before unlocking.
+// append claims the next slot, allocating a fresh chunk when the current one
+// fills.
 func (s *edgeSlab) append(seq uint32, src, dst VertexID, label symtab.SymID, weight float64, ts int64) uint32 {
 	slot := s.len
 	if slot > maxSlot {
 		panic("graph: edge slab full (2^28 edges in one shard)")
 	}
 	ci, off := int(slot>>chunkBits), int(slot&chunkMask)
-	var chunks []*edgeChunk
-	if p := s.chunks.Load(); p != nil {
-		chunks = *p
+	if ci == len(s.chunks) {
+		s.chunks = append(s.chunks, &edgeChunk{})
 	}
-	if ci == len(chunks) {
-		next := make([]*edgeChunk, ci+1)
-		copy(next, chunks)
-		next[ci] = &edgeChunk{}
-		s.chunks.Store(&next)
-		chunks = next
-	}
-	c := chunks[ci]
+	c := s.chunks[ci]
 	c.seq[off] = seq
 	c.src[off] = uint32(src)
 	c.dst[off] = uint32(dst)
@@ -133,8 +107,7 @@ func (s *edgeSlab) append(seq uint32, src, dst VertexID, label symtab.SymID, wei
 
 // chunk resolves a slot to its chunk and in-chunk offset.
 func (s *edgeSlab) chunk(slot uint32) (*edgeChunk, int) {
-	chunks := *s.chunks.Load()
-	return chunks[slot>>chunkBits], int(slot & chunkMask)
+	return s.chunks[slot>>chunkBits], int(slot & chunkMask)
 }
 
 // edgeRef is a compact cross-shard edge reference: the owning shard index in
@@ -177,8 +150,7 @@ func edgeFits(e *Edge) bool {
 		e.Src >= 0 && e.Dst >= 0 && e.ID >= 0
 }
 
-// lookup resolves an edge seq to its slab slot. Caller holds the shard lock
-// (read or write).
+// lookup resolves an edge seq to its slab slot.
 func (s *shard) lookup(seq uint32) (uint32, bool) {
 	if int(seq) >= len(s.idx) {
 		return 0, false
@@ -190,7 +162,7 @@ func (s *shard) lookup(seq uint32) (uint32, bool) {
 	return v - 1, true
 }
 
-// setIdx records seq→slot. Caller holds the shard write lock. The index
+// setIdx records seq→slot. The index
 // grows in exact chunk-sized steps (not append-doubling) so its footprint
 // tracks the slab's instead of overshooting by up to 2×.
 func (s *shard) setIdx(seq, slot uint32) {
@@ -203,7 +175,7 @@ func (s *shard) setIdx(seq, slot uint32) {
 	s.idx[seq] = slot + 1
 }
 
-// clearIdx removes seq from the index. Caller holds the shard write lock.
+// clearIdx removes seq from the index.
 func (s *shard) clearIdx(seq uint32) {
 	if int(seq) < len(s.idx) {
 		s.idx[seq] = 0
@@ -235,17 +207,4 @@ func exportProps(p propMap) map[string]string {
 		out[symtab.Resolve(k)] = v
 	}
 	return out
-}
-
-// copyPropMap clones an interned props map (so a stored map is never aliased
-// by a later mutation), returning nil for empty input.
-func copyPropMap(p propMap) propMap {
-	if len(p) == 0 {
-		return nil
-	}
-	cp := make(propMap, len(p))
-	for k, v := range p {
-		cp[k] = v
-	}
-	return cp
 }

@@ -45,21 +45,22 @@ type viewEdge struct {
 // must keep whatever the window (nil marks none); it is evaluated once per
 // edge here rather than on every visit of every kernel run.
 //
-// Under concurrent mutation the result is a best-effort cut, as any
-// whole-graph scan is: stripes are read one after another. core.KG's
-// CompileView excludes writers for the scan, which makes the cut exact at
-// the epoch it reports. Edges are scanned
-// before vertices because vertices are never removed and an edge's endpoints
-// exist before the edge does — every scanned edge's endpoints are therefore
-// in the vertex list read afterwards.
+// The edges and vertices are read under one acquisition of the graph's read
+// lock, so the view is an exact cut whatever writers run beside it: it holds
+// precisely the state of one epoch. core.KG's CompileView reads that epoch
+// under the same exclusion to label the view. The grouping below runs after
+// the lock is released.
 func Compile(g *Graph, timeless func(*EdgeScan) bool) *View {
-	edges := make([]viewEdge, 0, g.NumEdges())
-	g.ScanEdges(func(e *EdgeScan) bool {
+	g.mu.RLock()
+	edges := make([]viewEdge, 0, g.numEdgesLocked())
+	g.scanEdgesLocked(func(e *EdgeScan) bool {
 		edges = append(edges, viewEdge{id: e.ID, src: e.Src, dst: e.Dst, ts: e.Timestamp,
 			timeless: timeless != nil && timeless(e)})
 		return true
 	})
-	ids := g.VertexIDs()
+	ids := g.vertexIDsLocked()
+	g.mu.RUnlock()
+	slices.Sort(ids)
 	n, m := len(ids), len(edges)
 
 	// Counting sort by destination index, then edge-ID order inside each

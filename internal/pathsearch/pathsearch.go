@@ -229,7 +229,7 @@ type scored struct {
 // memoizes divergence(v, dst) per vertex for the whole query: many candidates
 // of one search share a tail. The visited bitset is repopulated per frontier
 // node from its chain. Incident edges are snapshotted as compact slab
-// projections into a scratch buffer so the vertex's shard lock is held only
+// projections into a scratch buffer so the graph's read lock is held only
 // for the copy — no label-string or props materialization per candidate —
 // not for the per-edge divergence math; a long expansion must not stall
 // concurrent writers.

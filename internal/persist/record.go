@@ -3,7 +3,7 @@
 //
 //   - Snapshots: versioned binary files holding a consistent point-in-time
 //     copy of the whole graph — vertices, properties, edges, and the
-//     mutation epoch — with each of the store's lock stripes encoded as an
+//     mutation epoch — with each of the store's stripes encoded as an
 //     independent CRC-protected section, so snapshot encode/decode
 //     parallelizes across stripes.
 //

@@ -17,7 +17,7 @@ import (
 //
 //	magic    [8]byte  "NOUSNAP1"
 //	version  uint32   1 or 2
-//	shards   uint32   lock-stripe count at write time
+//	shards   uint32   stripe count at write time
 //	epoch    uint64   graph mutation epoch at the cut
 //	nextV    uint64   vertex ID allocator
 //	nextE    uint64   edge ID allocator
@@ -316,9 +316,9 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 }
 
 // restoreSnapshot loads a decoded snapshot into an empty graph: vertices
-// first (parallel across shards — each vertex lands in its own stripe), then
-// edges via the bulk RestoreEdges path, which rebuilds each stripe's columnar
-// slab with one worker per shard.
+// first (one RestoreVertices call per shard, whose interning runs in
+// parallel), then edges via the bulk RestoreEdges path, which rebuilds each
+// stripe's columnar slab with one worker per shard.
 func restoreSnapshot(g *graph.Graph, snap *graph.GraphSnapshot) error {
 	var wg sync.WaitGroup
 	for i := range snap.Vertices {

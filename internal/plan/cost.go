@@ -28,8 +28,9 @@ type Cardinality interface {
 	TrendBucketSeconds() int64
 }
 
-// GraphStats sources cardinalities from the live graph core: per-stripe
-// edge and label counters and the temporal index's selectivity histogram.
+// GraphStats sources cardinalities from the live graph core: the graph's
+// per-stripe edge and label counters, each read under one acquisition of the
+// graph's read lock, and the temporal index's selectivity histogram.
 type GraphStats struct {
 	KG     *core.KG
 	TIndex *temporal.Index

@@ -266,7 +266,7 @@ func (p *Pipeline) integrate(a corpus.Article, ex extraction) {
 	p.learnBuf = append(p.learnBuf, ex.raws...)
 
 	// Edge writes for facts accepted from this document are deferred into
-	// one batch (each graph shard locked once) after the per-triple
+	// one batch (the graph write-locked once) after the per-triple
 	// decisions. To keep per-fact semantics, the rest happens eagerly at
 	// accept time: entities register immediately (so later mentions in the
 	// same document resolve against them) and `pending` stands in for the

@@ -47,27 +47,27 @@ func entryLess(a, b entry) bool {
 	return a.id < b.id
 }
 
-// ishard is one lock stripe of the index. Edges are assigned to the stripe
-// of their edge ID with the same mapping the graph's own shards use, so
-// contention under concurrent ingestion spreads the same way.
+// ishard is one stripe of the index: a data partition, not a lock. Edges are
+// assigned to the stripe of their edge ID with the same mapping the graph's
+// own stripes use, and EstimateIn sums the stripes' histograms in stripe
+// order.
 //
 // entries[:sorted] is in (ts, id) order; entries[sorted:] is an unsorted
 // append tail. The live insert path only ever appends — in-order entries
 // (the roughly-chronological stream) extend the sorted run for free, while
 // out-of-order entries (reverse-chronological backfill) park in the tail and
 // are merged in one batch sort at the next read. That keeps the work done
-// under the writer's held shard lock O(1) instead of an O(stripe) memmove,
-// which made historical bulk import quadratic.
+// under the writer's held locks O(1) instead of an O(stripe) memmove, which
+// made historical bulk import quadratic.
 type ishard struct {
-	mu      sync.RWMutex
 	entries []entry
 	sorted  int
 	byID    map[graph.EdgeID]int64 // id -> indexed timestamp, for removal
 	// hist counts *dated* entries (ts > Timeless) per histBucketSec-wide
-	// time bucket. It is maintained incrementally by insert/remove under
-	// the shard lock — never derived from entries on read — which is what
-	// lets EstimateIn answer window-selectivity questions in O(buckets
-	// touched) instead of materializing a range.
+	// time bucket. It is maintained incrementally by insert/remove — never
+	// derived from entries on read — which is what lets EstimateIn answer
+	// window-selectivity questions in O(buckets touched) instead of
+	// materializing a range.
 	hist map[int64]int
 }
 
@@ -95,12 +95,17 @@ func (s *ishard) histSub(ts int64) {
 	}
 }
 
-// Index is a per-shard time-ordered edge index over one graph. It is kept in
+// Index is a per-stripe time-ordered edge index over one graph. It is kept in
 // sync through the graph's mutation stream (Attach) and can be rebuilt from
 // graph state after recovery, when restores bypass the mutation hooks. All
 // methods are safe for concurrent use.
+//
+// One RWMutex guards every stripe. The mutation hook takes it while the
+// graph's write lock is held, so it comes last in the store's lock order
+// (see package graph): nothing here calls into the graph while holding it.
 type Index struct {
 	g      *graph.Graph
+	mu     sync.RWMutex
 	shards []ishard
 	detach func()
 }
@@ -119,11 +124,7 @@ type Stats struct {
 // NewIndex builds an index of g's current edges without subscribing to
 // future mutations. Most callers want Attach.
 func NewIndex(g *graph.Graph) *Index {
-	ix := &Index{g: g, shards: make([]ishard, graph.ShardCount())}
-	for i := range ix.shards {
-		ix.shards[i].byID = make(map[graph.EdgeID]int64)
-		ix.shards[i].hist = make(map[int64]int)
-	}
+	ix := newIndex(g)
 	ix.scan()
 	return ix
 }
@@ -135,14 +136,26 @@ func NewIndex(g *graph.Graph) *Index {
 // exactly once; attach before concurrent *removals* begin (the pipeline
 // attaches at construction, ahead of ingestion). Call Detach to unsubscribe.
 func Attach(g *graph.Graph) *Index {
-	ix := &Index{g: g, shards: make([]ishard, graph.ShardCount())}
-	for i := range ix.shards {
-		ix.shards[i].byID = make(map[graph.EdgeID]int64)
-		ix.shards[i].hist = make(map[int64]int)
-	}
+	ix := newIndex(g)
 	ix.detach = g.AddMutationHook(ix.OnMutation)
 	ix.scan()
 	return ix
+}
+
+func newIndex(g *graph.Graph) *Index {
+	ix := &Index{g: g, shards: make([]ishard, graph.ShardCount())}
+	ix.resetLocked()
+	return ix
+}
+
+// resetLocked empties every stripe. The caller holds the write lock.
+func (ix *Index) resetLocked() {
+	for i := range ix.shards {
+		s := &ix.shards[i]
+		s.entries, s.sorted = s.entries[:0], 0
+		s.byID = make(map[graph.EdgeID]int64)
+		s.hist = make(map[int64]int)
+	}
 }
 
 // Detach unsubscribes the index from the graph's mutation stream. The index
@@ -159,25 +172,19 @@ func (ix *Index) Detach() {
 // without emitting mutations. The graph must be quiescent for the rebuild to
 // be a consistent cut.
 func (ix *Index) Rebuild() {
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		s.mu.Lock()
-		s.entries = s.entries[:0]
-		s.sorted = 0
-		s.byID = make(map[graph.EdgeID]int64)
-		s.hist = make(map[int64]int)
-		s.mu.Unlock()
-	}
+	ix.mu.Lock()
+	ix.resetLocked()
+	ix.mu.Unlock()
 	ix.scan()
 }
 
 // scan back-fills the index from the graph's current edges with one
 // slab-native pass (graph.ScanEdges): no per-edge materialization, no
 // ID-list sort — just the (timestamp, id) columns the index needs. Entries
-// are bucketed per shard and each shard is sorted once — O(E log E) total —
+// are bucketed per stripe and each stripe is sorted once — O(E log E) total —
 // rather than insertion-sorted edge by edge, which would make recovery of a
-// large graph quadratic. Edges the mutation hook indexed concurrently are
-// deduplicated through byID.
+// large graph quadratic. The graph is read before the index lock is taken;
+// edges the mutation hook indexed in between are deduplicated through byID.
 func (ix *Index) scan() {
 	buckets := make([][]entry, len(ix.shards))
 	ix.g.ScanEdges(func(e *graph.EdgeScan) bool {
@@ -185,12 +192,13 @@ func (ix *Index) scan() {
 		buckets[si] = append(buckets[si], entry{ts: e.Timestamp, id: e.ID})
 		return true
 	})
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	for si, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
 		}
 		s := &ix.shards[si]
-		s.mu.Lock()
 		for _, en := range bucket {
 			if _, dup := s.byID[en.id]; dup {
 				continue
@@ -200,7 +208,6 @@ func (ix *Index) scan() {
 			s.entries = append(s.entries, en)
 		}
 		s.flushLocked()
-		s.mu.Unlock()
 	}
 }
 
@@ -209,11 +216,15 @@ func (ix *Index) scan() {
 func (ix *Index) OnMutation(m graph.Mutation) {
 	switch m.Kind {
 	case graph.MutAddEdges:
+		ix.mu.Lock()
 		for i := range m.Edges {
-			ix.insert(m.Edges[i].ID, m.Edges[i].Timestamp)
+			ix.shardOf(m.Edges[i].ID).insert(m.Edges[i].ID, m.Edges[i].Timestamp)
 		}
+		ix.mu.Unlock()
 	case graph.MutRemoveEdge:
-		ix.remove(m.EdgeID)
+		ix.mu.Lock()
+		ix.shardOf(m.EdgeID).remove(m.EdgeID)
+		ix.mu.Unlock()
 	}
 }
 
@@ -227,10 +238,7 @@ func (ix *Index) shardOf(id graph.EdgeID) *ishard {
 // out-of-order entries land in the unsorted tail flushed lazily by the next
 // read — a reverse-chronological backfill of n edges costs one O(n log n)
 // sort instead of n stripe-wide memmoves under the held lock.
-func (ix *Index) insert(id graph.EdgeID, ts int64) {
-	s := ix.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *ishard) insert(id graph.EdgeID, ts int64) {
 	if _, dup := s.byID[id]; dup {
 		return
 	}
@@ -245,7 +253,7 @@ func (ix *Index) insert(id graph.EdgeID, ts int64) {
 
 // flushLocked merges the unsorted append tail into the sorted run. The tail
 // is sorted on its own (t log t) and merged with the prefix in one linear
-// pass; the caller holds the shard's write lock.
+// pass; the caller holds the index's write lock.
 func (s *ishard) flushLocked() {
 	if s.sorted == len(s.entries) {
 		return
@@ -271,31 +279,40 @@ func (s *ishard) flushLocked() {
 	s.sorted = len(s.entries)
 }
 
-// view runs fn with the shard locked and its entries fully sorted. The fast
+// read runs fn under the lock with every stripe's entries sorted. The fast
 // path (no pending append tail) runs fn under the read lock so concurrent
 // readers proceed in parallel; when a flush is needed, fn runs under the
 // write lock taken to flush — re-downgrading to a read lock would open an
 // unbounded retry loop against a steady out-of-order writer appending
 // between the unlock and re-lock.
-func (s *ishard) view(fn func()) {
-	s.mu.RLock()
-	if s.sorted == len(s.entries) {
+func (ix *Index) read(fn func()) {
+	ix.mu.RLock()
+	if ix.flushedLocked() {
 		fn()
-		s.mu.RUnlock()
+		ix.mu.RUnlock()
 		return
 	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	s.flushLocked()
+	ix.mu.RUnlock()
+	ix.mu.Lock()
+	for i := range ix.shards {
+		ix.shards[i].flushLocked()
+	}
 	fn()
-	s.mu.Unlock()
+	ix.mu.Unlock()
 }
 
-// remove drops one edge from the index. Removing an unindexed ID is a no-op.
-func (ix *Index) remove(id graph.EdgeID) {
-	s := ix.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// flushedLocked reports whether no stripe has a pending append tail.
+func (ix *Index) flushedLocked() bool {
+	for i := range ix.shards {
+		if s := &ix.shards[i]; s.sorted != len(s.entries) {
+			return false
+		}
+	}
+	return true
+}
+
+// remove drops one edge from the stripe. Removing an unindexed ID is a no-op.
+func (s *ishard) remove(id graph.EdgeID) {
 	ts, ok := s.byID[id]
 	if !ok {
 		return
@@ -315,19 +332,17 @@ func (ix *Index) remove(id graph.EdgeID) {
 
 // Len returns the number of indexed edges.
 func (ix *Index) Len() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	n := 0
 	for i := range ix.shards {
-		s := &ix.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
+		n += len(ix.shards[i].entries)
 	}
 	return n
 }
 
-// rangeOf returns the half-open entry range of w within a shard's sorted
-// entries. The caller holds the shard's read lock with the tail flushed
-// (view).
+// rangeOf returns the half-open entry range of w within a stripe's sorted
+// entries. The caller runs inside read.
 func (s *ishard) rangeOf(w Window) (lo, hi int) {
 	if w.IsAll() {
 		return 0, len(s.entries)
@@ -342,18 +357,22 @@ func (s *ishard) rangeOf(w Window) (lo, hi int) {
 	return lo, hi
 }
 
+// datedFrom returns the first entry after the timeless prefix.
+func (s *ishard) datedFrom() int {
+	return sort.Search(len(s.entries), func(i int) bool { return s.entries[i].ts > Timeless })
+}
+
 // Count returns the number of edges whose timestamp lies in w. It is a pure
 // timestamp query — the curated-pass rule of Window.ContainsEdge applies to
 // read views, not to the raw index.
 func (ix *Index) Count(w Window) int {
 	n := 0
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		s.view(func() {
-			lo, hi := s.rangeOf(w)
+	ix.read(func() {
+		for i := range ix.shards {
+			lo, hi := ix.shards[i].rangeOf(w)
 			n += hi - lo
-		})
-	}
+		}
+	})
 	return n
 }
 
@@ -374,21 +393,20 @@ func (ix *Index) EstimateIn(w Window) float64 {
 	if w.IsEmpty() {
 		return 0
 	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	est := 0.0
 	for i := range ix.shards {
-		s := &ix.shards[i]
-		s.mu.RLock()
-		est += s.estimateLocked(w)
-		s.mu.RUnlock()
+		est += ix.shards[i].estimate(w)
 	}
 	return est
 }
 
-// estimateLocked sums w's overlap with one stripe's histogram. The caller
-// holds the shard lock (read suffices: hist is never lazily rebuilt). When
-// the window spans fewer buckets than the stripe has populated, the bucket
+// estimate sums w's overlap with one stripe's histogram. The caller holds
+// the index lock (read suffices: hist is never lazily rebuilt). When the
+// window spans fewer buckets than the stripe has populated, the bucket
 // indexes are walked directly; otherwise the populated buckets are.
-func (s *ishard) estimateLocked(w Window) float64 {
+func (s *ishard) estimate(w Window) float64 {
 	if len(s.hist) == 0 {
 		return 0
 	}
@@ -435,20 +453,7 @@ func (s *ishard) estimateLocked(w Window) float64 {
 // EdgesIn returns the IDs of edges whose timestamp lies in w, ordered by
 // (timestamp, ID).
 func (ix *Index) EdgesIn(w Window) []graph.EdgeID {
-	var all []entry
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		s.view(func() {
-			lo, hi := s.rangeOf(w)
-			all = append(all, s.entries[lo:hi]...)
-		})
-	}
-	sort.Slice(all, func(i, j int) bool { return entryLess(all[i], all[j]) })
-	ids := make([]graph.EdgeID, len(all))
-	for i, e := range all {
-		ids[i] = e.id
-	}
-	return ids
+	return idsOf(ix.gather(func(s *ishard) (int, int) { return s.rangeOf(w) }))
 }
 
 // DatedIn is EdgesIn restricted to dated edges: entries at or before the
@@ -458,52 +463,46 @@ func (ix *Index) EdgesIn(w Window) []graph.EdgeID {
 // stream-shaped consumers (eviction, whole-stream scans) for which curated
 // knowledge is timeless background, not part of the stream.
 func (ix *Index) DatedIn(w Window) []graph.EdgeID {
-	var all []entry
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		s.view(func() {
-			lo, hi := s.rangeOf(w)
-			if dated := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].ts > Timeless }); dated > lo {
-				lo = dated
-			}
-			if lo < hi {
-				all = append(all, s.entries[lo:hi]...)
-			}
-		})
-	}
-	sort.Slice(all, func(i, j int) bool { return entryLess(all[i], all[j]) })
-	ids := make([]graph.EdgeID, len(all))
-	for i, e := range all {
-		ids[i] = e.id
-	}
-	return ids
+	return idsOf(ix.gather(func(s *ishard) (int, int) {
+		lo, hi := s.rangeOf(w)
+		return max(lo, s.datedFrom()), hi
+	}))
 }
 
 // LatestIn returns the IDs of the newest k edges whose timestamps lie in w,
-// ordered oldest-to-newest. Only the tail of each shard's in-window range
-// is read — O(shards·(log n + k)) — which is what makes the index cheaper
+// ordered oldest-to-newest. Only the tail of each stripe's in-window range
+// is read — O(stripes·(log n + k)) — which is what makes the index cheaper
 // than a full edge scan for feed-style "what just happened" queries.
 func (ix *Index) LatestIn(w Window, k int) []graph.EdgeID {
 	if k <= 0 {
 		return nil
 	}
+	all := ix.gather(func(s *ishard) (int, int) {
+		lo, hi := s.rangeOf(w)
+		return max(lo, hi-k), hi
+	})
+	return idsOf(all[max(0, len(all)-k):])
+}
+
+// gather concatenates the entry range pick chooses in every stripe, read
+// with the stripes sorted, and returns it in (ts, id) order.
+func (ix *Index) gather(pick func(*ishard) (lo, hi int)) []entry {
 	var all []entry
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		s.view(func() {
-			lo, hi := s.rangeOf(w)
-			if hi-lo > k {
-				lo = hi - k
+	ix.read(func() {
+		for i := range ix.shards {
+			s := &ix.shards[i]
+			if lo, hi := pick(s); lo < hi {
+				all = append(all, s.entries[lo:hi]...)
 			}
-			all = append(all, s.entries[lo:hi]...)
-		})
-	}
+		}
+	})
 	sort.Slice(all, func(i, j int) bool { return entryLess(all[i], all[j]) })
-	if len(all) > k {
-		all = all[len(all)-k:]
-	}
-	ids := make([]graph.EdgeID, len(all))
-	for i, e := range all {
+	return all
+}
+
+func idsOf(es []entry) []graph.EdgeID {
+	ids := make([]graph.EdgeID, len(es))
+	for i, e := range es {
 		ids[i] = e.id
 	}
 	return ids
@@ -515,12 +514,11 @@ func (ix *Index) LatestIn(w Window, k int) []graph.EdgeID {
 // false when no dated edge is indexed.
 func (ix *Index) Span() (min, max int64, ok bool) {
 	min, max = math.MaxInt64, math.MinInt64
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		s.view(func() {
+	ix.read(func() {
+		for i := range ix.shards {
+			s := &ix.shards[i]
 			// Entries are sorted by timestamp; skip the timeless prefix.
-			lo := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].ts > Timeless })
-			if lo < len(s.entries) {
+			if lo := s.datedFrom(); lo < len(s.entries) {
 				ok = true
 				if first := s.entries[lo].ts; first < min {
 					min = first
@@ -529,8 +527,8 @@ func (ix *Index) Span() (min, max int64, ok bool) {
 					max = last
 				}
 			}
-		})
-	}
+		}
+	})
 	if !ok {
 		return 0, 0, false
 	}

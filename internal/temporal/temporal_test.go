@@ -367,7 +367,7 @@ func TestIndexNoGhostEntriesUnderScavenging(t *testing.T) {
 }
 
 // TestIndexConcurrentAddRemove races writers, removers and window readers
-// against one index; run under -race it exercises the stripe locking, and
+// against one index; run under -race it exercises the index lock, and
 // the final reconciliation asserts index == graph.
 func TestIndexConcurrentAddRemove(t *testing.T) {
 	g := graph.New()

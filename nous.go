@@ -6,10 +6,11 @@
 // five classes of questions — trending, entity, relationship (explanatory),
 // pattern and fact queries — over the fused, dynamic graph.
 //
-// The graph substrate is a lock-striped sharded store (see internal/graph)
-// and ingestion is concurrent end to end: IngestAll fans the per-article
-// extraction stage out across a worker pool and batches each document's KG
-// writes, while queries stay safe to run against the live graph.
+// The graph substrate is a striped store behind one read-write lock (see
+// internal/graph) and ingestion is concurrent end to end: IngestAll fans the
+// per-article extraction stage out across a worker pool and batches each
+// document's KG writes, while queries stay safe to run against the live
+// graph.
 //
 // Quickstart:
 //
