@@ -7,11 +7,13 @@
 // topic coherence (mean divergence along the path, lower is better). A
 // breadth-first shortest-path baseline is provided for the evaluation.
 //
-// The beam state is allocation-light: partial paths are immutable linked
-// nodes sharing their prefixes (extending a path is one small allocation,
-// not an O(depth) copy of vertex/edge slices), and the per-path visited set
-// is a pooled bitset repopulated from the node chain — O(depth) marks per
-// expansion instead of an O(depth) map copy per candidate.
+// The beam costs what it keeps. A depth's candidates are flat values (no
+// pointers, no allocation) offered to a bounded max-heap that retains only
+// the beam; only survivors and completed paths become nodes. Partial paths
+// are immutable linked nodes sharing their prefixes, each carrying the rank
+// of its vertex sequence within its depth, so candidates compare sequences
+// as (parent rank, neighbour) without building them. The per-path visited
+// set is a pooled bitset repopulated from the node chain.
 package pathsearch
 
 import (
@@ -125,14 +127,18 @@ type pathEdge struct {
 }
 
 // pathNode is an immutable node in a prefix-sharing tree of partial paths.
-// Extending a path allocates exactly one node; the tail shares every
-// ancestor with its siblings.
+// The tail shares every ancestor with its siblings.
 type pathNode struct {
 	parent *pathNode
 	vert   graph.VertexID
 	edge   pathEdge // edge connecting parent.vert to vert (zero at the root)
 	depth  int      // hops from the root
 	divSum float64
+	// rank orders the node's vertex sequence among the nodes of its depth:
+	// equal sequences share a rank, and a lower rank is lexicographically
+	// smaller. Nodes of one depth have sequences of one length, so a child's
+	// sequence compares as (parent rank, vert).
+	rank int32
 }
 
 // materialize renders the node chain as a Path (without coherence), looking
@@ -154,14 +160,6 @@ func (n *pathNode) materialize(g *graph.Graph) Path {
 		}
 	}
 	return Path{Vertices: verts, Edges: edges}
-}
-
-// fillVerts writes the chain's vertex sequence into buf, which must have
-// length n.depth+1.
-func (n *pathNode) fillVerts(buf []graph.VertexID) {
-	for m := n; m != nil; m = m.parent {
-		buf[m.depth] = m.vert
-	}
 }
 
 // hasLabel reports whether any edge on the chain carries the interned label.
@@ -214,115 +212,216 @@ func (b *bitset) unmark(n *pathNode) {
 	}
 }
 
-// scored is one beam candidate with its materialized vertex sequence (for
-// deterministic ordering) and look-ahead score.
-type scored struct {
-	n         *pathNode
-	verts     []graph.VertexID
+// candidate is one open extension of a frontier node. It holds no pointers,
+// so the beam heap moves it without write barriers, and a candidate the beam
+// drops costs no allocation.
+type candidate struct {
 	lookahead float64
+	divSum    float64
+	gen       int // generation order within the depth
+	nb        graph.VertexID
+	edge      pathEdge
+	rank      int32 // sequence rank of the extended frontier node
+	from      int32 // index of that frontier node
+}
+
+// compareCandidates is the beam order: lookahead, then vertex sequence as
+// (parent rank, neighbour), then generation order. It is total, and its
+// first k candidates are exactly the prefix a stable sort by (lookahead,
+// vertex sequence) keeps.
+func compareCandidates(a, b *candidate) int {
+	if c := cmp.Compare(a.lookahead, b.lookahead); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.rank, b.rank); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.nb, b.nb); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.gen, b.gen)
+}
+
+// offer adds c to the bounded max-heap h, which keeps the keep smallest
+// candidates offered with the worst of them at the root, and returns h.
+func offer(h []candidate, keep int, c candidate) []candidate {
+	if len(h) < keep {
+		h = append(h, c)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if compareCandidates(&h[p], &h[i]) > 0 {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
+		}
+		return h
+	}
+	if compareCandidates(&c, &h[0]) > 0 {
+		return h // after every kept candidate
+	}
+	h[0] = c
+	for i := 0; ; {
+		w := 2*i + 1
+		if w >= len(h) {
+			break
+		}
+		if r := w + 1; r < len(h) && compareCandidates(&h[r], &h[w]) > 0 {
+			w = r
+		}
+		if compareCandidates(&h[i], &h[w]) > 0 {
+			break
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
+	return h
+}
+
+// query is one search's state: its frontier (the nodes of the current
+// depth), the scratch buffers it reuses across depths, and the completed
+// paths in completion order.
+type query struct {
+	g       *graph.Graph
+	dst     graph.VertexID
+	topicOf map[graph.VertexID][]float64
+	win     temporal.Window
+	visited *bitset
+	// toDst memoizes divergence(v, dst) per vertex for the whole query (many
+	// candidates share a tail). nil ranks without look-ahead (BFS).
+	toDst map[graph.VertexID]float64
+
+	frontier []pathNode
+	edges    []pathEdge
+	beam     []candidate
+
+	pred     symtab.SymID
+	wantPred bool
+	seen     map[string]bool
+	found    []Path
+}
+
+// newQuery sets up a search from src to dst. ok=false means no path can
+// exist: a missing or equal endpoint, or a predicate that was never
+// interned, which no edge in any graph carries. The caller returns
+// q.visited to the pool.
+func (s *Searcher) newQuery(src, dst graph.VertexID, opt Options) (q *query, ok bool) {
+	if !s.g.HasVertex(src) || !s.g.HasVertex(dst) || src == dst {
+		return nil, false
+	}
+	q = &query{
+		g:        s.g,
+		dst:      dst,
+		topicOf:  s.topicsMap(),
+		win:      opt.Window,
+		frontier: []pathNode{{vert: src}},
+		seen:     map[string]bool{},
+	}
+	if opt.Predicate != "" {
+		if q.pred, ok = symtab.Lookup(opt.Predicate); !ok {
+			return nil, false
+		}
+		q.wantPred = true
+	}
+	q.visited = s.visitedPool.Get().(*bitset)
+	return q, true
 }
 
 // expand grows every frontier node by one hop. Completed paths (reaching
-// dst) are handed to complete; open extensions are returned as candidates
-// with lookahead = divSum + divergence(tail, dst) when toDst is non-nil
-// (TopK orders by it; BFS does not and skips the extra divergence). toDst
-// memoizes divergence(v, dst) per vertex for the whole query: many candidates
-// of one search share a tail. The visited bitset is repopulated per frontier
-// node from its chain. Incident edges are snapshotted as compact slab
-// projections into a scratch buffer so the graph's read lock is held only
-// for the copy — no label-string or props materialization per candidate —
-// not for the per-edge divergence math; a long expansion must not stall
+// dst) are collected as they are generated; of the open extensions, the
+// first keep in beam order become the next frontier. Each extension's
+// lookahead is divSum + divergence(tail, dst) when toDst is set (TopK), and
+// zero otherwise, which leaves vertex order (BFS).
+//
+// Candidates are offered to a bounded heap instead of being sorted: a depth
+// may generate a thousand for a beam of 32. Only the survivors are sorted,
+// at the end, and only they become nodes. The visited bitset is repopulated
+// per frontier node from its chain. Incident edges are snapshotted as
+// compact slab projections so the graph's read lock is held only for the
+// copy, not for the divergence math; a long expansion must not stall
 // concurrent writers.
-func (s *Searcher) expand(frontier []*pathNode, dst graph.VertexID, topicOf map[graph.VertexID][]float64, visited *bitset, win temporal.Window, toDst map[graph.VertexID]float64, complete func(*pathNode)) []scored {
-	var next []scored
-	var edgeBuf []pathEdge
-	windowed := win.Bounded()
-	for _, p := range frontier {
+func (q *query) expand(keep int) {
+	windowed := q.win.Bounded()
+	q.beam = q.beam[:0]
+	gen := 0
+	for i := range q.frontier {
+		p := &q.frontier[i]
 		cur := p.vert
-		visited.mark(p)
-		edgeBuf = edgeBuf[:0]
-		s.g.ForEachIncidentScan(cur, func(e *graph.EdgeScan) bool {
-			if windowed && !win.ContainsScan(e) {
+		q.visited.mark(p)
+		q.edges = q.edges[:0]
+		q.g.ForEachIncidentScan(cur, func(e *graph.EdgeScan) bool {
+			if windowed && !q.win.ContainsScan(e) {
 				return true // outside the time window: invisible to this query
 			}
-			edgeBuf = append(edgeBuf, pathEdge{id: e.ID, src: e.Src, dst: e.Dst, label: e.Label})
+			q.edges = append(q.edges, pathEdge{id: e.ID, src: e.Src, dst: e.Dst, label: e.Label})
 			return true
 		})
-		for _, e := range edgeBuf {
+		for _, e := range q.edges {
 			nb := e.dst
 			if nb == cur {
 				nb = e.src
 			}
-			if visited.has(nb) {
+			if q.visited.has(nb) {
 				continue
 			}
-			np := &pathNode{
-				parent: p,
-				vert:   nb,
-				edge:   e,
-				depth:  p.depth + 1,
-				divSum: p.divSum + divergence(topicOf, cur, nb),
-			}
-			if nb == dst {
-				complete(np)
+			divSum := p.divSum + divergence(q.topicOf, cur, nb)
+			if nb == q.dst {
+				q.collect(&pathNode{parent: p, vert: nb, edge: e, depth: p.depth + 1, divSum: divSum})
 				continue
 			}
-			sc := scored{n: np}
-			if toDst != nil {
-				d, ok := toDst[nb]
+			c := candidate{divSum: divSum, gen: gen, nb: nb, edge: e, rank: p.rank, from: int32(i)}
+			gen++
+			if q.toDst != nil {
+				d, ok := q.toDst[nb]
 				if !ok {
-					d = divergence(topicOf, nb, dst)
-					toDst[nb] = d
+					d = divergence(q.topicOf, nb, q.dst)
+					q.toDst[nb] = d
 				}
-				sc.lookahead = np.divSum + d
+				c.lookahead = divSum + d
 			}
-			next = append(next, sc)
+			q.beam = offer(q.beam, keep, c)
 		}
-		visited.unmark(p)
+		q.visited.unmark(p)
 	}
-	// Materialize vertex sequences for ordering out of one arena — a single
-	// allocation per depth rather than one per candidate.
-	if len(next) > 0 {
-		total := 0
-		for i := range next {
-			total += next[i].n.depth + 1
-		}
-		arena := make([]graph.VertexID, total)
-		off := 0
-		for i := range next {
-			end := off + next[i].n.depth + 1
-			next[i].verts = arena[off:end]
-			next[i].n.fillVerts(next[i].verts)
-			off = end
-		}
+
+	slices.SortFunc(q.beam, func(a, b candidate) int { return compareCandidates(&a, &b) })
+	next := make([]pathNode, len(q.beam))
+	bySeq := make([]*pathNode, len(q.beam))
+	for i := range q.beam {
+		c := &q.beam[i]
+		parent := &q.frontier[c.from]
+		next[i] = pathNode{parent: parent, vert: c.nb, edge: c.edge, depth: parent.depth + 1, divSum: c.divSum}
+		bySeq[i] = &next[i]
 	}
-	return next
+	// Rank the survivors' vertex sequences for the next depth's comparisons.
+	slices.SortFunc(bySeq, func(a, b *pathNode) int {
+		if c := cmp.Compare(a.parent.rank, b.parent.rank); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.vert, b.vert)
+	})
+	rank := int32(0)
+	for i, n := range bySeq {
+		if i > 0 && (n.parent.rank != bySeq[i-1].parent.rank || n.vert != bySeq[i-1].vert) {
+			rank++
+		}
+		n.rank = rank
+	}
+	q.frontier = next
 }
 
-// predConstraint resolves an Options.Predicate to its interned form.
-// want=false means unconstrained; ok=false means the predicate string was
-// never interned — no edge in any graph carries it, so no path can satisfy
-// the constraint.
-func predConstraint(predicate string) (sym symtab.SymID, want, ok bool) {
-	if predicate == "" {
-		return 0, false, true
-	}
-	sym, ok = symtab.Lookup(predicate)
-	return sym, true, ok
-}
-
-// finish turns a completed chain into a deduplicated Path, honoring the
+// collect turns a completed chain into a deduplicated Path, honoring the
 // predicate constraint.
-func finish(np *pathNode, g *graph.Graph, pred symtab.SymID, wantPred bool, seen map[string]bool, found *[]Path) {
-	if wantPred && !np.hasLabel(pred) {
+func (q *query) collect(np *pathNode) {
+	if q.wantPred && !np.hasLabel(q.pred) {
 		return
 	}
-	path := np.materialize(g)
+	path := np.materialize(q.g)
 	path.Coherence = np.divSum / float64(len(path.Edges))
 	k := pathKey(path)
-	if !seen[k] {
-		seen[k] = true
-		*found = append(*found, path)
+	if !q.seen[k] {
+		q.seen[k] = true
+		q.found = append(q.found, path)
 	}
 }
 
@@ -330,44 +429,19 @@ func finish(np *pathNode, g *graph.Graph, pred symtab.SymID, wantPred bool, seen
 // (ties: shorter first, then lexicographic vertex order).
 func (s *Searcher) TopK(src, dst graph.VertexID, opt Options) []Path {
 	opt = opt.withDefaults()
-	if !s.g.HasVertex(src) || !s.g.HasVertex(dst) || src == dst {
+	q, ok := s.newQuery(src, dst, opt)
+	if !ok {
 		return nil
 	}
-	pred, wantPred, ok := predConstraint(opt.Predicate)
-	if !ok {
-		return nil // predicate never interned: no edge anywhere carries it
-	}
-
-	visited := s.visitedPool.Get().(*bitset)
-	defer s.visitedPool.Put(visited)
-
-	topicOf := s.topicsMap()
-	frontier := []*pathNode{{vert: src}}
-	var found []Path
-	seen := map[string]bool{}
-	toDst := map[graph.VertexID]float64{}
-
-	for depth := 0; depth < opt.MaxDepth && len(frontier) > 0; depth++ {
-		next := s.expand(frontier, dst, topicOf, visited, opt.Window, toDst, func(np *pathNode) {
-			finish(np, s.g, pred, wantPred, seen, &found)
-		})
+	defer s.visitedPool.Put(q.visited)
+	q.toDst = map[graph.VertexID]float64{}
+	for depth := 0; depth < opt.MaxDepth && len(q.frontier) > 0; depth++ {
 		// Look-ahead pruning: keep the Beam candidates closest (in topic
 		// space) to the target.
-		slices.SortStableFunc(next, func(a, b scored) int {
-			if c := cmp.Compare(a.lookahead, b.lookahead); c != 0 {
-				return c
-			}
-			return slices.Compare(a.verts, b.verts)
-		})
-		if len(next) > opt.Beam {
-			next = next[:opt.Beam]
-		}
-		frontier = frontier[:0]
-		for _, sc := range next {
-			frontier = append(frontier, sc.n)
-		}
+		q.expand(opt.Beam)
 	}
 
+	found := q.found
 	slices.SortStableFunc(found, func(a, b Path) int {
 		if c := cmp.Compare(a.Coherence, b.Coherence); c != 0 {
 			return c
@@ -386,41 +460,21 @@ func (s *Searcher) TopK(src, dst graph.VertexID, opt Options) []Path {
 // influence the ranking.
 func (s *Searcher) BFSPaths(src, dst graph.VertexID, opt Options) []Path {
 	opt = opt.withDefaults()
-	if !s.g.HasVertex(src) || !s.g.HasVertex(dst) || src == dst {
+	q, ok := s.newQuery(src, dst, opt)
+	if !ok {
 		return nil
 	}
-	pred, wantPred, ok := predConstraint(opt.Predicate)
-	if !ok {
-		return nil // predicate never interned: no edge anywhere carries it
-	}
-
-	visited := s.visitedPool.Get().(*bitset)
-	defer s.visitedPool.Put(visited)
-
-	topicOf := s.topicsMap()
-	frontier := []*pathNode{{vert: src}}
-	var found []Path
-	seen := map[string]bool{}
-
-	for depth := 0; depth < opt.MaxDepth && len(frontier) > 0; depth++ {
-		next := s.expand(frontier, dst, topicOf, visited, opt.Window, nil, func(np *pathNode) {
-			finish(np, s.g, pred, wantPred, seen, &found)
-		})
+	defer s.visitedPool.Put(q.visited)
+	for depth := 0; depth < opt.MaxDepth && len(q.frontier) > 0; depth++ {
 		// Unbounded BFS fan-out explodes on dense graphs; cap like GraphX
 		// jobs cap their frontier, but without topic guidance (by vertex
 		// order, which is insertion order — a neutral choice).
-		slices.SortStableFunc(next, func(a, b scored) int { return slices.Compare(a.verts, b.verts) })
-		if len(next) > opt.Beam*4 {
-			next = next[:opt.Beam*4]
-		}
-		frontier = frontier[:0]
-		for _, sc := range next {
-			frontier = append(frontier, sc.n)
-		}
-		if len(found) >= opt.K {
+		q.expand(opt.Beam * 4)
+		if len(q.found) >= opt.K {
 			break
 		}
 	}
+	found := q.found
 	slices.SortStableFunc(found, compareShorterFirst)
 	if len(found) > opt.K {
 		found = found[:opt.K]

@@ -1,6 +1,7 @@
 package pathsearch
 
 import (
+	"math/rand"
 	"testing"
 
 	"nous/internal/graph"
@@ -221,6 +222,55 @@ func BenchmarkTopKPaths(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.TopK(src, dst, Options{K: 3, MaxDepth: 4})
+	}
+}
+
+// hubGraph is a path-search fixture at the fan-out the served relationship
+// query sees: 8-topic vectors, a sparse body of 600 vertices and ten hubs.
+// BenchmarkTopKHub's query meets 9, 419, 295 and 285 candidates at its four
+// depths (≈ 250 per depth, ≈ 1,000 in all) for a beam of 32, and finds 3
+// paths.
+func hubGraph() (*graph.Graph, map[graph.VertexID][]float64) {
+	rng := rand.New(rand.NewSource(11))
+	g := graph.New()
+	topicOf := map[graph.VertexID][]float64{}
+	ids := make([]graph.VertexID, 600)
+	for i := range ids {
+		ids[i] = g.AddVertex("Company")
+		v := make([]float64, 8)
+		sum := 0.0
+		for k := range v {
+			v[k] = rng.ExpFloat64()
+			sum += v[k]
+		}
+		for k := range v {
+			v[k] /= sum
+		}
+		topicOf[ids[i]] = v
+	}
+	labels := []string{"acquired", "invests", "suppliesTo", "partnersWith"}
+	for i, a := range ids {
+		degree := 4
+		if i%60 == 7 {
+			degree = 90 // a hub
+		}
+		for j := 0; j < degree; j++ {
+			if b := ids[rng.Intn(len(ids))]; b != a {
+				mustEdge(g, a, b, labels[rng.Intn(len(labels))])
+			}
+		}
+	}
+	return g, topicOf
+}
+
+// BenchmarkTopKHub times the relationship query's search at served fan-out.
+func BenchmarkTopKHub(b *testing.B) {
+	g, topicOf := hubGraph()
+	s := New(g, topicOf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.TopK(0, 450, Options{})
 	}
 }
 

@@ -249,24 +249,26 @@ func (m *Model) InferDoc(doc []string, iters int, seed int64) []float64 {
 // JSDivergence is the Jensen–Shannon divergence between two distributions
 // (symmetric, bounded by ln 2). Mismatched lengths panic: that is a caller
 // bug, not a data condition.
+//
+// It allocates nothing: both KL(·‖mid) sums accumulate in one pass, each
+// with the same per-term arithmetic and summation order as two separate
+// passes over a materialized midpoint, so the result is bit-identical to
+// that form (path search ranks by these bits).
 func JSDivergence(p, q []float64) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("topics: JSDivergence length mismatch %d vs %d", len(p), len(q)))
 	}
-	kl := func(a, b []float64) float64 {
-		s := 0.0
-		for i := range a {
-			if a[i] > 0 && b[i] > 0 {
-				s += a[i] * math.Log(a[i]/b[i])
-			}
-		}
-		return s
-	}
-	mid := make([]float64, len(p))
+	klP, klQ := 0.0, 0.0
 	for i := range p {
-		mid[i] = (p[i] + q[i]) / 2
+		m := (p[i] + q[i]) / 2
+		if p[i] > 0 && m > 0 {
+			klP += p[i] * math.Log(p[i]/m)
+		}
+		if q[i] > 0 && m > 0 {
+			klQ += q[i] * math.Log(q[i]/m)
+		}
 	}
-	return kl(p, mid)/2 + kl(q, mid)/2
+	return klP/2 + klQ/2
 }
 
 func makeInts(a, b int) [][]int {
