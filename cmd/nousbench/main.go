@@ -2,8 +2,10 @@
 // paper: the seven figures (as text/DOT renderings) and the quantitative
 // claims (the ~3× streaming-mining speedup, closed-pattern reconstruction,
 // BPR link-prediction quality, coherence-ranked path search, AIDA-variant
-// disambiguation accuracy and WSJ-scale ingest throughput). EXPERIMENTS.md
-// records the outputs side by side with what the paper states. The repl
+// disambiguation accuracy and WSJ-scale ingest throughput). README's "Bench
+// harness" section lists the claims that are also seeded tests with their
+// measured thresholds (linkpred's TestClaimC3BPRBeatsBaselines, pathsearch's
+// TestClaimC4CoherenceBeatsHubShortcut). The repl
 // artifact prints WAL-shipping replication numbers, the one subsystem no
 // benchmark/ workload drives; system performance is judged by benchmark/.
 //

@@ -33,17 +33,27 @@ func DefaultConfig() Config {
 	return Config{Dim: 16, Epochs: 30, LearningRate: 0.05, Reg: 0.01, NegSamples: 4, Seed: 1}
 }
 
-// predModel holds the factors of one predicate.
+// predModel holds the factors of one predicate. Every entity seen as a
+// subject (object) owns a row, numbered in order of first sight; a row
+// number is also the negative sampler's draw, so training touches only
+// integers and flat arrays, never a string.
 type predModel struct {
-	subj map[string][]float64 // subject factors by entity
-	obj  map[string][]float64 // object factors by entity
-	// positives are the observed (s,o) pairs, for negative sampling and
-	// the frequency baseline; pairs preserves insertion order so training
-	// is deterministic under a fixed seed.
-	positives map[[2]string]bool
-	pairs     [][2]string
-	subjects  []string
-	objects   []string
+	subjIdx map[string]int32 // subject row by entity
+	objIdx  map[string]int32 // object row by entity
+	subj    []float64        // subject factors, Dim values per row
+	obj     []float64        // object factors, Dim values per row
+	// positives are the observed (s,o) row pairs keyed s<<32|o, for
+	// negative sampling; pairs preserves insertion order so training is
+	// deterministic under a fixed seed.
+	positives map[uint64]struct{}
+	pairs     [][2]int32
+}
+
+func pairKey(s, o int32) uint64 { return uint64(s)<<32 | uint64(uint32(o)) }
+
+func (pm *predModel) positive(s, o int32) bool {
+	_, ok := pm.positives[pairKey(s, o)]
+	return ok
 }
 
 // Model is a trained collection of per-predicate BPR models. It is safe
@@ -67,89 +77,86 @@ func Train(triples []core.Triple, cfg Config) *Model {
 	for _, t := range triples {
 		m.observe(t)
 	}
+	names := m.predicates() // deterministic epoch order
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		m.epoch()
+		for _, p := range names {
+			pm := m.preds[p]
+			for _, pair := range pm.pairs {
+				for k := 0; k < cfg.NegSamples; k++ {
+					m.bprStep(pm, pair[0], pair[1])
+				}
+			}
+		}
 	}
 	return m
 }
 
 // observe registers a triple with its predicate model, initializing factors
-// for unseen entities. The caller holds the write lock, or owns the model
-// before it is shared.
-func (m *Model) observe(t core.Triple) {
+// for unseen entities, and returns the model with the triple's rows. The
+// caller holds the write lock, or owns the model before it is shared.
+func (m *Model) observe(t core.Triple) (pm *predModel, s, o int32) {
 	pm, ok := m.preds[t.Predicate]
 	if !ok {
 		pm = &predModel{
-			subj:      make(map[string][]float64),
-			obj:       make(map[string][]float64),
-			positives: make(map[[2]string]bool),
+			subjIdx:   make(map[string]int32),
+			objIdx:    make(map[string]int32),
+			positives: make(map[uint64]struct{}),
 		}
 		m.preds[t.Predicate] = pm
 	}
-	if _, ok := pm.subj[t.Subject]; !ok {
-		pm.subj[t.Subject] = m.randVec()
-		pm.subjects = append(pm.subjects, t.Subject)
+	if s, ok = pm.subjIdx[t.Subject]; !ok {
+		s = int32(len(pm.subjIdx))
+		pm.subjIdx[t.Subject] = s
+		pm.subj = m.appendRandVec(pm.subj)
 	}
-	if _, ok := pm.obj[t.Object]; !ok {
-		pm.obj[t.Object] = m.randVec()
-		pm.objects = append(pm.objects, t.Object)
+	if o, ok = pm.objIdx[t.Object]; !ok {
+		o = int32(len(pm.objIdx))
+		pm.objIdx[t.Object] = o
+		pm.obj = m.appendRandVec(pm.obj)
 	}
-	pair := [2]string{t.Subject, t.Object}
-	if !pm.positives[pair] {
-		pm.positives[pair] = true
-		pm.pairs = append(pm.pairs, pair)
+	if !pm.positive(s, o) {
+		pm.positives[pairKey(s, o)] = struct{}{}
+		pm.pairs = append(pm.pairs, [2]int32{s, o})
 	}
+	return pm, s, o
 }
 
-func (m *Model) randVec() []float64 {
-	v := make([]float64, m.cfg.Dim)
+// appendRandVec appends one randomly initialized row to a factor array.
+func (m *Model) appendRandVec(v []float64) []float64 {
 	scale := 1.0 / math.Sqrt(float64(m.cfg.Dim))
-	for i := range v {
-		v[i] = (m.rng.Float64()*2 - 1) * scale
+	for i := 0; i < m.cfg.Dim; i++ {
+		v = append(v, (m.rng.Float64()*2-1)*scale)
 	}
 	return v
 }
 
-// epoch runs one BPR-SGD pass over all predicates.
-func (m *Model) epoch() {
-	names := make([]string, 0, len(m.preds))
-	for p := range m.preds {
-		names = append(names, p)
-	}
-	sort.Strings(names) // deterministic epoch order
-	for _, p := range names {
-		pm := m.preds[p]
-		for _, pair := range pm.pairs {
-			for k := 0; k < m.cfg.NegSamples; k++ {
-				m.bprStep(pm, pair[0], pair[1])
-			}
-		}
-	}
+// row returns factor row i of a flat factor array.
+func (m *Model) row(v []float64, i int32) []float64 {
+	d := m.cfg.Dim
+	return v[int(i)*d : int(i)*d+d]
 }
 
 // bprStep performs one BPR update: positive (s,o) against a corrupted
 // object o' (or subject s', alternating).
-func (m *Model) bprStep(pm *predModel, s, o string) {
+func (m *Model) bprStep(pm *predModel, s, o int32) {
 	corruptObject := m.rng.Intn(2) == 0
-	var negS, negO string
-	if corruptObject && len(pm.objects) > 1 {
-		negS = s
-		negO = pm.objects[m.rng.Intn(len(pm.objects))]
-		if pm.positives[[2]string{negS, negO}] {
+	negS, negO := s, o
+	if corruptObject && len(pm.objIdx) > 1 {
+		negO = int32(m.rng.Intn(len(pm.objIdx)))
+		if pm.positive(negS, negO) {
 			return // sampled a positive; skip this step
 		}
-	} else if len(pm.subjects) > 1 {
-		negO = o
-		negS = pm.subjects[m.rng.Intn(len(pm.subjects))]
-		if pm.positives[[2]string{negS, negO}] {
+	} else if len(pm.subjIdx) > 1 {
+		negS = int32(m.rng.Intn(len(pm.subjIdx)))
+		if pm.positive(negS, negO) {
 			return
 		}
 	} else {
 		return
 	}
 
-	us, vo := pm.subj[s], pm.obj[o]
-	un, vn := pm.subj[negS], pm.obj[negO]
+	us, vo := m.row(pm.subj, s), m.row(pm.obj, o)
+	un, vn := m.row(pm.subj, negS), m.row(pm.obj, negO)
 	xPos := dot(us, vo)
 	xNeg := dot(un, vn)
 	// d/dθ of -ln σ(xPos - xNeg)
@@ -186,13 +193,17 @@ func (m *Model) score(s, p, o string) float64 {
 	if !ok {
 		return m.global
 	}
-	us, okS := pm.subj[s]
-	vo, okO := pm.obj[o]
+	si, okS := pm.subjIdx[s]
+	oi, okO := pm.objIdx[o]
 	if !okS || !okO {
 		// Back off: an entity never seen in this role carries no signal.
 		return m.global
 	}
-	return sigmoid(dot(us, vo))
+	return m.rowScore(pm, si, oi)
+}
+
+func (m *Model) rowScore(pm *predModel, s, o int32) float64 {
+	return sigmoid(dot(m.row(pm.subj, s), m.row(pm.obj, o)))
 }
 
 // Update performs online training on a new triple: it is registered as a
@@ -201,10 +212,9 @@ func (m *Model) score(s, p, o string) float64 {
 func (m *Model) Update(t core.Triple, steps int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.observe(t)
-	pm := m.preds[t.Predicate]
+	pm, s, o := m.observe(t)
 	for i := 0; i < steps; i++ {
-		m.bprStep(pm, t.Subject, t.Object)
+		m.bprStep(pm, s, o)
 	}
 }
 
@@ -212,6 +222,10 @@ func (m *Model) Update(t core.Triple, steps int) {
 func (m *Model) Predicates() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	return m.predicates()
+}
+
+func (m *Model) predicates() []string {
 	out := make([]string, 0, len(m.preds))
 	for p := range m.preds {
 		out = append(out, p)
@@ -227,19 +241,27 @@ func (m *Model) AUC(p string, heldOut [][2]string, samples int, seed int64) floa
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	pm, ok := m.preds[p]
-	if !ok || len(pm.objects) < 2 || len(heldOut) == 0 {
+	if !ok || len(pm.objIdx) < 2 || len(heldOut) == 0 {
 		return 0.5
 	}
 	rng := rand.New(rand.NewSource(seed))
 	wins, total := 0.0, 0.0
 	for _, pos := range heldOut {
+		s, okS := pm.subjIdx[pos[0]]
+		o, okO := pm.objIdx[pos[1]]
+		ps := m.global
+		if okS && okO {
+			ps = m.rowScore(pm, s, o)
+		}
 		for k := 0; k < samples; k++ {
-			negO := pm.objects[rng.Intn(len(pm.objects))]
-			if pm.positives[[2]string{pos[0], negO}] || negO == pos[1] {
+			negO := int32(rng.Intn(len(pm.objIdx)))
+			if okO && negO == o || okS && pm.positive(s, negO) {
 				continue
 			}
-			ps := m.score(pos[0], p, pos[1])
-			ns := m.score(pos[0], p, negO)
+			ns := m.global
+			if okS {
+				ns = m.rowScore(pm, s, negO)
+			}
 			switch {
 			case ps > ns:
 				wins++

@@ -3,6 +3,7 @@ package linkpred
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -190,6 +191,89 @@ func TestCommonNeighborBaseline(t *testing.T) {
 	}
 	if none != 0 {
 		t.Errorf("unknown entity score = %v", none)
+	}
+}
+
+// TestUpdateConcurrentWithScore runs Updates that add rows, and so grow and
+// reallocate the flat factor arrays, beside Score, AUC and String readers.
+// Readers draw from their own generators, so the model must end bit-equal
+// to one given the same Updates with no reader running.
+func TestUpdateConcurrentWithScore(t *testing.T) {
+	train, test, _ := blockWorld(6, 10)
+	const updates = 300
+	update := func(i int) core.Triple {
+		return core.Triple{Subject: fmt.Sprintf("NewS%d", i), Predicate: "acquired", Object: fmt.Sprintf("NewO%d", i/2), Confidence: 1}
+	}
+	m, serial := Train(train, DefaultConfig()), Train(train, DefaultConfig())
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				u := update(i % updates)
+				if s := m.Score(u.Subject, u.Predicate, u.Object); s <= 0 || s >= 1 {
+					t.Errorf("Score(%v) = %v, want in (0,1)", u, s)
+					return
+				}
+				m.AUC("acquired", test, 2, int64(i))
+				_ = m.String()
+			}
+		}()
+	}
+	for i := 0; i < updates; i++ {
+		m.Update(update(i), 2)
+	}
+	close(done)
+	wg.Wait()
+	for i := 0; i < updates; i++ {
+		serial.Update(update(i), 2)
+	}
+	for i := 0; i < updates; i++ {
+		u := update(i)
+		if g, w := m.Score(u.Subject, u.Predicate, u.Object), serial.Score(u.Subject, u.Predicate, u.Object); g != w {
+			t.Fatalf("update %d: Score beside readers %v, serial %v", i, g, w)
+		}
+	}
+	if g, w := m.String(), serial.String(); g != w {
+		t.Fatalf("String beside readers %s, serial %s", g, w)
+	}
+}
+
+// recoveryWorld draws 7,000 triples over 14 predicates whose subjects and
+// objects are Zipf-skewed (s = 1.1, as in benchmark/) over 2,500 entities
+// with company-length names: about the size of the fact log a reopened
+// store retrains on.
+func recoveryWorld(seed int64) []core.Triple {
+	r := rand.New(rand.NewSource(seed))
+	ent := rand.NewZipf(r, 1.1, 1, 2499)
+	pred := rand.NewZipf(r, 1.1, 1, 13)
+	out := make([]core.Triple, 7000)
+	for i := range out {
+		out[i] = core.Triple{
+			Subject:    fmt.Sprintf("Company %05d", ent.Uint64()),
+			Predicate:  fmt.Sprintf("p%d", pred.Uint64()),
+			Object:     fmt.Sprintf("Company %05d", ent.Uint64()),
+			Confidence: 1,
+		}
+	}
+	return out
+}
+
+// BenchmarkTrainRecoveryScale times Train at DefaultConfig on a fact log of
+// the size recovery assembles from.
+func BenchmarkTrainRecoveryScale(b *testing.B) {
+	train := recoveryWorld(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Train(train, DefaultConfig())
 	}
 }
 

@@ -47,7 +47,9 @@ type Config struct {
 	OnlineUpdate bool
 }
 
-// DefaultConfig matches the experiments in EXPERIMENTS.md.
+// DefaultConfig matches the experiments of README's "Bench harness" section
+// and the paper-claim tests (TestClaimC3BPRBeatsBaselines,
+// TestClaimC4CoherenceBeatsHubShortcut).
 func DefaultConfig() Config {
 	return Config{
 		ConfidenceThreshold: 0.35,

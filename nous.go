@@ -166,7 +166,9 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig mirrors the experiment setup in EXPERIMENTS.md.
+// DefaultConfig mirrors the experiment setup of README's "Bench harness"
+// section and the paper-claim tests (TestClaimC3BPRBeatsBaselines,
+// TestClaimC4CoherenceBeatsHubShortcut).
 func DefaultConfig() Config {
 	return Config{
 		Stream:     stream.DefaultConfig(),
