@@ -1,7 +1,7 @@
 // Package internedkeys implements the nouslint rule keeping internal/graph's
 // index state symbol-interned: the memory-lean core stores labels, property
 // keys and property values as dense symtab.SymIDs, and every persistent map
-// inside the package — adjacency, label index, property side tables — must
+// inside the package — adjacency, label counts, property side tables — must
 // key off those IDs. A raw string key reintroduces per-entry string headers
 // and per-lookup hashing of variable-length data, quietly undoing the
 // columnar layout's bytes-per-fact budget without failing any test.

@@ -81,7 +81,7 @@ func TestImportanceBitIdenticalAcrossCopies(t *testing.T) {
 		}
 		for _, id := range ids {
 			if rng.Intn(6) == 0 {
-				leader.RemoveFact(id)
+				leader.Graph().RemoveEdge(id)
 			}
 		}
 		if half == 0 {

@@ -482,28 +482,6 @@ func (kg *KG) Fact(id FactID) (Fact, bool) {
 	return kg.factLocked(id)
 }
 
-// SetConfidence updates a fact's confidence (e.g. after link-prediction
-// scoring), which is its edge's weight.
-func (kg *KG) SetConfidence(id FactID, c float64) bool {
-	kg.mu.Lock()
-	defer kg.mu.Unlock()
-	if c < 0 {
-		c = 0
-	}
-	if c > 1 {
-		c = 1
-	}
-	return kg.g.SetEdgeWeight(id, c)
-}
-
-// RemoveFact deletes a fact (without emitting an eviction event; use
-// EvictBefore for windowed eviction).
-func (kg *KG) RemoveFact(id FactID) bool {
-	kg.mu.Lock()
-	defer kg.mu.Unlock()
-	return kg.removeLocked(id)
-}
-
 // removeLocked deletes the fact's edge. The edge removal's mutation keeps
 // the temporal index in sync.
 func (kg *KG) removeLocked(id FactID) bool {
@@ -574,13 +552,6 @@ func (kg *KG) FactsAboutWindow(name string, w temporal.Window) []Fact {
 	return out
 }
 
-// FactsByPredicate returns all facts with the given predicate, ordered by ID.
-func (kg *KG) FactsByPredicate(pred string) []Fact {
-	kg.mu.RLock()
-	defer kg.mu.RUnlock()
-	return byID(kg.factsLocked(func(fn func(*graph.EdgeScan) bool) { kg.g.ForEachLabelScan(pred, fn) }, temporal.All()))
-}
-
 // AllFacts returns every stored fact ordered by ID.
 func (kg *KG) AllFacts() []Fact {
 	return kg.allFacts(temporal.All())
@@ -613,24 +584,17 @@ func (kg *KG) NumEntities() int {
 	return len(kg.byName)
 }
 
-// ObjectsOf returns the object names of facts (subject, pred, *), with their
-// confidences.
-func (kg *KG) ObjectsOf(subject, pred string) []ScoredEntity {
-	return kg.ObjectsOfWindow(subject, pred, temporal.All())
-}
-
-// ObjectsOfWindow is ObjectsOf restricted to the window.
+// ObjectsOfWindow returns the object names of facts (subject, pred, *)
+// inside the window (an empty pred matches any), with their confidences,
+// best first.
 func (kg *KG) ObjectsOfWindow(subject, pred string, w temporal.Window) []ScoredEntity {
 	return kg.scoredEndpoints(subject, pred, w, kg.g.ForEachOutScan,
 		func(e *graph.EdgeScan) graph.VertexID { return e.Dst })
 }
 
-// SubjectsOf returns the subject names of facts (*, pred, object).
-func (kg *KG) SubjectsOf(pred, object string) []ScoredEntity {
-	return kg.SubjectsOfWindow(pred, object, temporal.All())
-}
-
-// SubjectsOfWindow is SubjectsOf restricted to the window.
+// SubjectsOfWindow returns the subject names of facts (*, pred, object)
+// inside the window (an empty pred matches any), with their confidences,
+// best first.
 func (kg *KG) SubjectsOfWindow(pred, object string, w temporal.Window) []ScoredEntity {
 	return kg.scoredEndpoints(object, pred, w, kg.g.ForEachInScan,
 		func(e *graph.EdgeScan) graph.VertexID { return e.Src })

@@ -12,6 +12,7 @@ import (
 
 	"nous/internal/graph"
 	"nous/internal/ontology"
+	"nous/internal/temporal"
 )
 
 func day(n int) time.Time {
@@ -75,9 +76,12 @@ func TestConfidenceClamping(t *testing.T) {
 	if f, _ := kg.Fact(id); f.Confidence != 1 {
 		t.Errorf("confidence not clamped: %v", f.Confidence)
 	}
-	kg.SetConfidence(id, -0.5)
-	if f, _ := kg.Fact(id); f.Confidence != 0 {
-		t.Errorf("SetConfidence not clamped: %v", f.Confidence)
+	low, err := kg.AddFact(extracted("A Corp", "acquired", "C Corp", -0.5, day(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := kg.Fact(low); f.Confidence != 0 {
+		t.Errorf("negative confidence not clamped: %v", f.Confidence)
 	}
 }
 
@@ -93,16 +97,16 @@ func TestHasFactAndLookups(t *testing.T) {
 	if kg.HasFact("DJI", "acquired", "Shenzhen") {
 		t.Error("HasFact invented a fact")
 	}
-	objs := kg.ObjectsOf("DJI", "")
+	objs := kg.ObjectsOfWindow("DJI", "", temporal.All())
 	if len(objs) != 2 {
-		t.Fatalf("ObjectsOf(DJI) = %v", objs)
+		t.Fatalf("ObjectsOfWindow(DJI) = %v", objs)
 	}
 	if objs[0].Name != "Shenzhen" { // confidence 1 beats 0.8
 		t.Errorf("expected Shenzhen first by confidence, got %v", objs)
 	}
-	subs := kg.SubjectsOf("acquired", "Aeros")
+	subs := kg.SubjectsOfWindow("acquired", "Aeros", temporal.All())
 	if len(subs) != 2 || subs[0].Name != "DJI" {
-		t.Errorf("SubjectsOf = %v", subs)
+		t.Errorf("SubjectsOfWindow = %v", subs)
 	}
 }
 
@@ -291,7 +295,7 @@ func TestNeighborhoodMatchesSSSPReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			if j := i / 2; j < len(drop) && drop[j] {
-				kg.RemoveFact(id)
+				kg.removeFact(id)
 			}
 		}
 		h := 1 + int(hops)%3
@@ -331,10 +335,6 @@ func TestStats(t *testing.T) {
 	}
 	if s.MeanConfidence < 0.64 || s.MeanConfidence > 0.66 {
 		t.Errorf("mean confidence = %v", s.MeanConfidence)
-	}
-	top := s.TopPredicates(1)
-	if len(top) != 1 || top[0].Name != "acquired" {
-		t.Errorf("TopPredicates = %v", top)
 	}
 }
 

@@ -65,7 +65,7 @@ func sampleKG(t *testing.T) *KG {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kg.SetConfidence(id, 0.75)
+	kg.Graph().SetEdgeWeight(id, 0.75)
 	return kg
 }
 

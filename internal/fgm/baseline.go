@@ -1,7 +1,5 @@
 package fgm
 
-import "runtime"
-
 // MineWindow is the Arabesque-style baseline: it enumerates every connected
 // embedding of up to cfg.MaxEdges edges in the given window from scratch
 // and aggregates pattern supports. A streaming system that re-runs this per
@@ -10,29 +8,15 @@ import "runtime"
 // by benchmark C1. Both sides run the same embedding kernel, so the ratio
 // measures the algorithms, not two implementations.
 func MineWindow(edges []Edge, cfg Config) []Pattern {
-	return minerForWindow(edges, cfg, 1).FrequentPatterns()
+	return minerForWindow(edges, cfg).FrequentPatterns()
 }
 
-// MineWindowClosed is MineWindow restricted to closed patterns.
-func MineWindowClosed(edges []Edge, cfg Config) []Pattern {
-	return minerForWindow(edges, cfg, 1).ClosedPatterns()
-}
-
-// MineWindowParallel distributes the from-scratch enumeration across
-// workers (Arabesque's distributed axis at process scale).
-func MineWindowParallel(edges []Edge, cfg Config, workers int) []Pattern {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return minerForWindow(edges, cfg, workers).FrequentPatterns()
-}
-
-// minerForWindow loads a whole window into a fresh miner in one batch: all
-// edges are inserted first, then every embedding is counted once, at its
-// newest edge.
-func minerForWindow(edges []Edge, cfg Config, workers int) *Miner {
+// minerForWindow loads a whole window into a fresh sequential miner in one
+// batch: all edges are inserted first, then every embedding is counted once,
+// at its newest edge.
+func minerForWindow(edges []Edge, cfg Config) *Miner {
 	cfg.WindowSize = 0 // no eviction inside a snapshot
-	cfg.Workers = workers
+	cfg.Workers = 1
 	m := NewMiner(cfg)
 	m.AddBatch(edges)
 	return m

@@ -47,8 +47,6 @@ func countsOf(m *Miner) map[string]int {
 	return out
 }
 
-func windowEdges(m *Miner) []Edge { return m.window() }
-
 func TestSingleEdgePattern(t *testing.T) {
 	m := NewMiner(Config{MaxEdges: 2, MinSupport: 1})
 	m.Add(e(1, 2, "acquired"))
@@ -111,7 +109,7 @@ func TestStreamingMatchesRecountQuick(t *testing.T) {
 		for _, ed := range stream {
 			m.Add(ed)
 		}
-		fresh := minerForWindow(windowEdges(m), Config{MaxEdges: 3, MinSupport: 1}, 1)
+		fresh := minerForWindow(m.window(), Config{MaxEdges: 3, MinSupport: 1})
 		return reflect.DeepEqual(countsOf(m), countsOf(fresh))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -131,7 +129,7 @@ func TestEvictedEdgeTakesItsTypeAlong(t *testing.T) {
 			t.Fatalf("pattern %q is typed by an edge that left the window", code)
 		}
 	}
-	fresh := minerForWindow(windowEdges(m), Config{MaxEdges: 3, MinSupport: 1}, 1)
+	fresh := minerForWindow(m.window(), Config{MaxEdges: 3, MinSupport: 1})
 	if got, want := countsOf(m), countsOf(fresh); !reflect.DeepEqual(got, want) {
 		t.Fatalf("streaming counts %v, recount of the same window %v", got, want)
 	}
@@ -148,7 +146,7 @@ func TestTimeEvictionMatchesRecount(t *testing.T) {
 	if evicted != 40 {
 		t.Fatalf("evicted %d, want 40", evicted)
 	}
-	fresh := minerForWindow(windowEdges(m), cfg, 1)
+	fresh := minerForWindow(m.window(), cfg)
 	if !reflect.DeepEqual(countsOf(m), countsOf(fresh)) {
 		t.Fatal("time-based eviction desynced counts")
 	}
@@ -170,11 +168,16 @@ func TestAddBatchParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestMineWindowParallelMatchesSerial checks the from-scratch baseline
+// against the same window loaded by a four-worker AddBatch.
 func TestMineWindowParallelMatchesSerial(t *testing.T) {
 	stream := randomStream(100, 17)
 	cfg := Config{MaxEdges: 3, MinSupport: 2}
 	serial := MineWindow(stream, cfg)
-	parallel := MineWindowParallel(stream, cfg, 4)
+	cfg.Workers = 4
+	m := NewMiner(cfg)
+	m.AddBatch(stream)
+	parallel := m.FrequentPatterns()
 	if len(serial) != len(parallel) {
 		t.Fatalf("serial %d vs parallel %d patterns", len(serial), len(parallel))
 	}
@@ -332,7 +335,7 @@ func TestMNIEvictionConsistency(t *testing.T) {
 		m.Add(ed)
 	}
 	m.EvictBefore(20)
-	fresh := minerForWindow(windowEdges(m), cfg, 1)
+	fresh := minerForWindow(m.window(), cfg)
 	for code := range countsOf(m) {
 		if m.Support(code) != fresh.Support(code) {
 			t.Fatalf("MNI support desync for %s: %d vs %d", code, m.Support(code), fresh.Support(code))

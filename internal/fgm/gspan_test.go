@@ -6,12 +6,15 @@ import (
 )
 
 // gSpan (Yan & Han, ICDM'02) is the classical transaction-setting frequent
-// subgraph miner the paper contrasts its streaming algorithm with. This
-// implementation performs pattern growth over projections (embedding lists
-// per transaction), with duplicate search branches pruned by canonical-form
-// de-duplication — equivalent in effect to gSpan's minimum-DFS-code test,
-// and exact at the small pattern sizes used here. Support is the number of
-// transactions containing at least one embedding.
+// subgraph miner the paper contrasts its streaming algorithm with. Nothing in
+// the system mines transactions, so it lives here as an independent
+// reference: TestGSpanMatchesMineWindowOnPartitionedStream checks the
+// streaming kernel against it. This implementation performs pattern growth
+// over projections (embedding lists per transaction), with duplicate search
+// branches pruned by canonical-form de-duplication — equivalent in effect to
+// gSpan's minimum-DFS-code test, and exact at the small pattern sizes used
+// here. Support is the number of transactions containing at least one
+// embedding.
 
 // TxEdge is a directed labeled edge inside one transaction graph.
 type TxEdge struct {

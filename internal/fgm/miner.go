@@ -116,22 +116,7 @@ func NewMiner(cfg Config) *Miner {
 	return m
 }
 
-// WindowLen returns the number of edges currently in the window.
-func (m *Miner) WindowLen() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.windowLen()
-}
-
 func (m *Miner) windowLen() int { return len(m.queue) - m.head }
-
-// EmbeddingsTouched returns the cumulative number of embeddings enumerated —
-// the work metric compared against the from-scratch baseline.
-func (m *Miner) EmbeddingsTouched() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.emb
-}
 
 // Add inserts one stream edge: it first evicts the oldest edges the
 // count-based window has no room for, then counts the embeddings born with
@@ -363,35 +348,6 @@ func (m *Miner) unlink(v, slot int32) {
 		delete(m.vertOf, vx.id)
 		m.freeVerts = append(m.freeVerts, v)
 	}
-}
-
-// edgeAt rebuilds the stream edge held in a slot.
-func (m *Miner) edgeAt(slot int32) Edge {
-	e := &m.edges[slot]
-	return Edge{
-		Src: e.src, Dst: e.dst, Time: e.time,
-		SrcLabel: m.labels[e.sl], DstLabel: m.labels[e.dl], Label: m.labels[e.el],
-	}
-}
-
-// window copies the resident edges in arrival order.
-func (m *Miner) window() []Edge {
-	out := make([]Edge, 0, m.windowLen())
-	for _, slot := range m.queue[m.head:] {
-		out = append(out, m.edgeAt(slot))
-	}
-	return out
-}
-
-// Support returns the current support of a pattern code.
-func (m *Miner) Support(code string) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	pid, ok := m.memo.pidOf[code]
-	if !ok {
-		return 0
-	}
-	return m.supportOf(pid)
 }
 
 func (m *Miner) supportOf(pid int32) int {

@@ -7,9 +7,10 @@
 // simultaneously covers the curated KB and extracted knowledge — the
 // "combining both structures" property the paper highlights.
 //
-// Two baselines accompany it: an Arabesque-style from-scratch embedding
-// enumerator re-run per window (the system the paper benchmarks against,
-// reporting ~3× speedup) and a full transaction-setting gSpan.
+// An Arabesque-style from-scratch embedding enumerator re-run per window
+// (MineWindow, the system the paper benchmarks against, reporting ~3×
+// speedup) accompanies it. A transaction-setting gSpan survives only as a
+// test reference (gspan_test.go).
 package fgm
 
 import (

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,12 +50,13 @@ func TestAddEdgesBatch(t *testing.T) {
 			t.Fatalf("edge %d fields lost: %+v vs spec %+v", id, e, specs[i])
 		}
 	}
-	if got := len(g.EdgesByLabel("rel0")); got != 34 {
-		t.Fatalf("EdgesByLabel(rel0) = %d, want 34", got)
+	if got := g.EdgesWithLabel("rel0"); got != 34 {
+		t.Fatalf("EdgesWithLabel(rel0) = %d, want 34", got)
 	}
+	checkLabelCounts(t, g)
 	sumOut := 0
 	for _, v := range vids {
-		sumOut += g.OutDegree(v)
+		sumOut += len(outEdges(g, v))
 	}
 	if sumOut != 100 {
 		t.Fatalf("sum of out-degrees = %d, want 100", sumOut)
@@ -225,17 +227,15 @@ func TestConcurrentMutationStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(300 + seed))
 			for i := 0; i < 200; i++ {
 				v := vids[rng.Intn(nVerts)]
-				g.OutEdges(v)
-				g.InEdges(v)
-				g.Edges(v)
+				outEdges(g, v)
+				inEdges(g, v)
+				incidentEdges(g, v)
 				g.Neighbors(v)
 				g.Degree(v)
-				g.FindEdges(v, vids[rng.Intn(nVerts)], "")
-				g.EdgesByLabel("r")
-				g.EdgeLabels()
+				g.EdgesWithLabel("r")
+				liveEdgeIDs(g)
 				g.NumEdges()
 				g.NumVertices()
-				g.ForEachOutEdge(v, func(e Edge) bool { return true })
 				if id, ok := randomKnownEdge(rng); ok {
 					g.Edge(id)
 				}
@@ -244,26 +244,20 @@ func TestConcurrentMutationStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Quiesced invariants: adjacency, edge map and label indexes agree.
+	// Quiesced invariants: adjacency, edge slabs and label counts agree.
 	sumOut, sumIn := 0, 0
 	for _, id := range g.VertexIDs() {
-		sumOut += g.OutDegree(id)
-		sumIn += g.InDegree(id)
+		sumOut += len(outEdges(g, id))
+		sumIn += len(inEdges(g, id))
 	}
 	if n := g.NumEdges(); sumOut != n || sumIn != n {
 		t.Fatalf("degree sums (out=%d in=%d) disagree with NumEdges=%d", sumOut, sumIn, n)
 	}
-	byLabel := 0
-	for _, l := range g.EdgeLabels() {
-		byLabel += len(g.EdgesByLabel(l))
-	}
-	if n := g.NumEdges(); byLabel != n {
-		t.Fatalf("label index holds %d edges, NumEdges=%d", byLabel, n)
-	}
-	for _, id := range g.EdgeIDs() {
+	checkLabelCounts(t, g)
+	for _, id := range liveEdgeIDs(g) {
 		e, ok := g.Edge(id)
 		if !ok {
-			t.Fatalf("EdgeIDs lists %d but Edge misses it", id)
+			t.Fatalf("a scan lists %d but Edge misses it", id)
 		}
 		if !g.HasVertex(e.Src) || !g.HasVertex(e.Dst) {
 			t.Fatalf("edge %d has dangling endpoint", id)
@@ -369,8 +363,8 @@ func TestCompileIsExactCut(t *testing.T) {
 // TestConcurrentRemoveEdgeStress mirrors the add-path stress tests for the
 // removal path: writers add timestamped edges while removers delete them and
 // readers traverse. Under -race this exercises RemoveEdge against concurrent
-// writers and readers; the final reconciliation asserts no index (adjacency,
-// byLabel, edges) retains a removed edge.
+// writers and readers; the final reconciliation asserts that no adjacency
+// list, slab or label count retains a removed edge.
 func TestConcurrentRemoveEdgeStress(t *testing.T) {
 	g := New()
 	var verts []VertexID
@@ -424,10 +418,10 @@ func TestConcurrentRemoveEdgeStress(t *testing.T) {
 				return
 			default:
 				for _, v := range verts {
-					g.OutEdges(v)
+					outEdges(g, v)
 					g.Degree(v)
 				}
-				g.EdgesByLabel("acquired")
+				g.EdgesWithLabel("acquired")
 			}
 		}
 	}()
@@ -448,44 +442,42 @@ func TestConcurrentRemoveEdgeStress(t *testing.T) {
 			t.Fatalf("vertex %d retains %d adjacency entries", v, d)
 		}
 	}
-	if es := g.EdgesByLabel("acquired"); len(es) != 0 {
-		t.Fatalf("label index retains %d edges", len(es))
+	if n := g.EdgesWithLabel("acquired"); n != 0 {
+		t.Fatalf("label count retains %d edges", n)
+	}
+	if es := liveEdgeIDs(g); len(es) != 0 {
+		t.Fatalf("slabs retain %d edges", len(es))
 	}
 }
 
-// TestMultipleMutationHooks pins the fan-out contract AddMutationHook adds:
-// both subscribers see every mutation, removal detaches only the removed
-// subscriber, and SetMutationHook(nil) leaves added hooks alone.
+// TestMultipleMutationHooks pins the AddMutationHook fan-out contract: every
+// subscriber sees every mutation in registration order, and removing one
+// detaches only that one, even when two subscribers share a function value.
 func TestMultipleMutationHooks(t *testing.T) {
 	g := New()
-	var a, b, primary atomic.Int64
-	removeA := g.AddMutationHook(func(Mutation) { a.Add(1) })
-	g.AddMutationHook(func(Mutation) { b.Add(1) })
-	g.SetMutationHook(func(Mutation) { primary.Add(1) })
+	var order []string
+	var c int
+	count := func(Mutation) { c++ }
+	removeA := g.AddMutationHook(func(Mutation) { order = append(order, "a") })
+	g.AddMutationHook(func(Mutation) { order = append(order, "b") })
+	removeC1 := g.AddMutationHook(count)
+	g.AddMutationHook(count)
 
 	v1 := g.AddVertex("Company")
 	v2 := g.AddVertex("Company")
 	if _, err := g.AddEdge(v1, v2, "acquired"); err != nil {
 		t.Fatal(err)
 	}
-	if a.Load() != 3 || b.Load() != 3 || primary.Load() != 3 {
-		t.Fatalf("hook counts = %d/%d/%d, want 3/3/3", a.Load(), b.Load(), primary.Load())
+	if want := []string{"a", "b", "a", "b", "a", "b"}; !slices.Equal(order, want) || c != 6 {
+		t.Fatalf("deliveries = %v and %d counts, want %v and 6", order, c, want)
 	}
 
 	removeA()
-	g.SetMutationHook(nil) // must not detach b
+	removeC1()
+	removeC1() // removing twice is a no-op
+	order, c = nil, 0
 	g.AddVertex("Company")
-	if a.Load() != 3 || primary.Load() != 3 {
-		t.Fatal("removed hooks still invoked")
-	}
-	if b.Load() != 4 {
-		t.Fatalf("surviving hook missed a mutation (saw %d)", b.Load())
-	}
-	// Replacing the primary slot swaps, not stacks.
-	var p2 int64
-	g.SetMutationHook(func(Mutation) { p2++ })
-	g.AddVertex("Company")
-	if primary.Load() != 3 || p2 != 1 || b.Load() != 5 {
-		t.Fatalf("primary slot swap broken: %d/%d/%d", primary.Load(), p2, b.Load())
+	if !slices.Equal(order, []string{"b"}) || c != 1 {
+		t.Fatalf("after removal: deliveries = %v and %d counts, want [b] and 1", order, c)
 	}
 }

@@ -84,10 +84,11 @@ func TestEpochBumpsOnEveryMutation(t *testing.T) {
 	g := leader
 	before := g.Epoch()
 	g.Vertex(a)
-	g.Edges(a)
+	incidentEdges(g, a)
 	g.Neighbors(a)
 	g.NumVertices()
-	g.EdgesByLabel("r2")
+	g.EdgesWithLabel("r2")
+	liveEdgeIDs(g)
 	Compile(g, nil).PageRank(0.85, 5, nil)
 	if got := g.Epoch(); got != before {
 		t.Fatalf("reads moved epoch %d -> %d", before, got)

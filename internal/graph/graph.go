@@ -1,16 +1,16 @@
 // Package graph implements an in-memory directed property graph with
-// per-label edge indexes, temporal edges and compiled views for whole-graph
+// per-label edge counts, temporal edges and compiled views for whole-graph
 // kernels (view.go). It is the substrate NOUS's paper built on Apache Spark
 // GraphX; this implementation keeps the parts of that API surface NOUS uses —
 // vertices and edges carrying arbitrary properties, neighborhood iteration
 // and PageRank — at single-process scale.
 //
-// Storage is partitioned into numShards stripes: a vertex, its adjacency
-// lists and its degree counters live in the stripe owning the vertex ID,
-// while an edge record and its label-index entry live in the stripe owning
-// the edge ID. Stripes are data partitions only. They give snapshots their
-// per-stripe sections, let snapshot encode, decode and restore run one
-// worker per stripe, and keep each stripe's seq → slot index dense.
+// Storage is partitioned into numShards stripes: a vertex and its adjacency
+// lists live in the stripe owning the vertex ID, while an edge record and
+// its label count live in the stripe owning the edge ID. Stripes are data
+// partitions only. They give snapshots their per-stripe sections, let
+// snapshot encode, decode and restore run one worker per stripe, and keep
+// each stripe's seq → slot index dense.
 //
 // Concurrency: one sync.RWMutex (Graph.mu) guards the whole graph. Every
 // write holds it exclusively from validation through its epoch move and hook
@@ -27,15 +27,13 @@
 // Memory layout: strings (labels, predicates, prop keys) are interned into
 // dense SymIDs (internal/graph/symtab) and edge records live in per-stripe
 // columnar slabs (slab.go) addressed by compact 4-byte refs, not as
-// individually heap-allocated *Edge values. The exported API still traffics
-// in Vertex/Edge values with plain strings — they are materialized on demand
-// at the API boundary, and scan.go provides slab-native iteration for hot
-// consumers that don't want the materialization cost.
+// individually heap-allocated *Edge values. Edges are read through scan.go's
+// slab-native views; only Edge, Snapshot and mutation hooks materialize
+// exported Edge values with plain strings.
 package graph
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -83,17 +81,17 @@ type vertexRec struct {
 }
 
 // shard is one stripe. Vertices (with their adjacency lists) are owned by
-// the stripe of their VertexID; edge records (slab slots) and the per-label
-// index entries are owned by the stripe of their EdgeID. An adjacency ref
-// may point into another stripe's slab.
+// the stripe of their VertexID; edge records (slab slots) and their label
+// counts are owned by the stripe of their EdgeID. An adjacency ref may point
+// into another stripe's slab.
 type shard struct {
 	vertices map[VertexID]vertexRec
 	out      map[VertexID][]edgeRef
 	in       map[VertexID][]edgeRef
 	slab     edgeSlab
-	idx      []uint32 // seq -> slab slot + 1; 0 = absent
-	byLabel  map[symtab.SymID]*labelSet
-	live     int // edges owned here that are not tombstoned
+	idx      []uint32             // seq -> slab slot + 1; 0 = absent
+	labels   map[symtab.SymID]int // live edges owned here, per label; no zero entries
+	live     int                  // edges owned here that are not tombstoned
 }
 
 // Graph is a mutable directed multigraph. All exported methods are safe for
@@ -112,10 +110,8 @@ type Graph struct {
 	// atomic so Epoch stays lock-free.
 	epoch atomic.Uint64
 
-	// hooks are the mutation subscribers in registration order; primaryHook
-	// is the entry SetMutationHook owns.
-	hooks       []*hookEntry
-	primaryHook *hookEntry
+	// hooks are the mutation subscribers in registration order.
+	hooks []*hookEntry
 }
 
 // Epoch returns the graph's monotonic mutation counter. It is read
@@ -149,7 +145,7 @@ func New() *Graph {
 		s.vertices = make(map[VertexID]vertexRec)
 		s.out = make(map[VertexID][]edgeRef)
 		s.in = make(map[VertexID][]edgeRef)
-		s.byLabel = make(map[symtab.SymID]*labelSet)
+		s.labels = make(map[symtab.SymID]int)
 	}
 	return g
 }
@@ -277,8 +273,8 @@ func (g *Graph) insertEdgeLocked(id EdgeID, src, dst VertexID, label symtab.SymI
 	ds.in[dst] = append(ds.in[dst], ref)
 }
 
-// appendEdge stores an edge record in this (its owning) stripe's slab, seq
-// index and label index and returns its ref. Adjacency is the caller's.
+// appendEdge stores an edge record in this (its owning) stripe's slab and seq
+// index, counts its label and returns its ref. Adjacency is the caller's.
 func (s *shard) appendEdge(id EdgeID, src, dst VertexID, label symtab.SymID, weight float64, ts int64, props propMap) edgeRef {
 	seq := seqOf(id)
 	slot := s.slab.append(seq, src, dst, label, weight, ts)
@@ -287,13 +283,7 @@ func (s *shard) appendEdge(id EdgeID, src, dst VertexID, label symtab.SymID, wei
 		c.setProps(off, props)
 	}
 	s.setIdx(seq, slot)
-	ls := s.byLabel[label]
-	if ls == nil {
-		ls = &labelSet{}
-		s.byLabel[label] = ls
-	}
-	ls.slots = append(ls.slots, slot)
-	ls.live++
+	s.labels[label]++
 	s.live++
 	return makeRef(shardIdx(uint64(id)), slot)
 }
@@ -304,8 +294,8 @@ func (g *Graph) RemoveEdge(id EdgeID) bool {
 }
 
 // removeEdge applies a MutRemoveEdge record and commits it: the edge's slab
-// slot is tombstoned and unwired from every index and adjacency list. A
-// missing edge is a no-op that emits nothing.
+// slot is tombstoned, uncounted from its label and unwired from the seq index
+// and both adjacency lists. A missing edge is a no-op that emits nothing.
 func (g *Graph) removeEdge(m Mutation, replicated bool) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -322,13 +312,10 @@ func (g *Graph) removeEdge(m Mutation, replicated bool) bool {
 	}
 	es.clearIdx(seqOf(m.EdgeID))
 	es.live--
-	if ls := es.byLabel[label]; ls != nil {
-		ls.live--
-		if ls.live == 0 {
-			delete(es.byLabel, label)
-		} else if len(ls.slots) >= 2*ls.live+chunkSize {
-			es.compactLabelLocked(ls)
-		}
+	if n := es.labels[label] - 1; n > 0 {
+		es.labels[label] = n
+	} else {
+		delete(es.labels, label)
 	}
 	ref := makeRef(shardIdx(uint64(m.EdgeID)), slot)
 	ss, ds := g.vshard(src), g.vshard(dst)
@@ -336,17 +323,6 @@ func (g *Graph) removeEdge(m Mutation, replicated bool) bool {
 	ds.in[dst] = removeRef(ds.in[dst], ref)
 	g.commitLocked(Mutation{Kind: MutRemoveEdge, Epoch: m.Epoch, EdgeID: m.EdgeID}, replicated)
 	return true
-}
-
-// compactLabelLocked drops tombstoned slots from a label set.
-func (s *shard) compactLabelLocked(ls *labelSet) {
-	kept := ls.slots[:0]
-	for _, slot := range ls.slots {
-		if c, off := s.slab.chunk(slot); !c.dead[off] {
-			kept = append(kept, slot)
-		}
-	}
-	ls.slots = kept
 }
 
 // edgeCellsLocked resolves a live edge to its slab chunk and offset.
@@ -382,13 +358,6 @@ func materializeEdge(si int, c *edgeChunk, off int) Edge {
 		Timestamp: c.ts[off],
 		Props:     exportProps(c.propsAt(off)),
 	}
-}
-
-// edgeAt materializes the edge an adjacency ref points to.
-func (g *Graph) edgeAt(ref edgeRef) Edge {
-	si := ref.shard()
-	c, off := g.shards[si].slab.chunk(ref.slot())
-	return materializeEdge(si, c, off)
 }
 
 // SetEdgeProp sets one property on an edge. It reports whether the edge
@@ -453,55 +422,12 @@ func (g *Graph) numEdgesLocked() int {
 	return n
 }
 
-// OutDegree returns the number of outgoing edges of a vertex.
-func (g *Graph) OutDegree(id VertexID) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.vshard(id).out[id])
-}
-
-// InDegree returns the number of incoming edges of a vertex.
-func (g *Graph) InDegree(id VertexID) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.vshard(id).in[id])
-}
-
 // Degree returns in-degree + out-degree.
 func (g *Graph) Degree(id VertexID) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	s := g.vshard(id)
 	return len(s.out[id]) + len(s.in[id])
-}
-
-// OutEdges returns copies of the outgoing edges of a vertex.
-func (g *Graph) OutEdges(id VertexID) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.materializeRefs(g.vshard(id).out[id])
-}
-
-// InEdges returns copies of the incoming edges of a vertex.
-func (g *Graph) InEdges(id VertexID) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.materializeRefs(g.vshard(id).in[id])
-}
-
-// Edges returns copies of all edges incident to the vertex (both directions).
-func (g *Graph) Edges(id VertexID) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	s := g.vshard(id)
-	all := make([]Edge, 0, len(s.out[id])+len(s.in[id]))
-	for _, ref := range s.out[id] {
-		all = append(all, g.edgeAt(ref))
-	}
-	for _, ref := range s.in[id] {
-		all = append(all, g.edgeAt(ref))
-	}
-	return all
 }
 
 // Neighbors returns the distinct vertices adjacent to id in either direction,
@@ -528,22 +454,10 @@ func (g *Graph) Neighbors(id VertexID) []VertexID {
 	return ids
 }
 
-// EdgesByLabel returns copies of all edges carrying the given label.
-func (g *Graph) EdgesByLabel(label string) []Edge {
-	var es []Edge
-	g.ForEachLabelScan(label, func(e *EdgeScan) bool {
-		es = append(es, e.Materialize())
-		return true
-	})
-	sort.Slice(es, func(i, j int) bool { return es[i].ID < es[j].ID })
-	return es
-}
-
 // EdgesWithLabel returns the number of live edges carrying the given label,
-// summed from the per-stripe label indexes' live counters — no slot is
-// visited and no edge is materialized, so the cost is O(shards). It is the
-// cardinality source the query planner uses to estimate predicate
-// selectivity.
+// summed from the per-stripe label counts — no slot is visited, so the cost
+// is O(shards). It is the cardinality source the query planner uses to
+// estimate predicate selectivity.
 func (g *Graph) EdgesWithLabel(label string) int {
 	sym, known := symtab.Lookup(label)
 	if !known {
@@ -553,29 +467,9 @@ func (g *Graph) EdgesWithLabel(label string) int {
 	defer g.mu.RUnlock()
 	n := 0
 	for i := range g.shards {
-		if ls := g.shards[i].byLabel[sym]; ls != nil {
-			n += ls.live
-		}
+		n += g.shards[i].labels[sym]
 	}
 	return n
-}
-
-// EdgeLabels returns the distinct edge labels present in the graph, sorted.
-func (g *Graph) EdgeLabels() []string {
-	seen := make(map[symtab.SymID]struct{})
-	g.mu.RLock()
-	for i := range g.shards {
-		for sym := range g.shards[i].byLabel {
-			seen[sym] = struct{}{}
-		}
-	}
-	g.mu.RUnlock()
-	labels := make([]string, 0, len(seen))
-	for sym := range seen {
-		labels = append(labels, symtab.Resolve(sym))
-	}
-	sort.Strings(labels)
-	return labels
 }
 
 // VertexIDs returns all vertex IDs in ascending order.
@@ -596,68 +490,6 @@ func (g *Graph) vertexIDsLocked() []VertexID {
 		}
 	}
 	return ids
-}
-
-// EdgeIDs returns all edge IDs in ascending order.
-func (g *Graph) EdgeIDs() []EdgeID {
-	var ids []EdgeID
-	g.ScanEdges(func(e *EdgeScan) bool {
-		ids = append(ids, e.ID)
-		return true
-	})
-	slices.Sort(ids)
-	return ids
-}
-
-// FindEdges returns copies of edges from src to dst with the given label.
-// An empty label matches any label.
-func (g *Graph) FindEdges(src, dst VertexID, label string) []Edge {
-	var sym symtab.SymID
-	any := label == ""
-	if !any {
-		var known bool
-		sym, known = symtab.Lookup(label)
-		if !known {
-			return nil
-		}
-	}
-	var out []Edge
-	g.ForEachOutScan(src, func(e *EdgeScan) bool {
-		if e.Dst == dst && (any || e.Label == sym) {
-			out = append(out, e.Materialize())
-		}
-		return true
-	})
-	return out
-}
-
-// ForEachOutEdge calls fn for each outgoing edge of id while fn returns true.
-// fn runs under the graph's read lock and must not call back into the graph.
-func (g *Graph) ForEachOutEdge(id VertexID, fn func(Edge) bool) {
-	g.ForEachOutScan(id, func(e *EdgeScan) bool { return fn(e.Materialize()) })
-}
-
-// ForEachIncidentEdge calls fn for each edge incident to id — outgoing
-// edges first, then incoming, each in insertion order (the same order
-// Edges returns) — while fn returns true. fn runs under the graph's read
-// lock and must not call back into the graph.
-func (g *Graph) ForEachIncidentEdge(id VertexID, fn func(Edge) bool) {
-	g.ForEachIncidentScan(id, func(e *EdgeScan) bool { return fn(e.Materialize()) })
-}
-
-// ForEachInEdge calls fn for each incoming edge of id while fn returns true.
-// fn runs under the graph's read lock and must not call back into the graph.
-func (g *Graph) ForEachInEdge(id VertexID, fn func(Edge) bool) {
-	g.ForEachInScan(id, func(e *EdgeScan) bool { return fn(e.Materialize()) })
-}
-
-// materializeRefs copies the edges behind a ref list.
-func (g *Graph) materializeRefs(refs []edgeRef) []Edge {
-	out := make([]Edge, len(refs))
-	for i, ref := range refs {
-		out[i] = g.edgeAt(ref)
-	}
-	return out
 }
 
 // removeRef drops one ref from an adjacency list by swap-with-last, the same

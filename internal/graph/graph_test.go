@@ -3,9 +3,72 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// The helpers below read a graph through its scan API the way a consumer
+// does, materializing each visited edge.
+
+func collectEdges(scan func(func(*EdgeScan) bool)) []Edge {
+	var out []Edge
+	scan(func(e *EdgeScan) bool {
+		out = append(out, e.Materialize())
+		return true
+	})
+	return out
+}
+
+func outEdges(g *Graph, id VertexID) []Edge {
+	return collectEdges(func(fn func(*EdgeScan) bool) { g.ForEachOutScan(id, fn) })
+}
+
+func inEdges(g *Graph, id VertexID) []Edge {
+	return collectEdges(func(fn func(*EdgeScan) bool) { g.ForEachInScan(id, fn) })
+}
+
+func incidentEdges(g *Graph, id VertexID) []Edge {
+	return collectEdges(func(fn func(*EdgeScan) bool) { g.ForEachIncidentScan(id, fn) })
+}
+
+// liveEdgeIDs lists every live edge ID in ascending order.
+func liveEdgeIDs(g *Graph) []EdgeID {
+	var ids []EdgeID
+	g.ScanEdges(func(e *EdgeScan) bool {
+		ids = append(ids, e.ID)
+		return true
+	})
+	slices.Sort(ids)
+	return ids
+}
+
+// scanLabelCounts counts the live edges per label by scanning every edge.
+func scanLabelCounts(g *Graph) map[string]int {
+	n := map[string]int{}
+	g.ScanEdges(func(e *EdgeScan) bool {
+		n[e.LabelName()]++
+		return true
+	})
+	return n
+}
+
+// checkLabelCounts fails unless EdgesWithLabel agrees, for every label a
+// scan finds, with the number of live edges carrying it, and the counts sum
+// to NumEdges.
+func checkLabelCounts(t *testing.T, g *Graph) {
+	t.Helper()
+	sum := 0
+	for label, n := range scanLabelCounts(g) {
+		if got := g.EdgesWithLabel(label); got != n {
+			t.Fatalf("EdgesWithLabel(%q) = %d, scan finds %d", label, got, n)
+		}
+		sum += n
+	}
+	if n := g.NumEdges(); sum != n {
+		t.Fatalf("label counts sum to %d, NumEdges=%d", sum, n)
+	}
+}
 
 func TestAddVertexAssignsDistinctIDs(t *testing.T) {
 	g := New()
@@ -50,11 +113,11 @@ func TestEdgeLookupAndDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := g.OutDegree(a); got != 2 {
-		t.Errorf("OutDegree(a) = %d, want 2", got)
+	if got := len(outEdges(g, a)); got != 2 {
+		t.Errorf("out-degree(a) = %d, want 2", got)
 	}
-	if got := g.InDegree(c); got != 2 {
-		t.Errorf("InDegree(c) = %d, want 2", got)
+	if got := len(inEdges(g, c)); got != 2 {
+		t.Errorf("in-degree(c) = %d, want 2", got)
 	}
 	if got := g.Degree(b); got != 2 {
 		t.Errorf("Degree(b) = %d, want 2", got)
@@ -63,12 +126,16 @@ func TestEdgeLookupAndDegree(t *testing.T) {
 	if !ok || e.Label != "knows" || e.Src != a || e.Dst != b {
 		t.Errorf("Edge(e1) = %+v, %v", e, ok)
 	}
-	if es := g.EdgesByLabel("knows"); len(es) != 2 {
-		t.Errorf("EdgesByLabel(knows) = %d edges, want 2", len(es))
+	if n := g.EdgesWithLabel("knows"); n != 2 {
+		t.Errorf("EdgesWithLabel(knows) = %d, want 2", n)
 	}
-	if labels := g.EdgeLabels(); len(labels) != 2 || labels[0] != "knows" || labels[1] != "likes" {
-		t.Errorf("EdgeLabels = %v", labels)
+	if n := g.EdgesWithLabel("likes"); n != 1 {
+		t.Errorf("EdgesWithLabel(likes) = %d, want 1", n)
 	}
+	if n := g.EdgesWithLabel("unseen"); n != 0 {
+		t.Errorf("EdgesWithLabel(unseen) = %d, want 0", n)
+	}
+	checkLabelCounts(t, g)
 }
 
 func TestRemoveEdgeCleansIndexes(t *testing.T) {
@@ -85,28 +152,40 @@ func TestRemoveEdgeCleansIndexes(t *testing.T) {
 	if g.NumEdges() != 0 {
 		t.Fatalf("NumEdges = %d, want 0", g.NumEdges())
 	}
-	if g.OutDegree(a) != 0 || g.InDegree(b) != 0 {
-		t.Fatal("degrees not cleaned after removal")
+	if len(outEdges(g, a)) != 0 || len(inEdges(g, b)) != 0 {
+		t.Fatal("adjacency not cleaned after removal")
 	}
-	if es := g.EdgesByLabel("rel"); len(es) != 0 {
-		t.Fatalf("label index not cleaned: %v", es)
+	if n := g.EdgesWithLabel("rel"); n != 0 {
+		t.Fatalf("label count not cleaned: %d", n)
 	}
 }
 
+// TestFindEdgesFiltersByLabel finds the edges between two vertices the way
+// core.KG does: an out-scan filtered by destination and interned label.
 func TestFindEdgesFiltersByLabel(t *testing.T) {
 	g := New()
 	a := g.AddVertex("A")
 	b := g.AddVertex("B")
 	g.AddEdge(a, b, "x")
 	g.AddEdge(a, b, "y")
-	if got := len(g.FindEdges(a, b, "x")); got != 1 {
-		t.Errorf("FindEdges(x) = %d, want 1", got)
+	find := func(src, dst VertexID, label string) int {
+		n := 0
+		g.ForEachOutScan(src, func(e *EdgeScan) bool {
+			if e.Dst == dst && (label == "" || e.LabelName() == label) {
+				n++
+			}
+			return true
+		})
+		return n
 	}
-	if got := len(g.FindEdges(a, b, "")); got != 2 {
-		t.Errorf("FindEdges(any) = %d, want 2", got)
+	if got := find(a, b, "x"); got != 1 {
+		t.Errorf("find(x) = %d, want 1", got)
 	}
-	if got := len(g.FindEdges(b, a, "")); got != 0 {
-		t.Errorf("FindEdges(reverse) = %d, want 0", got)
+	if got := find(a, b, ""); got != 2 {
+		t.Errorf("find(any) = %d, want 2", got)
+	}
+	if got := find(b, a, ""); got != 0 {
+		t.Errorf("find(reverse) = %d, want 0", got)
 	}
 }
 
@@ -162,7 +241,7 @@ func TestVertexCopiesAreIsolated(t *testing.T) {
 }
 
 // Property: after any sequence of adds and removes, sum of out-degrees ==
-// sum of in-degrees == NumEdges, and no index contains a removed edge.
+// sum of in-degrees == the label count == NumEdges.
 func TestDegreeInvariantQuick(t *testing.T) {
 	f := func(ops []uint16, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -177,7 +256,7 @@ func TestDegreeInvariantQuick(t *testing.T) {
 			case 0, 1: // add edge
 				s := vids[rng.Intn(len(vids))]
 				d := vids[rng.Intn(len(vids))]
-				id, err := g.AddEdge(s, d, "r")
+				id, err := g.AddEdge(s, d, []string{"r", "q"}[rng.Intn(2)])
 				if err != nil {
 					return false
 				}
@@ -190,12 +269,77 @@ func TestDegreeInvariantQuick(t *testing.T) {
 		}
 		sumOut, sumIn := 0, 0
 		for _, v := range vids {
-			sumOut += g.OutDegree(v)
-			sumIn += g.InDegree(v)
+			sumOut += len(outEdges(g, v))
+			sumIn += len(inEdges(g, v))
 		}
-		return sumOut == g.NumEdges() && sumIn == g.NumEdges()
+		n := g.NumEdges()
+		return sumOut == n && sumIn == n && g.EdgesWithLabel("r")+g.EdgesWithLabel("q") == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLabelCountsMatchScanQuick pins the label counts on every write path:
+// after random batch inserts and removals over three labels, EdgesWithLabel
+// agrees with a scan on the graph, on a replica fed its mutation stream and
+// on a copy restored from its snapshot.
+func TestLabelCountsMatchScanQuick(t *testing.T) {
+	labels := []string{"r", "q", "p"}
+	f := func(ops []uint16, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, replica := New(), New()
+		var replErr error
+		g.AddMutationHook(func(m Mutation) {
+			if err := replica.ApplyReplicated(m); err != nil && replErr == nil {
+				replErr = err
+			}
+		})
+		var vids []VertexID
+		for i := 0; i < 6; i++ {
+			vids = append(vids, g.AddVertex("T"))
+		}
+		var eids []EdgeID
+		for _, op := range ops {
+			if op%2 == 1 {
+				if len(eids) > 0 {
+					g.RemoveEdge(eids[rng.Intn(len(eids))])
+				}
+				continue
+			}
+			specs := make([]EdgeSpec, 1+int(op/2)%3)
+			for i := range specs {
+				specs[i] = EdgeSpec{Src: vids[rng.Intn(len(vids))], Dst: vids[rng.Intn(len(vids))],
+					Label: labels[rng.Intn(len(labels))], Weight: 1}
+			}
+			ids, err := g.AddEdges(specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eids = append(eids, ids...)
+		}
+		snap := g.Snapshot()
+		restored := New()
+		for _, vs := range snap.Vertices {
+			restored.RestoreVertices(vs)
+		}
+		if err := restored.RestoreEdges(snap.Edges); err != nil {
+			t.Fatal(err)
+		}
+		if replErr != nil {
+			t.Fatal(replErr)
+		}
+		for _, h := range []*Graph{g, replica, restored} {
+			scanned := scanLabelCounts(h)
+			for _, l := range labels {
+				if h.EdgesWithLabel(l) != scanned[l] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -60,10 +60,10 @@ type MutationHook func(Mutation)
 // comparable) and can be removed individually.
 type hookEntry struct{ fn MutationHook }
 
-// AddMutationHook registers an additional mutation subscriber and returns a
-// function that removes it. Hooks are invoked in registration order. The
-// list changes under the write lock, so a mutation is delivered either to
-// the old list or to the new one, never to a mix.
+// AddMutationHook registers a mutation subscriber and returns a function
+// that removes it. Hooks are invoked in registration order. The list changes
+// under the write lock, so a mutation is delivered either to the old list or
+// to the new one, never to a mix.
 func (g *Graph) AddMutationHook(h MutationHook) (remove func()) {
 	e := &hookEntry{fn: h}
 	g.mu.Lock()
@@ -71,31 +71,9 @@ func (g *Graph) AddMutationHook(h MutationHook) (remove func()) {
 	g.mu.Unlock()
 	return func() {
 		g.mu.Lock()
-		g.removeHookLocked(e)
+		g.hooks = slices.DeleteFunc(g.hooks, func(cur *hookEntry) bool { return cur == e })
 		g.mu.Unlock()
 	}
-}
-
-// SetMutationHook installs (or, with nil, removes) the primary mutation
-// subscriber — the slot internal/persist's write-ahead log owns. It replaces
-// only the hook previously installed through SetMutationHook; subscribers
-// added via AddMutationHook are unaffected.
-func (g *Graph) SetMutationHook(h MutationHook) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.primaryHook != nil {
-		g.removeHookLocked(g.primaryHook)
-		g.primaryHook = nil
-	}
-	if h != nil {
-		g.primaryHook = &hookEntry{fn: h}
-		g.hooks = append(g.hooks, g.primaryHook)
-	}
-}
-
-// removeHookLocked drops one subscriber, keeping the others in order.
-func (g *Graph) removeHookLocked(e *hookEntry) {
-	g.hooks = slices.DeleteFunc(g.hooks, func(cur *hookEntry) bool { return cur == e })
 }
 
 // --- Restore API -----------------------------------------------------------
@@ -187,7 +165,7 @@ func (g *Graph) checkExplicitLocked(e *Edge, op string) error {
 //
 // The load holds the write lock throughout and runs in two phases of one
 // worker per stripe, each writing only its own stripe: phase one appends each
-// stripe's edges into its slab and label index; phase two distributes
+// stripe's edges into its slab and label counts; phase two distributes
 // adjacency refs, each worker owning one target stripe and appending its refs
 // sorted by edge ID — a deterministic order regardless of worker scheduling.
 // Edges whose ID is already present are skipped (idempotence), matching
@@ -211,7 +189,7 @@ func (g *Graph) RestoreEdges(byOwner [][]Edge) error {
 		}
 	}
 
-	// Phase one: per owning stripe, append slab slots + label-index entries.
+	// Phase one: per owning stripe, append slab slots and count labels.
 	// Each inserted edge's ref is collected for phase two.
 	type pendingRef struct {
 		id  EdgeID

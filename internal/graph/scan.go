@@ -2,14 +2,13 @@ package graph
 
 import "nous/internal/graph/symtab"
 
-// This file is the slab-native read path. The classic iteration API
-// (ForEachOutEdge and friends) materializes a full Edge value — resolved
-// label string, copied props map — per visited edge, which is exactly the
-// allocation the columnar layout exists to avoid. Hot consumers (PageRank,
-// pathsearch beam expansion, temporal window scans) iterate EdgeScan views
-// instead: a stack-allocated projection of the slab columns, valid only
-// inside the callback, with properties readable by interned key without
-// copying the map.
+// This file is the graph's read path for edges. Every consumer (fact
+// decoding, pathsearch beam expansion, temporal window scans) iterates
+// EdgeScan views: a stack-allocated projection of the slab columns, valid
+// only inside the callback, with properties readable by interned key without
+// copying the map. A consumer that needs an owned value calls Materialize,
+// paying for the resolved label string and the copied props map only where
+// it keeps the edge.
 //
 // Every scan holds the graph's read lock for its whole run, callback
 // included. A callback must therefore not call back into the graph: a second
@@ -50,9 +49,6 @@ func (e *EdgeScan) PropEquals(key symtab.SymID, value string) bool {
 	}
 	return e.props[key] == value
 }
-
-// HasProps reports whether the edge carries any properties.
-func (e *EdgeScan) HasProps() bool { return len(e.props) > 0 }
 
 // Vertex returns a copy of vertex id — typically the edge's Src or Dst —
 // read under the lock the scan already holds. It is how a callback reads a
@@ -116,9 +112,8 @@ func (g *Graph) ForEachInScan(id VertexID, fn func(*EdgeScan) bool) {
 }
 
 // ForEachIncidentScan calls fn with a view of each edge incident to id —
-// outgoing first, then incoming, each in insertion order (the order
-// ForEachIncidentEdge uses) — while fn returns true. fn must not call back
-// into the graph or retain the view.
+// outgoing first, then incoming, each in insertion order — while fn returns
+// true. fn must not call back into the graph or retain the view.
 func (g *Graph) ForEachIncidentScan(id VertexID, fn func(*EdgeScan) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -143,37 +138,6 @@ func (g *Graph) ScanEdge(id EdgeID, fn func(*EdgeScan)) bool {
 	ev.fill(shardIdx(uint64(id)), c, off)
 	fn(&ev)
 	return true
-}
-
-// ForEachLabelScan calls fn with a view of every live edge carrying label
-// while fn returns true — stripe by stripe off the per-label index, so the
-// cost is O(matching edges), in insertion order within each stripe (not
-// global ID order). fn must not call back into the graph or retain the view.
-func (g *Graph) ForEachLabelScan(label string, fn func(*EdgeScan) bool) {
-	sym, known := symtab.Lookup(label)
-	if !known {
-		return // a never-interned label is carried by no edge
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	ev := EdgeScan{g: g}
-	for si := range g.shards {
-		s := &g.shards[si]
-		ls := s.byLabel[sym]
-		if ls == nil {
-			continue
-		}
-		for _, slot := range ls.slots {
-			c, off := s.slab.chunk(slot)
-			if c.dead[off] {
-				continue
-			}
-			ev.fill(si, c, off)
-			if !fn(&ev) {
-				return
-			}
-		}
-	}
 }
 
 // ScanEdges calls fn with a view of every live edge while fn returns true —

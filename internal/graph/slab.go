@@ -122,15 +122,6 @@ func makeRef(shardIdx int, slot uint32) edgeRef {
 func (r edgeRef) shard() int   { return int(r & (numShards - 1)) }
 func (r edgeRef) slot() uint32 { return uint32(r) >> shardBits }
 
-// labelSet indexes the live slots of one shard's edges carrying one label.
-// Slots are append-only; removal tombstones the slab slot and decrements
-// live, and the slice is compacted (dead slots dropped) once they outnumber
-// the live ones, so iteration stays O(live) amortized.
-type labelSet struct {
-	slots []uint32
-	live  int
-}
-
 // seqOf and idOf convert between an EdgeID and its per-shard dense sequence
 // number. The single global allocator hands out IDs round-robin across
 // shards, so seq = id >> shardBits is dense within each shard — which is

@@ -74,7 +74,7 @@ func TestPageRankBitReproducible(t *testing.T) {
 func TestViewOrderIgnoresInsertionOrder(t *testing.T) {
 	g := syntheticGraph(t, 3000)
 	var edges []Edge
-	for _, id := range g.EdgeIDs() {
+	for _, id := range liveEdgeIDs(g) {
 		e, _ := g.Edge(id)
 		edges = append(edges, e)
 	}

@@ -106,7 +106,7 @@ func newDiffCase(seed int64) diffCase {
 		if err != nil {
 			panic(err)
 		}
-		if win.ContainsEdge(graph.Edge{Timestamp: ts, Props: props}) {
+		if win.Contains(ts) || props["curated"] == "true" {
 			vid, err := vis.AddEdgeFull(a, b, label, weight, ts, props)
 			if err != nil {
 				panic(err)

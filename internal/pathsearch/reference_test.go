@@ -41,7 +41,7 @@ func (s *Searcher) refTopK(src, dst graph.VertexID, opt Options) []Path {
 		var next []scoredRef
 		for _, p := range frontier {
 			cur := p.verts[len(p.verts)-1]
-			for _, e := range s.g.Edges(cur) {
+			for _, e := range incidentEdges(s.g, cur) {
 				nb := e.Dst
 				if nb == cur {
 					nb = e.Src
@@ -120,7 +120,7 @@ func (s *Searcher) refBFS(src, dst graph.VertexID, opt Options) []Path {
 		var next []refPartial
 		for _, p := range frontier {
 			cur := p.verts[len(p.verts)-1]
-			for _, e := range s.g.Edges(cur) {
+			for _, e := range incidentEdges(s.g, cur) {
 				nb := e.Dst
 				if nb == cur {
 					nb = e.Src
@@ -288,4 +288,15 @@ func BenchmarkTopKAllocs(b *testing.B) {
 			s.refTopK(0, 59, Options{K: 3, MaxDepth: 4})
 		}
 	})
+}
+
+// incidentEdges materializes the edges incident to id — outgoing first, then
+// incoming, each in insertion order — which is the list the references walk.
+func incidentEdges(g *graph.Graph, id graph.VertexID) []graph.Edge {
+	var out []graph.Edge
+	g.ForEachIncidentScan(id, func(e *graph.EdgeScan) bool {
+		out = append(out, e.Materialize())
+		return true
+	})
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func assertGraphsEqual(t *testing.T, want, got *graph.Graph) {
 			t.Errorf("vertex %d: want %+v, got %+v", id, w, g2)
 		}
 	}
-	we, ge := want.EdgeIDs(), got.EdgeIDs()
+	we, ge := edgeIDs(want), edgeIDs(got)
 	if !reflect.DeepEqual(we, ge) {
 		t.Fatalf("edge IDs: want %v, got %v", we, ge)
 	}
@@ -88,6 +89,17 @@ func assertGraphsEqual(t *testing.T, want, got *graph.Graph) {
 			t.Errorf("edge %d: want %+v, got %+v", id, w, g2)
 		}
 	}
+}
+
+// edgeIDs lists a graph's live edge IDs in ascending order.
+func edgeIDs(g *graph.Graph) []graph.EdgeID {
+	var ids []graph.EdgeID
+	g.ScanEdges(func(e *graph.EdgeScan) bool {
+		ids = append(ids, e.ID)
+		return true
+	})
+	slices.Sort(ids)
+	return ids
 }
 
 func TestMutationCodecRoundTrip(t *testing.T) {

@@ -110,6 +110,7 @@ type Store struct {
 	checkpoints atomic.Uint64
 	replayed    int
 	closed      atomic.Bool
+	detach      func() // removes onMutation from the graph's hooks
 
 	errMu   sync.Mutex
 	lastErr error
@@ -216,7 +217,7 @@ func Open(dir string, g *graph.Graph, opt Options) (*Store, error) {
 	}
 
 	// 4. Subscribe to mutations and start the background loop.
-	g.SetMutationHook(st.onMutation)
+	st.detach = g.AddMutationHook(st.onMutation)
 	st.wg.Add(1)
 	go st.background()
 	return st, nil
@@ -396,7 +397,7 @@ func (st *Store) Close() error {
 		st.mu.Unlock()
 		return nil
 	}
-	st.g.SetMutationHook(nil)
+	st.detach()
 	close(st.stop)
 	st.mu.Unlock()
 	st.wg.Wait()

@@ -363,7 +363,7 @@ func (s *ishard) datedFrom() int {
 }
 
 // Count returns the number of edges whose timestamp lies in w. It is a pure
-// timestamp query — the curated-pass rule of Window.ContainsEdge applies to
+// timestamp query — the curated-pass rule of Window.ContainsScan applies to
 // read views, not to the raw index.
 func (ix *Index) Count(w Window) int {
 	n := 0

@@ -33,17 +33,23 @@ func TestWindowContains(t *testing.T) {
 }
 
 func TestWindowContainsEdgeCuratedAlwaysPasses(t *testing.T) {
+	g := graph.New()
+	a, b := g.AddVertex("Company"), g.AddVertex("Company")
+	curated, _ := g.AddEdgeFull(a, b, "acquired", 1, Timeless, map[string]string{"curated": "true"})
+	extractedIn, _ := g.AddEdgeFull(a, b, "acquired", 1, 150, nil)
+	extractedOut, _ := g.AddEdgeFull(a, b, "acquired", 1, 50, nil)
+	contains := func(w Window, id graph.EdgeID) (in bool) {
+		g.ScanEdge(id, func(e *graph.EdgeScan) { in = w.ContainsScan(e) })
+		return in
+	}
 	w := Window{Since: 100, Until: 200}
-	curated := graph.Edge{Timestamp: -62135596800, Props: map[string]string{"curated": "true"}}
-	extractedIn := graph.Edge{Timestamp: 150}
-	extractedOut := graph.Edge{Timestamp: 50}
-	if !w.ContainsEdge(curated) {
+	if !contains(w, curated) {
 		t.Fatal("curated edge must pass any window")
 	}
-	if !w.ContainsEdge(extractedIn) || w.ContainsEdge(extractedOut) {
+	if !contains(w, extractedIn) || contains(w, extractedOut) {
 		t.Fatal("extracted edges must be scoped by timestamp")
 	}
-	if !All().ContainsEdge(extractedOut) {
+	if !contains(All(), extractedOut) {
 		t.Fatal("unbounded window must pass everything")
 	}
 }
@@ -315,6 +321,14 @@ func TestIndexDetachStopsTracking(t *testing.T) {
 // delivered before the edge's MutAddEdges — otherwise the index would
 // permanently hold a ghost entry for a deleted edge.
 func TestIndexNoGhostEntriesUnderScavenging(t *testing.T) {
+	liveEdgeIDs := func(g *graph.Graph) []graph.EdgeID {
+		var ids []graph.EdgeID
+		g.ScanEdges(func(e *graph.EdgeScan) bool {
+			ids = append(ids, e.ID)
+			return true
+		})
+		return ids
+	}
 	g := graph.New()
 	a := g.AddVertex("Company")
 	b := g.AddVertex("Company")
@@ -327,8 +341,8 @@ func TestIndexNoGhostEntriesUnderScavenging(t *testing.T) {
 	go func() {
 		defer scav.Done()
 		for {
-			for _, e := range g.EdgesByLabel("acquired") {
-				g.RemoveEdge(e.ID)
+			for _, id := range liveEdgeIDs(g) {
+				g.RemoveEdge(id)
 			}
 			select {
 			case <-stop:
@@ -353,8 +367,8 @@ func TestIndexNoGhostEntriesUnderScavenging(t *testing.T) {
 	close(stop)
 	scav.Wait()
 	// Drain whatever the scavenger did not reach.
-	for _, e := range g.EdgesByLabel("acquired") {
-		g.RemoveEdge(e.ID)
+	for _, id := range liveEdgeIDs(g) {
+		g.RemoveEdge(id)
 	}
 	if ix.Len() != g.NumEdges() {
 		t.Fatalf("index %d entries, graph %d edges (ghost entries)", ix.Len(), g.NumEdges())

@@ -72,21 +72,6 @@ func (w Window) Contains(ts int64) bool {
 	return ts >= w.Since && ts < w.Until
 }
 
-// ContainsEdge is the read-view membership rule for graph traversals: an
-// edge is visible when its timestamp falls inside the window, or when it
-// stores a curated fact — curated knowledge is timeless background, only the
-// extracted stream is windowed. The unbounded window admits everything
-// without inspecting the edge.
-func (w Window) ContainsEdge(e graph.Edge) bool {
-	if w.IsAll() {
-		return true
-	}
-	if w.Contains(e.Timestamp) {
-		return true
-	}
-	return e.Props["curated"] == "true"
-}
-
 // curatedKey is the interned form of the "curated" provenance prop, looked
 // up once so the scan-path membership test does no string hashing per edge.
 var curatedKey = symtab.Intern("curated")
@@ -96,9 +81,11 @@ var curatedKey = symtab.Intern("curated")
 // (graph.Compile) evaluate it once per edge and keep the bit.
 func AlwaysVisible(e *graph.EdgeScan) bool { return e.PropEquals(curatedKey, "true") }
 
-// ContainsScan is ContainsEdge for slab views: the same membership rule
-// applied to a graph.EdgeScan without materializing the edge. Beam expansion
-// calls this once per scanned edge.
+// ContainsScan is the read-view membership rule for graph traversals: an
+// edge is visible when its timestamp falls inside the window, or when it
+// stores a curated fact — curated knowledge is timeless background, only the
+// extracted stream is windowed. It reads the graph.EdgeScan in place; beam
+// expansion calls it once per scanned edge.
 func (w Window) ContainsScan(e *graph.EdgeScan) bool {
 	return w.Contains(e.Timestamp) || AlwaysVisible(e)
 }

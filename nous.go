@@ -642,8 +642,5 @@ func (p *Pipeline) SourceTrust() []trust.SourceTrust {
 // LinkPredictor exposes the BPR confidence model.
 func (p *Pipeline) LinkPredictor() *linkpred.Model { return p.stream.Model() }
 
-// Miner exposes the streaming frequent-graph miner.
-func (p *Pipeline) Miner() *fgm.Miner { return p.miner }
-
 // QueryClasses lists the five supported query classes with examples.
 func QueryClasses() []string { return qa.Classes() }
