@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"nous/internal/analysis"
 )
 
 // capture runs fn with os.Stdout redirected to a pipe and returns what it
@@ -31,47 +29,9 @@ func capture(t *testing.T, fn func()) string {
 	return string(out)
 }
 
-// The -V handshake is the vet cache key: it must fold in the fact schema
-// fingerprint so a changed fact shape evicts every cached vetx.
-func TestVersionIncludesSchemaFingerprint(t *testing.T) {
-	out := capture(t, func() {
-		if code := run([]string{"-V=full"}); code != 0 {
-			t.Errorf("run(-V=full) = %d, want 0", code)
-		}
-	})
-	if !strings.HasPrefix(out, "nouslint version v1.1.0-") {
-		t.Errorf("version output %q lacks the name/version prefix cmd/go parses", out)
-	}
-	if fp := analysis.SchemaFingerprint(allAnalyzers); !strings.Contains(out, fp) {
-		t.Errorf("version output %q does not embed schema fingerprint %s", out, fp)
-	}
-}
-
-func TestModuleOwned(t *testing.T) {
-	tests := []struct {
-		importPath, modulePath string
-		want                   bool
-	}{
-		{"nous", "nous", true},
-		{"nous/internal/graph", "nous", true},
-		{"nous/internal/graph [nous/internal/graph.test]", "nous", true},
-		{"nous/internal/graph", "", true}, // older go versions omit ModulePath
-		{"fmt", "nous", false},
-		{"nousuffix/pkg", "nous", false},
-		{"golang.org/x/tools", "nous", false},
-	}
-	for _, tt := range tests {
-		cfg := &vetConfig{ImportPath: tt.importPath, ModulePath: tt.modulePath}
-		if got := moduleOwned(cfg); got != tt.want {
-			t.Errorf("moduleOwned(%q in module %q) = %v, want %v", tt.importPath, tt.modulePath, got, tt.want)
-		}
-	}
-}
-
-// The parallel standalone schedule must be observationally identical to the
-// serial one: same findings, same facts, same ordering, byte for byte. Run
-// the driver over a real dependency slice of this module both ways and
-// compare stdout.
+// The parallel schedule must be observationally identical to the serial
+// one: same findings, same ordering, byte for byte. Run the driver over a
+// real dependency slice of this module both ways and compare stdout.
 func TestStandaloneParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks real packages")
@@ -79,16 +39,15 @@ func TestStandaloneParallelMatchesSerial(t *testing.T) {
 	// A slice with real cross-package fact flow: plan imports temporal and
 	// graph (via core), and qa imports plan.
 	patterns := []string{"nous/internal/temporal", "nous/internal/plan", "nous/internal/qa"}
-	runWith := func(parallel string) string {
+	runWith := func(parallel int) string {
 		return capture(t, func() {
-			code := run(append([]string{"-json", "-parallel", parallel}, patterns...))
-			if code != 0 && code != 2 {
-				t.Errorf("run(-parallel %s) = %d, want 0 or 2", parallel, code)
+			if code := runStandalone(allAnalyzers, patterns, true, parallel); code != 0 && code != 2 {
+				t.Errorf("runStandalone(parallel %d) = %d, want 0 or 2", parallel, code)
 			}
 		})
 	}
-	serial := runWith("1")
-	par := runWith("8")
+	serial := runWith(1)
+	par := runWith(8)
 	if serial != par {
 		t.Fatalf("parallel output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
 	}
@@ -97,55 +56,73 @@ func TestStandaloneParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// With -json, a named package's exported object facts are emitted alongside
-// findings, keyed "analyzer" (not "rule") so finding consumers are
-// unaffected. windowthread's windowedSiblings facts on nous/internal/core
-// are stable fixtures.
-func TestStandaloneJSONEmitsObjectFacts(t *testing.T) {
+// The exit contract CI depends on, over a throwaway module: a finding makes
+// the run exit 2 and prints exactly one JSON finding line, a waived finding
+// is only counted, and with the finding gone the run exits 0. Not parallel:
+// the driver runs `go list` in the working directory, which the test moves.
+func TestExitContract(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads and typechecks real packages")
+		t.Skip("runs go list and type-checks a module")
 	}
-	out := capture(t, func() {
-		if code := run([]string{"-json", "nous/internal/core"}); code != 0 && code != 2 {
-			t.Errorf("run = %d, want 0 or 2", code)
+	dir := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
 		}
-	})
-	var sawFact bool
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("non-JSON line %q: %v", line, err)
-		}
-		if _, isFact := obj["analyzer"]; !isFact {
-			continue
-		}
-		sawFact = true
-		if _, hasRule := obj["rule"]; hasRule {
-			t.Fatalf("fact line %q carries a rule key", line)
-		}
-		for _, k := range []string{"package", "object", "fact"} {
-			if _, ok := obj[k]; !ok {
-				t.Fatalf("fact line %q missing %q", line, k)
-			}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !sawFact {
-		t.Fatalf("no object-fact lines in output:\n%s", out)
-	}
+	write("go.mod", "module nous\n\ngo 1.22\n")
+	const waived = `
+func Waived() time.Time {
+	//nouslint:allow noclock -- the waived call
+	return time.Now()
 }
+`
+	write("internal/plan/plan.go", "package plan\n\nimport \"time\"\n\nfunc Bare() time.Time {\n\treturn time.Now()\n}\n"+waived)
 
-// writeVetx output must round-trip through DecodeFacts — it is the file the
-// go command hands to every dependent package's analysis.
-func TestWriteVetxRoundTrip(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "pkg.vetx")
-	if code := writeVetx(analysis.NewFactStore(), allAnalyzers, out); code != 0 {
-		t.Fatalf("writeVetx = %d, want 0", code)
-	}
-	data, err := os.ReadFile(out)
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := analysis.DecodeFacts(data, allAnalyzers, analysis.NewFactStore()); err != nil {
-		t.Fatalf("DecodeFacts(writeVetx output): %v", err)
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	var code int
+	out := capture(t, func() { code = run([]string{"-json", "./..."}) })
+	if code != 2 {
+		t.Errorf("run with a bare time.Now() = %d, want 2", code)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if last := lines[len(lines)-1]; last != `{"suppressed":1}` {
+		t.Errorf("last line = %q, want {\"suppressed\":1}", last)
+	}
+	var findings []jsonFinding
+	for _, line := range lines[:len(lines)-1] {
+		var f jsonFinding
+		if err := json.Unmarshal([]byte(line), &f); err != nil {
+			t.Fatalf("non-JSON line %q: %v", line, err)
+		}
+		findings = append(findings, f)
+	}
+	want := filepath.Join("internal", "plan", "plan.go")
+	if len(findings) != 1 || !strings.HasSuffix(findings[0].File, want) ||
+		findings[0].Line != 6 || findings[0].Col != 9 || findings[0].Rule != "noclock" {
+		t.Fatalf("findings = %+v, want one noclock finding at %s:6:9\n%s", findings, want, out)
+	}
+
+	write("internal/plan/plan.go", "package plan\n\nimport \"time\"\n"+waived)
+	out = capture(t, func() { code = run([]string{"-json", "./..."}) })
+	if code != 0 || strings.TrimSpace(out) != `{"suppressed":1}` {
+		t.Errorf("run with only the waived call = %d, output %q; want 0 and {\"suppressed\":1}", code, out)
 	}
 }

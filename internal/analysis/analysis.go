@@ -38,9 +38,8 @@ type Analyzer struct {
 	Run  func(*Pass) (any, error)
 
 	// FactTypes declares the fact types this analyzer may export or
-	// import, each as a pointer to the zero struct. Exporting an
-	// undeclared fact type panics; declared types are gob-registered by
-	// RegisterFactTypes and folded into the vetx schema fingerprint.
+	// import, each as a pointer to the zero struct. Exporting or importing
+	// an undeclared fact type panics.
 	FactTypes []Fact
 }
 
@@ -92,9 +91,8 @@ func (p *Pass) lookupPkg(path string) *types.Package {
 	return p.pkgByPath[path]
 }
 
-// checkFactType panics unless the analyzer declared fact's type in FactTypes.
-// Facts are part of an analyzer's wire schema; an undeclared type would be
-// silently dropped by serialization, so using one is a programming error.
+// checkFactType panics unless the analyzer declared fact's type in FactTypes,
+// which keeps an analyzer's cross-package contract listed next to its name.
 func (p *Pass) checkFactType(fact Fact) {
 	if err := validFact(fact); err != nil {
 		panic(fmt.Sprintf("%s: %v", p.Analyzer.Name, err))
@@ -122,8 +120,8 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 }
 
 // ImportObjectFact copies into fact the fact of fact's type previously
-// exported about obj — by this pass, an earlier pass in the same run, or a
-// dependency's vetx file — and reports whether one existed.
+// exported about obj — by this pass or an earlier pass in the same run — and
+// reports whether one existed.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	p.checkFactType(fact)
 	if obj == nil || obj.Pkg() == nil {
@@ -178,7 +176,7 @@ func (p *Pass) AllObjectFacts() []ObjectFact {
 		if a.ObjPath != b.ObjPath {
 			return a.ObjPath < b.ObjPath
 		}
-		return gobName(a.Fact) < gobName(b.Fact)
+		return factTypeName(a.Fact) < factTypeName(b.Fact)
 	})
 	return out
 }

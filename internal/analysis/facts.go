@@ -1,19 +1,12 @@
-// Cross-package fact propagation. A Fact is a serializable claim an analyzer
-// proves about a package-level object (or a whole package) while analyzing
-// the package that declares it, and consumes later — possibly in a different
-// process — while analyzing a package that imports it. Facts are what make
-// the suite *modular*: windowthread can know that a callee in another package
-// drops its window, and scanescape can know that a callee stashes its
-// *graph.EdgeScan parameter, without ever seeing that callee's source.
-//
-// Facts travel two ways:
-//
-//   - in-process, through a shared FactStore (the standalone driver and
-//     analysistest analyze whole dependency slices in one process, in
-//     dependency order);
-//   - on disk, gob-encoded into .vetx files (the go vet -vettool unit-checker
-//     protocol analyzes one package per process; the go command hands each
-//     invocation its dependencies' vetx files and a path to write its own).
+// Cross-package fact propagation. A Fact is a claim an analyzer proves about
+// a package-level object (or a whole package) while analyzing the package
+// that declares it, and consumes later while analyzing a package that
+// imports it. Facts are what make the suite *modular*: windowthread can know
+// that a callee in another package drops its window, and scanescape can know
+// that a callee stashes its *graph.EdgeScan parameter, without ever seeing
+// that callee's source. They travel through one shared FactStore: nouslint
+// and analysistest analyze whole dependency slices in one process, in
+// dependency order.
 //
 // Identity is textual, not pointer-based: a fact is keyed by (analyzer,
 // package path, object path, fact type), where the object path is "Name" for
@@ -27,10 +20,6 @@
 package analysis
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"go/types"
 	"reflect"
@@ -40,8 +29,8 @@ import (
 )
 
 // Fact is the marker interface for analyzer facts. Implementations must be
-// pointers to gob-encodable structs and should implement fmt.Stringer — the
-// string form is what // wantfact fixture assertions match against.
+// pointers to structs and should implement fmt.Stringer — the string form is
+// what // wantfact fixture assertions match against.
 type Fact interface{ AFact() }
 
 // ObjectPath names a package-level object, or a method of a package-level
@@ -120,12 +109,10 @@ type ObjectFact struct {
 }
 
 // FactStore accumulates facts across passes. Drivers share one store per
-// analysis run; the unit-checker driver seeds it from dependency vetx files
-// and serializes the union back out. All methods are safe for concurrent
-// use — the standalone driver analyzes independent packages in parallel
-// against one store (dependency ordering guarantees a package's own facts
-// are complete before any importer reads them, but siblings race on the map
-// itself).
+// analysis run. All methods are safe for concurrent use — nouslint analyzes
+// independent packages in parallel against one store (dependency ordering
+// guarantees a package's own facts are complete before any importer reads
+// them, but siblings race on the map itself).
 type FactStore struct {
 	mu    sync.RWMutex
 	facts map[factKey]Fact
@@ -163,7 +150,7 @@ func (s *FactStore) get(analyzer, pkg, obj string, ptr Fact) bool {
 
 // ObjectFacts returns the object facts recorded for one analyzer about one
 // package, sorted by object path then fact type. Objects are not resolved —
-// callers outside a Pass (fixture checkers, debug dumps) work textually.
+// callers outside a Pass (the fixture checker) work textually.
 func (s *FactStore) ObjectFacts(analyzer, pkgPath string) []ObjectFact {
 	var out []ObjectFact
 	s.mu.RLock()
@@ -177,136 +164,10 @@ func (s *FactStore) ObjectFacts(analyzer, pkgPath string) []ObjectFact {
 		if out[i].ObjPath != out[j].ObjPath {
 			return out[i].ObjPath < out[j].ObjPath
 		}
-		return gobName(out[i].Fact) < gobName(out[j].Fact)
+		return factTypeName(out[i].Fact) < factTypeName(out[j].Fact)
 	})
 	return out
 }
 
-// --- vetx serialization -----------------------------------------------------
-
-// vetxMagic versions the on-disk container; bump on any wire-format change.
-const vetxMagic = "nousvetx1 "
-
-// ErrSchemaMismatch reports a vetx file written by a nouslint build with a
-// different fact schema. Drivers treat it as a cache miss (no facts), never
-// as corruption: the go command re-runs dependencies' analysis when the tool
-// version changes, so a mismatched file is simply stale.
-var ErrSchemaMismatch = errors.New("vetx fact schema mismatch")
-
-// wireFact is the gob wire form of one fact.
-type wireFact struct {
-	Analyzer string
-	PkgPath  string
-	ObjPath  string // "" = package fact
-	Fact     Fact
-}
-
-// SchemaFingerprint hashes the fact schema of a set of analyzers: every
-// declared fact type's registered name plus its field names and types. Two
-// nouslint builds interoperate on vetx files iff their fingerprints match;
-// the fingerprint is also folded into the -V=full version string so the go
-// command's result cache keys on it.
-func SchemaFingerprint(analyzers []*Analyzer) string {
-	var lines []string
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			t := reflect.TypeOf(f).Elem()
-			var b strings.Builder
-			fmt.Fprintf(&b, "%s\x00%s", a.Name, gobName(f))
-			for i := 0; i < t.NumField(); i++ {
-				fmt.Fprintf(&b, "\x00%s %s", t.Field(i).Name, t.Field(i).Type.String())
-			}
-			lines = append(lines, b.String())
-		}
-	}
-	sort.Strings(lines)
-	h := sha256.Sum256([]byte(strings.Join(lines, "\n")))
-	return fmt.Sprintf("%x", h[:8])
-}
-
-// gobName is the stable name a fact type is gob-registered under.
-func gobName(f Fact) string {
-	return "nouslint." + reflect.TypeOf(f).Elem().Name()
-}
-
-// RegisterFactTypes registers every declared fact type with gob under its
-// stable name. Idempotent; drivers and tests call it once up front.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			if err := validFact(f); err != nil {
-				panic(fmt.Sprintf("analyzer %s: %v", a.Name, err))
-			}
-			gob.RegisterName(gobName(f), f)
-		}
-	}
-}
-
-// EncodeFacts serializes every fact in the store whose analyzer and type are
-// declared by analyzers, producing a self-contained vetx payload (imported
-// dependency facts are re-exported, so consumers only ever need their direct
-// dependencies' files).
-func EncodeFacts(s *FactStore, analyzers []*Analyzer) ([]byte, error) {
-	declared := make(map[string]map[reflect.Type]bool)
-	for _, a := range analyzers {
-		m := make(map[reflect.Type]bool)
-		for _, f := range a.FactTypes {
-			m[reflect.TypeOf(f)] = true
-		}
-		declared[a.Name] = m
-	}
-	var facts []wireFact
-	s.mu.RLock()
-	for k, f := range s.facts {
-		if m, ok := declared[k.analyzer]; ok && m[k.typ] {
-			facts = append(facts, wireFact{Analyzer: k.analyzer, PkgPath: k.pkg, ObjPath: k.obj, Fact: f})
-		}
-	}
-	s.mu.RUnlock()
-	sort.Slice(facts, func(i, j int) bool {
-		a, b := facts[i], facts[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.PkgPath != b.PkgPath {
-			return a.PkgPath < b.PkgPath
-		}
-		if a.ObjPath != b.ObjPath {
-			return a.ObjPath < b.ObjPath
-		}
-		return gobName(a.Fact) < gobName(b.Fact)
-	})
-	var buf bytes.Buffer
-	buf.WriteString(vetxMagic)
-	buf.WriteString(SchemaFingerprint(analyzers))
-	buf.WriteByte('\n')
-	if err := gob.NewEncoder(&buf).Encode(facts); err != nil {
-		return nil, fmt.Errorf("encoding facts: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFacts merges a vetx payload into the store. A payload written under a
-// different fact schema (or an unparseable one — e.g. a fact type this build
-// does not know) returns ErrSchemaMismatch; callers treat that as "no facts",
-// not as an error worth failing the run over.
-func DecodeFacts(data []byte, analyzers []*Analyzer, s *FactStore) error {
-	head, body, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok || !bytes.HasPrefix(head, []byte(vetxMagic)) {
-		return ErrSchemaMismatch
-	}
-	if string(head[len(vetxMagic):]) != SchemaFingerprint(analyzers) {
-		return ErrSchemaMismatch
-	}
-	var facts []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&facts); err != nil {
-		return fmt.Errorf("%w: %v", ErrSchemaMismatch, err)
-	}
-	for _, wf := range facts {
-		if wf.Fact == nil {
-			continue
-		}
-		s.put(wf.Analyzer, wf.PkgPath, wf.ObjPath, wf.Fact)
-	}
-	return nil
-}
+// factTypeName orders the facts of different types attached to one object.
+func factTypeName(f Fact) string { return reflect.TypeOf(f).Elem().Name() }

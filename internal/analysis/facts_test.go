@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -16,7 +15,7 @@ type testFact struct{ Note string }
 func (*testFact) AFact()           {}
 func (f *testFact) String() string { return "testFact(" + f.Note + ")" }
 
-// otherFact exists so schema changes between "builds" can be simulated.
+// otherFact is a second fact type, carried as a package fact.
 type otherFact struct{ N int }
 
 func (*otherFact) AFact()         {}
@@ -60,6 +59,9 @@ func TestObjectPathRoundTrip(t *testing.T) {
 	}
 }
 
+// Facts exported by one pass are imported by another sharing its store,
+// keyed by object path rather than object identity: the second pass
+// type-checks the package afresh, as an importer sees it through export data.
 func TestFactGobRoundTrip(t *testing.T) {
 	az := &Analyzer{
 		Name:      "factprobe",
@@ -67,7 +69,6 @@ func TestFactGobRoundTrip(t *testing.T) {
 		FactTypes: []Fact{(*testFact)(nil), (*otherFact)(nil)},
 		Run:       func(*Pass) (any, error) { return nil, nil },
 	}
-	RegisterFactTypes([]*Analyzer{az})
 
 	fset, files, pkg, info := checkPkg(t, "dep", factSrc)
 	store := NewFactStore()
@@ -76,27 +77,17 @@ func TestFactGobRoundTrip(t *testing.T) {
 	pass.ExportObjectFact(resolveObject(pkg, "T.M"), &testFact{Note: "exported-on-T.M"})
 	pass.ExportPackageFact(&otherFact{N: 7})
 
-	data, err := EncodeFacts(store, []*Analyzer{az})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh store — a different process in vetx terms — sees the same
-	// facts after decoding.
-	store2 := NewFactStore()
-	if err := DecodeFacts(data, []*Analyzer{az}, store2); err != nil {
-		t.Fatal(err)
-	}
-	pass2 := NewPass(az, fset, files, pkg, info, func(Diagnostic) {}, store2)
+	fset2, files2, pkg2, info2 := checkPkg(t, "dep", factSrc)
+	pass2 := NewPass(az, fset2, files2, pkg2, info2, func(Diagnostic) {}, store)
 	var tf testFact
-	if !pass2.ImportObjectFact(pkg.Scope().Lookup("F"), &tf) || tf.Note != "exported-on-F" {
+	if !pass2.ImportObjectFact(pkg2.Scope().Lookup("F"), &tf) || tf.Note != "exported-on-F" {
 		t.Errorf("ImportObjectFact(F) = %+v, want exported-on-F", tf)
 	}
-	if !pass2.ImportObjectFact(resolveObject(pkg, "T.M"), &tf) || tf.Note != "exported-on-T.M" {
+	if !pass2.ImportObjectFact(resolveObject(pkg2, "T.M"), &tf) || tf.Note != "exported-on-T.M" {
 		t.Errorf("ImportObjectFact(T.M) = %+v, want exported-on-T.M", tf)
 	}
 	var of otherFact
-	if !pass2.ImportPackageFact(pkg, &of) || of.N != 7 {
+	if !pass2.ImportPackageFact(pkg2, &of) || of.N != 7 {
 		t.Errorf("ImportPackageFact = %+v, want N=7", of)
 	}
 	if all := pass2.AllObjectFacts(); len(all) != 2 {
@@ -105,37 +96,8 @@ func TestFactGobRoundTrip(t *testing.T) {
 		if all[0].ObjPath != "F" || all[1].ObjPath != "T.M" {
 			t.Errorf("AllObjectFacts order = %q, %q; want F, T.M", all[0].ObjPath, all[1].ObjPath)
 		}
-		if all[0].Object == nil || all[1].Object == nil {
-			t.Errorf("AllObjectFacts objects unresolved: %v", all)
-		}
-	}
-}
-
-func TestForeignSchemaVetxIsCacheMiss(t *testing.T) {
-	// "This build" and "a different nouslint build" disagree on the fact
-	// schema: same analyzer name, different fact type shape.
-	writer := &Analyzer{Name: "factprobe", FactTypes: []Fact{(*testFact)(nil)}}
-	reader := &Analyzer{Name: "factprobe", FactTypes: []Fact{(*otherFact)(nil)}}
-	RegisterFactTypes([]*Analyzer{writer, reader})
-
-	store := NewFactStore()
-	store.put("factprobe", "dep", "F", &testFact{Note: "x"})
-	data, err := EncodeFacts(store, []*Analyzer{writer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	into := NewFactStore()
-	if err := DecodeFacts(data, []*Analyzer{reader}, into); !errors.Is(err, ErrSchemaMismatch) {
-		t.Fatalf("DecodeFacts with foreign schema: err = %v, want ErrSchemaMismatch", err)
-	}
-	if len(into.facts) != 0 {
-		t.Errorf("store after mismatched decode has %d facts, want 0", len(into.facts))
-	}
-
-	// Garbage and truncated payloads are mismatches too, never panics.
-	for _, bad := range [][]byte{nil, []byte("not a vetx"), data[:len(vetxMagic)+3]} {
-		if err := DecodeFacts(bad, []*Analyzer{reader}, into); err == nil {
-			t.Errorf("DecodeFacts(%q) = nil error, want mismatch", bad)
+		if all[0].Object != pkg2.Scope().Lookup("F") || all[1].Object != resolveObject(pkg2, "T.M") {
+			t.Errorf("AllObjectFacts objects not resolved against the importing pass: %v", all)
 		}
 	}
 }
@@ -151,19 +113,4 @@ func TestUndeclaredFactTypeRejected(t *testing.T) {
 		}
 	}()
 	pass.ExportObjectFact(pkg.Scope().Lookup("F"), &testFact{Note: "boom"})
-}
-
-func TestSchemaFingerprintSensitivity(t *testing.T) {
-	a := &Analyzer{Name: "a", FactTypes: []Fact{(*testFact)(nil)}}
-	b := &Analyzer{Name: "a", FactTypes: []Fact{(*otherFact)(nil)}}
-	c := &Analyzer{Name: "c", FactTypes: []Fact{(*testFact)(nil)}}
-	if SchemaFingerprint([]*Analyzer{a}) == SchemaFingerprint([]*Analyzer{b}) {
-		t.Error("fingerprint ignores fact type shape")
-	}
-	if SchemaFingerprint([]*Analyzer{a}) == SchemaFingerprint([]*Analyzer{c}) {
-		t.Error("fingerprint ignores analyzer name")
-	}
-	if SchemaFingerprint([]*Analyzer{a, c}) != SchemaFingerprint([]*Analyzer{c, a}) {
-		t.Error("fingerprint depends on analyzer order")
-	}
 }

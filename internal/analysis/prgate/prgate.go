@@ -6,6 +6,11 @@
 // or View.PageRank call from a query package silently reintroduces the
 // seed's recompute-per-request behaviour — a ~100× regression — without
 // failing any test, and a Compile outside the KG lock can read a torn view.
+//
+// Why an analyzer: no unexported boundary can carry the rule. graph.Compile
+// must stay callable from internal/core and View.PageRank from
+// internal/analytics, both separate packages, and Go can only hide a name
+// from every other package or from none.
 package prgate
 
 import (
@@ -37,9 +42,6 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -1,5 +1,5 @@
 // Package scanescape implements the nouslint rule that makes the zero-copy
-// EdgeScan contract machine-checked. internal/graph's scan API (PR 7) hands
+// EdgeScan contract machine-checked. internal/graph's scan API hands
 // callbacks a *graph.EdgeScan that is a stack-reused projection of the
 // columnar slab: ForEachOutScan and friends fill ONE view per iteration and
 // pass its address, so the moment the callback returns — in fact the moment
@@ -32,10 +32,22 @@
 // definition — handed an owned view it would be harmless — but it is marked
 // with the retainsScanArg object fact, computed to a fixpoint within the
 // package (a function that forwards its view to a retainer is itself a
-// retainer) and exported through the vetx fact stream. Every call site that
+// retainer) and exported to the driver's fact store. Every call site that
 // feeds a live scan view to a fact-marked function is then flagged, even
-// when the retaining function lives in a package compiled long before this
-// one was analyzed.
+// when the retaining function lives in another package.
+//
+// Calls through interfaces and func values are not followed: a callee the
+// analyzer cannot name carries no fact. That blind spot is accepted rather
+// than closed, because nothing travels through it: no interface in the module
+// has a method taking a *graph.EdgeScan (scans travel as func values, and
+// every literal receiving a view is checked where it is written), and no
+// named function in the module retains its view. An interface method that
+// takes a view would need this rule extended first.
+//
+// Why an analyzer: the scan stays zero-copy only by reusing one view per
+// iteration, no type can say "not after the callback returns", and a
+// test catches a stored view only on a path that reads it after the scan has
+// moved on.
 package scanescape
 
 import (
@@ -80,13 +92,6 @@ func isEdgeScanPtr(t types.Type) bool {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	var files []*ast.File
-	for _, f := range pass.Files {
-		if !analysis.IsTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			files = append(files, f)
-		}
-	}
-
 	// Phase 1: mark named functions whose view parameter escapes with the
 	// retainsScanArg fact, iterating to a fixpoint so forwarding chains
 	// (A passes its view to B, B stores it) are marked whatever order the
@@ -98,7 +103,7 @@ func run(pass *analysis.Pass) (any, error) {
 		marked bool
 	}
 	var decls []*declInfo
-	for _, f := range files {
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -133,7 +138,7 @@ func run(pass *analysis.Pass) (any, error) {
 	// *graph.EdgeScan parameter. Named functions are covered by the fact
 	// (their callers are flagged); literals ARE the call sites where a
 	// live view exists, so escapes here are violations.
-	for _, f := range files {
+	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			lit, ok := n.(*ast.FuncLit)
 			if !ok {

@@ -60,12 +60,6 @@ func FuncPkgPath(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// IsTestFile reports whether the file a position belongs to is a _test.go
-// file.
-func IsTestFile(name string) bool {
-	return strings.HasSuffix(name, "_test.go")
-}
-
 // ExprString renders a (small) expression for use in diagnostics. It
 // intentionally covers only the shapes diagnostics name: identifiers,
 // selectors, indexing, calls and unary/star.

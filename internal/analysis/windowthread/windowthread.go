@@ -1,5 +1,5 @@
 // Package windowthread implements the nouslint rule that keeps time windows
-// threaded through the read stack. The windowed read layer (PR 4) works by
+// threaded through the read stack. The windowed read layer works by
 // convention: every store read has an unwindowed form M and a windowed form
 // MWindow, with M delegating to MWindow(temporal.All()). A function that
 // accepts a window but calls the unwindowed form of a callee — or passes a
@@ -28,16 +28,20 @@
 // where threading is enforced — so struct parameters only count when they
 // are an Options-style bag (type name ending in "Options").
 //
+// Why an analyzer: the type system cannot carry this. M and MWindow are both
+// legitimate API — M is MWindow(temporal.All()) for callers that hold no
+// window — and no type can stop a function that holds a window from calling
+// M, or from building temporal.All(). Deleting every M would only move
+// temporal.All() into its callers, which is what the second check catches.
+//
 // The checks cross package boundaries through two object facts, computed for
-// every package the driver feeds the analyzer (not just the scoped ones) and
-// shipped through the vetx fact stream:
+// every package the driver feeds the analyzer (not just the scoped ones):
 //
 //   - windowedSiblings, exported on every function or method M whose package
 //     (or receiver) also declares MWindow. Call sites resolve the sibling
 //     question for an imported callee by importing this fact — never by
-//     peeking at the callee package's scope — so the check works identically
-//     under the one-package-per-process vet driver and degrades loudly (the
-//     cross-package fixtures fail) if fact propagation breaks;
+//     peeking at the callee package's scope — so the cross-package fixtures
+//     fail loudly if fact propagation breaks;
 //   - dropsWindow, exported on every window-accepting function that
 //     internally widens a read (an unwindowed-sibling call or a fresh
 //     unbounded window argument). A scoped function that threads its window
@@ -93,9 +97,6 @@ func run(pass *analysis.Pass) (any, error) {
 	// window-droppers in any package are relevant to scoped callers.
 	exportSiblingFacts(pass)
 	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

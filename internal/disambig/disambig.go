@@ -14,7 +14,6 @@ package disambig
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -357,10 +356,4 @@ func cosine(a, b map[string]float64) float64 {
 		return 0
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// SortResultsByScore orders results descending by score (stable for tests
-// and report output).
-func SortResultsByScore(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Score > rs[j].Score })
 }

@@ -162,14 +162,6 @@ func TestRefreshPriorAfterUpdates(t *testing.T) {
 	}
 }
 
-func TestSortResultsByScore(t *testing.T) {
-	rs := []Result{{Entity: "a", Score: 0.1}, {Entity: "b", Score: 0.9}, {Entity: "c", Score: 0.5}}
-	SortResultsByScore(rs)
-	if rs[0].Entity != "b" || rs[2].Entity != "a" {
-		t.Fatalf("sorted = %+v", rs)
-	}
-}
-
 func BenchmarkLinkJoint(b *testing.B) {
 	kg := core.NewKG(nil)
 	kg.AddEntity("Apex Robotics", ontology.TypeCompany, "Apex")

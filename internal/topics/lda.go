@@ -134,9 +134,6 @@ func (m *Model) K() int { return m.cfg.K }
 // NumDocs returns the number of training documents.
 func (m *Model) NumDocs() int { return len(m.docs) }
 
-// VocabSize returns the vocabulary size.
-func (m *Model) VocabSize() int { return len(m.words) }
-
 // DocTopics returns the smoothed topic distribution θ_d of training
 // document d. Empty documents get the uniform distribution.
 func (m *Model) DocTopics(d int) []float64 {

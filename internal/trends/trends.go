@@ -208,20 +208,6 @@ func (d *Detector) latestActiveBucket(cur int64) (int64, bool) {
 	return best, found
 }
 
-// TrendingEntities is Trending filtered to entities.
-func (d *Detector) TrendingEntities(now time.Time, k int) []Trend {
-	var out []Trend
-	for _, t := range d.Trending(now, 0) {
-		if t.Kind == KindEntity {
-			out = append(out, t)
-		}
-	}
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 func (d *Detector) scan(m map[string]map[int64]int, kind Kind, cur int64) []Trend {
 	var out []Trend
 	for name, byBucket := range m {

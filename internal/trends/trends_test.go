@@ -87,18 +87,6 @@ func TestPredicateTrends(t *testing.T) {
 	}
 }
 
-func TestTrendingEntitiesOnly(t *testing.T) {
-	d := NewDetector(DefaultConfig())
-	for i := 0; i < 4; i++ {
-		d.OnEvent(added("A Co", "acquired", "B Co", day(0)))
-	}
-	for _, tr := range d.TrendingEntities(day(0), 10) {
-		if tr.Kind != KindEntity {
-			t.Fatalf("non-entity in entity trends: %+v", tr)
-		}
-	}
-}
-
 func TestSeries(t *testing.T) {
 	d := NewDetector(DefaultConfig())
 	d.OnEvent(added("DJI", "acquired", "Aeros", day(0)))
