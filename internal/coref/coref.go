@@ -125,15 +125,6 @@ func (t *Tracker) ResolvePartial(surface string) (ner.Mention, bool) {
 	})
 }
 
-// IsPronoun reports whether the word is a pronoun the tracker can resolve.
-func IsPronoun(word string) bool {
-	switch strings.ToLower(word) {
-	case "it", "its", "itself", "they", "them", "their", "he", "she", "him", "her", "his":
-		return true
-	}
-	return false
-}
-
 // IsNominalHead reports whether head is a resolvable definite-nominal head.
 func IsNominalHead(head string) bool {
 	_, ok := nominalHeads[strings.ToLower(head)]

@@ -97,14 +97,6 @@ func TestUnresolvablePronoun(t *testing.T) {
 }
 
 func TestIsPronounAndNominalHead(t *testing.T) {
-	for _, w := range []string{"it", "He", "THEY", "her"} {
-		if !IsPronoun(w) {
-			t.Errorf("IsPronoun(%q) = false", w)
-		}
-	}
-	if IsPronoun("company") {
-		t.Error("company is not a pronoun")
-	}
 	if !IsNominalHead("company") || !IsNominalHead("agency") {
 		t.Error("nominal heads missing")
 	}

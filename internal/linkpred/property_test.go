@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"nous/internal/core"
@@ -23,7 +24,7 @@ type refWorld struct {
 
 // newRefWorld draws 1–6 predicates over 2–60 entities with duplicate
 // triples and self-loops. A predicate may have a single subject or a single
-// object, which drives bprStep's early returns. Dim is 1–32 (now and then 0,
+// object, which drives draw's skipped steps. Dim is 1–32 (now and then 0,
 // which falls back to DefaultConfig) and Epochs 0–8; the updates bring in
 // new subjects, objects and predicates.
 func newRefWorld(seed int64) refWorld {
@@ -160,4 +161,76 @@ func FuzzTrainMatchesReference(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(checkTrainMatchesReference)
+}
+
+// TestTrainConcurrentMatchesReference pins Train's parallel apply side to
+// the serial reference: on random worlds and on the recovery-sized world,
+// trained under GOMAXPROCS 1, 2 and 8 and as four Train calls at once,
+// every Score, AUC and String must be bit-equal to refTrain's.
+func TestTrainConcurrentMatchesReference(t *testing.T) {
+	var worlds []refWorld
+	for seed := int64(1); seed <= 40; seed++ {
+		worlds = append(worlds, newRefWorld(seed))
+	}
+	// An epoch of the recovery world's largest predicate spans two blocks;
+	// four epochs keep the test short under the race detector. Its checked
+	// names are the first 40 entities it trains on.
+	rec := refWorld{cfg: DefaultConfig(), train: recoveryWorld(3)}
+	rec.cfg.Epochs = 4
+	seenPred, seenName := map[string]bool{}, map[string]bool{}
+	for _, tr := range rec.train {
+		if !seenPred[tr.Predicate] {
+			seenPred[tr.Predicate] = true
+			rec.preds = append(rec.preds, tr.Predicate)
+		}
+		for _, e := range []string{tr.Subject, tr.Object} {
+			if len(rec.names) < 40 && !seenName[e] {
+				seenName[e] = true
+				rec.names = append(rec.names, e)
+			}
+		}
+	}
+	rec.preds = append(rec.preds, "never")
+	rec.names = append(rec.names, "ghost")
+	worlds = append(worlds, rec)
+
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for i, w := range worlds {
+		seed, kind := int64(i+1), "random world"
+		if i == len(worlds)-1 {
+			seed, kind = 3, "recovery world"
+		}
+		want := refTrain(w.train, w.cfg)
+		check := func(when string, got *Model) {
+			t.Helper()
+			when = kind + " " + when
+			sameModel(t, seed, when, w, got, want, rand.New(rand.NewSource(seed)))
+			for _, tr := range w.train {
+				g, x := got.Score(tr.Subject, tr.Predicate, tr.Object), want.Score(tr.Subject, tr.Predicate, tr.Object)
+				if math.Float64bits(g) != math.Float64bits(x) {
+					t.Fatalf("seed %d %s: Score(%v) = %v, reference %v", seed, when, tr, g, x)
+				}
+			}
+		}
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			check(fmt.Sprintf("at GOMAXPROCS %d", procs), Train(w.train, w.cfg))
+		}
+		runtime.GOMAXPROCS(prev)
+		got := make([]*Model, 4)
+		done := make(chan struct{})
+		for j := range got {
+			go func(j int) {
+				got[j] = Train(w.train, w.cfg)
+				done <- struct{}{}
+			}(j)
+		}
+		for range got {
+			<-done
+		}
+		for j, m := range got {
+			check(fmt.Sprintf("in concurrent Train %d", j), m)
+		}
+	}
 }

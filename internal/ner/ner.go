@@ -185,16 +185,6 @@ func (r *Recognizer) guessType(toks []nlp.Token, start, end int) ontology.Entity
 	return ontology.TypeAny
 }
 
-// MentionAt returns the mention covering token index i, if any.
-func MentionAt(mentions []Mention, i int) (Mention, bool) {
-	for _, m := range mentions {
-		if m.Start <= i && i < m.End {
-			return m, true
-		}
-	}
-	return Mention{}, false
-}
-
 // MentionWithin returns the longest mention fully inside [start, end).
 func MentionWithin(mentions []Mention, start, end int) (Mention, bool) {
 	best := Mention{Start: -1}

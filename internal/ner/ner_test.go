@@ -138,9 +138,6 @@ func TestMentionWithin(t *testing.T) {
 	if _, ok := MentionWithin(ms, 4, 6); ok {
 		t.Error("partial overlap should not match")
 	}
-	if m, ok := MentionAt(ms, 1); !ok || m.Surface != "A" {
-		t.Errorf("MentionAt = %+v, %v", m, ok)
-	}
 }
 
 func TestNoMentionsInPlainSentence(t *testing.T) {

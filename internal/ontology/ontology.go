@@ -196,27 +196,3 @@ func (o *Ontology) Compatible(pred string, subj, obj EntityType) bool {
 	}
 	return o.IsSubtype(subj, p.Domain) && o.IsSubtype(obj, p.Range)
 }
-
-// CommonAncestor returns the most specific common ancestor of two types.
-func (o *Ontology) CommonAncestor(a, b EntityType) EntityType {
-	seen := map[EntityType]bool{}
-	for t := a; ; {
-		seen[t] = true
-		p, ok := o.parent[t]
-		if !ok || p == t {
-			break
-		}
-		t = p
-	}
-	for t := b; ; {
-		if seen[t] {
-			return t
-		}
-		p, ok := o.parent[t]
-		if !ok || p == t {
-			break
-		}
-		t = p
-	}
-	return TypeAny
-}

@@ -78,24 +78,6 @@ func TestAddPredicateValidation(t *testing.T) {
 	}
 }
 
-func TestCommonAncestor(t *testing.T) {
-	o := Default()
-	cases := []struct {
-		a, b, want EntityType
-	}{
-		{TypeCompany, TypeAgency, TypeOrganization},
-		{TypeCompany, TypePerson, TypeAgent},
-		{TypeCity, TypeCountry, TypeLocation},
-		{TypeCompany, TypeCity, TypeAny},
-		{TypeCompany, TypeCompany, TypeCompany},
-	}
-	for _, c := range cases {
-		if got := o.CommonAncestor(c.a, c.b); got != c.want {
-			t.Errorf("CommonAncestor(%s,%s) = %s, want %s", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestFunctionalAndSymmetricFlags(t *testing.T) {
 	o := Default()
 	hq, _ := o.Predicate("headquarteredIn")

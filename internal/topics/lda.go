@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Config controls LDA fitting.
@@ -31,17 +30,10 @@ func DefaultConfig(k int) Config {
 
 // Model is a fitted LDA model.
 type Model struct {
-	cfg   Config
-	vocab map[string]int
-	words []string // index -> word
-
+	cfg Config
 	// counters from the final Gibbs state
-	docTopic  [][]int // d -> k
-	topicWord [][]int // k -> w
-	topicSum  []int   // k
-	docLen    []int
-	assign    [][]int // d -> position -> topic
-	docs      [][]int // d -> position -> word index
+	docTopic [][]int // d -> k
+	docLen   []int
 }
 
 // Fit runs collapsed Gibbs sampling over the documents (bags of words).
@@ -59,56 +51,54 @@ func Fit(docs [][]string, cfg Config) *Model {
 	if cfg.Beta <= 0 {
 		cfg.Beta = 0.01
 	}
-	m := &Model{cfg: cfg, vocab: make(map[string]int)}
-	m.docs = make([][]int, len(docs))
+	vocab := make(map[string]int)
+	wordIDs := make([][]int, len(docs)) // d -> position -> word index
 	for d, doc := range docs {
 		ids := make([]int, 0, len(doc))
 		for _, w := range doc {
-			id, ok := m.vocab[w]
+			id, ok := vocab[w]
 			if !ok {
-				id = len(m.words)
-				m.vocab[w] = id
-				m.words = append(m.words, w)
+				id = len(vocab)
+				vocab[w] = id
 			}
 			ids = append(ids, id)
 		}
-		m.docs[d] = ids
+		wordIDs[d] = ids
 	}
-	V := len(m.words)
+	V := len(vocab)
 	K := cfg.K
-	m.docTopic = makeInts(len(docs), K)
-	m.topicWord = makeInts(K, V)
-	m.topicSum = make([]int, K)
-	m.docLen = make([]int, len(docs))
-	m.assign = make([][]int, len(docs))
+	m := &Model{cfg: cfg, docTopic: makeInts(len(docs), K), docLen: make([]int, len(docs))}
+	topicWord := makeInts(K, V) // k -> w
+	topicSum := make([]int, K)
+	assign := make([][]int, len(docs)) // d -> position -> topic
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	for d, ids := range m.docs {
-		m.assign[d] = make([]int, len(ids))
+	for d, ids := range wordIDs {
+		assign[d] = make([]int, len(ids))
 		m.docLen[d] = len(ids)
 		for i, w := range ids {
 			k := rng.Intn(K)
-			m.assign[d][i] = k
+			assign[d][i] = k
 			m.docTopic[d][k]++
-			m.topicWord[k][w]++
-			m.topicSum[k]++
+			topicWord[k][w]++
+			topicSum[k]++
 		}
 	}
 
 	probs := make([]float64, K)
 	for it := 0; it < cfg.Iters; it++ {
-		for d, ids := range m.docs {
+		for d, ids := range wordIDs {
 			for i, w := range ids {
-				old := m.assign[d][i]
+				old := assign[d][i]
 				m.docTopic[d][old]--
-				m.topicWord[old][w]--
-				m.topicSum[old]--
+				topicWord[old][w]--
+				topicSum[old]--
 
 				total := 0.0
 				for k := 0; k < K; k++ {
 					p := (float64(m.docTopic[d][k]) + cfg.Alpha) *
-						(float64(m.topicWord[k][w]) + cfg.Beta) /
-						(float64(m.topicSum[k]) + cfg.Beta*float64(V))
+						(float64(topicWord[k][w]) + cfg.Beta) /
+						(float64(topicSum[k]) + cfg.Beta*float64(V))
 					probs[k] = p
 					total += p
 				}
@@ -118,10 +108,10 @@ func Fit(docs [][]string, cfg Config) *Model {
 					next++
 					acc += probs[next]
 				}
-				m.assign[d][i] = next
+				assign[d][i] = next
 				m.docTopic[d][next]++
-				m.topicWord[next][w]++
-				m.topicSum[next]++
+				topicWord[next][w]++
+				topicSum[next]++
 			}
 		}
 	}
@@ -131,15 +121,12 @@ func Fit(docs [][]string, cfg Config) *Model {
 // K returns the topic count.
 func (m *Model) K() int { return m.cfg.K }
 
-// NumDocs returns the number of training documents.
-func (m *Model) NumDocs() int { return len(m.docs) }
-
 // DocTopics returns the smoothed topic distribution θ_d of training
 // document d. Empty documents get the uniform distribution.
 func (m *Model) DocTopics(d int) []float64 {
 	K := m.cfg.K
 	out := make([]float64, K)
-	if d < 0 || d >= len(m.docs) {
+	if d < 0 || d >= len(m.docLen) {
 		for k := range out {
 			out[k] = 1.0 / float64(K)
 		}
@@ -148,97 +135,6 @@ func (m *Model) DocTopics(d int) []float64 {
 	denom := float64(m.docLen[d]) + m.cfg.Alpha*float64(K)
 	for k := 0; k < K; k++ {
 		out[k] = (float64(m.docTopic[d][k]) + m.cfg.Alpha) / denom
-	}
-	return out
-}
-
-// TopicWords returns the n highest-probability words of topic k.
-func (m *Model) TopicWords(k, n int) []string {
-	if k < 0 || k >= m.cfg.K {
-		return nil
-	}
-	type wc struct {
-		w string
-		c int
-	}
-	all := make([]wc, 0, len(m.words))
-	for w, c := range m.topicWord[k] {
-		if c > 0 {
-			all = append(all, wc{m.words[w], c})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].w < all[j].w
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].w
-	}
-	return out
-}
-
-// InferDoc folds a new document into the fitted model with a short Gibbs
-// chain over the document's assignments (topic-word counters frozen) and
-// returns its topic distribution.
-func (m *Model) InferDoc(doc []string, iters int, seed int64) []float64 {
-	K := m.cfg.K
-	var ids []int
-	for _, w := range doc {
-		if id, ok := m.vocab[w]; ok {
-			ids = append(ids, id)
-		}
-	}
-	out := make([]float64, K)
-	if len(ids) == 0 {
-		for k := range out {
-			out[k] = 1.0 / float64(K)
-		}
-		return out
-	}
-	if iters <= 0 {
-		iters = 30
-	}
-	rng := rand.New(rand.NewSource(seed))
-	V := float64(len(m.words))
-	counts := make([]int, K)
-	assign := make([]int, len(ids))
-	for i := range ids {
-		k := rng.Intn(K)
-		assign[i] = k
-		counts[k]++
-	}
-	probs := make([]float64, K)
-	for it := 0; it < iters; it++ {
-		for i, w := range ids {
-			old := assign[i]
-			counts[old]--
-			total := 0.0
-			for k := 0; k < K; k++ {
-				p := (float64(counts[k]) + m.cfg.Alpha) *
-					(float64(m.topicWord[k][w]) + m.cfg.Beta) /
-					(float64(m.topicSum[k]) + m.cfg.Beta*V)
-				probs[k] = p
-				total += p
-			}
-			u := rng.Float64() * total
-			next := 0
-			for acc := probs[0]; acc < u && next < K-1; {
-				next++
-				acc += probs[next]
-			}
-			assign[i] = next
-			counts[next]++
-		}
-	}
-	denom := float64(len(ids)) + m.cfg.Alpha*float64(K)
-	for k := 0; k < K; k++ {
-		out[k] = (float64(counts[k]) + m.cfg.Alpha) / denom
 	}
 	return out
 }

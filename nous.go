@@ -131,10 +131,6 @@ var ErrParse = qa.ErrParse
 // default news/business ontology).
 func NewKG(ont *Ontology) *KG { return core.NewKG(ont) }
 
-// DefaultOntology returns the built-in ontology covering the paper's three
-// domains (news, citations, insider threat).
-func DefaultOntology() *Ontology { return ontology.Default() }
-
 // GenerateWorld builds a deterministic synthetic drone-domain world (the
 // YAGO2 + WSJ stand-in).
 func GenerateWorld(cfg WorldConfig) *World { return corpus.Generate(cfg) }
@@ -162,7 +158,8 @@ type Config struct {
 	TopicCount int
 	// LDAIters is the Gibbs sweep count for BuildTopics.
 	LDAIters int
-	// Seed drives every stochastic component.
+	// Seed seeds the LDA fit of BuildTopics, the only component that reads
+	// it. Link prediction always trains with linkpred.DefaultConfig().Seed.
 	Seed int64
 }
 
