@@ -1,8 +1,11 @@
-// Benchmarks regenerating the paper's evaluation artifacts. The paper (a
-// 3-page demo) has no numbered tables; its evaluation content is Figures
-// 1–7 plus quantitative claims in the text (see DESIGN.md §3 for the
-// mapping). Every figure and claim has a benchmark here; `go run
-// ./cmd/nousbench` prints the corresponding human-readable artifacts.
+// Benchmarks of the code behind the paper's evaluation. The paper (a 3-page
+// demo) has no numbered tables; its evaluation content is Figures 1–7 plus
+// quantitative claims in the text. The figures' printouts are the Example
+// functions of example_test.go, and the claims are seeded tests
+// (TestClaimC1StreamingWorkBeatsRescan, TestReconstructionAfterInfrequency,
+// TestClaimC3BPRBeatsBaselines, TestClaimC4CoherenceBeatsHubShortcut,
+// TestClaimC5AIDABeatsPriorOnly); README's "Paper claims and figures" maps
+// each to its test. The benchmarks here time the same paths.
 package nous
 
 import (
@@ -178,42 +181,6 @@ func benchEdges(n int) []fgm.Edge {
 	return out
 }
 
-// BenchmarkC1_StreamingFGM: incremental mining per window slide.
-func BenchmarkC1_StreamingFGM(b *testing.B) {
-	const window, slide = 400, 50
-	stream := benchEdges(window + 10*slide)
-	cfg := fgm.Config{MaxEdges: 3, MinSupport: 3, WindowSize: window}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := fgm.NewMiner(cfg)
-		for j := 0; j < window; j++ {
-			m.Add(stream[j])
-		}
-		b.StartTimer()
-		for j := window; j+slide <= len(stream); j += slide {
-			for k := j; k < j+slide; k++ {
-				m.Add(stream[k])
-			}
-			m.FrequentPatterns()
-		}
-	}
-}
-
-// BenchmarkC1_ArabesqueBaseline: from-scratch re-enumeration per slide —
-// the system class the paper reports ~3× speedup against.
-func BenchmarkC1_ArabesqueBaseline(b *testing.B) {
-	const window, slide = 400, 50
-	stream := benchEdges(window + 10*slide)
-	cfg := fgm.Config{MaxEdges: 3, MinSupport: 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := window; j+slide <= len(stream); j += slide {
-			fgm.MineWindow(stream[j+slide-window:j+slide], cfg)
-		}
-	}
-}
-
 // BenchmarkC2_ClosedPatternReporting covers the closed-set computation
 // that backs the reconstruction claim.
 func BenchmarkC2_ClosedPatternReporting(b *testing.B) {
@@ -357,8 +324,10 @@ func BenchmarkC6_IngestThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_SupportMetric compares embedding-count vs MNI support
-// accounting (DESIGN.md decision 1).
+// BenchmarkAblation_SupportMetric compares embedding-count support with the
+// minimum-node-image support of fgm.Config.TrackMNI. MNI is the
+// anti-monotone support of the graph-mining literature; its price is a
+// vertex-image count per pattern position, kept on every embedding.
 func BenchmarkAblation_SupportMetric(b *testing.B) {
 	stream := benchEdges(600)
 	for _, mni := range []bool{false, true} {
@@ -380,7 +349,8 @@ func BenchmarkAblation_SupportMetric(b *testing.B) {
 }
 
 // BenchmarkAblation_LookaheadWidth sweeps the beam width of the coherence
-// look-ahead (DESIGN.md decision 3).
+// look-ahead around its default of 32: a wider beam keeps more partial
+// paths per depth.
 func BenchmarkAblation_LookaheadWidth(b *testing.B) {
 	s, src, dst := pathBenchGraph()
 	for _, beam := range []int{4, 16, 64} {
@@ -393,8 +363,9 @@ func BenchmarkAblation_LookaheadWidth(b *testing.B) {
 }
 
 // BenchmarkAblation_ConfidenceGate sweeps the admission threshold τ and
-// reports the precision of admitted facts against world ground truth
-// (DESIGN.md decision 4).
+// reports the precision of admitted facts against world ground truth: the
+// trade the gate's default (stream.DefaultConfig, τ = 0.35) makes between
+// admitted facts and their precision.
 func BenchmarkAblation_ConfidenceGate(b *testing.B) {
 	articles := benchArticles(150)
 	for _, tau := range []float64{0.15, 0.35, 0.55} {

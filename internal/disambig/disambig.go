@@ -313,23 +313,6 @@ func (l *Linker) LinkOne(m Mention) Result {
 	return rs[0]
 }
 
-// LinkPriorOnly resolves a mention to its most popular candidate — the
-// baseline the paper's AIDA variant is measured against.
-func (l *Linker) LinkPriorOnly(surface string) Result {
-	names := l.kg.Candidates(surface)
-	r := Result{Surface: surface, Ambiguous: len(names) > 1}
-	prior := l.prior()
-	best := math.Inf(-1)
-	for _, n := range names {
-		if p := prior[n]; p > best {
-			best = p
-			r.Entity = n
-			r.Score = p
-		}
-	}
-	return r
-}
-
 func bag(words []string) map[string]float64 {
 	m := make(map[string]float64, len(words))
 	for _, w := range words {

@@ -7,10 +7,11 @@
 // simultaneously covers the curated KB and extracted knowledge — the
 // "combining both structures" property the paper highlights.
 //
-// An Arabesque-style from-scratch embedding enumerator re-run per window
-// (MineWindow, the system the paper benchmarks against, reporting ~3×
-// speedup) accompanies it. A transaction-setting gSpan survives only as a
-// test reference (gspan_test.go).
+// The from-scratch baseline the paper benchmarks against (Arabesque-style
+// re-enumeration of every window, reporting ~3× speedup) and a
+// transaction-setting gSpan survive only as test references
+// (baseline_test.go, gspan_test.go); TestClaimC1StreamingWorkBeatsRescan
+// checks the claim.
 package fgm
 
 import (

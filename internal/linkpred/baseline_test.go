@@ -6,6 +6,10 @@ import (
 	"nous/internal/core"
 )
 
+// The baselines of the paper's claim C3 and the AUC that ranks BPR against
+// them serve tests only (TestClaimC3BPRBeatsBaselines): the system scores
+// facts with Model.Score alone.
+
 // FrequencyBaseline scores (s,p,o) by the popularity of o as an object of p
 // — the naive confidence heuristic the BPR model is compared against.
 type FrequencyBaseline struct {

@@ -13,7 +13,7 @@ import (
 // claimPreds are the three densest predicates of the generated world.
 var claimPreds = []string{"acquired", "partnersWith", "invests"}
 
-// claimC3AUCs is cmd/nousbench's claimBPR: on a world of 5,000 events it
+// claimC3AUCs measures the paper's claim C3: on a world of 5,000 events it
 // holds out a fifth of each dense predicate's true pairs, trains BPR on the
 // rest of the curated and true event triples, and measures the AUC of BPR,
 // the frequency baseline and the common-neighbour baseline against

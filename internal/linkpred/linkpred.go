@@ -312,49 +312,6 @@ func (m *Model) predicates() []string {
 	return out
 }
 
-// AUC estimates ranking quality for one predicate: the probability that a
-// held-out positive (s,o) outscores a random corrupted (s,o'). Returns 0.5
-// for unknown predicates.
-func (m *Model) AUC(p string, heldOut [][2]string, samples int, seed int64) float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	pm, ok := m.preds[p]
-	if !ok || len(pm.objIdx) < 2 || len(heldOut) == 0 {
-		return 0.5
-	}
-	rng := rand.New(rand.NewSource(seed))
-	wins, total := 0.0, 0.0
-	for _, pos := range heldOut {
-		s, okS := pm.subjIdx[pos[0]]
-		o, okO := pm.objIdx[pos[1]]
-		ps := m.global
-		if okS && okO {
-			ps = m.rowScore(pm, s, o)
-		}
-		for k := 0; k < samples; k++ {
-			negO := int32(rng.Intn(len(pm.objIdx)))
-			if okO && negO == o || okS && pm.positive(s, negO) {
-				continue
-			}
-			ns := m.global
-			if okS {
-				ns = m.rowScore(pm, s, negO)
-			}
-			switch {
-			case ps > ns:
-				wins++
-			case ps == ns:
-				wins += 0.5
-			}
-			total++
-		}
-	}
-	if total == 0 {
-		return 0.5
-	}
-	return wins / total
-}
-
 // String summarises the model.
 func (m *Model) String() string {
 	m.mu.RLock()

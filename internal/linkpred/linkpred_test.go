@@ -65,7 +65,7 @@ func TestScoreQuickProperty(t *testing.T) {
 }
 
 func TestTrainingBeatsUntrained(t *testing.T) {
-	train, test, _ := blockWorld(8, 3)
+	train, test, isPos := blockWorld(8, 3)
 	cfg := DefaultConfig()
 	trained := Train(train, cfg)
 
@@ -73,8 +73,9 @@ func TestTrainingBeatsUntrained(t *testing.T) {
 	cfg0.Epochs = 0
 	untrained := Train(train, cfg0)
 
-	aucT := trained.AUC("acquired", test, 20, 99)
-	aucU := untrained.AUC("acquired", test, 20, 99)
+	pool := objectPool(train)
+	aucT := EvalAUC(trained, "acquired", test, pool, isPos, 20, 99)
+	aucU := EvalAUC(untrained, "acquired", test, pool, isPos, 20, 99)
 	if aucT < 0.75 {
 		t.Fatalf("trained AUC = %.3f, want >= 0.75", aucT)
 	}
@@ -87,7 +88,17 @@ func TestBPRBeatsFrequencyBaseline(t *testing.T) {
 	train, test, isPos := blockWorld(8, 4)
 	m := Train(train, DefaultConfig())
 	freq := NewFrequencyBaseline(train)
+	pool := objectPool(train)
+	aucBPR := EvalAUC(m, "acquired", test, pool, isPos, 20, 7)
+	aucFreq := EvalAUC(freq, "acquired", test, pool, isPos, 20, 7)
+	if aucBPR <= aucFreq {
+		t.Fatalf("BPR %.3f <= frequency baseline %.3f", aucBPR, aucFreq)
+	}
+}
 
+// objectPool lists the distinct objects of train in first-seen order: the
+// corruptions EvalAUC draws negatives from.
+func objectPool(train []core.Triple) []string {
 	var pool []string
 	seen := map[string]bool{}
 	for _, tr := range train {
@@ -96,11 +107,7 @@ func TestBPRBeatsFrequencyBaseline(t *testing.T) {
 			pool = append(pool, tr.Object)
 		}
 	}
-	aucBPR := EvalAUC(m, "acquired", test, pool, isPos, 20, 7)
-	aucFreq := EvalAUC(freq, "acquired", test, pool, isPos, 20, 7)
-	if aucBPR <= aucFreq {
-		t.Fatalf("BPR %.3f <= frequency baseline %.3f", aucBPR, aucFreq)
-	}
+	return pool
 }
 
 func TestUnknownFallsBackToNeutral(t *testing.T) {
@@ -195,11 +202,12 @@ func TestCommonNeighborBaseline(t *testing.T) {
 }
 
 // TestUpdateConcurrentWithScore runs Updates that add rows, and so grow and
-// reallocate the flat factor arrays, beside Score, AUC and String readers.
+// reallocate the flat factor arrays, beside Score, EvalAUC and String readers.
 // Readers draw from their own generators, so the model must end bit-equal
 // to one given the same Updates with no reader running.
 func TestUpdateConcurrentWithScore(t *testing.T) {
-	train, test, _ := blockWorld(6, 10)
+	train, test, isPos := blockWorld(6, 10)
+	pool := objectPool(train)
 	const updates = 300
 	update := func(i int) core.Triple {
 		return core.Triple{Subject: fmt.Sprintf("NewS%d", i), Predicate: "acquired", Object: fmt.Sprintf("NewO%d", i/2), Confidence: 1}
@@ -222,7 +230,7 @@ func TestUpdateConcurrentWithScore(t *testing.T) {
 					t.Errorf("Score(%v) = %v, want in (0,1)", u, s)
 					return
 				}
-				m.AUC("acquired", test, 2, int64(i))
+				EvalAUC(m, "acquired", test, pool, isPos, 2, int64(i))
 				_ = m.String()
 			}
 		}()

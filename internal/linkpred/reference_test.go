@@ -202,41 +202,6 @@ func (m *refModel) Predicates() []string {
 	return out
 }
 
-// AUC estimates ranking quality for one predicate: the probability that a
-// held-out positive (s,o) outscores a random corrupted (s,o'). Returns 0.5
-// for unknown predicates.
-func (m *refModel) AUC(p string, heldOut [][2]string, samples int, seed int64) float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	pm, ok := m.preds[p]
-	if !ok || len(pm.objects) < 2 || len(heldOut) == 0 {
-		return 0.5
-	}
-	rng := rand.New(rand.NewSource(seed))
-	wins, total := 0.0, 0.0
-	for _, pos := range heldOut {
-		for k := 0; k < samples; k++ {
-			negO := pm.objects[rng.Intn(len(pm.objects))]
-			if pm.positives[[2]string{pos[0], negO}] || negO == pos[1] {
-				continue
-			}
-			ps := m.score(pos[0], p, pos[1])
-			ns := m.score(pos[0], p, negO)
-			switch {
-			case ps > ns:
-				wins++
-			case ps == ns:
-				wins += 0.5
-			}
-			total++
-		}
-	}
-	if total == 0 {
-		return 0.5
-	}
-	return wins / total
-}
-
 // String summarises the model.
 func (m *refModel) String() string {
 	m.mu.RLock()

@@ -7,8 +7,7 @@ import (
 	"nous/internal/graph"
 )
 
-// plantedTrials runs the paper's claim C4 task (the 50-trial planted
-// comparison `nousbench -artifact coherence` prints) for one seed: each trial
+// plantedTrials runs the paper's claim C4 task for one seed: each trial
 // plants an on-topic 3-hop path src→a→b→dst beside an off-topic 2-hop
 // shortcut src→hub→dst whose hub carries eight off-topic spokes. It returns
 // how often coherence search ranks the planted path first and how often the

@@ -384,30 +384,43 @@ func classify(q, original string) (Query, error) {
 
 // parseDid splits the body of a "Did S verb O?" question. Subjects and
 // objects may be several words long ("Parrot SA", "Aeros Labs"), so every
-// interior word is tried as the verb, left to right, and the first that
-// names an ontology predicate wins; a leading "the" is dropped from the
-// object. An entity name that holds such a word ahead of the real verb still
-// misparses.
+// interior word is tried as the verb, left to right. Entity names are
+// capitalized and verbs are not, so the first word that names an ontology
+// predicate and is written in lower case wins ("Did Apex Supply acquire
+// DJI?" asks about acquired, not suppliesTo); when no such word is
+// lower case, as in an all-caps question, the first that names a predicate
+// wins. A leading "the" is dropped from the object.
 func parseDid(body string) (Query, bool) {
 	words := reToken.FindAllStringIndex(body, -1)
 	word := func(i int) string { return body[words[i][0]:words[i][1]] }
-	for verb := 1; verb+1 < len(words); verb++ {
-		pred, ok := verbToPredicate[strings.ToLower(word(verb))]
+	verb, pred := -1, ""
+	for i := 1; i+1 < len(words); i++ {
+		lower := strings.ToLower(word(i))
+		p, ok := verbToPredicate[lower]
 		if !ok {
 			continue
 		}
-		obj := verb + 1
-		if obj+1 < len(words) && strings.EqualFold(word(obj), "the") {
-			obj++
+		if verb < 0 {
+			verb, pred = i, p
 		}
-		return Query{
-			Class:     ClassFact,
-			Subject:   cleanArg(body[:words[verb-1][1]]),
-			Predicate: pred,
-			Object:    cleanArg(body[words[obj][0]:]),
-		}, true
+		if word(i) == lower {
+			verb, pred = i, p
+			break
+		}
 	}
-	return Query{}, false
+	if verb < 0 {
+		return Query{}, false
+	}
+	obj := verb + 1
+	if obj+1 < len(words) && strings.EqualFold(word(obj), "the") {
+		obj++
+	}
+	return Query{
+		Class:     ClassFact,
+		Subject:   cleanArg(body[:words[verb-1][1]]),
+		Predicate: pred,
+		Object:    cleanArg(body[words[obj][0]:]),
+	}, true
 }
 
 func cleanArg(s string) string {

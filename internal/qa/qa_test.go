@@ -88,6 +88,8 @@ func TestParseDidMultiWordArguments(t *testing.T) {
 		{"Does Yuneec International Co manufacture the Typhoon H Plus?", "Yuneec International Co", "manufactures", "Typhoon H Plus"},
 		{"did  Parrot  SA   acquire  the  Aeros Labs ?", "Parrot  SA", "acquired", "Aeros Labs"},
 		{"Did DJI acquire the?", "DJI", "acquired", "the"},
+		{"Did Apex Supply acquire DJI?", "Apex Supply", "acquired", "DJI"}, // "Supply" names suppliesTo
+		{"DID DJI ACQUIRE AEROS LABS?", "DJI", "acquired", "AEROS LABS"},   // no lower-case verb: the first predicate word
 	} {
 		q, err := Parse(c.question)
 		if err != nil || q.Class != ClassFact || q.Subject != c.subject || q.Predicate != c.predicate || q.Object != c.object {

@@ -47,9 +47,9 @@ type Config struct {
 	OnlineUpdate bool
 }
 
-// DefaultConfig matches the experiments of README's "Bench harness" section
-// and the paper-claim tests (TestClaimC3BPRBeatsBaselines,
-// TestClaimC4CoherenceBeatsHubShortcut).
+// DefaultConfig is the ingest setup the paper's figures are printed with
+// (the root package's example_test.go; README's "Paper claims and
+// figures").
 func DefaultConfig() Config {
 	return Config{
 		ConfidenceThreshold: 0.35,

@@ -163,9 +163,8 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig mirrors the experiment setup of README's "Bench harness"
-// section and the paper-claim tests (TestClaimC3BPRBeatsBaselines,
-// TestClaimC4CoherenceBeatsHubShortcut).
+// DefaultConfig is the setup the paper's figures are printed with
+// (example_test.go; README's "Paper claims and figures").
 func DefaultConfig() Config {
 	return Config{
 		Stream:     stream.DefaultConfig(),
