@@ -34,8 +34,8 @@ func readDuringIngest(t *testing.T, read func(p *Pipeline)) {
 }
 
 // TestLinkPredictionReadsDuringIngest: a did-question about a fact the
-// graph lacks and Pipeline.Score both read the link-prediction model that
-// online training updates while IngestAll runs. Run it under -race.
+// graph lacks and Pipeline.Score both read the link-prediction model while
+// IngestAll scores extracted facts with it. Run it under -race.
 func TestLinkPredictionReadsDuringIngest(t *testing.T) {
 	readDuringIngest(t, func(p *Pipeline) {
 		if _, err := p.Ask("Did DJI acquire Parrot?"); err != nil {

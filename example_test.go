@@ -177,9 +177,9 @@ func Example_figure5() {
 	//
 	// Q: How is Windermere related to DJI?
 	//   Paths from Windermere to DJI:
-	//     coherence=0.0575: Windermere -[partnersWith]-> Kestrelworks Technologies ; Kestrelworks Technologies -[competesWith]-> Aeroics Aerial ; Aeroics Aerial <-[invests]- Novascan Technologies ; Novascan Technologies -[invests]-> DJI
-	//     coherence=0.0575: Windermere -[partnersWith]-> Kestrelworks Technologies ; Kestrelworks Technologies -[competesWith]-> Aeroics Aerial ; Aeroics Aerial <-[acquired]- Novascan Technologies ; Novascan Technologies -[invests]-> DJI
-	//     coherence=0.0772: Windermere -[partnersWith]-> Kestrelworks Technologies ; Kestrelworks Technologies -[develops]-> Obstacle Avoidance ; Obstacle Avoidance <-[develops]- Novascan Technologies ; Novascan Technologies -[invests]-> DJI
+	//     coherence=0.0809: Windermere -[develops]-> Delivery Drones ; Delivery Drones <-[develops]- Stratolift Analytics ; Stratolift Analytics -[partnersWith]-> Yuneec ; Yuneec -[invests]-> DJI
+	//     coherence=0.0809: Windermere -[develops]-> Delivery Drones ; Delivery Drones <-[develops]- Stratolift Analytics ; Stratolift Analytics -[partnersWith]-> Yuneec ; Yuneec -[partnersWith]-> DJI
+	//     coherence=0.0957: Windermere <-[competesWith]- Quadworks Robotics ; Quadworks Robotics <-[acquired]- Nimbustech Industries ; Nimbustech Industries -[acquired]-> Yuneec ; Yuneec -[invests]-> DJI
 	//
 	// Q: What patterns are emerging?
 	//   Closed frequent patterns in the current window:

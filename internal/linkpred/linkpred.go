@@ -57,8 +57,9 @@ func (pm *predModel) positive(s, o int32) bool {
 }
 
 // Model is a trained collection of per-predicate BPR models. It is safe
-// for concurrent use: online Updates from the ingest stream take the write
-// lock, and queries scoring candidate facts take the read lock.
+// for concurrent use: Update takes the write lock, and scoring takes the
+// read lock. The ingest pipeline never calls Update, so its model does not
+// change once trained.
 type Model struct {
 	mu     sync.RWMutex
 	cfg    Config
@@ -67,8 +68,8 @@ type Model struct {
 	global float64 // global mean score used for unseen predicates
 }
 
-// Train fits a model on the given triples (typically the curated KB plus
-// high-confidence extractions so far).
+// Train fits a model on the given triples. The ingest pipeline passes the
+// curated KB's facts alone (stream.NewWith).
 //
 // The epochs run on two sides. This goroutine makes every step's random
 // choices (draw) in the serial order — epoch, predicate, pair, sample — and
@@ -283,8 +284,9 @@ func (m *Model) rowScore(pm *predModel, s, o int32) float64 {
 }
 
 // Update performs online training on a new triple: it is registered as a
-// positive and receives a few SGD steps, supporting the paper's dynamic-KG
-// setting where extraction and scoring interleave.
+// positive and receives a few SGD steps. The ingest pipeline does not call
+// it; its only caller outside tests is the system benchmark's traced
+// linkpred.update span.
 func (m *Model) Update(t core.Triple, steps int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -43,8 +43,6 @@ type Config struct {
 	// LearnEvery runs a distant-supervision expansion round every N
 	// documents. 0 disables learning.
 	LearnEvery int
-	// OnlineUpdate trains the link predictor on accepted facts.
-	OnlineUpdate bool
 }
 
 // DefaultConfig is the ingest setup the paper's figures are printed with
@@ -56,7 +54,6 @@ func DefaultConfig() Config {
 		BlendExtractor:      0.5,
 		Window:              0,
 		LearnEvery:          200,
-		OnlineUpdate:        true,
 	}
 }
 
@@ -93,10 +90,11 @@ type Pipeline struct {
 }
 
 // New builds a pipeline over a KG already loaded with the curated KB. The
-// NER gazetteer, predicate seeds and link-prediction model are initialized
-// from the KG's current contents. A private analytics cache backs the
-// disambiguation prior; use NewWith to share one cache with the query
-// engine.
+// NER gazetteer and source trust are initialized from the KG's current
+// contents; the link-prediction model is trained on its curated facts alone
+// and never updated afterwards, so it is the same after any restart. A
+// private analytics cache backs the disambiguation prior; use NewWith to
+// share one cache with the query engine.
 func New(kg *core.KG, cfg Config) *Pipeline {
 	return NewWith(kg, cfg, nil, kg.AllFacts())
 }
@@ -121,11 +119,15 @@ func NewWith(kg *core.KG, cfg Config, ac *analytics.Cache, facts []core.Fact) *P
 	})
 	mapper := predmap.NewMapper(kg.Ontology(), predmap.DefaultConfig())
 	mapper.AddDefaultSeeds()
-	triples := make([]core.Triple, len(facts))
-	for i, f := range facts {
-		triples[i] = f.Triple
+	var curated []core.Triple
+	for _, f := range facts {
+		if f.Curated {
+			curated = append(curated, f.Triple)
+		}
 	}
-	model := linkpred.Train(triples, linkpred.DefaultConfig())
+	// The gate model is a function of the curated substrate: extracted
+	// facts, the gate's own output, never train it.
+	model := linkpred.Train(curated, linkpred.DefaultConfig())
 
 	// Source-level trust (§3.4): curated sources anchor the fixpoint;
 	// stream sources earn trust through corroboration.
@@ -293,20 +295,15 @@ func (p *Pipeline) integrate(a corpus.Article, ex extraction) {
 			Predicate: mapped.Predicate, Object: mapped.Object,
 		})
 
+		key := [3]string{mapped.Subject, mapped.Predicate, mapped.Object}
+		if pending[key] || p.kg.HasFact(mapped.Subject, mapped.Predicate, mapped.Object) {
+			continue
+		}
 		// Confidence: blend the extractor/mapping confidence with the
-		// link-prediction score conditioned on the prior KG state.
+		// link-prediction score learned from the curated KB.
 		lp := p.model.Score(mapped.Subject, mapped.Predicate, mapped.Object)
 		w := p.cfg.BlendExtractor
 		score := w*mapped.Confidence + (1-w)*lp
-		key := [3]string{mapped.Subject, mapped.Predicate, mapped.Object}
-		if pending[key] || p.kg.HasFact(mapped.Subject, mapped.Predicate, mapped.Object) {
-			// Re-observations reinforce: keep the max-confidence copy out
-			// of the graph but still feed online training.
-			if p.cfg.OnlineUpdate {
-				p.model.Update(mapped, 2)
-			}
-			continue
-		}
 		if score < p.cfg.ConfidenceThreshold {
 			p.stats.Rejected++
 			continue
@@ -321,9 +318,6 @@ func (p *Pipeline) integrate(a corpus.Article, ex extraction) {
 		p.kg.AddEntity(norm.Object, norm.ObjectType)
 		batch = append(batch, norm)
 		pending[key] = true
-		if p.cfg.OnlineUpdate {
-			p.model.Update(norm, 2)
-		}
 	}
 	_, errs := p.kg.AddFacts(batch)
 	for _, err := range errs {

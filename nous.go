@@ -224,7 +224,8 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	// the count window is FIFO over arrivals and does evict them once
 	// Miner.WindowSize newer facts have come in.
 	// The fact list is decoded from the graph once and shared with the
-	// stream assembly below (link-prediction training, trust seeding).
+	// stream assembly below (link-prediction training on its curated facts,
+	// trust seeding).
 	facts := kg.AllFacts()
 	seed := make([]fgm.Edge, len(facts))
 	for i, f := range facts {
