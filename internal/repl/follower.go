@@ -201,7 +201,7 @@ func (f *Follower) tail(ctx context.Context) (int, error) {
 			if err := f.Bootstrap(ctx); err != nil {
 				return 0, err
 			}
-			return 1, nil // made progress; retry immediately
+			return 1, nil // made progress: run resets the backoff and reconnects after MinBackoff
 		}
 		return 0, fmt.Errorf("repl: leader pruned past our applied epoch %d; restart follower to re-bootstrap", from)
 	default:

@@ -11,8 +11,9 @@ import (
 
 // FuzzWindowParams throws arbitrary bytes at the time-window query
 // parameters (since/until on /api/v1/recent, asince/auntil/bsince/buntil
-// on /api/v1/diff) and checks the contract: the parsers never panic, and a
-// parse failure surfaces as HTTP 400, never a 5xx.
+// on /api/v1/diff) and checks the contract: the parsers never panic, a
+// parse failure surfaces as HTTP 400, never a 5xx, and every answer is one
+// compact envelope.
 func FuzzWindowParams(f *testing.F) {
 	f.Add("2015", "2016")
 	f.Add("1735689600", "-100")
@@ -53,6 +54,7 @@ func FuzzWindowParams(f *testing.F) {
 		if rec.Code >= 500 {
 			t.Fatalf("since=%q until=%q: status %d, want non-5xx", since, until, rec.Code)
 		}
+		requireCompact(t, "recent", rec.Body.Bytes())
 
 		// The diff endpoint reuses the same parser for both window pairs.
 		dq := url.Values{}
@@ -69,5 +71,6 @@ func FuzzWindowParams(f *testing.F) {
 		if drec.Code >= 500 {
 			t.Fatalf("diff asince=%q auntil=%q: status %d, want non-5xx", since, until, drec.Code)
 		}
+		requireCompact(t, "diff", drec.Body.Bytes())
 	})
 }

@@ -19,6 +19,11 @@
 // internal. Any other path under /api/, or a wrong method, is an enveloped
 // 404 bad_request naming the request.
 //
+// The envelope is encoded whole before the status line and sent compact, on
+// one line ending in a newline, with an exact Content-Length (pipe it
+// through jq . to read it); an answer that cannot be encoded is a 500
+// internal.
+//
 //	GET  /api/v1/ask?q=...          any of the query classes
 //	GET  /api/v1/entity?entity=...  entity summary (Fig 6)
 //	GET  /api/v1/trending?k=10      trending entities/predicates
@@ -84,10 +89,10 @@ func New(p *nous.Pipeline) *Server {
 	return NewWithTimeout(p, DefaultRequestTimeout)
 }
 
-// timeoutBody is the 503 envelope of a timed-out request.
-// http.TimeoutHandler only takes a static body, so the meta section carries
-// zero values.
-const timeoutBody = `{"data":null,"error":{"code":"timeout","message":"request timed out"},"meta":{"epoch":0,"window":null,"took_ms":0}}`
+// timeoutBody is the 503 envelope of a timed-out request, in the same
+// compact, newline-terminated form respond writes. http.TimeoutHandler only
+// takes a static body, so the meta section carries zero values.
+const timeoutBody = `{"data":null,"error":{"code":"timeout","message":"request timed out"},"meta":{"epoch":0,"window":null,"took_ms":0}}` + "\n"
 
 // NewWithTimeout builds a server whose handlers are cut off after timeout
 // (<= 0 disables the limit); a timed-out request gets a 503 envelope. The

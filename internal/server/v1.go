@@ -30,7 +30,9 @@ type metaJSON struct {
 	TookMS int64       `json:"took_ms"`
 }
 
-// respond writes the envelope for one request outcome.
+// respond writes the envelope for one request outcome: encoded compactly
+// before the status line, so a payload that cannot be encoded still becomes
+// a 500 internal envelope, and sent length-framed in one write.
 func (s *Server) respond(w http.ResponseWriter, start time.Time, win *windowJSON, data any, e *apiError) {
 	env := envelope{Data: data, Meta: metaJSON{
 		Epoch:  s.pipeline.KG().Graph().Epoch(),
@@ -43,15 +45,22 @@ func (s *Server) respond(w http.ResponseWriter, start time.Time, win *windowJSON
 		env.Data = nil
 		env.Error = &apiErrorBody{Code: e.code, Message: e.msg}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(env); err != nil {
-		// The status line is already written; all we can do is make the
-		// truncated response visible in the server log.
+	body, err := json.Marshal(env)
+	if err != nil {
 		log.Printf("server: encoding %d response: %v", status, err)
+		status = http.StatusInternalServerError
+		env.Data = nil
+		env.Error = &apiErrorBody{Code: codeInternal, Message: "encoding response: " + err.Error()}
+		body, _ = json.Marshal(env) // strings and integers only: cannot fail
 	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	// A failed write means the client left or the request timed out: there
+	// is no one left to tell.
+	_, _ = w.Write(body)
 }
 
 // v1 adapts an endpoint builder to the envelope.

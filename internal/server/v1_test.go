@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,9 +17,32 @@ import (
 	"time"
 
 	"nous"
+	"nous/internal/qa"
 )
 
 var update = flag.Bool("update", false, "rewrite the v1 golden files")
+
+// v1GoldenCases are the requests TestV1Golden pins; TestV1WireFormat checks
+// their framing.
+var v1GoldenCases = []struct {
+	name, path string
+}{
+	{"ask_entity", "/api/v1/ask?q=Tell+me+about+DJI"},
+	{"ask_missing_q", "/api/v1/ask"},
+	{"ask_parse_error", "/api/v1/ask?q=flarp+blonk"},
+	{"entity", "/api/v1/entity?entity=DJI"},
+	{"entity_unknown", "/api/v1/entity?entity=Zorblatt+Nine"},
+	{"entity_missing_name", "/api/v1/entity"},
+	{"trending_windowed", "/api/v1/trending?k=3&since=2011&until=2015"},
+	{"trending_bad_k", "/api/v1/trending?k=abc"},
+	{"patterns", "/api/v1/patterns?k=3"},
+	{"plan", "/api/v1/plan?q=Tell+me+about+DJI&since=2014&until=2015"},
+	{"recent", "/api/v1/recent?k=5"},
+	{"diff", "/api/v1/diff?entity=DJI&asince=2011&auntil=2012&bsince=2014&buntil=2015"},
+	{"diff_missing_window", "/api/v1/diff?asince=2011&auntil=2012"},
+	{"graph", "/api/v1/graph?entity=DJI"},
+	{"graph_unknown", "/api/v1/graph?entity=Zorblatt+Nine"},
+}
 
 // TestV1Golden pins the payload of fifteen representative requests byte for
 // byte against committed golden files: the data section of a success or the
@@ -28,26 +52,7 @@ var update = flag.Bool("update", false, "rewrite the v1 golden files")
 // documented break.
 func TestV1Golden(t *testing.T) {
 	ts := testServer(t) // deterministic seeded world + article stream
-	cases := []struct {
-		name, path string
-	}{
-		{"ask_entity", "/api/v1/ask?q=Tell+me+about+DJI"},
-		{"ask_missing_q", "/api/v1/ask"},
-		{"ask_parse_error", "/api/v1/ask?q=flarp+blonk"},
-		{"entity", "/api/v1/entity?entity=DJI"},
-		{"entity_unknown", "/api/v1/entity?entity=Zorblatt+Nine"},
-		{"entity_missing_name", "/api/v1/entity"},
-		{"trending_windowed", "/api/v1/trending?k=3&since=2011&until=2015"},
-		{"trending_bad_k", "/api/v1/trending?k=abc"},
-		{"patterns", "/api/v1/patterns?k=3"},
-		{"plan", "/api/v1/plan?q=Tell+me+about+DJI&since=2014&until=2015"},
-		{"recent", "/api/v1/recent?k=5"},
-		{"diff", "/api/v1/diff?entity=DJI&asince=2011&auntil=2012&bsince=2014&buntil=2015"},
-		{"diff_missing_window", "/api/v1/diff?asince=2011&auntil=2012"},
-		{"graph", "/api/v1/graph?entity=DJI"},
-		{"graph_unknown", "/api/v1/graph?entity=Zorblatt+Nine"},
-	}
-	for _, tc := range cases {
+	for _, tc := range v1GoldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, data, errObj := rawV1(t, ts.URL+tc.path)
 			payload := data
@@ -268,6 +273,100 @@ func TestV1PanicRecoveryEnvelope(t *testing.T) {
 	getV1(t, ts.URL+"/api/v1/ask?q=Tell+me+about+DJI", 500, "internal")
 }
 
+// TestV1EncodeFailureIs500: an answer that cannot be encoded (JSON has no
+// NaN) is a 500 internal envelope, not a 200 with an empty body.
+func TestV1EncodeFailureIs500(t *testing.T) {
+	s := New(nous.NewPipeline(nous.NewKG(nil), nous.DefaultConfig()))
+	s.ask = func(string, nous.Window) (nous.Answer, error) {
+		return nous.Answer{Class: "fact", Fact: &qa.FactAnswer{Plausible: math.NaN()}}, nil
+	}
+	ts := serve(t, s)
+	env := getV1(t, ts.URL+"/api/v1/ask?q=Did+DJI+acquire+Windermere%3F", 500, "internal")
+	if msg := env["error"].(map[string]any)["message"].(string); !strings.Contains(msg, "NaN") {
+		t.Fatalf("500 message = %q, want the encoding error", msg)
+	}
+}
+
+// requireCompact fails t unless body is one compact JSON value and a
+// newline: the single wire format of every v1 envelope.
+func requireCompact(t *testing.T, what string, body []byte) {
+	t.Helper()
+	value, ok := bytes.CutSuffix(body, []byte("\n"))
+	if !ok {
+		t.Fatalf("%s: body does not end in a newline: %q", what, body)
+	}
+	var c bytes.Buffer
+	if err := json.Compact(&c, value); err != nil {
+		t.Fatalf("%s: body is not JSON: %v\n%s", what, err, body)
+	}
+	if !bytes.Equal(c.Bytes(), value) {
+		t.Fatalf("%s: body is not compact:\n%s", what, body)
+	}
+}
+
+// TestV1WireFormat: every v1 envelope — success, client error, panic (500)
+// and timeout (503) — goes out compact and length-framed, never chunked. A
+// real listener is needed: only net/http decides between Content-Length
+// and chunked framing.
+func TestV1WireFormat(t *testing.T) {
+	check := func(t *testing.T, url string, wantStatus int) {
+		t.Helper()
+		res, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantStatus != 0 && res.StatusCode != wantStatus {
+			t.Fatalf("GET %s = %d, want %d", url, res.StatusCode, wantStatus)
+		}
+		if len(res.TransferEncoding) > 0 {
+			t.Errorf("GET %s: Transfer-Encoding %v, want a Content-Length", url, res.TransferEncoding)
+		}
+		if res.ContentLength != int64(len(body)) {
+			t.Errorf("GET %s: Content-Length %d, body %d bytes", url, res.ContentLength, len(body))
+		}
+		requireCompact(t, "GET "+url, body)
+	}
+
+	ts := testServer(t)
+	for _, tc := range v1GoldenCases {
+		t.Run(tc.name, func(t *testing.T) { check(t, ts.URL+tc.path, 0) })
+	}
+	t.Run("panic", func(t *testing.T) {
+		s := New(nous.NewPipeline(nous.NewKG(nil), nous.DefaultConfig()))
+		s.ask = func(string, nous.Window) (nous.Answer, error) { panic("boom") }
+		check(t, serve(t, s).URL+"/api/v1/ask?q=Tell+me+about+DJI", http.StatusInternalServerError)
+	})
+	t.Run("timeout", func(t *testing.T) {
+		s := NewWithTimeout(nous.NewPipeline(nous.NewKG(nil), nous.DefaultConfig()), time.Nanosecond)
+		check(t, serve(t, s).URL+"/api/v1/ask?q=Tell+me+about+DJI", http.StatusServiceUnavailable)
+	})
+}
+
+// BenchmarkV1AskEntity measures one entity question through the whole
+// handler stack — routing, timeout wrapper, answer and envelope encoding —
+// and the size of the response it sends.
+func BenchmarkV1AskEntity(b *testing.B) {
+	srv := New(testPipeline(b))
+	r := httptest.NewRequest("GET", "/api/v1/ask?q=Tell+me+about+DJI", nil)
+	var n int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		n += rec.Body.Len()
+	}
+	b.ReportMetric(float64(n)/float64(b.N), "bytes/response")
+}
+
 func TestV1StatsReplicationStandalone(t *testing.T) {
 	ts := testServer(t)
 	env := getV1(t, ts.URL+"/api/v1/stats", 200, "")
@@ -350,7 +449,7 @@ func TestV1WALRequiresDurable(t *testing.T) {
 
 // tookMS strips the one legitimately nondeterministic envelope field so
 // leader and follower responses can be compared byte for byte.
-var tookMS = regexp.MustCompile(`"took_ms": \d+`)
+var tookMS = regexp.MustCompile(`"took_ms":\s*\d+`)
 
 func normalizeTook(b []byte) []byte {
 	return tookMS.ReplaceAll(b, []byte(`"took_ms": 0`))
@@ -416,13 +515,16 @@ func waitReplicaConverged(t *testing.T, f, leader *nous.Pipeline) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if f.Follower().Status().AppliedEpoch == leader.KG().Graph().Epoch() {
+		// A follower that converged through a bootstrap reopens its WAL
+		// tail only after MinBackoff, so convergence includes Connected.
+		if st := f.Follower().Status(); st.Connected && st.AppliedEpoch == leader.KG().Graph().Epoch() {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("replica never converged: applied=%d leader=%d",
-		f.Follower().Status().AppliedEpoch, leader.KG().Graph().Epoch())
+	st := f.Follower().Status()
+	t.Fatalf("replica never converged: applied=%d leader=%d connected=%v",
+		st.AppliedEpoch, leader.KG().Graph().Epoch(), st.Connected)
 }
 
 // TestReplicaServesIdenticalReads is the tentpole's acceptance check: at
