@@ -307,7 +307,7 @@ func cmdQuery(ctx context.Context, args []string) {
 	if *showPlan {
 		pl, err := p.PlanFor(*q, nous.Window{})
 		fatalIf(err)
-		fmt.Print(pl.Explain())
+		fmt.Print(pl.Explain(nil))
 		fmt.Println()
 	}
 	a, err := p.Ask(*q)

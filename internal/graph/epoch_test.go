@@ -87,7 +87,7 @@ func TestEpochBumpsOnEveryMutation(t *testing.T) {
 	incidentEdges(g, a)
 	g.Neighbors(a)
 	g.NumVertices()
-	g.EdgesWithLabel("r2")
+	countLabel(g, "r2")
 	liveEdgeIDs(g)
 	Compile(g, nil).PageRank(0.85, 5, nil)
 	if got := g.Epoch(); got != before {

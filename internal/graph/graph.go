@@ -1,13 +1,13 @@
 // Package graph implements an in-memory directed property graph with
-// per-label edge counts, temporal edges and compiled views for whole-graph
+// temporal edges and compiled views for whole-graph
 // kernels (view.go). It is the substrate NOUS's paper built on Apache Spark
 // GraphX; this implementation keeps the parts of that API surface NOUS uses —
 // vertices and edges carrying arbitrary properties, neighborhood iteration
 // and PageRank — at single-process scale.
 //
 // Storage is partitioned into numShards stripes: a vertex and its adjacency
-// lists live in the stripe owning the vertex ID, while an edge record and
-// its label count live in the stripe owning the edge ID. Stripes are data
+// lists live in the stripe owning the vertex ID, while an edge record lives
+// in the stripe owning the edge ID. Stripes are data
 // partitions only. They give snapshots their per-stripe sections, let
 // snapshot encode, decode and restore run one worker per stripe, and keep
 // each stripe's seq → slot index dense.
@@ -81,17 +81,16 @@ type vertexRec struct {
 }
 
 // shard is one stripe. Vertices (with their adjacency lists) are owned by
-// the stripe of their VertexID; edge records (slab slots) and their label
-// counts are owned by the stripe of their EdgeID. An adjacency ref may point
+// the stripe of their VertexID; edge records (slab slots) are owned by the
+// stripe of their EdgeID. An adjacency ref may point
 // into another stripe's slab.
 type shard struct {
 	vertices map[VertexID]vertexRec
 	out      map[VertexID][]edgeRef
 	in       map[VertexID][]edgeRef
 	slab     edgeSlab
-	idx      []uint32             // seq -> slab slot + 1; 0 = absent
-	labels   map[symtab.SymID]int // live edges owned here, per label; no zero entries
-	live     int                  // edges owned here that are not tombstoned
+	idx      []uint32 // seq -> slab slot + 1; 0 = absent
+	live     int      // edges owned here that are not tombstoned
 }
 
 // Graph is a mutable directed multigraph. All exported methods are safe for
@@ -145,7 +144,6 @@ func New() *Graph {
 		s.vertices = make(map[VertexID]vertexRec)
 		s.out = make(map[VertexID][]edgeRef)
 		s.in = make(map[VertexID][]edgeRef)
-		s.labels = make(map[symtab.SymID]int)
 	}
 	return g
 }
@@ -274,7 +272,7 @@ func (g *Graph) insertEdgeLocked(id EdgeID, src, dst VertexID, label symtab.SymI
 }
 
 // appendEdge stores an edge record in this (its owning) stripe's slab and seq
-// index, counts its label and returns its ref. Adjacency is the caller's.
+// index and returns its ref. Adjacency is the caller's.
 func (s *shard) appendEdge(id EdgeID, src, dst VertexID, label symtab.SymID, weight float64, ts int64, props propMap) edgeRef {
 	seq := seqOf(id)
 	slot := s.slab.append(seq, src, dst, label, weight, ts)
@@ -283,7 +281,6 @@ func (s *shard) appendEdge(id EdgeID, src, dst VertexID, label symtab.SymID, wei
 		c.setProps(off, props)
 	}
 	s.setIdx(seq, slot)
-	s.labels[label]++
 	s.live++
 	return makeRef(shardIdx(uint64(id)), slot)
 }
@@ -294,8 +291,7 @@ func (g *Graph) RemoveEdge(id EdgeID) bool {
 }
 
 // removeEdge applies a MutRemoveEdge record and commits it: the edge's slab
-// slot is tombstoned, uncounted from its label and unwired from the seq index
-// and both adjacency lists. A missing edge is a no-op that emits nothing.
+// slot is tombstoned and unwired from the seq index and both adjacency lists. A missing edge is a no-op that emits nothing.
 func (g *Graph) removeEdge(m Mutation, replicated bool) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -305,18 +301,13 @@ func (g *Graph) removeEdge(m Mutation, replicated bool) bool {
 		return false
 	}
 	c, off := es.slab.chunk(slot)
-	src, dst, label := VertexID(c.src[off]), VertexID(c.dst[off]), c.label[off]
+	src, dst := VertexID(c.src[off]), VertexID(c.dst[off])
 	c.dead[off] = true
 	if c.props != nil {
 		c.props[off] = nil // release the props map; the slot is never reused
 	}
 	es.clearIdx(seqOf(m.EdgeID))
 	es.live--
-	if n := es.labels[label] - 1; n > 0 {
-		es.labels[label] = n
-	} else {
-		delete(es.labels, label)
-	}
 	ref := makeRef(shardIdx(uint64(m.EdgeID)), slot)
 	ss, ds := g.vshard(src), g.vshard(dst)
 	ss.out[src] = removeRef(ss.out[src], ref)
@@ -452,24 +443,6 @@ func (g *Graph) Neighbors(id VertexID) []VertexID {
 	}
 	slices.Sort(ids)
 	return ids
-}
-
-// EdgesWithLabel returns the number of live edges carrying the given label,
-// summed from the per-stripe label counts — no slot is visited, so the cost
-// is O(shards). It is the cardinality source the query planner uses to
-// estimate predicate selectivity.
-func (g *Graph) EdgesWithLabel(label string) int {
-	sym, known := symtab.Lookup(label)
-	if !known {
-		return 0
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n := 0
-	for i := range g.shards {
-		n += g.shards[i].labels[sym]
-	}
-	return n
 }
 
 // VertexIDs returns all vertex IDs in ascending order.

@@ -165,7 +165,7 @@ func (g *Graph) checkExplicitLocked(e *Edge, op string) error {
 //
 // The load holds the write lock throughout and runs in two phases of one
 // worker per stripe, each writing only its own stripe: phase one appends each
-// stripe's edges into its slab and label counts; phase two distributes
+// stripe's edges into its slab; phase two distributes
 // adjacency refs, each worker owning one target stripe and appending its refs
 // sorted by edge ID — a deterministic order regardless of worker scheduling.
 // Edges whose ID is already present are skipped (idempotence), matching
@@ -189,7 +189,7 @@ func (g *Graph) RestoreEdges(byOwner [][]Edge) error {
 		}
 	}
 
-	// Phase one: per owning stripe, append slab slots and count labels.
+	// Phase one: per owning stripe, append slab slots.
 	// Each inserted edge's ref is collected for phase two.
 	type pendingRef struct {
 		id  EdgeID

@@ -104,10 +104,9 @@ type value struct {
 	diff                *DiffAnswer
 }
 
-// Trace records per-operator actual output row counts for one traced run —
-// the "actual" half of est_rows vs actual_rows in costed explain output. A
-// Trace belongs to a single RunTraced call and is not safe for concurrent
-// use across runs.
+// Trace records per-operator actual output row counts for one traced run,
+// the actual_rows of explain output. A Trace belongs to a single RunTraced
+// call and is not safe for concurrent use across runs.
 type Trace struct {
 	rows map[Node]int
 }
@@ -341,15 +340,6 @@ func (ex *Executor) evalTrendScan(t *TrendScan, v *value) error {
 		return nil
 	}
 	if t.Backfill && w.Bounded() && ex.TIndex != nil && ex.KG != nil {
-		if t.SkipScan {
-			// Optimize proved (from the temporal histogram, widened to
-			// trend-bucket granularity) that no dated fact can reach a
-			// scored bucket; a full Backfill over the materialized history
-			// would return nil trends. Return the same nil without touching
-			// the index.
-			v.backfilled = true
-			return nil
-		}
 		cfg := trends.DefaultConfig()
 		if ex.Trends != nil {
 			cfg = ex.Trends.Config()
@@ -429,17 +419,10 @@ func attributable(fs []core.Fact) []core.Fact {
 
 func (ex *Executor) evalDiff(t *Diff, v *value, tr *Trace) error {
 	var va, vb value
-	// Evaluate the side the optimizer estimated smaller first; the diff is
-	// symmetric in its computation, so the order changes locality, never
-	// the answer.
-	first, second, vf, vs := t.A, t.B, &va, &vb
-	if t.EvalBFirst {
-		first, second, vf, vs = t.B, t.A, &vb, &va
-	}
-	if err := ex.eval(first, temporal.All(), vf, tr); err != nil {
+	if err := ex.eval(t.A, temporal.All(), &va, tr); err != nil {
 		return err
 	}
-	if err := ex.eval(second, temporal.All(), vs, tr); err != nil {
+	if err := ex.eval(t.B, temporal.All(), &vb, tr); err != nil {
 		return err
 	}
 	// Entity diffs resolve the same surface form in both children; surface

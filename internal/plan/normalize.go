@@ -13,10 +13,7 @@ import (
 // collide windows that differ by less than a day). Two executions produce
 // byte-identical answers whenever their normalized plans and graph epochs
 // match, which is what makes (epoch, Normalize(p)) a sound plan-result cache
-// key. Optimizer annotations (EvalBFirst, SkipScan) are execution strategy,
-// not question identity, and are excluded — but normalization is applied to
-// the pre-optimization reference plan anyway, so equal questions yield equal
-// keys regardless of what the statistics decided.
+// key.
 func Normalize(p *Plan) string {
 	var b strings.Builder
 	b.WriteString("v1|class=")

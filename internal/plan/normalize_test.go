@@ -8,6 +8,11 @@ import (
 	"nous/internal/temporal"
 )
 
+func winDays(sinceDay, untilDay int64) temporal.Window {
+	const day = 86400
+	return temporal.Window{Since: sinceDay * day, Until: untilDay * day}
+}
+
 func TestNormalizeEqualPlansEqualStrings(t *testing.T) {
 	a := DiffPlan("DJI", winDays(0, 10), winDays(10, 20))
 	b := DiffPlan("DJI", winDays(0, 10), winDays(10, 20))
@@ -38,21 +43,6 @@ func TestNormalizeNeverCanonicalizesWindows(t *testing.T) {
 	b := DiffPlan("DJI", full, winDays(0, 10))
 	if Normalize(a) == Normalize(b) {
 		t.Fatal("distinct representations of the unbounded window were collapsed")
-	}
-}
-
-func TestNormalizeExcludesStrategyFlags(t *testing.T) {
-	a := DiffPlan("DJI", winDays(0, 10), winDays(10, 20))
-	b := DiffPlan("DJI", winDays(0, 10), winDays(10, 20))
-	b.Root.(*Diff).EvalBFirst = true
-	if Normalize(a) != Normalize(b) {
-		t.Fatal("EvalBFirst leaked into the normalized string")
-	}
-	ta := TrendingPlan(winDays(0, 10), 5)
-	tb := TrendingPlan(winDays(0, 10), 5)
-	tb.Root.(*Rank).Input.(*TrendScan).SkipScan = true
-	if Normalize(ta) != Normalize(tb) {
-		t.Fatal("SkipScan leaked into the normalized string")
 	}
 }
 

@@ -167,12 +167,6 @@ func (p *PathExplain) args() string {
 type TrendScan struct {
 	Window   temporal.Window
 	Backfill bool
-	// SkipScan is set by Optimize when the temporal histogram proves no
-	// dated fact can reach a scored bucket: the executor then skips the
-	// history materialization and returns the same empty trend set the
-	// full backfill would. Purely an execution strategy — excluded from
-	// Normalize, invisible to cache keys.
-	SkipScan bool
 }
 
 func (t *TrendScan) Op() Op         { return OpTrendScan }
@@ -213,11 +207,6 @@ type Diff struct {
 	A, B             Node
 	WindowA, WindowB temporal.Window
 	Entity           string // surface form; empty = the whole stream
-	// EvalBFirst is set by Optimize when B's estimated cardinality is the
-	// smaller: the executor evaluates the cheap side first and probes the
-	// larger. The diff computation is symmetric, so answers are identical
-	// either way; excluded from Normalize, invisible to cache keys.
-	EvalBFirst bool
 }
 
 func (d *Diff) Op() Op         { return OpDiff }
@@ -336,98 +325,47 @@ func DiffPlan(entity string, a, b temporal.Window) *Plan {
 }
 
 // NodeDesc is the JSON-able shape of one plan operator (GET /api/v1/plan).
-// EstRows/ActualRows are present only on costed descriptions (an optimized
-// plan that was executed with tracing); EstRows is omitted when the
-// statistics could not estimate the operator.
+// ActualRows is present only on a description of an executed plan, that is
+// one rendered with the Trace of its run.
 type NodeDesc struct {
 	Op         string     `json:"op"`
 	Args       string     `json:"args,omitempty"`
-	EstRows    *float64   `json:"est_rows,omitempty"`
 	ActualRows *int       `json:"actual_rows,omitempty"`
 	Inputs     []NodeDesc `json:"inputs,omitempty"`
 }
 
-func describe(n Node, est map[Node]float64, tr *Trace) NodeDesc {
+func describe(n Node, tr *Trace) NodeDesc {
 	d := NodeDesc{Op: string(n.Op()), Args: n.args()}
-	if e, ok := est[n]; ok && e >= 0 {
-		e = roundEst(e)
-		d.EstRows = &e
-	}
-	if tr != nil {
-		if rows, ok := tr.ActualRows(n); ok {
-			d.ActualRows = &rows
-		}
+	if rows, ok := tr.ActualRows(n); ok {
+		d.ActualRows = &rows
 	}
 	for _, in := range n.Inputs() {
 		if in != nil {
-			d.Inputs = append(d.Inputs, describe(in, est, tr))
+			d.Inputs = append(d.Inputs, describe(in, tr))
 		}
 	}
 	return d
 }
 
-// roundEst rounds an estimate to a tenth of a row, so JSON output and
-// explain text stay stable across float formatting.
-func roundEst(e float64) float64 { return float64(int64(e*10+0.5)) / 10 }
-
-// Describe returns the plan's operator tree in JSON-able form.
-func (p *Plan) Describe() NodeDesc {
+// Describe returns the plan's operator tree in JSON-able form, with each
+// operator's actual_rows when tr traces an execution of p (nil omits them).
+func (p *Plan) Describe(tr *Trace) NodeDesc {
 	if p.Root == nil {
 		return NodeDesc{}
 	}
-	return describe(p.Root, nil, nil)
+	return describe(p.Root, tr)
 }
 
-// Describe renders the costed plan's operator tree with est_rows per node
-// and, when tr is non-nil (the plan was executed via RunTraced), actual_rows.
-func (c *Costed) Describe(tr *Trace) NodeDesc {
-	if c.Plan == nil || c.Plan.Root == nil {
-		return NodeDesc{}
-	}
-	return describe(c.Plan.Root, c.Est, tr)
-}
-
-// Explain renders the costed plan as an indented tree like Plan.Explain,
-// with each operator annotated est_rows=… (when the statistics could
-// estimate it) and actual_rows=… (when tr traces an execution):
-//
-//	plan class=entity
-//	  Summarize(entity="DJI") est_rows=10.0 actual_rows=7
-//	    ...
-func (c *Costed) Explain(tr *Trace) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan class=%s\n", c.Plan.Class)
-	var walk func(n Node, depth int)
-	walk = func(n Node, depth int) {
-		if n == nil {
-			return
-		}
-		fmt.Fprintf(&b, "%s%s(%s)", strings.Repeat("  ", depth+1), n.Op(), n.args())
-		if e, ok := c.Est[n]; ok && e >= 0 {
-			fmt.Fprintf(&b, " est_rows=%.1f", roundEst(e))
-		}
-		if tr != nil {
-			if rows, ok := tr.ActualRows(n); ok {
-				fmt.Fprintf(&b, " actual_rows=%d", rows)
-			}
-		}
-		b.WriteByte('\n')
-		for _, in := range n.Inputs() {
-			walk(in, depth+1)
-		}
-	}
-	walk(c.Plan.Root, 0)
-	return b.String()
-}
-
-// Explain renders the plan as an indented explain-style tree:
+// Explain renders the plan as an indented explain-style tree, with each
+// operator annotated actual_rows=… when tr traces an execution of p (nil
+// omits them):
 //
 //	plan class=entity
 //	  Summarize(entity="DJI" window=[2015-01-01, 2016-01-01))
 //	    Rank(k=10)
 //	      WindowFilter(window=[2015-01-01, 2016-01-01))
 //	        Scan(source=facts_about subject="DJI")
-func (p *Plan) Explain() string {
+func (p *Plan) Explain(tr *Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan class=%s\n", p.Class)
 	var walk func(n Node, depth int)
@@ -435,7 +373,11 @@ func (p *Plan) Explain() string {
 		if n == nil {
 			return
 		}
-		fmt.Fprintf(&b, "%s%s(%s)\n", strings.Repeat("  ", depth+1), n.Op(), n.args())
+		fmt.Fprintf(&b, "%s%s(%s)", strings.Repeat("  ", depth+1), n.Op(), n.args())
+		if rows, ok := tr.ActualRows(n); ok {
+			fmt.Fprintf(&b, " actual_rows=%d", rows)
+		}
+		b.WriteByte('\n')
 		for _, in := range n.Inputs() {
 			walk(in, depth+1)
 		}

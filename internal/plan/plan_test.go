@@ -206,7 +206,7 @@ func TestEntityDiffCuratedCancelsOut(t *testing.T) {
 
 func TestExplainRendersOperatorTree(t *testing.T) {
 	p := EntityPlan("DJI", window(0, 7), 10)
-	out := p.Explain()
+	out := p.Explain(nil)
 	for _, want := range []string{"plan class=entity", "Summarize(", "Rank(k=10)", "WindowFilter(", "Scan(source=facts_about"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Explain missing %q:\n%s", want, out)
@@ -219,11 +219,11 @@ func TestExplainRendersOperatorTree(t *testing.T) {
 	}
 
 	// Unwindowed plans skip the WindowFilter so the hot path is visible.
-	if strings.Contains(EntityPlan("DJI", temporal.All(), 10).Explain(), "WindowFilter") {
+	if strings.Contains(EntityPlan("DJI", temporal.All(), 10).Explain(nil), "WindowFilter") {
 		t.Fatal("unbounded plan still wraps a WindowFilter")
 	}
 
-	d := DiffPlan("DJI", window(0, 7), window(7, 14)).Describe()
+	d := DiffPlan("DJI", window(0, 7), window(7, 14)).Describe(nil)
 	if d.Op != string(OpDiff) || len(d.Inputs) != 2 {
 		t.Fatalf("Describe() = %+v", d)
 	}

@@ -97,9 +97,9 @@ func (ex *Executor) AskWindow(question string, w temporal.Window) (Answer, error
 	return ex.Run(q)
 }
 
-// Run compiles a parsed query into a logical plan, optimizes it against the
-// storage statistics and executes it — serving cacheable classes (diff,
-// windowed trend backfill) through the epoch-keyed plan-result cache.
+// Run compiles a parsed query into a logical plan and executes it, serving
+// cacheable classes (diff, windowed trend backfill) through the epoch-keyed
+// plan-result cache.
 func (ex *Executor) Run(q Query) (Answer, error) {
 	p, err := Lower(q)
 	if err != nil {
@@ -136,37 +136,20 @@ func (ex *Executor) Plan(question string, w temporal.Window) (*plan.Plan, error)
 	return Lower(q)
 }
 
-// runPlan executes a lowered plan: Optimize rewrites a statistics-annotated
-// clone (the lowered plan itself stays the untouched reference), and plans
-// whose results are pure functions of (epoch, plan) are memoized in the
-// plan-result cache — a repeat at an unchanged epoch is a map read instead
-// of a dated-stream re-materialization. The cache key normalizes the
-// *reference* plan, so what the optimizer decided can never split or alias
-// cache entries.
+// runPlan executes a lowered plan. Plans whose results are pure functions of
+// (epoch, plan) are memoized in the plan-result cache, so a repeat at an
+// unchanged epoch is a map read instead of a dated-stream
+// re-materialization.
 func (ex *Executor) runPlan(p *plan.Plan) (plan.Result, error) {
-	opt := plan.Optimize(p, ex.cardinality())
 	if memo := ex.resultMemo(); memo != nil && plan.Cacheable(p, ex.TIndex != nil) {
 		epoch := ex.KG.Graph().Epoch()
 		r, _, err := memo.Get(epoch, plan.Normalize(p), func() (plan.Result, uint64, error) {
-			r, err := ex.planner().Run(opt.Plan)
+			r, err := ex.planner().Run(p)
 			return r, epoch, err
 		})
 		return r, err
 	}
-	return ex.planner().Run(opt.Plan)
-}
-
-// cardinality assembles the optimizer's statistics view, or nil without a
-// graph to read counters from.
-func (ex *Executor) cardinality() plan.Cardinality {
-	if ex.KG == nil {
-		return nil
-	}
-	gs := &plan.GraphStats{KG: ex.KG, TIndex: ex.TIndex}
-	if ex.Trends != nil {
-		gs.TrendBucketSec = int64(ex.Trends.Config().Bucket / time.Second)
-	}
-	return gs
+	return ex.planner().Run(p)
 }
 
 // planCacheEntries caps the plan-result cache; beyond it the
@@ -186,13 +169,12 @@ func (ex *Executor) resultMemo() *analytics.ResultMemo[string, plan.Result] {
 	return ex.results
 }
 
-// PlanReport is one executed explain: the optimized plan with its row
-// estimates, the traced actual rows (nil when the answer came from the plan
-// cache — nothing executed), and the cache's view of the question.
+// PlanReport is one executed explain: the lowered plan, the traced actual
+// rows (nil when the answer came from the plan cache, so nothing executed),
+// and the cache's view of the question.
 type PlanReport struct {
-	Plan   *plan.Plan   // the lowered reference plan
-	Costed *plan.Costed // optimized tree + est_rows annotations
-	Trace  *plan.Trace  // actual_rows; nil on a cache hit
+	Plan  *plan.Plan
+	Trace *plan.Trace // actual_rows; nil on a cache hit
 	// Cacheable reports whether the plan's class and shape qualify for the
 	// plan-result cache; Cached whether a fresh result was already cached
 	// at the current epoch when the explain ran.
@@ -200,25 +182,24 @@ type PlanReport struct {
 	Cached    bool
 }
 
-// Explain renders the costed explain tree (est_rows vs actual_rows).
-func (r *PlanReport) Explain() string { return r.Costed.Explain(r.Trace) }
+// Explain renders the explain tree with each operator's actual_rows.
+func (r *PlanReport) Explain() string { return r.Plan.Explain(r.Trace) }
 
-// Describe renders the costed operator tree in JSON-able form.
-func (r *PlanReport) Describe() plan.NodeDesc { return r.Costed.Describe(r.Trace) }
+// Describe renders the operator tree, with actual_rows, in JSON-able form.
+func (r *PlanReport) Describe() plan.NodeDesc { return r.Plan.Describe(r.Trace) }
 
-// ExplainQuery compiles, optimizes and *executes* a question, reporting the
-// costed plan with per-operator estimated and actual rows — the engine
-// behind GET /api/v1/plan. Cacheable questions go through the plan cache: an
-// explain of an already-cached question reports Cached=true and carries no
-// actual_rows (nothing was executed), and a cold explain leaves the cache
-// warm for the subsequent real query.
+// ExplainQuery compiles and *executes* a question, reporting its plan with
+// per-operator actual rows — the engine behind GET /api/v1/plan. Cacheable
+// questions go through the plan cache: an explain of an already-cached
+// question reports Cached=true and renders the bare tree (nothing was
+// executed), and a cold explain leaves the cache warm for the subsequent
+// real query.
 func (ex *Executor) ExplainQuery(question string, w temporal.Window) (*PlanReport, error) {
 	p, err := ex.Plan(question, w)
 	if err != nil {
 		return nil, err
 	}
-	opt := plan.Optimize(p, ex.cardinality())
-	rep := &PlanReport{Plan: p, Costed: opt}
+	rep := &PlanReport{Plan: p}
 	memo := ex.resultMemo()
 	rep.Cacheable = memo != nil && plan.Cacheable(p, ex.TIndex != nil)
 	if rep.Cacheable {
@@ -229,7 +210,7 @@ func (ex *Executor) ExplainQuery(question string, w temporal.Window) (*PlanRepor
 		}
 		var tr *plan.Trace
 		if _, _, err := memo.Get(epoch, key, func() (plan.Result, uint64, error) {
-			r, t, err := ex.planner().RunTraced(opt.Plan)
+			r, t, err := ex.planner().RunTraced(p)
 			tr = t
 			return r, epoch, err
 		}); err != nil {
@@ -238,7 +219,7 @@ func (ex *Executor) ExplainQuery(question string, w temporal.Window) (*PlanRepor
 		rep.Trace = tr // nil when a concurrent flight computed instead
 		return rep, nil
 	}
-	_, tr, err := ex.planner().RunTraced(opt.Plan)
+	_, tr, err := ex.planner().RunTraced(p)
 	if err != nil {
 		return nil, err
 	}

@@ -297,10 +297,9 @@ func (s *Server) buildDiff(r *http.Request) (any, *windowJSON, *apiError) {
 	return askResponse{Class: string(ans.Class), Text: ans.Text, Data: ans.Diff}, nil, nil
 }
 
-// planResponse is the /api/v1/plan data: the cost-annotated, executed plan for
-// a question — an explain-style rendering plus the operator tree, each node
-// carrying the optimizer's est_rows and (unless the answer came from the
-// plan cache) the executor's actual_rows.
+// planResponse is the /api/v1/plan data: the executed plan for a question —
+// an explain-style rendering plus the operator tree, each node carrying the
+// executor's actual_rows unless the answer came from the plan cache.
 type planResponse struct {
 	Question string        `json:"question"`
 	Class    string        `json:"class"`
@@ -331,8 +330,8 @@ func winJSON(w nous.Window) *windowJSON {
 	return &windowJSON{Since: w.Since, Until: w.Until}
 }
 
-// buildPlan compiles, optimizes and executes the question's logical plan,
-// reporting per-operator estimated vs actual rows and the plan cache's view.
+// buildPlan compiles and executes the question's logical plan, reporting
+// per-operator actual rows and the plan cache's view.
 func (s *Server) buildPlan(r *http.Request) (any, *windowJSON, *apiError) {
 	q := r.URL.Query().Get("q")
 	if q == "" {

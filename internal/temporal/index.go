@@ -15,23 +15,6 @@ import (
 // dated stream, not the background substrate.
 var Timeless = time.Time{}.Unix()
 
-// histBucketSec is the width of one time-bucket of the selectivity
-// histogram: one day. Wide enough that a year of stream holds ~365 buckets
-// per stripe, narrow enough that the planner's window estimates stay within
-// the 2× band the optimizer tests pin for day-or-wider windows.
-const histBucketSec int64 = 86400
-
-// histBucket maps a timestamp to its histogram bucket index with floor
-// division, so pre-epoch timestamps land in well-ordered negative buckets
-// instead of sharing bucket 0 with the first epoch day.
-func histBucket(ts int64) int64 {
-	b := ts / histBucketSec
-	if ts%histBucketSec != 0 && ts < 0 {
-		b--
-	}
-	return b
-}
-
 // entry is one indexed edge: its timestamp and ID. Entries within a shard
 // are kept sorted by (ts, id).
 type entry struct {
@@ -49,8 +32,7 @@ func entryLess(a, b entry) bool {
 
 // ishard is one stripe of the index: a data partition, not a lock. Edges are
 // assigned to the stripe of their edge ID with the same mapping the graph's
-// own stripes use, and EstimateIn sums the stripes' histograms in stripe
-// order.
+// own stripes use.
 //
 // entries[:sorted] is in (ts, id) order; entries[sorted:] is an unsorted
 // append tail. The live insert path only ever appends — in-order entries
@@ -63,36 +45,6 @@ type ishard struct {
 	entries []entry
 	sorted  int
 	byID    map[graph.EdgeID]int64 // id -> indexed timestamp, for removal
-	// hist counts *dated* entries (ts > Timeless) per histBucketSec-wide
-	// time bucket. It is maintained incrementally by insert/remove — never
-	// derived from entries on read — which is what lets EstimateIn answer
-	// window-selectivity questions in O(buckets touched) instead of
-	// materializing a range.
-	hist map[int64]int
-}
-
-// histAdd counts one dated timestamp into the bucket histogram. Timeless
-// entries (the curated substrate) are not windowed reads' concern and are
-// excluded, mirroring DatedIn/Span.
-func (s *ishard) histAdd(ts int64) {
-	if ts <= Timeless {
-		return
-	}
-	s.hist[histBucket(ts)]++
-}
-
-// histSub removes one dated timestamp from the bucket histogram, deleting
-// drained buckets so map size tracks the populated span, not history.
-func (s *ishard) histSub(ts int64) {
-	if ts <= Timeless {
-		return
-	}
-	b := histBucket(ts)
-	if c := s.hist[b]; c <= 1 {
-		delete(s.hist, b)
-	} else {
-		s.hist[b] = c - 1
-	}
 }
 
 // Index is a per-stripe time-ordered edge index over one graph. It is kept in
@@ -154,7 +106,6 @@ func (ix *Index) resetLocked() {
 		s := &ix.shards[i]
 		s.entries, s.sorted = s.entries[:0], 0
 		s.byID = make(map[graph.EdgeID]int64)
-		s.hist = make(map[int64]int)
 	}
 }
 
@@ -204,7 +155,6 @@ func (ix *Index) scan() {
 				continue
 			}
 			s.byID[en.id] = en.ts
-			s.histAdd(en.ts)
 			s.entries = append(s.entries, en)
 		}
 		s.flushLocked()
@@ -243,7 +193,6 @@ func (s *ishard) insert(id graph.EdgeID, ts int64) {
 		return
 	}
 	s.byID[id] = ts
-	s.histAdd(ts)
 	en := entry{ts: ts, id: id}
 	s.entries = append(s.entries, en)
 	if s.sorted == len(s.entries)-1 && (s.sorted == 0 || !entryLess(en, s.entries[s.sorted-1])) {
@@ -318,7 +267,6 @@ func (s *ishard) remove(id graph.EdgeID) {
 		return
 	}
 	delete(s.byID, id)
-	s.histSub(ts)
 	s.flushLocked()
 	i := sort.Search(len(s.entries), func(i int) bool {
 		e := s.entries[i]
@@ -374,80 +322,6 @@ func (ix *Index) Count(w Window) int {
 		}
 	})
 	return n
-}
-
-// EstimateIn estimates the number of *dated* edges whose timestamps lie in w
-// from the per-stripe time-bucket histograms: full buckets contribute their
-// exact counts, the two boundary buckets contribute a uniform fraction of
-// theirs. The cost is O(buckets touched) per stripe — no entry range is
-// materialized and no flush of the append tail is forced. Two properties the
-// planner relies on:
-//
-//   - counts are exact per bucket, so the estimate is exactly 0 only when no
-//     dated edge can lie in w (the proof TrendScan's skip rewrite needs);
-//   - for windows a day or wider the boundary-fraction error is bounded by
-//     the two edge buckets, keeping estimates within ~2× of Count.
-//
-// Timeless entries (the curated substrate) are excluded, mirroring DatedIn.
-func (ix *Index) EstimateIn(w Window) float64 {
-	if w.IsEmpty() {
-		return 0
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	est := 0.0
-	for i := range ix.shards {
-		est += ix.shards[i].estimate(w)
-	}
-	return est
-}
-
-// estimate sums w's overlap with one stripe's histogram. The caller holds
-// the index lock (read suffices: hist is never lazily rebuilt). When the
-// window spans fewer buckets than the stripe has populated, the bucket
-// indexes are walked directly; otherwise the populated buckets are.
-func (s *ishard) estimate(w Window) float64 {
-	if len(s.hist) == 0 {
-		return 0
-	}
-	if w.IsAll() {
-		n := 0
-		for _, c := range s.hist {
-			n += c
-		}
-		return float64(n)
-	}
-	total := 0.0
-	add := func(b int64, c int) {
-		lo, hi := b*histBucketSec, (b+1)*histBucketSec
-		if w.Since > lo {
-			lo = w.Since
-		}
-		if w.Until < hi {
-			hi = w.Until
-		}
-		if hi <= lo {
-			return
-		}
-		total += float64(c) * float64(hi-lo) / float64(histBucketSec)
-	}
-	// Walk bucket indexes directly only for finite, narrow windows; the
-	// half-bounded sentinels would overflow the index arithmetic.
-	if w.Since != math.MinInt64 && w.Until != math.MaxInt64 {
-		bLo, bHi := histBucket(w.Since), histBucket(w.Until-1)
-		if span := bHi - bLo; span >= 0 && span+1 < int64(len(s.hist)) {
-			for b := bLo; b <= bHi; b++ {
-				if c, ok := s.hist[b]; ok {
-					add(b, c)
-				}
-			}
-			return total
-		}
-	}
-	for b, c := range s.hist {
-		add(b, c)
-	}
-	return total
 }
 
 // EdgesIn returns the IDs of edges whose timestamp lies in w, ordered by

@@ -109,9 +109,9 @@ type (
 	// PlanStats reports the planner's execution counters (plans by class,
 	// operators by kind) and the plan-result cache's counters.
 	PlanStats = plan.Stats
-	// PlanReport is one executed explain: the cost-annotated optimized plan
-	// with per-operator estimated vs actual rows, and whether the answer was
-	// served from the plan-result cache.
+	// PlanReport is one executed explain: the lowered plan with per-operator
+	// actual rows, and whether the answer was served from the plan-result
+	// cache.
 	PlanReport = qa.PlanReport
 	// DiffAnswer is the payload of a temporal diff query: facts visible only
 	// in the second window (added) or only in the first (removed).
@@ -562,11 +562,11 @@ func (p *Pipeline) PlanFor(question string, w Window) (*QueryPlan, error) {
 	return p.exec.Plan(question, w)
 }
 
-// ExplainPlan compiles, optimizes and executes a question, reporting the
-// costed plan with per-operator estimated and actual rows — the engine
-// behind GET /api/v1/plan. Cacheable questions go through the plan-result
-// cache; an explain of an already-cached question reports Cached and skips
-// execution entirely (so it carries no actual rows).
+// ExplainPlan compiles and executes a question, reporting its plan with
+// per-operator actual rows — the engine behind GET /api/v1/plan. Cacheable
+// questions go through the plan-result cache; an explain of an
+// already-cached question reports Cached and skips execution entirely (so
+// it carries no actual rows).
 func (p *Pipeline) ExplainPlan(question string, w Window) (*PlanReport, error) {
 	return p.exec.ExplainQuery(question, w)
 }

@@ -209,7 +209,7 @@ func TestDiffAndBackfillEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Class != "entity" || !strings.Contains(pl.Explain(), "WindowFilter") {
-		t.Fatalf("PlanFor explain:\n%s", pl.Explain())
+	if pl.Class != "entity" || !strings.Contains(pl.Explain(nil), "WindowFilter") {
+		t.Fatalf("PlanFor explain:\n%s", pl.Explain(nil))
 	}
 }
