@@ -52,9 +52,10 @@ type DiffAnswer struct {
 	Unchanged int             `json:"unchanged"`
 }
 
-// Result is one executed plan's answer: the rendered text plus the payload
-// matching the plan's class.
+// Result is one executed plan's answer: its query class, the rendered text
+// and the payload matching the class.
 type Result struct {
+	Class    string
 	Text     string
 	Trends   []trends.Trend
 	Entity   *EntitySummary
@@ -64,11 +65,9 @@ type Result struct {
 	Diff     *DiffAnswer
 }
 
-// Executor runs plans against the graph store and its derived artifacts. Any
-// dependency may be nil; the executor degrades gracefully (no miner →
-// pattern queries report emptiness, no temporal index → TrendScan falls back
-// to the live detector).
-type Executor struct {
+// Deps are the graph store and the derived artifacts an Executor reads.
+// Every field is required.
+type Deps struct {
 	KG       *core.KG
 	Trends   *trends.Detector
 	Miner    *fgm.Miner
@@ -76,16 +75,35 @@ type Executor struct {
 	Model    *linkpred.Model
 	Linker   *disambig.Linker
 	// Analytics supplies epoch-memoized whole-graph artifacts (PageRank
-	// importance). When nil, entity summaries report zero importance rather
-	// than recomputing PageRank per request.
+	// importance).
 	Analytics *analytics.Cache
 	// TIndex is the per-shard time-ordered edge index; TrendScan backfill
 	// and whole-stream diffs read it.
 	TIndex *temporal.Index
-	// Now supplies the query-time clock (defaults to time.Now).
+	// Now supplies the query-time clock.
 	Now func() time.Time
-	// Stats, when set, accounts executed plans and operators.
-	Stats *ExecStats
+}
+
+// Executor runs plans against the graph store and its derived artifacts. It
+// owns the plan-result cache and the execution counters, so a system builds
+// one and shares it across requests.
+type Executor struct {
+	Deps
+	stats   *execStats
+	results *analytics.ResultMemo[string, Result]
+}
+
+// cacheEntries caps the plan-result cache; beyond it the least-recently-used
+// plan is evicted.
+const cacheEntries = 256
+
+// NewExecutor returns an executor over d with an empty plan-result cache.
+func NewExecutor(d Deps) *Executor {
+	return &Executor{
+		Deps:    d,
+		stats:   newStats(),
+		results: analytics.NewResultMemo[string, Result](cacheEntries),
+	}
 }
 
 // value is the data flowing up a plan tree during evaluation.
@@ -105,7 +123,7 @@ type value struct {
 }
 
 // Trace records per-operator actual output row counts for one traced run,
-// the actual_rows of explain output. A Trace belongs to a single RunTraced
+// the actual_rows of explain output. A Trace belongs to a single Explain
 // call and is not safe for concurrent use across runs.
 type Trace struct {
 	rows map[Node]int
@@ -129,37 +147,97 @@ func rowsOf(v *value) int {
 	return len(v.facts) + len(v.scored) + len(v.patterns) + len(v.trends) + len(v.paths)
 }
 
-// Run executes one plan and renders its answer.
+// Report is one executed explain: the plan, the traced actual rows (nil
+// when nothing executed), and the plan-result cache's view of the plan.
+type Report struct {
+	Plan  *Plan
+	Trace *Trace // actual_rows; nil on a cache hit
+	// Cacheable reports whether the plan's class and shape qualify for the
+	// plan-result cache; Cached whether a fresh result was already cached
+	// at the current epoch when the explain ran.
+	Cacheable bool
+	Cached    bool
+}
+
+// Explain renders the explain tree with each operator's actual_rows.
+func (r *Report) Explain() string { return r.Plan.Explain(r.Trace) }
+
+// Describe renders the operator tree, with actual_rows, in JSON-able form.
+func (r *Report) Describe() NodeDesc { return r.Plan.Describe(r.Trace) }
+
+// Run executes one plan and renders its answer. Plans whose results are pure
+// functions of (epoch, plan) are memoized in the plan-result cache, so a
+// repeat at an unchanged epoch is a map read instead of a dated-stream
+// re-materialization.
 func (ex *Executor) Run(p *Plan) (Result, error) {
-	r, _, err := ex.run(p, nil)
+	r, _, err := ex.serve(p, nil)
 	return r, err
 }
 
-// RunTraced is Run with per-operator row accounting for explain output.
-func (ex *Executor) RunTraced(p *Plan) (Result, *Trace, error) {
-	return ex.run(p, &Trace{rows: make(map[Node]int)})
+// Explain executes a plan with per-operator row accounting — the engine
+// behind GET /api/v1/plan. A cacheable plan whose result is already cached
+// at the current epoch is not executed: the report says Cached and carries
+// no Trace. A cold explain leaves the cache warm for the real query.
+func (ex *Executor) Explain(p *Plan) (*Report, error) {
+	rep := &Report{Plan: p, Cacheable: Cacheable(p)}
+	if rep.Cacheable {
+		if _, rep.Cached = ex.results.Peek(ex.KG.Graph().Epoch(), Normalize(p)); rep.Cached {
+			return rep, nil
+		}
+	}
+	tr := &Trace{rows: make(map[Node]int)}
+	_, ran, err := ex.serve(p, tr)
+	if err != nil {
+		return nil, err
+	}
+	if ran {
+		rep.Trace = tr // not when a concurrent flight computed instead
+	}
+	return rep, nil
 }
 
-func (ex *Executor) run(p *Plan, tr *Trace) (Result, *Trace, error) {
+// serve runs p, through the plan-result cache when p is cacheable, recording
+// per-operator rows into tr when it is non-nil. ran reports whether p
+// executed here rather than being served from the cache.
+func (ex *Executor) serve(p *Plan, tr *Trace) (r Result, ran bool, err error) {
 	if p == nil || p.Root == nil {
-		return Result{}, nil, errors.New("plan: empty plan")
+		return Result{}, false, errors.New("plan: empty plan")
 	}
-	if ex.Stats != nil {
-		ex.Stats.startPlan(p.Class)
+	if !Cacheable(p) {
+		r, err = ex.run(p, tr)
+		return r, true, err
 	}
+	epoch := ex.KG.Graph().Epoch()
+	r, hit, err := ex.results.Get(epoch, Normalize(p), func() (Result, uint64, error) {
+		r, err := ex.run(p, tr)
+		return r, epoch, err
+	})
+	return r, !hit, err
+}
+
+// run executes p without consulting the cache.
+func (ex *Executor) run(p *Plan, tr *Trace) (Result, error) {
+	ex.stats.startPlan(p.Class)
 	var v value
 	if err := ex.eval(p.Root, temporal.All(), &v, tr); err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
-	r, err := ex.render(p, &v)
-	return r, tr, err
+	return render(p, &v)
 }
 
-func (ex *Executor) now() time.Time {
-	if ex.Now != nil {
-		return ex.Now()
+// Stats reports the executed plans by class, the evaluated operators by kind
+// and the plan-result cache's counters.
+func (ex *Executor) Stats() Stats {
+	st := ex.stats.snapshot()
+	ms := ex.results.Stats()
+	st.Cache = &CacheStats{
+		Hits:      ms.Hits,
+		Misses:    ms.Misses,
+		Coalesced: ms.Coalesced,
+		Evictions: ms.Evictions,
+		Entries:   ms.Entries,
 	}
-	return time.Now()
+	return st
 }
 
 // windowRef is the reference instant for activity-style lookups under a
@@ -169,7 +247,7 @@ func (ex *Executor) windowRef(w temporal.Window) time.Time {
 	if w.Bounded() && w.Until != math.MaxInt64 {
 		return time.Unix(w.Until-1, 0)
 	}
-	return ex.now()
+	return ex.Now()
 }
 
 // resolve maps a surface form to a canonical entity name.
@@ -180,10 +258,8 @@ func (ex *Executor) resolve(surface string) (string, bool) {
 	if _, ok := ex.KG.Entity(surface); ok {
 		return surface, true
 	}
-	if ex.Linker != nil {
-		if r := ex.Linker.LinkOne(disambig.Mention{Surface: surface}); r.Entity != "" {
-			return r.Entity, true
-		}
+	if r := ex.Linker.LinkOne(disambig.Mention{Surface: surface}); r.Entity != "" {
+		return r.Entity, true
 	}
 	cands := ex.KG.Candidates(surface)
 	if len(cands) > 0 {
@@ -204,9 +280,7 @@ func (ex *Executor) eval(n Node, w temporal.Window, v *value, tr *Trace) error {
 }
 
 func (ex *Executor) evalNode(n Node, w temporal.Window, v *value, tr *Trace) error {
-	if ex.Stats != nil {
-		ex.Stats.countOp(n.Op())
-	}
+	ex.stats.countOp(n.Op())
 	switch t := n.(type) {
 	case *WindowFilter:
 		return ex.eval(t.Input, t.Window.Intersect(w), v, tr)
@@ -243,11 +317,11 @@ func (ex *Executor) evalNode(n Node, w temporal.Window, v *value, tr *Trace) err
 		}
 		typ, _ := ex.KG.EntityType(v.subject)
 		sum := &EntitySummary{Name: v.subject, Type: string(typ)}
-		if id, ok := ex.KG.Entity(v.subject); ok && ex.Analytics != nil {
+		if id, ok := ex.KG.Entity(v.subject); ok {
 			sum.Importance = ex.Analytics.WindowedImportance(id, t.Window)
 		}
 		sum.Facts = v.facts
-		if ex.Trends != nil && !t.Window.IsEmpty() {
+		if !t.Window.IsEmpty() {
 			// Anchor the sparkline at the window's end, like trending does:
 			// "tell me about X in 2015" shows 2015 activity, not today's.
 			sum.Activity = ex.Trends.Series(v.subject, ex.windowRef(t.Window), 8)
@@ -263,10 +337,7 @@ func (ex *Executor) evalNode(n Node, w temporal.Window, v *value, tr *Trace) err
 			return nil
 		}
 		if !v.has {
-			v.plausible = 0.5
-			if ex.Model != nil {
-				v.plausible = ex.Model.Score(v.subject, t.Predicate, v.object)
-			}
+			v.plausible = ex.Model.Score(v.subject, t.Predicate, v.object)
 		}
 		return nil
 
@@ -312,20 +383,16 @@ func (ex *Executor) evalScan(t *Scan, w temporal.Window, v *value) error {
 			}
 		}
 	case SourcePatterns:
-		if ex.Miner != nil {
-			v.patterns = ex.Miner.ClosedPatterns()
-		}
+		v.patterns = ex.Miner.ClosedPatterns()
 	case SourceStream:
-		if ex.TIndex != nil {
-			// DatedIn never materializes the curated substrate; the flag
-			// check guards the rare dated-but-curated fact, which is
-			// timeless background visible in every window (it would
-			// otherwise surface as a spurious diff when only one side of
-			// the diff covers its timestamp).
-			for _, id := range ex.TIndex.DatedIn(w) {
-				if f, ok := ex.KG.Fact(id); ok && !f.Curated {
-					v.facts = append(v.facts, f)
-				}
+		// DatedIn never materializes the curated substrate; the flag check
+		// guards the rare dated-but-curated fact, which is timeless
+		// background visible in every window (it would otherwise surface as
+		// a spurious diff when only one side of the diff covers its
+		// timestamp).
+		for _, id := range ex.TIndex.DatedIn(w) {
+			if f, ok := ex.KG.Fact(id); ok && !f.Curated {
+				v.facts = append(v.facts, f)
 			}
 		}
 	default:
@@ -334,33 +401,29 @@ func (ex *Executor) evalScan(t *Scan, w temporal.Window, v *value) error {
 	return nil
 }
 
+// evalTrendScan reads the live detector at the query clock for the
+// unbounded window. A bounded window is backfilled: every bucket inside it
+// is scored off the temporal index.
 func (ex *Executor) evalTrendScan(t *TrendScan, v *value) error {
 	w := t.Window
 	if w.IsEmpty() {
 		return nil
 	}
-	if t.Backfill && w.Bounded() && ex.TIndex != nil && ex.KG != nil {
-		cfg := trends.DefaultConfig()
-		if ex.Trends != nil {
-			cfg = ex.Trends.Config()
-		}
-		// Everything up to the window's end: in-window buckets get scored,
-		// earlier history feeds their baselines.
-		history := temporal.Window{Since: math.MinInt64, Until: w.Until}
-		var facts []core.Fact
-		for _, id := range ex.TIndex.DatedIn(history) {
-			if f, ok := ex.KG.Fact(id); ok {
-				facts = append(facts, f)
-			}
-		}
-		v.trends = trends.Backfill(facts, w, cfg, 0)
-		v.backfilled = true
+	if !w.Bounded() {
+		v.trends = ex.Trends.Trending(ex.Now(), 0)
 		return nil
 	}
-	if ex.Trends == nil {
-		return nil
+	// Everything up to the window's end: in-window buckets get scored,
+	// earlier history feeds their baselines.
+	history := temporal.Window{Since: math.MinInt64, Until: w.Until}
+	var facts []core.Fact
+	for _, id := range ex.TIndex.DatedIn(history) {
+		if f, ok := ex.KG.Fact(id); ok {
+			facts = append(facts, f)
+		}
 	}
-	v.trends = ex.Trends.Trending(ex.windowRef(w), 0)
+	v.trends = trends.Backfill(facts, w, ex.Trends.Config(), 0)
+	v.backfilled = true
 	return nil
 }
 
@@ -369,7 +432,7 @@ func (ex *Executor) evalPathExplain(t *PathExplain, v *value) error {
 	o, ok2 := ex.resolve(t.Object)
 	v.subject, v.subjectOK = s, ok1
 	v.object, v.objectOK = o, ok2
-	if !ok1 || !ok2 || ex.Searcher == nil {
+	if !ok1 || !ok2 {
 		return nil
 	}
 	src, _ := ex.KG.Entity(s)
@@ -475,30 +538,29 @@ func (ex *Executor) evalDiff(t *Diff, v *value, tr *Trace) error {
 // renderings reproduce the pre-planner executor byte for byte (pinned by
 // internal/qa's planner reference test); diff and backfilled trending are
 // new surfaces with their own formats.
-func (ex *Executor) render(p *Plan, v *value) (Result, error) {
+func render(p *Plan, v *value) (r Result, err error) {
 	switch p.Class {
 	case "trending":
-		return ex.renderTrending(p, v), nil
+		r = renderTrending(p, v)
 	case "entity":
-		return ex.renderEntity(p, v), nil
+		r = renderEntity(p, v)
 	case "relationship":
-		return ex.renderRelationship(p, v), nil
+		r = renderRelationship(p, v)
 	case "pattern":
-		return ex.renderPatterns(v), nil
+		r = renderPatterns(v)
 	case "fact":
-		return ex.renderFact(p, v)
+		r, err = renderFact(p, v)
 	case "diff":
-		return ex.renderDiff(p, v), nil
+		r = renderDiff(p, v)
+	default:
+		return Result{}, fmt.Errorf("plan: unknown plan class %q", p.Class)
 	}
-	return Result{}, fmt.Errorf("plan: unknown plan class %q", p.Class)
+	r.Class = p.Class
+	return r, err
 }
 
-func (ex *Executor) renderTrending(p *Plan, v *value) Result {
+func renderTrending(p *Plan, v *value) Result {
 	r := Result{Trends: v.trends}
-	if ex.Trends == nil && !v.backfilled {
-		r.Text = "no trend detector attached"
-		return r
-	}
 	var b strings.Builder
 	switch {
 	case v.backfilled:
@@ -533,7 +595,7 @@ func writeFactLine(b *strings.Builder, prefix string, f core.Fact) {
 	b.WriteString(")\n")
 }
 
-func (ex *Executor) renderEntity(p *Plan, v *value) Result {
+func renderEntity(p *Plan, v *value) Result {
 	var r Result
 	if !v.subjectOK {
 		r.Text = fmt.Sprintf("I don't know anything about %q.", p.Subject)
@@ -557,14 +619,10 @@ func (ex *Executor) renderEntity(p *Plan, v *value) Result {
 	return r
 }
 
-func (ex *Executor) renderRelationship(p *Plan, v *value) Result {
+func renderRelationship(p *Plan, v *value) Result {
 	var r Result
 	if !v.subjectOK || !v.objectOK {
 		r.Text = fmt.Sprintf("cannot resolve %q and/or %q", p.Subject, p.Object)
-		return r
-	}
-	if ex.Searcher == nil {
-		r.Text = "no path searcher attached"
 		return r
 	}
 	var b strings.Builder
@@ -587,13 +645,8 @@ func (ex *Executor) renderRelationship(p *Plan, v *value) Result {
 	return r
 }
 
-func (ex *Executor) renderPatterns(v *value) Result {
-	var r Result
-	if ex.Miner == nil {
-		r.Text = "no miner attached"
-		return r
-	}
-	r.Patterns = v.patterns
+func renderPatterns(v *value) Result {
+	r := Result{Patterns: v.patterns}
 	var b strings.Builder
 	b.WriteString("Closed frequent patterns in the current window:\n")
 	if len(r.Patterns) == 0 {
@@ -606,7 +659,7 @@ func (ex *Executor) renderPatterns(v *value) Result {
 	return r
 }
 
-func (ex *Executor) renderFact(p *Plan, v *value) (Result, error) {
+func renderFact(p *Plan, v *value) (Result, error) {
 	var r Result
 	fa := &FactAnswer{}
 	r.Fact = fa
@@ -670,14 +723,10 @@ func (ex *Executor) renderFact(p *Plan, v *value) (Result, error) {
 	return r, nil
 }
 
-func (ex *Executor) renderDiff(p *Plan, v *value) Result {
+func renderDiff(p *Plan, v *value) Result {
 	var r Result
 	if p.Subject != "" && !v.subjectOK {
 		r.Text = fmt.Sprintf("I don't know anything about %q.", p.Subject)
-		return r
-	}
-	if p.Subject == "" && ex.TIndex == nil {
-		r.Text = "no temporal index attached"
 		return r
 	}
 	d := v.diff

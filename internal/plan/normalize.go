@@ -69,7 +69,7 @@ func normNode(b *strings.Builder, n Node) {
 		normWindow(b, t.Window)
 		b.WriteByte(')')
 	case *TrendScan:
-		fmt.Fprintf(b, "Trend(backfill=%t,w=", t.Backfill)
+		b.WriteString("Trend(w=")
 		normWindow(b, t.Window)
 		b.WriteByte(')')
 	case *Diff:
@@ -94,13 +94,13 @@ func normNode(b *strings.Builder, n Node) {
 //
 //   - diff: both sides read windowed graph/temporal-index state; rendering
 //     never consults the clock.
-//   - trending, only on the backfill path (bounded window + temporal index
-//     present): the replay is a deterministic read of the dated stream. Live
-//     trending is anchored at the query clock and detector state, so it is
-//     not cacheable; nor are entity summaries, whose activity sparkline is
-//     clock-anchored for unbounded-until windows and whose detector series
-//     mutate without epoch bumps.
-func Cacheable(p *Plan, haveTIndex bool) bool {
+//   - trending under a bounded, non-empty window: the backfill replay is a
+//     deterministic read of the dated stream. Live trending is anchored at
+//     the query clock and detector state, so it is not cacheable; nor are
+//     entity summaries, whose activity sparkline is clock-anchored for
+//     unbounded-until windows and whose detector series mutate without
+//     epoch bumps.
+func Cacheable(p *Plan) bool {
 	if p == nil || p.Root == nil {
 		return false
 	}
@@ -112,7 +112,7 @@ func Cacheable(p *Plan, haveTIndex bool) bool {
 		var walk func(n Node)
 		walk = func(n Node) {
 			if t, ok := n.(*TrendScan); ok {
-				cacheable = t.Backfill && t.Window.Bounded() && !t.Window.IsEmpty() && haveTIndex
+				cacheable = t.Window.Bounded() && !t.Window.IsEmpty()
 			}
 			for _, in := range n.Inputs() {
 				if in != nil {

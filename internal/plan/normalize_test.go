@@ -64,22 +64,19 @@ func TestCacheable(t *testing.T) {
 	cases := []struct {
 		name string
 		p    *Plan
-		tidx bool
 		want bool
 	}{
-		{"diff", DiffPlan("DJI", bounded, winDays(10, 20)), true, true},
-		{"diff without index", DiffPlan("DJI", bounded, winDays(10, 20)), false, true},
-		{"trending backfill", TrendingPlan(bounded, 5), true, true},
-		{"trending backfill no index", TrendingPlan(bounded, 5), false, false},
-		{"trending live", TrendingPlan(temporal.All(), 5), true, false},
-		{"trending empty window", TrendingPlan(temporal.Empty(), 5), true, false},
-		{"entity", EntityPlan("DJI", bounded, 5), true, false},
-		{"patterns", PatternsPlan(5), true, false},
-		{"nil", nil, true, false},
+		{"diff", DiffPlan("DJI", bounded, winDays(10, 20)), true},
+		{"trending backfill", TrendingPlan(bounded, 5), true},
+		{"trending live", TrendingPlan(temporal.All(), 5), false},
+		{"trending empty window", TrendingPlan(temporal.Empty(), 5), false},
+		{"entity", EntityPlan("DJI", bounded, 5), false},
+		{"patterns", PatternsPlan(5), false},
+		{"nil", nil, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := Cacheable(tc.p, tc.tidx); got != tc.want {
+			if got := Cacheable(tc.p); got != tc.want {
 				t.Fatalf("Cacheable = %v, want %v", got, tc.want)
 			}
 		})

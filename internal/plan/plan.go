@@ -2,11 +2,12 @@
 // dynamic knowledge graph. Following the declarative-query-layer split of
 // Hogan et al.'s Knowledge Graphs survey, every question class lowers into a
 // small tree of composable logical operators — Scan, WindowFilter, Diff,
-// Rank, Summarize, PathExplain, TrendScan, Predict — and one executor runs
+// Rank, Summarize, PathExplain, TrendScan, Predict — and one Executor runs
 // those trees against the graph store and its derived artifacts (the
 // epoch-versioned analytics cache, the temporal index, the trend detector,
 // the streaming miner, the coherence path search and the link-prediction
-// model).
+// model). A system builds the Executor once, with every dependency; it owns
+// the plan-result cache and the execution counters.
 //
 // The split buys composability the old per-class switch could not express:
 // temporal diff queries ("what changed about X between 2015 and 2016") are a
@@ -159,28 +160,21 @@ func (p *PathExplain) args() string {
 	return a
 }
 
-// TrendScan scores bursting entities and predicates. Unbounded windows read
-// the live detector at the query clock; bounded windows with Backfill set
-// replay the temporal index and score every bucket inside the window (not
-// just the window's end bucket). Without a temporal index the executor
-// degrades to the live detector anchored at the window's end.
+// TrendScan scores bursting entities and predicates. The unbounded window
+// reads the live detector at the query clock; a bounded window is
+// backfilled: the executor replays the temporal index and scores every
+// bucket inside the window, not just the window's end bucket.
 type TrendScan struct {
-	Window   temporal.Window
-	Backfill bool
+	Window temporal.Window
 }
 
 func (t *TrendScan) Op() Op         { return OpTrendScan }
 func (t *TrendScan) Inputs() []Node { return nil }
 func (t *TrendScan) args() string {
-	mode := "live"
-	if t.Backfill {
-		mode = "backfill"
+	if !t.Window.Bounded() {
+		return "mode=live"
 	}
-	a := "mode=" + mode
-	if t.Window.Bounded() {
-		a += " window=" + t.Window.String()
-	}
-	return a
+	return "mode=backfill window=" + t.Window.String()
 }
 
 // Predict turns a membership probe into a plausibility judgement: when the
@@ -243,12 +237,13 @@ func windowed(w temporal.Window, n Node) Node {
 	return &WindowFilter{Window: w, Input: n}
 }
 
-// TrendingPlan lowers a trending question. Bounded windows request a
-// backfill TrendScan — burst scoring across every bucket the window covers.
+// TrendingPlan lowers a trending question. A bounded window makes the
+// TrendScan a backfill — burst scoring across every bucket the window
+// covers.
 func TrendingPlan(w temporal.Window, k int) *Plan {
 	return &Plan{
 		Class:  "trending",
-		Root:   &Rank{K: k, Input: &TrendScan{Window: w, Backfill: w.Bounded()}},
+		Root:   &Rank{K: k, Input: &TrendScan{Window: w}},
 		K:      k,
 		Window: w,
 	}

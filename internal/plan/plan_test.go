@@ -1,11 +1,18 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"nous/internal/analytics"
 	"nous/internal/core"
+	"nous/internal/disambig"
+	"nous/internal/fgm"
+	"nous/internal/linkpred"
+	"nous/internal/pathsearch"
 	"nous/internal/temporal"
 	"nous/internal/trends"
 )
@@ -18,7 +25,7 @@ func window(a, b int) temporal.Window {
 	return temporal.Between(day(a), day(b))
 }
 
-// buildExecutor wires a small KG (with its temporal index) and a detector.
+// buildExecutor wires a small KG and every executor dependency over it.
 func buildExecutor(t *testing.T) *Executor {
 	t.Helper()
 	kg := core.NewKG(nil)
@@ -50,13 +57,17 @@ func buildExecutor(t *testing.T) *Executor {
 			t.Fatal(err)
 		}
 	}
-	return &Executor{
-		KG:     kg,
-		Trends: det,
-		TIndex: kg.TemporalIndex(),
-		Now:    func() time.Time { return day(49) },
-		Stats:  NewStats(),
-	}
+	return NewExecutor(Deps{
+		KG:        kg,
+		Trends:    det,
+		Miner:     fgm.NewMiner(fgm.DefaultConfig()),
+		Searcher:  pathsearch.New(kg.Graph(), nil),
+		Model:     linkpred.Train(nil, linkpred.DefaultConfig()),
+		Linker:    disambig.NewLinker(kg, disambig.DefaultConfig()),
+		Analytics: analytics.New(kg),
+		TIndex:    kg.TemporalIndex(),
+		Now:       func() time.Time { return day(49) },
+	})
 }
 
 func TestTrendScanBackfillFindsMidWindowBurst(t *testing.T) {
@@ -91,21 +102,6 @@ func TestTrendScanUnboundedStaysLive(t *testing.T) {
 	}
 	if !strings.HasPrefix(r.Text, "Trending now:") {
 		t.Fatalf("unbounded trending must use the live detector:\n%s", r.Text)
-	}
-}
-
-func TestTrendScanWithoutIndexFallsBackToLiveDetector(t *testing.T) {
-	ex := buildExecutor(t)
-	ex.TIndex = nil
-	r, err := ex.Run(TrendingPlan(window(14, 42), 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(r.Text, "backfill") {
-		t.Fatalf("fallback still claims backfill:\n%s", r.Text)
-	}
-	if !strings.HasPrefix(r.Text, "Trending in ") {
-		t.Fatalf("fallback text wrong:\n%s", r.Text)
 	}
 }
 
@@ -237,7 +233,7 @@ func TestExecStatsCountPlansAndOps(t *testing.T) {
 	if _, err := ex.Run(TrendingPlan(temporal.All(), 5)); err != nil {
 		t.Fatal(err)
 	}
-	st := ex.Stats.Snapshot()
+	st := ex.Stats()
 	if st.Plans != 2 || st.ByClass["entity"] != 1 || st.ByClass["trending"] != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -258,5 +254,47 @@ func TestRunRejectsEmptyAndUnknownPlans(t *testing.T) {
 	}
 	if _, err := ex.Run(&Plan{Class: "fact", Root: &Scan{Source: Source("bogus")}}); err == nil {
 		t.Fatal("unknown scan source accepted")
+	}
+}
+
+// TestConcurrentRunsShareOneCache: concurrent Runs of one cacheable plan,
+// beside stats reads, execute it once and serve every other caller from the
+// plan-result cache or its in-flight compute — with one answer for all.
+func TestConcurrentRunsShareOneCache(t *testing.T) {
+	ex := buildExecutor(t)
+	p := DiffPlan("", window(21, 28), window(42, 49))
+	const workers, runs = 8, 20
+	results := make(chan Result, workers*runs)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < runs; j++ {
+				r, err := ex.Run(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results <- r
+				ex.Stats()
+			}
+		}()
+	}
+	wg.Wait()
+	close(results)
+	first := <-results
+	for r := range results {
+		if !reflect.DeepEqual(first, r) {
+			t.Fatalf("concurrent runs disagree:\n%+v\n%+v", first, r)
+		}
+	}
+	st := ex.Stats()
+	c := st.Cache
+	if c.Misses != 1 || st.Plans != 1 {
+		t.Fatalf("plan executed %d times (misses %d), want once", st.Plans, c.Misses)
+	}
+	if got := c.Hits + c.Misses + c.Coalesced; got != workers*runs {
+		t.Fatalf("cache lookups = %d, want %d: %+v", got, workers*runs, *c)
 	}
 }

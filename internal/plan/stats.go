@@ -2,28 +2,27 @@ package plan
 
 import "sync"
 
-// ExecStats accounts executed plans and operators across an executor's
+// execStats accounts executed plans and operators across an executor's
 // lifetime. All methods are safe for concurrent use.
-type ExecStats struct {
+type execStats struct {
 	mu      sync.Mutex
 	plans   uint64
 	byClass map[string]uint64
 	ops     map[Op]uint64
 }
 
-// NewStats returns an empty accounting sink.
-func NewStats() *ExecStats {
-	return &ExecStats{byClass: make(map[string]uint64), ops: make(map[Op]uint64)}
+func newStats() *execStats {
+	return &execStats{byClass: make(map[string]uint64), ops: make(map[Op]uint64)}
 }
 
-func (s *ExecStats) startPlan(class string) {
+func (s *execStats) startPlan(class string) {
 	s.mu.Lock()
 	s.plans++
 	s.byClass[class]++
 	s.mu.Unlock()
 }
 
-func (s *ExecStats) countOp(op Op) {
+func (s *execStats) countOp(op Op) {
 	s.mu.Lock()
 	s.ops[op]++
 	s.mu.Unlock()
@@ -52,15 +51,12 @@ type Stats struct {
 	ByClass map[string]uint64 `json:"by_class,omitempty"`
 	// Ops counts evaluated logical operators by kind.
 	Ops map[string]uint64 `json:"ops,omitempty"`
-	// Cache reports the plan-result cache, when one is attached.
+	// Cache reports the plan-result cache.
 	Cache *CacheStats `json:"cache,omitempty"`
 }
 
-// Snapshot copies the counters.
-func (s *ExecStats) Snapshot() Stats {
-	if s == nil {
-		return Stats{}
-	}
+// snapshot copies the counters.
+func (s *execStats) snapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{Plans: s.plans}

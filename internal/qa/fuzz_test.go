@@ -4,12 +4,15 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"nous/internal/temporal"
 )
 
 // FuzzParseAt drives the question parser with arbitrary input: it must never
 // panic, and every failure must match ErrParse (the sentinel the server's
 // 400-vs-500 mapping depends on). Successful parses must carry a known class
-// and internally consistent windows.
+// and internally consistent windows, and must compile: a parsed question
+// that fails to lower would reach the client as a 500.
 func FuzzParseAt(f *testing.F) {
 	seeds := []string{
 		"",
@@ -38,6 +41,9 @@ func FuzzParseAt(f *testing.F) {
 		"between 0000 and 9999",
 		"what changed about between 2015 and 2016",
 		"colorless green ideas sleep furiously",
+		`Where is "" headquartered?`, // arguments the quote trimming empties
+		`What does '' manufacture?`,
+		`Who acquired ""?`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -64,6 +70,9 @@ func FuzzParseAt(f *testing.F) {
 			}
 		} else if q.WindowB != (Query{}).WindowB {
 			t.Fatalf("ParseAt(%q) set WindowB on class %s", question, q.Class)
+		}
+		if _, err := CompileAt(question, now, temporal.All()); err != nil {
+			t.Fatalf("ParseAt(%q) succeeded but CompileAt failed: %v", question, err)
 		}
 	})
 }

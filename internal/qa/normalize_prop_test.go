@@ -6,6 +6,7 @@ import (
 
 	"nous/internal/core"
 	"nous/internal/plan"
+	"nous/internal/temporal"
 )
 
 // FuzzNormalizeDeterministic is the cache-key soundness property: parsing
@@ -35,11 +36,7 @@ func FuzzNormalizeDeterministic(f *testing.F) {
 	now := time.Date(2016, 3, 15, 12, 0, 0, 0, time.UTC)
 	f.Fuzz(func(t *testing.T, question string) {
 		lower := func() (string, bool) {
-			q, err := ParseAt(question, now)
-			if err != nil {
-				return "", false
-			}
-			p, err := Lower(q)
+			p, err := CompileAt(question, now, temporal.All())
 			if err != nil {
 				return "", false
 			}
@@ -48,7 +45,7 @@ func FuzzNormalizeDeterministic(f *testing.F) {
 		a, ok1 := lower()
 		b, ok2 := lower()
 		if ok1 != ok2 {
-			t.Fatalf("ParseAt/Lower(%q) nondeterministic success", question)
+			t.Fatalf("CompileAt(%q) nondeterministic success", question)
 		}
 		if a != b {
 			t.Fatalf("Normalize(%q) nondeterministic:\n%s\n%s", question, a, b)
@@ -61,17 +58,12 @@ func FuzzNormalizeDeterministic(f *testing.F) {
 // and a graph mutation changes the epoch component while leaving the
 // normalized string untouched — invalidation comes entirely from the epoch.
 func TestCacheKeyEpochComponent(t *testing.T) {
-	ex := buildWindowedExecutor(t)
+	ex := buildExecutor(t)
 	const question = "What changed about DJI between 2015 and 2016?"
-	now := ex.Now()
 
 	key := func() (uint64, string) {
 		t.Helper()
-		q, err := ParseAt(question, now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := Lower(q)
+		p, err := CompileAt(question, ex.Now(), temporal.All())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,8 @@
-// Package qa implements NOUS's question-answering front end: the five
-// classes of natural-language-like queries of Figure 5 — trending, entity,
-// relationship (explanatory), pattern and fact queries — parsed from text
-// and executed against the dynamic KG, the trend detector, the streaming
-// miner, the coherence path search and the link-prediction model.
+// Package qa is NOUS's question language: the five classes of
+// natural-language-like queries of Figure 5 — trending, entity,
+// relationship (explanatory), pattern and fact queries — plus the temporal
+// diff class, parsed from text and lowered into the logical plans that
+// internal/plan's executor runs against the dynamic KG.
 package qa
 
 import (
@@ -359,7 +359,7 @@ func classify(q, original string) (Query, error) {
 		return Query{Class: ClassRelationship, Subject: cleanArg(m[1]), Object: cleanArg(m[2]), Predicate: strings.TrimSpace(m[3]), K: 3}, nil
 	}
 	if m := reWhere.FindStringSubmatch(q); m != nil {
-		return Query{Class: ClassFact, Subject: cleanArg(m[1]), Predicate: "headquarteredIn"}, nil
+		return factOf(original, Query{Class: ClassFact, Subject: cleanArg(m[1]), Predicate: "headquarteredIn"})
 	}
 	if m := reDid.FindStringSubmatch(q); m != nil {
 		if fact, ok := parseDid(m[1]); ok {
@@ -368,18 +368,28 @@ func classify(q, original string) (Query, error) {
 	}
 	if m := reWhatDoes.FindStringSubmatch(q); m != nil {
 		if pred, ok := verbToPredicate[strings.ToLower(m[2])]; ok {
-			return Query{Class: ClassFact, Subject: cleanArg(m[1]), Predicate: pred}, nil
+			return factOf(original, Query{Class: ClassFact, Subject: cleanArg(m[1]), Predicate: pred})
 		}
 	}
 	if m := reWho.FindStringSubmatch(q); m != nil {
 		if pred, ok := verbToPredicate[strings.ToLower(m[1])]; ok {
-			return Query{Class: ClassFact, Predicate: pred, Object: cleanArg(m[2])}, nil
+			return factOf(original, Query{Class: ClassFact, Predicate: pred, Object: cleanArg(m[2])})
 		}
 	}
 	if m := reEntity.FindStringSubmatch(q); m != nil {
 		return Query{Class: ClassEntity, Subject: cleanArg(m[1]), K: 10}, nil
 	}
 	return Query{}, parseErrf("qa: cannot classify question %q", original)
+}
+
+// factOf rejects a one-argument fact question whose argument cleanArg
+// emptied (`Who acquired ""?`): there is nothing to resolve, so it is the
+// client's error.
+func factOf(original string, q Query) (Query, error) {
+	if q.Subject == "" && q.Object == "" {
+		return Query{}, parseErrf("qa: empty argument in %q", original)
+	}
+	return q, nil
 }
 
 // parseDid splits the body of a "Did S verb O?" question. Subjects and
@@ -389,7 +399,8 @@ func classify(q, original string) (Query, error) {
 // predicate and is written in lower case wins ("Did Apex Supply acquire
 // DJI?" asks about acquired, not suppliesTo); when no such word is
 // lower case, as in an all-caps question, the first that names a predicate
-// wins. A leading "the" is dropped from the object.
+// wins. A leading "the" is dropped from the object. A subject or object
+// that cleanArg empties (`Did "" acquire ""?`) is not a did-form.
 func parseDid(body string) (Query, bool) {
 	words := reToken.FindAllStringIndex(body, -1)
 	word := func(i int) string { return body[words[i][0]:words[i][1]] }
@@ -415,12 +426,11 @@ func parseDid(body string) (Query, bool) {
 	if obj+1 < len(words) && strings.EqualFold(word(obj), "the") {
 		obj++
 	}
-	return Query{
-		Class:     ClassFact,
-		Subject:   cleanArg(body[:words[verb-1][1]]),
-		Predicate: pred,
-		Object:    cleanArg(body[words[obj][0]:]),
-	}, true
+	subject, object := cleanArg(body[:words[verb-1][1]]), cleanArg(body[words[obj][0]:])
+	if subject == "" || object == "" {
+		return Query{}, false
+	}
+	return Query{Class: ClassFact, Subject: subject, Predicate: pred, Object: object}, true
 }
 
 func cleanArg(s string) string {

@@ -6,18 +6,9 @@ import (
 	"time"
 
 	"nous/internal/core"
+	"nous/internal/plan"
 	"nous/internal/temporal"
 )
-
-// buildWindowedExecutor is buildExecutor with the KG's temporal index
-// attached — the configuration where windowed trend backfill and the
-// plan-result cache are live.
-func buildWindowedExecutor(t *testing.T) *Executor {
-	t.Helper()
-	ex := buildExecutor(t)
-	ex.TIndex = ex.KG.TemporalIndex()
-	return ex
-}
 
 // cacheQuestions extends the legacy reference matrix with the planner's own
 // classes: temporal diffs (always cacheable) and bounded trending (cacheable
@@ -39,30 +30,25 @@ var cacheQuestions = []string{
 }
 
 // TestCachedPlansByteIdenticalToDirectRun pins the plan-result cache's
-// contract: for every question, what runPlan serves — computed on the first
+// contract: for every question, what Run serves — computed on the first
 // pass, and from the cache on the second pass of a cacheable question — is
-// byte-identical to the lowered plan executed directly, with no cache in
-// between.
+// byte-identical to the plan executed directly by a fresh executor over the
+// same dependencies, whose cache holds nothing yet.
 func TestCachedPlansByteIdenticalToDirectRun(t *testing.T) {
-	ex := buildWindowedExecutor(t)
-	now := ex.Now()
+	ex := buildExecutor(t)
 
 	corpus := append(append([]string{}, referenceQuestions...), cacheQuestions...)
 	for _, question := range corpus {
-		q, err := ParseAt(question, now)
+		p, err := CompileAt(question, ex.Now(), temporal.All())
 		if err != nil {
-			t.Fatalf("ParseAt(%q): %v", question, err)
+			t.Fatalf("CompileAt(%q): %v", question, err)
 		}
-		p, err := Lower(q)
-		if err != nil {
-			t.Fatalf("Lower(%q): %v", question, err)
-		}
-		want, err := ex.planner().Run(p)
+		want, err := plan.NewExecutor(ex.Deps).Run(p)
 		if err != nil {
 			t.Fatalf("direct %q: %v", question, err)
 		}
 		for pass := 1; pass <= 2; pass++ {
-			got, err := ex.runPlan(p)
+			got, err := ex.Run(p)
 			if err != nil {
 				t.Fatalf("served %q (pass %d): %v", question, pass, err)
 			}
@@ -75,7 +61,7 @@ func TestCachedPlansByteIdenticalToDirectRun(t *testing.T) {
 		}
 	}
 
-	st := ex.PlanStats()
+	st := ex.Stats()
 	if st.Cache == nil {
 		t.Fatal("PlanStats.Cache not populated")
 	}
@@ -96,9 +82,9 @@ func TestPlanCacheHitAndEpochInvalidation(t *testing.T) {
 		name, question string
 		// recomputed checks that the post-mutation answer shows the new fact;
 		// nil where one fact need not move the answer (a trend ranking).
-		recomputed func(t *testing.T, stale, fresh Answer)
+		recomputed func(t *testing.T, stale, fresh plan.Result)
 	}{
-		{"diff", "What changed about DJI between 2015 and 2016?", func(t *testing.T, stale, fresh Answer) {
+		{"diff", "What changed about DJI between 2015 and 2016?", func(t *testing.T, stale, fresh plan.Result) {
 			if reflect.DeepEqual(stale, fresh) {
 				t.Fatal("answer unchanged after a mutation inside the diff window")
 			}
@@ -109,22 +95,22 @@ func TestPlanCacheHitAndEpochInvalidation(t *testing.T) {
 		{"bounded trending", "What was trending in 2015?", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ex := buildWindowedExecutor(t)
-			ask := func() Answer {
+			ex := buildExecutor(t)
+			askOnce := func() plan.Result {
 				t.Helper()
-				a, err := ex.Ask(tc.question)
+				a, err := ask(ex, tc.question)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return a
 			}
-			first := ask()
-			base := ex.PlanStats().Cache
+			first := askOnce()
+			base := ex.Stats().Cache
 			if base == nil || base.Misses == 0 {
 				t.Fatalf("first ask did not populate the cache: %+v", base)
 			}
-			second := ask()
-			st := ex.PlanStats().Cache
+			second := askOnce()
+			st := ex.Stats().Cache
 			if st.Hits != base.Hits+1 {
 				t.Fatalf("repeat at unchanged epoch: hits %d -> %d, want +1", base.Hits, st.Hits)
 			}
@@ -140,8 +126,8 @@ func TestPlanCacheHitAndEpochInvalidation(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			third := ask()
-			st2 := ex.PlanStats().Cache
+			third := askOnce()
+			st2 := ex.Stats().Cache
 			if st2.Misses != st.Misses+1 {
 				t.Fatalf("ask after mutation: misses %d -> %d, want +1 (stale entry served?)", st.Misses, st2.Misses)
 			}
@@ -152,15 +138,24 @@ func TestPlanCacheHitAndEpochInvalidation(t *testing.T) {
 	}
 }
 
+// explain compiles a question at the executor's clock and explains it.
+func explain(ex *plan.Executor, question string) (*plan.Report, error) {
+	p, err := CompileAt(question, ex.Now(), temporal.All())
+	if err != nil {
+		return nil, err
+	}
+	return ex.Explain(p)
+}
+
 // TestExplainQueryReportsRowsAndCacheState pins the executed-explain
 // contract behind /api/v1/plan: a cold explain carries actual_rows and warms
 // the cache; a second explain of the same question reports Cached with no
 // actual_rows (nothing executed).
 func TestExplainQueryReportsRowsAndCacheState(t *testing.T) {
-	ex := buildWindowedExecutor(t)
+	ex := buildExecutor(t)
 	const question = "What changed about DJI between 2015 and 2016?"
 
-	cold, err := ex.ExplainQuery(question, temporal.All())
+	cold, err := explain(ex, question)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +169,7 @@ func TestExplainQueryReportsRowsAndCacheState(t *testing.T) {
 		t.Fatal("cold explain root missing actual_rows")
 	}
 
-	warm, err := ex.ExplainQuery(question, temporal.All())
+	warm, err := explain(ex, question)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,16 +184,16 @@ func TestExplainQueryReportsRowsAndCacheState(t *testing.T) {
 	}
 
 	// The explain warmed the cache: the real query is now a hit.
-	before := ex.PlanStats().Cache.Hits
-	if _, err := ex.Ask(question); err != nil {
+	before := ex.Stats().Cache.Hits
+	if _, err := ask(ex, question); err != nil {
 		t.Fatal(err)
 	}
-	if after := ex.PlanStats().Cache.Hits; after != before+1 {
+	if after := ex.Stats().Cache.Hits; after != before+1 {
 		t.Fatalf("ask after explain: hits %d -> %d, want +1", before, after)
 	}
 
 	// Non-cacheable classes still explain with actual rows.
-	ent, err := ex.ExplainQuery("Tell me about DJI", temporal.All())
+	ent, err := explain(ex, "Tell me about DJI")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,19 +10,21 @@ import (
 
 	"nous/internal/disambig"
 	"nous/internal/pathsearch"
+	"nous/internal/plan"
 	"nous/internal/temporal"
 )
 
-// legacyExec is the pre-planner executor, kept verbatim as a test fixture:
-// one hard-wired code path per question class, exactly as it ran before the
-// refactor onto internal/plan. The reference test below runs every legacy
-// question class through both this fixture and the planner and asserts
-// byte-identical answers.
+// legacyExec is the pre-planner executor, kept as a test fixture: one
+// hard-wired code path per question class, exactly as it ran before the
+// refactor onto internal/plan, minus its branches for detached
+// dependencies (the executor now always has every one). The reference test
+// below runs every legacy question class through both this fixture and the
+// planner and asserts byte-identical answers.
 type legacyExec struct {
-	*Executor
+	*plan.Executor
 }
 
-func (ex legacyExec) run(q Query) (Answer, error) {
+func (ex legacyExec) run(q Query) (plan.Result, error) {
 	switch q.Class {
 	case ClassTrending:
 		return ex.trending(q)
@@ -35,22 +37,18 @@ func (ex legacyExec) run(q Query) (Answer, error) {
 	case ClassFact:
 		return ex.fact(q)
 	}
-	return Answer{}, fmt.Errorf("qa: unknown query class %q", q.Class)
+	return plan.Result{}, fmt.Errorf("qa: unknown query class %q", q.Class)
 }
 
 func (ex legacyExec) windowRef(w temporal.Window) time.Time {
 	if w.Bounded() && w.Until != math.MaxInt64 {
 		return time.Unix(w.Until-1, 0)
 	}
-	return ex.now()
+	return ex.Now()
 }
 
-func (ex legacyExec) trending(q Query) (Answer, error) {
-	a := Answer{Class: ClassTrending}
-	if ex.Trends == nil {
-		a.Text = "no trend detector attached"
-		return a, nil
-	}
+func (ex legacyExec) trending(q Query) (plan.Result, error) {
+	a := plan.Result{Class: string(ClassTrending)}
 	if !q.Window.IsEmpty() {
 		a.Trends = ex.Trends.Trending(ex.windowRef(q.Window), q.K)
 	}
@@ -78,10 +76,8 @@ func (ex legacyExec) resolve(surface string) (string, bool) {
 	if _, ok := ex.KG.Entity(surface); ok {
 		return surface, true
 	}
-	if ex.Linker != nil {
-		if r := ex.Linker.LinkOne(disambig.Mention{Surface: surface}); r.Entity != "" {
-			return r.Entity, true
-		}
+	if r := ex.Linker.LinkOne(disambig.Mention{Surface: surface}); r.Entity != "" {
+		return r.Entity, true
 	}
 	cands := ex.KG.Candidates(surface)
 	if len(cands) > 0 {
@@ -90,16 +86,16 @@ func (ex legacyExec) resolve(surface string) (string, bool) {
 	return "", false
 }
 
-func (ex legacyExec) entity(q Query) (Answer, error) {
-	a := Answer{Class: ClassEntity}
+func (ex legacyExec) entity(q Query) (plan.Result, error) {
+	a := plan.Result{Class: string(ClassEntity)}
 	name, ok := ex.resolve(q.Subject)
 	if !ok {
 		a.Text = fmt.Sprintf("I don't know anything about %q.", q.Subject)
 		return a, nil
 	}
 	typ, _ := ex.KG.EntityType(name)
-	sum := &EntitySummary{Name: name, Type: string(typ)}
-	if id, ok := ex.KG.Entity(name); ok && ex.Analytics != nil {
+	sum := &plan.EntitySummary{Name: name, Type: string(typ)}
+	if id, ok := ex.KG.Entity(name); ok {
 		sum.Importance = ex.Analytics.WindowedImportance(id, q.Window)
 	}
 	facts := ex.KG.FactsAboutWindow(name, q.Window)
@@ -107,7 +103,7 @@ func (ex legacyExec) entity(q Query) (Answer, error) {
 		facts = facts[:q.K]
 	}
 	sum.Facts = facts
-	if ex.Trends != nil && !q.Window.IsEmpty() {
+	if !q.Window.IsEmpty() {
 		sum.Activity = ex.Trends.Series(name, ex.windowRef(q.Window), 8)
 	}
 	a.Entity = sum
@@ -135,16 +131,12 @@ func (ex legacyExec) entity(q Query) (Answer, error) {
 	return a, nil
 }
 
-func (ex legacyExec) relationship(q Query) (Answer, error) {
-	a := Answer{Class: ClassRelationship}
+func (ex legacyExec) relationship(q Query) (plan.Result, error) {
+	a := plan.Result{Class: string(ClassRelationship)}
 	sName, ok1 := ex.resolve(q.Subject)
 	tName, ok2 := ex.resolve(q.Object)
 	if !ok1 || !ok2 {
 		a.Text = fmt.Sprintf("cannot resolve %q and/or %q", q.Subject, q.Object)
-		return a, nil
-	}
-	if ex.Searcher == nil {
-		a.Text = "no path searcher attached"
 		return a, nil
 	}
 	src, _ := ex.KG.Entity(sName)
@@ -163,7 +155,7 @@ func (ex legacyExec) relationship(q Query) (Answer, error) {
 		b.WriteString("  (no connecting path found)\n")
 	}
 	for _, p := range paths {
-		ep := ExplainedPath{Coherence: p.Coherence}
+		ep := plan.ExplainedPath{Coherence: p.Coherence}
 		for i, e := range p.Edges {
 			u := p.Vertices[i]
 			v := p.Vertices[i+1]
@@ -182,12 +174,8 @@ func (ex legacyExec) relationship(q Query) (Answer, error) {
 	return a, nil
 }
 
-func (ex legacyExec) patterns(q Query) (Answer, error) {
-	a := Answer{Class: ClassPattern}
-	if ex.Miner == nil {
-		a.Text = "no miner attached"
-		return a, nil
-	}
+func (ex legacyExec) patterns(q Query) (plan.Result, error) {
+	a := plan.Result{Class: string(ClassPattern)}
 	ps := ex.Miner.ClosedPatterns()
 	if q.K > 0 && len(ps) > q.K {
 		ps = ps[:q.K]
@@ -205,9 +193,9 @@ func (ex legacyExec) patterns(q Query) (Answer, error) {
 	return a, nil
 }
 
-func (ex legacyExec) fact(q Query) (Answer, error) {
-	a := Answer{Class: ClassFact}
-	fa := &FactAnswer{}
+func (ex legacyExec) fact(q Query) (plan.Result, error) {
+	a := plan.Result{Class: string(ClassFact)}
+	fa := &plan.FactAnswer{}
 	a.Fact = fa
 	var b strings.Builder
 
@@ -233,10 +221,7 @@ func (ex legacyExec) fact(q Query) (Answer, error) {
 				}
 			}
 		} else {
-			fa.Plausible = 0.5
-			if ex.Model != nil {
-				fa.Plausible = ex.Model.Score(s, q.Predicate, o)
-			}
+			fa.Plausible = ex.Model.Score(s, q.Predicate, o)
 			fmt.Fprintf(&b, "Not in the knowledge graph. Plausibility score: %.2f\n", fa.Plausible)
 		}
 	case q.Subject != "": // what does S p?
@@ -277,10 +262,7 @@ func (ex legacyExec) fact(q Query) (Answer, error) {
 }
 
 // referenceQuestions is the legacy matrix: every question class of Fig 5,
-// with and without temporal qualifiers, including unresolvable arguments and
-// degraded paths. Bounded-window trending is exercised through the fixture
-// comparison too: the reference executor has no temporal index attached, so
-// the planner takes the same live-detector path the legacy code did.
+// with and without temporal qualifiers, including unresolvable arguments.
 var referenceQuestions = []string{
 	"What is trending?",
 	"What was trending last week?",
@@ -307,8 +289,11 @@ var referenceQuestions = []string{
 // TestPlannerByteIdenticalToLegacyExecutor is the refactor's acceptance
 // reference: every legacy question class answered through internal/plan must
 // be byte-identical (text and structured payload) to the pre-refactor
-// direct executor, across parsed questions, caller-supplied windows and
-// degraded dependency sets.
+// direct executor, across parsed questions and caller-supplied windows.
+// Trending compares only where the legacy path still applies: under the
+// unbounded window (the live detector) and under an empty one. A bounded,
+// non-empty trending window is a backfill off the temporal index, which
+// the legacy code never had; it keeps its own tests in internal/plan.
 func TestPlannerByteIdenticalToLegacyExecutor(t *testing.T) {
 	ex := buildExecutor(t)
 	legacy := legacyExec{ex}
@@ -327,9 +312,12 @@ func TestPlannerByteIdenticalToLegacyExecutor(t *testing.T) {
 				t.Fatalf("ParseAt(%q): %v", question, err)
 			}
 			q.Window = q.Window.Intersect(w)
+			if q.Class == ClassTrending && q.Window.Bounded() && !q.Window.IsEmpty() {
+				continue
+			}
 
 			want, err1 := legacy.run(q)
-			got, err2 := ex.Run(q)
+			got, err2 := runQuery(ex, q)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("%q (window %v): legacy err %v vs planner err %v", question, w, err1, err2)
 			}
@@ -346,42 +334,22 @@ func TestPlannerByteIdenticalToLegacyExecutor(t *testing.T) {
 	}
 }
 
-// TestPlannerByteIdenticalWhenDegraded re-runs the matrix with every
-// optional dependency detached: the planner must degrade exactly like the
-// legacy switch did.
-func TestPlannerByteIdenticalWhenDegraded(t *testing.T) {
-	full := buildExecutor(t)
-	ex := &Executor{KG: full.KG, Now: full.Now} // no trends/miner/searcher/model/linker/analytics
-	legacy := legacyExec{ex}
-	now := ex.Now()
-
-	for _, question := range referenceQuestions {
-		q, err := ParseAt(question, now)
-		if err != nil {
-			t.Fatalf("ParseAt(%q): %v", question, err)
-		}
-		want, err1 := legacy.run(q)
-		got, err2 := ex.Run(q)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%q: legacy err %v vs planner err %v", question, err1, err2)
-		}
-		if err1 != nil {
-			continue
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%q degraded answer diverges:\nlegacy:  %+v\nplanner: %+v", question, want, got)
-		}
+// runQuery lowers a parsed query and runs it.
+func runQuery(ex *plan.Executor, q Query) (plan.Result, error) {
+	p, err := Lower(q)
+	if err != nil {
+		return plan.Result{}, err
 	}
+	return ex.Run(p)
 }
 
-// TestPlannerUnknownClassAndEmptyFact pins the error contract Run shares
+// TestPlannerUnknownClassAndEmptyFact pins the error contract Lower shares
 // with the legacy executor.
 func TestPlannerUnknownClassAndEmptyFact(t *testing.T) {
-	ex := buildExecutor(t)
-	if _, err := ex.Run(Query{Class: Class("nonsense")}); err == nil {
+	if _, err := Lower(Query{Class: Class("nonsense")}); err == nil {
 		t.Fatal("unknown class accepted")
 	}
-	if _, err := ex.Run(Query{Class: ClassFact}); err == nil {
+	if _, err := Lower(Query{Class: ClassFact}); err == nil {
 		t.Fatal("fact query without arguments accepted")
 	}
 }

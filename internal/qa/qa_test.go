@@ -11,6 +11,8 @@ import (
 	"nous/internal/fgm"
 	"nous/internal/linkpred"
 	"nous/internal/pathsearch"
+	"nous/internal/plan"
+	"nous/internal/temporal"
 	"nous/internal/trends"
 )
 
@@ -131,8 +133,9 @@ func TestParseRejectsGibberish(t *testing.T) {
 	}
 }
 
-// buildExecutor wires a small KG with everything attached.
-func buildExecutor(t *testing.T) *Executor {
+// buildExecutor wires a small KG with every executor dependency attached:
+// the one executor the executor tests ask through.
+func buildExecutor(t *testing.T) *plan.Executor {
 	t.Helper()
 	kg := core.NewKG(nil)
 	day := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -160,22 +163,37 @@ func buildExecutor(t *testing.T) *Executor {
 			t.Fatal(err)
 		}
 	}
-	model := linkpred.Train(nil, linkpred.DefaultConfig())
-	return &Executor{
+	return plan.NewExecutor(plan.Deps{
 		KG:        kg,
 		Trends:    det,
 		Miner:     miner,
 		Searcher:  pathsearch.New(kg.Graph(), nil),
-		Model:     model,
+		Model:     linkpred.Train(nil, linkpred.DefaultConfig()),
 		Linker:    disambig.NewLinker(kg, disambig.DefaultConfig()),
 		Analytics: analytics.New(kg),
+		TIndex:    kg.TemporalIndex(),
 		Now:       func() time.Time { return day },
+	})
+}
+
+// askWindow compiles a question at the executor's clock under the caller
+// window w and runs it.
+func askWindow(ex *plan.Executor, question string, w temporal.Window) (plan.Result, error) {
+	p, err := CompileAt(question, ex.Now(), w)
+	if err != nil {
+		return plan.Result{}, err
 	}
+	return ex.Run(p)
+}
+
+// ask is askWindow under the unbounded window.
+func ask(ex *plan.Executor, question string) (plan.Result, error) {
+	return askWindow(ex, question, temporal.All())
 }
 
 func TestExecTrending(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("What is trending?")
+	a, err := ask(ex, "What is trending?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +204,7 @@ func TestExecTrending(t *testing.T) {
 
 func TestExecEntity(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("Tell me about DJI")
+	a, err := ask(ex, "Tell me about DJI")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +221,7 @@ func TestExecEntity(t *testing.T) {
 
 func TestExecEntityUnknown(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("Tell me about Zorblatt")
+	a, err := ask(ex, "Tell me about Zorblatt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +232,7 @@ func TestExecEntityUnknown(t *testing.T) {
 
 func TestExecRelationship(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("How is Windermere related to DJI?")
+	a, err := ask(ex, "How is Windermere related to DJI?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +248,7 @@ func TestExecRelationship(t *testing.T) {
 
 func TestExecPatterns(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("What patterns are emerging?")
+	a, err := ask(ex, "What patterns are emerging?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +260,7 @@ func TestExecPatterns(t *testing.T) {
 
 func TestExecFactKnown(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("Did GoPro acquire Aeros Labs?")
+	a, err := ask(ex, "Did GoPro acquire Aeros Labs?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +274,7 @@ func TestExecFactKnown(t *testing.T) {
 
 func TestExecFactUnknownGivesPlausibility(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("Did DJI acquire GoPro?")
+	a, err := ask(ex, "Did DJI acquire GoPro?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,33 +288,19 @@ func TestExecFactUnknownGivesPlausibility(t *testing.T) {
 
 func TestExecFactLists(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("What does DJI manufacture?")
+	a, err := ask(ex, "What does DJI manufacture?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Fact.Matches) != 1 || a.Fact.Matches[0].Name != "Phantom 3" {
 		t.Fatalf("matches = %+v", a.Fact.Matches)
 	}
-	a, err = ex.Ask("Who acquired Aeros Labs?")
+	a, err = ask(ex, "Who acquired Aeros Labs?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Fact.Matches) != 1 || a.Fact.Matches[0].Name != "GoPro" {
 		t.Fatalf("matches = %+v", a.Fact.Matches)
-	}
-}
-
-func TestExecDegradesWithoutDeps(t *testing.T) {
-	kg := core.NewKG(nil)
-	ex := &Executor{KG: kg}
-	for _, q := range []string{"What is trending?", "What patterns are emerging?"} {
-		a, err := ex.Ask(q)
-		if err != nil {
-			t.Fatalf("Ask(%q): %v", q, err)
-		}
-		if a.Text == "" {
-			t.Fatalf("empty degraded answer for %q", q)
-		}
 	}
 }
 
@@ -308,12 +312,10 @@ func TestClassesListsSix(t *testing.T) {
 }
 
 // TestEntityImportanceFromAnalytics pins the entity summary's importance to
-// the shared epoch-memoized PageRank: with a cache attached the score is
-// the cached rank; without one the executor degrades to zero instead of
-// recomputing PageRank inline.
+// the shared epoch-memoized PageRank: the score is the cached rank.
 func TestEntityImportanceFromAnalytics(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("Tell me about DJI")
+	a, err := ask(ex, "Tell me about DJI")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,14 +325,5 @@ func TestEntityImportanceFromAnalytics(t *testing.T) {
 	id, _ := ex.KG.Entity("DJI")
 	if want := ex.Analytics.Importance(id); a.Entity.Importance != want {
 		t.Fatalf("importance = %v, want cached rank %v", a.Entity.Importance, want)
-	}
-
-	ex.Analytics = nil
-	a, err = ex.Ask("Tell me about DJI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Entity == nil || a.Entity.Importance != 0 {
-		t.Fatalf("without analytics, importance = %+v, want 0", a.Entity)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nous/internal/plan"
 	"nous/internal/temporal"
 )
 
@@ -123,7 +124,11 @@ func TestParseRejectsEmptyRange(t *testing.T) {
 }
 
 func TestParseErrorsMatchErrParse(t *testing.T) {
-	for _, q := range []string{"", "colorless green ideas sleep furiously"} {
+	for _, q := range []string{
+		"", "colorless green ideas sleep furiously",
+		// Fact questions whose arguments the quote trimming empties.
+		`Where is "" headquartered?`, `What does '' manufacture?`, `Who acquired ""?`, `Did "" acquire ""?`,
+	} {
 		_, err := ParseAt(q, parseNow)
 		if err == nil {
 			t.Fatalf("%q parsed", q)
@@ -148,11 +153,11 @@ func TestFullRangeWindowByteIdentical(t *testing.T) {
 		"What is trending?",
 	}
 	for _, q := range questions {
-		plain, err := ex.Ask(q)
+		plain, err := ask(ex, q)
 		if err != nil {
 			t.Fatalf("Ask(%q): %v", q, err)
 		}
-		windowed, err := ex.AskWindow(q, temporal.All())
+		windowed, err := askWindow(ex, q, temporal.All())
 		if err != nil {
 			t.Fatalf("AskWindow(%q, All): %v", q, err)
 		}
@@ -172,14 +177,20 @@ func TestWideBoundedWindowSameFacts(t *testing.T) {
 	ex := buildExecutor(t)
 	wide := temporal.Window{Since: math.MinInt64 + 1, Until: math.MaxInt64 - 1}
 
-	plain, err := ex.Run(Query{Class: ClassEntity, Subject: "Windermere", K: 10})
-	if err != nil {
-		t.Fatal(err)
+	run := func(q Query) plan.Result {
+		t.Helper()
+		p, err := Lower(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := ex.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
-	windowed, err := ex.Run(Query{Class: ClassEntity, Subject: "Windermere", K: 10, Window: wide})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := run(Query{Class: ClassEntity, Subject: "Windermere", K: 10})
+	windowed := run(Query{Class: ClassEntity, Subject: "Windermere", K: 10, Window: wide})
 	if !reflect.DeepEqual(plain.Entity.Facts, windowed.Entity.Facts) {
 		t.Fatalf("wide window changed the fact set:\n%+v\nvs\n%+v", plain.Entity.Facts, windowed.Entity.Facts)
 	}
@@ -192,7 +203,7 @@ func TestWindowedEntityFiltersFacts(t *testing.T) {
 	ex := buildExecutor(t)
 	// All extracted facts are dated 2015-06-01; a 2014 window must keep only
 	// curated facts, a window containing June 2015 keeps everything.
-	a, err := ex.Ask("Tell me about Windermere in 2014")
+	a, err := ask(ex, "Tell me about Windermere in 2014")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +213,7 @@ func TestWindowedEntityFiltersFacts(t *testing.T) {
 	if !strings.Contains(a.Text, "window:") {
 		t.Fatalf("windowed answer text lacks window line:\n%s", a.Text)
 	}
-	a, err = ex.Ask("Tell me about Windermere in 2015")
+	a, err = ask(ex, "Tell me about Windermere in 2015")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +221,7 @@ func TestWindowedEntityFiltersFacts(t *testing.T) {
 		t.Fatalf("2015 window facts = %+v, want the two deploys extractions", a.Entity.Facts)
 	}
 	// Curated facts survive any window.
-	a, err = ex.Ask("Tell me about DJI in 2014")
+	a, err = ask(ex, "Tell me about DJI in 2014")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +232,14 @@ func TestWindowedEntityFiltersFacts(t *testing.T) {
 
 func TestWindowedFactQuery(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("Did GoPro acquire Aeros Labs in 2014?")
+	a, err := ask(ex, "Did GoPro acquire Aeros Labs in 2014?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Fact.Known {
 		t.Fatal("2014 window reported a 2015 fact as known")
 	}
-	a, err = ex.Ask("Did GoPro acquire Aeros Labs in 2015?")
+	a, err = ask(ex, "Did GoPro acquire Aeros Labs in 2015?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +254,7 @@ func TestWindowedFactQuery(t *testing.T) {
 func TestEmptyWindowIntersectionYieldsNothing(t *testing.T) {
 	ex := buildExecutor(t)
 	apiWin := temporal.Window{Since: time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC).Unix(), Until: math.MaxInt64}
-	a, err := ex.AskWindow("What was trending in 2015?", apiWin)
+	a, err := askWindow(ex, "What was trending in 2015?", apiWin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +262,7 @@ func TestEmptyWindowIntersectionYieldsNothing(t *testing.T) {
 		t.Fatalf("disjoint window returned trends: %+v", a.Trends)
 	}
 	// The epoch-straddling disjoint pair must not flip to all-of-time.
-	a, err = ex.AskWindow("What was trending before 1970?",
+	a, err = askWindow(ex, "What was trending before 1970?",
 		temporal.Window{Since: 0, Until: math.MaxInt64})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +271,7 @@ func TestEmptyWindowIntersectionYieldsNothing(t *testing.T) {
 		t.Fatalf("epoch-straddling empty window returned trends: %+v", a.Trends)
 	}
 	// Entity summaries in the same empty window keep only curated facts.
-	e, err := ex.AskWindow("Tell me about Windermere in 2015", apiWin)
+	e, err := askWindow(ex, "Tell me about Windermere in 2015", apiWin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +284,14 @@ func TestWindowedRelationshipQuery(t *testing.T) {
 	ex := buildExecutor(t)
 	// Windermere -deploys-> Phantom 3 <-manufactures- DJI; the deploys hop
 	// is extracted (2015-06-01), manufactures is curated.
-	a, err := ex.Ask("How is Windermere related to DJI in 2015?")
+	a, err := ask(ex, "How is Windermere related to DJI in 2015?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Paths) == 0 {
 		t.Fatalf("no path inside the window:\n%s", a.Text)
 	}
-	a, err = ex.Ask("How is Windermere related to DJI in 2014?")
+	a, err = ask(ex, "How is Windermere related to DJI in 2014?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,26 +354,25 @@ func TestParseDiffRejectsNonIncreasingRange(t *testing.T) {
 	}
 }
 
-// TestPlanStatsConcurrentWithFirstAsk pins the lazy stats-sink creation:
-// reading PlanStats while another goroutine runs the executor's first query
-// must be race-free (both go through the same sync.Once).
+// TestPlanStatsConcurrentWithFirstAsk: reading the executor's stats while
+// another goroutine runs its first query must be race-free.
 func TestPlanStatsConcurrentWithFirstAsk(t *testing.T) {
 	ex := buildExecutor(t)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			ex.PlanStats()
+			ex.Stats()
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		if _, err := ex.Ask("Tell me about DJI"); err != nil {
+		if _, err := ask(ex, "Tell me about DJI"); err != nil {
 			t.Error(err)
 			break
 		}
 	}
 	<-done
-	if st := ex.PlanStats(); st.Plans == 0 {
+	if st := ex.Stats(); st.Plans == 0 {
 		t.Fatal("no plans accounted")
 	}
 }
@@ -372,11 +382,11 @@ func TestPlanStatsConcurrentWithFirstAsk(t *testing.T) {
 // as added and the curated substrate as unchanged.
 func TestDiffEndToEnd(t *testing.T) {
 	ex := buildExecutor(t)
-	a, err := ex.Ask("What changed about Windermere between 2014 and 2015?")
+	a, err := ask(ex, "What changed about Windermere between 2014 and 2015?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Class != ClassDiff || a.Diff == nil {
+	if a.Class != string(ClassDiff) || a.Diff == nil {
 		t.Fatalf("diff answer = %+v", a)
 	}
 	if len(a.Diff.Added) != 1 || a.Diff.Added[0].Predicate != "deploys" {
@@ -389,7 +399,7 @@ func TestDiffEndToEnd(t *testing.T) {
 		t.Fatalf("text = %s", a.Text)
 	}
 	// Reverse direction: the extraction disappears.
-	b, err := ex.Ask("What changed about Windermere between 2015 and 2016?")
+	b, err := ask(ex, "What changed about Windermere between 2015 and 2016?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +407,7 @@ func TestDiffEndToEnd(t *testing.T) {
 		t.Fatalf("reverse diff = %+v", b.Diff)
 	}
 	// Unknown entity degrades like the entity class.
-	c, err := ex.Ask("What changed about Zorblatt between 2014 and 2015?")
+	c, err := ask(ex, "What changed about Zorblatt between 2014 and 2015?")
 	if err != nil {
 		t.Fatal(err)
 	}

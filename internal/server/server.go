@@ -205,7 +205,7 @@ func (s *Server) buildAsk(r *http.Request) (any, *windowJSON, *apiError) {
 		}
 		return nil, winJSON(win), &apiError{status: http.StatusInternalServerError, code: codeInternal, msg: err.Error()}
 	}
-	resp := askResponse{Class: string(a.Class), Text: a.Text}
+	resp := askResponse{Class: a.Class, Text: a.Text}
 	switch {
 	case a.Entity != nil:
 		resp.Data = a.Entity
@@ -254,19 +254,15 @@ func (s *Server) buildTrending(r *http.Request) (any, *windowJSON, *apiError) {
 		return nil, nil, badParam(err.Error())
 	}
 	// A bounded window runs the planner's windowed backfill scan; the
-	// unwindowed path stays the live detector, byte-for-byte.
-	if win.Bounded() {
-		a, err := s.pipeline.TrendingWindow(win, k)
-		if err != nil {
-			return nil, winJSON(win), &apiError{status: http.StatusInternalServerError, code: codeInternal, msg: err.Error()}
-		}
-		trends := a.Trends
-		if trends == nil {
-			trends = []nous.Trend{}
-		}
-		return trends, winJSON(win), nil
+	// unbounded one reads the live detector.
+	a, err := s.pipeline.TrendingWindow(win, k)
+	if err != nil {
+		return nil, winJSON(win), &apiError{status: http.StatusInternalServerError, code: codeInternal, msg: err.Error()}
 	}
-	return s.pipeline.Trending(k), nil, nil
+	if a.Trends == nil {
+		return []nous.Trend{}, winJSON(win), nil
+	}
+	return a.Trends, winJSON(win), nil
 }
 
 // buildDiff serves the temporal join "what changed between A and B".
@@ -294,7 +290,7 @@ func (s *Server) buildDiff(r *http.Request) (any, *windowJSON, *apiError) {
 	if ans.Diff == nil {
 		return nil, nil, &apiError{status: http.StatusNotFound, code: codeUnknownEntity, msg: "unknown entity " + entity}
 	}
-	return askResponse{Class: string(ans.Class), Text: ans.Text, Data: ans.Diff}, nil, nil
+	return askResponse{Class: ans.Class, Text: ans.Text, Data: ans.Diff}, nil, nil
 }
 
 // planResponse is the /api/v1/plan data: the executed plan for a question —

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -67,6 +68,36 @@ func TestAskRequiresQuery(t *testing.T) {
 func TestAskRejectsGibberish(t *testing.T) {
 	ts := testServer(t)
 	getV1(t, ts.URL+"/api/v1/ask?q=flarp+blonk", 400, "parse_error")
+}
+
+// TestAskRejectsEmptyFactArguments: a fact question whose argument the
+// quote trimming empties is the client's error, not an execution failure.
+func TestAskRejectsEmptyFactArguments(t *testing.T) {
+	ts := testServer(t)
+	for _, q := range []string{`Where is "" headquartered?`, `What does '' manufacture?`, `Who acquired ""?`} {
+		getV1(t, ts.URL+"/api/v1/ask?q="+url.QueryEscape(q), 400, "parse_error")
+	}
+}
+
+// TestCuratedOnlyFeeds serves the curated KB with no stream ingested: the
+// detector is empty and no fact is dated, so trending (windowed or not) and
+// the recent-facts feed answer empty lists — never null, and never an
+// undated curated fact.
+func TestCuratedOnlyFeeds(t *testing.T) {
+	kg, err := testWorld().LoadKG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := serve(t, New(nous.NewPipeline(kg, nous.DefaultConfig())))
+	for _, path := range []string{
+		"/api/v1/trending?k=5",
+		"/api/v1/trending?k=5&since=2011&until=2015",
+		"/api/v1/recent?k=5",
+	} {
+		if data := rawData(t, ts.URL+path); string(data) != "[]" {
+			t.Errorf("GET %s data = %s, want []", path, data)
+		}
+	}
 }
 
 func TestEntityEndpoint(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"nous"
-	"nous/internal/qa"
+	"nous/internal/plan"
 )
 
 var update = flag.Bool("update", false, "rewrite the v1 golden files")
@@ -278,7 +278,7 @@ func TestV1PanicRecoveryEnvelope(t *testing.T) {
 func TestV1EncodeFailureIs500(t *testing.T) {
 	s := New(nous.NewPipeline(nous.NewKG(nil), nous.DefaultConfig()))
 	s.ask = func(string, nous.Window) (nous.Answer, error) {
-		return nous.Answer{Class: "fact", Fact: &qa.FactAnswer{Plausible: math.NaN()}}, nil
+		return nous.Answer{Class: "fact", Fact: &plan.FactAnswer{Plausible: math.NaN()}}, nil
 	}
 	ts := serve(t, s)
 	env := getV1(t, ts.URL+"/api/v1/ask?q=Did+DJI+acquire+Windermere%3F", 500, "internal")

@@ -343,17 +343,19 @@ func (ix *Index) DatedIn(w Window) []graph.EdgeID {
 	}))
 }
 
-// LatestIn returns the IDs of the newest k edges whose timestamps lie in w,
-// ordered oldest-to-newest. Only the tail of each stripe's in-window range
-// is read — O(stripes·(log n + k)) — which is what makes the index cheaper
-// than a full edge scan for feed-style "what just happened" queries.
+// LatestIn returns the IDs of the newest k dated edges whose timestamps lie
+// in w, ordered oldest-to-newest. Like DatedIn it skips the timeless prefix,
+// so the undated curated substrate never fills the feed. Only the tail of
+// each stripe's in-window range is read — O(stripes·(log n + k)) — which is
+// what makes the index cheaper than a full edge scan for feed-style "what
+// just happened" queries.
 func (ix *Index) LatestIn(w Window, k int) []graph.EdgeID {
 	if k <= 0 {
 		return nil
 	}
 	all := ix.gather(func(s *ishard) (int, int) {
 		lo, hi := s.rangeOf(w)
-		return max(lo, hi-k), hi
+		return max(lo, hi-k, s.datedFrom()), hi
 	})
 	return idsOf(all[max(0, len(all)-k):])
 }

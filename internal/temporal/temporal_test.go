@@ -163,6 +163,37 @@ func TestLatestIn(t *testing.T) {
 	}
 }
 
+// TestLatestInSkipsTimeless: with fewer than k dated edges in the window,
+// the feed is the dated edges alone — the undated substrate at the timeless
+// sentinel never fills it.
+func TestLatestInSkipsTimeless(t *testing.T) {
+	g := graph.New()
+	a := g.AddVertex("Company")
+	b := g.AddVertex("Company")
+	ix := Attach(g)
+	defer ix.Detach()
+	for i := 0; i < 4; i++ {
+		if _, err := g.AddEdgeFull(a, b, "acquired", 1, Timeless, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dated []graph.EdgeID
+	for _, ts := range []int64{10, 20} {
+		id, err := g.AddEdgeFull(a, b, "acquired", 1, ts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dated = append(dated, id)
+	}
+	got := ix.LatestIn(All(), 5)
+	if len(got) != 2 || got[0] != dated[0] || got[1] != dated[1] {
+		t.Fatalf("LatestIn(All, 5) = %v, want only the dated edges %v", got, dated)
+	}
+	if got := ix.LatestIn(Window{Since: math.MinInt64, Until: 15}, 5); len(got) != 1 || got[0] != dated[0] {
+		t.Fatalf("LatestIn(before 15, 5) = %v, want %v", got, dated[:1])
+	}
+}
+
 func TestIndexEmptyWindowQueries(t *testing.T) {
 	g := graph.New()
 	a := g.AddVertex("Company")

@@ -69,8 +69,9 @@ type (
 	Pattern = fgm.Pattern
 	// Trend is a burst-scored trending item.
 	Trend = trends.Trend
-	// Answer is a structured query answer.
-	Answer = qa.Answer
+	// Answer is a structured query answer: the query class, the rendered
+	// text and the payload matching the class.
+	Answer = plan.Result
 	// Query is a parsed question.
 	Query = qa.Query
 	// Article is one input document.
@@ -112,10 +113,10 @@ type (
 	// PlanReport is one executed explain: the lowered plan with per-operator
 	// actual rows, and whether the answer was served from the plan-result
 	// cache.
-	PlanReport = qa.PlanReport
+	PlanReport = plan.Report
 	// DiffAnswer is the payload of a temporal diff query: facts visible only
 	// in the second window (added) or only in the first (removed).
-	DiffAnswer = qa.DiffAnswer
+	DiffAnswer = plan.DiffAnswer
 	// ReplicationStatus is a follower's replication state: leader URL, the
 	// leader's newest known epoch, the locally applied epoch, the lag
 	// between them, and the stream's connection health.
@@ -186,7 +187,7 @@ type Pipeline struct {
 	detector  *trends.Detector
 	analytics *analytics.Cache
 	searcher  *pathsearch.Searcher
-	exec      *qa.Executor
+	exec      *plan.Executor
 	tindex    *temporal.Index
 	store     *persist.Store // nil for an in-memory pipeline
 	leader    *repl.Leader   // non-nil iff durable: serves WAL + snapshots to replicas
@@ -213,7 +214,7 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 
 	// The epoch-versioned read layer: one cache memoizes PageRank
 	// importance, the disambiguation prior and topic vectors for every
-	// consumer — the QA executor, the linker and the path searcher.
+	// consumer — the plan executor, the linker and the path searcher.
 	p.analytics = analytics.New(kg)
 	p.analytics.SetTopicsFn(p.computeTopics)
 
@@ -259,7 +260,7 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 
 	p.stream = stream.NewWith(kg, cfg.Stream, p.analytics, facts)
 	p.searcher = pathsearch.New(kg.Graph(), nil)
-	p.exec = &qa.Executor{
+	p.exec = plan.NewExecutor(plan.Deps{
 		KG:        kg,
 		Trends:    p.detector,
 		Miner:     p.miner,
@@ -269,7 +270,7 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 		Analytics: p.analytics,
 		TIndex:    p.tindex,
 		Now:       p.now,
-	}
+	})
 	return p
 }
 
@@ -516,19 +517,27 @@ func (p *Pipeline) entityDoc(name string) []string {
 // answer to that slice of the stream; relative forms resolve against the
 // pipeline clock.
 func (p *Pipeline) Ask(question string) (Answer, error) {
-	return p.exec.Ask(question)
+	return p.AskWindow(question, Window{})
 }
 
 // AskWindow is Ask with an explicit window (the API's since/until
 // parameters), intersected with any window the question itself carries. The
 // unbounded window makes it exactly Ask.
 func (p *Pipeline) AskWindow(question string, w Window) (Answer, error) {
-	return p.exec.AskWindow(question, w)
+	pl, err := qa.CompileAt(question, p.now(), w)
+	if err != nil {
+		return Answer{}, err
+	}
+	return p.exec.Run(pl)
 }
 
 // Run executes a pre-parsed query.
 func (p *Pipeline) Run(q Query) (Answer, error) {
-	return p.exec.Run(q)
+	pl, err := qa.Lower(q)
+	if err != nil {
+		return Answer{}, err
+	}
+	return p.exec.Run(pl)
 }
 
 // Trending returns the top-k bursting entities and predicates at the
@@ -541,9 +550,9 @@ func (p *Pipeline) Trending(k int) []Trend {
 // window runs the planner's TrendScan backfill, scoring bursts in every
 // bucket the window covers straight off the temporal index (history before
 // the window feeds the baselines); the unbounded window is the live
-// detector's view, exactly Trending.
+// detector's view, the trends of Trending.
 func (p *Pipeline) TrendingWindow(w Window, k int) (Answer, error) {
-	return p.exec.Run(Query{Class: qa.ClassTrending, K: k, Window: w})
+	return p.exec.Run(plan.TrendingPlan(w, k))
 }
 
 // Diff answers the temporal join "what changed about entity between A and
@@ -552,14 +561,14 @@ func (p *Pipeline) TrendingWindow(w Window, k int) (Answer, error) {
 // extracted stream off the temporal index. Curated facts are visible in
 // every window and therefore never appear as changes.
 func (p *Pipeline) Diff(entity string, a, b Window) (Answer, error) {
-	return p.exec.Run(Query{Class: qa.ClassDiff, Subject: entity, Window: a, WindowB: b})
+	return p.exec.Run(plan.DiffPlan(entity, a, b))
 }
 
 // PlanFor parses a question and compiles it into its logical plan without
 // executing it — the explain view of the query planner. The window
 // intersects like AskWindow's.
 func (p *Pipeline) PlanFor(question string, w Window) (*QueryPlan, error) {
-	return p.exec.Plan(question, w)
+	return qa.CompileAt(question, p.now(), w)
 }
 
 // ExplainPlan compiles and executes a question, reporting its plan with
@@ -568,12 +577,16 @@ func (p *Pipeline) PlanFor(question string, w Window) (*QueryPlan, error) {
 // already-cached question reports Cached and skips execution entirely (so
 // it carries no actual rows).
 func (p *Pipeline) ExplainPlan(question string, w Window) (*PlanReport, error) {
-	return p.exec.ExplainQuery(question, w)
+	pl, err := qa.CompileAt(question, p.now(), w)
+	if err != nil {
+		return nil, err
+	}
+	return p.exec.Explain(pl)
 }
 
 // PlanStats reports the query planner's execution counters.
 func (p *Pipeline) PlanStats() PlanStats {
-	return p.exec.PlanStats()
+	return p.exec.Stats()
 }
 
 // Patterns returns the top-k closed frequent patterns in the current
@@ -601,7 +614,7 @@ func (p *Pipeline) Explain(src, dst, predicate string, k int) (Answer, error) {
 // ExplainWindow is Explain restricted to paths whose extracted edges fall in
 // the window (curated edges always qualify).
 func (p *Pipeline) ExplainWindow(src, dst, predicate string, k int, w Window) (Answer, error) {
-	return p.exec.Run(Query{Class: qa.ClassRelationship, Subject: src, Object: dst, Predicate: predicate, K: k, Window: w})
+	return p.exec.Run(plan.RelationshipPlan(src, dst, predicate, k, w))
 }
 
 // About returns the entity summary answer for a name (Fig 6).
@@ -613,7 +626,7 @@ func (p *Pipeline) About(name string) (Answer, error) {
 // importance reflect only the curated substrate plus the extracted facts
 // inside [Since, Until).
 func (p *Pipeline) AboutWindow(name string, w Window) (Answer, error) {
-	return p.exec.Run(Query{Class: qa.ClassEntity, Subject: name, K: 10, Window: w})
+	return p.exec.Run(plan.EntityPlan(name, w, 10))
 }
 
 // Score returns the link-prediction confidence of a candidate triple.
