@@ -190,7 +190,7 @@ func BenchmarkC2_ClosedPatternReporting(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ClosedPatterns()
+		m.ClosedPatterns(0)
 	}
 }
 

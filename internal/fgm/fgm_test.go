@@ -233,7 +233,7 @@ func TestClosedPatternsFilter(t *testing.T) {
 		base += 10
 	}
 	freq := m.FrequentPatterns()
-	closed := m.ClosedPatterns()
+	closed := m.ClosedPatterns(0)
 	if len(freq) != 3 {
 		t.Fatalf("frequent = %+v", freq)
 	}
@@ -243,7 +243,7 @@ func TestClosedPatternsFilter(t *testing.T) {
 	// Add an extra lone "acquired" edge: its 1-edge pattern now has support
 	// 4 > chain's 3, so it becomes closed too.
 	m.Add(Edge{Src: 100, Dst: 101, SrcLabel: "C", DstLabel: "C", Label: "acquired"})
-	closed = m.ClosedPatterns()
+	closed = m.ClosedPatterns(0)
 	if len(closed) != 2 {
 		t.Fatalf("closed after extra edge = %+v", closed)
 	}
@@ -269,7 +269,7 @@ func TestReconstructionAfterInfrequency(t *testing.T) {
 		t.Fatalf("initial transitions: entered=%d left=%d", len(entered), len(left))
 	}
 	chainClosedBefore := false
-	for _, p := range m.ClosedPatterns() {
+	for _, p := range m.ClosedPatterns(0) {
 		if len(p.Edges) == 2 {
 			chainClosedBefore = true
 		}
@@ -293,7 +293,7 @@ func TestReconstructionAfterInfrequency(t *testing.T) {
 	// The 1-edge acquired pattern must now be closed (reconstructed as the
 	// maximal frequent pattern).
 	foundAcquired := false
-	for _, p := range m.ClosedPatterns() {
+	for _, p := range m.ClosedPatterns(0) {
 		if len(p.Edges) == 1 && p.Edges[0].Label == "acquired" {
 			foundAcquired = true
 			if p.Support < 3 {

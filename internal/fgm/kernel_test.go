@@ -1,8 +1,12 @@
 package fgm
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -79,7 +83,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	var readers sync.WaitGroup
 	for _, read := range []func(){
 		func() { m.FindInstances(probe, 5) },
-		func() { m.ClosedPatterns() },
+		func() { m.ClosedPatterns(10) },
 		func() { m.FrequentPatterns() },
 		func() { m.Transitions() },
 		func() { m.Support(probe.Code); m.WindowLen(); m.EmbeddingsTouched() },
@@ -108,23 +112,108 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	readers.Wait()
 }
 
-// Truncating or appending to a returned pattern slice must not reach the
-// generation cache.
-func TestPatternCacheIsolation(t *testing.T) {
+// ClosedPatterns readers beside every kind of writer: a read that falls
+// between two mutations equals the reference's first ten closed patterns
+// at that state, and every read is sorted and at most ten long. The readers
+// also race one another to fill the lattice.
+func TestClosedPatternsConcurrentWithAdd(t *testing.T) {
+	stream := hubStream(340, 60, 6)
+	m := NewMiner(Config{MaxEdges: 3, MinSupport: 2, WindowSize: 120, Workers: 4})
+	m.AddBatch(stream[:100])
+
+	// seq is odd while the writer mutates; at each even value it has stored
+	// the reference answer for the state that value names. After each
+	// mutation the writer waits for one read to check against it, or for
+	// a reader to fail.
+	var seq, checked, failed atomic.Int64
+	var want sync.Map
+	want.Store(int64(0), closedOf(m.FrequentPatterns()))
+	mutate := func(f func()) {
+		seq.Add(1)
+		f()
+		want.Store(seq.Load()+1, closedOf(m.FrequentPatterns()))
+		c := checked.Load()
+		seq.Add(1)
+		for checked.Load() == c && failed.Load() == 0 {
+			runtime.Gosched()
+		}
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	errs := make(chan string, 4) // one send per reader at most
+	fail := func(format string, args ...any) {
+		errs <- fmt.Sprintf(format, args...)
+		failed.Add(1)
+	}
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				before := seq.Load()
+				got := m.ClosedPatterns(10)
+				after := seq.Load()
+				if len(got) > 10 {
+					fail("%d patterns, want at most 10", len(got))
+					return
+				}
+				for i := 1; i < len(got); i++ {
+					if !outranks(got[i-1].Support, &got[i-1], got[i].Support, &got[i]) {
+						fail("unsorted at %d: %v before %v", i, got[i-1], got[i])
+						return
+					}
+				}
+				if before%2 != 0 || before != after {
+					continue
+				}
+				ref, _ := want.Load(before)
+				if w := ref.([]Pattern); !reflect.DeepEqual(got, w[:min(10, len(w))]) {
+					fail("at seq %d\n got  %v\n want %v", before, got, w[:min(10, len(w))])
+					return
+				}
+				checked.Add(1)
+			}
+		}()
+	}
+	for i := 100; i+20 <= len(stream); i += 20 {
+		mutate(func() { m.AddBatch(stream[i : i+10]) })
+		for _, e := range stream[i+10 : i+20] {
+			mutate(func() { m.Add(e) })
+		}
+		mutate(func() { m.EvictBefore(int64(i - 60)) })
+	}
+	close(stop)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// A returned pattern slice belongs to the caller: truncating or appending
+// to it reaches no later read, and a read after a mutation sees the
+// mutation.
+func TestPatternReadIsolation(t *testing.T) {
 	m := NewMiner(Config{MaxEdges: 2, MinSupport: 1})
 	m.AddBatch(hubStream(40, 12, 3))
-	first := m.ClosedPatterns()
+	first := m.ClosedPatterns(0)
 	want := append([]Pattern(nil), first...)
 	first = append(first[:1], Pattern{Code: "scribble"})
 	first[0].Code = "scribble"
-	for i, p := range m.ClosedPatterns() {
+	for i, p := range m.ClosedPatterns(0) {
 		if p.Code != want[i].Code || p.Support != want[i].Support {
-			t.Fatalf("cached closed pattern %d changed under a caller's edit: %+v, want %+v", i, p, want[i])
+			t.Fatalf("closed pattern %d changed under a caller's edit: %+v, want %+v", i, p, want[i])
 		}
 	}
 	m.Add(hubStream(1, 12, 4)[0])
-	if got := m.FrequentPatterns(); len(got) == 0 || m.cache.gen != m.gen {
-		t.Fatalf("cache not refreshed after a mutation: gen %d, cache %d", m.gen, m.cache.gen)
+	if got, w := m.ClosedPatterns(0), closedOf(m.FrequentPatterns()); !reflect.DeepEqual(got, w) {
+		t.Fatalf("read after a mutation:\n got  %v\n want %v", got, w)
 	}
 }
 
@@ -163,17 +252,27 @@ func BenchmarkMinerAddBatchSeed(b *testing.B) {
 	b.ReportMetric(float64(embeddings)/b.Elapsed().Seconds(), "embeddings/s")
 }
 
-// BenchmarkClosedPatternsCached is a patterns request between two writes: it
-// enumerates nothing, so it reports no embeddings/s.
-func BenchmarkClosedPatternsCached(b *testing.B) {
+// BenchmarkClosedPatternsAfterAdd is a patterns request beside a writer:
+// one Add moves the window, then ClosedPatterns(10) reads it. Splitting
+// each predicate by its object's parity gives the window some 3,000 pattern
+// ids, about what the system benchmark's live miner holds.
+func BenchmarkClosedPatternsAfterAdd(b *testing.B) {
+	stream := hubStream(20000, 600, 5)
+	for i := range stream {
+		if stream[i].Dst%2 == 1 {
+			stream[i].Label += "'"
+		}
+	}
 	m := NewMiner(DefaultConfig())
-	m.AddBatch(hubStream(2000, 600, 5))
-	m.ClosedPatterns()
+	m.AddBatch(stream)
+	m.ClosedPatterns(10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(m.ClosedPatterns()) == 0 {
+		m.Add(stream[i%len(stream)])
+		if len(m.ClosedPatterns(10)) == 0 {
 			b.Fatal("no closed patterns")
 		}
 	}
+	b.ReportMetric(float64(len(m.memo.patterns)), "pattern-ids")
 }

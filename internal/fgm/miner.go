@@ -90,17 +90,7 @@ type Miner struct {
 	seqK   kernel              // scratch of the sequential paths (Add, evictions)
 	emb    int64               // embeddings counted so far
 	prev   map[string]bool     // frequent codes at the last Transitions call
-
-	gen     uint64     // bumped by every window change
-	cacheMu sync.Mutex // readers fill cache under mu's read lock
-	cache   patternCache
-}
-
-// patternCache memoizes the read side for one miner generation.
-type patternCache struct {
-	gen               uint64
-	hasFreq, hasClose bool
-	frequent, closed  []Pattern
+	lat    lattice             // sub-pattern links for ClosedPatterns
 }
 
 // NewMiner returns an empty miner.
@@ -111,6 +101,7 @@ func NewMiner(cfg Config) *Miner {
 		labelOf: make(map[string]uint32),
 		memo:    newShapeMemo(),
 		prev:    make(map[string]bool),
+		lat:     lattice{pending: make(map[string][]int32)},
 	}
 	m.seqK = newKernel(m, &m.counts, &m.images, &m.emb, false)
 	return m
@@ -127,7 +118,6 @@ func (m *Miner) Add(e Edge) {
 	m.makeRoom(1)
 	slot := m.insert(e)
 	m.seqK.run(slot, m.edges[slot].seq, +1)
-	m.gen++
 }
 
 // AddBatch inserts a batch of edges and updates counts in parallel across
@@ -152,7 +142,6 @@ func (m *Miner) AddBatch(es []Edge) {
 	for i, e := range es {
 		batch[i] = m.insert(e)
 	}
-	m.gen++
 
 	workers := m.cfg.Workers
 	if workers > len(batch) {
@@ -255,7 +244,6 @@ func (m *Miner) makeRoom(n int) {
 func (m *Miner) evict(slot int32) {
 	m.seqK.run(slot, math.MaxInt64, -1)
 	m.remove(slot)
-	m.gen++
 }
 
 // resetWindow empties the window and zeroes every count; the shape memo and
@@ -267,7 +255,6 @@ func (m *Miner) resetWindow() {
 	clear(m.vertOf)
 	clear(m.counts)
 	clear(m.images)
-	m.gen++
 }
 
 func (m *Miner) intern(label string) uint32 {
@@ -372,50 +359,56 @@ func (m *Miner) supportOf(pid int32) int {
 func (m *Miner) FrequentPatterns() []Pattern {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return append([]Pattern(nil), m.patternsLocked(false)...)
+	return m.rankLocked(0, anyPattern)
 }
 
-// ClosedPatterns returns the frequent patterns with no frequent
-// super-pattern of equal support — the miner's reporting unit per the
-// paper.
-func (m *Miner) ClosedPatterns() []Pattern {
+// ClosedPatterns returns the k best closed frequent patterns, or all of
+// them when k <= 0: largest support first, then more edges, then smaller
+// code. Closed patterns are the miner's reporting unit per the paper. A
+// frequent pattern is closed when no pattern with one more edge that
+// contains it has equal support; larger super-patterns are not compared.
+// Under MNI support, which is anti-monotone, that is the same as comparing
+// every frequent super-pattern. An embedding count can grow with the
+// pattern, so under it a super-pattern two or more edges larger with equal
+// support leaves a pattern closed.
+//
+// One pass over the count table answers it: only a frequent pattern that
+// would enter the top k is checked against its lattice links.
+func (m *Miner) ClosedPatterns(k int) []Pattern {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return append([]Pattern(nil), m.patternsLocked(true)...)
+	m.lat.fill(&m.memo)
+	return m.rankLocked(k, m.closed)
 }
 
-// patternsLocked returns the frequent set of the current generation, or its
-// closed subset, computing each at most once per generation. The caller
-// holds m.mu (either mode, so the generation cannot move) and must not
-// modify the result.
-func (m *Miner) patternsLocked(closed bool) []Pattern {
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	c := &m.cache
-	if c.gen != m.gen {
-		*c = patternCache{gen: m.gen}
-	}
-	if !c.hasFreq {
-		for pid, n := range m.counts {
-			if n <= 0 {
-				continue
-			}
-			if s := m.supportOf(int32(pid)); s >= m.cfg.MinSupport {
-				p := m.memo.patterns[pid]
-				p.Support = s
-				c.frequent = append(c.frequent, p)
-			}
+func anyPattern(ranked) bool { return true }
+
+// rankLocked returns the k best frequent patterns that keep accepts, or all
+// of them when k <= 0, best first. keep sees only patterns that would enter
+// the selection. The caller holds m.mu in either mode.
+func (m *Miner) rankLocked(k int, keep func(ranked) bool) []Pattern {
+	top := topK{m: m, k: k}
+	for pid, n := range m.counts {
+		if n <= 0 {
+			continue
 		}
-		sortPatterns(c.frequent)
-		c.hasFreq = true
+		r := ranked{pid: int32(pid), support: m.supportOf(int32(pid))}
+		if r.support >= m.cfg.MinSupport && top.admits(r) && keep(r) {
+			top.add(r)
+		}
 	}
-	if !closed {
-		return c.frequent
+	return top.patterns()
+}
+
+// closed reports whether no pattern one edge larger that contains r's
+// pattern has its support (which, being frequent, is nonzero).
+func (m *Miner) closed(r ranked) bool {
+	for _, q := range m.lat.supers[r.pid] {
+		if m.supportOf(q) == r.support {
+			return false
+		}
 	}
-	if !c.hasClose {
-		c.closed, c.hasClose = closedOf(c.frequent), true
-	}
-	return c.closed
+	return true
 }
 
 // Transitions reports which patterns entered and left the frequent set
@@ -425,7 +418,7 @@ func (m *Miner) Transitions() (entered, left []Pattern) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := map[string]bool{}
-	for _, p := range m.patternsLocked(false) {
+	for _, p := range m.rankLocked(0, anyPattern) {
 		cur[p.Code] = true
 		if !m.prev[p.Code] {
 			entered = append(entered, p)
@@ -445,37 +438,18 @@ func (m *Miner) Transitions() (entered, left []Pattern) {
 	return entered, left
 }
 
-// closedOf filters a frequent set down to closed patterns.
-func closedOf(freq []Pattern) []Pattern {
-	bySize := map[int][]Pattern{}
-	for _, p := range freq {
-		bySize[len(p.Edges)] = append(bySize[len(p.Edges)], p)
-	}
-	var out []Pattern
-	for _, p := range freq {
-		closed := true
-		for _, q := range bySize[len(p.Edges)+1] {
-			if q.Support == p.Support && subPatternOf(p, q) {
-				closed = false
-				break
-			}
-		}
-		if closed {
-			out = append(out, p)
-		}
-	}
-	sortPatterns(out)
-	return out
+func sortPatterns(ps []Pattern) {
+	sort.Slice(ps, func(i, j int) bool { return outranks(ps[i].Support, &ps[i], ps[j].Support, &ps[j]) })
 }
 
-func sortPatterns(ps []Pattern) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Support != ps[j].Support {
-			return ps[i].Support > ps[j].Support
-		}
-		if len(ps[i].Edges) != len(ps[j].Edges) {
-			return len(ps[i].Edges) > len(ps[j].Edges)
-		}
-		return ps[i].Code < ps[j].Code
-	})
+// outranks reports whether pattern p of support sp sorts before pattern q
+// of support sq: larger support first, then more edges, then smaller code.
+func outranks(sp int, p *Pattern, sq int, q *Pattern) bool {
+	if sp != sq {
+		return sp > sq
+	}
+	if len(p.Edges) != len(q.Edges) {
+		return len(p.Edges) > len(q.Edges)
+	}
+	return p.Code < q.Code
 }

@@ -3,7 +3,10 @@
 // The streaming miner maintains, incrementally under both edge arrival and
 // sliding-window eviction, the embedding counts of every connected pattern
 // up to a size bound, and reports the closed frequent patterns of the
-// current window. Patterns abstract entities to their types, so the miner
+// current window. A read makes one pass over the count table: a lattice
+// links each pattern to the patterns one edge larger that contain it, filled
+// by reads and never by ingest, and a k-bounded heap keeps the best closed
+// ones. Patterns abstract entities to their types, so the miner
 // simultaneously covers the curated KB and extracted knowledge — the
 // "combining both structures" property the paper highlights.
 //
@@ -11,7 +14,9 @@
 // re-enumeration of every window, reporting ~3× speedup) and a
 // transaction-setting gSpan survive only as test references
 // (baseline_test.go, gspan_test.go); TestClaimC1StreamingWorkBeatsRescan
-// checks the claim.
+// checks the claim. So does the pairwise closedness filter the lattice
+// replaced (closedOf in reference_test.go), which the differential tests
+// hold ClosedPatterns to.
 package fgm
 
 import (
@@ -179,55 +184,4 @@ func permute(k int, fn func(p []int)) {
 		}
 	}
 	rec(0)
-}
-
-// subPatternOf reports whether p is a subgraph of q (injective vertex
-// mapping preserving vertex labels, edge labels and direction).
-func subPatternOf(p, q Pattern) bool {
-	if len(p.Edges) > len(q.Edges) || len(p.VertexLabels) > len(q.VertexLabels) {
-		return false
-	}
-	n, m := len(p.VertexLabels), len(q.VertexLabels)
-	assign := make([]int, n)
-	used := make([]bool, m)
-	for i := range assign {
-		assign[i] = -1
-	}
-	var match func(i int) bool
-	match = func(i int) bool {
-		if i == n {
-			return edgesContained(p.Edges, q.Edges, assign)
-		}
-		for j := 0; j < m; j++ {
-			if used[j] || p.VertexLabels[i] != q.VertexLabels[j] {
-				continue
-			}
-			assign[i] = j
-			used[j] = true
-			if match(i + 1) {
-				return true
-			}
-			assign[i] = -1
-			used[j] = false
-		}
-		return false
-	}
-	return match(0)
-}
-
-// edgesContained checks multiset containment of p-edges mapped through
-// assign into q-edges.
-func edgesContained(pe, qe []PatternEdge, assign []int) bool {
-	remaining := make(map[PatternEdge]int, len(qe))
-	for _, e := range qe {
-		remaining[e]++
-	}
-	for _, e := range pe {
-		mapped := PatternEdge{Src: assign[e.Src], Dst: assign[e.Dst], Label: e.Label}
-		if remaining[mapped] == 0 {
-			return false
-		}
-		remaining[mapped]--
-	}
-	return true
 }

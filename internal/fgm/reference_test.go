@@ -17,8 +17,11 @@ import (
 // counts in maps keyed by code, insert-then-evict windows — and the tests
 // demand identical (Code, Support, VertexLabels, Edges) from
 // FrequentPatterns, ClosedPatterns and Transitions after arbitrary operation
-// sequences. Only closedOf/sortPatterns/subPatternOf, which the kernel did
-// not touch, are shared with the production code.
+// sequences. Only sortPatterns, which the kernel did not touch, is shared
+// with the production code. ClosedPatterns(k) must equal the first k of
+// closedOf, the pairwise closedness filter (closedOf, subPatternOf,
+// edgesContained) that production used before its sub-pattern lattice and
+// top-k selection, kept here as that lattice's reference.
 //
 // One thing is pinned down that the seed left open. It typed an embedding's
 // vertices from the embedding's own edges, the last edge visited winning, and
@@ -297,7 +300,90 @@ func (m *refMiner) FrequentPatterns() []Pattern {
 	return out
 }
 
-func (m *refMiner) ClosedPatterns() []Pattern { return closedOf(m.FrequentPatterns()) }
+// ClosedPatterns is the reference's closed set, cut to its first k when
+// k > 0.
+func (m *refMiner) ClosedPatterns(k int) []Pattern {
+	out := closedOf(m.FrequentPatterns())
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// closedOf filters a frequent set down to closed patterns: those with no
+// pattern one edge larger, of equal support, that contains them.
+func closedOf(freq []Pattern) []Pattern {
+	bySize := map[int][]Pattern{}
+	for _, p := range freq {
+		bySize[len(p.Edges)] = append(bySize[len(p.Edges)], p)
+	}
+	var out []Pattern
+	for _, p := range freq {
+		closed := true
+		for _, q := range bySize[len(p.Edges)+1] {
+			if q.Support == p.Support && subPatternOf(p, q) {
+				closed = false
+				break
+			}
+		}
+		if closed {
+			out = append(out, p)
+		}
+	}
+	sortPatterns(out)
+	return out
+}
+
+// subPatternOf reports whether p is a subgraph of q (injective vertex
+// mapping preserving vertex labels, edge labels and direction).
+func subPatternOf(p, q Pattern) bool {
+	if len(p.Edges) > len(q.Edges) || len(p.VertexLabels) > len(q.VertexLabels) {
+		return false
+	}
+	n, m := len(p.VertexLabels), len(q.VertexLabels)
+	assign := make([]int, n)
+	used := make([]bool, m)
+	for i := range assign {
+		assign[i] = -1
+	}
+	var match func(i int) bool
+	match = func(i int) bool {
+		if i == n {
+			return edgesContained(p.Edges, q.Edges, assign)
+		}
+		for j := 0; j < m; j++ {
+			if used[j] || p.VertexLabels[i] != q.VertexLabels[j] {
+				continue
+			}
+			assign[i] = j
+			used[j] = true
+			if match(i + 1) {
+				return true
+			}
+			assign[i] = -1
+			used[j] = false
+		}
+		return false
+	}
+	return match(0)
+}
+
+// edgesContained checks multiset containment of p-edges mapped through
+// assign into q-edges.
+func edgesContained(pe, qe []PatternEdge, assign []int) bool {
+	remaining := make(map[PatternEdge]int, len(qe))
+	for _, e := range qe {
+		remaining[e]++
+	}
+	for _, e := range pe {
+		mapped := PatternEdge{Src: assign[e.Src], Dst: assign[e.Dst], Label: e.Label}
+		if remaining[mapped] == 0 {
+			return false
+		}
+		remaining[mapped]--
+	}
+	return true
+}
 
 func (m *refMiner) Transitions() (entered, left []Pattern) {
 	cur := map[string]bool{}
@@ -515,7 +601,7 @@ type miner interface {
 	AddBatch([]Edge)
 	EvictBefore(int64) int
 	FrequentPatterns() []Pattern
-	ClosedPatterns() []Pattern
+	ClosedPatterns(k int) []Pattern
 	Transitions() (entered, left []Pattern)
 }
 
@@ -545,11 +631,70 @@ func diffAgainstReference(cfg Config, ops []minerOp) string {
 		if g, w := got.FrequentPatterns(), want.FrequentPatterns(); !reflect.DeepEqual(g, w) {
 			return fmt.Sprintf("op %d (%c): FrequentPatterns\n got  %v\n want %v", i, op.kind, g, w)
 		}
-		if g, w := got.ClosedPatterns(), want.ClosedPatterns(); !reflect.DeepEqual(g, w) {
-			return fmt.Sprintf("op %d (%c): ClosedPatterns\n got  %v\n want %v", i, op.kind, g, w)
+		for _, k := range []int{1, 3, 0} {
+			if g, w := got.ClosedPatterns(k), want.ClosedPatterns(k); !reflect.DeepEqual(g, w) {
+				return fmt.Sprintf("op %d (%c): ClosedPatterns(%d)\n got  %v\n want %v", i, op.kind, k, g, w)
+			}
 		}
 	}
 	return ""
+}
+
+// TestLatticeMatchesSubPatternOfQuick pins the lattice to the brute-force
+// relation. After random operations with reads in between (so links are
+// filled in several steps, and some reach a sub-pattern interned after its
+// super-pattern), pattern q is linked under pattern p exactly when q has one
+// edge more and subPatternOf(p, q) holds. The streams carry self-loops,
+// parallel edges and edges that disagree about an entity's type.
+func TestLatticeMatchesSubPatternOfQuick(t *testing.T) {
+	f := func(seed int64, bits uint16) bool {
+		cfg := configFromBits(bits)
+		m := NewMiner(cfg)
+		for _, op := range opsFor(cfg, seed, 24) {
+			switch op.kind {
+			case 'a':
+				m.Add(op.edges[0])
+			case 'b':
+				m.AddBatch(op.edges)
+			case 'e':
+				m.EvictBefore(op.cutoff)
+			case 't':
+				m.ClosedPatterns(1)
+			}
+		}
+		m.ClosedPatterns(1)
+		pats := m.memo.patterns
+		for pi, p := range pats {
+			want := map[int32]bool{}
+			for qi, q := range pats {
+				if len(q.Edges) == len(p.Edges)+1 && subPatternOf(p, q) {
+					want[int32(qi)] = true
+				}
+			}
+			got := map[int32]bool{}
+			for _, q := range m.lat.supers[pi] {
+				if got[q] {
+					t.Logf("cfg %+v seed %d: %s linked twice under %s", cfg, seed, pats[q].Code, p.Code)
+					return false
+				}
+				got[q] = true
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("cfg %+v seed %d: links under %s\n got  %v\n want %v", cfg, seed, p.Code, got, want)
+				return false
+			}
+		}
+		for code := range m.lat.pending {
+			if _, ok := m.memo.pidOf[code]; ok {
+				t.Logf("cfg %+v seed %d: interned %s still pending", cfg, seed, code)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // configFromBits spreads a fuzz/quick input over the configuration space:

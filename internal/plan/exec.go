@@ -296,9 +296,6 @@ func (ex *Executor) evalNode(n Node, w temporal.Window, v *value, tr *Trace) err
 			if len(v.facts) > t.K {
 				v.facts = v.facts[:t.K]
 			}
-			if len(v.patterns) > t.K {
-				v.patterns = v.patterns[:t.K]
-			}
 			if len(v.trends) > t.K {
 				v.trends = v.trends[:t.K]
 			}
@@ -383,7 +380,7 @@ func (ex *Executor) evalScan(t *Scan, w temporal.Window, v *value) error {
 			}
 		}
 	case SourcePatterns:
-		v.patterns = ex.Miner.ClosedPatterns()
+		v.patterns = ex.Miner.ClosedPatterns(t.K)
 	case SourceStream:
 		// DatedIn never materializes the curated substrate; the flag check
 		// guards the rare dated-but-curated fact, which is timeless

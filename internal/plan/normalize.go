@@ -43,7 +43,7 @@ func normNode(b *strings.Builder, n Node) {
 	}
 	switch t := n.(type) {
 	case *Scan:
-		fmt.Fprintf(b, "Scan(%s,s=%q,o=%q,p=%q)", t.Source, t.Subject, t.Object, t.Predicate)
+		fmt.Fprintf(b, "Scan(%s,s=%q,o=%q,p=%q,k=%d)", t.Source, t.Subject, t.Object, t.Predicate, t.K)
 	case *WindowFilter:
 		b.WriteString("WF(")
 		normWindow(b, t.Window)

@@ -77,6 +77,9 @@ type Scan struct {
 	Subject   string
 	Object    string
 	Predicate string
+	// K bounds a patterns scan to the miner's top K closed patterns, which
+	// it reads in rank order; K <= 0 reads them all.
+	K int
 }
 
 func (s *Scan) Op() Op         { return OpScan }
@@ -109,7 +112,8 @@ func (w *WindowFilter) args() string   { return "window=" + w.Window.String() }
 
 // Rank orders its input by the relation's native ranking (confidence for
 // facts, burst score for trends, support for patterns) and keeps the top K.
-// K <= 0 keeps everything.
+// K <= 0 keeps everything. A patterns scan ranks and cuts its own rows
+// (Scan.K), so Rank passes them through.
 type Rank struct {
 	K     int
 	Input Node
@@ -278,7 +282,7 @@ func RelationshipPlan(subject, object, predicate string, k int, w temporal.Windo
 func PatternsPlan(k int) *Plan {
 	return &Plan{
 		Class: "pattern",
-		Root:  &Rank{K: k, Input: &Scan{Source: SourcePatterns}},
+		Root:  &Rank{K: k, Input: &Scan{Source: SourcePatterns, K: k}},
 		K:     k,
 	}
 }

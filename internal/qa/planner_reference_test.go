@@ -176,7 +176,7 @@ func (ex legacyExec) relationship(q Query) (plan.Result, error) {
 
 func (ex legacyExec) patterns(q Query) (plan.Result, error) {
 	a := plan.Result{Class: string(ClassPattern)}
-	ps := ex.Miner.ClosedPatterns()
+	ps := ex.Miner.ClosedPatterns(0)
 	if q.K > 0 && len(ps) > q.K {
 		ps = ps[:q.K]
 	}

@@ -592,11 +592,7 @@ func (p *Pipeline) PlanStats() PlanStats {
 // Patterns returns the top-k closed frequent patterns in the current
 // window.
 func (p *Pipeline) Patterns(k int) []Pattern {
-	ps := p.miner.ClosedPatterns()
-	if k > 0 && len(ps) > k {
-		ps = ps[:k]
-	}
-	return ps
+	return p.miner.ClosedPatterns(k)
 }
 
 // PatternTransitions reports patterns entering and leaving the frequent
