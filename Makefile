@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint nouslint fmt bench sysbench
+.PHONY: all build test lint nouslint fmt bench sysbench loc
 
 all: build test lint
 
@@ -47,3 +47,19 @@ sysbench:
 		echo "$$w $$(echo "$$out" | tail -n 1)"; \
 		[ $$rc -eq 0 ] || exit $$rc; \
 	done
+
+# loc prints the non-test, non-comment, non-blank Go lines of each package.
+# System code is internal/* less internal/analysis, plus the root package and
+# cmd/nous; benchmark/ is totalled on its own. A comment line is one whose
+# first non-blank characters are //.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		case $$pkg in \
+		nous/internal/analysis|nous/internal/analysis/*) continue ;; \
+		nous|nous/cmd/nous|nous/internal/*|nous/benchmark) ;; \
+		*) continue ;; \
+		esac; \
+		echo "$$pkg $$(cat $$files | grep -v '^[[:space:]]*//' | grep -cv '^[[:space:]]*$$')"; \
+	done | awk '{ printf "%-28s %6d\n", $$1, $$2; total[$$1 == "nous/benchmark" ? "benchmark" : "system"] += $$2 } \
+		END { printf "%-28s %6d\n%-28s %6d\n", "system", total["system"], "benchmark", total["benchmark"] }'

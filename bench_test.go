@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"nous/internal/analytics"
 	"nous/internal/corpus"
 	"nous/internal/disambig"
 	"nous/internal/extract"
@@ -297,7 +298,7 @@ func BenchmarkC5_Disambiguation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l := disambig.NewLinker(kg, disambig.DefaultConfig())
+	l := disambig.NewLinker(kg, analytics.New(kg))
 	ms := []disambig.Mention{
 		{Surface: "Apex", Context: []string{"drone", "inspection", "robotics"}},
 		{Surface: "Titan", Context: []string{"solar", "aerospace"}},
@@ -324,30 +325,6 @@ func BenchmarkC6_IngestThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_SupportMetric compares embedding-count support with the
-// minimum-node-image support of fgm.Config.TrackMNI. MNI is the
-// anti-monotone support of the graph-mining literature; its price is a
-// vertex-image count per pattern position, kept on every embedding.
-func BenchmarkAblation_SupportMetric(b *testing.B) {
-	stream := benchEdges(600)
-	for _, mni := range []bool{false, true} {
-		name := "embedding-count"
-		if mni {
-			name = "mni"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := fgm.Config{MaxEdges: 3, MinSupport: 3, WindowSize: 400, TrackMNI: mni}
-			for i := 0; i < b.N; i++ {
-				m := fgm.NewMiner(cfg)
-				for _, e := range stream {
-					m.Add(e)
-				}
-				m.FrequentPatterns()
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_LookaheadWidth sweeps the beam width of the coherence
 // look-ahead around its default of 32: a wider beam keeps more partial
 // paths per depth.
@@ -357,47 +334,6 @@ func BenchmarkAblation_LookaheadWidth(b *testing.B) {
 		b.Run(fmt.Sprintf("beam=%d", beam), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.TopK(src, dst, pathsearch.Options{K: 3, MaxDepth: 4, Beam: beam})
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_ConfidenceGate sweeps the admission threshold τ and
-// reports the precision of admitted facts against world ground truth: the
-// trade the gate's default (stream.DefaultConfig, τ = 0.35) makes between
-// admitted facts and their precision.
-func BenchmarkAblation_ConfidenceGate(b *testing.B) {
-	articles := benchArticles(150)
-	for _, tau := range []float64{0.15, 0.35, 0.55} {
-		b.Run(fmt.Sprintf("tau=%.2f", tau), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				kg, err := benchWorld.LoadKG()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := DefaultConfig()
-				cfg.Stream.ConfidenceThreshold = tau
-				p := NewPipeline(kg, cfg)
-				b.StartTimer()
-				p.IngestAll(articles)
-				b.StopTimer()
-				good, bad := 0, 0
-				for _, f := range kg.AllFacts() {
-					if f.Curated {
-						continue
-					}
-					if benchWorld.TrueFact(f.Subject, f.Predicate, f.Object) {
-						good++
-					} else {
-						bad++
-					}
-				}
-				if good+bad > 0 {
-					b.ReportMetric(float64(good)/float64(good+bad), "precision")
-					b.ReportMetric(float64(good+bad), "facts")
-				}
-				b.StartTimer()
 			}
 		})
 	}

@@ -71,6 +71,14 @@ const maxRanks = 9
 // changes (disk_bytes_per_fact 210.0008 → 210.0169).
 const priorLag = 256
 
+// The PageRank schedule of every importance artifact. The seed's query
+// paths used damping 0.85 with 15 iterations (entity summaries) and 20
+// (disambiguation prior); the shared artifact uses the stricter 20.
+const (
+	pageRankDamping = 0.85
+	pageRankIters   = 20
+)
+
 // one is the key of a memo that holds a single artifact.
 type one struct{}
 
@@ -97,12 +105,6 @@ type topicSet struct {
 type Cache struct {
 	kg *core.KG
 
-	// PageRank parameters. The seed's query paths used damping 0.85 with 15
-	// iterations (entity summaries) and 20 (disambiguation prior); the
-	// shared artifact uses the stricter 20.
-	Damping float64
-	Iters   int
-
 	view   *ResultMemo[one, epochView]
 	ranks  *ResultMemo[temporal.Window, *graph.Ranks] // the unbounded window is temporal.All()
 	prior  *ResultMemo[one, map[string]float64]
@@ -124,7 +126,7 @@ type Cache struct {
 // New returns a cache over kg with the standard PageRank schedule.
 func New(kg *core.KG) *Cache {
 	return &Cache{
-		kg: kg, Damping: 0.85, Iters: 20,
+		kg:     kg,
 		view:   NewResultMemo[one, epochView](1),
 		ranks:  NewResultMemo[temporal.Window, *graph.Ranks](maxRanks),
 		prior:  NewResultMemo[one, map[string]float64](1),
@@ -183,7 +185,7 @@ func (c *Cache) WindowedPageRank(w temporal.Window) *graph.Ranks {
 			c.windowedComputes.Add(1)
 		}
 		v := c.compiled()
-		return v.PageRank(c.Damping, c.Iters, keep), v.epoch, nil
+		return v.PageRank(pageRankDamping, pageRankIters, keep), v.epoch, nil
 	})
 	c.account(hit)
 	return r
@@ -208,7 +210,7 @@ func (c *Cache) PopularityPrior() map[string]float64 {
 		// prior is recomputed mid-ingest, and that must not evict a query
 		// window or count as a query-path kernel run.
 		view := c.compiled()
-		pr := view.PageRank(c.Damping, c.Iters, nil)
+		pr := view.PageRank(pageRankDamping, pageRankIters, nil)
 		maxRank := 0.0
 		pr.Each(func(_ graph.VertexID, r float64) {
 			if r > maxRank {

@@ -148,7 +148,7 @@ func TestViewImmutableUnderWrites(t *testing.T) {
 	w := temporal.Between(day0.AddDate(0, 0, 10), day0.AddDate(0, 0, 60))
 
 	held := c.compiled()
-	before := held.PageRank(c.Damping, c.Iters, w.ContainsStamp)
+	before := held.PageRank(pageRankDamping, pageRankIters, w.ContainsStamp)
 	first := c.WindowedPageRank(w)
 	sameBits(t, "cache vs its own view", first, before)
 	if c.compiled() != held {
@@ -183,7 +183,7 @@ func TestViewImmutableUnderWrites(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	sameBits(t, "held view after 400 writes", held.PageRank(c.Damping, c.Iters, w.ContainsStamp), before)
+	sameBits(t, "held view after 400 writes", held.PageRank(pageRankDamping, pageRankIters, w.ContainsStamp), before)
 	if fresh := c.compiled(); fresh == held || fresh.NumEdges() <= held.NumEdges() {
 		t.Fatalf("view at the new epoch has %d edges, the held one %d", fresh.NumEdges(), held.NumEdges())
 	}

@@ -1,11 +1,12 @@
 package corpus
 
 import (
-	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"nous/internal/core"
 	"nous/internal/ontology"
 )
 
@@ -190,22 +191,21 @@ func TestTrueFactDistinguishesRumors(t *testing.T) {
 }
 
 func TestTriplesTSVRoundtrip(t *testing.T) {
-	w := Generate(smallConfig())
-	var buf bytes.Buffer
-	if err := WriteTriplesTSV(&buf, w.Curated[:10]); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTriplesTSV(&buf)
+	got, err := ReadTriplesTSV(strings.NewReader(
+		"DJI\tacquired\tParrot\tCompany\tCompany\n" +
+			" Ada Lee \tworksFor\tDJI\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 10 {
-		t.Fatalf("roundtrip count = %d", len(got))
+	want := []core.Triple{
+		{Subject: "DJI", Predicate: "acquired", Object: "Parrot",
+			SubjectType: ontology.TypeCompany, ObjectType: ontology.TypeCompany,
+			Confidence: 1, Curated: true, Provenance: core.Provenance{Source: "tsv"}},
+		{Subject: "Ada Lee", Predicate: "worksFor", Object: "DJI",
+			Confidence: 1, Curated: true, Provenance: core.Provenance{Source: "tsv"}},
 	}
-	for i := range got {
-		if got[i].Subject != w.Curated[i].Subject || got[i].Predicate != w.Curated[i].Predicate {
-			t.Fatalf("triple %d mismatch: %+v vs %+v", i, got[i], w.Curated[i])
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed\n %+v\nwant\n %+v", got, want)
 	}
 }
 
@@ -221,23 +221,22 @@ func TestTriplesTSVRejectsMalformed(t *testing.T) {
 }
 
 func TestArticlesJSONRoundtrip(t *testing.T) {
-	w := Generate(smallConfig())
-	arts := GenerateArticles(w, DefaultArticleConfig(5))
-	var buf bytes.Buffer
-	if err := WriteArticlesJSON(&buf, arts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadArticlesJSON(&buf)
+	got, err := ReadArticlesJSON(strings.NewReader(`[
+		{"id": "a1", "source": "wsj", "date": "2015-03-01", "title": "Deal", "text": "DJI acquired Parrot."},
+		{"id": "a2", "text": "Undated."}
+	]`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(arts) {
-		t.Fatalf("roundtrip count = %d", len(got))
+	want := []Article{
+		{ID: "a1", Source: "wsj", Date: time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC), Title: "Deal", Text: "DJI acquired Parrot."},
+		{ID: "a2", Text: "Undated."},
 	}
-	for i := range got {
-		if got[i].Text != arts[i].Text || !got[i].Date.Equal(arts[i].Date.Truncate(24*time.Hour)) {
-			t.Fatalf("article %d mismatch", i)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed\n %+v\nwant\n %+v", got, want)
+	}
+	if _, err := ReadArticlesJSON(strings.NewReader(`[{"id": "a3", "date": "March 1"}]`)); err == nil {
+		t.Fatal("bad date accepted")
 	}
 }
 

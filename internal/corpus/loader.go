@@ -53,18 +53,6 @@ func ReadTriplesTSV(r io.Reader) ([]core.Triple, error) {
 	return out, nil
 }
 
-// WriteTriplesTSV writes triples in the format ReadTriplesTSV parses.
-func WriteTriplesTSV(w io.Writer, triples []core.Triple) error {
-	bw := bufio.NewWriter(w)
-	for _, t := range triples {
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\t%s\t%s\n",
-			t.Subject, t.Predicate, t.Object, t.SubjectType, t.ObjectType); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // jsonArticle is the wire format for article streams.
 type jsonArticle struct {
 	ID     string `json:"id"`
@@ -95,19 +83,4 @@ func ReadArticlesJSON(r io.Reader) ([]Article, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// WriteArticlesJSON writes articles in the format ReadArticlesJSON parses.
-func WriteArticlesJSON(w io.Writer, articles []Article) error {
-	raw := make([]jsonArticle, 0, len(articles))
-	for _, a := range articles {
-		ja := jsonArticle{ID: a.ID, Source: a.Source, Title: a.Title, Text: a.Text}
-		if !a.Date.IsZero() {
-			ja.Date = a.Date.UTC().Format("2006-01-02")
-		}
-		raw = append(raw, ja)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(raw)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nous/internal/analytics"
 	"nous/internal/corpus"
 )
 
@@ -40,7 +41,7 @@ func claimC5Accuracy(t *testing.T, seed int64) (aida, prior float64) {
 	}
 	acfg := corpus.DefaultArticleConfig(800)
 	acfg.AliasRate = 0.9
-	linker := NewLinker(kg, DefaultConfig())
+	linker := NewLinker(kg, analytics.New(kg))
 	total, aidaHit, priorHit := 0, 0, 0
 	for _, a := range corpus.GenerateArticles(w, acfg) {
 		ctx := strings.Fields(strings.ToLower(a.Text))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nous/internal/analytics"
 	"nous/internal/core"
 	"nous/internal/ontology"
 )
@@ -43,7 +44,7 @@ func testKG(t *testing.T) *core.KG {
 
 func TestContextBeatsPrior(t *testing.T) {
 	kg := testKG(t)
-	l := NewLinker(kg, DefaultConfig())
+	l := NewLinker(kg, analytics.New(kg))
 
 	// Drone-flavored context should pick Apex Robotics even though Apex
 	// Media is more popular.
@@ -64,7 +65,7 @@ func TestContextBeatsPrior(t *testing.T) {
 
 func TestPriorOnlyBaselinePicksPopular(t *testing.T) {
 	kg := testKG(t)
-	l := NewLinker(kg, DefaultConfig())
+	l := NewLinker(kg, analytics.New(kg))
 	r := l.LinkPriorOnly("Apex")
 	if r.Entity != "Apex Media Group" {
 		t.Fatalf("prior-only = %q, want the popular entity", r.Entity)
@@ -73,7 +74,7 @@ func TestPriorOnlyBaselinePicksPopular(t *testing.T) {
 
 func TestJointCoherence(t *testing.T) {
 	kg := testKG(t)
-	l := NewLinker(kg, DefaultConfig())
+	l := NewLinker(kg, analytics.New(kg))
 	// A document mentioning both DJI and Apex with thin context: coherence
 	// with DJI should pull Apex toward Apex Robotics (they share edges).
 	rs := l.Link([]Mention{
@@ -90,7 +91,7 @@ func TestJointCoherence(t *testing.T) {
 
 func TestUnknownMention(t *testing.T) {
 	kg := testKG(t)
-	l := NewLinker(kg, DefaultConfig())
+	l := NewLinker(kg, analytics.New(kg))
 	r := l.LinkOne(Mention{Surface: "Zorblatt Industries", Context: []string{"drone"}})
 	if r.Entity != "" {
 		t.Fatalf("unknown mention resolved to %q", r.Entity)
@@ -99,7 +100,7 @@ func TestUnknownMention(t *testing.T) {
 
 func TestUnambiguousMention(t *testing.T) {
 	kg := testKG(t)
-	l := NewLinker(kg, DefaultConfig())
+	l := NewLinker(kg, analytics.New(kg))
 	r := l.LinkOne(Mention{Surface: "DJI", Context: nil})
 	if r.Entity != "DJI" || r.Ambiguous {
 		t.Fatalf("result = %+v", r)
@@ -108,7 +109,7 @@ func TestUnambiguousMention(t *testing.T) {
 
 func TestEveryMentionKeepsACandidate(t *testing.T) {
 	kg := testKG(t)
-	l := NewLinker(kg, DefaultConfig())
+	l := NewLinker(kg, analytics.New(kg))
 	rs := l.Link([]Mention{
 		{Surface: "Apex", Context: []string{"drone"}},
 		{Surface: "Apex", Context: []string{"media"}},
@@ -129,7 +130,7 @@ const priorLag = 256
 // mutations have passed, the boosted entity wins.
 func TestRefreshPriorAfterUpdates(t *testing.T) {
 	kg := testKG(t)
-	l := NewLinker(kg, DefaultConfig())
+	l := NewLinker(kg, analytics.New(kg))
 	before := l.LinkPriorOnly("Apex").Entity
 	from := kg.Graph().Epoch()
 
@@ -170,7 +171,7 @@ func BenchmarkLinkJoint(b *testing.B) {
 		kg.AddFact(core.Triple{Subject: "Apex Robotics", Predicate: "partnersWith",
 			Object: "DJI", Confidence: 1, Curated: true})
 	}
-	l := NewLinker(kg, DefaultConfig())
+	l := NewLinker(kg, analytics.New(kg))
 	ms := []Mention{
 		{Surface: "Apex", Context: []string{"drone", "inspection"}},
 		{Surface: "DJI", Context: []string{"drone"}},

@@ -306,43 +306,6 @@ func TestReconstructionAfterInfrequency(t *testing.T) {
 	}
 }
 
-func TestMNISupportStar(t *testing.T) {
-	// hub with 5 spokes: embedding count 5, MNI = min(1 hub, 5 spokes) = 1.
-	mkStar := func(cfg Config) *Miner {
-		m := NewMiner(cfg)
-		for i := int64(1); i <= 5; i++ {
-			m.Add(Edge{Src: 0, Dst: i, SrcLabel: "C", DstLabel: "P", Label: "manufactures"})
-		}
-		return m
-	}
-	plain := mkStar(Config{MaxEdges: 1, MinSupport: 1})
-	mni := mkStar(Config{MaxEdges: 1, MinSupport: 1, TrackMNI: true})
-	pPlain := plain.FrequentPatterns()
-	if len(pPlain) != 1 || pPlain[0].Support != 5 {
-		t.Fatalf("embedding-count support = %+v", pPlain)
-	}
-	pMNI := mni.FrequentPatterns()
-	if len(pMNI) != 1 || pMNI[0].Support != 1 {
-		t.Fatalf("MNI support = %+v", pMNI)
-	}
-}
-
-func TestMNIEvictionConsistency(t *testing.T) {
-	cfg := Config{MaxEdges: 2, MinSupport: 1, TrackMNI: true}
-	m := NewMiner(cfg)
-	stream := randomStream(40, 19)
-	for _, ed := range stream {
-		m.Add(ed)
-	}
-	m.EvictBefore(20)
-	fresh := minerForWindow(m.window(), cfg)
-	for code := range countsOf(m) {
-		if m.Support(code) != fresh.Support(code) {
-			t.Fatalf("MNI support desync for %s: %d vs %d", code, m.Support(code), fresh.Support(code))
-		}
-	}
-}
-
 func TestPatternString(t *testing.T) {
 	p := Pattern{
 		VertexLabels: []string{"Company", "Company", "Product"},

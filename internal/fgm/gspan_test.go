@@ -258,7 +258,7 @@ func canonOfPattern(p Pattern) string {
 	for i, e := range p.Edges {
 		edges[i] = rawEdge{src: e.Src, dst: e.Dst, label: e.Label}
 	}
-	code, _ := canonicalForm(p.VertexLabels, edges)
+	code := canonicalForm(p.VertexLabels, edges)
 	return code
 }
 

@@ -53,7 +53,7 @@ func (m *Miner) Support(code string) int {
 	if !ok {
 		return 0
 	}
-	return m.supportOf(pid)
+	return int(m.counts[pid])
 }
 
 // Instance is one concrete embedding of a pattern in a window: the mapping

@@ -19,18 +19,6 @@ import (
 // brought in. Every connected edge set containing the anchor is thereby
 // generated exactly once, for any MaxEdges, with no set of visited sets.
 
-// shape is the memoized canonical form of one raw signature.
-type shape struct {
-	pid  int32   // dense pattern id
-	perm []uint8 // raw vertex position -> canonical position
-}
-
-// shapeRef is what the memo stores per raw signature: the pattern id the
-// count needs on every embedding, and the shape's index for the MNI path.
-type shapeRef struct {
-	pid, shape int32
-}
-
 // shapeMemo maps raw signatures to canonical patterns. A raw signature is an
 // embedding seen through its concrete ids: the vertex count, the vertex
 // labels in ascending-id order, then the (srcPos, dstPos, label) triples
@@ -43,14 +31,13 @@ type shapeMemo struct {
 	// while enumerating and trade it for the write lock on a miss. Every
 	// other access happens under Miner.mu alone.
 	mu       sync.RWMutex
-	refs     map[string]shapeRef // by raw signature
-	shapes   []shape
+	sigs     map[string]int32 // raw signature -> pattern id
 	pidOf    map[string]int32 // canonical code -> pattern id
 	patterns []Pattern        // by pattern id; Support unset
 }
 
 func newShapeMemo() shapeMemo {
-	return shapeMemo{refs: make(map[string]shapeRef), pidOf: make(map[string]int32)}
+	return shapeMemo{sigs: make(map[string]int32), pidOf: make(map[string]int32)}
 }
 
 // placedVertex is one embedding vertex in raw (ascending concrete id) order.
@@ -80,10 +67,9 @@ type vertexType struct {
 // goroutine.
 type kernel struct {
 	m      *Miner
-	counts *[]int64             // by pattern id; the miner's own, or a worker's delta
-	images *[][]map[int64]int64 // likewise, touched only when TrackMNI
-	emb    *int64               // embeddings counted, likewise
-	shared bool                 // an AddBatch worker: the memo is guarded by memo.mu
+	counts *[]int64 // by pattern id; the miner's own, or a worker's delta
+	emb    *int64   // embeddings counted, likewise
+	shared bool     // an AddBatch worker: the memo is guarded by memo.mu
 
 	anchor int32
 	limit  int64 // extend only with edges of seq below this
@@ -101,10 +87,10 @@ type kernel struct {
 	sig []byte   // the raw signature
 }
 
-func newKernel(m *Miner, counts *[]int64, images *[][]map[int64]int64, emb *int64, shared bool) kernel {
+func newKernel(m *Miner, counts *[]int64, emb *int64, shared bool) kernel {
 	maxE := m.cfg.MaxEdges
 	return kernel{
-		m: m, counts: counts, images: images, emb: emb, shared: shared,
+		m: m, counts: counts, emb: emb, shared: shared,
 		set: make([]embEdge, 0, maxE),
 		vs:  make([]int32, 0, maxE+1),
 		typ: make([]vertexType, maxE+1),
@@ -262,28 +248,24 @@ func (k *kernel) count() {
 	}
 	k.tri, k.sig = tri, sig
 
-	m := k.m
-	ref, ok := m.memo.refs[string(sig)]
+	pid, ok := k.m.memo.sigs[string(sig)]
 	if !ok {
-		ref = k.missed()
+		pid = k.missed()
 	}
 
 	*k.emb++
 	counts := *k.counts
-	if int(ref.pid) >= len(counts) { // a worker's delta lags the pattern table
-		counts = append(counts, make([]int64, int(ref.pid)+1-len(counts))...)
+	if int(pid) >= len(counts) { // a worker's delta lags the pattern table
+		counts = append(counts, make([]int64, int(pid)+1-len(counts))...)
 		*k.counts = counts
 	}
-	counts[ref.pid] += k.sign
-	if m.cfg.TrackMNI {
-		k.countImages(&m.memo.shapes[ref.shape], counts[ref.pid] == 0)
-	}
+	counts[pid] += k.sign
 }
 
 // missed registers the current embedding's raw signature, which the memo
 // does not hold. A worker swaps its read lock for the write lock and looks
 // again first: another worker may have met the same shape meanwhile.
-func (k *kernel) missed() shapeRef {
+func (k *kernel) missed() int32 {
 	memo := &k.m.memo
 	if k.shared {
 		memo.mu.RUnlock()
@@ -292,28 +274,28 @@ func (k *kernel) missed() shapeRef {
 			memo.mu.Unlock()
 			memo.mu.RLock()
 		}()
-		if ref, ok := memo.refs[string(k.sig)]; ok {
-			return ref
+		if pid, ok := memo.sigs[string(k.sig)]; ok {
+			return pid
 		}
 	}
 	vlabels := make([]string, len(k.ord))
 	for i := range k.ord {
 		vlabels[i] = k.m.labels[k.typ[k.ord[i].found].label]
 	}
-	ref := k.m.addShape(vlabels, k.tri)
-	memo.refs[string(k.sig)] = ref
-	return ref
+	pid := k.m.addShape(vlabels, k.tri)
+	memo.sigs[string(k.sig)] = pid
+	return pid
 }
 
 // addShape canonicalizes a raw shape new to the memo — its vertex types in
-// raw order and its sorted edge triples — and returns its reference, growing
-// the miner's count tables when the pattern itself is new.
-func (m *Miner) addShape(vlabels []string, tri []uint64) shapeRef {
+// raw order and its sorted edge triples — and returns its pattern id,
+// growing the miner's count table when the pattern itself is new.
+func (m *Miner) addShape(vlabels []string, tri []uint64) int32 {
 	edges := make([]rawEdge, len(tri))
 	for i, t := range tri {
 		edges[i] = rawEdge{src: int(t >> 40), dst: int(t >> 32 & 0xff), label: m.labels[uint32(t)]}
 	}
-	code, perm := canonicalForm(vlabels, edges)
+	code := canonicalForm(vlabels, edges)
 
 	memo := &m.memo
 	pid, ok := memo.pidOf[code]
@@ -324,45 +306,6 @@ func (m *Miner) addShape(vlabels []string, tri []uint64) shapeRef {
 		pattern.Code = code
 		memo.patterns = append(memo.patterns, pattern)
 		m.counts = append(m.counts, 0)
-		if m.cfg.TrackMNI {
-			m.images = append(m.images, nil)
-		}
 	}
-	sh := shape{pid: pid, perm: make([]uint8, len(perm))}
-	for i, p := range perm {
-		sh.perm[i] = uint8(p)
-	}
-	memo.shapes = append(memo.shapes, sh)
-	return shapeRef{pid: pid, shape: int32(len(memo.shapes) - 1)}
-}
-
-// countImages applies the sign to the MNI image of every vertex of the
-// current embedding; a pattern whose last embedding just went drops its
-// image maps.
-func (k *kernel) countImages(sh *shape, gone bool) {
-	images := *k.images
-	if int(sh.pid) >= len(images) {
-		images = append(images, make([][]map[int64]int64, int(sh.pid)+1-len(images))...)
-		*k.images = images
-	}
-	if gone {
-		images[sh.pid] = nil
-		return
-	}
-	imgs := images[sh.pid]
-	if imgs == nil {
-		imgs = make([]map[int64]int64, len(sh.perm))
-		for i := range imgs {
-			imgs[i] = make(map[int64]int64)
-		}
-		images[sh.pid] = imgs
-	}
-	for raw := range k.ord {
-		byVid, id := imgs[sh.perm[raw]], k.ord[raw].id
-		if c := byVid[id] + k.sign; c > 0 {
-			byVid[id] = c
-		} else {
-			delete(byVid, id)
-		}
-	}
+	return pid
 }

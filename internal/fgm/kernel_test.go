@@ -57,14 +57,14 @@ func TestAddSteadyStateAllocs(t *testing.T) {
 			m.Add(e)
 		}
 	}
-	shapes := len(m.memo.shapes)
+	shapes := len(m.memo.sigs)
 	i := 0
 	allocs := testing.AllocsPerRun(len(stream), func() {
 		m.Add(stream[i%len(stream)])
 		i++
 	})
-	if len(m.memo.shapes) != shapes {
-		t.Fatalf("the measured adds met %d new shapes; the warm-up is too short", len(m.memo.shapes)-shapes)
+	if len(m.memo.sigs) != shapes {
+		t.Fatalf("the measured adds met %d new shapes; the warm-up is too short", len(m.memo.sigs)-shapes)
 	}
 	if allocs > 2 {
 		t.Fatalf("steady-state Add allocates %.1f objects, want <= 2", allocs)

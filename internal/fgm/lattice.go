@@ -87,7 +87,7 @@ func subPatternCode(p *Pattern, i int) (string, bool) {
 	if !connected(len(vlabels), edges) {
 		return "", false
 	}
-	code, _ := canonicalForm(vlabels, edges)
+	code := canonicalForm(vlabels, edges)
 	return code, true
 }
 

@@ -11,8 +11,7 @@ import (
 type Config struct {
 	// MaxEdges bounds pattern size (edges per pattern). Default 3.
 	MaxEdges int
-	// MinSupport is the frequency threshold (embedding count, or MNI when
-	// TrackMNI is set). Default 3.
+	// MinSupport is the frequency threshold, an embedding count. Default 3.
 	MinSupport int
 	// WindowSize caps the number of stream edges kept; 0 disables
 	// count-based eviction (use EvictBefore for time-based windows).
@@ -20,9 +19,6 @@ type Config struct {
 	// Workers parallelizes AddBatch across hash partitions. Default
 	// GOMAXPROCS.
 	Workers int
-	// TrackMNI switches support from embedding count to the
-	// minimum-node-image metric.
-	TrackMNI bool
 }
 
 // DefaultConfig returns the configuration used in the paper-style
@@ -85,12 +81,11 @@ type Miner struct {
 	labels    []string
 
 	memo   shapeMemo
-	counts []int64             // embedding count by pattern id
-	images [][]map[int64]int64 // pattern id -> position -> vertex -> count; nil unless TrackMNI
-	seqK   kernel              // scratch of the sequential paths (Add, evictions)
-	emb    int64               // embeddings counted so far
-	prev   map[string]bool     // frequent codes at the last Transitions call
-	lat    lattice             // sub-pattern links for ClosedPatterns
+	counts []int64         // embedding count by pattern id
+	seqK   kernel          // scratch of the sequential paths (Add, evictions)
+	emb    int64           // embeddings counted so far
+	prev   map[string]bool // frequent codes at the last Transitions call
+	lat    lattice         // sub-pattern links for ClosedPatterns
 }
 
 // NewMiner returns an empty miner.
@@ -103,7 +98,7 @@ func NewMiner(cfg Config) *Miner {
 		prev:    make(map[string]bool),
 		lat:     lattice{pending: make(map[string][]int32)},
 	}
-	m.seqK = newKernel(m, &m.counts, &m.images, &m.emb, false)
+	m.seqK = newKernel(m, &m.counts, &m.emb, false)
 	return m
 }
 
@@ -157,7 +152,6 @@ func (m *Miner) AddBatch(es []Edge) {
 	// memo and count into private deltas that merge once all are done.
 	deltas := make([]struct {
 		counts []int64
-		images [][]map[int64]int64
 		emb    int64
 	}, workers)
 	var wg sync.WaitGroup
@@ -166,7 +160,7 @@ func (m *Miner) AddBatch(es []Edge) {
 		go func(w int) {
 			defer wg.Done()
 			d := &deltas[w]
-			k := newKernel(m, &d.counts, &d.images, &d.emb, true)
+			k := newKernel(m, &d.counts, &d.emb, true)
 			for i := w; i < len(batch); i += workers {
 				k.run(batch[i], m.edges[batch[i]].seq, +1)
 			}
@@ -178,20 +172,6 @@ func (m *Miner) AddBatch(es []Edge) {
 		m.emb += d.emb
 		for pid, c := range d.counts {
 			m.counts[pid] += c
-		}
-		for pid, imgs := range d.images {
-			if imgs == nil {
-				continue
-			}
-			if m.images[pid] == nil {
-				m.images[pid] = imgs
-				continue
-			}
-			for pos, byVid := range imgs {
-				for vid, c := range byVid {
-					m.images[pid][pos][vid] += c
-				}
-			}
 		}
 	}
 }
@@ -254,7 +234,6 @@ func (m *Miner) resetWindow() {
 	m.queue, m.head = m.queue[:0], 0
 	clear(m.vertOf)
 	clear(m.counts)
-	clear(m.images)
 }
 
 func (m *Miner) intern(label string) uint32 {
@@ -337,23 +316,6 @@ func (m *Miner) unlink(v, slot int32) {
 	}
 }
 
-func (m *Miner) supportOf(pid int32) int {
-	if !m.cfg.TrackMNI {
-		return int(m.counts[pid])
-	}
-	imgs := m.images[pid]
-	if len(imgs) == 0 {
-		return 0
-	}
-	minImg := len(imgs[0])
-	for _, byVid := range imgs[1:] {
-		if len(byVid) < minImg {
-			minImg = len(byVid)
-		}
-	}
-	return minImg
-}
-
 // FrequentPatterns returns all patterns at or above MinSupport, largest
 // support first.
 func (m *Miner) FrequentPatterns() []Pattern {
@@ -367,10 +329,8 @@ func (m *Miner) FrequentPatterns() []Pattern {
 // code. Closed patterns are the miner's reporting unit per the paper. A
 // frequent pattern is closed when no pattern with one more edge that
 // contains it has equal support; larger super-patterns are not compared.
-// Under MNI support, which is anti-monotone, that is the same as comparing
-// every frequent super-pattern. An embedding count can grow with the
-// pattern, so under it a super-pattern two or more edges larger with equal
-// support leaves a pattern closed.
+// An embedding count can grow with the pattern, so a super-pattern two or
+// more edges larger with equal support leaves a pattern closed.
 //
 // One pass over the count table answers it: only a frequent pattern that
 // would enter the top k is checked against its lattice links.
@@ -392,7 +352,7 @@ func (m *Miner) rankLocked(k int, keep func(ranked) bool) []Pattern {
 		if n <= 0 {
 			continue
 		}
-		r := ranked{pid: int32(pid), support: m.supportOf(int32(pid))}
+		r := ranked{pid: int32(pid), support: int(n)}
 		if r.support >= m.cfg.MinSupport && top.admits(r) && keep(r) {
 			top.add(r)
 		}
@@ -404,7 +364,7 @@ func (m *Miner) rankLocked(k int, keep func(ranked) bool) []Pattern {
 // pattern has its support (which, being frequent, is nonzero).
 func (m *Miner) closed(r ranked) bool {
 	for _, q := range m.lat.supers[r.pid] {
-		if m.supportOf(q) == r.support {
+		if int(m.counts[q]) == r.support {
 			return false
 		}
 	}
@@ -428,7 +388,7 @@ func (m *Miner) Transitions() (entered, left []Pattern) {
 		if !cur[code] {
 			pid := m.memo.pidOf[code]
 			p := m.memo.patterns[pid]
-			p.Support = m.supportOf(pid)
+			p.Support = int(m.counts[pid])
 			left = append(left, p)
 		}
 	}

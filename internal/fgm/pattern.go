@@ -74,14 +74,12 @@ type rawEdge struct {
 }
 
 // canonicalForm finds the canonical code of a small labeled graph given in
-// raw positional form, and the raw→canonical position permutation. It
-// renders the graph as "L0,L1|s>d:label;s>d:label" (edges in ascending byte
-// order) under every vertex permutation and keeps the first that gives the
-// smallest rendering, so it is a pure function of the raw form; the miner
-// calls it once per distinct raw shape (see shapeMemo).
-func canonicalForm(vlabels []string, edges []rawEdge) (string, []int) {
+// raw positional form. It renders the graph as "L0,L1|s>d:label;s>d:label"
+// (edges in ascending byte order) under every vertex permutation and keeps
+// the smallest rendering, so it is a pure function of the raw form; the
+// miner calls it once per distinct raw shape (see shapeMemo).
+func canonicalForm(vlabels []string, edges []rawEdge) string {
 	var best, sig []byte
-	var bestPerm []int
 	rendered := make([][]byte, len(edges)) // scratch, reused across permutations
 	rawAt := make([]int, len(vlabels))     // likewise: position -> raw vertex
 	permute(len(vlabels), func(p []int) {
@@ -103,10 +101,9 @@ func canonicalForm(vlabels []string, edges []rawEdge) (string, []int) {
 		sig = appendEdges(sig, rendered, edges, p)
 		if best == nil || bytes.Compare(sig, best) < 0 {
 			best = append(best[:0], sig...)
-			bestPerm = append(bestPerm[:0], p...)
 		}
 	})
-	return string(best), bestPerm
+	return string(best)
 }
 
 // appendEdges renders the edges of a raw graph under a raw→position

@@ -40,7 +40,6 @@ type refMiner struct {
 	queue  []*refWindowEdge
 	adj    map[int64][]*refWindowEdge
 	counts map[string]int
-	images map[string][]map[int64]int
 
 	canon        *refCanonicalizer
 	patterns     map[string]Pattern
@@ -52,7 +51,6 @@ func newRefMiner(cfg Config) *refMiner {
 		cfg:          cfg.withDefaults(),
 		adj:          make(map[int64][]*refWindowEdge),
 		counts:       make(map[string]int),
-		images:       make(map[string][]map[int64]int),
 		canon:        newRefCanonicalizer(),
 		patterns:     make(map[string]Pattern),
 		prevFrequent: make(map[string]bool),
@@ -143,21 +141,19 @@ func (m *refMiner) remove(we *refWindowEdge) {
 
 type refDelta struct {
 	counts   map[string]int
-	images   map[string][]map[int64]int
 	patterns map[string]Pattern
 }
 
 func (m *refMiner) applyEmbeddings(we *refWindowEdge, sign int) {
 	d := &refDelta{
 		counts:   make(map[string]int),
-		images:   make(map[string][]map[int64]int),
 		patterns: make(map[string]Pattern),
 	}
 	extendOK := func(f *refWindowEdge) bool { return f.id < we.id } // add rule
 	if sign < 0 {
 		extendOK = func(f *refWindowEdge) bool { return true } // evict rule
 	}
-	m.enumerate(we, extendOK, func(set []*refWindowEdge) { d.record(m.canon, m.cfg.TrackMNI, set) })
+	m.enumerate(we, extendOK, func(set []*refWindowEdge) { d.record(m.canon, set) })
 	m.applyDelta(d, sign)
 }
 
@@ -202,31 +198,18 @@ func (m *refMiner) enumerate(we *refWindowEdge, extendOK func(*refWindowEdge) bo
 	rec()
 }
 
-func (d *refDelta) record(canon *refCanonicalizer, trackMNI bool, set []*refWindowEdge) {
+func (d *refDelta) record(canon *refCanonicalizer, set []*refWindowEdge) {
 	set = append([]*refWindowEdge(nil), set...)
 	sort.Slice(set, func(i, j int) bool { return set[i].id > set[j].id })
 	emb := make([]refEmbEdge, len(set))
 	for i, we := range set {
 		emb[i] = refEmbEdge{src: we.Src, dst: we.Dst, srcLabel: we.SrcLabel, dstLabel: we.DstLabel, label: we.Label}
 	}
-	code, perm, pattern := canon.canonicalize(emb)
+	code, pattern := canon.canonicalize(emb)
 	if _, ok := d.patterns[code]; !ok {
 		d.patterns[code] = pattern
 	}
 	d.counts[code]++
-	if trackMNI {
-		imgs := d.images[code]
-		if imgs == nil {
-			imgs = make([]map[int64]int, len(pattern.VertexLabels))
-			for i := range imgs {
-				imgs[i] = make(map[int64]int)
-			}
-			d.images[code] = imgs
-		}
-		for vid, pos := range perm {
-			imgs[pos][vid]++
-		}
-	}
 }
 
 func (m *refMiner) applyDelta(d *refDelta, sign int) {
@@ -241,49 +224,9 @@ func (m *refMiner) applyDelta(d *refDelta, sign int) {
 			delete(m.counts, code)
 		}
 	}
-	if !m.cfg.TrackMNI {
-		return
-	}
-	for code, imgs := range d.images {
-		cur := m.images[code]
-		if cur == nil {
-			if sign < 0 {
-				continue
-			}
-			cur = make([]map[int64]int, len(imgs))
-			for i := range cur {
-				cur[i] = make(map[int64]int)
-			}
-			m.images[code] = cur
-		}
-		for pos, byVid := range imgs {
-			for vid, c := range byVid {
-				cur[pos][vid] += sign * c
-				if cur[pos][vid] <= 0 {
-					delete(cur[pos], vid)
-				}
-			}
-		}
-		if m.counts[code] == 0 {
-			delete(m.images, code)
-		}
-	}
 }
 
 func (m *refMiner) support(code string) int {
-	if m.cfg.TrackMNI {
-		imgs, ok := m.images[code]
-		if !ok || len(imgs) == 0 {
-			return 0
-		}
-		minImg := -1
-		for _, byVid := range imgs {
-			if minImg < 0 || len(byVid) < minImg {
-				minImg = len(byVid)
-			}
-		}
-		return minImg
-	}
 	return m.counts[code]
 }
 
@@ -437,9 +380,8 @@ type refCanonicalizer struct {
 }
 
 type refCanonEntry struct {
-	code      string
-	permOfRaw []int
-	pattern   Pattern
+	code    string
+	pattern Pattern
 }
 
 func newRefCanonicalizer() *refCanonicalizer {
@@ -452,7 +394,7 @@ type refEmbEdge struct {
 	label              string
 }
 
-func (c *refCanonicalizer) canonicalize(emb []refEmbEdge) (string, map[int64]int, Pattern) {
+func (c *refCanonicalizer) canonicalize(emb []refEmbEdge) (string, Pattern) {
 	var vids []int64
 	seen := map[int64]bool{}
 	labels := map[int64]string{}
@@ -476,32 +418,20 @@ func (c *refCanonicalizer) canonicalize(emb []refEmbEdge) (string, map[int64]int
 
 	rawSig := refBuildSig(emb, rawPos, vids, labels, identityPerm(len(vids)))
 	if ent, ok := c.memo[rawSig]; ok {
-		perm := make(map[int64]int, len(vids))
-		for i, v := range vids {
-			perm[v] = ent.permOfRaw[i]
-		}
-		return ent.code, perm, ent.pattern
+		return ent.code, ent.pattern
 	}
 
 	best := ""
-	var bestPerm []int
 	permute(len(vids), func(p []int) {
-		sig := refBuildSig(emb, rawPos, vids, labels, p)
-		if best == "" || sig < best {
+		if sig := refBuildSig(emb, rawPos, vids, labels, p); best == "" || sig < best {
 			best = sig
-			bestPerm = append(bestPerm[:0], p...)
 		}
 	})
 
 	pattern := patternFromSig(best)
 	pattern.Code = best
-	c.memo[rawSig] = refCanonEntry{code: best, permOfRaw: append([]int{}, bestPerm...), pattern: pattern}
-
-	perm := make(map[int64]int, len(vids))
-	for i, v := range vids {
-		perm[v] = bestPerm[i]
-	}
-	return best, perm, pattern
+	c.memo[rawSig] = refCanonEntry{code: best, pattern: pattern}
+	return best, pattern
 }
 
 func refBuildSig(emb []refEmbEdge, rawPos map[int64]int, vids []int64, labels map[int64]string, perm []int) string {
@@ -698,12 +628,11 @@ func TestLatticeMatchesSubPatternOfQuick(t *testing.T) {
 }
 
 // configFromBits spreads a fuzz/quick input over the configuration space:
-// MaxEdges 1–4, TrackMNI on/off, MinSupport 1–3, Workers 1 or 4, and count
-// windows from none up to 11 edges (smaller than most batches).
+// MaxEdges 1–4, MinSupport 1–3, Workers 1 or 4, and count windows from none
+// up to 11 edges (smaller than most batches). Bit 2 is unused.
 func configFromBits(bits uint16) Config {
 	cfg := Config{
 		MaxEdges:   1 + int(bits&3),
-		TrackMNI:   bits&4 != 0,
 		MinSupport: 1 + int(bits>>3&3)%3,
 		Workers:    1,
 		WindowSize: int(bits>>6) % 12,
@@ -717,9 +646,6 @@ func configFromBits(bits uint16) Config {
 // bitsFor is configFromBits' inverse, for readable seed corpora.
 func bitsFor(cfg Config) uint16 {
 	bits := uint16(cfg.MaxEdges-1) | uint16(cfg.MinSupport-1)<<3 | uint16(cfg.WindowSize)<<6
-	if cfg.TrackMNI {
-		bits |= 4
-	}
 	if cfg.Workers == 4 {
 		bits |= 32
 	}
@@ -754,12 +680,12 @@ func TestMinerMatchesReferenceQuick(t *testing.T) {
 func FuzzMinerMatchesReference(f *testing.F) {
 	for i, cfg := range []Config{
 		{MaxEdges: 3, MinSupport: 1, Workers: 1},
-		{MaxEdges: 3, MinSupport: 1, Workers: 1, WindowSize: 5, TrackMNI: true},
+		{MaxEdges: 3, MinSupport: 1, Workers: 1, WindowSize: 5},
 		{MaxEdges: 4, MinSupport: 1, Workers: 4, WindowSize: 2},
-		{MaxEdges: 2, MinSupport: 2, Workers: 4, WindowSize: 11, TrackMNI: true},
+		{MaxEdges: 2, MinSupport: 2, Workers: 4, WindowSize: 11},
 		{MaxEdges: 1, MinSupport: 1, Workers: 1, WindowSize: 1},
-		{MaxEdges: 3, MinSupport: 3, Workers: 4, WindowSize: 6, TrackMNI: true},
-		{MaxEdges: 4, MinSupport: 2, Workers: 1, TrackMNI: true},
+		{MaxEdges: 3, MinSupport: 3, Workers: 4, WindowSize: 6},
+		{MaxEdges: 4, MinSupport: 2, Workers: 1},
 	} {
 		f.Add(int64(i+1), bitsFor(cfg), uint8(30))
 	}

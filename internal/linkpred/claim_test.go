@@ -77,10 +77,10 @@ func claimC3AUCs(t *testing.T, seed int64) [][3]float64 {
 		sort.Strings(pool)
 		isPos := func(s, o string) bool { return posSet[[2]string{s, o}] }
 
-		cfg := DefaultConfig()
-		cfg.Epochs = 60
+		hp := defaultHyper
+		hp.epochs = 60
 		out = append(out, [3]float64{
-			EvalAUC(Train(train, cfg), pred, test, pool, isPos, 20, seed),
+			EvalAUC(trainWith(train, 1, hp), pred, test, pool, isPos, 20, seed),
 			EvalAUC(NewFrequencyBaseline(train), pred, test, pool, isPos, 20, seed),
 			EvalAUC(NewCommonNeighborBaseline(kg), pred, test, pool, isPos, 20, seed),
 		})

@@ -20,18 +20,34 @@ import (
 
 // Config controls BPR training.
 type Config struct {
-	Dim          int     // latent dimension
-	Epochs       int     // passes over the training triples
-	LearningRate float64 // SGD step size
-	Reg          float64 // L2 regularization
-	NegSamples   int     // corrupted samples per positive per epoch
-	Seed         int64
+	// Seed seeds factor initialization and negative sampling.
+	Seed int64
 }
 
-// DefaultConfig is tuned for KGs in the 10^2–10^5 triple range.
+// DefaultConfig trains with seed 1.
 func DefaultConfig() Config {
-	return Config{Dim: 16, Epochs: 30, LearningRate: 0.05, Reg: 0.01, NegSamples: 4, Seed: 1}
+	return Config{Seed: 1}
 }
+
+// BPR's hyperparameters, tuned for KGs in the 10^2–10^5 triple range: 16
+// latent dimensions, 30 passes over the training triples, SGD step 0.05, L2
+// regularization 0.01 and 4 corrupted samples per positive per epoch. Every
+// model trains with them; tests vary them through trainWith.
+const (
+	dim            = 16
+	epochs         = 30
+	learningRate   = 0.05
+	regularization = 0.01
+	negSamples     = 4
+)
+
+// hyper is one setting of the hyperparameters.
+type hyper struct {
+	dim, epochs, negSamples int
+	learningRate, reg       float64
+}
+
+var defaultHyper = hyper{dim: dim, epochs: epochs, negSamples: negSamples, learningRate: learningRate, reg: regularization}
 
 // predModel holds the factors of one predicate. Every entity seen as a
 // subject (object) owns a row, numbered in order of first sight; a row
@@ -62,7 +78,7 @@ func (pm *predModel) positive(s, o int32) bool {
 // change once trained.
 type Model struct {
 	mu     sync.RWMutex
-	cfg    Config
+	hp     hyper
 	preds  map[string]*predModel
 	rng    *rand.Rand
 	global float64 // global mean score used for unseen predicates
@@ -80,10 +96,12 @@ type Model struct {
 // Predicates share no rows. So every row sees the updates of the serial
 // pass in the serial order, and the model is bit-identical to it.
 func Train(triples []core.Triple, cfg Config) *Model {
-	if cfg.Dim <= 0 {
-		cfg = DefaultConfig()
-	}
-	m := &Model{cfg: cfg, preds: make(map[string]*predModel), rng: rand.New(rand.NewSource(cfg.Seed)), global: 0.5}
+	return trainWith(triples, cfg.Seed, defaultHyper)
+}
+
+// trainWith is Train under the given seed and hyperparameters.
+func trainWith(triples []core.Triple, seed int64, hp hyper) *Model {
+	m := &Model{hp: hp, preds: make(map[string]*predModel), rng: rand.New(rand.NewSource(seed)), global: 0.5}
 	for _, t := range triples {
 		m.observe(t)
 	}
@@ -95,7 +113,7 @@ func Train(triples []core.Triple, cfg Config) *Model {
 	// predicate's epoch, and a small model gets small blocks.
 	size := 1
 	for _, pm := range m.preds {
-		size = max(size, len(pm.pairs)*cfg.NegSamples)
+		size = max(size, len(pm.pairs)*hp.negSamples)
 	}
 	size = min(size, blockSteps)
 	free := make(chan []step, trainBlocks)
@@ -119,12 +137,12 @@ func Train(triples []core.Triple, cfg Config) *Model {
 			}
 		}(m.preds[p], queues[i])
 	}
-	for ep := 0; ep < cfg.Epochs; ep++ {
+	for ep := 0; ep < hp.epochs; ep++ {
 		for i, p := range names {
 			pm := m.preds[p]
 			b := <-free
 			for _, pair := range pm.pairs {
-				for k := 0; k < cfg.NegSamples; k++ {
+				for k := 0; k < hp.negSamples; k++ {
 					st, ok := m.draw(pm, pair[0], pair[1])
 					if !ok {
 						continue
@@ -199,8 +217,8 @@ func (m *Model) observe(t core.Triple) (pm *predModel, s, o int32) {
 
 // appendRandVec appends one randomly initialized row to a factor array.
 func (m *Model) appendRandVec(v []float64) []float64 {
-	scale := 1.0 / math.Sqrt(float64(m.cfg.Dim))
-	for i := 0; i < m.cfg.Dim; i++ {
+	scale := 1.0 / math.Sqrt(float64(m.hp.dim))
+	for i := 0; i < m.hp.dim; i++ {
 		v = append(v, (m.rng.Float64()*2-1)*scale)
 	}
 	return v
@@ -208,7 +226,7 @@ func (m *Model) appendRandVec(v []float64) []float64 {
 
 // row returns factor row i of a flat factor array.
 func (m *Model) row(v []float64, i int32) []float64 {
-	d := m.cfg.Dim
+	d := m.hp.dim
 	return v[int(i)*d:][:d]
 }
 
@@ -243,7 +261,7 @@ func (m *Model) apply(pm *predModel, st step) {
 	xPos := dot(us, vo)
 	xNeg := dot(un, vn)
 	g := sigmoid(xNeg - xPos) // = 1 - σ(xPos-xNeg)
-	lr, reg := m.cfg.LearningRate, m.cfg.Reg
+	lr, reg := m.hp.learningRate, m.hp.reg
 	for i := range us {
 		gradUs := g*vo[i] - reg*us[i]
 		gradVo := g*us[i] - reg*vo[i]
@@ -322,7 +340,7 @@ func (m *Model) String() string {
 	for _, pm := range m.preds {
 		n += len(pm.positives)
 	}
-	return fmt.Sprintf("linkpred.Model{predicates: %d, positives: %d, dim: %d}", len(m.preds), n, m.cfg.Dim)
+	return fmt.Sprintf("linkpred.Model{predicates: %d, positives: %d, dim: %d}", len(m.preds), n, m.hp.dim)
 }
 
 func dot(a, b []float64) float64 {

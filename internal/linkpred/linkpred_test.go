@@ -66,12 +66,10 @@ func TestScoreQuickProperty(t *testing.T) {
 
 func TestTrainingBeatsUntrained(t *testing.T) {
 	train, test, isPos := blockWorld(8, 3)
-	cfg := DefaultConfig()
-	trained := Train(train, cfg)
-
-	cfg0 := cfg
-	cfg0.Epochs = 0
-	untrained := Train(train, cfg0)
+	trained := Train(train, DefaultConfig())
+	hp := defaultHyper
+	hp.epochs = 0
+	untrained := trainWith(train, 1, hp)
 
 	pool := objectPool(train)
 	aucT := EvalAUC(trained, "acquired", test, pool, isPos, 20, 99)
@@ -149,6 +147,20 @@ func TestDeterministicWithSeed(t *testing.T) {
 			t.Fatalf("same seed, different scores: %v vs %v", sa, sb)
 		}
 	}
+}
+
+// TestSeedAloneChangesTheModel: a Config that sets only Seed trains with
+// that seed, so two seeds give two models.
+func TestSeedAloneChangesTheModel(t *testing.T) {
+	train, _, _ := blockWorld(5, 7)
+	a := Train(train, Config{Seed: 7})
+	b := Train(train, Config{Seed: 8})
+	for _, tr := range train {
+		if a.Score(tr.Subject, tr.Predicate, tr.Object) != b.Score(tr.Subject, tr.Predicate, tr.Object) {
+			return
+		}
+	}
+	t.Fatal("seeds 7 and 8 trained identical models")
 }
 
 func TestPredicatesListing(t *testing.T) {
@@ -377,11 +389,11 @@ func BenchmarkTrainCuratedScale(b *testing.B) {
 
 func BenchmarkTrain(b *testing.B) {
 	train, _, _ := blockWorld(10, 8)
-	cfg := DefaultConfig()
-	cfg.Epochs = 10
+	hp := defaultHyper
+	hp.epochs = 10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Train(train, cfg)
+		trainWith(train, 1, hp)
 	}
 }
 

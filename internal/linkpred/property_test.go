@@ -11,10 +11,11 @@ import (
 	"nous/internal/core"
 )
 
-// refWorld is one random differential case: a training set, a config, and
-// the online updates applied after training.
+// refWorld is one random differential case: a training set, a seed and
+// hyperparameters, and the online updates applied after training.
 type refWorld struct {
-	cfg     Config
+	seed    int64
+	hp      hyper
 	train   []core.Triple
 	updates []core.Triple
 	steps   []int    // SGD steps per update
@@ -24,22 +25,21 @@ type refWorld struct {
 
 // newRefWorld draws 1–6 predicates over 2–60 entities with duplicate
 // triples and self-loops. A predicate may have a single subject or a single
-// object, which drives draw's skipped steps. Dim is 1–32 (now and then 0,
-// which falls back to DefaultConfig) and Epochs 0–8; the updates bring in
-// new subjects, objects and predicates.
+// object, which drives draw's skipped steps. Dim is 1–32 and Epochs 0–8,
+// now and then replaced by the production hyperparameters; the updates
+// bring in new subjects, objects and predicates.
 func newRefWorld(seed int64) refWorld {
 	r := rand.New(rand.NewSource(seed))
 	nPred, nEnt := 1+r.Intn(6), 2+r.Intn(59)
-	w := refWorld{cfg: Config{
-		Dim:          1 + r.Intn(32),
-		Epochs:       r.Intn(9),
-		LearningRate: r.Float64() * 0.2,
-		Reg:          r.Float64() * 0.05,
-		NegSamples:   r.Intn(5),
-		Seed:         r.Int63(),
-	}}
+	w := refWorld{hp: hyper{
+		dim:          1 + r.Intn(32),
+		epochs:       r.Intn(9),
+		learningRate: r.Float64() * 0.2,
+		reg:          r.Float64() * 0.05,
+		negSamples:   r.Intn(5),
+	}, seed: r.Int63()}
 	if r.Intn(20) == 0 {
-		w.cfg.Dim = 0
+		w.hp = defaultHyper
 	}
 	ents := make([]string, nEnt)
 	for i := range ents {
@@ -125,7 +125,7 @@ func sameModel(t *testing.T, seed int64, when string, w refWorld, got *Model, wa
 func checkTrainMatchesReference(t *testing.T, seed int64) {
 	t.Helper()
 	w := newRefWorld(seed)
-	got, want := Train(w.train, w.cfg), refTrain(w.train, w.cfg)
+	got, want := trainWith(w.train, w.seed, w.hp), refTrain(w.train, w.seed, w.hp)
 	sameModel(t, seed, "after Train", w, got, want)
 	for i, u := range w.updates {
 		got.Update(u, w.steps[i])
@@ -165,8 +165,8 @@ func TestTrainConcurrentMatchesReference(t *testing.T) {
 	// An epoch of the recovery world's largest predicate spans two blocks;
 	// four epochs keep the test short under the race detector. Its checked
 	// names are the first 40 entities it trains on.
-	rec := refWorld{cfg: DefaultConfig(), train: recoveryWorld(3)}
-	rec.cfg.Epochs = 4
+	rec := refWorld{seed: 1, hp: defaultHyper, train: recoveryWorld(3)}
+	rec.hp.epochs = 4
 	seenPred, seenName := map[string]bool{}, map[string]bool{}
 	for _, tr := range rec.train {
 		if !seenPred[tr.Predicate] {
@@ -191,7 +191,7 @@ func TestTrainConcurrentMatchesReference(t *testing.T) {
 		if i == len(worlds)-1 {
 			seed, kind = 3, "recovery world"
 		}
-		want := refTrain(w.train, w.cfg)
+		want := refTrain(w.train, w.seed, w.hp)
 		check := func(when string, got *Model) {
 			t.Helper()
 			when = kind + " " + when
@@ -205,14 +205,14 @@ func TestTrainConcurrentMatchesReference(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
-			check(fmt.Sprintf("at GOMAXPROCS %d", procs), Train(w.train, w.cfg))
+			check(fmt.Sprintf("at GOMAXPROCS %d", procs), trainWith(w.train, w.seed, w.hp))
 		}
 		runtime.GOMAXPROCS(prev)
 		got := make([]*Model, 4)
 		done := make(chan struct{})
 		for j := range got {
 			go func(j int) {
-				got[j] = Train(w.train, w.cfg)
+				got[j] = trainWith(w.train, w.seed, w.hp)
 				done <- struct{}{}
 			}(j)
 		}

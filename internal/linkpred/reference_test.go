@@ -33,7 +33,7 @@ type refPredModel struct {
 // lock, and queries scoring candidate facts take the read lock.
 type refModel struct {
 	mu     sync.RWMutex
-	cfg    Config
+	hp     hyper
 	preds  map[string]*refPredModel
 	rng    *rand.Rand
 	global float64 // global mean score used for unseen predicates
@@ -41,15 +41,12 @@ type refModel struct {
 
 // refTrain fits a model on the given triples (typically the curated KB plus
 // high-confidence extractions so far).
-func refTrain(triples []core.Triple, cfg Config) *refModel {
-	if cfg.Dim <= 0 {
-		cfg = DefaultConfig()
-	}
-	m := &refModel{cfg: cfg, preds: make(map[string]*refPredModel), rng: rand.New(rand.NewSource(cfg.Seed)), global: 0.5}
+func refTrain(triples []core.Triple, seed int64, hp hyper) *refModel {
+	m := &refModel{hp: hp, preds: make(map[string]*refPredModel), rng: rand.New(rand.NewSource(seed)), global: 0.5}
 	for _, t := range triples {
 		m.observe(t)
 	}
-	for ep := 0; ep < cfg.Epochs; ep++ {
+	for ep := 0; ep < hp.epochs; ep++ {
 		m.epoch()
 	}
 	return m
@@ -84,8 +81,8 @@ func (m *refModel) observe(t core.Triple) {
 }
 
 func (m *refModel) randVec() []float64 {
-	v := make([]float64, m.cfg.Dim)
-	scale := 1.0 / math.Sqrt(float64(m.cfg.Dim))
+	v := make([]float64, m.hp.dim)
+	scale := 1.0 / math.Sqrt(float64(m.hp.dim))
 	for i := range v {
 		v[i] = (m.rng.Float64()*2 - 1) * scale
 	}
@@ -102,7 +99,7 @@ func (m *refModel) epoch() {
 	for _, p := range names {
 		pm := m.preds[p]
 		for _, pair := range pm.pairs {
-			for k := 0; k < m.cfg.NegSamples; k++ {
+			for k := 0; k < m.hp.negSamples; k++ {
 				m.bprStep(pm, pair[0], pair[1])
 			}
 		}
@@ -136,7 +133,7 @@ func (m *refModel) bprStep(pm *refPredModel, s, o string) {
 	xNeg := refDot(un, vn)
 	// d/dθ of -ln σ(xPos - xNeg)
 	g := refSigmoid(xNeg - xPos) // = 1 - σ(xPos-xNeg)
-	lr, reg := m.cfg.LearningRate, m.cfg.Reg
+	lr, reg := m.hp.learningRate, m.hp.reg
 
 	for i := range us {
 		gradUs := g*vo[i] - reg*us[i]
@@ -210,7 +207,7 @@ func (m *refModel) String() string {
 	for _, pm := range m.preds {
 		n += len(pm.positives)
 	}
-	return fmt.Sprintf("linkpred.Model{predicates: %d, positives: %d, dim: %d}", len(m.preds), n, m.cfg.Dim)
+	return fmt.Sprintf("linkpred.Model{predicates: %d, positives: %d, dim: %d}", len(m.preds), n, m.hp.dim)
 }
 
 func refDot(a, b []float64) float64 {

@@ -7,7 +7,6 @@ package ontology
 
 import (
 	"fmt"
-	"sort"
 )
 
 // EntityType names a node type in the taxonomy, e.g. "Company".
@@ -158,16 +157,6 @@ func (o *Ontology) HasType(t EntityType) bool {
 func (o *Ontology) Predicate(name string) (Predicate, bool) {
 	p, ok := o.predicates[name]
 	return p, ok
-}
-
-// Predicates returns all predicate names, sorted.
-func (o *Ontology) Predicates() []string {
-	names := make([]string, 0, len(o.predicates))
-	for n := range o.predicates {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // IsSubtype reports whether a is b or a descendant of b in the taxonomy.

@@ -4,10 +4,10 @@ import "testing"
 
 func TestDefaultOntologyWellFormed(t *testing.T) {
 	o := Default()
-	if len(o.Predicates()) < 20 {
-		t.Fatalf("expected a rich default ontology, got %d predicates", len(o.Predicates()))
+	if len(o.predicates) < 20 {
+		t.Fatalf("expected a rich default ontology, got %d predicates", len(o.predicates))
 	}
-	for _, name := range o.Predicates() {
+	for name := range o.predicates {
 		p, ok := o.Predicate(name)
 		if !ok {
 			t.Fatalf("Predicate(%q) missing", name)

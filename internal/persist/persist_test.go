@@ -552,10 +552,10 @@ func TestReplayRemoveAndReaddKeepsTimeIndexConsistent(t *testing.T) {
 			prev = e.Timestamp
 		}
 		// The removed timestamps' counts reflect removals and re-adds.
-		if n := ix.Count(temporal.Window{Since: 101, Until: 102}); n != 1 {
+		if n := len(ix.EdgesIn(temporal.Window{Since: 101, Until: 102})); n != 1 {
 			t.Fatalf("ts=101 count = %d, want 1 (one removed, one re-added)", n)
 		}
-		if n := ix.Count(temporal.Window{Since: 107, Until: 108}); n != 0 {
+		if n := len(ix.EdgesIn(temporal.Window{Since: 107, Until: 108})); n != 0 {
 			t.Fatalf("ts=107 count = %d, want 0 (removed)", n)
 		}
 	}
@@ -578,7 +578,7 @@ func TestReplayRemoveAndReaddKeepsTimeIndexConsistent(t *testing.T) {
 	st3 := mustOpen(t, dir, g3, testOptions())
 	defer st3.Close()
 	verify(t, g3)
-	if ix := temporal.NewIndex(g3); ix.Count(temporal.Window{Since: 100, Until: 101}) != 0 {
+	if ix := temporal.NewIndex(g3); len(ix.EdgesIn(temporal.Window{Since: 100, Until: 101})) != 0 {
 		t.Fatal("tail-replayed removal not reflected in time index")
 	}
 }

@@ -29,7 +29,7 @@ func window(a, b int) temporal.Window {
 func buildExecutor(t *testing.T) *Executor {
 	t.Helper()
 	kg := core.NewKG(nil)
-	det := trends.NewDetector(trends.Config{Bucket: 7 * 24 * time.Hour, Smoothing: 1, MinCurrent: 2})
+	det := trends.NewDetector(trends.DefaultConfig())
 	kg.Subscribe(det.OnEvent)
 	triples := []core.Triple{
 		{Subject: "DJI", Predicate: "manufactures", Object: "Phantom 3", Confidence: 1, Curated: true, Provenance: core.Provenance{Source: "kb"}},
@@ -57,14 +57,15 @@ func buildExecutor(t *testing.T) *Executor {
 			t.Fatal(err)
 		}
 	}
+	ac := analytics.New(kg)
 	return NewExecutor(Deps{
 		KG:        kg,
 		Trends:    det,
 		Miner:     fgm.NewMiner(fgm.DefaultConfig()),
 		Searcher:  pathsearch.New(kg.Graph(), nil),
 		Model:     linkpred.Train(nil, linkpred.DefaultConfig()),
-		Linker:    disambig.NewLinker(kg, disambig.DefaultConfig()),
-		Analytics: analytics.New(kg),
+		Linker:    disambig.NewLinker(kg, ac),
+		Analytics: ac,
 		TIndex:    kg.TemporalIndex(),
 		Now:       func() time.Time { return day(49) },
 	})

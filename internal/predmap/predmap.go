@@ -36,27 +36,25 @@ type FactLookup interface {
 	PredicatesBetween(subject, object string) []string
 }
 
-// Config tunes semi-supervised expansion.
-type Config struct {
-	// MinSupport is the minimum number of distant-supervision matches a
-	// phrase needs before a rule is learned.
-	MinSupport int
-	// MinPrecision is the minimum fraction of a phrase's labelled
-	// occurrences that agree with the majority predicate.
-	MinPrecision float64
-	// SeedWeight is the confidence of seed rules.
-	SeedWeight float64
-}
+// Config is empty: expansion's thresholds are the constants below.
+type Config struct{}
 
-// DefaultConfig matches the paper's bootstrap regime.
-func DefaultConfig() Config {
-	return Config{MinSupport: 3, MinPrecision: 0.6, SeedWeight: 0.95}
-}
+// DefaultConfig returns the empty Config.
+func DefaultConfig() Config { return Config{} }
+
+// The bootstrap regime of the paper. A phrase becomes a rule once
+// minSupport distant-supervision matches name one predicate and at least
+// minPrecision of its labelled occurrences agree with that predicate. Seed
+// rules carry seedWeight.
+const (
+	minSupport   = 3
+	minPrecision = 0.6
+	seedWeight   = 0.95
+)
 
 // Mapper maps raw triples into ontology triples.
 type Mapper struct {
 	ont   *ontology.Ontology
-	cfg   Config
 	rules map[string][]Rule // normalized phrase -> rules
 
 	// phraseEvidence accumulates distant-supervision counts:
@@ -66,16 +64,12 @@ type Mapper struct {
 
 // NewMapper returns a mapper with no rules. Call AddDefaultSeeds (or
 // AddSeed) before mapping.
-func NewMapper(ont *ontology.Ontology, cfg Config) *Mapper {
+func NewMapper(ont *ontology.Ontology, _ Config) *Mapper {
 	if ont == nil {
 		ont = ontology.Default()
 	}
-	if cfg.MinSupport <= 0 {
-		cfg = DefaultConfig()
-	}
 	return &Mapper{
 		ont:            ont,
-		cfg:            cfg,
 		rules:          make(map[string][]Rule),
 		phraseEvidence: make(map[string]map[string]int),
 	}
@@ -84,7 +78,7 @@ func NewMapper(ont *ontology.Ontology, cfg Config) *Mapper {
 // AddSeed installs a hand-written bootstrap rule.
 func (m *Mapper) AddSeed(phrase, predicate string, invert bool) {
 	m.addRule(Rule{Phrase: normalize(phrase), Predicate: predicate, Invert: invert,
-		Weight: m.cfg.SeedWeight, Seed: true})
+		Weight: seedWeight, Seed: true})
 }
 
 func (m *Mapper) addRule(r Rule) {
@@ -254,11 +248,11 @@ func (m *Mapper) Learn(raws []extract.RawTriple, kb FactLookup) int {
 				bestPred, bestCount = pred, c
 			}
 		}
-		if bestCount < m.cfg.MinSupport {
+		if bestCount < minSupport {
 			continue
 		}
 		precision := float64(bestCount) / float64(total)
-		if precision < m.cfg.MinPrecision {
+		if precision < minPrecision {
 			continue
 		}
 		invert := strings.HasSuffix(bestPred, "!inv")

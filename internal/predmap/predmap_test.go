@@ -167,7 +167,7 @@ func TestLearnInvertedEvidence(t *testing.T) {
 func TestLearnRespectsThresholds(t *testing.T) {
 	kg := core.NewKG(nil)
 	kg.AddFact(core.Triple{Subject: "A Co", Predicate: "acquired", Object: "B Co", Confidence: 1, Curated: true})
-	m := NewMapper(nil, Config{MinSupport: 3, MinPrecision: 0.6, SeedWeight: 0.95})
+	m := NewMapper(nil, DefaultConfig())
 	raws := []extract.RawTriple{raw("A Co", "swallow", "B Co", ontology.TypeCompany, ontology.TypeCompany)}
 	if learned := m.Learn(raws, kg); learned != 0 {
 		t.Fatalf("learned %d rules below support threshold", learned)

@@ -163,14 +163,15 @@ func buildExecutor(t *testing.T) *plan.Executor {
 			t.Fatal(err)
 		}
 	}
+	ac := analytics.New(kg)
 	return plan.NewExecutor(plan.Deps{
 		KG:        kg,
 		Trends:    det,
 		Miner:     miner,
 		Searcher:  pathsearch.New(kg.Graph(), nil),
 		Model:     linkpred.Train(nil, linkpred.DefaultConfig()),
-		Linker:    disambig.NewLinker(kg, disambig.DefaultConfig()),
-		Analytics: analytics.New(kg),
+		Linker:    disambig.NewLinker(kg, ac),
+		Analytics: ac,
 		TIndex:    kg.TemporalIndex(),
 		Now:       func() time.Time { return day },
 	})

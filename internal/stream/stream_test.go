@@ -1,13 +1,21 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"nous/internal/analytics"
+	"nous/internal/core"
 	"nous/internal/corpus"
 	"nous/internal/trust"
 )
+
+// newPipeline assembles a pipeline over kg with a cache of its own.
+func newPipeline(kg *core.KG, cfg Config) *Pipeline {
+	return NewWith(kg, cfg, analytics.New(kg), kg.AllFacts())
+}
 
 func smallWorld() *corpus.World {
 	cfg := corpus.DefaultConfig()
@@ -26,7 +34,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 	curatedFacts := kg.NumFacts()
 
-	p := New(kg, DefaultConfig())
+	p := newPipeline(kg, DefaultConfig())
 	articles := corpus.GenerateArticles(w, corpus.DefaultArticleConfig(120))
 	st := p.Run(articles)
 
@@ -67,7 +75,7 @@ func TestPipelineRecallFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(kg, DefaultConfig())
+	p := newPipeline(kg, DefaultConfig())
 	acfg := corpus.DefaultArticleConfig(150)
 	acfg.AliasRate = 0 // isolate extraction quality from disambiguation
 	articles := corpus.GenerateArticles(w, acfg)
@@ -100,7 +108,7 @@ func TestPipelinePrecisionFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(kg, DefaultConfig())
+	p := newPipeline(kg, DefaultConfig())
 	acfg := corpus.DefaultArticleConfig(150)
 	acfg.AliasRate = 0
 	articles := corpus.GenerateArticles(w, acfg)
@@ -136,7 +144,7 @@ func TestSlidingWindowEvicts(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Window = 30 * 24 * time.Hour
-	p := New(kg, cfg)
+	p := newPipeline(kg, cfg)
 	articles := corpus.GenerateArticles(w, corpus.DefaultArticleConfig(150))
 	st := p.Run(articles)
 	if st.FactsEvicted == 0 {
@@ -162,7 +170,7 @@ func TestDistantSupervisionLearnsRules(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.LearnEvery = 50
-	p := New(kg, cfg)
+	p := newPipeline(kg, cfg)
 	acfg := corpus.DefaultArticleConfig(200)
 	acfg.KBReportRate = 0.4 // many curated re-reports → learnable phrases
 	articles := corpus.GenerateArticles(w, acfg)
@@ -189,7 +197,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		cfg.LearnEvery = 20 // four trust fixpoints over the 80 articles
-		p := New(kg, cfg)
+		p := newPipeline(kg, cfg)
 		st := p.Run(corpus.GenerateArticles(w, corpus.DefaultArticleConfig(80)))
 		return st, kg.NumFacts(), p.SourceTrust()
 	}
@@ -221,7 +229,7 @@ func TestDeterministicRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := New(kg, DefaultConfig())
+		p := newPipeline(kg, DefaultConfig())
 		return p.Run(corpus.GenerateArticles(w, corpus.DefaultArticleConfig(60)))
 	}
 	a, b := run(), run()
@@ -236,7 +244,7 @@ func TestProcessSingleDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(kg, DefaultConfig())
+	p := newPipeline(kg, DefaultConfig())
 	p.Process(corpus.Article{
 		ID: "doc-1", Source: "test",
 		Date: time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC),
@@ -261,8 +269,51 @@ func BenchmarkPipelineRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := New(kg, DefaultConfig())
+		p := newPipeline(kg, DefaultConfig())
 		b.StartTimer()
 		p.Run(articles)
+	}
+}
+
+// BenchmarkAblation_ConfidenceGate sweeps the admission threshold τ and
+// reports the precision of admitted facts against world ground truth: the
+// trade the gate's constant (confidenceThreshold, τ = 0.35) makes between
+// admitted facts and their precision.
+func BenchmarkAblation_ConfidenceGate(b *testing.B) {
+	wcfg := corpus.DefaultConfig()
+	wcfg.Events = 600
+	w := corpus.Generate(wcfg)
+	articles := corpus.GenerateArticles(w, corpus.DefaultArticleConfig(150))
+	for _, tau := range []float64{0.15, 0.35, 0.55} {
+		b.Run(fmt.Sprintf("tau=%.2f", tau), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				kg, err := w.LoadKG()
+				if err != nil {
+					b.Fatal(err)
+				}
+				p := newPipeline(kg, DefaultConfig())
+				p.threshold = tau
+				b.StartTimer()
+				p.Run(articles)
+				b.StopTimer()
+				good, bad := 0, 0
+				for _, f := range kg.AllFacts() {
+					if f.Curated {
+						continue
+					}
+					if w.TrueFact(f.Subject, f.Predicate, f.Object) {
+						good++
+					} else {
+						bad++
+					}
+				}
+				if good+bad > 0 {
+					b.ReportMetric(float64(good)/float64(good+bad), "precision")
+					b.ReportMetric(float64(good+bad), "facts")
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -310,20 +310,6 @@ func (s *ishard) datedFrom() int {
 	return sort.Search(len(s.entries), func(i int) bool { return s.entries[i].ts > Timeless })
 }
 
-// Count returns the number of edges whose timestamp lies in w. It is a pure
-// timestamp query — the curated-pass rule of Window.ContainsScan applies to
-// read views, not to the raw index.
-func (ix *Index) Count(w Window) int {
-	n := 0
-	ix.read(func() {
-		for i := range ix.shards {
-			lo, hi := ix.shards[i].rangeOf(w)
-			n += hi - lo
-		}
-	})
-	return n
-}
-
 // EdgesIn returns the IDs of edges whose timestamp lies in w, ordered by
 // (timestamp, ID).
 func (ix *Index) EdgesIn(w Window) []graph.EdgeID {

@@ -113,15 +113,15 @@ func TestIndexTracksAddsAndRemoves(t *testing.T) {
 	if in[0] != ids[1] || in[1] != ids[2] || in[2] != ids[0] {
 		t.Fatalf("EdgesIn order = %v", in)
 	}
-	if n := ix.Count(Window{Since: 35, Until: 100}); n != 1 {
-		t.Fatalf("Count = %d, want 1", n)
+	if n := len(ix.EdgesIn(Window{Since: 35, Until: 100})); n != 1 {
+		t.Fatalf("len(EdgesIn) = %d, want 1", n)
 	}
 
 	g.RemoveEdge(ids[2]) // ts 20
 	if ix.Len() != 3 {
 		t.Fatalf("Len after remove = %d, want 3", ix.Len())
 	}
-	if n := ix.Count(Window{Since: 15, Until: 25}); n != 0 {
+	if n := len(ix.EdgesIn(Window{Since: 15, Until: 25})); n != 0 {
 		t.Fatalf("removed edge still indexed (count %d)", n)
 	}
 	min, max, ok := ix.Span()
@@ -208,9 +208,6 @@ func TestIndexEmptyWindowQueries(t *testing.T) {
 	// Empty and inverted windows (disjoint intersections produce them) must
 	// return nothing — not panic or go negative.
 	for _, w := range []Window{Empty(), {Since: 25, Until: 15}, {Since: 15, Until: 15}} {
-		if n := ix.Count(w); n != 0 {
-			t.Fatalf("Count(%+v) = %d, want 0", w, n)
-		}
 		if ids := ix.EdgesIn(w); len(ids) != 0 {
 			t.Fatalf("EdgesIn(%+v) = %v, want none", w, ids)
 		}
@@ -289,7 +286,7 @@ func TestIndexScansPreexistingEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := NewIndex(g)
-	if ix.Len() != 1 || ix.Count(Window{Since: 7, Until: 8}) != 1 {
+	if ix.Len() != 1 || len(ix.EdgesIn(Window{Since: 7, Until: 8})) != 1 {
 		t.Fatal("pre-existing edge not indexed")
 	}
 }
@@ -462,7 +459,7 @@ func TestIndexConcurrentAddRemove(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				ix.Count(Window{Since: 100, Until: 500})
+				ix.EdgesIn(Window{Since: 100, Until: 500})
 				ix.EdgesIn(Window{Since: 0, Until: 50})
 				ix.Span()
 			}
@@ -515,8 +512,8 @@ func TestIndexReverseChronologicalBackfill(t *testing.T) {
 			t.Fatalf("EdgesIn[%d] = %v, want %v", i, id, ids[n-1-i])
 		}
 	}
-	if c := ix.Count(Window{Since: 1, Until: 11}); c != 10 {
-		t.Fatalf("Count = %d, want 10", c)
+	if c := len(ix.EdgesIn(Window{Since: 1, Until: 11})); c != 10 {
+		t.Fatalf("len(EdgesIn) = %d, want 10", c)
 	}
 	min, max, ok := ix.Span()
 	if !ok || min != 1 || max != int64(n) {
@@ -583,8 +580,8 @@ func TestIndexInterleavedOutOfOrderInsertAndRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		want++
-		if got := ix.Count(Window{Since: ts, Until: 2000}); got != want {
-			t.Fatalf("after %d inserts Count = %d, want %d", want, got, want)
+		if got := len(ix.EdgesIn(Window{Since: ts, Until: 2000})); got != want {
+			t.Fatalf("after %d inserts len(EdgesIn) = %d, want %d", want, got, want)
 		}
 	}
 }
@@ -610,7 +607,7 @@ func TestIndexRemoveWithPendingTail(t *testing.T) {
 	if ix.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", ix.Len())
 	}
-	if c := ix.Count(Window{Since: 15, Until: 25}); c != 0 {
+	if c := len(ix.EdgesIn(Window{Since: 15, Until: 25})); c != 0 {
 		t.Fatalf("removed tail edge still counted (%d)", c)
 	}
 	in := ix.EdgesIn(All())

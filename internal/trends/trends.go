@@ -34,25 +34,31 @@ type Trend struct {
 
 // Config tunes the detector.
 type Config struct {
-	// Bucket is the histogram resolution (default 7 days).
+	// Bucket is the histogram resolution (0 selects DefaultConfig's).
 	Bucket time.Duration
-	// Smoothing is the additive constant in the burst ratio (default 1).
-	Smoothing float64
-	// MinCurrent suppresses trends with fewer current-window mentions.
-	MinCurrent int
 }
 
 // DefaultConfig buckets by week, the cadence of the paper's WSJ demo.
 func DefaultConfig() Config {
-	return Config{Bucket: 7 * 24 * time.Hour, Smoothing: 1, MinCurrent: 2}
+	return Config{Bucket: 7 * 24 * time.Hour}
 }
+
+// smoothing is the additive constant of the burst ratio: it keeps a name
+// with no history from scoring infinity. minCurrent is the fewest mentions
+// a bucket needs to trend, so a lone mention is never a burst. The live
+// detector reads minCurrent through Detector.minCurrent, which tests vary.
+const (
+	smoothing  = 1.0
+	minCurrent = 2
+)
 
 // Detector accumulates activity histograms. Wire it to a KG with
 // kg.Subscribe(d.OnEvent). All methods are safe for concurrent use, so
 // trend queries can run while ingestion streams events in.
 type Detector struct {
-	mu  sync.RWMutex
-	cfg Config
+	mu         sync.RWMutex
+	cfg        Config
+	minCurrent int
 	// counts[kind][name][bucket] = mentions
 	entityCounts map[string]map[int64]int
 	predCounts   map[string]map[int64]int
@@ -63,11 +69,9 @@ func NewDetector(cfg Config) *Detector {
 	if cfg.Bucket <= 0 {
 		cfg = DefaultConfig()
 	}
-	if cfg.Smoothing <= 0 {
-		cfg.Smoothing = 1
-	}
 	return &Detector{
 		cfg:          cfg,
+		minCurrent:   minCurrent,
 		entityCounts: make(map[string]map[int64]int),
 		predCounts:   make(map[string]map[int64]int),
 	}
@@ -126,13 +130,13 @@ func bump(m map[string]map[int64]int, name string, bucket int64) {
 // burstScore is the one burst formula: the smoothed ratio of a bucket's
 // count to its historical baseline, shared by the live detector's scan and
 // windowed Backfill.
-func burstScore(current int, baseline, smoothing float64) float64 {
+func burstScore(current int, baseline float64) float64 {
 	return (float64(current) + smoothing) / (baseline + smoothing)
 }
 
 // burstAt scores byBucket[b] against the historical mean of the buckets
 // strictly before b.
-func burstAt(byBucket map[int64]int, b int64, smoothing float64) (current int, baseline, score float64) {
+func burstAt(byBucket map[int64]int, b int64) (current int, baseline, score float64) {
 	current = byBucket[b]
 	sum, n := 0, 0
 	for hb, hc := range byBucket {
@@ -144,7 +148,7 @@ func burstAt(byBucket map[int64]int, b int64, smoothing float64) (current int, b
 	if n > 0 {
 		baseline = float64(sum) / float64(n)
 	}
-	return current, baseline, burstScore(current, baseline, smoothing)
+	return current, baseline, burstScore(current, baseline)
 }
 
 // trendLess is the canonical trend ordering: score desc, current desc, name
@@ -161,7 +165,7 @@ func trendLess(a, b Trend) bool {
 
 // Trending returns the top-k bursting entities and predicates for the
 // window containing now, ordered by descending burst score. When the
-// current window is quiet (no item reaches MinCurrent — streams are bursty
+// current window is quiet (no item reaches minCurrent — streams are bursty
 // and the last bucket may be nearly empty), it falls back to the most
 // recent window with qualifying activity.
 func (d *Detector) Trending(now time.Time, k int) []Trend {
@@ -189,14 +193,14 @@ func (d *Detector) trendingAt(cur int64) []Trend {
 }
 
 // latestActiveBucket returns the most recent bucket at or before cur in
-// which any entity or predicate reached MinCurrent mentions.
+// which any entity or predicate reached minCurrent mentions.
 func (d *Detector) latestActiveBucket(cur int64) (int64, bool) {
 	best := int64(0)
 	found := false
 	scanMap := func(m map[string]map[int64]int) {
 		for _, byBucket := range m {
 			for b, c := range byBucket {
-				if b <= cur && c >= d.cfg.MinCurrent && (!found || b > best) {
+				if b <= cur && c >= d.minCurrent && (!found || b > best) {
 					best = b
 					found = true
 				}
@@ -211,10 +215,10 @@ func (d *Detector) latestActiveBucket(cur int64) (int64, bool) {
 func (d *Detector) scan(m map[string]map[int64]int, kind Kind, cur int64) []Trend {
 	var out []Trend
 	for name, byBucket := range m {
-		if byBucket[cur] < d.cfg.MinCurrent {
+		if byBucket[cur] < d.minCurrent {
 			continue
 		}
-		current, baseline, score := burstAt(byBucket, cur, d.cfg.Smoothing)
+		current, baseline, score := burstAt(byBucket, cur)
 		out = append(out, Trend{
 			Name:     name,
 			Kind:     kind,
@@ -255,16 +259,13 @@ func (d *Detector) Series(name string, now time.Time, n int) []int {
 // Like the live detector, only extracted facts with a provenance time count.
 //
 // Each (name, bucket) pair whose bucket overlaps the window and whose count
-// reaches cfg.MinCurrent is burst-scored against the mean of that name's
+// reaches minCurrent is burst-scored against the mean of that name's
 // buckets strictly before it; the best-scoring bucket per name wins. Results
 // are ordered like Trending (score desc, current desc, name asc) and
 // truncated to k (k <= 0 keeps everything).
 func Backfill(facts []core.Fact, w temporal.Window, cfg Config, k int) []Trend {
 	if cfg.Bucket <= 0 {
 		cfg = DefaultConfig()
-	}
-	if cfg.Smoothing <= 0 {
-		cfg.Smoothing = 1
 	}
 	if w.IsEmpty() {
 		return nil
@@ -314,7 +315,7 @@ func Backfill(facts []core.Fact, w temporal.Window, cfg Config, k int) []Trend {
 			sum, n := 0, 0
 			for _, b := range keys {
 				current := byBucket[b]
-				if current >= cfg.MinCurrent && inWindow(b) {
+				if current >= minCurrent && inWindow(b) {
 					baseline := 0.0
 					if n > 0 {
 						baseline = float64(sum) / float64(n)
@@ -324,7 +325,7 @@ func Backfill(facts []core.Fact, w temporal.Window, cfg Config, k int) []Trend {
 						Kind:     kind,
 						Current:  current,
 						Baseline: baseline,
-						Score:    burstScore(current, baseline, cfg.Smoothing),
+						Score:    burstScore(current, baseline),
 					}
 					if !found || tr.Score > best.Score ||
 						(tr.Score == best.Score && tr.Current > best.Current) {

@@ -56,18 +56,16 @@ func TestCuratedFactsIgnored(t *testing.T) {
 }
 
 func TestMinCurrentFilters(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MinCurrent = 3
-	d := NewDetector(cfg)
+	d := NewDetector(DefaultConfig())
+	d.minCurrent = 3
 	d.OnEvent(added("DJI", "acquired", "Aeros", day(0)))
 	d.OnEvent(added("DJI", "acquired", "RoboPix", day(0)))
-	// DJI has 2 mentions... wait: subject DJI counts twice (two facts).
-	// Aeros and RoboPix have 1 each and must be filtered.
+	d.OnEvent(added("DJI", "invests", "RoboPix", day(0)))
+	// DJI has 3 mentions and passes; RoboPix (2), Aeros (1) and both
+	// predicates must be filtered.
 	ts := d.Trending(day(0), 10)
-	for _, tr := range ts {
-		if tr.Current < 3 {
-			t.Fatalf("below-threshold trend leaked: %+v", tr)
-		}
+	if len(ts) != 1 || ts[0].Name != "DJI" {
+		t.Fatalf("trends = %+v, want DJI alone", ts)
 	}
 }
 
@@ -214,7 +212,7 @@ func fact(s, p, o string, t time.Time, curated bool) core.Fact {
 // is NOT the window's end bucket: the live detector anchored at the window's
 // end would miss it, the backfill scan must find it.
 func TestBackfillScoresInsideWindow(t *testing.T) {
-	cfg := Config{Bucket: 7 * 24 * time.Hour, Smoothing: 1, MinCurrent: 2}
+	cfg := DefaultConfig()
 	var facts []core.Fact
 	// Baseline: one DJI mention per week for weeks 0..3.
 	for wk := 0; wk < 4; wk++ {
@@ -255,7 +253,7 @@ func TestBackfillScoresInsideWindow(t *testing.T) {
 // produce trends, but history before the window still feeds baselines, and
 // facts after the window's end are invisible entirely.
 func TestBackfillRespectsWindowAndHistory(t *testing.T) {
-	cfg := Config{Bucket: 7 * 24 * time.Hour, Smoothing: 1, MinCurrent: 2}
+	cfg := DefaultConfig()
 	var facts []core.Fact
 	// Big pre-window history for Windermere: 4/week for weeks 0..3.
 	for wk := 0; wk < 4; wk++ {

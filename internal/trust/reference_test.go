@@ -14,7 +14,7 @@ import (
 // the reference the kernel is pinned to. It sums and multiplies in map
 // iteration order, so two runs over one stream may differ in the last bits.
 type refTracker struct {
-	cfg    Config
+	params
 	ont    *ontology.Ontology
 	pinned map[string]float64
 
@@ -26,15 +26,12 @@ type refTracker struct {
 	trust map[string]float64
 }
 
-func newRefTracker(ont *ontology.Ontology, cfg Config) *refTracker {
-	if cfg.Iterations <= 0 {
-		cfg = DefaultConfig()
-	}
+func newRefTracker(ont *ontology.Ontology, p params) *refTracker {
 	if ont == nil {
 		ont = ontology.Default()
 	}
 	return &refTracker{
-		cfg:        cfg,
+		params:     p,
 		ont:        ont,
 		pinned:     make(map[string]float64),
 		bySources:  make(map[string]map[string]bool),
@@ -69,12 +66,12 @@ func (t *refTracker) Observe(a Assertion) {
 		objs[a.Object] = true
 	}
 	if _, ok := t.trust[a.Source]; !ok {
-		t.trust[a.Source] = t.cfg.PriorTrust
+		t.trust[a.Source] = t.prior
 	}
 }
 
 func (t *refTracker) Recompute() {
-	for it := 0; it < t.cfg.Iterations; it++ {
+	for it := 0; it < t.iterations; it++ {
 		// 1. fact belief = 1 - Π (1 - trust(s)) over asserting sources,
 		//    halved when the fact participates in a functional conflict.
 		belief := make(map[string]float64, len(t.bySources))
@@ -107,7 +104,7 @@ func (t *refTracker) Recompute() {
 				continue
 			}
 			next := sum[s] / float64(cnt[s])
-			t.trust[s] = (1-t.cfg.Damping)*next + t.cfg.Damping*t.trust[s]
+			t.trust[s] = (1-t.damping)*next + t.damping*t.trust[s]
 		}
 	}
 }
@@ -125,7 +122,7 @@ func (t *refTracker) Trust(source string) float64 {
 	if v, ok := t.trust[source]; ok {
 		return v
 	}
-	return t.cfg.PriorTrust
+	return t.prior
 }
 
 func (t *refTracker) Belief(subject, predicate, object string) float64 {
@@ -187,17 +184,20 @@ type trustOp struct {
 // Recompute calls; small pools make duplicate observations, corroboration
 // and functional conflicts common.
 type trustScript struct {
-	cfg Config
+	p   params
 	ops []trustOp
 }
 
 func (trustScript) Generate(r *rand.Rand, size int) reflect.Value {
 	pick := func(xs []string) string { return xs[r.Intn(len(xs))] }
-	s := trustScript{cfg: Config{
-		PriorTrust: 0.05 + 0.9*r.Float64(),
-		Iterations: r.Intn(16), // 0 selects DefaultConfig
-		Damping:    0.9 * r.Float64(),
+	s := trustScript{p: params{
+		prior:      0.05 + 0.9*r.Float64(),
+		iterations: r.Intn(16),
+		damping:    0.9 * r.Float64(),
 	}}
+	if s.p.iterations == 0 {
+		s.p = NewTracker(nil, DefaultConfig()).params // the production values
+	}
 	for n := r.Intn(4 * size); len(s.ops) < n; {
 		var op trustOp
 		switch x := r.Intn(20); {
@@ -252,7 +252,8 @@ func TestTrackerMatchesReferenceQuick(t *testing.T) {
 		return true
 	}
 	prop := func(s trustScript) bool {
-		got, want := NewTracker(nil, s.cfg), newRefTracker(nil, s.cfg)
+		got, want := NewTracker(nil, DefaultConfig()), newRefTracker(nil, s.p)
+		got.params = s.p
 		for _, op := range s.ops {
 			switch op.kind {
 			case 0:
@@ -280,7 +281,8 @@ func TestTrackerMatchesReferenceQuick(t *testing.T) {
 // thousands of beliefs are summed per source, on BenchmarkRecompute's
 // kind of stream, recomputing every 200 assertions as ingestion does.
 func TestTrackerMatchesReferenceOnStream(t *testing.T) {
-	got, want := NewTracker(nil, DefaultConfig()), newRefTracker(nil, DefaultConfig())
+	got := NewTracker(nil, DefaultConfig())
+	want := newRefTracker(nil, got.params)
 	got.Pin("src00", 0.95)
 	want.Pin("src00", 0.95)
 	for i, a := range synthetic(3000, 7) {

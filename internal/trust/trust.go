@@ -24,20 +24,28 @@ type Assertion struct {
 	Object    string
 }
 
-// Config tunes the fixpoint.
-type Config struct {
-	// PriorTrust seeds unseen sources (default 0.5). Curated sources can
-	// be pinned with Pin.
-	PriorTrust float64
-	// Iterations bounds the trust/belief fixpoint (default 10).
-	Iterations int
-	// Damping mixes the new trust estimate with the previous one.
-	Damping float64
-}
+// Config is empty: the fixpoint's parameters are the constants below.
+type Config struct{}
 
-// DefaultConfig returns the standard fixpoint parameters.
-func DefaultConfig() Config {
-	return Config{PriorTrust: 0.5, Iterations: 10, Damping: 0.3}
+// DefaultConfig returns the empty Config.
+func DefaultConfig() Config { return Config{} }
+
+// The fixpoint's parameters. An unseen source starts at priorTrust, neither
+// trusted nor distrusted; curated sources are pinned instead (Pin). Each
+// Recompute runs iterations passes, and damping keeps that share of a
+// source's previous trust in each pass. Every tracker uses these values;
+// tests vary them through Tracker.params.
+const (
+	priorTrust = 0.5
+	iterations = 10
+	damping    = 0.3
+)
+
+// params are a tracker's fixpoint parameters.
+type params struct {
+	prior      float64
+	iterations int
+	damping    float64
 }
 
 // Tracker maintains source trust scores from streamed assertions. Sources
@@ -47,7 +55,7 @@ func DefaultConfig() Config {
 //
 // A Tracker is not safe for concurrent use; callers synchronize.
 type Tracker struct {
-	cfg Config
+	params
 	ont *ontology.Ontology
 
 	// Sources by id.
@@ -74,15 +82,12 @@ type factKey struct{ subject, predicate, object string }
 
 // NewTracker returns an empty tracker. A nil ontology gets the default
 // (the ontology supplies which predicates are functional).
-func NewTracker(ont *ontology.Ontology, cfg Config) *Tracker {
-	if cfg.Iterations <= 0 {
-		cfg = DefaultConfig()
-	}
+func NewTracker(ont *ontology.Ontology, _ Config) *Tracker {
 	if ont == nil {
 		ont = ontology.Default()
 	}
 	return &Tracker{
-		cfg:     cfg,
+		params:  params{prior: priorTrust, iterations: iterations, damping: damping},
 		ont:     ont,
 		srcID:   make(map[string]int32),
 		factID:  make(map[factKey]int32),
@@ -122,7 +127,7 @@ func (t *Tracker) Observe(a Assertion) {
 	t.nfacts[s]++
 }
 
-// source returns the id of a source, interning it at PriorTrust.
+// source returns the id of a source, interning it at the prior trust.
 func (t *Tracker) source(name string) int32 {
 	if s, ok := t.srcID[name]; ok {
 		return s
@@ -130,7 +135,7 @@ func (t *Tracker) source(name string) int32 {
 	s := int32(len(t.names))
 	t.srcID[name] = s
 	t.names = append(t.names, name)
-	t.trust = append(t.trust, t.cfg.PriorTrust)
+	t.trust = append(t.trust, t.prior)
 	t.pinned = append(t.pinned, false)
 	t.nfacts = append(t.nfacts, 0)
 	return s
@@ -162,7 +167,7 @@ func (t *Tracker) Recompute() {
 		t.sum = make([]float64, len(t.trust))
 	}
 	sum := t.sum[:len(t.trust)]
-	for it := 0; it < t.cfg.Iterations; it++ {
+	for it := 0; it < t.iterations; it++ {
 		clear(sum)
 		for f, srcs := range t.sources {
 			b := t.belief(int32(f))
@@ -175,7 +180,7 @@ func (t *Tracker) Recompute() {
 				continue
 			}
 			next := sum[s] / float64(n)
-			t.trust[s] = (1-t.cfg.Damping)*next + t.cfg.Damping*t.trust[s]
+			t.trust[s] = (1-t.damping)*next + t.damping*t.trust[s]
 		}
 	}
 }
@@ -194,12 +199,12 @@ func (t *Tracker) belief(f int32) float64 {
 	return b
 }
 
-// Trust returns a source's current trust (PriorTrust when unseen).
+// Trust returns a source's current trust (the prior trust when unseen).
 func (t *Tracker) Trust(source string) float64 {
 	if s, ok := t.srcID[source]; ok {
 		return t.trust[s]
 	}
-	return t.cfg.PriorTrust
+	return t.prior
 }
 
 // Belief returns the current belief in a triple given the sources that

@@ -147,7 +147,8 @@ func GenerateArticles(w *World, cfg ArticleConfig) []Article {
 // DefaultArticleConfig generates n articles with default noise levels.
 func DefaultArticleConfig(n int) ArticleConfig { return corpus.DefaultArticleConfig(n) }
 
-// Config tunes the full pipeline.
+// Config tunes the full pipeline. Each part's zero value keeps that
+// part's documented meaning.
 type Config struct {
 	// Stream configures extraction → mapping → confidence → KG.
 	Stream stream.Config
@@ -155,27 +156,26 @@ type Config struct {
 	Miner fgm.Config
 	// Trends configures burst detection.
 	Trends trends.Config
-	// TopicCount is the LDA topic count for path-search coherence.
-	TopicCount int
-	// LDAIters is the Gibbs sweep count for BuildTopics.
-	LDAIters int
-	// Seed seeds the LDA fit of BuildTopics, the only component that reads
-	// it. Link prediction always trains with linkpred.DefaultConfig().Seed.
-	Seed int64
 }
 
 // DefaultConfig is the setup the paper's figures are printed with
 // (example_test.go; README's "Paper claims and figures").
 func DefaultConfig() Config {
 	return Config{
-		Stream:     stream.DefaultConfig(),
-		Miner:      fgm.DefaultConfig(),
-		Trends:     trends.DefaultConfig(),
-		TopicCount: 8,
-		LDAIters:   100,
-		Seed:       1,
+		Stream: stream.DefaultConfig(),
+		Miner:  fgm.DefaultConfig(),
+		Trends: trends.DefaultConfig(),
 	}
 }
+
+// The LDA fit behind path-search coherence (BuildTopics): 8 topics, 100
+// Gibbs sweeps, seed 1. Link prediction trains with its own seed
+// (linkpred.DefaultConfig).
+const (
+	topicCount = 8
+	ldaIters   = 100
+	ldaSeed    = 1
+)
 
 // Pipeline is the end-to-end NOUS system: ingestion, mining, trends,
 // topics, search and question answering over one dynamic KG.
@@ -205,9 +205,6 @@ type Pipeline struct {
 // recent Miner.WindowSize of them), so mined patterns span both curated and
 // extracted structure.
 func NewPipeline(kg *KG, cfg Config) *Pipeline {
-	if cfg.TopicCount <= 0 {
-		cfg = DefaultConfig()
-	}
 	p := &Pipeline{cfg: cfg, kg: kg}
 	p.miner = fgm.NewMiner(cfg.Miner)
 	p.detector = trends.NewDetector(cfg.Trends)
@@ -442,9 +439,9 @@ func (p *Pipeline) computeTopics() map[graph.VertexID][]float64 {
 	for i, n := range names {
 		docs[i] = p.entityDoc(n)
 	}
-	cfg := topics.DefaultConfig(p.cfg.TopicCount)
-	cfg.Iters = p.cfg.LDAIters
-	cfg.Seed = p.cfg.Seed
+	cfg := topics.DefaultConfig(topicCount)
+	cfg.Iters = ldaIters
+	cfg.Seed = ldaSeed
 	model := topics.Fit(docs, cfg)
 	topicOf := make(map[graph.VertexID][]float64, len(names))
 	for i, n := range names {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nous/internal/stream"
 )
 
 func buildSystem(t testing.TB, nArticles int) (*Pipeline, *World) {
@@ -122,6 +124,38 @@ func TestWindowedPipelineKeepsCurated(t *testing.T) {
 	}
 	if got := p.KG().Stats().CuratedFacts; got != len(w.Curated) {
 		t.Fatalf("curated facts = %d, want %d", got, len(w.Curated))
+	}
+}
+
+// TestWindowAloneEvicts: a Config that sets only the stream window keeps it,
+// so no extracted fact older than the window survives the newest article.
+func TestWindowAloneEvicts(t *testing.T) {
+	wcfg := DefaultWorldConfig()
+	wcfg.Companies = 10
+	wcfg.People = 10
+	wcfg.Products = 10
+	wcfg.Events = 80
+	w := GenerateWorld(wcfg)
+	kg, err := w.LoadKG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := 60 * 24 * time.Hour
+	p := NewPipeline(kg, Config{Stream: stream.Config{Window: window}})
+	articles := GenerateArticles(w, DefaultArticleConfig(120))
+	if st := p.IngestAll(articles); st.FactsEvicted == 0 {
+		t.Fatalf("windowed run evicted nothing: %+v", st)
+	}
+	var newest time.Time
+	for _, a := range articles {
+		if a.Date.After(newest) {
+			newest = a.Date
+		}
+	}
+	for _, f := range kg.AllFacts() {
+		if !f.Curated && f.Provenance.Time.Before(newest.Add(-window)) {
+			t.Fatalf("fact older than the window survived: %+v", f)
+		}
 	}
 }
 

@@ -17,9 +17,7 @@ func smallPersistConfig() (nous.Config, *nous.World, []nous.Article) {
 	wcfg.Seed = 7
 	w := nous.GenerateWorld(wcfg)
 	arts := nous.GenerateArticles(w, nous.DefaultArticleConfig(60))
-	cfg := nous.DefaultConfig()
-	cfg.LDAIters = 5
-	return cfg, w, arts
+	return nous.DefaultConfig(), w, arts
 }
 
 // quickPersist avoids timer-driven flushes in tests; everything is made
