@@ -17,8 +17,11 @@ import (
 // only read, never written, so rebuilding logs nothing to an attached WAL.
 //
 // Names and aliases live on the vertices as properties. The temporal index is
-// re-scanned from graph state because snapshot loads and WAL replay restore
-// edges without emitting the mutations that normally keep it in sync.
+// re-scanned from graph state because a snapshot load restores edges without
+// emitting the mutations that normally keep it in sync. WAL replay emits
+// them (it applies records through graph.ApplyReplicated, as a replica
+// does), but only the graph's hooks see them: the KG's own indexes are
+// derived here, after the graph is whole.
 func (kg *KG) Rebuild() error {
 	kg.mu.Lock()
 	defer kg.mu.Unlock()

@@ -57,15 +57,13 @@ func sampleKG(t *testing.T) *KG {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	id, err := kg.AddFact(Triple{
+	if _, err := kg.AddFact(Triple{
 		Subject: "DJI Technology Co.", Predicate: "acquired", Object: "Dow Jones Index",
 		Confidence: 0.4,
 		Provenance: Provenance{Source: "wsj", DocID: "a-17", Sentence: "DJI acquired the index.", Time: when},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	kg.Graph().SetEdgeWeight(id, 0.75)
 	return kg
 }
 

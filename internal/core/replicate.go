@@ -17,7 +17,7 @@ import (
 // leader, so miners and detectors stay live on a replica.
 //
 // Duplicate delivery (a resumed stream re-sending applied records) converges:
-// adds of known facts and removes/updates of unknown ones are no-ops.
+// adds of known facts and removes of unknown ones are no-ops.
 func (kg *KG) ApplyReplicated(m graph.Mutation) error {
 	kg.mu.Lock()
 	defer kg.mu.Unlock()
@@ -57,11 +57,6 @@ func (kg *KG) ApplyReplicated(m graph.Mutation) error {
 					kg.registerAliasLocked(a, name)
 				}
 			}
-		}
-	case graph.MutSetEdgeProp:
-		// The curated flag is half of the undated rule.
-		if m.Key == propCurated {
-			kg.g.ScanEdge(m.EdgeID, kg.trackUndatedLocked)
 		}
 	}
 	return nil

@@ -46,16 +46,12 @@ func leaderFixture(t *testing.T) (*KG, *[]graph.Mutation) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	id, err := kg.AddFact(Triple{
+	if _, err := kg.AddFact(Triple{
 		Subject: "acme corp", Predicate: "partnersWith", Object: "initech",
 		Confidence: 0.4,
 		Provenance: Provenance{Source: "wsj", DocID: "d2", Sentence: "s", Time: time.Unix(1000, 0)},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if !kg.Graph().SetEdgeWeight(id, 0.7) {
-		t.Fatal("SetEdgeWeight failed")
 	}
 	// An undated extracted fact, later removed: the follower must see the
 	// full lifecycle.
@@ -161,10 +157,10 @@ func TestKGApplyReplicatedAfterBootstrap(t *testing.T) {
 	for _, vs := range snap.Vertices {
 		follower.Graph().RestoreVertices(vs)
 	}
+	follower.Graph().AdvanceIDs(snap.NextVertex, snap.NextEdge)
 	if err := follower.Graph().RestoreEdges(snap.Edges); err != nil {
 		t.Fatal(err)
 	}
-	follower.Graph().AdvanceIDs(snap.NextVertex, snap.NextEdge)
 	follower.Graph().SetEpoch(snap.Epoch)
 	if err := follower.Rebuild(); err != nil {
 		t.Fatal(err)

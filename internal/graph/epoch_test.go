@@ -45,8 +45,6 @@ func TestEpochBumpsOnEveryMutation(t *testing.T) {
 		{"AddVertexWithProps", leader, func() { b = leader.AddVertexWithProps("X", map[string]string{"k": "v"}) }, 1},
 		{"SetVertexProp", leader, func() { leader.SetVertexProp(a, "k", "v") }, 1},
 		{"AddEdge", leader, func() { e, _ = leader.AddEdge(a, b, "r") }, 1},
-		{"SetEdgeProp", leader, func() { leader.SetEdgeProp(e, "k", "v") }, 1},
-		{"SetEdgeWeight", leader, func() { leader.SetEdgeWeight(e, 0.5) }, 1},
 		{"RemoveEdge", leader, func() { leader.RemoveEdge(e) }, 1},
 		{"AddEdges", leader, func() {
 			if _, err := leader.AddEdges([]EdgeSpec{{Src: a, Dst: b, Label: "r2", Weight: 1}}); err != nil {

@@ -24,6 +24,13 @@
 // temporal index is fed from the graph's mutation hook, which runs under the
 // graph's write lock. Nothing may take these locks in the opposite order.
 //
+// Facts are write-once. After insertion a live edge's endpoints, label,
+// weight, timestamp and props never change; the only later write to an edge
+// is its removal. So an edge ID read at one epoch names the same edge value
+// at every later epoch at which the edge is still live, and a reader that
+// validates an answer by re-reading Epoch has only edge insertions,
+// removals and vertex writes to account for, never an edge edited in place.
+//
 // Memory layout: strings (labels, predicates, prop keys) are interned into
 // dense SymIDs (internal/graph/symtab) and edge records live in per-stripe
 // columnar slabs (slab.go) addressed by compact 4-byte refs, not as
@@ -349,42 +356,6 @@ func materializeEdge(si int, c *edgeChunk, off int) Edge {
 		Timestamp: c.ts[off],
 		Props:     exportProps(c.propsAt(off)),
 	}
-}
-
-// SetEdgeProp sets one property on an edge. It reports whether the edge
-// exists.
-func (g *Graph) SetEdgeProp(id EdgeID, key, value string) bool {
-	return g.updateEdge(Mutation{Kind: MutSetEdgeProp, EdgeID: id, Key: key, Value: value}, false)
-}
-
-// SetEdgeWeight updates an edge's weight. It reports whether the edge exists.
-func (g *Graph) SetEdgeWeight(id EdgeID, w float64) bool {
-	return g.updateEdge(Mutation{Kind: MutSetEdgeWeight, EdgeID: id, Weight: w}, false)
-}
-
-// updateEdge applies a MutSetEdgeProp or MutSetEdgeWeight record to its
-// edge's slab cells and commits it. A missing edge is a no-op that emits
-// nothing.
-func (g *Graph) updateEdge(m Mutation, replicated bool) bool {
-	var key symtab.SymID
-	if m.Kind == MutSetEdgeProp {
-		key = symtab.Intern(m.Key)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c, off, ok := g.edgeCellsLocked(m.EdgeID)
-	if !ok {
-		return false
-	}
-	if m.Kind == MutSetEdgeWeight {
-		c.weight[off] = m.Weight
-	} else if p := c.propsAt(off); p != nil {
-		p[key] = m.Value
-	} else {
-		c.setProps(off, propMap{key: m.Value})
-	}
-	g.commitLocked(m, replicated)
-	return true
 }
 
 // NumVertices returns the vertex count.

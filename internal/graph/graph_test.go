@@ -193,12 +193,6 @@ func TestVertexAndEdgeProps(t *testing.T) {
 	if e.Weight != 0.5 || e.Timestamp != 1234 || e.Props["src"] != "wsj" {
 		t.Fatalf("edge fields lost: %+v", e)
 	}
-	if !g.SetEdgeWeight(id, 0.9) {
-		t.Fatal("SetEdgeWeight failed")
-	}
-	if e, _ := g.Edge(id); e.Weight != 0.9 {
-		t.Fatalf("weight not updated: %v", e.Weight)
-	}
 }
 
 func TestVertexCopiesAreIsolated(t *testing.T) {

@@ -16,14 +16,14 @@ import (
 type MutationKind uint8
 
 // Mutation kinds. Values are part of the on-disk WAL format — append new
-// kinds, never renumber.
+// kinds, never renumber. Values 5 and 6 are reserved: they were edge-property
+// and edge-weight updates, which nothing writes since facts became
+// write-once, and a record carrying either is now an unknown kind.
 const (
 	MutAddVertex     MutationKind = 1 // one vertex inserted (Vertex)
 	MutSetVertexProp MutationKind = 2 // one vertex property set (VertexID, Key, Value)
 	MutAddEdges      MutationKind = 3 // a batch of edges inserted (Edges)
 	MutRemoveEdge    MutationKind = 4 // one edge removed (EdgeID)
-	MutSetEdgeProp   MutationKind = 5 // one edge property set (EdgeID, Key, Value)
-	MutSetEdgeWeight MutationKind = 6 // one edge weight updated (EdgeID, Weight)
 )
 
 // Mutation describes one completed graph write. Only the fields relevant to
@@ -38,10 +38,9 @@ type Mutation struct {
 	Vertex   Vertex   // MutAddVertex
 	Edges    []Edge   // MutAddEdges (a single AddEdge logs a batch of one)
 	VertexID VertexID // MutSetVertexProp
-	EdgeID   EdgeID   // MutRemoveEdge, MutSetEdgeProp, MutSetEdgeWeight
-	Key      string   // MutSetVertexProp, MutSetEdgeProp
-	Value    string   // MutSetVertexProp, MutSetEdgeProp
-	Weight   float64  // MutSetEdgeWeight
+	EdgeID   EdgeID   // MutRemoveEdge
+	Key      string   // MutSetVertexProp
+	Value    string   // MutSetVertexProp
 }
 
 // MutationHook receives every completed mutation. It is invoked synchronously
@@ -78,24 +77,17 @@ func (g *Graph) AddMutationHook(h MutationHook) (remove func()) {
 
 // --- Restore API -----------------------------------------------------------
 //
-// The methods below rebuild a graph from persisted state (snapshot sections
-// and WAL records). They accept explicit IDs, never bump the epoch and never
-// fire the mutation hook: restoring is not a mutation, it is re-establishing
-// state that was already logged. Each takes the write lock like any writer.
+// The methods below bulk-load a decoded snapshot into an empty graph. They
+// accept explicit IDs, never bump the epoch and never fire the mutation
+// hook: loading a snapshot is not a mutation, it is re-establishing state
+// that was already logged. Each takes the write lock like any writer. A WAL
+// record is not restored through them: replay applies it with
+// ApplyReplicated, exactly as a replica applies its leader's stream.
 
-// RestoreVertex inserts (or overwrites) a vertex with an explicit ID and
-// advances the vertex ID allocator past it. Overwriting is what makes WAL
-// replay idempotent: re-applying an AddVertex record on top of a snapshot
-// that already contains the vertex converges, because every later property
-// write is also re-applied from the log.
-func (g *Graph) RestoreVertex(v Vertex) {
-	g.RestoreVertices([]Vertex{v})
-}
-
-// RestoreVertices bulk-loads vertices under one write-lock acquisition.
-// Labels and props are interned before the lock is taken, so concurrent
-// calls (one per snapshot section) overlap that work. Semantics per vertex
-// match RestoreVertex.
+// RestoreVertices bulk-loads vertices under one write-lock acquisition,
+// inserting or overwriting each under its explicit ID and advancing the
+// vertex ID allocator past it. Labels and props are interned before the lock
+// is taken, so concurrent calls (one per snapshot section) overlap that work.
 func (g *Graph) RestoreVertices(vs []Vertex) {
 	recs := make([]vertexRec, len(vs))
 	for i := range vs {
@@ -109,24 +101,20 @@ func (g *Graph) RestoreVertices(vs []Vertex) {
 	}
 }
 
-// RestoreEdge inserts an edge with an explicit ID and advances the edge ID
-// allocator past it. An edge whose ID already exists is skipped (replay
-// idempotence); an edge whose endpoints are missing is an error, because a
-// well-formed snapshot + log always restores endpoints first.
-func (g *Graph) RestoreEdge(e Edge) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, err := g.insertExplicitLocked([]Edge{e}, "restore")
-	return err
-}
-
 // insertExplicitLocked validates a batch of explicit-ID edges — all of them
 // before any is inserted — then inserts those not yet present, advancing the
 // edge allocator past every ID. It returns the edges it inserted. op names
 // the caller in errors.
+//
+// AddEdges hands out IDs contiguously under the write lock, so a batch that
+// a graph logged holds no ID at or above the allocator it started from plus
+// the batch's length. An ID beyond that is refused: it can only come from a
+// corrupt or forged record, and it would size the stripe's seq index to the
+// ID.
 func (g *Graph) insertExplicitLocked(es []Edge, op string) ([]Edge, error) {
+	limit := g.nextEdge + int64(len(es))
 	for i := range es {
-		if err := g.checkExplicitLocked(&es[i], op); err != nil {
+		if err := g.checkExplicitLocked(&es[i], limit, op); err != nil {
 			return nil, err
 		}
 	}
@@ -144,12 +132,14 @@ func (g *Graph) insertExplicitLocked(es []Edge, op string) ([]Edge, error) {
 }
 
 // checkExplicitLocked validates one explicit-ID edge from a snapshot, the
-// WAL or a replication leader: its ID and endpoints must fit the slab's
-// packed columns, and both endpoints must exist.
-func (g *Graph) checkExplicitLocked(e *Edge, op string) error {
+// WAL or a replication leader: its ID must lie below limit and fit the
+// slab's packed columns with its endpoints, and both endpoints must exist.
+func (g *Graph) checkExplicitLocked(e *Edge, limit int64, op string) error {
 	switch {
 	case !edgeFits(e):
 		return fmt.Errorf("graph: %s edge %d: ID or endpoints exceed storable range", op, e.ID)
+	case int64(e.ID) >= limit:
+		return fmt.Errorf("graph: %s edge %d: ID beyond the edge allocator (%d)", op, e.ID, limit)
 	case !g.hasVertexLocked(e.Src):
 		return fmt.Errorf("graph: %s edge %d: source vertex %d does not exist", op, e.ID, e.Src)
 	case !g.hasVertexLocked(e.Dst):
@@ -161,31 +151,31 @@ func (g *Graph) checkExplicitLocked(e *Edge, op string) error {
 // RestoreEdges bulk-loads a snapshot's edges, rebuilding the columnar slabs
 // in parallel per stripe. byOwner must be indexed by owning shard (ShardCount
 // groups, edge ID mod ShardCount == group index), the per-shard layout
-// snapshots already use. Endpoints must all exist (vertices restore first).
+// snapshots already use. Endpoints must all exist (vertices restore first),
+// and every ID must lie below the edge allocator, which the snapshot's
+// header sets through AdvanceIDs before its edges load.
 //
 // The load holds the write lock throughout and runs in two phases of one
 // worker per stripe, each writing only its own stripe: phase one appends each
 // stripe's edges into its slab; phase two distributes
 // adjacency refs, each worker owning one target stripe and appending its refs
 // sorted by edge ID — a deterministic order regardless of worker scheduling.
-// Edges whose ID is already present are skipped (idempotence), matching
-// RestoreEdge.
+// Edges whose ID is already present are skipped (idempotence), as
+// ApplyReplicated skips them.
 func (g *Graph) RestoreEdges(byOwner [][]Edge) error {
 	if len(byOwner) != numShards {
 		return fmt.Errorf("graph: restore edges: got %d shard groups, want %d", len(byOwner), numShards)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	maxID := int64(-1)
 	for si, es := range byOwner {
 		for i := range es {
 			if shardIdx(uint64(es[i].ID)) != si {
 				return fmt.Errorf("graph: restore edges: edge %d in shard group %d", es[i].ID, si)
 			}
-			if err := g.checkExplicitLocked(&es[i], "restore"); err != nil {
+			if err := g.checkExplicitLocked(&es[i], g.nextEdge, "restore"); err != nil {
 				return err
 			}
-			maxID = max(maxID, int64(es[i].ID))
 		}
 	}
 
@@ -255,7 +245,6 @@ func (g *Graph) RestoreEdges(byOwner [][]Edge) error {
 		}(t)
 	}
 	wg.Wait()
-	advancePast(&g.nextEdge, maxID)
 	return nil
 }
 

@@ -9,7 +9,8 @@ import (
 // Replicated apply
 //
 // A replication follower tails its leader's WAL and applies each record to
-// its own graph. That path needs a hybrid of the two write APIs:
+// its own graph, and recovery replays a store's own WAL the same way. That
+// path needs a hybrid of the two write APIs:
 //
 //   - like the Restore API, it takes explicit IDs, is idempotent under
 //     duplicate delivery (at-least-once streams re-send records), and never
@@ -24,8 +25,8 @@ import (
 // Re-delivered records whose effect is already present are skipped without
 // emitting, which keeps duplicate delivery invisible to subscribers too.
 
-// ApplyReplicated applies one mutation record received from a replication
-// leader: restore semantics (explicit IDs, idempotent, tolerant of records
+// ApplyReplicated applies one logged mutation record, from a replication
+// leader or from WAL replay: restore semantics (explicit IDs, idempotent, tolerant of records
 // whose target predates the bootstrap snapshot) with live hook delivery and
 // leader-epoch adoption. It is safe for concurrent use with readers; a
 // follower must not interleave it with local mutators.
@@ -39,8 +40,6 @@ func (g *Graph) ApplyReplicated(m Mutation) error {
 		return g.applyAddEdgesReplicated(m)
 	case MutRemoveEdge:
 		g.removeEdge(m, true)
-	case MutSetEdgeProp, MutSetEdgeWeight:
-		g.updateEdge(m, true)
 	default:
 		return fmt.Errorf("graph: apply replicated: unknown mutation kind %d", m.Kind)
 	}

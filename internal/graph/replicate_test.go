@@ -17,8 +17,6 @@ func TestApplyReplicatedBasics(t *testing.T) {
 		{Kind: MutAddVertex, Epoch: 11, Vertex: Vertex{ID: 1, Label: "Person", Props: map[string]string{"name": "ada"}}},
 		{Kind: MutAddEdges, Epoch: 12, Edges: []Edge{{ID: 0, Src: 0, Dst: 1, Label: "employs", Weight: 0.9, Timestamp: 100}}},
 		{Kind: MutSetVertexProp, Epoch: 13, VertexID: 0, Key: "type", Value: "Organization"},
-		{Kind: MutSetEdgeWeight, Epoch: 14, EdgeID: 0, Weight: 0.5},
-		{Kind: MutSetEdgeProp, Epoch: 15, EdgeID: 0, Key: "doc", Value: "d1"},
 	}
 	for _, m := range muts {
 		if err := g.ApplyReplicated(m); err != nil {
@@ -26,15 +24,15 @@ func TestApplyReplicatedBasics(t *testing.T) {
 		}
 	}
 
-	if e := g.Epoch(); e != 15 {
-		t.Fatalf("epoch = %d, want 15 (adopted from the stream)", e)
+	if e := g.Epoch(); e != 13 {
+		t.Fatalf("epoch = %d, want 13 (adopted from the stream)", e)
 	}
 	if n := g.NumVertices(); n != 2 {
 		t.Fatalf("vertices = %d, want 2", n)
 	}
 	e, ok := g.Edge(0)
-	if !ok || e.Weight != 0.5 || e.Props["doc"] != "d1" {
-		t.Fatalf("edge 0 = %+v ok=%v, want weight 0.5 doc=d1", e, ok)
+	if !ok || e.Weight != 0.9 || e.Timestamp != 100 {
+		t.Fatalf("edge 0 = %+v ok=%v, want weight 0.9 timestamp 100", e, ok)
 	}
 	if v, _ := g.VertexProp(0, "type"); v != "Organization" {
 		t.Fatalf("vertex prop type = %q", v)
@@ -132,8 +130,8 @@ func TestApplyReplicatedPartialBatch(t *testing.T) {
 	}
 }
 
-// TestApplyReplicatedMissingTargets: updates and removes whose target is
-// absent (it predates the bootstrap snapshot) are silent no-ops.
+// TestApplyReplicatedMissingTargets: a property write or a remove whose
+// target is absent (it predates the bootstrap snapshot) is a silent no-op.
 func TestApplyReplicatedMissingTargets(t *testing.T) {
 	g := New()
 	var got []Mutation
@@ -141,8 +139,6 @@ func TestApplyReplicatedMissingTargets(t *testing.T) {
 	for _, m := range []Mutation{
 		{Kind: MutSetVertexProp, Epoch: 9, VertexID: 7, Key: "k", Value: "v"},
 		{Kind: MutRemoveEdge, Epoch: 10, EdgeID: 7},
-		{Kind: MutSetEdgeProp, Epoch: 11, EdgeID: 7, Key: "k", Value: "v"},
-		{Kind: MutSetEdgeWeight, Epoch: 12, EdgeID: 7, Weight: 2},
 	} {
 		if err := g.ApplyReplicated(m); err != nil {
 			t.Fatal(err)
@@ -156,7 +152,39 @@ func TestApplyReplicatedMissingTargets(t *testing.T) {
 	}
 	// An edge batch referencing a missing endpoint is a hard error: the
 	// stream is ordered, so this means the follower lost a record.
-	if err := g.ApplyReplicated(Mutation{Kind: MutAddEdges, Epoch: 13, Edges: []Edge{{ID: 0, Src: 0, Dst: 1, Label: "x"}}}); err == nil {
+	if err := g.ApplyReplicated(Mutation{Kind: MutAddEdges, Epoch: 11, Edges: []Edge{{ID: 0, Src: 0, Dst: 1, Label: "x"}}}); err == nil {
 		t.Fatal("expected error for edge with missing endpoints")
+	}
+}
+
+// TestApplyReplicatedRejectsEdgeBeyondAllocator: a logged edge batch holds
+// IDs below the allocator it started from plus its length, because AddEdges
+// hands IDs out contiguously. A record with an ID beyond that is refused
+// before it sizes the stripe's seq index to the ID, and a replayed one is
+// refused the same way (persist's TestOpenRejectsEdgeBeyondAllocator).
+func TestApplyReplicatedRejectsEdgeBeyondAllocator(t *testing.T) {
+	g := New()
+	for i := 0; i < 2; i++ {
+		if err := g.ApplyReplicated(Mutation{Kind: MutAddVertex, Epoch: uint64(i + 1), Vertex: Vertex{ID: VertexID(i), Label: "V"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	far := Mutation{Kind: MutAddEdges, Epoch: 3, Edges: []Edge{{ID: 1 << 20, Src: 0, Dst: 1, Label: "x"}}}
+	if err := g.ApplyReplicated(far); err == nil {
+		t.Fatal("edge 1<<20 on a graph whose allocator is at 0 was accepted")
+	}
+	for i := range g.shards {
+		if n := len(g.shards[i].idx); n != 0 {
+			t.Fatalf("stripe %d seq index grew to %d entries for a refused edge", i, n)
+		}
+	}
+	if g.NumEdges() != 0 || g.Epoch() != 2 {
+		t.Fatalf("refused batch left %d edges, epoch %d", g.NumEdges(), g.Epoch())
+	}
+	// The last ID a batch of two may carry from allocator 0 is 1.
+	if err := g.ApplyReplicated(Mutation{Kind: MutAddEdges, Epoch: 3, Edges: []Edge{
+		{ID: 1, Src: 0, Dst: 1, Label: "x"}, {ID: 0, Src: 1, Dst: 0, Label: "y"},
+	}}); err != nil {
+		t.Fatalf("in-range batch: %v", err)
 	}
 }

@@ -46,8 +46,8 @@ type propMap map[symtab.SymID]string
 type propsArray [chunkSize]propMap
 
 // edgeChunk is one fixed-capacity block of columnar edge storage. A slot's
-// live fields are immutable after insertion except weight (SetEdgeWeight),
-// the props cell (SetEdgeProp) and the dead flag (RemoveEdge).
+// fields are immutable after insertion except the dead flag, which
+// RemoveEdge sets (releasing the slot's props cell with it).
 type edgeChunk struct {
 	seq    [chunkSize]uint32       // EdgeID >> shardBits
 	src    [chunkSize]uint32       // source VertexID (fits 32 bits, see maxSlabVertex)

@@ -86,6 +86,7 @@ func TestViewOrderIgnoresInsertionOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	shuffled.AdvanceIDs(0, g.nextEdge) // the edges arrive out of ID order
 	for _, e := range edges {
 		if err := shuffled.ApplyReplicated(Mutation{Kind: MutAddEdges, Epoch: shuffled.Epoch() + 1, Edges: []Edge{e}}); err != nil {
 			t.Fatal(err)

@@ -1,0 +1,123 @@
+package persist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"sort"
+	"testing"
+
+	"nous/internal/graph"
+)
+
+// smallGraph is the graph a fuzzed record applies to: four vertices and
+// four edges, so records that name existing IDs reach the update paths.
+func smallGraph(t *testing.T) *graph.Graph {
+	g := graph.New()
+	for i := 0; i < 4; i++ {
+		g.AddVertexWithProps("V", map[string]string{"name": string(rune('a' + i))})
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := g.AddEdgeFull(graph.VertexID(i), graph.VertexID((i+1)%4), "x", 1, int64(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// FuzzDecodeRecord: decoding any payload does not panic; a record that
+// decodes applies to a small graph through graph.ApplyReplicated without a
+// panic; and decoding is a fixed point of re-encoding. Mutations compare by
+// their encodings, which hold every field bit for bit: a NaN weight is not
+// reflect.DeepEqual to itself.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, m := range []graph.Mutation{
+		{Kind: graph.MutAddVertex, Epoch: 9, Vertex: graph.Vertex{ID: 4, Label: "Company", Props: map[string]string{"name": "Apex"}}},
+		{Kind: graph.MutSetVertexProp, Epoch: 10, VertexID: 1, Key: "aliases", Value: "b\x1fbee"},
+		{Kind: graph.MutAddEdges, Epoch: 11, Edges: []graph.Edge{
+			{ID: 4, Src: 0, Dst: 2, Label: "acquired", Weight: 0.5, Timestamp: 1700000000, Props: map[string]string{"source": "wsj"}},
+			{ID: 5, Src: 2, Dst: 0, Label: "founded", Weight: 1},
+		}},
+		{Kind: graph.MutRemoveEdge, Epoch: 12, EdgeID: 2},
+	} {
+		f.Add(encodeMutation(m))
+	}
+	// The record that sized a seq index to edge ID ≈ 4.2e10 before the
+	// allocator bound: an AddEdges of one self-edge on vertex 0.
+	f.Add([]byte{3, 4, 1, 0xbc, 0xbc, 0xbc, 0xbc, 0xbc, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		m, err := decodeMutation(payload)
+		if err != nil {
+			return
+		}
+		enc := encodeMutation(m)
+		again, err := decodeMutation(enc)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeMutation(again), enc) {
+			t.Fatalf("decode(encode(decode(x))) = %+v, decode(x) = %+v", again, m)
+		}
+		_ = smallGraph(t).ApplyReplicated(m) // may refuse the record; must not panic
+	})
+}
+
+// snapshotImage frames a symbol-table payload and one shard payload into a
+// version-2 snapshot with valid CRCs, so a fuzzed payload gets past the
+// checksum. Every other shard holds the empty payload (no vertices, no
+// edges). The header's edge allocator is 64, which bounds the edge IDs a
+// restore accepts.
+func snapshotImage(syms, shard []byte, si int) []byte {
+	raw := []byte(snapMagic)
+	raw = binary.LittleEndian.AppendUint32(raw, snapVersion)
+	raw = binary.LittleEndian.AppendUint32(raw, uint32(graph.ShardCount()))
+	for _, v := range []uint64{1, 64, 64, 0} { // epoch, nextV, nextE, walSeq
+		raw = binary.LittleEndian.AppendUint64(raw, v)
+	}
+	frame := func(p []byte) {
+		raw = binary.LittleEndian.AppendUint64(raw, uint64(len(p)))
+		raw = binary.LittleEndian.AppendUint32(raw, crc32.Checksum(p, castagnoli))
+		raw = append(raw, p...)
+	}
+	frame(syms)
+	for i := 0; i < graph.ShardCount(); i++ {
+		if i == si {
+			frame(shard)
+		} else {
+			frame([]byte{0, 0})
+		}
+	}
+	return raw
+}
+
+// FuzzSnapshotSections: decodeSnapshot followed by restoreSnapshot never
+// panics on sections that pass their CRC, whatever they hold.
+func FuzzSnapshotSections(f *testing.F) {
+	// Seed: vertices 0 and 16 and edges 0 and 16, all owned by shard 0.
+	table := []string{"V", "a", "b", "name", "source", "wsj", "x"}
+	sort.Strings(table)
+	index := make(map[string]uint32, len(table))
+	symc := &codec{}
+	symc.putUvarint(uint64(len(table)))
+	for i, s := range table {
+		index[s] = uint32(i)
+		symc.putString(s)
+	}
+	c := &codec{}
+	c.putUvarint(2)
+	c.putVertexSym(index, graph.Vertex{ID: 0, Label: "V", Props: map[string]string{"name": "a"}})
+	c.putVertexSym(index, graph.Vertex{ID: 16, Label: "V", Props: map[string]string{"name": "b"}})
+	c.putUvarint(2)
+	c.putEdgeSym(index, graph.Edge{ID: 0, Src: 0, Dst: 16, Label: "x", Weight: 0.5, Timestamp: 7, Props: map[string]string{"source": "wsj"}})
+	c.putEdgeSym(index, graph.Edge{ID: 16, Src: 16, Dst: 0, Label: "x", Weight: 1})
+	f.Add(symc.bytes(), c.bytes(), uint8(0))
+	f.Add(symc.bytes(), c.bytes(), uint8(5))
+	f.Add([]byte{0}, []byte{0, 0}, uint8(0))
+	f.Fuzz(func(t *testing.T, syms, shard []byte, si uint8) {
+		snap, _, err := decodeSnapshot(snapshotImage(syms, shard, int(si)%graph.ShardCount()), "fuzz")
+		if err != nil {
+			return
+		}
+		_ = restoreSnapshot(graph.New(), snap) // may refuse the sections; must not panic
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,8 +42,7 @@ func buildSample(t *testing.T, g *graph.Graph) {
 	b := g.AddVertexWithProps("Company", map[string]string{"name": "Borealis"})
 	c := g.AddVertex("Person")
 	g.SetVertexProp(c, "name", "Cora")
-	e1, err := g.AddEdgeFull(a, b, "acquired", 0.9, 1700000000, map[string]string{"source": "wsj"})
-	if err != nil {
+	if _, err := g.AddEdgeFull(a, b, "acquired", 0.9, 1700000000, map[string]string{"source": "wsj"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.AddEdges([]graph.EdgeSpec{
@@ -55,8 +55,6 @@ func buildSample(t *testing.T, g *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetEdgeWeight(e1, 0.95)
-	g.SetEdgeProp(e1, "sentence", "Apex acquired Borealis.")
 	g.RemoveEdge(e2)
 }
 
@@ -112,8 +110,6 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 			{ID: 2, Src: 8, Dst: 7, Label: "founded", Weight: 1, Timestamp: 1700000000},
 		}},
 		{Kind: graph.MutRemoveEdge, Epoch: 5, EdgeID: 2},
-		{Kind: graph.MutSetEdgeProp, Epoch: 6, EdgeID: 1, Key: "sentence", Value: "quoted \"text\""},
-		{Kind: graph.MutSetEdgeWeight, Epoch: 7, EdgeID: 1, Weight: 0.125},
 	}
 	for _, m := range muts {
 		b := encodeMutation(m)
@@ -131,8 +127,12 @@ func TestDecodeMutationRejectsGarbage(t *testing.T) {
 	if _, err := decodeMutation(nil); err == nil {
 		t.Error("empty record: want error")
 	}
-	if _, err := decodeMutation([]byte{99, 1}); err == nil {
-		t.Error("unknown kind: want error")
+	// 5 and 6 were the edge-property and edge-weight updates: reserved, and
+	// unknown since facts became write-once.
+	for _, kind := range []byte{0, 5, 6, 99} {
+		if _, err := decodeMutation([]byte{kind, 1, 0, 1, 'k', 1, 'v'}); err == nil || !strings.Contains(err.Error(), "unknown mutation kind") {
+			t.Errorf("kind %d: err = %v, want unknown mutation kind", kind, err)
+		}
 	}
 	// A valid record truncated mid-payload must fail decode, not panic.
 	full := encodeMutation(graph.Mutation{Kind: graph.MutAddVertex, Epoch: 1,
@@ -580,5 +580,39 @@ func TestReplayRemoveAndReaddKeepsTimeIndexConsistent(t *testing.T) {
 	verify(t, g3)
 	if ix := temporal.NewIndex(g3); len(ix.EdgesIn(temporal.Window{Since: 100, Until: 101})) != 0 {
 		t.Fatal("tail-replayed removal not reflected in time index")
+	}
+}
+
+// TestOpenRejectsEdgeBeyondAllocator: replay applies records through
+// graph.ApplyReplicated, so a CRC-valid WAL record whose edge ID lies beyond
+// the edge allocator is refused, as a replica refuses it, instead of sizing
+// a stripe's seq index to the ID. A fuzzed 22-byte record with an edge ID
+// near 4.2e10 asked for ≈ 10 GB that way; 1<<20 asks for ≈ 256 KiB and
+// shows the same fault.
+func TestOpenRejectsEdgeBeyondAllocator(t *testing.T) {
+	dir := t.TempDir()
+	w, err := createWAL(dir, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []graph.Mutation{
+		{Kind: graph.MutAddVertex, Epoch: 1, Vertex: graph.Vertex{ID: 0, Label: "V"}},
+		{Kind: graph.MutAddVertex, Epoch: 2, Vertex: graph.Vertex{ID: 1, Label: "V"}},
+		{Kind: graph.MutAddEdges, Epoch: 3, Edges: []graph.Edge{{ID: 1 << 20, Src: 0, Dst: 1, Label: "x"}}},
+	} {
+		if _, err := w.Append(encodeMutation(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New()
+	if st, err := Open(dir, g, testOptions()); err == nil {
+		st.Close()
+		t.Fatal("Open replayed an edge 1<<20 onto a graph whose edge allocator was at 0")
+	}
+	if g.NumEdges() != 0 {
+		t.Fatalf("refused record left %d edges", g.NumEdges())
 	}
 }

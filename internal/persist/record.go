@@ -12,11 +12,12 @@
 //     with group-commit buffering, so bulk ingest amortizes fsyncs.
 //
 // Recovery loads the newest valid snapshot and replays the WAL tail on top
-// of it. Replay is idempotent (records carry explicit IDs), so the WAL cut
-// point does not need to align exactly with the snapshot; a torn or
-// bit-flipped final record fails its CRC and truncates cleanly, losing at
-// most that record. A background checkpointer rolls a fresh snapshot and
-// prunes old log segments once the WAL exceeds a size budget.
+// of it through graph.ApplyReplicated, the path a replica applies its
+// leader's stream with. Replay is idempotent (records carry explicit IDs),
+// so the WAL cut point does not need to align exactly with the snapshot; a
+// torn or bit-flipped final record fails its CRC and truncates cleanly,
+// losing at most that record. A background checkpointer rolls a fresh
+// snapshot and prunes old log segments once the WAL exceeds a size budget.
 package persist
 
 import (
@@ -77,15 +78,15 @@ func (c *codec) putEdge(e graph.Edge) {
 	c.putProps(e.Props)
 }
 
-// --- Symbol-referenced encoding (snapshot v2) ------------------------------
+// --- Symbol-referenced encoding (snapshots) --------------------------------
 //
-// Snapshot v2 payloads do not embed strings inline: every label, property
+// Snapshot payloads do not embed strings inline: every label, property
 // key and property value is a uvarint reference into the snapshot's symbol
 // table section (strings sorted lexicographically, referenced by rank). The
 // table is built deterministically from the snapshot contents, so equal
 // graph state still encodes to byte-identical files, and repeated strings —
 // predicates, type names, provenance values — are stored once per file
-// instead of once per element. WAL records keep the inline (v1) string
+// instead of once per element. WAL records keep the inline string
 // encoding: they are written on the mutation path where building a
 // per-record table would cost more than it saves.
 
@@ -166,6 +167,20 @@ func (d *decoder) varint() int64 {
 	return v
 }
 
+// count reads an element count and bounds it by the bytes left: every
+// element takes at least one byte, so a corrupt count fails here instead of
+// sizing an allocation. It returns 0 once the decoder has failed.
+func (d *decoder) count(what string) uint64 {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.b)-d.off) {
+		d.fail(what)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) float64() float64 {
 	if d.err != nil {
 		return 0
@@ -196,12 +211,8 @@ func (d *decoder) string() string {
 func uint64n(v uint64) int { return int(v) }
 
 func (d *decoder) props() map[string]string {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) { // each pair needs >= 2 bytes; cheap sanity bound
-		d.fail("props count")
+	n := d.count("props count")
+	if n == 0 {
 		return nil
 	}
 	p := make(map[string]string, n)
@@ -230,12 +241,8 @@ func (d *decoder) sym(syms []string) string {
 }
 
 func (d *decoder) propsSym(syms []string) map[string]string {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) { // each pair needs >= 2 bytes; cheap sanity bound
-		d.fail("props count")
+	n := d.count("props count")
+	if n == 0 {
 		return nil
 	}
 	p := make(map[string]string, n)
@@ -312,13 +319,6 @@ func encodeMutation(m graph.Mutation) []byte {
 		}
 	case graph.MutRemoveEdge:
 		c.putVarint(int64(m.EdgeID))
-	case graph.MutSetEdgeProp:
-		c.putVarint(int64(m.EdgeID))
-		c.putString(m.Key)
-		c.putString(m.Value)
-	case graph.MutSetEdgeWeight:
-		c.putVarint(int64(m.EdgeID))
-		c.putFloat64(m.Weight)
 	}
 	return c.bytes()
 }
@@ -339,25 +339,13 @@ func decodeMutation(b []byte) (graph.Mutation, error) {
 		m.Key = d.string()
 		m.Value = d.string()
 	case graph.MutAddEdges:
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(b)) { // records can't hold more edges than bytes
-			d.fail("edge count")
-		}
-		if d.err == nil {
-			m.Edges = make([]graph.Edge, 0, n)
-			for i := uint64(0); i < n; i++ {
-				m.Edges = append(m.Edges, d.edge())
-			}
+		n := d.count("edge count")
+		m.Edges = make([]graph.Edge, 0, n)
+		for i := uint64(0); i < n && d.err == nil; i++ {
+			m.Edges = append(m.Edges, d.edge())
 		}
 	case graph.MutRemoveEdge:
 		m.EdgeID = graph.EdgeID(d.varint())
-	case graph.MutSetEdgeProp:
-		m.EdgeID = graph.EdgeID(d.varint())
-		m.Key = d.string()
-		m.Value = d.string()
-	case graph.MutSetEdgeWeight:
-		m.EdgeID = graph.EdgeID(d.varint())
-		m.Weight = d.float64()
 	default:
 		return m, fmt.Errorf("persist: unknown mutation kind %d", m.Kind)
 	}
@@ -365,32 +353,4 @@ func decodeMutation(b []byte) (graph.Mutation, error) {
 		return m, d.err
 	}
 	return m, nil
-}
-
-// applyMutation replays one decoded record onto the graph through the
-// restore API. Replay is idempotent: explicit-ID inserts overwrite or skip,
-// and set/remove operations on records that no longer exist are no-ops
-// (their insertion may predate the snapshot that superseded them).
-func applyMutation(g *graph.Graph, m graph.Mutation) error {
-	switch m.Kind {
-	case graph.MutAddVertex:
-		g.RestoreVertex(m.Vertex)
-	case graph.MutSetVertexProp:
-		g.SetVertexProp(m.VertexID, m.Key, m.Value)
-	case graph.MutAddEdges:
-		for _, e := range m.Edges {
-			if err := g.RestoreEdge(e); err != nil {
-				return err
-			}
-		}
-	case graph.MutRemoveEdge:
-		g.RemoveEdge(m.EdgeID)
-	case graph.MutSetEdgeProp:
-		g.SetEdgeProp(m.EdgeID, m.Key, m.Value)
-	case graph.MutSetEdgeWeight:
-		g.SetEdgeWeight(m.EdgeID, m.Weight)
-	default:
-		return fmt.Errorf("persist: unknown mutation kind %d", m.Kind)
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -18,9 +17,10 @@ import (
 //
 // A replication leader streams its WAL to followers: the on-disk record
 // framing (length + CRC-32C + payload, wal.go) doubles as the wire framing,
-// and the follower applies decoded records through graph.ApplyReplicated.
-// This file exports the pieces internal/repl needs: a disk-tailing cursor
-// over the store's segments, payload helpers (epoch peek, decode, framing),
+// and the follower applies decoded records through graph.ApplyReplicated,
+// as WAL replay does. This file exports the pieces internal/repl needs
+// beside the frame codec (AppendFrame, ReadFrame in wal.go): a disk-tailing
+// cursor over the store's segments, payload helpers (epoch peek, decode),
 // and snapshot discovery/restore for follower bootstrap.
 
 // ErrCaughtUp is returned by WALCursor.Next at the live segment's current
@@ -35,22 +35,8 @@ var ErrCaughtUp = errors.New("persist: WAL cursor caught up")
 // then decides between resuming and re-bootstrapping.
 var ErrSegmentGap = errors.New("persist: WAL segment pruned under cursor")
 
-// MaxWALRecordSize bounds one framed record, matching replay's cap.
-const MaxWALRecordSize = maxRecordSize
-
 // Dir returns the directory the store persists into.
 func (st *Store) Dir() string { return st.dir }
-
-// RecordCRC is the checksum the WAL framing carries (CRC-32C, Castagnoli).
-func RecordCRC(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
-
-// AppendFrame appends one record to dst in the WAL's wire framing:
-// length uint32 LE, CRC-32C uint32 LE, payload.
-func AppendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, RecordCRC(payload))
-	return append(dst, payload...)
-}
 
 // RecordEpoch peeks the epoch stamp of an encoded record without a full
 // decode; every payload starts with its kind byte and epoch uvarint.
@@ -108,12 +94,6 @@ func (c *WALCursor) Close() error {
 	return nil
 }
 
-// errFrameTail marks a frame that does not (yet) parse at the current
-// offset: a clean end, an in-flight write, or a torn tail. Whether that
-// means "caught up" or "segment finished" depends on whether a later
-// segment exists.
-var errFrameTail = errors.New("persist: frame incomplete at segment tail")
-
 // Next returns the next record payload, ErrCaughtUp at the live tail, or
 // ErrSegmentGap when pruning removed the next segment in sequence.
 func (c *WALCursor) Next() ([]byte, error) {
@@ -123,11 +103,15 @@ func (c *WALCursor) Next() ([]byte, error) {
 				return nil, err
 			}
 		}
-		payload, err := c.readFrame()
+		// A frame that does not parse here is the segment's tail: on the
+		// live segment an in-flight group commit that a later read resolves,
+		// on a finished one the end that sends the cursor to the next.
+		payload, err := ReadFrame(io.NewSectionReader(c.f, c.off, 8+maxRecordSize))
 		if err == nil {
+			c.off += int64(8 + len(payload))
 			return payload, nil
 		}
-		if !errors.Is(err, errFrameTail) {
+		if !frameEnds(err) {
 			return nil, err
 		}
 		next, ok, err := c.nextSeq()
@@ -183,37 +167,6 @@ func (c *WALCursor) open() error {
 	}
 	c.f, c.seq, c.off, c.started = f, pick, walHeaderSize, true
 	return nil
-}
-
-// readFrame parses one record at the current offset. Any shortfall —
-// missing header bytes, implausible length, short payload, CRC mismatch —
-// is errFrameTail: on the live segment it is an in-flight group commit and
-// resolves on a later read; on a finished segment Next advances.
-func (c *WALCursor) readFrame() ([]byte, error) {
-	var head [8]byte
-	if _, err := c.f.ReadAt(head[:], c.off); err != nil {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, errFrameTail
-		}
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(head[0:]))
-	crc := binary.LittleEndian.Uint32(head[4:])
-	if n > maxRecordSize {
-		return nil, errFrameTail
-	}
-	payload := make([]byte, n)
-	if _, err := c.f.ReadAt(payload, c.off+8); err != nil {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, errFrameTail
-		}
-		return nil, err
-	}
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return nil, errFrameTail
-	}
-	c.off += int64(8 + n)
-	return payload, nil
 }
 
 // nextSeq reports the smallest on-disk segment sequence greater than the

@@ -16,13 +16,13 @@ import (
 // Snapshot file layout (all fixed-width fields little-endian):
 //
 //	magic    [8]byte  "NOUSNAP1"
-//	version  uint32   1 or 2
-//	shards   uint32   stripe count at write time
+//	version  uint32   2
+//	shards   uint32   graph.ShardCount()
 //	epoch    uint64   graph mutation epoch at the cut
 //	nextV    uint64   vertex ID allocator
 //	nextE    uint64   edge ID allocator
 //	walSeq   uint64   first WAL segment whose records may postdate this cut
-//	[v2 only] one symbol-table section, framed like a shard section:
+//	one symbol-table section:
 //	  length uint64   payload byte count
 //	  crc    uint32   CRC-32C (Castagnoli) of the payload
 //	  payload         count uvarint, then count length-prefixed strings,
@@ -32,11 +32,13 @@ import (
 //	  crc    uint32   CRC-32C (Castagnoli) of the payload
 //	  payload         vcount uvarint, vertices...; ecount uvarint, edges...
 //
-// Version 1 embeds every string inline in the shard payloads. Version 2 —
-// the only version written — stores each distinct label, property key and
-// property value once in the symbol-table section and encodes elements with
-// uvarint references into it. The table is sorted, so equal graph state
-// still produces byte-identical files; version 1 files remain readable.
+// The symbol-table section stores each distinct label, property key and
+// property value once, and shard payloads encode elements with uvarint
+// references into it. The table is sorted, so equal graph state produces
+// byte-identical files. Version 2 is the only version written and the only
+// one read: no writer of version 1 (inline strings, no symbol section) has
+// existed since version 2, and the shard count is a constant of the graph,
+// so a file with another version or count is refused.
 //
 // Shard payloads are self-contained given the symbol table, so the writer
 // encodes all stripes in parallel and the loader decodes them in parallel
@@ -204,13 +206,12 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 	if len(raw) < 48 || string(raw[:8]) != snapMagic {
 		return nil, 0, fmt.Errorf("persist: %s: not a snapshot file", path)
 	}
-	version := binary.LittleEndian.Uint32(raw[8:])
-	if version != 1 && version != 2 {
+	if version := binary.LittleEndian.Uint32(raw[8:]); version != snapVersion {
 		return nil, 0, fmt.Errorf("persist: %s: unsupported snapshot version %d", path, version)
 	}
-	shards := int(binary.LittleEndian.Uint32(raw[12:]))
-	if shards <= 0 || shards > 1<<10 {
-		return nil, 0, fmt.Errorf("persist: %s: implausible shard count %d", path, shards)
+	shards := graph.ShardCount()
+	if n := binary.LittleEndian.Uint32(raw[12:]); n != uint32(shards) {
+		return nil, 0, fmt.Errorf("persist: %s: snapshot has %d shards, want %d", path, n, shards)
 	}
 	snap := &graph.GraphSnapshot{
 		Vertices:   make([][]graph.Vertex, shards),
@@ -221,16 +222,12 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 	}
 	walSeq := binary.LittleEndian.Uint64(raw[40:])
 
-	// Frame pass: locate and CRC-check every section before decoding. A v2
-	// file carries one extra leading section, the symbol table.
-	nSections := shards
-	if version >= 2 {
-		nSections++
-	}
+	// Frame pass: locate and CRC-check every section before decoding: the
+	// symbol table, then one section per shard.
 	type section struct{ start, end int }
-	sections := make([]section, nSections)
+	sections := make([]section, 1+shards)
 	off := 48
-	for i := 0; i < nSections; i++ {
+	for i := range sections {
 		if off+12 > len(raw) {
 			return nil, 0, fmt.Errorf("persist: %s: truncated at section %d frame", path, i)
 		}
@@ -249,22 +246,16 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 	}
 
 	// Symbol table first: shard decoding references it.
-	var syms []string
-	if version >= 2 {
-		d := newDecoder(raw[sections[0].start:sections[0].end])
-		n := d.uvarint()
-		if d.err == nil && n > uint64(sections[0].end-sections[0].start) {
-			d.fail("symbol count")
-		}
-		syms = make([]string, 0, n)
-		for j := uint64(0); j < n && d.err == nil; j++ {
-			syms = append(syms, d.string())
-		}
-		if d.err != nil {
-			return nil, 0, fmt.Errorf("persist: %s: symbol table: %w", path, d.err)
-		}
-		sections = sections[1:]
+	d := newDecoder(raw[sections[0].start:sections[0].end])
+	n := d.count("symbol count")
+	syms := make([]string, 0, n)
+	for j := uint64(0); j < n && d.err == nil; j++ {
+		syms = append(syms, d.string())
 	}
+	if d.err != nil {
+		return nil, 0, fmt.Errorf("persist: %s: symbol table: %w", path, d.err)
+	}
+	sections = sections[1:]
 
 	// Decode pass: shard sections are independent, decode them in parallel.
 	errs := make([]error, shards)
@@ -274,29 +265,15 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 		go func(i int) {
 			defer wg.Done()
 			d := newDecoder(raw[sections[i].start:sections[i].end])
-			nv := d.uvarint()
-			if d.err == nil && nv > uint64(sections[i].end-sections[i].start) {
-				d.fail("vertex count")
-			}
+			nv := d.count("vertex count")
 			vs := make([]graph.Vertex, 0, nv)
 			for j := uint64(0); j < nv && d.err == nil; j++ {
-				if version >= 2 {
-					vs = append(vs, d.vertexSym(syms))
-				} else {
-					vs = append(vs, d.vertex())
-				}
+				vs = append(vs, d.vertexSym(syms))
 			}
-			ne := d.uvarint()
-			if d.err == nil && ne > uint64(sections[i].end-sections[i].start) {
-				d.fail("edge count")
-			}
+			ne := d.count("edge count")
 			es := make([]graph.Edge, 0, ne)
 			for j := uint64(0); j < ne && d.err == nil; j++ {
-				if version >= 2 {
-					es = append(es, d.edgeSym(syms))
-				} else {
-					es = append(es, d.edge())
-				}
+				es = append(es, d.edgeSym(syms))
 			}
 			if d.err != nil {
 				errs[i] = fmt.Errorf("persist: %s: shard %d: %w", path, i, d.err)
@@ -317,8 +294,9 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 
 // restoreSnapshot loads a decoded snapshot into an empty graph: vertices
 // first (one RestoreVertices call per shard, whose interning runs in
-// parallel), then edges via the bulk RestoreEdges path, which rebuilds each
-// stripe's columnar slab with one worker per shard.
+// parallel), then the ID allocators, then edges via the bulk RestoreEdges
+// path, which rebuilds each stripe's columnar slab with one worker per shard
+// and refuses an edge ID at or above the header's edge allocator.
 func restoreSnapshot(g *graph.Graph, snap *graph.GraphSnapshot) error {
 	var wg sync.WaitGroup
 	for i := range snap.Vertices {
@@ -329,24 +307,10 @@ func restoreSnapshot(g *graph.Graph, snap *graph.GraphSnapshot) error {
 		}(snap.Vertices[i])
 	}
 	wg.Wait()
-
-	// RestoreEdges rebuilds the columnar slabs one stripe per worker, but it
-	// needs the edge groups keyed by owning shard. A snapshot written with
-	// the current shard count already is; otherwise regroup by edge ID.
-	byOwner := snap.Edges
-	if len(byOwner) != graph.ShardCount() {
-		byOwner = make([][]graph.Edge, graph.ShardCount())
-		for _, es := range snap.Edges {
-			for _, e := range es {
-				si := int(uint64(e.ID) % uint64(graph.ShardCount()))
-				byOwner[si] = append(byOwner[si], e)
-			}
-		}
-	}
-	if err := g.RestoreEdges(byOwner); err != nil {
+	g.AdvanceIDs(snap.NextVertex, snap.NextEdge)
+	if err := g.RestoreEdges(snap.Edges); err != nil {
 		return err
 	}
-	g.AdvanceIDs(snap.NextVertex, snap.NextEdge)
 	g.SetEpoch(snap.Epoch)
 	return nil
 }

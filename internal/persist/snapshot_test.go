@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"nous/internal/graph"
@@ -100,25 +101,32 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1BackwardCompat hand-encodes a version-1 snapshot — inline
-// strings, no symbol-table section — and verifies the reader still decodes
-// and restores it. Files written before the v2 cut must stay loadable.
-func TestSnapshotV1BackwardCompat(t *testing.T) {
+// TestSnapshotRejectsForeignFormat pins the one snapshot format: a
+// version-1 file (inline strings, no symbol-table section, readable until
+// no writer of it was left), a version-3 header and a foreign shard count
+// are each refused, and Open over a directory whose only snapshot is such a
+// file refuses to open, as it does when every snapshot is corrupt.
+func TestSnapshotRejectsForeignFormat(t *testing.T) {
 	g := graph.New()
 	buildSample(t, g)
 	snap := g.Snapshot()
+	path, _, err := writeSnapshot(t.TempDir(), snap, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withHeader := func(at int, v uint32) []byte {
+		raw := bytes.Clone(v2)
+		binary.LittleEndian.PutUint32(raw[at:], v)
+		return raw
+	}
 
-	head := make([]byte, 0, 48)
-	head = append(head, snapMagic...)
-	head = binary.LittleEndian.AppendUint32(head, 1) // version 1
-	head = binary.LittleEndian.AppendUint32(head, uint32(len(snap.Vertices)))
-	head = binary.LittleEndian.AppendUint64(head, snap.Epoch)
-	head = binary.LittleEndian.AppendUint64(head, uint64(snap.NextVertex))
-	head = binary.LittleEndian.AppendUint64(head, uint64(snap.NextEdge))
-	head = binary.LittleEndian.AppendUint64(head, 5) // walSeq
-
-	var buf bytes.Buffer
-	buf.Write(head)
+	// A genuine version-1 file: the v2 header with version 1, then one
+	// inline-string section per shard.
+	v1 := bytes.NewBuffer(withHeader(8, 1)[:48])
 	frame := make([]byte, 12)
 	for i := range snap.Vertices {
 		c := &codec{}
@@ -133,25 +141,51 @@ func TestSnapshotV1BackwardCompat(t *testing.T) {
 		p := c.bytes()
 		binary.LittleEndian.PutUint64(frame[0:], uint64(len(p)))
 		binary.LittleEndian.PutUint32(frame[8:], crc32.Checksum(p, castagnoli))
-		buf.Write(frame)
-		buf.Write(p)
+		v1.Write(frame)
+		v1.Write(p)
 	}
 
-	path := filepath.Join(t.TempDir(), snapName(snap.Epoch))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	for name, raw := range map[string][]byte{
+		"version 1":  v1.Bytes(),
+		"version 3":  withHeader(8, 3),
+		"8 shards":   withHeader(12, 8),
+		"shards + 1": withHeader(12, uint32(graph.ShardCount()+1)),
+	} {
+		if _, _, err := decodeSnapshot(raw, name); err == nil {
+			t.Errorf("%s: decodeSnapshot accepted it", name)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapName(snap.Epoch)), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := Open(dir, graph.New(), testOptions()); err == nil {
+			st.Close()
+			t.Errorf("%s: Open succeeded over a foreign snapshot; want refusal", name)
+		}
 	}
+}
 
-	got, walSeq, err := readSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
+// TestSnapshotCountsBoundedBySection: a symbol, vertex or edge count larger
+// than the bytes left in its CRC-valid section fails the decode before it
+// sizes an allocation. FuzzSnapshotSections found a 4-byte symbol section
+// whose count asked for 1.6 GB; each count here asks for 16–64 MB.
+func TestSnapshotCountsBoundedBySection(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<20)
+	for name, sections := range map[string][2][]byte{
+		"symbol count": {huge, {0, 0}},
+		"vertex count": {{0}, huge},
+		"edge count":   {{0}, append([]byte{0}, huge...)},
+	} {
+		raw := snapshotImage(sections[0], sections[1], 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := decodeSnapshot(raw, name)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded a section whose count exceeds its bytes", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s: decode allocated %d bytes", name, n)
+		}
 	}
-	if walSeq != 5 {
-		t.Errorf("walSeq: want 5, got %d", walSeq)
-	}
-	g2 := graph.New()
-	if err := restoreSnapshot(g2, got); err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsEqual(t, g, g2)
 }

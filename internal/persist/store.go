@@ -126,7 +126,9 @@ type Store struct {
 // disabled) a background group-commit flusher + size-budget checkpointer.
 //
 // The graph must be empty and not yet mutating; Open is the first thing that
-// touches it.
+// writes it. Replay applies records through graph.ApplyReplicated, so hooks
+// already attached to g (a temporal index) see the replayed mutations; the
+// store's own hook is installed only after replay.
 func Open(dir string, g *graph.Graph, opt Options) (*Store, error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -174,7 +176,8 @@ func Open(dir string, g *graph.Graph, opt Options) (*Store, error) {
 	}
 
 	// 2. Replay the WAL tail. Segments older than the snapshot's cut are
-	// fully covered by it and skipped.
+	// fully covered by it and skipped. A record skipped as already present
+	// commits nothing and so adopts no epoch; maxEpoch covers its stamp.
 	wals, err := listWALs(dir)
 	if err != nil {
 		return nil, err

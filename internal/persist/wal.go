@@ -1,9 +1,12 @@
 package persist
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,7 +29,9 @@ import (
 // A record is valid only if its frame fits the file and its CRC matches. The
 // first invalid record ends the segment: a torn or bit-flipped tail loses at
 // most that final write, and recovery truncates the segment back to its last
-// valid record so the damage cannot be misread later.
+// valid record so the damage cannot be misread later. The same frame carries
+// a record over the replication wire (internal/repl), and ReadFrame parses it
+// for replay, for the WAL cursor and for the follower.
 
 const (
 	walMagic      = "NOUSWAL1"
@@ -37,6 +42,51 @@ const (
 	// drive a multi-gigabyte allocation during replay.
 	maxRecordSize = 64 << 20
 )
+
+// ErrBadFrame is returned by ReadFrame for a frame whose length exceeds the
+// record cap or whose payload fails its CRC.
+var ErrBadFrame = errors.New("persist: bad WAL frame")
+
+// AppendFrame appends one record to dst in the WAL's framing:
+// length uint32 LE, CRC-32C uint32 LE, payload.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
+
+// ReadFrame reads one frame that AppendFrame wrote and returns its payload.
+// It returns io.EOF at a clean end (r holds no byte of a further frame),
+// io.ErrUnexpectedEOF when the frame is cut short, and ErrBadFrame for an
+// implausible length or a CRC mismatch. Any other error is r's own.
+func ReadFrame(r io.Reader) ([]byte, error) {
+	var head [8]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(head[0:])
+	if n > maxRecordSize {
+		return nil, ErrBadFrame
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(head[4:]) {
+		return nil, ErrBadFrame
+	}
+	return payload, nil
+}
+
+// frameEnds reports whether a ReadFrame error means that no valid frame
+// starts at the reader's offset: a clean end, a frame cut short or a bad
+// one. Any other error is an I/O failure.
+func frameEnds(err error) bool {
+	return err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrBadFrame)
+}
 
 func walName(seq uint64) string { return fmt.Sprintf("wal-%016x%s", seq, walSuffix) }
 
@@ -118,11 +168,7 @@ func createWAL(dir string, seq uint64, threshold int) (*walWriter, error) {
 func (w *walWriter) Append(payload []byte) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	w.pending = append(w.pending, frame[:]...)
-	w.pending = append(w.pending, payload...)
+	w.pending = AppendFrame(w.pending, payload)
 	w.records++
 	w.size += int64(len(payload) + 8)
 	if len(w.pending) >= w.threshold {
@@ -170,62 +216,52 @@ func (w *walWriter) Stats() (records uint64, size int64) {
 	return w.records, w.size
 }
 
-// replayWAL applies every valid record of one segment to the graph. It
-// returns the number of records applied and the highest epoch stamp seen.
-// On a torn or corrupt tail the segment is truncated back to its last valid
-// record; only a malformed-but-CRC-valid record (real corruption of logic,
-// not of storage) aborts recovery with an error.
+// replayWAL applies every valid record of one segment to the graph through
+// graph.ApplyReplicated, the path a replica applies its leader's stream
+// with. It returns the number of records read and the highest epoch stamp
+// among them, applied or skipped as already present. On a torn or corrupt
+// tail the segment is truncated back to its last valid record; only a
+// malformed-but-CRC-valid record (real corruption of logic, not of storage)
+// aborts recovery with an error.
 //
-// Records are applied in append order, which can differ from epoch order
-// when concurrent writers raced on the same record (two unsynchronized
-// SetEdgeWeight calls on one edge may log in either order). That is the
-// same indeterminacy the racing callers already had in memory — recovery
-// lands on one of the outcomes the race could have produced. Causally
-// ordered writes (anything sequenced through a caller, like core.KG's
-// lock) append in order and replay exactly.
+// Records are applied in append order, which is epoch order: the store
+// appends from the graph's mutation hook, under the graph's write lock.
 func replayWAL(g *graph.Graph, path string) (applied int, maxEpoch uint64, err error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(raw) < walHeaderSize || string(raw[:8]) != walMagic {
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 64<<10)
+	var head [walHeaderSize]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil || string(head[:8]) != walMagic {
 		return 0, 0, fmt.Errorf("persist: %s: not a WAL segment", path)
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != walVersion {
+	if v := binary.LittleEndian.Uint32(head[8:]); v != walVersion {
 		return 0, 0, fmt.Errorf("persist: %s: unsupported WAL version %d", path, v)
 	}
-	off := walHeaderSize
+	off := int64(walHeaderSize)
 	for {
-		if off == len(raw) {
-			return applied, maxEpoch, nil // clean end
-		}
-		if off+8 > len(raw) {
-			truncateWAL(path, int64(off))
+		payload, err := ReadFrame(r)
+		if frameEnds(err) {
+			if err != io.EOF {
+				truncateWAL(path, off)
+			}
 			return applied, maxEpoch, nil
 		}
-		n := int(binary.LittleEndian.Uint32(raw[off:]))
-		crc := binary.LittleEndian.Uint32(raw[off+4:])
-		if n > maxRecordSize || off+8+n > len(raw) {
-			truncateWAL(path, int64(off))
-			return applied, maxEpoch, nil
+		if err != nil {
+			return applied, maxEpoch, fmt.Errorf("persist: %s: %w", path, err)
 		}
-		payload := raw[off+8 : off+8+n]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			truncateWAL(path, int64(off))
-			return applied, maxEpoch, nil
+		m, err := decodeMutation(payload)
+		if err == nil {
+			err = g.ApplyReplicated(m)
 		}
-		m, derr := decodeMutation(payload)
-		if derr != nil {
-			return applied, maxEpoch, fmt.Errorf("persist: %s: record %d: %w", path, applied, derr)
+		if err != nil {
+			return applied, maxEpoch, fmt.Errorf("persist: %s: record %d: %w", path, applied, err)
 		}
-		if aerr := applyMutation(g, m); aerr != nil {
-			return applied, maxEpoch, fmt.Errorf("persist: %s: record %d: %w", path, applied, aerr)
-		}
-		if m.Epoch > maxEpoch {
-			maxEpoch = m.Epoch
-		}
+		maxEpoch = max(maxEpoch, m.Epoch)
 		applied++
-		off += 8 + n
+		off += int64(8 + len(payload))
 	}
 }
 

@@ -216,7 +216,10 @@ func (f *Follower) tail(ctx context.Context) (int, error) {
 	br := bufio.NewReaderSize(resp.Body, 64<<10)
 	applied := 0
 	for {
-		payload, err := readFrame(br)
+		// Unlike the disk tail, a frame cut short or failing its CRC means
+		// the connection broke: the error ends the stream and run
+		// reconnects.
+		payload, err := persist.ReadFrame(br)
 		if err != nil {
 			if err == io.EOF || ctx.Err() != nil {
 				return applied, nil // clean end of stream

@@ -5,21 +5,15 @@
 //
 // The wire protocol reuses the WAL's on-disk record framing — a uint32
 // little-endian length, a CRC-32C checksum, then the encoded mutation — so
-// the leader ships stored bytes without re-encoding and the follower
-// validates each frame with the same checksum the recovery path trusts. One
-// extra record kind exists only on the wire: a progress record (kind byte 0,
-// below every real mutation kind) carrying the leader's current epoch, sent
-// when a stream opens and as a heartbeat while the follower is caught up.
+// the leader ships stored bytes without re-encoding (persist.AppendFrame)
+// and the follower parses each frame with persist.ReadFrame, the reader
+// recovery uses. One extra record kind exists only on the wire: a progress
+// record (kind byte 0, below every real mutation kind) carrying the leader's
+// current epoch, sent when a stream opens and as a heartbeat while the
+// follower is caught up.
 package repl
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-
-	"nous/internal/persist"
-)
+import "encoding/binary"
 
 // progressKind is the wire-only record kind for leader progress/heartbeat
 // frames. Real mutation kinds start at 1, so the zero byte is free.
@@ -45,28 +39,4 @@ func isProgress(payload []byte) (uint64, bool) {
 		return 0, false
 	}
 	return e, true
-}
-
-// readFrame reads one length-prefixed, CRC-checked record from the stream.
-// Any violation — short read, implausible length, checksum mismatch — is an
-// error: unlike the disk tail, a torn wire frame means the connection is
-// broken and the follower must reconnect.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(head[0:]))
-	crc := binary.LittleEndian.Uint32(head[4:])
-	if n > persist.MaxWALRecordSize {
-		return nil, fmt.Errorf("repl: frame length %d exceeds record cap", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, err
-	}
-	if persist.RecordCRC(payload) != crc {
-		return nil, fmt.Errorf("repl: frame checksum mismatch")
-	}
-	return payload, nil
 }

@@ -118,10 +118,12 @@ func (ix *Index) Detach() {
 	}
 }
 
-// Rebuild clears the index and re-scans the graph. Recovery calls it (via
-// NewIndex/Attach) because snapshot loads and WAL replay restore edges
-// without emitting mutations. The graph must be quiescent for the rebuild to
-// be a consistent cut.
+// Rebuild clears the index and re-scans the graph. Recovery calls it
+// (through core.KG.Rebuild) because a snapshot load restores edges without
+// emitting mutations; WAL replay applies records through
+// graph.ApplyReplicated, which emits them, and the rescan re-derives those
+// entries along with the rest. The graph must be quiescent for the rebuild
+// to be a consistent cut.
 func (ix *Index) Rebuild() {
 	ix.mu.Lock()
 	ix.resetLocked()
