@@ -143,6 +143,17 @@ func (kg *KG) Subscribe(fn func(Event)) {
 	kg.listeners = append(kg.listeners, fn)
 }
 
+// ReadLocked runs fn under the KG's read lock. Every write — the graph
+// mutation, its epoch move and the listeners it notifies — runs under the
+// write lock, so state a listener keeps, read inside fn, is at or after
+// every epoch the caller read before the call. fn must not call back into
+// the KG: a second read lock deadlocks once a writer queues between the two.
+func (kg *KG) ReadLocked(fn func()) {
+	kg.mu.RLock()
+	defer kg.mu.RUnlock()
+	fn()
+}
+
 // AddEntity registers an entity with a canonical name, a type and optional
 // aliases, returning its vertex ID. Adding an existing name returns the
 // existing vertex (aliases are merged; a more specific type overwrites a

@@ -14,7 +14,7 @@ import (
 // the graph — entity name maps, alias index, the undated set — is maintained
 // incrementally with the same derivations Rebuild uses on a full scan.
 // Fact-level listeners see FactAdded/FactEvicted exactly as they would on a
-// leader, so miners and detectors stay live on a replica.
+// leader, so the miner and the trend table stay live on a replica.
 //
 // Duplicate delivery (a resumed stream re-sending applied records) converges:
 // adds of known facts and removes of unknown ones are no-ops.

@@ -63,8 +63,7 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // snapshotImage frames a symbol-table payload and one shard payload into a
-// version-2 snapshot with valid CRCs, so a fuzzed payload gets past the
-// checksum. Every other shard holds the empty payload (no vertices, no
+// snapshot with valid CRCs, so a fuzzed payload gets past the checksums. Every other shard holds the empty payload (no vertices, no
 // edges). The header's edge allocator is 64, which bounds the edge IDs a
 // restore accepts.
 func snapshotImage(syms, shard []byte, si int) []byte {
@@ -74,6 +73,7 @@ func snapshotImage(syms, shard []byte, si int) []byte {
 	for _, v := range []uint64{1, 64, 64, 0} { // epoch, nextV, nextE, walSeq
 		raw = binary.LittleEndian.AppendUint64(raw, v)
 	}
+	raw = binary.LittleEndian.AppendUint32(raw, crc32.Checksum(raw, castagnoli))
 	frame := func(p []byte) {
 		raw = binary.LittleEndian.AppendUint64(raw, uint64(len(p)))
 		raw = binary.LittleEndian.AppendUint32(raw, crc32.Checksum(p, castagnoli))

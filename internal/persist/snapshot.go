@@ -16,12 +16,13 @@ import (
 // Snapshot file layout (all fixed-width fields little-endian):
 //
 //	magic    [8]byte  "NOUSNAP1"
-//	version  uint32   2
+//	version  uint32   3
 //	shards   uint32   graph.ShardCount()
 //	epoch    uint64   graph mutation epoch at the cut
 //	nextV    uint64   vertex ID allocator
 //	nextE    uint64   edge ID allocator
 //	walSeq   uint64   first WAL segment whose records may postdate this cut
+//	hcrc     uint32   CRC-32C (Castagnoli) of the 48 header bytes above
 //	one symbol-table section:
 //	  length uint64   payload byte count
 //	  crc    uint32   CRC-32C (Castagnoli) of the payload
@@ -35,10 +36,13 @@ import (
 // The symbol-table section stores each distinct label, property key and
 // property value once, and shard payloads encode elements with uvarint
 // references into it. The table is sorted, so equal graph state produces
-// byte-identical files. Version 2 is the only version written and the only
-// one read: no writer of version 1 (inline strings, no symbol section) has
-// existed since version 2, and the shard count is a constant of the graph,
-// so a file with another version or count is refused.
+// byte-identical files. Version 3 is the only version written and the only
+// one read: it is version 2 (whose header no CRC covered) with the header
+// CRC appended, and the shard count is a constant of the graph, so a file
+// with another version or count is refused. The header CRC matters beyond
+// the load: a flipped bit in nextE sized a stripe's seq index to the bogus
+// ID on the next AddEdge, and a flipped bit in walSeq would let prune delete
+// WAL segments the snapshot does not cover.
 //
 // Shard payloads are self-contained given the symbol table, so the writer
 // encodes all stripes in parallel and the loader decodes them in parallel
@@ -46,8 +50,10 @@ import (
 
 const (
 	snapMagic   = "NOUSNAP1"
-	snapVersion = 2
+	snapVersion = 3
 	snapSuffix  = ".snap"
+	// snapHeaderLen is the header's length, its CRC included.
+	snapHeaderLen = 52
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -133,10 +139,10 @@ func writeSnapshot(dir string, snap *graph.GraphSnapshot, walSeq uint64) (string
 		}(i)
 	}
 	wg.Wait()
-	// The symbol table is the first framed section of a v2 file.
+	// The symbol table is the first framed section.
 	payloads = append([][]byte{symc.bytes()}, payloads...)
 
-	head := make([]byte, 0, 48)
+	head := make([]byte, 0, snapHeaderLen)
 	head = append(head, snapMagic...)
 	head = binary.LittleEndian.AppendUint32(head, snapVersion)
 	head = binary.LittleEndian.AppendUint32(head, uint32(shards))
@@ -144,6 +150,7 @@ func writeSnapshot(dir string, snap *graph.GraphSnapshot, walSeq uint64) (string
 	head = binary.LittleEndian.AppendUint64(head, uint64(snap.NextVertex))
 	head = binary.LittleEndian.AppendUint64(head, uint64(snap.NextEdge))
 	head = binary.LittleEndian.AppendUint64(head, walSeq)
+	head = binary.LittleEndian.AppendUint32(head, crc32.Checksum(head, castagnoli))
 
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
@@ -203,30 +210,19 @@ func readSnapshot(path string) (*graph.GraphSnapshot, uint64, error) {
 // replication followers decode snapshots fetched over HTTP without touching
 // disk.
 func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, error) {
-	if len(raw) < 48 || string(raw[:8]) != snapMagic {
-		return nil, 0, fmt.Errorf("persist: %s: not a snapshot file", path)
-	}
-	if version := binary.LittleEndian.Uint32(raw[8:]); version != snapVersion {
-		return nil, 0, fmt.Errorf("persist: %s: unsupported snapshot version %d", path, version)
+	snap, walSeq, err := parseSnapshotHeader(raw, path)
+	if err != nil {
+		return nil, 0, err
 	}
 	shards := graph.ShardCount()
-	if n := binary.LittleEndian.Uint32(raw[12:]); n != uint32(shards) {
-		return nil, 0, fmt.Errorf("persist: %s: snapshot has %d shards, want %d", path, n, shards)
-	}
-	snap := &graph.GraphSnapshot{
-		Vertices:   make([][]graph.Vertex, shards),
-		Edges:      make([][]graph.Edge, shards),
-		Epoch:      binary.LittleEndian.Uint64(raw[16:]),
-		NextVertex: int64(binary.LittleEndian.Uint64(raw[24:])),
-		NextEdge:   int64(binary.LittleEndian.Uint64(raw[32:])),
-	}
-	walSeq := binary.LittleEndian.Uint64(raw[40:])
+	snap.Vertices = make([][]graph.Vertex, shards)
+	snap.Edges = make([][]graph.Edge, shards)
 
 	// Frame pass: locate and CRC-check every section before decoding: the
 	// symbol table, then one section per shard.
 	type section struct{ start, end int }
 	sections := make([]section, 1+shards)
-	off := 48
+	off := snapHeaderLen
 	for i := range sections {
 		if off+12 > len(raw) {
 			return nil, 0, fmt.Errorf("persist: %s: truncated at section %d frame", path, i)
@@ -290,6 +286,31 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 		}
 	}
 	return snap, walSeq, nil
+}
+
+// parseSnapshotHeader checks a snapshot's header — magic, version, header
+// CRC, shard count — and returns the epoch and ID allocators it records, as
+// a snapshot with no elements yet, and its WAL cut. It is the one reader of
+// the header: decodeSnapshot and snapshotWALSeq both go through it, so no
+// header field is used unchecked.
+func parseSnapshotHeader(raw []byte, path string) (*graph.GraphSnapshot, uint64, error) {
+	if len(raw) < snapHeaderLen || string(raw[:8]) != snapMagic {
+		return nil, 0, fmt.Errorf("persist: %s: not a snapshot file", path)
+	}
+	if version := binary.LittleEndian.Uint32(raw[8:]); version != snapVersion {
+		return nil, 0, fmt.Errorf("persist: %s: unsupported snapshot version %d", path, version)
+	}
+	if crc32.Checksum(raw[:snapHeaderLen-4], castagnoli) != binary.LittleEndian.Uint32(raw[snapHeaderLen-4:]) {
+		return nil, 0, fmt.Errorf("persist: %s: header CRC mismatch", path)
+	}
+	if n, want := binary.LittleEndian.Uint32(raw[12:]), graph.ShardCount(); n != uint32(want) {
+		return nil, 0, fmt.Errorf("persist: %s: snapshot has %d shards, want %d", path, n, want)
+	}
+	return &graph.GraphSnapshot{
+		Epoch:      binary.LittleEndian.Uint64(raw[16:]),
+		NextVertex: int64(binary.LittleEndian.Uint64(raw[24:])),
+		NextEdge:   int64(binary.LittleEndian.Uint64(raw[32:])),
+	}, binary.LittleEndian.Uint64(raw[40:]), nil
 }
 
 // restoreSnapshot loads a decoded snapshot into an empty graph: vertices

@@ -7,12 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nous/internal/graph"
 )
 
-// TestSnapshotSymbolTableRoundTrip pins the v2 format: the symbol table is
+// TestSnapshotSymbolTableRoundTrip pins the v3 format: the symbol table is
 // the first framed section, holds every distinct string exactly once in
 // sorted order, and decoding through it reproduces the graph bit-for-bit.
 func TestSnapshotSymbolTableRoundTrip(t *testing.T) {
@@ -31,11 +32,11 @@ func TestSnapshotSymbolTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != 2 {
-		t.Fatalf("version: want 2, got %d", v)
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != 3 {
+		t.Fatalf("version: want 3, got %d", v)
 	}
-	n := binary.LittleEndian.Uint64(raw[48:])
-	d := newDecoder(raw[60 : 60+int(n)])
+	n := binary.LittleEndian.Uint64(raw[snapHeaderLen:])
+	d := newDecoder(raw[snapHeaderLen+12 : snapHeaderLen+12+int(n)])
 	count := d.uvarint()
 	syms := make([]string, 0, count)
 	for i := uint64(0); i < count; i++ {
@@ -102,10 +103,12 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 // TestSnapshotRejectsForeignFormat pins the one snapshot format: a
-// version-1 file (inline strings, no symbol-table section, readable until
-// no writer of it was left), a version-3 header and a foreign shard count
-// are each refused, and Open over a directory whose only snapshot is such a
-// file refuses to open, as it does when every snapshot is corrupt.
+// version-2 file (the same layout with no header CRC, readable until no
+// writer of it was left), a version-4 header and a foreign shard count are
+// each refused, and Open over a directory whose only snapshot is such a
+// file refuses to open, as it does when every snapshot is corrupt. The
+// edited headers carry a valid header CRC, so the version and shard checks
+// are what refuse them.
 func TestSnapshotRejectsForeignFormat(t *testing.T) {
 	g := graph.New()
 	buildSample(t, g)
@@ -114,40 +117,24 @@ func TestSnapshotRejectsForeignFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := os.ReadFile(path)
+	v3, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withHeader := func(at int, v uint32) []byte {
-		raw := bytes.Clone(v2)
+		raw := bytes.Clone(v3)
 		binary.LittleEndian.PutUint32(raw[at:], v)
+		binary.LittleEndian.PutUint32(raw[snapHeaderLen-4:], crc32.Checksum(raw[:snapHeaderLen-4], castagnoli))
 		return raw
 	}
-
-	// A genuine version-1 file: the v2 header with version 1, then one
-	// inline-string section per shard.
-	v1 := bytes.NewBuffer(withHeader(8, 1)[:48])
-	frame := make([]byte, 12)
-	for i := range snap.Vertices {
-		c := &codec{}
-		c.putUvarint(uint64(len(snap.Vertices[i])))
-		for _, v := range snap.Vertices[i] {
-			c.putVertex(v)
-		}
-		c.putUvarint(uint64(len(snap.Edges[i])))
-		for _, e := range snap.Edges[i] {
-			c.putEdge(e)
-		}
-		p := c.bytes()
-		binary.LittleEndian.PutUint64(frame[0:], uint64(len(p)))
-		binary.LittleEndian.PutUint32(frame[8:], crc32.Checksum(p, castagnoli))
-		v1.Write(frame)
-		v1.Write(p)
-	}
+	// A genuine version-2 file: the version-3 file with version 2 and the
+	// header CRC cut out.
+	v2 := withHeader(8, 2)
+	v2 = append(v2[:snapHeaderLen-4:snapHeaderLen-4], v2[snapHeaderLen:]...)
 
 	for name, raw := range map[string][]byte{
-		"version 1":  v1.Bytes(),
-		"version 3":  withHeader(8, 3),
+		"version 2":  v2,
+		"version 4":  withHeader(8, 4),
 		"8 shards":   withHeader(12, 8),
 		"shards + 1": withHeader(12, uint32(graph.ShardCount()+1)),
 	} {
@@ -161,6 +148,72 @@ func TestSnapshotRejectsForeignFormat(t *testing.T) {
 		if st, err := Open(dir, graph.New(), testOptions()); err == nil {
 			st.Close()
 			t.Errorf("%s: Open succeeded over a foreign snapshot; want refusal", name)
+		}
+	}
+}
+
+// TestSnapshotHeaderCRC: one flipped bit in the header's epoch, vertex or
+// edge allocator or WAL cut fails the header CRC. Open refuses that
+// generation as it refuses a bad section CRC — falling back to an older
+// one, or refusing to open when there is none — and a checkpoint's prune,
+// which reads every retained snapshot's WAL cut, deletes no WAL segment on
+// the strength of it. Before the header had a CRC, a flipped allocator bit
+// was accepted and sized the next edge insert's index to the bogus ID.
+func TestSnapshotHeaderCRC(t *testing.T) {
+	for field, at := range map[string]int{"epoch": 16, "nextV": 24, "nextE": 32, "walSeq": 40} {
+		dir := t.TempDir()
+		g := graph.New()
+		opt := testOptions()
+		opt.RetainSnapshots = 2
+		st := mustOpen(t, dir, g, opt)
+		g.AddVertexWithProps("Company", map[string]string{"name": "Apex"})
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		g.AddVertexWithProps("Company", map[string]string{"name": "Borealis"})
+		snaps, _ := listSnapshots(dir)
+		raw, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[at+6] ^= 0x10 // a high bit: a cut or allocator 2^52 too large
+		if err := os.WriteFile(snaps[0], raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodeSnapshot(raw, field); err == nil {
+			t.Errorf("%s: decodeSnapshot accepted a flipped header bit", field)
+		}
+
+		// The next checkpoint retains the damaged generation beside the new
+		// one, and its prune must keep every WAL segment.
+		walsBefore, _ := listWALs(dir)
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		walsAfter, _ := listWALs(dir)
+		for _, w := range walsBefore {
+			if !slices.Contains(walsAfter, w) {
+				t.Errorf("%s: prune deleted %s on a damaged snapshot's WAL cut", field, filepath.Base(w))
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// With the newer generation intact, Open falls back past nothing;
+		// with it gone, the damaged one is the only candidate and Open
+		// refuses.
+		g2 := graph.New()
+		st2 := mustOpen(t, dir, g2, opt)
+		st2.Close()
+		assertGraphsEqual(t, g, g2)
+		snaps, _ = listSnapshots(dir)
+		if err := os.Remove(snaps[0]); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := Open(dir, graph.New(), opt); err == nil {
+			st.Close()
+			t.Errorf("%s: Open succeeded over a snapshot with a flipped header bit", field)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -363,21 +362,20 @@ func (st *Store) prune() {
 }
 
 // snapshotWALSeq reads just the header of a snapshot file and returns its
-// WAL cut sequence.
+// WAL cut sequence. A header that fails its checks is an error, so a
+// corrupt cut never licenses deleting a WAL segment.
 func snapshotWALSeq(path string) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	head := make([]byte, 48)
+	head := make([]byte, snapHeaderLen)
 	if _, err := f.ReadAt(head, 0); err != nil {
-		return 0, err
+		return 0, fmt.Errorf("persist: %s: reading header: %w", path, err)
 	}
-	if string(head[:8]) != snapMagic {
-		return 0, fmt.Errorf("persist: %s: not a snapshot file", path)
-	}
-	return binary.LittleEndian.Uint64(head[40:]), nil
+	_, seq, err := parseSnapshotHeader(head, path)
+	return seq, err
 }
 
 // Sync commits every buffered WAL record to disk.

@@ -69,7 +69,7 @@ type Result struct {
 // Every field is required.
 type Deps struct {
 	KG       *core.KG
-	Trends   *trends.Detector
+	Trends   *trends.Table
 	Miner    *fgm.Miner
 	Searcher *pathsearch.Searcher
 	Model    *linkpred.Model
@@ -77,8 +77,8 @@ type Deps struct {
 	// Analytics supplies epoch-memoized whole-graph artifacts (PageRank
 	// importance).
 	Analytics *analytics.Cache
-	// TIndex is the per-shard time-ordered edge index; TrendScan backfill
-	// and whole-stream diffs read it.
+	// TIndex is the per-shard time-ordered edge index; whole-stream diffs
+	// read it.
 	TIndex *temporal.Index
 	// Now supplies the query-time clock.
 	Now func() time.Time
@@ -314,14 +314,17 @@ func (ex *Executor) evalNode(n Node, w temporal.Window, v *value, tr *Trace) err
 		}
 		typ, _ := ex.KG.EntityType(v.subject)
 		sum := &EntitySummary{Name: v.subject, Type: string(typ)}
-		if id, ok := ex.KG.Entity(v.subject); ok {
+		id, ok := ex.KG.Entity(v.subject)
+		if ok {
 			sum.Importance = ex.Analytics.WindowedImportance(id, t.Window)
+		} else {
+			id = -1
 		}
 		sum.Facts = v.facts
 		if !t.Window.IsEmpty() {
 			// Anchor the sparkline at the window's end, like trending does:
 			// "tell me about X in 2015" shows 2015 activity, not today's.
-			sum.Activity = ex.Trends.Series(v.subject, ex.windowRef(t.Window), 8)
+			sum.Activity = ex.Trends.Series(id, v.subject, ex.windowRef(t.Window), 8)
 		}
 		v.entity = sum
 		return nil
@@ -398,9 +401,8 @@ func (ex *Executor) evalScan(t *Scan, w temporal.Window, v *value) error {
 	return nil
 }
 
-// evalTrendScan reads the live detector at the query clock for the
-// unbounded window. A bounded window is backfilled: every bucket inside it
-// is scored off the temporal index.
+// evalTrendScan reads the trend table: at the query clock for the unbounded
+// window, and across every bucket inside a bounded one.
 func (ex *Executor) evalTrendScan(t *TrendScan, v *value) error {
 	w := t.Window
 	if w.IsEmpty() {
@@ -410,16 +412,7 @@ func (ex *Executor) evalTrendScan(t *TrendScan, v *value) error {
 		v.trends = ex.Trends.Trending(ex.Now(), 0)
 		return nil
 	}
-	// Everything up to the window's end: in-window buckets get scored,
-	// earlier history feeds their baselines.
-	history := temporal.Window{Since: math.MinInt64, Until: w.Until}
-	var facts []core.Fact
-	for _, id := range ex.TIndex.DatedIn(history) {
-		if f, ok := ex.KG.Fact(id); ok {
-			facts = append(facts, f)
-		}
-	}
-	v.trends = trends.Backfill(facts, w, ex.Trends.Config(), 0)
+	v.trends = ex.Trends.Window(w, 0)
 	v.backfilled = true
 	return nil
 }

@@ -94,12 +94,13 @@ func normNode(b *strings.Builder, n Node) {
 //
 //   - diff: both sides read windowed graph/temporal-index state; rendering
 //     never consults the clock.
-//   - trending under a bounded, non-empty window: the backfill replay is a
-//     deterministic read of the dated stream. Live trending is anchored at
-//     the query clock and detector state, so it is not cacheable; nor are
-//     entity summaries, whose activity sparkline is clock-anchored for
-//     unbounded-until windows and whose detector series mutate without
-//     epoch bumps.
+//   - trending under a bounded, non-empty window: the scan reads the trend
+//     table, which is written under the KG's write lock and read under its
+//     read lock, so it is at or after the epoch the result is keyed by.
+//     Live trending is anchored at the query clock (the wall clock until a
+//     dated fact arrives), so it is not cacheable; nor are entity
+//     summaries, whose activity sparkline is clock-anchored for
+//     unbounded-until windows.
 func Cacheable(p *Plan) bool {
 	if p == nil || p.Root == nil {
 		return false

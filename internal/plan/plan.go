@@ -4,7 +4,7 @@
 // small tree of composable logical operators — Scan, WindowFilter, Diff,
 // Rank, Summarize, PathExplain, TrendScan, Predict — and one Executor runs
 // those trees against the graph store and its derived artifacts (the
-// epoch-versioned analytics cache, the temporal index, the trend detector,
+// epoch-versioned analytics cache, the temporal index, the trend table,
 // the streaming miner, the coherence path search and the link-prediction
 // model). A system builds the Executor once, with every dependency; it owns
 // the plan-result cache and the execution counters.
@@ -12,8 +12,8 @@
 // The split buys composability the old per-class switch could not express:
 // temporal diff queries ("what changed about X between 2015 and 2016") are a
 // Diff of two WindowFiltered scans, and windowed trend backfill scores
-// bursts inside an arbitrary historical window straight off the temporal
-// index instead of the live detector's end bucket. Plans also render as
+// bursts in every bucket of an arbitrary historical window instead of the
+// one bucket at the query clock. Plans also render as
 // explain-style trees (Explain/Describe) for GET /api/v1/plan.
 package plan
 
@@ -164,10 +164,10 @@ func (p *PathExplain) args() string {
 	return a
 }
 
-// TrendScan scores bursting entities and predicates. The unbounded window
-// reads the live detector at the query clock; a bounded window is
-// backfilled: the executor replays the temporal index and scores every
-// bucket inside the window, not just the window's end bucket.
+// TrendScan scores bursting entities and predicates off the trend table.
+// The unbounded window scores the bucket at the query clock; a bounded
+// window is backfilled: every bucket inside the window is scored, not just
+// the window's end bucket.
 type TrendScan struct {
 	Window temporal.Window
 }

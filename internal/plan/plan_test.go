@@ -29,8 +29,7 @@ func window(a, b int) temporal.Window {
 func buildExecutor(t *testing.T) *Executor {
 	t.Helper()
 	kg := core.NewKG(nil)
-	det := trends.NewDetector(trends.DefaultConfig())
-	kg.Subscribe(det.OnEvent)
+	tab := trends.Track(kg, trends.DefaultConfig(), nil)
 	triples := []core.Triple{
 		{Subject: "DJI", Predicate: "manufactures", Object: "Phantom 3", Confidence: 1, Curated: true, Provenance: core.Provenance{Source: "kb"}},
 	}
@@ -60,7 +59,7 @@ func buildExecutor(t *testing.T) *Executor {
 	ac := analytics.New(kg)
 	return NewExecutor(Deps{
 		KG:        kg,
-		Trends:    det,
+		Trends:    tab,
 		Miner:     fgm.NewMiner(fgm.DefaultConfig()),
 		Searcher:  pathsearch.New(kg.Graph(), nil),
 		Model:     linkpred.Train(nil, linkpred.DefaultConfig()),
@@ -74,7 +73,7 @@ func buildExecutor(t *testing.T) *Executor {
 func TestTrendScanBackfillFindsMidWindowBurst(t *testing.T) {
 	ex := buildExecutor(t)
 	// Window covering weeks 2..5: the week-3 burst is inside but is NOT the
-	// end bucket. The live detector anchored at the window's end would see a
+	// end bucket. Live trending anchored at the window's end would see a
 	// quiet bucket; backfill must surface the burst.
 	p := TrendingPlan(window(14, 42), 10)
 	r, err := ex.Run(p)
@@ -102,7 +101,7 @@ func TestTrendScanUnboundedStaysLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(r.Text, "Trending now:") {
-		t.Fatalf("unbounded trending must use the live detector:\n%s", r.Text)
+		t.Fatalf("unbounded trending must be live trending:\n%s", r.Text)
 	}
 }
 

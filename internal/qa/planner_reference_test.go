@@ -95,8 +95,11 @@ func (ex legacyExec) entity(q Query) (plan.Result, error) {
 	}
 	typ, _ := ex.KG.EntityType(name)
 	sum := &plan.EntitySummary{Name: name, Type: string(typ)}
-	if id, ok := ex.KG.Entity(name); ok {
+	id, ok := ex.KG.Entity(name)
+	if ok {
 		sum.Importance = ex.Analytics.WindowedImportance(id, q.Window)
+	} else {
+		id = -1
 	}
 	facts := ex.KG.FactsAboutWindow(name, q.Window)
 	if q.K > 0 && len(facts) > q.K {
@@ -104,7 +107,7 @@ func (ex legacyExec) entity(q Query) (plan.Result, error) {
 	}
 	sum.Facts = facts
 	if !q.Window.IsEmpty() {
-		sum.Activity = ex.Trends.Series(name, ex.windowRef(q.Window), 8)
+		sum.Activity = ex.Trends.Series(id, name, ex.windowRef(q.Window), 8)
 	}
 	a.Entity = sum
 
@@ -291,8 +294,8 @@ var referenceQuestions = []string{
 // be byte-identical (text and structured payload) to the pre-refactor
 // direct executor, across parsed questions and caller-supplied windows.
 // Trending compares only where the legacy path still applies: under the
-// unbounded window (the live detector) and under an empty one. A bounded,
-// non-empty trending window is a backfill off the temporal index, which
+// unbounded window (live trending) and under an empty one. A bounded,
+// non-empty trending window is a backfill across the window's buckets, which
 // the legacy code never had; it keeps its own tests in internal/plan.
 func TestPlannerByteIdenticalToLegacyExecutor(t *testing.T) {
 	ex := buildExecutor(t)

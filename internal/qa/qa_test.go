@@ -146,8 +146,7 @@ func buildExecutor(t *testing.T) *plan.Executor {
 		{Subject: "Windermere", Predicate: "deploys", Object: "Phantom 3", Confidence: 0.7, Provenance: core.Provenance{Source: "web", Time: day}},
 		{Subject: "GoPro", Predicate: "acquired", Object: "Aeros Labs", Confidence: 0.9, Provenance: core.Provenance{Source: "wsj", Time: day}},
 	}
-	det := trends.NewDetector(trends.DefaultConfig())
-	kg.Subscribe(det.OnEvent)
+	tab := trends.Track(kg, trends.DefaultConfig(), nil)
 	miner := fgm.NewMiner(fgm.Config{MaxEdges: 2, MinSupport: 2})
 	kg.Subscribe(func(ev core.Event) {
 		if ev.Kind == core.FactAdded {
@@ -166,7 +165,7 @@ func buildExecutor(t *testing.T) *plan.Executor {
 	ac := analytics.New(kg)
 	return plan.NewExecutor(plan.Deps{
 		KG:        kg,
-		Trends:    det,
+		Trends:    tab,
 		Miner:     miner,
 		Searcher:  pathsearch.New(kg.Graph(), nil),
 		Model:     linkpred.Train(nil, linkpred.DefaultConfig()),

@@ -253,8 +253,8 @@ func (s *Server) buildTrending(r *http.Request) (any, *windowJSON, *apiError) {
 	if err != nil {
 		return nil, nil, badParam(err.Error())
 	}
-	// A bounded window runs the planner's windowed backfill scan; the
-	// unbounded one reads the live detector.
+	// A bounded window scores every bucket it covers; the unbounded one
+	// scores the bucket at the pipeline clock. Both read the trend table.
 	a, err := s.pipeline.TrendingWindow(win, k)
 	if err != nil {
 		return nil, winJSON(win), &apiError{status: http.StatusInternalServerError, code: codeInternal, msg: err.Error()}

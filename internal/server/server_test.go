@@ -80,7 +80,7 @@ func TestAskRejectsEmptyFactArguments(t *testing.T) {
 }
 
 // TestCuratedOnlyFeeds serves the curated KB with no stream ingested: the
-// detector is empty and no fact is dated, so trending (windowed or not) and
+// trend table is empty and no fact is dated, so trending (windowed or not) and
 // the recent-facts feed answer empty lists — never null, and never an
 // undated curated fact.
 func TestCuratedOnlyFeeds(t *testing.T) {

@@ -1,16 +1,21 @@
 // Package trends answers the first of NOUS's two headline query classes
-// (§1.1): discovering trends in streaming data. A detector consumes
-// fact-level events from the dynamic KG, buckets extracted-fact activity
-// per entity and per predicate over time, and scores burstiness as the
-// ratio of current-window activity to the historical per-bucket average.
+// (§1.1): discovering trends in streaming data. A Table counts, per time
+// bucket, the extracted facts that mention each entity and each predicate,
+// and scores burstiness as the ratio of a bucket's count to the historical
+// per-bucket average. Live trending, windowed trending and the entity
+// sparkline are all read off that one table.
 package trends
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"nous/internal/core"
+	"nous/internal/graph"
+	"nous/internal/graph/symtab"
 	"nous/internal/temporal"
 )
 
@@ -32,7 +37,7 @@ type Trend struct {
 	Score    float64 // burst score: (current+s)/(baseline+s)
 }
 
-// Config tunes the detector.
+// Config tunes the table.
 type Config struct {
 	// Bucket is the histogram resolution (0 selects DefaultConfig's).
 	Bucket time.Duration
@@ -45,70 +50,114 @@ func DefaultConfig() Config {
 
 // smoothing is the additive constant of the burst ratio: it keeps a name
 // with no history from scoring infinity. minCurrent is the fewest mentions
-// a bucket needs to trend, so a lone mention is never a burst. The live
-// detector reads minCurrent through Detector.minCurrent, which tests vary.
+// a bucket needs to trend, so a lone mention is never a burst. The table
+// reads minCurrent through Table.minCurrent, which tests vary.
 const (
 	smoothing  = 1.0
 	minCurrent = 2
 )
 
-// Detector accumulates activity histograms. Wire it to a KG with
-// kg.Subscribe(d.OnEvent). All methods are safe for concurrent use, so
-// trend queries can run while ingestion streams events in.
-type Detector struct {
-	mu         sync.RWMutex
-	cfg        Config
-	minCurrent int
-	// counts[kind][name][bucket] = mentions
-	entityCounts map[string]map[int64]int
-	predCounts   map[string]map[int64]int
+// run is one non-empty bucket of a name's histogram.
+type run struct {
+	bucket int64
+	count  int
 }
 
-// NewDetector returns an empty detector.
-func NewDetector(cfg Config) *Detector {
+// byBucket orders a run against a bucket, for binary searches.
+func byBucket(r run, b int64) int { return cmp.Compare(r.bucket, b) }
+
+// kinds names the table's two row sets: rows[0] by entity, rows[1] by
+// predicate.
+var kinds = [2]Kind{KindEntity, KindPredicate}
+
+// Table is the one trend structure: for each entity and each predicate, the
+// non-empty (bucket, count) runs of the extracted, dated facts that mention
+// it, in bucket order. Entities are keyed by vertex ID and predicates by
+// label symbol, both dense, so a name costs one slice header plus its runs;
+// names are resolved only when an answer is built.
+//
+// The fact log is the source: Track seeds the table from every fact the KG
+// holds and subscribes it to the KG, so additions and evictions, live or
+// replicated, move it. A reader that read the graph epoch before asking
+// must see the table at or after that epoch, or the epoch-keyed plan-result
+// cache would keep a stale answer. Of the two ways to get that — update
+// from the graph's mutation hook, as temporal.Index is updated, or under
+// core.KG's lock — the table takes the second: a KG listener runs under the
+// KG's write lock, inside the writer's critical section, and every read
+// here holds the read side (core.KG.ReadLocked). The table has no lock of
+// its own. (The hook would also need each removed edge's endpoints, which a
+// remove mutation does not carry.)
+type Table struct {
+	kg         *core.KG
+	cfg        Config
+	minCurrent int
+	rows       [2][][]run // entities by graph.VertexID, predicates by symtab.SymID
+}
+
+// Track builds the table over kg's fact log and keeps it in step with kg.
+// facts must be every fact kg holds (kg.AllFacts()), read while nothing
+// writes kg: the pipeline passes the list it decodes at assembly, so seeding
+// costs no extra decode.
+func Track(kg *core.KG, cfg Config, facts []core.Fact) *Table {
 	if cfg.Bucket <= 0 {
 		cfg = DefaultConfig()
 	}
-	return &Detector{
-		cfg:          cfg,
-		minCurrent:   minCurrent,
-		entityCounts: make(map[string]map[int64]int),
-		predCounts:   make(map[string]map[int64]int),
+	t := &Table{kg: kg, cfg: cfg, minCurrent: minCurrent}
+	t.rows[0] = make([][]run, 0, kg.NumEntities())
+	for _, f := range facts {
+		t.apply(f, 1)
 	}
+	kg.Subscribe(func(ev core.Event) {
+		switch ev.Kind {
+		case core.FactAdded:
+			t.apply(ev.Fact, 1)
+		case core.FactEvicted:
+			t.apply(ev.Fact, -1)
+		}
+	})
+	return t
 }
 
-// OnEvent consumes a KG fact event. Only extracted (non-curated) additions
-// count toward trends: curated facts are background knowledge, not news.
-func (d *Detector) OnEvent(ev core.Event) {
-	if ev.Kind != core.FactAdded || ev.Fact.Curated {
+// apply counts one fact in (delta 1) or out (delta -1). Only extracted facts
+// with a provenance time count: curated facts are background knowledge, not
+// news, and undated ones (core's rule: at or before temporal.Timeless) have
+// no bucket.
+func (t *Table) apply(f core.Fact, delta int) {
+	ts := f.Provenance.Time.Unix()
+	if f.Curated || ts <= temporal.Timeless {
 		return
 	}
-	t := ev.Fact.Provenance.Time
-	if t.IsZero() {
-		return
+	b := bucketAt(t.cfg, ts)
+	t.rows[0] = move(t.rows[0], int(f.Src), b, delta)
+	t.rows[0] = move(t.rows[0], int(f.Dst), b, delta)
+	t.rows[1] = move(t.rows[1], int(symtab.Intern(f.Predicate)), b, delta)
+}
+
+// move adds delta to rows[key]'s run at bucket b, growing rows to key and
+// dropping a run whose count reaches zero.
+func move(rows [][]run, key int, b int64, delta int) [][]run {
+	if key >= len(rows) {
+		rows = append(rows, make([][]run, key+1-len(rows))...)
 	}
-	b := d.bucketOf(t)
-	d.mu.Lock()
-	bump(d.entityCounts, ev.Fact.Subject, b)
-	bump(d.entityCounts, ev.Fact.Object, b)
-	bump(d.predCounts, ev.Fact.Predicate, b)
-	d.mu.Unlock()
+	runs := rows[key]
+	switch i, found := slices.BinarySearchFunc(runs, b, byBucket); {
+	case found:
+		if runs[i].count += delta; runs[i].count == 0 {
+			runs = slices.Delete(runs, i, i+1)
+		}
+	case delta > 0:
+		runs = slices.Insert(runs, i, run{bucket: b, count: delta})
+	}
+	rows[key] = runs
+	return rows
 }
 
-// Config returns the detector's configuration (immutable after NewDetector),
-// so windowed backfill scans can bucket with the live detector's resolution.
-func (d *Detector) Config() Config { return d.cfg }
-
-func (d *Detector) bucketOf(t time.Time) int64 {
-	return bucketAt(d.cfg, t.Unix())
-}
+// width is the bucket width in seconds, at least 1.
+func (c Config) width() int64 { return max(int64(c.Bucket/time.Second), 1) }
 
 // bucketAt maps a unix timestamp onto a bucket index under cfg's resolution.
 func bucketAt(cfg Config, sec int64) int64 {
-	bucket := int64(cfg.Bucket / time.Second)
-	if bucket <= 0 {
-		bucket = 1
-	}
+	bucket := cfg.width()
 	b := sec / bucket
 	// Integer division truncates toward zero; floor it so pre-1970
 	// timestamps land in the bucket containing them, not one bucket late.
@@ -118,41 +167,14 @@ func bucketAt(cfg Config, sec int64) int64 {
 	return b
 }
 
-func bump(m map[string]map[int64]int, name string, bucket int64) {
-	byBucket, ok := m[name]
-	if !ok {
-		byBucket = make(map[int64]int)
-		m[name] = byBucket
-	}
-	byBucket[bucket]++
-}
-
 // burstScore is the one burst formula: the smoothed ratio of a bucket's
-// count to its historical baseline, shared by the live detector's scan and
-// windowed Backfill.
+// count to its historical baseline.
 func burstScore(current int, baseline float64) float64 {
 	return (float64(current) + smoothing) / (baseline + smoothing)
 }
 
-// burstAt scores byBucket[b] against the historical mean of the buckets
-// strictly before b.
-func burstAt(byBucket map[int64]int, b int64) (current int, baseline, score float64) {
-	current = byBucket[b]
-	sum, n := 0, 0
-	for hb, hc := range byBucket {
-		if hb < b {
-			sum += hc
-			n++
-		}
-	}
-	if n > 0 {
-		baseline = float64(sum) / float64(n)
-	}
-	return current, baseline, burstScore(current, baseline)
-}
-
 // trendLess is the canonical trend ordering: score desc, current desc, name
-// asc — shared by Trending and Backfill.
+// asc, and an entity before a predicate of the same name.
 func trendLess(a, b Trend) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -160,192 +182,174 @@ func trendLess(a, b Trend) bool {
 	if a.Current != b.Current {
 		return a.Current > b.Current
 	}
-	return a.Name < b.Name
-}
-
-// Trending returns the top-k bursting entities and predicates for the
-// window containing now, ordered by descending burst score. When the
-// current window is quiet (no item reaches minCurrent — streams are bursty
-// and the last bucket may be nearly empty), it falls back to the most
-// recent window with qualifying activity.
-func (d *Detector) Trending(now time.Time, k int) []Trend {
-	cur := d.bucketOf(now)
-	d.mu.RLock()
-	out := d.trendingAt(cur)
-	if len(out) == 0 {
-		if b, ok := d.latestActiveBucket(cur); ok {
-			out = d.trendingAt(b)
-		}
+	if a.Name != b.Name {
+		return a.Name < b.Name
 	}
-	d.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return trendLess(out[i], out[j]) })
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	return a.Kind < b.Kind
+}
+
+// candidate is one key's bucket of current mentions, scored against the n
+// earlier buckets holding sum mentions, before the key's name is resolved.
+type candidate struct {
+	kind, key, current, sum, n int
+}
+
+func (c candidate) baseline() float64 {
+	if c.n == 0 {
+		return 0
 	}
-	return out
+	return float64(c.sum) / float64(c.n)
 }
 
-func (d *Detector) trendingAt(cur int64) []Trend {
-	var out []Trend
-	out = append(out, d.scan(d.entityCounts, KindEntity, cur)...)
-	out = append(out, d.scan(d.predCounts, KindPredicate, cur)...)
-	return out
-}
+func (c candidate) score() float64 { return burstScore(c.current, c.baseline()) }
 
-// latestActiveBucket returns the most recent bucket at or before cur in
-// which any entity or predicate reached minCurrent mentions.
-func (d *Detector) latestActiveBucket(cur int64) (int64, bool) {
-	best := int64(0)
-	found := false
-	scanMap := func(m map[string]map[int64]int) {
-		for _, byBucket := range m {
-			for b, c := range byBucket {
-				if b <= cur && c >= d.minCurrent && (!found || b > best) {
-					best = b
-					found = true
+// Trending returns the top-k bursting entities and predicates (k <= 0 keeps
+// every one) of the bucket containing now. When that bucket is quiet — no
+// name reaches minCurrent mentions; streams are bursty and the last bucket
+// may be nearly empty — it scores the latest earlier bucket in which one
+// does. Each name is scored against the mean of its earlier buckets.
+func (t *Table) Trending(now time.Time, k int) []Trend {
+	cur := bucketAt(t.cfg, now.Unix())
+	var cs []candidate
+	target := int64(math.MinInt64) // the latest active bucket so far; cs holds its keys
+	t.kg.ReadLocked(func() {
+		for kind, rows := range t.rows {
+			for key, runs := range rows {
+				i, found := slices.BinarySearchFunc(runs, cur, byBucket)
+				if !found {
+					i--
+				}
+				for ; i >= 0 && runs[i].bucket >= target; i-- {
+					if runs[i].count < t.minCurrent {
+						continue
+					}
+					if runs[i].bucket > target {
+						target, cs = runs[i].bucket, cs[:0]
+					}
+					sum := 0
+					for _, r := range runs[:i] {
+						sum += r.count
+					}
+					cs = append(cs, candidate{kind, key, runs[i].count, sum, i})
+					break
 				}
 			}
 		}
-	}
-	scanMap(d.entityCounts)
-	scanMap(d.predCounts)
-	return best, found
+	})
+	return t.rank(cs, k)
 }
 
-func (d *Detector) scan(m map[string]map[int64]int, kind Kind, cur int64) []Trend {
-	var out []Trend
-	for name, byBucket := range m {
-		if byBucket[cur] < d.minCurrent {
-			continue
-		}
-		current, baseline, score := burstAt(byBucket, cur)
-		out = append(out, Trend{
-			Name:     name,
-			Kind:     kind,
-			Current:  current,
-			Baseline: baseline,
-			Score:    score,
-		})
-	}
-	return out
-}
-
-// Series returns the activity counts under a name for the n buckets ending
-// at the one containing now — the sparkline behind Fig 6's entity view. When
-// an entity and a predicate share the name, their counts are summed rather
-// than the predicate's being shadowed. A non-positive n returns nil.
-func (d *Detector) Series(name string, now time.Time, n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	entity := d.entityCounts[name]
-	pred := d.predCounts[name]
-	cur := d.bucketOf(now)
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		b := cur - int64(n-1-i)
-		out[i] = entity[b] + pred[b]
-	}
-	return out
-}
-
-// Backfill scores bursts inside an arbitrary historical window from a replay
-// of dated facts — the windowed complement of the live detector, which only
-// scores the single bucket its clock sits in. The facts slice must contain
-// every dated fact up to the window's end (history before the window feeds
-// the baselines); callers typically materialize it from the temporal index.
-// Like the live detector, only extracted facts with a provenance time count.
-//
-// Each (name, bucket) pair whose bucket overlaps the window and whose count
-// reaches minCurrent is burst-scored against the mean of that name's
-// buckets strictly before it; the best-scoring bucket per name wins. Results
-// are ordered like Trending (score desc, current desc, name asc) and
-// truncated to k (k <= 0 keeps everything).
-func Backfill(facts []core.Fact, w temporal.Window, cfg Config, k int) []Trend {
-	if cfg.Bucket <= 0 {
-		cfg = DefaultConfig()
-	}
+// Window scores bursts inside w, history before it feeding the baselines —
+// "what was trending in 2015". Only facts before w's end count: a bucket
+// that straddles the end counts the facts that precede it, read off the
+// temporal index. Each name's buckets that overlap w and reach minCurrent
+// are scored against the mean of the name's buckets before them, and the
+// best-scoring one (the earliest on a tie) stands for the name. Results are
+// ordered like Trending's and truncated to k (k <= 0 keeps everything).
+func (t *Table) Window(w temporal.Window, k int) []Trend {
 	if w.IsEmpty() {
 		return nil
 	}
-	entityCounts := make(map[string]map[int64]int)
-	predCounts := make(map[string]map[int64]int)
-	for _, f := range facts {
-		if f.Curated || f.Provenance.Time.IsZero() {
-			continue
-		}
-		ts := f.Provenance.Time.Unix()
-		if !w.IsAll() && ts >= w.Until {
-			continue // beyond the window's end: not even baseline history
-		}
-		b := bucketAt(cfg, ts)
-		bump(entityCounts, f.Subject, b)
-		bump(entityCounts, f.Object, b)
-		bump(predCounts, f.Predicate, b)
-	}
-
-	bucketSec := int64(cfg.Bucket / time.Second)
-	if bucketSec <= 0 {
-		bucketSec = 1
-	}
-	// A bucket b covers [b*bucketSec, (b+1)*bucketSec); it overlaps the
-	// window when it starts before Until and ends after Since.
-	inWindow := func(b int64) bool {
-		if w.IsAll() {
-			return true
-		}
-		return b*bucketSec < w.Until && (b+1)*bucketSec > w.Since
-	}
-
-	var out []Trend
-	scanWindow := func(m map[string]map[int64]int, kind Kind) {
-		for name, byBucket := range m {
-			// Sweep the buckets in ascending order with a running prefix
-			// sum, so every bucket's strictly-before baseline mean falls out
-			// in O(B log B) per name instead of rescanning history per
-			// scored bucket.
-			keys := make([]int64, 0, len(byBucket))
-			for b := range byBucket {
-				keys = append(keys, b)
+	width := t.cfg.width()
+	// end is the bucket holding w's end: buckets before it count whole,
+	// buckets after it not at all, and end itself only the facts before
+	// Until, tallied per key in partial.
+	end := bucketAt(t.cfg, w.Until)
+	partial := [2]map[int]int{}
+	var cs []candidate
+	t.kg.ReadLocked(func() {
+		if start := end * width; !w.IsAll() && start < w.Until {
+			partial = [2]map[int]int{{}, {}}
+			for _, id := range t.kg.TemporalIndex().DatedIn(temporal.Window{Since: start, Until: w.Until}) {
+				t.kg.Graph().ScanEdge(id, func(e *graph.EdgeScan) {
+					if !temporal.AlwaysVisible(e) {
+						partial[0][int(e.Src)]++
+						partial[0][int(e.Dst)]++
+						partial[1][int(e.Label)]++
+					}
+				})
 			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			best, found := Trend{}, false
-			sum, n := 0, 0
-			for _, b := range keys {
-				current := byBucket[b]
-				if current >= minCurrent && inWindow(b) {
-					baseline := 0.0
-					if n > 0 {
-						baseline = float64(sum) / float64(n)
+		}
+		for kind, rows := range t.rows {
+			for key, runs := range rows {
+				// One sweep in bucket order with a running sum gives each
+				// bucket's baseline in O(1).
+				best, found, sum := candidate{}, false, 0
+				for i, r := range runs {
+					current := r.count
+					if !w.IsAll() && r.bucket >= end {
+						if r.bucket > end {
+							break
+						}
+						current = partial[kind][key]
 					}
-					tr := Trend{
-						Name:     name,
-						Kind:     kind,
-						Current:  current,
-						Baseline: baseline,
-						Score:    burstScore(current, baseline),
+					// Bucket b covers [b*width, (b+1)*width): it overlaps w
+					// when it starts before Until and ends after Since.
+					if current >= t.minCurrent && (w.IsAll() || r.bucket*width < w.Until && (r.bucket+1)*width > w.Since) {
+						c := candidate{kind, key, current, sum, i}
+						if !found || c.score() > best.score() || c.score() == best.score() && c.current > best.current {
+							best, found = c, true
+						}
 					}
-					if !found || tr.Score > best.Score ||
-						(tr.Score == best.Score && tr.Current > best.Current) {
-						best, found = tr, true
-					}
+					sum += current
 				}
-				sum += current
-				n++
-			}
-			if found {
-				out = append(out, best)
+				if found {
+					cs = append(cs, best)
+				}
 			}
 		}
-	}
-	scanWindow(entityCounts, KindEntity)
-	scanWindow(predCounts, KindPredicate)
+	})
+	return t.rank(cs, k)
+}
 
+// rank resolves the candidates' names, orders them and keeps the top k
+// (k <= 0 keeps all). Names are resolved before sorting because trendLess
+// breaks ties by name, and outside the KG lock, as EntityName takes it.
+func (t *Table) rank(cs []candidate, k int) []Trend {
+	if len(cs) == 0 {
+		return nil
+	}
+	out := make([]Trend, len(cs))
+	for i, c := range cs {
+		name := symtab.Resolve(symtab.SymID(c.key))
+		if c.kind == 0 {
+			name, _ = t.kg.EntityName(graph.VertexID(c.key))
+		}
+		out[i] = Trend{Name: name, Kind: kinds[c.kind], Current: c.current, Baseline: c.baseline(), Score: c.score()}
+	}
 	sort.Slice(out, func(i, j int) bool { return trendLess(out[i], out[j]) })
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
+	return out
+}
+
+// Series returns the activity of the n buckets ending at the one containing
+// now — the sparkline behind Fig 6's entity view: the entity's mentions plus
+// those of a predicate spelled name, so an entity and a predicate that share
+// a name share a sparkline. A negative entity counts nothing; a non-positive
+// n returns nil.
+func (t *Table) Series(entity graph.VertexID, name string, now time.Time, n int) []int {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]int, n)
+	first := bucketAt(t.cfg, now.Unix()) - int64(n-1)
+	keys := [2]int{int(entity), -1}
+	if pred, ok := symtab.Lookup(name); ok {
+		keys[1] = int(pred)
+	}
+	t.kg.ReadLocked(func() {
+		for kind, key := range keys {
+			if key < 0 || key >= len(t.rows[kind]) {
+				continue
+			}
+			runs := t.rows[kind][key]
+			i, _ := slices.BinarySearchFunc(runs, first, byBucket)
+			for ; i < len(runs) && runs[i].bucket-first < int64(n); i++ {
+				out[runs[i].bucket-first] += runs[i].count
+			}
+		}
+	})
 	return out
 }

@@ -184,7 +184,7 @@ type Pipeline struct {
 	kg        *core.KG
 	stream    *stream.Pipeline
 	miner     *fgm.Miner
-	detector  *trends.Detector
+	trends    *trends.Table
 	analytics *analytics.Cache
 	searcher  *pathsearch.Searcher
 	exec      *plan.Executor
@@ -203,11 +203,12 @@ type Pipeline struct {
 // NewPipeline assembles the system over a KG pre-loaded with curated
 // knowledge. The miner is seeded with the facts already in the KG (the most
 // recent Miner.WindowSize of them), so mined patterns span both curated and
-// extracted structure.
+// extracted structure, and the trend table counts every dated extracted
+// fact in the KG, so a reopened or replicated pipeline trends like the one
+// that wrote its facts.
 func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	p := &Pipeline{cfg: cfg, kg: kg}
 	p.miner = fgm.NewMiner(cfg.Miner)
-	p.detector = trends.NewDetector(cfg.Trends)
 
 	// The epoch-versioned read layer: one cache memoizes PageRank
 	// importance, the disambiguation prior and topic vectors for every
@@ -230,8 +231,11 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 		seed[i] = p.minerEdge(f)
 	}
 	p.miner.AddBatch(seed)
+	// The trend table is seeded from the same list and then moves with
+	// every addition and eviction; it is read under the KG's lock, so it
+	// never lags the graph epoch a cached answer is keyed by.
+	p.trends = trends.Track(kg, cfg.Trends, facts)
 	kg.Subscribe(func(ev core.Event) {
-		p.detector.OnEvent(ev)
 		if ev.Kind == core.FactAdded {
 			p.miner.Add(p.minerEdge(ev.Fact))
 			if t := ev.Fact.Provenance.Time; !t.IsZero() {
@@ -243,8 +247,8 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	// The temporal index is owned by the KG (attached at construction,
 	// re-scanned by Rebuild after recovery) and shared here. It powers the
 	// windowed read paths — "tell me about X last week", windowed exports,
-	// windowed PageRank — plus index-driven eviction, windowed trend
-	// backfill and whole-stream diffs.
+	// windowed PageRank — plus index-driven eviction, the straddled end
+	// bucket of windowed trending and whole-stream diffs.
 	p.tindex = kg.TemporalIndex()
 
 	// Relative time ("last week") resolves against stream time, not the wall
@@ -259,7 +263,7 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	p.searcher = pathsearch.New(kg.Graph(), nil)
 	p.exec = plan.NewExecutor(plan.Deps{
 		KG:        kg,
-		Trends:    p.detector,
+		Trends:    p.trends,
 		Miner:     p.miner,
 		Searcher:  p.searcher,
 		Model:     p.stream.Model(),
@@ -301,7 +305,7 @@ func OpenWithOptions(dir string, ont *Ontology, cfg Config, opt PersistOptions) 
 // Follow assembles a read replica over a leader's replication endpoints: it
 // bootstraps the KG from the leader's newest snapshot, rebuilds the index
 // layer, then tails the leader's WAL so every derived structure — temporal
-// index, miner, trend detector, analytics epoch cache — stays live. The
+// index, miner, trend table, analytics epoch cache — stays live. The
 // replica serves every read path; writes must go to the leader (the server
 // rejects them with read_only_replica). The replica keeps no local disk
 // state: a restart re-bootstraps. Close stops the tailing loop.
@@ -540,14 +544,13 @@ func (p *Pipeline) Run(q Query) (Answer, error) {
 // Trending returns the top-k bursting entities and predicates at the
 // pipeline clock.
 func (p *Pipeline) Trending(k int) []Trend {
-	return p.detector.Trending(p.now(), k)
+	return p.trends.Trending(p.now(), k)
 }
 
 // TrendingWindow answers "what was trending in this window": a bounded
-// window runs the planner's TrendScan backfill, scoring bursts in every
-// bucket the window covers straight off the temporal index (history before
-// the window feeds the baselines); the unbounded window is the live
-// detector's view, the trends of Trending.
+// window scores bursts in every bucket the window covers (history before
+// the window feeds the baselines); the unbounded window gives the trends of
+// Trending. Both are read off the pipeline's one trend table.
 func (p *Pipeline) TrendingWindow(w Window, k int) (Answer, error) {
 	return p.exec.Run(plan.TrendingPlan(w, k))
 }

@@ -208,7 +208,7 @@ func TestDiffAndBackfillEndToEnd(t *testing.T) {
 	}
 
 	// Windowed trend backfill over the full corpus span: must find bursts
-	// and must NOT be the live detector's end-bucket view.
+	// and must NOT be the end-bucket view of live trending.
 	full := Window{Since: lo.Unix(), Until: hi.Unix() + 1}
 	tr, err := p.TrendingWindow(full, 10)
 	if err != nil {
@@ -220,7 +220,7 @@ func TestDiffAndBackfillEndToEnd(t *testing.T) {
 	if !strings.Contains(tr.Text, "windowed backfill") {
 		t.Fatalf("TrendingWindow did not use backfill:\n%s", tr.Text)
 	}
-	// The unbounded window stays the live detector path.
+	// The unbounded window stays live trending.
 	live, err := p.TrendingWindow(Window{}, 10)
 	if err != nil {
 		t.Fatal(err)
