@@ -4,7 +4,7 @@
 // columnar slab: ForEachOutScan and friends fill ONE view per iteration and
 // pass its address, so the moment the callback returns — in fact the moment
 // the next edge is visited — the view's fields describe a different edge and
-// its props pointer aliases storage the graph still owns. The scan.go doc
+// its chunk pointer aliases storage the graph still owns. The scan.go doc
 // comment says "valid only inside the callback"; nothing enforced it.
 //
 // The rule: a *graph.EdgeScan received as a parameter (by a scan callback
@@ -199,7 +199,7 @@ func findEscapes(pass *analysis.Pass, body *ast.BlockStmt, params map[types.Obje
 		return ok && tracked[info.Uses[id]]
 	}
 	// trackedValue matches the view pointer itself and *e deref copies —
-	// a copied EdgeScan still aliases slab-owned property storage, so
+	// a copied EdgeScan still aliases the slab chunk it reads its row from, so
 	// storing one is the same contract violation with extra steps.
 	trackedValue := func(e ast.Expr) bool {
 		e = ast.Unparen(e)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"nous/internal/graph"
-	"nous/internal/graph/symtab"
 	"nous/internal/ontology"
 	"nous/internal/temporal"
 )
@@ -12,56 +11,34 @@ import (
 // The fact schema. A fact is stored exactly once, as a graph edge — the KG
 // keeps no second copy — so this file is the whole mapping between the two:
 //
-//	src, dst    subject and object (entity vertices; names via kg.names)
-//	label       predicate
-//	weight      confidence
-//	timestamp   provenance time in unix seconds (temporal.Timeless = undated)
-//	"stype"     the triple's subject type   ┐ not derivable from the vertices: a
-//	"otype"     the triple's object type    ┘ signature can be broader than the entity's type
-//	"curated"   "true" on curated facts, absent on extracted ones
-//	"source"    provenance source
-//	"doc"       provenance document ID
-//	"sentence"  supporting sentence, absent when empty
+//	src, dst        subject and object (entity vertices; names via kg.names)
+//	label           predicate
+//	weight          confidence
+//	timestamp       provenance time in unix seconds (temporal.Timeless = undated)
+//	Row.SType       the triple's subject type   ┐ not derivable from the vertices: a
+//	Row.OType       the triple's object type    ┘ signature can be broader than the entity's type
+//	Row.Curated     whether the fact is curated
+//	Row.Source      provenance source
+//	Row.Doc         provenance document ID
+//	Row.Sentence    supporting sentence
 //
-// factEdge is the only writer of the props and decodeLocked the only reader
-// that turns them back into a Fact; the WAL, snapshots and replication carry
+// factEdge is the only writer of the row and decodeLocked the only reader
+// that turns it back into a Fact; the WAL, snapshots and replication carry
 // the edge and nothing else.
-const (
-	propSType    = "stype"
-	propOType    = "otype"
-	propCurated  = "curated"
-	propSource   = "source"
-	propDoc      = "doc"
-	propSentence = "sentence"
-)
-
-// Interned once so a decode does no string hashing per edge.
-var (
-	keySType    = symtab.Intern(propSType)
-	keyOType    = symtab.Intern(propOType)
-	keyCurated  = symtab.Intern(propCurated)
-	keySource   = symtab.Intern(propSource)
-	keyDoc      = symtab.Intern(propDoc)
-	keySentence = symtab.Intern(propSentence)
-)
 
 // factEdge encodes a normalized triple between two entity vertices.
 func factEdge(t Triple, src, dst graph.VertexID) graph.EdgeSpec {
-	props := map[string]string{
-		propSource: t.Provenance.Source,
-		propDoc:    t.Provenance.DocID,
-		propSType:  string(t.SubjectType),
-		propOType:  string(t.ObjectType),
-	}
-	if t.Curated {
-		props[propCurated] = "true"
-	}
-	if t.Provenance.Sentence != "" {
-		props[propSentence] = t.Provenance.Sentence
-	}
 	return graph.EdgeSpec{
 		Src: src, Dst: dst, Label: t.Predicate,
-		Weight: t.Confidence, Timestamp: t.Provenance.Time.Unix(), Props: props,
+		Weight: t.Confidence, Timestamp: t.Provenance.Time.Unix(),
+		Row: graph.FactRow{
+			Source:   t.Provenance.Source,
+			Doc:      t.Provenance.DocID,
+			Sentence: t.Provenance.Sentence,
+			SType:    string(t.SubjectType),
+			OType:    string(t.ObjectType),
+			Curated:  t.Curated,
+		},
 	}
 }
 
@@ -69,18 +46,19 @@ func factEdge(t Triple, src, dst graph.VertexID) graph.EdgeSpec {
 // the view, so the result is owned by the caller. The caller holds kg.mu and
 // runs inside a graph scan callback.
 func (kg *KG) decodeLocked(e *graph.EdgeScan) Fact {
+	row := e.Row()
 	f := Fact{ID: e.ID, Src: e.Src, Dst: e.Dst, Triple: Triple{
 		Subject:     kg.names[e.Src],
 		Predicate:   e.LabelName(),
 		Object:      kg.names[e.Dst],
-		SubjectType: endpointType(e, keySType, e.Src),
-		ObjectType:  endpointType(e, keyOType, e.Dst),
+		SubjectType: endpointType(e, row.SType, e.Src),
+		ObjectType:  endpointType(e, row.OType, e.Dst),
 		Confidence:  e.Weight,
-		Curated:     e.PropEquals(keyCurated, "true"),
+		Curated:     row.Curated,
 		Provenance: Provenance{
-			Source:   prop(e, keySource),
-			DocID:    prop(e, keyDoc),
-			Sentence: prop(e, keySentence),
+			Source:   row.Source,
+			DocID:    row.Doc,
+			Sentence: row.Sentence,
 		},
 	}}
 	// The undated sentinel decodes to the zero time exactly, the value
@@ -91,18 +69,12 @@ func (kg *KG) decodeLocked(e *graph.EdgeScan) Fact {
 	return f
 }
 
-// prop reads one edge property, "" when absent.
-func prop(e *graph.EdgeScan, key symtab.SymID) string {
-	v, _ := e.Prop(key)
-	return v
-}
-
 // endpointType resolves a fact endpoint's type: the type recorded on the
-// edge under key wins; an edge that records none falls back to the vertex's
-// own, read through the scan's lock (EdgeScan.Vertex) — not Graph.Vertex,
-// whose second read lock would deadlock once a writer queues in between.
-func endpointType(e *graph.EdgeScan, key symtab.SymID, id graph.VertexID) ontology.EntityType {
-	if recorded := prop(e, key); recorded != "" {
+// edge wins; an edge that records none falls back to the vertex's own, read
+// through the scan's lock (EdgeScan.Vertex) — not Graph.Vertex, whose second
+// read lock would deadlock once a writer queues in between.
+func endpointType(e *graph.EdgeScan, recorded string, id graph.VertexID) ontology.EntityType {
+	if recorded != "" {
 		return ontology.EntityType(recorded)
 	}
 	v, ok := e.Vertex(id)
@@ -124,7 +96,7 @@ func undated(curated bool, ts int64) bool {
 
 // trackUndatedLocked files one edge in or out of the undated set.
 func (kg *KG) trackUndatedLocked(e *graph.EdgeScan) {
-	if undated(e.PropEquals(keyCurated, "true"), e.Timestamp) {
+	if undated(e.Curated(), e.Timestamp) {
 		kg.undated[e.ID] = struct{}{}
 	} else {
 		delete(kg.undated, e.ID)

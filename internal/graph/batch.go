@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-
-	"nous/internal/graph/symtab"
-)
+import "fmt"
 
 // EdgeSpec describes one edge for batch insertion via AddEdges.
 type EdgeSpec struct {
@@ -12,7 +8,7 @@ type EdgeSpec struct {
 	Label     string
 	Weight    float64
 	Timestamp int64
-	Props     map[string]string
+	Row       FactRow
 }
 
 // AddEdges inserts a batch of edges under one write-lock acquisition and
@@ -44,10 +40,10 @@ func (g *Graph) AddEdges(specs []EdgeSpec) ([]EdgeID, error) {
 		id := EdgeID(g.nextEdge)
 		g.nextEdge++
 		ids[i] = id
-		g.insertEdgeLocked(id, sp.Src, sp.Dst, symtab.Intern(sp.Label), sp.Weight, sp.Timestamp, internProps(sp.Props))
+		g.insertEdgeLocked(id, sp.Src, sp.Dst, sp.Label, sp.Weight, sp.Timestamp, &sp.Row)
 		if recs != nil {
 			recs[i] = Edge{ID: id, Src: sp.Src, Dst: sp.Dst, Label: sp.Label,
-				Weight: sp.Weight, Timestamp: sp.Timestamp, Props: copyProps(sp.Props)}
+				Weight: sp.Weight, Timestamp: sp.Timestamp, Row: sp.Row}
 		}
 	}
 	g.commitLocked(Mutation{Kind: MutAddEdges, Edges: recs}, false)

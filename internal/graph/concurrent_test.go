@@ -22,7 +22,7 @@ func TestAddEdgesBatch(t *testing.T) {
 		specs = append(specs, EdgeSpec{
 			Src: vids[i%len(vids)], Dst: vids[(i*7+3)%len(vids)],
 			Label: fmt.Sprintf("rel%d", i%3), Weight: float64(i) / 100,
-			Timestamp: int64(i), Props: map[string]string{"i": fmt.Sprint(i)},
+			Timestamp: int64(i), Row: FactRow{Doc: fmt.Sprint(i)},
 		})
 	}
 	ids, err := g.AddEdges(specs)
@@ -46,7 +46,7 @@ func TestAddEdgesBatch(t *testing.T) {
 			t.Fatalf("edge %d missing", id)
 		}
 		if e.Src != specs[i].Src || e.Dst != specs[i].Dst || e.Label != specs[i].Label ||
-			e.Weight != specs[i].Weight || e.Timestamp != specs[i].Timestamp || e.Props["i"] != fmt.Sprint(i) {
+			e.Weight != specs[i].Weight || e.Timestamp != specs[i].Timestamp || e.Row.Doc != fmt.Sprint(i) {
 			t.Fatalf("edge %d fields lost: %+v vs spec %+v", id, e, specs[i])
 		}
 	}
@@ -370,8 +370,8 @@ func TestConcurrentRemoveEdgeStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				id, err := g.AddEdgeFull(verts[(w+i)%len(verts)], verts[(w+i+1)%len(verts)],
-					"acquired", 1, int64(i), nil)
+				id, err := addEdge(g, verts[(w+i)%len(verts)], verts[(w+i+1)%len(verts)],
+					"acquired", 1, int64(i), FactRow{})
 				if err != nil {
 					t.Error(err)
 					return

@@ -2,8 +2,8 @@
 // temporal edges and compiled views for whole-graph
 // kernels (view.go). It is the substrate NOUS's paper built on Apache Spark
 // GraphX; this implementation keeps the parts of that API surface NOUS uses —
-// vertices and edges carrying arbitrary properties, neighborhood iteration
-// and PageRank — at single-process scale.
+// vertices carrying string properties, edges carrying one fixed fact row,
+// neighborhood iteration and PageRank — at single-process scale.
 //
 // Storage is partitioned into numShards stripes: a vertex and its adjacency
 // lists live in the stripe owning the vertex ID, while an edge record lives
@@ -25,18 +25,18 @@
 // graph's write lock. Nothing may take these locks in the opposite order.
 //
 // Facts are write-once. After insertion a live edge's endpoints, label,
-// weight, timestamp and props never change; the only later write to an edge
-// is its removal. So an edge ID read at one epoch names the same edge value
-// at every later epoch at which the edge is still live, and a reader that
-// validates an answer by re-reading Epoch has only edge insertions,
+// weight, timestamp and fact row never change; the only later write to an
+// edge is its removal. So an edge ID read at one epoch names the same edge
+// value at every later epoch at which the edge is still live, and a reader
+// that validates an answer by re-reading Epoch has only edge insertions,
 // removals and vertex writes to account for, never an edge edited in place.
 //
-// Memory layout: strings (labels, predicates, prop keys) are interned into
-// dense SymIDs (internal/graph/symtab) and edge records live in per-stripe
-// columnar slabs (slab.go) addressed by compact 4-byte refs, not as
-// individually heap-allocated *Edge values. Edges are read through scan.go's
-// slab-native views; only Edge, Snapshot and mutation hooks materialize
-// exported Edge values with plain strings.
+// Memory layout: strings (labels, predicates, vertex prop keys, sources and
+// fact types) are interned into dense SymIDs (internal/graph/symtab) and edge
+// records live in per-stripe columnar slabs (slab.go) addressed by compact
+// 4-byte refs, not as individually heap-allocated *Edge values. Edges are
+// read through scan.go's slab-native views; only Edge, Snapshot and mutation
+// hooks materialize exported Edge values with plain strings.
 package graph
 
 import (
@@ -64,16 +64,29 @@ type Vertex struct {
 	Props map[string]string
 }
 
-// Edge is a directed, labeled, timestamped edge with a weight and arbitrary
-// string properties. Timestamp is seconds since the epoch (0 when the edge is
-// not temporal).
+// Edge is a directed, labeled, timestamped edge with a weight and a fact
+// row. Timestamp is seconds since the epoch (0 when the edge is not
+// temporal).
 type Edge struct {
 	ID        EdgeID
 	Src, Dst  VertexID
 	Label     string // predicate, e.g. "acquired"
 	Weight    float64
 	Timestamp int64
-	Props     map[string]string
+	Row       FactRow
+}
+
+// FactRow is the fixed provenance every edge stores: the part of a fact that
+// its endpoints, label, weight and timestamp do not hold. The zero row is an
+// edge with no provenance.
+type FactRow struct {
+	Source   string // provenance source
+	Doc      string // provenance document ID
+	Sentence string // supporting sentence
+	// SType and OType are the triple's subject and object types, which can
+	// be broader than the endpoint vertices' own; "" means the vertex's.
+	SType, OType string
+	Curated      bool // a curated fact, visible in every time window
 }
 
 // numShards is the stripe count. A power of two so ID → stripe is a mask.
@@ -253,15 +266,10 @@ func (g *Graph) hasVertexLocked(id VertexID) bool {
 }
 
 // AddEdge inserts a directed edge and returns its ID. Both endpoints must
-// exist.
+// exist. It is AddEdges with a batch of one: weight 1, no timestamp and the
+// zero fact row.
 func (g *Graph) AddEdge(src, dst VertexID, label string) (EdgeID, error) {
-	return g.AddEdgeFull(src, dst, label, 1.0, 0, nil)
-}
-
-// AddEdgeFull inserts a directed edge with weight, timestamp and properties.
-// It is AddEdges with a batch of one.
-func (g *Graph) AddEdgeFull(src, dst VertexID, label string, weight float64, ts int64, props map[string]string) (EdgeID, error) {
-	ids, err := g.AddEdges([]EdgeSpec{{Src: src, Dst: dst, Label: label, Weight: weight, Timestamp: ts, Props: props}})
+	ids, err := g.AddEdges([]EdgeSpec{{Src: src, Dst: dst, Label: label, Weight: 1}})
 	if err != nil {
 		return 0, err
 	}
@@ -269,10 +277,9 @@ func (g *Graph) AddEdgeFull(src, dst VertexID, label string, weight float64, ts 
 }
 
 // insertEdgeLocked appends an edge into its owning stripe and wires it into
-// both endpoints' adjacency lists. props (interned form) is retained, not
-// copied — callers pass a private map.
-func (g *Graph) insertEdgeLocked(id EdgeID, src, dst VertexID, label symtab.SymID, weight float64, ts int64, props propMap) {
-	ref := g.eshard(id).appendEdge(id, src, dst, label, weight, ts, props)
+// both endpoints' adjacency lists.
+func (g *Graph) insertEdgeLocked(id EdgeID, src, dst VertexID, label string, weight float64, ts int64, row *FactRow) {
+	ref := g.eshard(id).appendEdge(id, src, dst, label, weight, ts, row)
 	ss, ds := g.vshard(src), g.vshard(dst)
 	ss.out[src] = append(ss.out[src], ref)
 	ds.in[dst] = append(ds.in[dst], ref)
@@ -280,13 +287,9 @@ func (g *Graph) insertEdgeLocked(id EdgeID, src, dst VertexID, label symtab.SymI
 
 // appendEdge stores an edge record in this (its owning) stripe's slab and seq
 // index and returns its ref. Adjacency is the caller's.
-func (s *shard) appendEdge(id EdgeID, src, dst VertexID, label symtab.SymID, weight float64, ts int64, props propMap) edgeRef {
+func (s *shard) appendEdge(id EdgeID, src, dst VertexID, label string, weight float64, ts int64, row *FactRow) edgeRef {
 	seq := seqOf(id)
-	slot := s.slab.append(seq, src, dst, label, weight, ts)
-	if props != nil {
-		c, off := s.slab.chunk(slot)
-		c.setProps(off, props)
-	}
+	slot := s.slab.append(seq, src, dst, symtab.Intern(label), weight, ts, row)
 	s.setIdx(seq, slot)
 	s.live++
 	return makeRef(shardIdx(uint64(id)), slot)
@@ -310,9 +313,7 @@ func (g *Graph) removeEdge(m Mutation, replicated bool) bool {
 	c, off := es.slab.chunk(slot)
 	src, dst := VertexID(c.src[off]), VertexID(c.dst[off])
 	c.dead[off] = true
-	if c.props != nil {
-		c.props[off] = nil // release the props map; the slot is never reused
-	}
+	c.doc[off], c.sentence[off] = "", "" // release the strings; the slot is never reused
 	es.clearIdx(seqOf(m.EdgeID))
 	es.live--
 	ref := makeRef(shardIdx(uint64(m.EdgeID)), slot)
@@ -354,7 +355,7 @@ func materializeEdge(si int, c *edgeChunk, off int) Edge {
 		Label:     symtab.Resolve(c.label[off]),
 		Weight:    c.weight[off],
 		Timestamp: c.ts[off],
-		Props:     exportProps(c.propsAt(off)),
+		Row:       c.row(off),
 	}
 }
 
@@ -448,9 +449,9 @@ func removeRef(list []edgeRef, ref edgeRef) []edgeRef {
 	return list
 }
 
-// copyProps clones an exported props map, returning nil when the input is
-// nil or empty: prop-less elements carry a nil map at the API boundary, not
-// an allocated empty one.
+// copyProps clones an exported vertex props map, returning nil when the
+// input is nil or empty: prop-less vertices carry a nil map at the API
+// boundary, not an allocated empty one.
 func copyProps(p map[string]string) map[string]string {
 	if len(p) == 0 {
 		return nil

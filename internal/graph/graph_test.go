@@ -188,11 +188,21 @@ func TestVertexAndEdgeProps(t *testing.T) {
 		t.Fatalf("VertexProp = %q, %v", got, ok)
 	}
 	b := g.AddVertex("B")
-	id, _ := g.AddEdgeFull(a, b, "rel", 0.5, 1234, map[string]string{"src": "wsj"})
+	row := FactRow{Source: "wsj", Doc: "d1", Sentence: "A bought B.", SType: "Org", OType: "Org", Curated: true}
+	id, _ := addEdge(g, a, b, "rel", 0.5, 1234, row)
 	e, _ := g.Edge(id)
-	if e.Weight != 0.5 || e.Timestamp != 1234 || e.Props["src"] != "wsj" {
+	if e.Weight != 0.5 || e.Timestamp != 1234 || e.Row != row {
 		t.Fatalf("edge fields lost: %+v", e)
 	}
+}
+
+// addEdge inserts one edge through AddEdges and returns its ID.
+func addEdge(g *Graph, src, dst VertexID, label string, weight float64, ts int64, row FactRow) (EdgeID, error) {
+	ids, err := g.AddEdges([]EdgeSpec{{Src: src, Dst: dst, Label: label, Weight: weight, Timestamp: ts, Row: row}})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }
 
 func TestVertexCopiesAreIsolated(t *testing.T) {

@@ -27,8 +27,8 @@ const (
 )
 
 // Mutation describes one completed graph write. Only the fields relevant to
-// Kind are populated; Vertex.Props and Edges[i].Props are private copies the
-// subscriber may retain.
+// Kind are populated; Vertex.Props is a private copy and Edges a private
+// slice, both of which the subscriber may retain.
 type Mutation struct {
 	Kind MutationKind
 	// Epoch is the graph's mutation epoch after this write. Live writes are
@@ -125,7 +125,7 @@ func (g *Graph) insertExplicitLocked(es []Edge, op string) ([]Edge, error) {
 		if _, ok := g.eshard(e.ID).lookup(seqOf(e.ID)); ok {
 			continue // already present: duplicate delivery converges silently
 		}
-		g.insertEdgeLocked(e.ID, e.Src, e.Dst, symtab.Intern(e.Label), e.Weight, e.Timestamp, internProps(e.Props))
+		g.insertEdgeLocked(e.ID, e.Src, e.Dst, e.Label, e.Weight, e.Timestamp, &e.Row)
 		fresh = append(fresh, *e)
 	}
 	return fresh, nil
@@ -198,7 +198,7 @@ func (g *Graph) RestoreEdges(byOwner [][]Edge) error {
 				if _, ok := s.lookup(seqOf(e.ID)); ok {
 					continue // already present: replay idempotence
 				}
-				ref := s.appendEdge(e.ID, e.Src, e.Dst, symtab.Intern(e.Label), e.Weight, e.Timestamp, internProps(e.Props))
+				ref := s.appendEdge(e.ID, e.Src, e.Dst, e.Label, e.Weight, e.Timestamp, &e.Row)
 				refs = append(refs, pendingRef{id: e.ID, ref: ref})
 			}
 			inserted[si] = refs

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"nous/internal/graph/symtab"
 )
 
 // refPageRank is the map-based PageRank the compiled-view kernel replaced,
@@ -77,21 +75,18 @@ func randomMultigraph(rng *rand.Rand) *Graph {
 	srcs, dsts := ids[:1+rng.Intn(n)], ids[rng.Intn(n):]
 	var added []EdgeID
 	for i, m := 0, rng.Intn(5*n); i < m; i++ {
-		var props map[string]string
-		if rng.Intn(4) == 0 {
-			props = map[string]string{"timeless": "true"}
-		}
+		row := FactRow{Curated: rng.Intn(4) == 0}
 		s, d := srcs[rng.Intn(len(srcs))], dsts[rng.Intn(len(dsts))]
 		if rng.Intn(10) == 0 {
 			d = s
 		}
-		id, err := g.AddEdgeFull(s, d, "r", 1, int64(rng.Intn(100)), props)
+		id, err := addEdge(g, s, d, "r", 1, int64(rng.Intn(100)), row)
 		if err != nil {
 			panic(err)
 		}
 		added = append(added, id)
 		if rng.Intn(5) == 0 { // a parallel edge
-			if id, err = g.AddEdgeFull(s, d, "r", 1, int64(rng.Intn(100)), nil); err != nil {
+			if id, err = addEdge(g, s, d, "r", 1, int64(rng.Intn(100)), FactRow{}); err != nil {
 				panic(err)
 			}
 			added = append(added, id)
@@ -105,13 +100,6 @@ func randomMultigraph(rng *rand.Rand) *Graph {
 	return g
 }
 
-var timelessKey = symtab.Intern("timeless")
-
-func timelessProp(e *EdgeScan) bool {
-	v, _ := e.Prop(timelessKey)
-	return v == "true"
-}
-
 // TestViewPageRankMatchesReference pins the kernel to the loop it replaced
 // on random multigraphs, random windows and 1–30 iterations: every rank
 // within 1e-12 relative (the two sum in different orders), ranks summing
@@ -123,12 +111,12 @@ func TestViewPageRankMatchesReference(t *testing.T) {
 		iters := 1 + rng.Intn(30)
 		since, until := int64(rng.Intn(100)), int64(rng.Intn(120))
 		keepStamp := func(ts int64, timeless bool) bool { return timeless || (ts >= since && ts < until) }
-		keepScan := func(e *EdgeScan) bool { return keepStamp(e.Timestamp, timelessProp(e)) }
+		keepScan := func(e *EdgeScan) bool { return keepStamp(e.Timestamp, e.Curated()) }
 		if rng.Intn(4) == 0 {
 			keepStamp, keepScan = nil, nil
 		}
 		want := refPageRank(g, 0.85, iters, keepScan)
-		got := Compile(g, timelessProp).PageRank(0.85, iters, keepStamp)
+		got := Compile(g, (*EdgeScan).Curated).PageRank(0.85, iters, keepStamp)
 		if got.Len() != len(want) {
 			t.Errorf("seed %d: %d ranks, reference has %d", seed, got.Len(), len(want))
 			return false

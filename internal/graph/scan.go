@@ -5,10 +5,11 @@ import "nous/internal/graph/symtab"
 // This file is the graph's read path for edges. Every consumer (fact
 // decoding, pathsearch beam expansion, temporal window scans) iterates
 // EdgeScan views: a stack-allocated projection of the slab columns, valid
-// only inside the callback, with properties readable by interned key without
-// copying the map. A consumer that needs an owned value calls Materialize,
-// paying for the resolved label string and the copied props map only where
-// it keeps the edge.
+// only inside the callback. The fact row is not copied into the view; its
+// accessors read it from the slab on demand, so a traversal that never asks
+// for provenance pays nothing for it. A consumer that needs an owned value
+// calls Materialize, paying for the resolved strings only where it keeps the
+// edge.
 //
 // Every scan holds the graph's read lock for its whole run, callback
 // included. A callback must therefore not call back into the graph: a second
@@ -24,31 +25,21 @@ type EdgeScan struct {
 	ID        EdgeID
 	Src, Dst  VertexID
 	Label     symtab.SymID // interned predicate; resolve via LabelName
+	off       int32        // the slot's offset in c; fills Label's padding, so the view stays 64 bytes
 	Weight    float64
 	Timestamp int64
-	props     propMap
+	c         *edgeChunk // the slot's chunk, which the row accessors read
 	g         *Graph
 }
 
 // LabelName resolves the edge's predicate to its canonical string.
 func (e *EdgeScan) LabelName() string { return symtab.Resolve(e.Label) }
 
-// Prop returns one property by interned key without materializing the map.
-func (e *EdgeScan) Prop(key symtab.SymID) (string, bool) {
-	if e.props == nil {
-		return "", false
-	}
-	v, ok := e.props[key]
-	return v, ok
-}
+// Curated reports whether the edge stores a curated fact.
+func (e *EdgeScan) Curated() bool { return e.c.curated[e.off] }
 
-// PropEquals reports whether the edge carries key with exactly value.
-func (e *EdgeScan) PropEquals(key symtab.SymID, value string) bool {
-	if e.props == nil {
-		return false
-	}
-	return e.props[key] == value
-}
+// Row returns a copy of the edge's fact row.
+func (e *EdgeScan) Row() FactRow { return e.c.row(int(e.off)) }
 
 // Vertex returns a copy of vertex id — typically the edge's Src or Dst —
 // read under the lock the scan already holds. It is how a callback reads a
@@ -65,7 +56,7 @@ func (e *EdgeScan) Materialize() Edge {
 		Label:     symtab.Resolve(e.Label),
 		Weight:    e.Weight,
 		Timestamp: e.Timestamp,
-		Props:     exportProps(e.props),
+		Row:       e.Row(),
 	}
 }
 
@@ -77,7 +68,7 @@ func (e *EdgeScan) fill(si int, c *edgeChunk, off int) {
 	e.Label = c.label[off]
 	e.Weight = c.weight[off]
 	e.Timestamp = c.ts[off]
-	e.props = c.propsAt(off)
+	e.c, e.off = c, int32(off)
 }
 
 // scanRefs iterates a ref list into a reused view.

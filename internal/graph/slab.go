@@ -6,8 +6,9 @@ import "nous/internal/graph/symtab"
 // not heap-allocated one by one; each shard appends them into fixed-size
 // chunks of parallel arrays (one column per field), so a whole-graph edge
 // scan is a sequential walk over dense memory and the per-edge footprint is
-// the sum of the column widths (~33 bytes) instead of a pointer-chased
-// ~200-byte Edge struct plus allocator overhead.
+// the sum of the column widths (78 bytes, 45 of them the fact row) instead of
+// a pointer-chased Edge struct plus allocator overhead. The row's doc and
+// sentence strings are the only per-edge heap data outside the chunk.
 //
 // Chunks are fixed-size and never move once allocated, so a slot's address
 // is stable for the graph's lifetime. Every slab is guarded by the graph's
@@ -19,7 +20,7 @@ const (
 	// global counter. numShards (graph.go) must equal 1<<shardBits.
 	shardBits = 4
 
-	// chunkBits sizes slab chunks at 512 slots (~17KB of columns), small
+	// chunkBits sizes slab chunks at 512 slots (~39KB of columns), small
 	// enough that sparsely-used graphs don't overpay and large enough that
 	// scans are effectively sequential.
 	chunkBits = 9
@@ -36,44 +37,43 @@ const (
 	maxSlabVertex = 1<<32 - 1
 )
 
-// propMap is the interned-key in-memory form of an element's properties.
-// Values stay plain strings (they are near-unique provenance payloads —
-// sentences, doc IDs — and would bloat an interner).
+// propMap is the interned-key in-memory form of a vertex's properties.
+// Values stay plain strings (names and alias lists are near-unique and would
+// bloat an interner).
 type propMap map[symtab.SymID]string
-
-// propsArray is one chunk's property column, allocated lazily on the first
-// edge in the chunk that actually has props.
-type propsArray [chunkSize]propMap
 
 // edgeChunk is one fixed-capacity block of columnar edge storage. A slot's
 // fields are immutable after insertion except the dead flag, which
-// RemoveEdge sets (releasing the slot's props cell with it).
+// RemoveEdge sets (releasing the slot's strings with it). The fact-row
+// columns (source through curated) are read only on demand, through
+// EdgeScan's row accessors, so a scan that never reads provenance never
+// touches them.
 type edgeChunk struct {
-	seq    [chunkSize]uint32       // EdgeID >> shardBits
-	src    [chunkSize]uint32       // source VertexID (fits 32 bits, see maxSlabVertex)
-	dst    [chunkSize]uint32       // destination VertexID
-	label  [chunkSize]symtab.SymID // interned predicate
-	weight [chunkSize]float64
-	ts     [chunkSize]int64
-	dead   [chunkSize]bool // tombstone; dead slots are skipped by scans, reclaimed never (IDs are not reused)
-	props  *propsArray
+	seq      [chunkSize]uint32       // EdgeID >> shardBits
+	src      [chunkSize]uint32       // source VertexID (fits 32 bits, see maxSlabVertex)
+	dst      [chunkSize]uint32       // destination VertexID
+	label    [chunkSize]symtab.SymID // interned predicate
+	weight   [chunkSize]float64
+	ts       [chunkSize]int64
+	dead     [chunkSize]bool // tombstone; dead slots are skipped by scans, reclaimed never (IDs are not reused)
+	curated  [chunkSize]bool
+	source   [chunkSize]symtab.SymID
+	stype    [chunkSize]symtab.SymID
+	otype    [chunkSize]symtab.SymID
+	doc      [chunkSize]string
+	sentence [chunkSize]string
 }
 
-// setProps stores an edge's props into the chunk's lazily-allocated property
-// column.
-func (c *edgeChunk) setProps(off int, p propMap) {
-	if c.props == nil {
-		c.props = new(propsArray)
+// row materializes the fact row at off.
+func (c *edgeChunk) row(off int) FactRow {
+	return FactRow{
+		Source:   symtab.Resolve(c.source[off]),
+		Doc:      c.doc[off],
+		Sentence: c.sentence[off],
+		SType:    symtab.Resolve(c.stype[off]),
+		OType:    symtab.Resolve(c.otype[off]),
+		Curated:  c.curated[off],
 	}
-	c.props[off] = p
-}
-
-// propsAt returns the props map at off, or nil.
-func (c *edgeChunk) propsAt(off int) propMap {
-	if c.props != nil {
-		return c.props[off]
-	}
-	return nil
 }
 
 // edgeSlab is one shard's append-only columnar edge store.
@@ -84,7 +84,7 @@ type edgeSlab struct {
 
 // append claims the next slot, allocating a fresh chunk when the current one
 // fills.
-func (s *edgeSlab) append(seq uint32, src, dst VertexID, label symtab.SymID, weight float64, ts int64) uint32 {
+func (s *edgeSlab) append(seq uint32, src, dst VertexID, label symtab.SymID, weight float64, ts int64, row *FactRow) uint32 {
 	slot := s.len
 	if slot > maxSlot {
 		panic("graph: edge slab full (2^28 edges in one shard)")
@@ -101,6 +101,12 @@ func (s *edgeSlab) append(seq uint32, src, dst VertexID, label symtab.SymID, wei
 	c.weight[off] = weight
 	c.ts[off] = ts
 	c.dead[off] = false
+	c.curated[off] = row.Curated
+	c.source[off] = symtab.Intern(row.Source)
+	c.stype[off] = symtab.Intern(row.SType)
+	c.otype[off] = symtab.Intern(row.OType)
+	c.doc[off] = row.Doc
+	c.sentence[off] = row.Sentence
 	s.len = slot + 1
 	return slot
 }
@@ -173,8 +179,8 @@ func (s *shard) clearIdx(seq uint32) {
 	}
 }
 
-// internProps converts an exported props map to interned form, returning nil
-// for empty input.
+// internProps converts an exported vertex props map to interned form,
+// returning nil for empty input.
 func internProps(p map[string]string) propMap {
 	if len(p) == 0 {
 		return nil
@@ -186,9 +192,9 @@ func internProps(p map[string]string) propMap {
 	return ip
 }
 
-// exportProps materializes an interned props map for the API boundary,
-// returning nil for empty input — exported elements without properties carry
-// a nil map, never an allocated empty one.
+// exportProps materializes an interned vertex props map for the API
+// boundary, returning nil for empty input — exported vertices without
+// properties carry a nil map, never an allocated empty one.
 func exportProps(p propMap) map[string]string {
 	if len(p) == 0 {
 		return nil

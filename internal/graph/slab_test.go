@@ -3,18 +3,17 @@ package graph
 import (
 	"reflect"
 	"testing"
-
-	"nous/internal/graph/symtab"
 )
 
-// TestEmptyPropsExportNil pins the export-path allocation contract: elements
+// TestEmptyPropsExportNil pins the export-path allocation contract: vertices
 // created with empty (or nil) property maps materialize with Props == nil on
-// every read path, never an allocated empty map.
+// every read path, never an allocated empty map, and an edge added with the
+// zero fact row reads back the zero row.
 func TestEmptyPropsExportNil(t *testing.T) {
 	g := New()
 	a := g.AddVertexWithProps("Person", map[string]string{})
 	b := g.AddVertex("Person")
-	id, err := g.AddEdgeFull(a, b, "knows", 1, 100, map[string]string{})
+	id, err := addEdge(g, a, b, "knows", 1, 100, FactRow{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,23 +21,8 @@ func TestEmptyPropsExportNil(t *testing.T) {
 	if v, ok := g.Vertex(a); !ok || v.Props != nil {
 		t.Errorf("Vertex(a).Props: want nil, got %#v", v.Props)
 	}
-	if e, ok := g.Edge(id); !ok || e.Props != nil {
-		t.Errorf("Edge(id).Props: want nil, got %#v", e.Props)
-	}
-	for _, e := range outEdges(g, a) {
-		if e.Props != nil {
-			t.Errorf("out-scan props: want nil, got %#v", e.Props)
-		}
-	}
-	for _, e := range inEdges(g, b) {
-		if e.Props != nil {
-			t.Errorf("in-scan props: want nil, got %#v", e.Props)
-		}
-	}
-	for _, e := range incidentEdges(g, a) {
-		if e.Props != nil {
-			t.Errorf("incident-scan props: want nil, got %#v", e.Props)
-		}
+	if e, ok := g.Edge(id); !ok || e.Row != (FactRow{}) {
+		t.Errorf("Edge(id).Row: want zero, got %#v", e.Row)
 	}
 	snap := g.Snapshot()
 	for _, vs := range snap.Vertices {
@@ -50,42 +34,28 @@ func TestEmptyPropsExportNil(t *testing.T) {
 	}
 	for _, es := range snap.Edges {
 		for _, e := range es {
-			if e.Props != nil {
-				t.Errorf("snapshot edge props: want nil, got %#v", e.Props)
+			if e.Row != (FactRow{}) {
+				t.Errorf("snapshot edge row: want zero, got %#v", e.Row)
 			}
 		}
 	}
 	g.ForEachOutScan(a, func(e *EdgeScan) bool {
-		if e.props != nil {
-			t.Errorf("scan props: want nil, got %#v", e.props)
-		}
-		if m := e.Materialize(); m.Props != nil {
-			t.Errorf("Materialize props: want nil, got %#v", m.Props)
+		if r := e.Row(); r != (FactRow{}) {
+			t.Errorf("scan row: want zero, got %#v", r)
 		}
 		return true
 	})
 }
 
-// TestExportedPropsAreCopies pins that materialized Props maps are owned by
-// the caller: mutating them must not leak back into the graph.
+// TestExportedPropsAreCopies pins that materialized vertex Props maps are
+// owned by the caller: mutating them must not leak back into the graph.
 func TestExportedPropsAreCopies(t *testing.T) {
 	g := New()
 	a := g.AddVertexWithProps("Person", map[string]string{"name": "Ada"})
-	b := g.AddVertex("Person")
-	id, err := g.AddEdgeFull(a, b, "knows", 1, 100, map[string]string{"source": "s1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	v, _ := g.Vertex(a)
 	v.Props["name"] = "clobbered"
 	if got, _ := g.VertexProp(a, "name"); got != "Ada" {
 		t.Errorf("vertex prop leaked through exported map: got %q", got)
-	}
-	e, _ := g.Edge(id)
-	e.Props["source"] = "clobbered"
-	if e2, _ := g.Edge(id); e2.Props["source"] != "s1" {
-		t.Errorf("edge prop leaked through exported map: got %q", e2.Props["source"])
 	}
 }
 
@@ -96,13 +66,14 @@ func TestScanViewsMatchMaterialized(t *testing.T) {
 	a := g.AddVertex("A")
 	b := g.AddVertex("B")
 	c := g.AddVertex("C")
-	if _, err := g.AddEdgeFull(a, b, "x", 0.5, 10, map[string]string{"k": "v"}); err != nil {
+	row := FactRow{Source: "s", Doc: "v", SType: "A", Curated: true}
+	if _, err := addEdge(g, a, b, "x", 0.5, 10, row); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.AddEdgeFull(a, c, "y", 1.5, 20, nil); err != nil {
+	if _, err := addEdge(g, a, c, "y", 1.5, 20, FactRow{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.AddEdgeFull(c, a, "z", 2.5, 30, nil); err != nil {
+	if _, err := addEdge(g, c, a, "z", 2.5, 30, FactRow{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,13 +103,8 @@ func TestScanViewsMatchMaterialized(t *testing.T) {
 	total := 0
 	g.ScanEdges(func(e *EdgeScan) bool {
 		total++
-		if e.LabelName() == "x" {
-			if got, ok := e.Prop(symtab.Intern("k")); !ok || got != "v" {
-				t.Errorf(`Prop("k"): want "v", got %q (ok=%v)`, got, ok)
-			}
-			if !e.PropEquals(symtab.Intern("k"), "v") {
-				t.Error(`PropEquals("k","v"): want true`)
-			}
+		if e.LabelName() == "x" && (e.Row() != row || !e.Curated()) {
+			t.Errorf("Row: want %+v, got %+v (Curated %v)", row, e.Row(), e.Curated())
 		}
 		return true
 	})

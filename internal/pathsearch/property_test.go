@@ -98,20 +98,18 @@ func newDiffCase(seed int64) diffCase {
 		label := labels[r.Intn(len(labels))]
 		weight := float64(1 + r.Intn(3))
 		ts := 100 + int64(r.Intn(5))*10
-		var props map[string]string
-		if r.Intn(4) == 0 {
-			props = map[string]string{"curated": "true"}
-		}
-		id, err := full.AddEdgeFull(a, b, label, weight, ts, props)
+		spec := []graph.EdgeSpec{{Src: a, Dst: b, Label: label, Weight: weight, Timestamp: ts,
+			Row: graph.FactRow{Curated: r.Intn(4) == 0}}}
+		ids, err := full.AddEdges(spec)
 		if err != nil {
 			panic(err)
 		}
-		if win.Contains(ts) || props["curated"] == "true" {
-			vid, err := vis.AddEdgeFull(a, b, label, weight, ts, props)
+		if win.Contains(ts) || spec[0].Row.Curated {
+			vids, err := vis.AddEdges(spec)
 			if err != nil {
 				panic(err)
 			}
-			visFull[vid] = id
+			visFull[vids[0]] = ids[0]
 		}
 	}
 

@@ -18,17 +18,17 @@ func windowedGraph(t *testing.T) (*graph.Graph, graph.VertexID, graph.VertexID) 
 	dst := g.AddVertex("Company")
 	mid1 := g.AddVertex("Company")
 	mid2 := g.AddVertex("Company")
-	curated := map[string]string{"curated": "true"}
-	mustEdge := func(a, b graph.VertexID, label string, ts int64, props map[string]string) {
+	mustEdge := func(a, b graph.VertexID, label string, ts int64, curated bool) {
 		t.Helper()
-		if _, err := g.AddEdgeFull(a, b, label, 1, ts, props); err != nil {
+		if _, err := g.AddEdges([]graph.EdgeSpec{{Src: a, Dst: b, Label: label, Weight: 1, Timestamp: ts,
+			Row: graph.FactRow{Curated: curated}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustEdge(src, mid1, "partnersWith", -62135596800, curated)
-	mustEdge(mid1, dst, "suppliesTo", -62135596800, curated)
-	mustEdge(src, mid2, "acquired", 100, nil)
-	mustEdge(mid2, dst, "acquired", 100, nil)
+	mustEdge(src, mid1, "partnersWith", -62135596800, true)
+	mustEdge(mid1, dst, "suppliesTo", -62135596800, true)
+	mustEdge(src, mid2, "acquired", 100, false)
+	mustEdge(mid2, dst, "acquired", 100, false)
 	return g, src, dst
 }
 
@@ -61,7 +61,7 @@ func TestTopKWindowFiltersExtractedEdges(t *testing.T) {
 		t.Fatalf("paths in empty extracted window = %d, want 1 (curated)", len(paths))
 	}
 	for _, e := range paths[0].Edges {
-		if e.Props["curated"] != "true" {
+		if !e.Row.Curated {
 			t.Fatalf("extracted edge leaked into window: %+v", e)
 		}
 	}

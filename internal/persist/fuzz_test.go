@@ -18,7 +18,7 @@ func smallGraph(t *testing.T) *graph.Graph {
 		g.AddVertexWithProps("V", map[string]string{"name": string(rune('a' + i))})
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := g.AddEdgeFull(graph.VertexID(i), graph.VertexID((i+1)%4), "x", 1, int64(i), nil); err != nil {
+		if _, err := g.AddEdges([]graph.EdgeSpec{{Src: graph.VertexID(i), Dst: graph.VertexID((i + 1) % 4), Label: "x", Weight: 1, Timestamp: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,16 +35,18 @@ func FuzzDecodeRecord(f *testing.F) {
 		{Kind: graph.MutAddVertex, Epoch: 9, Vertex: graph.Vertex{ID: 4, Label: "Company", Props: map[string]string{"name": "Apex"}}},
 		{Kind: graph.MutSetVertexProp, Epoch: 10, VertexID: 1, Key: "aliases", Value: "b\x1fbee"},
 		{Kind: graph.MutAddEdges, Epoch: 11, Edges: []graph.Edge{
-			{ID: 4, Src: 0, Dst: 2, Label: "acquired", Weight: 0.5, Timestamp: 1700000000, Props: map[string]string{"source": "wsj"}},
-			{ID: 5, Src: 2, Dst: 0, Label: "founded", Weight: 1},
+			{ID: 4, Src: 0, Dst: 2, Label: "acquired", Weight: 0.5, Timestamp: 1700000000, Row: graph.FactRow{
+				Source: "wsj", Doc: "wsj-1", Sentence: "a acquired c.", SType: "Company", OType: "Company"}},
+			{ID: 5, Src: 2, Dst: 0, Label: "founded", Weight: 1, Row: graph.FactRow{Curated: true}},
 		}},
 		{Kind: graph.MutRemoveEdge, Epoch: 12, EdgeID: 2},
 	} {
 		f.Add(encodeMutation(m))
 	}
 	// The record that sized a seq index to edge ID ≈ 4.2e10 before the
-	// allocator bound: an AddEdges of one self-edge on vertex 0.
-	f.Add([]byte{3, 4, 1, 0xbc, 0xbc, 0xbc, 0xbc, 0xbc, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// allocator bound: an AddEdges of one self-edge on vertex 0, whose fact
+	// row is five empty strings and a false curated byte.
+	f.Add([]byte{3, 4, 1, 0xbc, 0xbc, 0xbc, 0xbc, 0xbc, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := decodeMutation(payload)
 		if err != nil {
@@ -90,11 +92,10 @@ func snapshotImage(syms, shard []byte, si int) []byte {
 	return raw
 }
 
-// FuzzSnapshotSections: decodeSnapshot followed by restoreSnapshot never
-// panics on sections that pass their CRC, whatever they hold.
-func FuzzSnapshotSections(f *testing.F) {
-	// Seed: vertices 0 and 16 and edges 0 and 16, all owned by shard 0.
-	table := []string{"V", "a", "b", "name", "source", "wsj", "x"}
+// seedSections returns a valid symbol-table section and shard-0 section:
+// vertices 0 and 16 and edges 0 and 16, all owned by shard 0.
+func seedSections() (syms, shard []byte) {
+	table := []string{"", "V", "a", "b", "d1", "name", "wsj", "x"}
 	sort.Strings(table)
 	index := make(map[string]uint32, len(table))
 	symc := &codec{}
@@ -103,15 +104,23 @@ func FuzzSnapshotSections(f *testing.F) {
 		index[s] = uint32(i)
 		symc.putString(s)
 	}
-	c := &codec{}
+	c := &codec{syms: index}
 	c.putUvarint(2)
-	c.putVertexSym(index, graph.Vertex{ID: 0, Label: "V", Props: map[string]string{"name": "a"}})
-	c.putVertexSym(index, graph.Vertex{ID: 16, Label: "V", Props: map[string]string{"name": "b"}})
+	c.putVertex(graph.Vertex{ID: 0, Label: "V", Props: map[string]string{"name": "a"}})
+	c.putVertex(graph.Vertex{ID: 16, Label: "V", Props: map[string]string{"name": "b"}})
 	c.putUvarint(2)
-	c.putEdgeSym(index, graph.Edge{ID: 0, Src: 0, Dst: 16, Label: "x", Weight: 0.5, Timestamp: 7, Props: map[string]string{"source": "wsj"}})
-	c.putEdgeSym(index, graph.Edge{ID: 16, Src: 16, Dst: 0, Label: "x", Weight: 1})
-	f.Add(symc.bytes(), c.bytes(), uint8(0))
-	f.Add(symc.bytes(), c.bytes(), uint8(5))
+	c.putEdge(graph.Edge{ID: 0, Src: 0, Dst: 16, Label: "x", Weight: 0.5, Timestamp: 7,
+		Row: graph.FactRow{Source: "wsj", Doc: "d1", SType: "V"}})
+	c.putEdge(graph.Edge{ID: 16, Src: 16, Dst: 0, Label: "x", Weight: 1, Row: graph.FactRow{Curated: true}})
+	return symc.bytes(), c.bytes()
+}
+
+// FuzzSnapshotSections: decodeSnapshot followed by restoreSnapshot never
+// panics on sections that pass their CRC, whatever they hold.
+func FuzzSnapshotSections(f *testing.F) {
+	syms, shard := seedSections()
+	f.Add(syms, shard, uint8(0))
+	f.Add(syms, shard, uint8(5))
 	f.Add([]byte{0}, []byte{0, 0}, uint8(0))
 	f.Fuzz(func(t *testing.T, syms, shard []byte, si uint8) {
 		snap, _, err := decodeSnapshot(snapshotImage(syms, shard, int(si)%graph.ShardCount()), "fuzz")

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -42,7 +43,10 @@ func buildSample(t *testing.T, g *graph.Graph) {
 	b := g.AddVertexWithProps("Company", map[string]string{"name": "Borealis"})
 	c := g.AddVertex("Person")
 	g.SetVertexProp(c, "name", "Cora")
-	if _, err := g.AddEdgeFull(a, b, "acquired", 0.9, 1700000000, map[string]string{"source": "wsj"}); err != nil {
+	if _, err := g.AddEdges([]graph.EdgeSpec{
+		{Src: a, Dst: b, Label: "acquired", Weight: 0.9, Timestamp: 1700000000, Row: graph.FactRow{
+			Source: "wsj", Doc: "wsj-1", Sentence: "Apex acquired Borealis.", SType: "Company", OType: "Company", Curated: true}},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.AddEdges([]graph.EdgeSpec{
@@ -106,8 +110,9 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 		{Kind: graph.MutAddVertex, Epoch: 2, Vertex: graph.Vertex{ID: 8, Label: "Person"}},
 		{Kind: graph.MutSetVertexProp, Epoch: 3, VertexID: 7, Key: "aliases", Value: "apex\x1fapex inc"},
 		{Kind: graph.MutAddEdges, Epoch: 4, Edges: []graph.Edge{
-			{ID: 1, Src: 7, Dst: 8, Label: "employs", Weight: 0.25, Timestamp: -62135596800, Props: map[string]string{"source": ""}},
-			{ID: 2, Src: 8, Dst: 7, Label: "founded", Weight: 1, Timestamp: 1700000000},
+			{ID: 1, Src: 7, Dst: 8, Label: "employs", Weight: 0.25, Timestamp: -62135596800, Row: graph.FactRow{Doc: "d1", OType: "Person"}},
+			{ID: 2, Src: 8, Dst: 7, Label: "founded", Weight: 1, Timestamp: 1700000000, Row: graph.FactRow{
+				Source: "wsj", Doc: "d2", Sentence: "Cora founded Apex.", SType: "Person", OType: "Company", Curated: true}},
 		}},
 		{Kind: graph.MutRemoveEdge, Epoch: 5, EdgeID: 2},
 	}
@@ -142,6 +147,69 @@ func TestDecodeMutationRejectsGarbage(t *testing.T) {
 			t.Errorf("truncated at %d bytes: want error", cut)
 		}
 	}
+}
+
+// TestDecodersRefuseTrailingBytes: a CRC-valid record or snapshot section
+// with bytes after its last field is refused, not read as its prefix. Each
+// case decoded without error before the end-of-payload check.
+func TestDecodersRefuseTrailingBytes(t *testing.T) {
+	for _, m := range []graph.Mutation{
+		{Kind: graph.MutAddVertex, Epoch: 1, Vertex: graph.Vertex{ID: 1, Label: "Company", Props: map[string]string{"name": "Apex"}}},
+		{Kind: graph.MutSetVertexProp, Epoch: 2, VertexID: 1, Key: "k", Value: "v"},
+		{Kind: graph.MutAddEdges, Epoch: 3, Edges: []graph.Edge{{ID: 1, Src: 1, Dst: 1, Label: "x", Row: graph.FactRow{Doc: "d"}}}},
+		{Kind: graph.MutRemoveEdge, Epoch: 4, EdgeID: 1},
+	} {
+		b := encodeMutation(m)
+		if _, err := decodeMutation(b); err != nil {
+			t.Fatalf("kind %d: %v", m.Kind, err)
+		}
+		if _, err := decodeMutation(append(b, 0xde, 0xad, 0xbe, 0xef)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+			t.Errorf("kind %d with 4 junk bytes: err = %v, want trailing bytes", m.Kind, err)
+		}
+	}
+	syms, shard := seedSections()
+	if _, _, err := decodeSnapshot(snapshotImage(syms, shard, 0), "valid"); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string][]byte{
+		"shard + 2":  snapshotImage(syms, append(bytes.Clone(shard), 0, 0), 0),
+		"symbol + 3": snapshotImage(append(bytes.Clone(syms), 1, 'z', 0), shard, 0),
+	} {
+		if _, _, err := decodeSnapshot(raw, name); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+			t.Errorf("%s: err = %v, want trailing bytes", name, err)
+		}
+	}
+}
+
+// TestReplayRefusesOldWALVersion: a version-1 segment is refused by replay
+// and by Open, not misread. testdata/parent-v1.wal holds buildSample's
+// records as the version-1 writer logged them, with each edge's props as a
+// (key, value) list.
+func TestReplayRefusesOldWALVersion(t *testing.T) {
+	dir := t.TempDir()
+	path := copyParentWAL(t, dir)
+	if _, _, err := replayWAL(graph.New(), path); err == nil || !strings.Contains(err.Error(), "unsupported WAL version 1") {
+		t.Errorf("replayWAL: err = %v, want unsupported WAL version 1", err)
+	}
+	if st, err := Open(dir, graph.New(), testOptions()); err == nil {
+		st.Close()
+		t.Error("Open replayed a version-1 segment")
+	}
+}
+
+// copyParentWAL copies testdata/parent-v1.wal into dir as segment 0 and
+// returns its path.
+func copyParentWAL(t *testing.T, dir string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent-v1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, walName(0))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestWALOnlyRecovery(t *testing.T) {
@@ -510,11 +578,11 @@ func TestReplayRemoveAndReaddKeepsTimeIndexConsistent(t *testing.T) {
 	b := g.AddVertexWithProps("Company", map[string]string{"name": "Borealis"})
 	var ids []graph.EdgeID
 	for ts := int64(100); ts < 110; ts++ {
-		id, err := g.AddEdgeFull(a, b, "acquired", 1, ts, nil)
+		got, err := g.AddEdges([]graph.EdgeSpec{{Src: a, Dst: b, Label: "acquired", Weight: 1, Timestamp: ts}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		ids = append(ids, got[0])
 	}
 	// Remove a few, then re-add edges at the same timestamps (fresh IDs) —
 	// the shape eviction + re-extraction produces.

@@ -2,14 +2,19 @@
 // combines two artifacts on disk:
 //
 //   - Snapshots: versioned binary files holding a consistent point-in-time
-//     copy of the whole graph — vertices, properties, edges, and the
-//     mutation epoch — with each of the store's stripes encoded as an
-//     independent CRC-protected section, so snapshot encode/decode
-//     parallelizes across stripes.
+//     copy of the whole graph — vertices with their properties, edges with
+//     their fact rows, and the mutation epoch — with each of the store's
+//     stripes encoded as an independent CRC-protected section, so snapshot
+//     encode/decode parallelizes across stripes.
 //
 //   - A write-ahead log (WAL): an append-only sequence of CRC-framed
 //     mutation records (one per graph write, batch writes log one record)
 //     with group-commit buffering, so bulk ingest amortizes fsyncs.
+//
+// Vertices are encoded with their (key, value) property lists; edges with
+// their fixed fact row (graph.FactRow), field by field, with no key strings.
+// Every decoder reads a record or section to its last byte and refuses one
+// with bytes left over.
 //
 // Recovery loads the newest valid snapshot and replays the WAL tail on top
 // of it through graph.ApplyReplicated, the path a replica applies its
@@ -29,10 +34,23 @@ import (
 	"nous/internal/graph"
 )
 
-// codec is a little append-only buffer with the primitive encoders the
-// snapshot and WAL formats share. All integers are varint-encoded except
-// fixed-width format fields; strings and maps are length-prefixed.
-type codec struct{ b []byte }
+// codec is a little append-only buffer with the encoders the snapshot and
+// WAL formats share. All integers are varint-encoded except fixed-width
+// format fields; strings and maps are length-prefixed.
+//
+// Strings go through str. A WAL record writes them inline. A snapshot shard
+// section sets syms, and str writes each string as a uvarint reference into
+// the snapshot's symbol table section (strings sorted lexicographically,
+// referenced by rank). The table is built deterministically from the snapshot
+// contents, so equal graph state still encodes to byte-identical files, and
+// repeated strings — predicates, type names, provenance values — are stored
+// once per file instead of once per element. WAL records keep the inline
+// encoding: they are written on the mutation path, where building a
+// per-record table would cost more than it saves.
+type codec struct {
+	b    []byte
+	syms map[string]uint32 // symbol references, for a snapshot shard section
+}
 
 func (c *codec) bytes() []byte { return c.b }
 
@@ -47,90 +65,74 @@ func (c *codec) putString(s string) {
 	c.b = append(c.b, s...)
 }
 
+// str appends one element string: a symbol reference when syms is set,
+// otherwise the string itself.
+func (c *codec) str(s string) {
+	if c.syms != nil {
+		c.putUvarint(uint64(c.syms[s]))
+	} else {
+		c.putString(s)
+	}
+}
+
+func (c *codec) putBool(v bool) {
+	if v {
+		c.b = append(c.b, 1)
+	} else {
+		c.b = append(c.b, 0)
+	}
+}
+
+// putProps encodes a vertex's props as (key, value) pairs in sorted-key
+// order. Props restore to a map, so the order only makes equal state encode
+// to equal bytes; with symbol references it is also ascending reference
+// order, because references are assigned in lexicographic order.
 func (c *codec) putProps(p map[string]string) {
 	c.putUvarint(uint64(len(p)))
-	// Deterministic order is not required for correctness (props restore to
-	// a map), but sorted keys make snapshots byte-stable for equal state.
 	keys := make([]string, 0, len(p))
 	for k := range p {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		c.putString(k)
-		c.putString(p[k])
+		c.str(k)
+		c.str(p[k])
 	}
 }
 
 func (c *codec) putVertex(v graph.Vertex) {
 	c.putVarint(int64(v.ID))
-	c.putString(v.Label)
+	c.str(v.Label)
 	c.putProps(v.Props)
 }
 
+// putEdge encodes an edge: its fixed fields, then its fact row's five
+// strings and the curated flag as one byte.
 func (c *codec) putEdge(e graph.Edge) {
 	c.putVarint(int64(e.ID))
 	c.putVarint(int64(e.Src))
 	c.putVarint(int64(e.Dst))
-	c.putString(e.Label)
+	c.str(e.Label)
 	c.putFloat64(e.Weight)
 	c.putVarint(e.Timestamp)
-	c.putProps(e.Props)
-}
-
-// --- Symbol-referenced encoding (snapshots) --------------------------------
-//
-// Snapshot payloads do not embed strings inline: every label, property
-// key and property value is a uvarint reference into the snapshot's symbol
-// table section (strings sorted lexicographically, referenced by rank). The
-// table is built deterministically from the snapshot contents, so equal
-// graph state still encodes to byte-identical files, and repeated strings —
-// predicates, type names, provenance values — are stored once per file
-// instead of once per element. WAL records keep the inline string
-// encoding: they are written on the mutation path where building a
-// per-record table would cost more than it saves.
-
-// putSym appends one symbol reference.
-func (c *codec) putSym(tab map[string]uint32, s string) { c.putUvarint(uint64(tab[s])) }
-
-// putPropsSym encodes a props map as (keyRef, valueRef) pairs. Keys are
-// emitted in sorted-string order, which — because symbol IDs are assigned in
-// lexicographic order — is also ascending reference order.
-func (c *codec) putPropsSym(tab map[string]uint32, p map[string]string) {
-	c.putUvarint(uint64(len(p)))
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		c.putSym(tab, k)
-		c.putSym(tab, p[k])
-	}
-}
-
-func (c *codec) putVertexSym(tab map[string]uint32, v graph.Vertex) {
-	c.putVarint(int64(v.ID))
-	c.putSym(tab, v.Label)
-	c.putPropsSym(tab, v.Props)
-}
-
-func (c *codec) putEdgeSym(tab map[string]uint32, e graph.Edge) {
-	c.putVarint(int64(e.ID))
-	c.putVarint(int64(e.Src))
-	c.putVarint(int64(e.Dst))
-	c.putSym(tab, e.Label)
-	c.putFloat64(e.Weight)
-	c.putVarint(e.Timestamp)
-	c.putPropsSym(tab, e.Props)
+	r := &e.Row
+	c.str(r.Source)
+	c.str(r.Doc)
+	c.str(r.Sentence)
+	c.str(r.SType)
+	c.str(r.OType)
+	c.putBool(r.Curated)
 }
 
 // decoder walks an encoded payload. Every read validates remaining length;
-// the first malformed field poisons the decoder and err reports it.
+// the first malformed field poisons the decoder and err reports it. A
+// decoder for a snapshot shard section has syms set (non-nil, possibly
+// empty), and its element strings are references into it.
 type decoder struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	syms []string
 }
 
 func newDecoder(b []byte) *decoder { return &decoder{b: b} }
@@ -138,6 +140,15 @@ func newDecoder(b []byte) *decoder { return &decoder{b: b} }
 func (d *decoder) fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("persist: truncated or corrupt %s at offset %d", what, d.off)
+	}
+}
+
+// end fails the decoder unless the payload was read to its last byte. A
+// CRC-valid payload with bytes after its last field was written in another
+// layout, and reading its prefix would be a silent misread.
+func (d *decoder) end(what string) {
+	if d.err == nil && d.off != len(d.b) {
+		d.err = fmt.Errorf("persist: %d trailing bytes after %s at offset %d", len(d.b)-d.off, what, d.off)
 	}
 }
 
@@ -194,6 +205,18 @@ func (d *decoder) float64() float64 {
 	return v
 }
 
+func (d *decoder) bool() bool {
+	if d.err != nil {
+		return false
+	}
+	if d.off >= len(d.b) || d.b[d.off] > 1 {
+		d.fail("bool")
+		return false
+	}
+	d.off++
+	return d.b[d.off-1] == 1
+}
+
 func (d *decoder) string() string {
 	n := d.uvarint()
 	if d.err != nil {
@@ -210,6 +233,22 @@ func (d *decoder) string() string {
 
 func uint64n(v uint64) int { return int(v) }
 
+// str reads one element string written by codec.str.
+func (d *decoder) str() string {
+	if d.syms == nil {
+		return d.string()
+	}
+	i := d.uvarint()
+	if d.err != nil {
+		return ""
+	}
+	if i >= uint64(len(d.syms)) {
+		d.fail("symbol reference")
+		return ""
+	}
+	return d.syms[i]
+}
+
 func (d *decoder) props() map[string]string {
 	n := d.count("props count")
 	if n == 0 {
@@ -217,70 +256,20 @@ func (d *decoder) props() map[string]string {
 	}
 	p := make(map[string]string, n)
 	for i := uint64(0); i < n; i++ {
-		k := d.string()
-		v := d.string()
+		k := d.str()
+		v := d.str()
 		if d.err != nil {
 			return nil
 		}
 		p[k] = v
 	}
 	return p
-}
-
-// sym resolves one symbol reference against the snapshot's decoded table.
-func (d *decoder) sym(syms []string) string {
-	i := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if i >= uint64(len(syms)) {
-		d.fail("symbol reference")
-		return ""
-	}
-	return syms[i]
-}
-
-func (d *decoder) propsSym(syms []string) map[string]string {
-	n := d.count("props count")
-	if n == 0 {
-		return nil
-	}
-	p := make(map[string]string, n)
-	for i := uint64(0); i < n; i++ {
-		k := d.sym(syms)
-		v := d.sym(syms)
-		if d.err != nil {
-			return nil
-		}
-		p[k] = v
-	}
-	return p
-}
-
-func (d *decoder) vertexSym(syms []string) graph.Vertex {
-	return graph.Vertex{
-		ID:    graph.VertexID(d.varint()),
-		Label: d.sym(syms),
-		Props: d.propsSym(syms),
-	}
-}
-
-func (d *decoder) edgeSym(syms []string) graph.Edge {
-	return graph.Edge{
-		ID:        graph.EdgeID(d.varint()),
-		Src:       graph.VertexID(d.varint()),
-		Dst:       graph.VertexID(d.varint()),
-		Label:     d.sym(syms),
-		Weight:    d.float64(),
-		Timestamp: d.varint(),
-		Props:     d.propsSym(syms),
-	}
 }
 
 func (d *decoder) vertex() graph.Vertex {
 	return graph.Vertex{
 		ID:    graph.VertexID(d.varint()),
-		Label: d.string(),
+		Label: d.str(),
 		Props: d.props(),
 	}
 }
@@ -290,10 +279,10 @@ func (d *decoder) edge() graph.Edge {
 		ID:        graph.EdgeID(d.varint()),
 		Src:       graph.VertexID(d.varint()),
 		Dst:       graph.VertexID(d.varint()),
-		Label:     d.string(),
+		Label:     d.str(),
 		Weight:    d.float64(),
 		Timestamp: d.varint(),
-		Props:     d.props(),
+		Row:       graph.FactRow{Source: d.str(), Doc: d.str(), Sentence: d.str(), SType: d.str(), OType: d.str(), Curated: d.bool()},
 	}
 }
 
@@ -349,6 +338,7 @@ func decodeMutation(b []byte) (graph.Mutation, error) {
 	default:
 		return m, fmt.Errorf("persist: unknown mutation kind %d", m.Kind)
 	}
+	d.end("record")
 	if d.err != nil {
 		return m, d.err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -38,6 +39,21 @@ func drain(t *testing.T, cur *WALCursor) []uint64 {
 			t.Fatalf("decode: %v", err)
 		}
 		epochs = append(epochs, e)
+	}
+}
+
+// TestWALCursorRefusesOldWALVersion: a follower's cursor refuses a
+// version-1 segment instead of shipping records no reader decodes.
+func TestWALCursorRefusesOldWALVersion(t *testing.T) {
+	dir := t.TempDir()
+	copyParentWAL(t, dir)
+	cur, err := OpenWALCursor(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if _, err := cur.Next(); err == nil || !strings.Contains(err.Error(), "unsupported WAL version 1") {
+		t.Errorf("Next: err = %v, want unsupported WAL version 1", err)
 	}
 }
 
@@ -252,7 +268,7 @@ func TestReopenAndReplicaApplyAgree(t *testing.T) {
 						Timestamp: rng.Int63n(1 << 40),
 					}
 					if rng.Intn(2) == 0 {
-						specs[j].Props = map[string]string{"doc": fmt.Sprint("d", i)}
+						specs[j].Row = graph.FactRow{Doc: fmt.Sprint("d", i), Curated: rng.Intn(2) == 0}
 					}
 				}
 				ids, err := live.AddEdges(specs)

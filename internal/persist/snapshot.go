@@ -16,7 +16,7 @@ import (
 // Snapshot file layout (all fixed-width fields little-endian):
 //
 //	magic    [8]byte  "NOUSNAP1"
-//	version  uint32   3
+//	version  uint32   4
 //	shards   uint32   graph.ShardCount()
 //	epoch    uint64   graph mutation epoch at the cut
 //	nextV    uint64   vertex ID allocator
@@ -33,16 +33,20 @@ import (
 //	  crc    uint32   CRC-32C (Castagnoli) of the payload
 //	  payload         vcount uvarint, vertices...; ecount uvarint, edges...
 //
-// The symbol-table section stores each distinct label, property key and
-// property value once, and shard payloads encode elements with uvarint
-// references into it. The table is sorted, so equal graph state produces
-// byte-identical files. Version 3 is the only version written and the only
-// one read: it is version 2 (whose header no CRC covered) with the header
-// CRC appended, and the shard count is a constant of the graph, so a file
-// with another version or count is refused. The header CRC matters beyond
-// the load: a flipped bit in nextE sized a stripe's seq index to the bogus
-// ID on the next AddEdge, and a flipped bit in walSeq would let prune delete
-// WAL segments the snapshot does not cover.
+// The symbol-table section stores each distinct string once — labels,
+// vertex property keys and values, and the strings of each edge's fact row —
+// and shard payloads encode elements with uvarint references into it. A
+// vertex is its ID, label reference and (key, value) reference pairs; an edge
+// is its ID, endpoints, label reference, weight, timestamp, then its fact row:
+// source, doc, sentence, stype and otype references and a curated byte. The
+// table is sorted, so equal graph state produces byte-identical files.
+// Version 4 is the only version written and the only one read: it is
+// version 3 with the fact row in place of each edge's property list, and the
+// shard count is a constant of the graph, so a file with another version or
+// count is refused. The header CRC matters beyond the load: a flipped bit in
+// nextE sized a stripe's seq index to the bogus ID on the next AddEdge, and a
+// flipped bit in walSeq would let prune delete WAL segments the snapshot does
+// not cover.
 //
 // Shard payloads are self-contained given the symbol table, so the writer
 // encodes all stripes in parallel and the loader decodes them in parallel
@@ -50,7 +54,7 @@ import (
 
 const (
 	snapMagic   = "NOUSNAP1"
-	snapVersion = 3
+	snapVersion = 4
 	snapSuffix  = ".snap"
 	// snapHeaderLen is the header's length, its CRC included.
 	snapHeaderLen = 52
@@ -81,19 +85,18 @@ func writeSnapshot(dir string, snap *graph.GraphSnapshot, walSeq uint64) (string
 		go func(i int) {
 			defer wg.Done()
 			set := make(map[string]struct{})
-			addProps := func(p map[string]string) {
-				for k, v := range p {
-					set[k] = struct{}{}
-					set[v] = struct{}{}
-				}
-			}
 			for _, v := range snap.Vertices[i] {
 				set[v.Label] = struct{}{}
-				addProps(v.Props)
+				for k, val := range v.Props {
+					set[k] = struct{}{}
+					set[val] = struct{}{}
+				}
 			}
 			for _, e := range snap.Edges[i] {
-				set[e.Label] = struct{}{}
-				addProps(e.Props)
+				r := &e.Row
+				for _, s := range [...]string{e.Label, r.Source, r.Doc, r.Sentence, r.SType, r.OType} {
+					set[s] = struct{}{}
+				}
 			}
 			perShard[i] = set
 		}(i)
@@ -126,14 +129,14 @@ func writeSnapshot(dir string, snap *graph.GraphSnapshot, walSeq uint64) (string
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := &codec{b: make([]byte, 0, 1<<12)}
+			c := &codec{b: make([]byte, 0, 1<<12), syms: index}
 			c.putUvarint(uint64(len(snap.Vertices[i])))
 			for _, v := range snap.Vertices[i] {
-				c.putVertexSym(index, v)
+				c.putVertex(v)
 			}
 			c.putUvarint(uint64(len(snap.Edges[i])))
 			for _, e := range snap.Edges[i] {
-				c.putEdgeSym(index, e)
+				c.putEdge(e)
 			}
 			payloads[i] = c.bytes()
 		}(i)
@@ -248,6 +251,7 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 	for j := uint64(0); j < n && d.err == nil; j++ {
 		syms = append(syms, d.string())
 	}
+	d.end("symbol table")
 	if d.err != nil {
 		return nil, 0, fmt.Errorf("persist: %s: symbol table: %w", path, d.err)
 	}
@@ -260,17 +264,18 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d := newDecoder(raw[sections[i].start:sections[i].end])
+			d := &decoder{b: raw[sections[i].start:sections[i].end], syms: syms}
 			nv := d.count("vertex count")
 			vs := make([]graph.Vertex, 0, nv)
 			for j := uint64(0); j < nv && d.err == nil; j++ {
-				vs = append(vs, d.vertexSym(syms))
+				vs = append(vs, d.vertex())
 			}
 			ne := d.count("edge count")
 			es := make([]graph.Edge, 0, ne)
 			for j := uint64(0); j < ne && d.err == nil; j++ {
-				es = append(es, d.edgeSym(syms))
+				es = append(es, d.edge())
 			}
+			d.end("shard")
 			if d.err != nil {
 				errs[i] = fmt.Errorf("persist: %s: shard %d: %w", path, i, d.err)
 				return

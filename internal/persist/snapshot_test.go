@@ -13,7 +13,7 @@ import (
 	"nous/internal/graph"
 )
 
-// TestSnapshotSymbolTableRoundTrip pins the v3 format: the symbol table is
+// TestSnapshotSymbolTableRoundTrip pins the v4 format: the symbol table is
 // the first framed section, holds every distinct string exactly once in
 // sorted order, and decoding through it reproduces the graph bit-for-bit.
 func TestSnapshotSymbolTableRoundTrip(t *testing.T) {
@@ -32,8 +32,8 @@ func TestSnapshotSymbolTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != 3 {
-		t.Fatalf("version: want 3, got %d", v)
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != 4 {
+		t.Fatalf("version: want 4, got %d", v)
 	}
 	n := binary.LittleEndian.Uint64(raw[snapHeaderLen:])
 	d := newDecoder(raw[snapHeaderLen+12 : snapHeaderLen+12+int(n)])
@@ -55,7 +55,7 @@ func TestSnapshotSymbolTableRoundTrip(t *testing.T) {
 			t.Errorf("symbol table not strictly sorted at %d: %q >= %q", i, syms[i-1], s)
 		}
 	}
-	for _, want := range []string{"Company", "Person", "acquired", "name", "Apex", "wsj"} {
+	for _, want := range []string{"Company", "Person", "acquired", "name", "Apex", "wsj", "wsj-1", "Apex acquired Borealis."} {
 		if !seen[want] {
 			t.Errorf("symbol table missing %q", want)
 		}
@@ -77,8 +77,9 @@ func TestSnapshotSymbolTableRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotDeterministic pins that equal graph state encodes to
-// byte-identical files: the symbol table is sorted and props are emitted in
-// key order, so there is no map-iteration nondeterminism in the output.
+// byte-identical files: the symbol table is sorted and vertex props are
+// emitted in key order, so there is no map-iteration nondeterminism in the
+// output.
 func TestSnapshotDeterministic(t *testing.T) {
 	g := graph.New()
 	buildSample(t, g)
@@ -103,12 +104,12 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 // TestSnapshotRejectsForeignFormat pins the one snapshot format: a
-// version-2 file (the same layout with no header CRC, readable until no
-// writer of it was left), a version-4 header and a foreign shard count are
-// each refused, and Open over a directory whose only snapshot is such a
-// file refuses to open, as it does when every snapshot is corrupt. The
-// edited headers carry a valid header CRC, so the version and shard checks
-// are what refuse them.
+// version-3 file (testdata/parent-v3.snap, buildSample's graph as the
+// writer that stored edge props as (key, value) lists wrote it), a version-5
+// header and a foreign shard count are each refused, and Open over a
+// directory whose only snapshot is such a file refuses to open, as it does
+// when every snapshot is corrupt. Every header carries a valid header CRC,
+// so the version and shard checks are what refuse them.
 func TestSnapshotRejectsForeignFormat(t *testing.T) {
 	g := graph.New()
 	buildSample(t, g)
@@ -117,24 +118,27 @@ func TestSnapshotRejectsForeignFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := os.ReadFile(path)
+	v4, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withHeader := func(at int, v uint32) []byte {
-		raw := bytes.Clone(v3)
+		raw := bytes.Clone(v4)
 		binary.LittleEndian.PutUint32(raw[at:], v)
 		binary.LittleEndian.PutUint32(raw[snapHeaderLen-4:], crc32.Checksum(raw[:snapHeaderLen-4], castagnoli))
 		return raw
 	}
-	// A genuine version-2 file: the version-3 file with version 2 and the
-	// header CRC cut out.
-	v2 := withHeader(8, 2)
-	v2 = append(v2[:snapHeaderLen-4:snapHeaderLen-4], v2[snapHeaderLen:]...)
+	v3, err := os.ReadFile(filepath.Join("testdata", "parent-v3.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(v3[8:]); v != 3 {
+		t.Fatalf("testdata/parent-v3.snap has version %d", v)
+	}
 
 	for name, raw := range map[string][]byte{
-		"version 2":  v2,
-		"version 4":  withHeader(8, 4),
+		"version 3":  v3,
+		"version 5":  withHeader(8, 5),
 		"8 shards":   withHeader(12, 8),
 		"shards + 1": withHeader(12, uint32(graph.ShardCount()+1)),
 	} {

@@ -16,10 +16,10 @@ import (
 	"nous/internal/graph"
 )
 
-// WAL segment layout (version 1):
+// WAL segment layout (version 2):
 //
 //	magic   [8]byte  "NOUSWAL1"
-//	version uint32
+//	version uint32   2
 //	seq     uint64   segment sequence number
 //	then records, back to back:
 //	  length uint32  payload byte count
@@ -32,10 +32,14 @@ import (
 // valid record so the damage cannot be misread later. The same frame carries
 // a record over the replication wire (internal/repl), and ReadFrame parses it
 // for replay, for the WAL cursor and for the follower.
+//
+// Version 2 is the only version written and the only one read: its AddEdges
+// record carries each edge's fact row field by field, where version 1 carried
+// a (key, value) property list. A segment of another version is refused.
 
 const (
 	walMagic      = "NOUSWAL1"
-	walVersion    = 1
+	walVersion    = 2
 	walSuffix     = ".wal"
 	walHeaderSize = 8 + 4 + 8
 	// maxRecordSize bounds a single record so a corrupt length field cannot

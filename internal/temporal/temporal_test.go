@@ -8,6 +8,16 @@ import (
 	"nous/internal/graph"
 )
 
+// addEdge inserts one weight-1 edge through AddEdges; curated sets the only
+// fact-row field the temporal layer reads.
+func addEdge(g *graph.Graph, src, dst graph.VertexID, label string, ts int64, curated bool) (graph.EdgeID, error) {
+	ids, err := g.AddEdges([]graph.EdgeSpec{{Src: src, Dst: dst, Label: label, Weight: 1, Timestamp: ts, Row: graph.FactRow{Curated: curated}}})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
+
 func TestWindowZeroValueIsUnbounded(t *testing.T) {
 	var w Window
 	if !w.IsAll() || w.Bounded() {
@@ -35,9 +45,9 @@ func TestWindowContains(t *testing.T) {
 func TestWindowContainsEdgeCuratedAlwaysPasses(t *testing.T) {
 	g := graph.New()
 	a, b := g.AddVertex("Company"), g.AddVertex("Company")
-	curated, _ := g.AddEdgeFull(a, b, "acquired", 1, Timeless, map[string]string{"curated": "true"})
-	extractedIn, _ := g.AddEdgeFull(a, b, "acquired", 1, 150, nil)
-	extractedOut, _ := g.AddEdgeFull(a, b, "acquired", 1, 50, nil)
+	curated, _ := addEdge(g, a, b, "acquired", Timeless, true)
+	extractedIn, _ := addEdge(g, a, b, "acquired", 150, false)
+	extractedOut, _ := addEdge(g, a, b, "acquired", 50, false)
 	contains := func(w Window, id graph.EdgeID) (in bool) {
 		g.ScanEdge(id, func(e *graph.EdgeScan) { in = w.ContainsScan(e) })
 		return in
@@ -96,7 +106,7 @@ func TestIndexTracksAddsAndRemoves(t *testing.T) {
 
 	var ids []graph.EdgeID
 	for _, ts := range []int64{30, 10, 20, 40} {
-		id, err := g.AddEdgeFull(a, b, "acquired", 1, ts, nil)
+		id, err := addEdge(g, a, b, "acquired", ts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +148,7 @@ func TestLatestIn(t *testing.T) {
 	defer ix.Detach()
 	var ids []graph.EdgeID
 	for ts := int64(0); ts < 20; ts++ {
-		id, err := g.AddEdgeFull(a, b, "acquired", 1, ts, nil)
+		id, err := addEdge(g, a, b, "acquired", ts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,13 +183,13 @@ func TestLatestInSkipsTimeless(t *testing.T) {
 	ix := Attach(g)
 	defer ix.Detach()
 	for i := 0; i < 4; i++ {
-		if _, err := g.AddEdgeFull(a, b, "acquired", 1, Timeless, nil); err != nil {
+		if _, err := addEdge(g, a, b, "acquired", Timeless, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var dated []graph.EdgeID
 	for _, ts := range []int64{10, 20} {
-		id, err := g.AddEdgeFull(a, b, "acquired", 1, ts, nil)
+		id, err := addEdge(g, a, b, "acquired", ts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +211,7 @@ func TestIndexEmptyWindowQueries(t *testing.T) {
 	ix := Attach(g)
 	defer ix.Detach()
 	for _, ts := range []int64{10, 20, 30} {
-		if _, err := g.AddEdgeFull(a, b, "acquired", 1, ts, nil); err != nil {
+		if _, err := addEdge(g, a, b, "acquired", ts, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,16 +232,16 @@ func TestSpanExcludesTimelessSubstrate(t *testing.T) {
 	defer ix.Detach()
 	// A curated fact's edge carries the zero-provenance-time sentinel; it
 	// must not drag the reported span back to year 1.
-	if _, err := g.AddEdgeFull(a, b, "manufactures", 1, Timeless, map[string]string{"curated": "true"}); err != nil {
+	if _, err := addEdge(g, a, b, "manufactures", Timeless, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := ix.Span(); ok {
 		t.Fatal("timeless-only index reported a dated span")
 	}
-	if _, err := g.AddEdgeFull(a, b, "acquired", 1, 1000, nil); err != nil {
+	if _, err := addEdge(g, a, b, "acquired", 1000, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.AddEdgeFull(a, b, "acquired", 1, 2000, nil); err != nil {
+	if _, err := addEdge(g, a, b, "acquired", 2000, false); err != nil {
 		t.Fatal(err)
 	}
 	min, max, ok := ix.Span()
@@ -250,14 +260,14 @@ func TestDatedInSkipsTimelessSubstrate(t *testing.T) {
 	b := g.AddVertex("Company")
 	ix := Attach(g)
 	defer ix.Detach()
-	if _, err := g.AddEdgeFull(a, b, "manufactures", 1, Timeless, map[string]string{"curated": "true"}); err != nil {
+	if _, err := addEdge(g, a, b, "manufactures", Timeless, true); err != nil {
 		t.Fatal(err)
 	}
-	e1, err := g.AddEdgeFull(a, b, "acquired", 1, 1000, nil)
+	e1, err := addEdge(g, a, b, "acquired", 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := g.AddEdgeFull(a, b, "acquired", 1, 2000, nil)
+	e2, err := addEdge(g, a, b, "acquired", 2000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +292,7 @@ func TestIndexScansPreexistingEdges(t *testing.T) {
 	g := graph.New()
 	a := g.AddVertex("Company")
 	b := g.AddVertex("Company")
-	if _, err := g.AddEdgeFull(a, b, "acquired", 1, 7, nil); err != nil {
+	if _, err := addEdge(g, a, b, "acquired", 7, false); err != nil {
 		t.Fatal(err)
 	}
 	ix := NewIndex(g)
@@ -297,7 +307,7 @@ func TestIndexRebuildMatchesGraph(t *testing.T) {
 	b := g.AddVertex("Company")
 	var ids []graph.EdgeID
 	for ts := int64(0); ts < 10; ts++ {
-		id, err := g.AddEdgeFull(a, b, "acquired", 1, ts, nil)
+		id, err := addEdge(g, a, b, "acquired", ts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,11 +341,11 @@ func TestIndexDetachStopsTracking(t *testing.T) {
 	a := g.AddVertex("Company")
 	b := g.AddVertex("Company")
 	ix := Attach(g)
-	if _, err := g.AddEdgeFull(a, b, "acquired", 1, 1, nil); err != nil {
+	if _, err := addEdge(g, a, b, "acquired", 1, false); err != nil {
 		t.Fatal(err)
 	}
 	ix.Detach()
-	if _, err := g.AddEdgeFull(a, b, "acquired", 1, 2, nil); err != nil {
+	if _, err := addEdge(g, a, b, "acquired", 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Len() != 1 {
@@ -380,7 +390,7 @@ func TestIndexNoGhostEntriesUnderScavenging(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 500; i++ {
-		if _, err := g.AddEdgeFull(a, b, "acquired", 1, int64(i), nil); err != nil {
+		if _, err := addEdge(g, a, b, "acquired", int64(i), false); err != nil {
 			t.Fatal(err)
 		}
 		if i%5 == 0 {
@@ -428,8 +438,8 @@ func TestIndexConcurrentAddRemove(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				id, err := g.AddEdgeFull(verts[i%len(verts)], verts[(i+1)%len(verts)],
-					"acquired", 1, int64(w*perWorker+i), nil)
+				id, err := addEdge(g, verts[i%len(verts)], verts[(i+1)%len(verts)],
+					"acquired", int64(w*perWorker+i), false)
 				if err != nil {
 					t.Error(err)
 					return
@@ -496,7 +506,7 @@ func TestIndexReverseChronologicalBackfill(t *testing.T) {
 	const n = 500
 	ids := make([]graph.EdgeID, n)
 	for i := 0; i < n; i++ {
-		id, err := g.AddEdgeFull(a, b, "acquired", 1, int64(n-i), nil)
+		id, err := addEdge(g, a, b, "acquired", int64(n-i), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +545,7 @@ func TestReverseBackfillAppendsWithoutSorting(t *testing.T) {
 
 	n := 8 * len(ix.shards)
 	for i := 0; i < n; i++ {
-		if _, err := g.AddEdgeFull(a, b, "acquired", 1, int64(n-i), nil); err != nil {
+		if _, err := addEdge(g, a, b, "acquired", int64(n-i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -576,7 +586,7 @@ func TestIndexInterleavedOutOfOrderInsertAndRead(t *testing.T) {
 	want := 0
 	for i := 0; i < 100; i++ {
 		ts := int64(1000 - i) // strictly decreasing: always out of order
-		if _, err := g.AddEdgeFull(a, b, "acquired", 1, ts, nil); err != nil {
+		if _, err := addEdge(g, a, b, "acquired", ts, false); err != nil {
 			t.Fatal(err)
 		}
 		want++
@@ -597,7 +607,7 @@ func TestIndexRemoveWithPendingTail(t *testing.T) {
 
 	var ids []graph.EdgeID
 	for _, ts := range []int64{50, 10, 40, 20, 30} {
-		id, err := g.AddEdgeFull(a, b, "acquired", 1, ts, nil)
+		id, err := addEdge(g, a, b, "acquired", ts, false)
 		if err != nil {
 			t.Fatal(err)
 		}

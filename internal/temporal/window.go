@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"nous/internal/graph"
-	"nous/internal/graph/symtab"
 )
 
 // Window is a half-open time range [Since, Until) in unix seconds. The zero
@@ -72,14 +71,10 @@ func (w Window) Contains(ts int64) bool {
 	return ts >= w.Since && ts < w.Until
 }
 
-// curatedKey is the interned form of the "curated" provenance prop, looked
-// up once so the scan-path membership test does no string hashing per edge.
-var curatedKey = symtab.Intern("curated")
-
 // AlwaysVisible reports whether the edge is visible in every window: it
 // stores a curated fact. Consumers that compile edges into columns
 // (graph.Compile) evaluate it once per edge and keep the bit.
-func AlwaysVisible(e *graph.EdgeScan) bool { return e.PropEquals(curatedKey, "true") }
+func AlwaysVisible(e *graph.EdgeScan) bool { return e.Curated() }
 
 // ContainsScan is the read-view membership rule for graph traversals: an
 // edge is visible when its timestamp falls inside the window, or when it
