@@ -111,7 +111,6 @@ func BenchmarkFig3_TripleExtraction(b *testing.B) {
 func BenchmarkFig5_QueryClasses(b *testing.B) {
 	p := newBenchPipeline(b)
 	p.IngestAll(benchArticles(300))
-	p.BuildTopics()
 	queries := map[string]string{
 		"trending":     "What is trending?",
 		"entity":       "Tell me about DJI",
@@ -271,7 +270,7 @@ func pathBenchGraph() (*pathsearch.Searcher, graph.VertexID, graph.VertexID) {
 			mustEdge(v, noise[rng.Intn(len(noise)-1)])
 		}
 	}
-	return pathsearch.New(g, topicOf), src, dst
+	return pathsearch.New(g, func(id graph.VertexID) []float64 { return topicOf[id] }), src, dst
 }
 
 // BenchmarkC4_PathSearchCoherence measures coherence-guided top-K search.

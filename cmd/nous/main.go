@@ -289,7 +289,6 @@ func cmdQuery(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	bf := addCommonFlags(fs)
 	q := fs.String("q", "", "the question (required)")
-	topicsOn := fs.Bool("topics", true, "build LDA topics for coherence-ranked paths")
 	showPlan := fs.Bool("plan", false, "print the compiled logical plan before the answer")
 	fs.Parse(args)
 	if *q == "" {
@@ -301,9 +300,6 @@ func cmdQuery(ctx context.Context, args []string) {
 	}
 	p, _ := assemble(ctx, bf)
 	defer func() { fatalIf(p.Close()) }()
-	if *topicsOn {
-		p.BuildTopics()
-	}
 	if *showPlan {
 		pl, err := p.PlanFor(*q, nous.Window{})
 		fatalIf(err)
@@ -392,7 +388,6 @@ func cmdServe(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	bf := addCommonFlags(fs)
 	addr := fs.String("addr", ":8080", "listen address")
-	topicsOn := fs.Bool("topics", true, "build LDA topics for coherence-ranked paths")
 	reqTimeout := fs.Duration("request-timeout", server.DefaultRequestTimeout, "per-request handler timeout (0 disables)")
 	follow := fs.String("follow", "", "run as a read replica of this leader's base URL (e.g. http://leader:8080): bootstrap from its snapshot, tail its WAL, reject writes; -world selects the shared ontology and the ingest flags are ignored")
 	fs.Parse(args)
@@ -425,9 +420,6 @@ func cmdServe(ctx context.Context, args []string) {
 		// instead of starting a server that is already shutting down.
 		finish()
 		return
-	}
-	if *topicsOn {
-		p.BuildTopics()
 	}
 
 	srv := &http.Server{

@@ -139,7 +139,6 @@ func Example_figure3() {
 // Figure 5: the five classes of natural-language-like queries, each asked.
 func Example_figure5() {
 	p := figurePipeline(800)
-	p.BuildTopics()
 	for _, q := range []string{
 		"What is trending?",
 		"Tell me about DJI",
@@ -177,9 +176,9 @@ func Example_figure5() {
 	//
 	// Q: How is Windermere related to DJI?
 	//   Paths from Windermere to DJI:
-	//     coherence=0.0809: Windermere -[develops]-> Delivery Drones ; Delivery Drones <-[develops]- Stratolift Analytics ; Stratolift Analytics -[partnersWith]-> Yuneec ; Yuneec -[invests]-> DJI
-	//     coherence=0.0809: Windermere -[develops]-> Delivery Drones ; Delivery Drones <-[develops]- Stratolift Analytics ; Stratolift Analytics -[partnersWith]-> Yuneec ; Yuneec -[partnersWith]-> DJI
-	//     coherence=0.0957: Windermere <-[competesWith]- Quadworks Robotics ; Quadworks Robotics <-[acquired]- Nimbustech Industries ; Nimbustech Industries -[acquired]-> Yuneec ; Yuneec -[invests]-> DJI
+	//     coherence=0.0862: Windermere -[acquired]-> Nimbustech Industries ; Nimbustech Industries -[invests]-> Parrot ; Parrot -[partnersWith]-> Quadlift Ventures ; Quadlift Ventures -[invests]-> DJI
+	//     coherence=0.0954: Windermere -[develops]-> Delivery Drones ; Delivery Drones <-[develops]- Amazon ; Amazon -[partnersWith]-> Quadlift Ventures ; Quadlift Ventures -[invests]-> DJI
+	//     coherence=0.0974: Windermere -[partnersWith]-> Kestrelworks Technologies ; Kestrelworks Technologies -[competesWith]-> Aeroics Aerial ; Aeroics Aerial <-[invests]- Novascan Technologies ; Novascan Technologies -[invests]-> DJI
 	//
 	// Q: What patterns are emerging?
 	//   Closed frequent patterns in the current window:

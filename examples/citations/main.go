@@ -57,7 +57,6 @@ func main() {
 	// literature?
 	people := world.EntitiesOfType("Person")
 	if len(people) >= 2 {
-		pipeline.BuildTopics()
 		ans, err := pipeline.Explain(people[0], people[1], "", 3)
 		if err != nil {
 			log.Fatal(err)

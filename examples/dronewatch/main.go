@@ -26,7 +26,6 @@ func main() {
 	cfg.Stream.Window = 365 * 24 * time.Hour
 	pipeline := nous.NewPipeline(kg, cfg)
 	pipeline.IngestAll(nous.GenerateArticles(world, nous.DefaultArticleConfig(800)))
-	pipeline.BuildTopics()
 
 	// Workflow 1 — the finance analyst: who is being acquired, what is
 	// bursting this window?

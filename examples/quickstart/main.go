@@ -26,10 +26,8 @@ func main() {
 	fmt.Printf("ingested %d articles: %d raw triples, %d facts accepted, %d rejected\n",
 		stats.Documents, stats.RawTriples, stats.Accepted, stats.Rejected)
 
-	// 3. Fit LDA topics so relationship queries rank paths by coherence.
-	pipeline.BuildTopics()
-
-	// 4. One question per query class.
+	// 3. One question per query class. Relationship answers rank paths by
+	// topic coherence; the topic model is fitted on the first such question.
 	for _, q := range []string{
 		"What is trending?",
 		"Tell me about DJI",

@@ -12,10 +12,12 @@
 // Query-path artifacts are exact at their epoch: each is computed from a
 // view compiled under the KG's read lock and labelled with that view's
 // epoch, so two processes holding the same facts at the same epoch — a warm
-// leader and a cold replica — serve the same bytes. Two artifacts are
-// deliberately not exact: the popularity prior keeps a staleness budget
-// (priorLag, measured below), and topic vectors stay sticky until
-// RefreshTopics. Every artifact lives in one memo type, ResultMemo.
+// leader and a cold replica — serve the same bytes. Topic vectors are exact
+// too, memoized per vertex rather than per epoch (topics.go): a write
+// invalidates only the vectors of the two entities it touches. One artifact
+// is deliberately not exact: the popularity prior keeps a staleness budget
+// (priorLag, measured below). Every whole-graph artifact lives in one memo
+// type, ResultMemo.
 package analytics
 
 import (
@@ -24,6 +26,7 @@ import (
 	"nous/internal/core"
 	"nous/internal/graph"
 	"nous/internal/temporal"
+	"nous/internal/topics"
 )
 
 // Stats is a snapshot of cache behaviour for /api/v1/stats and QueryStats.
@@ -36,15 +39,10 @@ type Stats struct {
 	// Misses counts reads that found no fresh value (the artifact was never
 	// built or the epoch moved) and recomputed it.
 	Misses uint64 `json:"misses"`
-	// Computes counts actual recomputations — with singleflight dedup this
-	// can be far below the number of reads under concurrent load.
+	// Computes counts actual recomputations (kernel runs and topic-model
+	// fits) — with singleflight dedup this can be far below the number of
+	// reads under concurrent load.
 	Computes uint64 `json:"computes"`
-	// TopicsEpoch is the epoch at which topic vectors were last built (0
-	// when never built).
-	TopicsEpoch uint64 `json:"topics_epoch"`
-	// TopicsLag is Epoch - TopicsEpoch: how many mutations the topic model
-	// is behind the live graph.
-	TopicsLag uint64 `json:"topics_lag"`
 	// WindowedArtifacts is the number of bounded windows whose PageRank is
 	// cached (distinct windows seen recently, capped).
 	WindowedArtifacts int `json:"windowed_artifacts"`
@@ -88,12 +86,6 @@ type epochView struct {
 	epoch uint64
 }
 
-// topicSet is one topic-vector build and the graph epoch it started at.
-type topicSet struct {
-	vecs  map[graph.VertexID][]float64
-	epoch uint64
-}
-
 // Cache memoizes derived artifacts over one dynamic KG. All methods are
 // safe for concurrent use; returned maps are shared snapshots and must be
 // treated as read-only by callers.
@@ -108,30 +100,26 @@ type Cache struct {
 	view   *ResultMemo[one, epochView]
 	ranks  *ResultMemo[temporal.Window, *graph.Ranks] // the unbounded window is temporal.All()
 	prior  *ResultMemo[one, map[string]float64]
-	topics *ResultMemo[one, topicSet] // keyed by refresh generation, not epoch
-
-	// topicsFn builds per-entity topic vectors (an LDA fit — expensive).
-	// Unlike the other artifacts, topics do NOT recompute on every epoch
-	// bump: they are built lazily once, stay sticky across mutations, and
-	// refresh only through RefreshTopics, which bumps topicsGen. A build is
-	// labelled with the generation current when it starts, so a refresh is
-	// never satisfied by a build that began before it. Stats reports the
-	// resulting epoch lag.
-	topicsFn  atomic.Pointer[func() map[graph.VertexID][]float64]
-	topicsGen atomic.Uint64
+	topics topicVectors
 
 	hits, misses, computes, windowedComputes atomic.Uint64
 }
 
-// New returns a cache over kg with the standard PageRank schedule.
+// New returns a cache over kg with the standard PageRank schedule. It
+// subscribes to kg's fact events to invalidate topic vectors.
 func New(kg *core.KG) *Cache {
-	return &Cache{
-		kg:     kg,
-		view:   NewResultMemo[one, epochView](1),
-		ranks:  NewResultMemo[temporal.Window, *graph.Ranks](maxRanks),
-		prior:  NewResultMemo[one, map[string]float64](1),
-		topics: NewResultMemo[one, topicSet](1),
+	c := &Cache{
+		kg:    kg,
+		view:  NewResultMemo[one, epochView](1),
+		ranks: NewResultMemo[temporal.Window, *graph.Ranks](maxRanks),
+		prior: NewResultMemo[one, map[string]float64](1),
+		topics: topicVectors{
+			model: NewResultMemo[one, *topics.Model](1),
+			slots: make(map[graph.VertexID]*topicSlot),
+		},
 	}
+	kg.Subscribe(c.topics.invalidate)
+	return c
 }
 
 // Epoch returns the underlying graph's mutation epoch (lock-free).
@@ -233,42 +221,10 @@ func (c *Cache) PopularityPrior() map[string]float64 {
 	return v
 }
 
-// SetTopicsFn registers the (expensive) topic-vector builder. The pipeline
-// installs its LDA fit here; Topics and RefreshTopics run it under
-// singleflight.
-func (c *Cache) SetTopicsFn(fn func() map[graph.VertexID][]float64) {
-	c.topicsFn.Store(&fn)
-}
-
-// Topics returns the per-entity topic vectors, building them on first use.
-// Built vectors are sticky: mutations do not invalidate them (an LDA refit
-// per write would dwarf the write); call RefreshTopics to rebuild. Returns
-// nil when no builder is registered.
-func (c *Cache) Topics() map[graph.VertexID][]float64 {
-	fnp := c.topicsFn.Load()
-	if fnp == nil {
-		return nil
-	}
-	v, hit, _ := c.topics.Get(c.topicsGen.Load(), one{}, func() (topicSet, uint64, error) {
-		gen, now := c.topicsGen.Load(), c.Epoch()
-		return topicSet{(*fnp)(), now}, gen, nil
-	})
-	c.account(hit)
-	return v.vecs
-}
-
-// RefreshTopics rebuilds the topic vectors against the current graph state.
-// Concurrent refreshes coalesce into one build.
-func (c *Cache) RefreshTopics() map[graph.VertexID][]float64 {
-	c.topicsGen.Add(1)
-	return c.Topics()
-}
-
 // Stats snapshots cache counters. Safe to call concurrently with queries.
 func (c *Cache) Stats() Stats {
-	epoch := c.Epoch()
 	st := Stats{
-		Epoch:             epoch,
+		Epoch:             c.Epoch(),
 		Hits:              c.hits.Load(),
 		Misses:            c.misses.Load(),
 		Computes:          c.computes.Load(),
@@ -277,12 +233,6 @@ func (c *Cache) Stats() Stats {
 	}
 	if _, ok := c.ranks.Peek(0, temporal.All()); ok {
 		st.WindowedArtifacts--
-	}
-	if t, ok := c.topics.Peek(0, one{}); ok {
-		st.TopicsEpoch = t.epoch
-		if epoch > t.epoch {
-			st.TopicsLag = epoch - t.epoch
-		}
 	}
 	return st
 }

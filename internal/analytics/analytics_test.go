@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"nous/internal/core"
-	"nous/internal/graph"
 )
 
 func testKG(t *testing.T) *core.KG {
@@ -136,29 +133,28 @@ func TestPopularityPriorNormalized(t *testing.T) {
 	}
 }
 
+// TestSingleflightDedup: concurrent first reads of topic vectors share one
+// fit of the topic model.
 func TestSingleflightDedup(t *testing.T) {
 	kg := testKG(t)
 	c := New(kg)
-	var computes atomic.Int64
-	c.SetTopicsFn(func() map[graph.VertexID][]float64 {
-		computes.Add(1)
-		return map[graph.VertexID][]float64{0: {1}}
-	})
-
+	topicOf := c.Topics()
+	names := kg.Entities()
 	const goroutines = 32
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
+		id, _ := kg.Entity(names[i%len(names)])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if v := c.Topics(); v == nil {
-				t.Error("nil topics")
+			if v := topicOf(id); v == nil {
+				t.Errorf("no topic vector for vertex %d", id)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("topic builds = %d, want 1 (singleflight)", got)
+	if got := c.Stats().Computes; got != 1 {
+		t.Fatalf("topic model fits = %d, want 1 (singleflight)", got)
 	}
 }
 
@@ -179,85 +175,5 @@ func TestConcurrentPageRankOneCompute(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Computes != 1 {
 		t.Fatalf("computes = %d, want 1 under concurrency", st.Computes)
-	}
-}
-
-func TestTopicsStickyAcrossMutations(t *testing.T) {
-	kg := testKG(t)
-	c := New(kg)
-	builds := 0
-	c.SetTopicsFn(func() map[graph.VertexID][]float64 {
-		builds++
-		return map[graph.VertexID][]float64{}
-	})
-	c.Topics()
-	kg.AddEntity("Vertex Aero", "Company") // epoch moves
-	c.Topics()
-	if builds != 1 {
-		t.Fatalf("builds = %d, want 1 (topics are sticky)", builds)
-	}
-	st := c.Stats()
-	if st.TopicsLag == 0 {
-		t.Fatalf("topics lag = 0 after mutation: %+v", st)
-	}
-	c.RefreshTopics()
-	if builds != 2 {
-		t.Fatalf("builds = %d after refresh, want 2", builds)
-	}
-	if st := c.Stats(); st.TopicsLag != 0 {
-		t.Fatalf("topics lag = %d after refresh, want 0", st.TopicsLag)
-	}
-}
-
-func TestTopicsNilWithoutBuilder(t *testing.T) {
-	c := New(testKG(t))
-	if v := c.Topics(); v != nil {
-		t.Fatalf("topics without builder = %v", v)
-	}
-}
-
-// TestRefreshDuringInFlightBuildRecomputes pins the invalidate-vs-flight
-// ordering: a RefreshTopics that lands while an older build is still
-// computing must not be satisfied by that build's (stale) result.
-func TestRefreshDuringInFlightBuildRecomputes(t *testing.T) {
-	kg := testKG(t)
-	c := New(kg)
-	var builds atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	c.SetTopicsFn(func() map[graph.VertexID][]float64 {
-		n := builds.Add(1)
-		if n == 1 {
-			close(started)
-			<-release // hold the first build until the refresh is queued
-		}
-		return map[graph.VertexID][]float64{graph.VertexID(n): {1}}
-	})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.Topics() // first build, blocks in the builder
-	}()
-	<-started
-
-	wg.Add(1)
-	var refreshed map[graph.VertexID][]float64
-	go func() {
-		defer wg.Done()
-		refreshed = c.RefreshTopics() // invalidates, then waits on the flight
-	}()
-	// Give the refresher time to reach the flight wait, then let the first
-	// build finish with its now-stale result.
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if got := builds.Load(); got != 2 {
-		t.Fatalf("builds = %d, want 2 (refresh must not reuse the in-flight stale build)", got)
-	}
-	if _, ok := refreshed[graph.VertexID(2)]; !ok {
-		t.Fatalf("refresh returned the stale build: %v", refreshed)
 	}
 }

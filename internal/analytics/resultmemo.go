@@ -31,9 +31,9 @@ type rmEntry[V any] struct {
 }
 
 // ResultMemo is this package's one memo: bounded, keyed, epoch-aware, with
-// singleflight. Every memoized artifact is one — the compiled view, PageRank
-// per time window, the popularity prior and the topic vectors here, and the
-// plan layer's results keyed by normalized plan strings.
+// singleflight. Every whole-graph artifact is one — the compiled view,
+// PageRank per time window, the popularity prior and the topic model here,
+// and the plan layer's results keyed by normalized plan strings.
 //
 // A value is stored with the epoch it is exact at, which its compute
 // reports. A lookup at epoch now is served by a value stored at now or

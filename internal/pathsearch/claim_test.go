@@ -37,7 +37,7 @@ func plantedTrials(seed int64, trials int) (coherenceWins, bfsHubPicks int) {
 			topicOf[v] = offTopic()
 			mustEdge(g, hub, v, "invests")
 		}
-		s := New(g, topicOf)
+		s := New(g, mapTopics(topicOf))
 		cp := s.TopK(src, dst, Options{K: 1, MaxDepth: 4})
 		bp := s.BFSPaths(src, dst, Options{K: 1, MaxDepth: 4})
 		if len(cp) > 0 && len(cp[0].Vertices) == 4 {

@@ -20,7 +20,6 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"nous/internal/graph"
 	"nous/internal/graph/symtab"
@@ -68,49 +67,32 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Searcher runs coherence-guided path queries over a property graph. It is
-// safe for concurrent use, including against a graph under mutation and
-// across SetTopics swaps.
-type Searcher struct {
-	g *graph.Graph
+// Topics gives a vertex's LDA topic distribution, or nil when it has none.
+// It must be safe for concurrent use; a search asks for each vertex once.
+type Topics func(graph.VertexID) []float64
 
-	// topics holds the current topic map. Swapped atomically by SetTopics
-	// so a topic refit never races in-flight queries; each map is read-only
-	// once stored.
-	topics atomic.Pointer[map[graph.VertexID][]float64]
+// Searcher runs coherence-guided path queries over a property graph. It is
+// safe for concurrent use, including against a graph under mutation.
+type Searcher struct {
+	g      *graph.Graph
+	topics Topics
 
 	// visitedPool recycles per-query bitsets across queries.
 	visitedPool sync.Pool
 }
 
-// New returns a searcher. topicOf maps vertices to LDA topic distributions;
-// it may be nil, in which case the search degrades to an uninformed beam.
-// The map must not be mutated after being handed over.
-func New(g *graph.Graph, topicOf map[graph.VertexID][]float64) *Searcher {
-	s := &Searcher{g: g}
+// New returns a searcher. topicOf gives vertices' topic distributions; it
+// may be nil, in which case the search degrades to an uninformed beam.
+func New(g *graph.Graph, topicOf Topics) *Searcher {
+	s := &Searcher{g: g, topics: topicOf}
 	s.visitedPool.New = func() any { return &bitset{} }
-	s.SetTopics(topicOf)
 	return s
 }
 
-// SetTopics atomically replaces the topic map. In-flight queries keep the
-// map they started with; new queries see the new one.
-func (s *Searcher) SetTopics(topicOf map[graph.VertexID][]float64) {
-	s.topics.Store(&topicOf)
-}
-
-// topicsMap snapshots the current topic map; a query captures it once so a
-// concurrent SetTopics cannot change scoring mid-search.
-func (s *Searcher) topicsMap() map[graph.VertexID][]float64 {
-	return *s.topics.Load()
-}
-
-// divergence returns the topic JS divergence between two vertices, or 0
-// when either lacks a topic vector.
-func divergence(topicOf map[graph.VertexID][]float64, a, b graph.VertexID) float64 {
-	ta, ok1 := topicOf[a]
-	tb, ok2 := topicOf[b]
-	if !ok1 || !ok2 || len(ta) != len(tb) {
+// divergence returns the topic JS divergence between two vectors, or 0 when
+// either is missing.
+func divergence(ta, tb []float64) float64 {
+	if ta == nil || tb == nil || len(ta) != len(tb) {
 		return 0
 	}
 	return topics.JSDivergence(ta, tb)
@@ -282,14 +264,18 @@ func offer(h []candidate, keep int, c candidate) []candidate {
 // depth), the scratch buffers it reuses across depths, and the completed
 // paths in completion order.
 type query struct {
-	g       *graph.Graph
-	dst     graph.VertexID
-	topicOf map[graph.VertexID][]float64
+	g      *graph.Graph
+	dst    graph.VertexID
+	topics Topics
+	// verts holds what the search knows of each vertex it met: its topic
+	// vector as first read, so one search scores a vertex with one vector
+	// even while the graph changes, and its divergence to dst once the
+	// look-ahead needed it (many candidates share a tail).
+	verts   map[graph.VertexID]vertexTopic
+	dstVec  []float64
+	ahead   bool // rank by look-ahead (TopK); false leaves vertex order (BFS)
 	win     temporal.Window
 	visited *bitset
-	// toDst memoizes divergence(v, dst) per vertex for the whole query (many
-	// candidates share a tail). nil ranks without look-ahead (BFS).
-	toDst map[graph.VertexID]float64
 
 	frontier []pathNode
 	edges    []pathEdge
@@ -312,7 +298,8 @@ func (s *Searcher) newQuery(src, dst graph.VertexID, opt Options) (q *query, ok 
 	q = &query{
 		g:        s.g,
 		dst:      dst,
-		topicOf:  s.topicsMap(),
+		topics:   s.topics,
+		verts:    map[graph.VertexID]vertexTopic{},
 		win:      opt.Window,
 		frontier: []pathNode{{vert: src}},
 		seen:     map[string]bool{},
@@ -323,14 +310,35 @@ func (s *Searcher) newQuery(src, dst graph.VertexID, opt Options) (q *query, ok 
 		}
 		q.wantPred = true
 	}
+	q.dstVec = q.vertex(dst).vec
 	q.visited = s.visitedPool.Get().(*bitset)
 	return q, true
+}
+
+// vertexTopic is one vertex's entry in a search's verts.
+type vertexTopic struct {
+	vec      []float64
+	toDst    float64
+	hasToDst bool
+}
+
+// vertex returns the search's entry for id, reading its topic vector from
+// the searcher's source the first time.
+func (q *query) vertex(id graph.VertexID) vertexTopic {
+	v, ok := q.verts[id]
+	if !ok {
+		if q.topics != nil {
+			v.vec = q.topics(id)
+		}
+		q.verts[id] = v
+	}
+	return v
 }
 
 // expand grows every frontier node by one hop. Completed paths (reaching
 // dst) are collected as they are generated; of the open extensions, the
 // first keep in beam order become the next frontier. Each extension's
-// lookahead is divSum + divergence(tail, dst) when toDst is set (TopK), and
+// lookahead is divSum + divergence(tail, dst) when ahead is set (TopK), and
 // zero otherwise, which leaves vertex order (BFS).
 //
 // Candidates are offered to a bounded heap instead of being sorted: a depth
@@ -347,6 +355,7 @@ func (q *query) expand(keep int) {
 	for i := range q.frontier {
 		p := &q.frontier[i]
 		cur := p.vert
+		curVec := q.vertex(cur).vec
 		q.visited.mark(p)
 		q.edges = q.edges[:0]
 		q.g.ForEachIncidentScan(cur, func(e *graph.EdgeScan) bool {
@@ -364,20 +373,20 @@ func (q *query) expand(keep int) {
 			if q.visited.has(nb) {
 				continue
 			}
-			divSum := p.divSum + divergence(q.topicOf, cur, nb)
+			t := q.vertex(nb)
+			divSum := p.divSum + divergence(curVec, t.vec)
 			if nb == q.dst {
 				q.collect(&pathNode{parent: p, vert: nb, edge: e, depth: p.depth + 1, divSum: divSum})
 				continue
 			}
 			c := candidate{divSum: divSum, gen: gen, nb: nb, edge: e, rank: p.rank, from: int32(i)}
 			gen++
-			if q.toDst != nil {
-				d, ok := q.toDst[nb]
-				if !ok {
-					d = divergence(q.topicOf, nb, q.dst)
-					q.toDst[nb] = d
+			if q.ahead {
+				if !t.hasToDst {
+					t.toDst, t.hasToDst = divergence(t.vec, q.dstVec), true
+					q.verts[nb] = t
 				}
-				c.lookahead = divSum + d
+				c.lookahead = divSum + t.toDst
 			}
 			q.beam = offer(q.beam, keep, c)
 		}
@@ -434,7 +443,7 @@ func (s *Searcher) TopK(src, dst graph.VertexID, opt Options) []Path {
 		return nil
 	}
 	defer s.visitedPool.Put(q.visited)
-	q.toDst = map[graph.VertexID]float64{}
+	q.ahead = true
 	for depth := 0; depth < opt.MaxDepth && len(q.frontier) > 0; depth++ {
 		// Look-ahead pruning: keep the Beam candidates closest (in topic
 		// space) to the target.
@@ -456,7 +465,7 @@ func (s *Searcher) TopK(src, dst graph.VertexID, opt Options) []Path {
 
 // BFSPaths is the uninformed baseline: up to K shortest (fewest-hop) paths
 // from src to dst, ranked by length then lexicographic order. Coherence is
-// filled in from the searcher's topic map for comparison but does not
+// filled in from the searcher's topic vectors for comparison but does not
 // influence the ranking.
 func (s *Searcher) BFSPaths(src, dst graph.VertexID, opt Options) []Path {
 	opt = opt.withDefaults()

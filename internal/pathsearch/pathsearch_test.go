@@ -2,6 +2,9 @@ package pathsearch
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nous/internal/graph"
@@ -42,6 +45,11 @@ func plantedGraph() (g *graph.Graph, src, dst, a, b, hub graph.VertexID, topicOf
 	return
 }
 
+// mapTopics serves topic vectors from a fixed map.
+func mapTopics(topicOf map[graph.VertexID][]float64) Topics {
+	return func(id graph.VertexID) []float64 { return topicOf[id] }
+}
+
 func mustEdge(g *graph.Graph, a, b graph.VertexID, label string) {
 	if _, err := g.AddEdge(a, b, label); err != nil {
 		panic(err)
@@ -50,7 +58,7 @@ func mustEdge(g *graph.Graph, a, b graph.VertexID, label string) {
 
 func TestCoherencePrefersOnTopicPath(t *testing.T) {
 	g, src, dst, a, b, hub, topicOf := plantedGraph()
-	s := New(g, topicOf)
+	s := New(g, mapTopics(topicOf))
 	paths := s.TopK(src, dst, Options{K: 3, MaxDepth: 4})
 	if len(paths) < 2 {
 		t.Fatalf("found %d paths, want >= 2", len(paths))
@@ -70,7 +78,7 @@ func TestCoherencePrefersOnTopicPath(t *testing.T) {
 
 func TestBFSBaselinePrefersShortPath(t *testing.T) {
 	g, src, dst, _, _, hub, topicOf := plantedGraph()
-	s := New(g, topicOf)
+	s := New(g, mapTopics(topicOf))
 	paths := s.BFSPaths(src, dst, Options{K: 3, MaxDepth: 4})
 	if len(paths) == 0 {
 		t.Fatal("BFS found nothing")
@@ -85,7 +93,7 @@ func TestBFSBaselinePrefersShortPath(t *testing.T) {
 
 func TestPredicateConstraint(t *testing.T) {
 	g, src, dst, _, _, _, topicOf := plantedGraph()
-	s := New(g, topicOf)
+	s := New(g, mapTopics(topicOf))
 	paths := s.TopK(src, dst, Options{K: 5, MaxDepth: 4, Predicate: "acquired"})
 	if len(paths) == 0 {
 		t.Fatal("no constrained paths")
@@ -105,7 +113,7 @@ func TestPredicateConstraint(t *testing.T) {
 
 func TestPathsAreValidAndAcyclic(t *testing.T) {
 	g, src, dst, _, _, _, topicOf := plantedGraph()
-	s := New(g, topicOf)
+	s := New(g, mapTopics(topicOf))
 	for _, p := range s.TopK(src, dst, Options{K: 5, MaxDepth: 4}) {
 		if p.Vertices[0] != src || p.Vertices[len(p.Vertices)-1] != dst {
 			t.Fatalf("path endpoints wrong: %v", p.Vertices)
@@ -218,7 +226,7 @@ func containsVert(vs []graph.VertexID, x graph.VertexID) bool {
 
 func BenchmarkTopKPaths(b *testing.B) {
 	g, src, dst, _, _, _, topicOf := plantedGraph()
-	s := New(g, topicOf)
+	s := New(g, mapTopics(topicOf))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.TopK(src, dst, Options{K: 3, MaxDepth: 4})
@@ -266,7 +274,7 @@ func hubGraph() (*graph.Graph, map[graph.VertexID][]float64) {
 // BenchmarkTopKHub times the relationship query's search at served fan-out.
 func BenchmarkTopKHub(b *testing.B) {
 	g, topicOf := hubGraph()
-	s := New(g, topicOf)
+	s := New(g, mapTopics(topicOf))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -274,35 +282,61 @@ func BenchmarkTopKHub(b *testing.B) {
 	}
 }
 
-// TestSetTopicsDuringQueries exercises a topic refit racing live path
-// queries (the Pipeline.BuildTopics-while-serving scenario); run under
-// -race it pins the atomic map swap. Each query must use one consistent
-// map: results always match a serial run against either the old or the new
-// vectors.
-func TestSetTopicsDuringQueries(t *testing.T) {
-	g, src, dst, _, _, _, topicOf := plantedGraph()
-	s := New(g, topicOf)
-	swapped := map[graph.VertexID][]float64{}
-	for id, v := range topicOf {
-		swapped[id] = []float64{v[1], v[0]} // invert topics for a visible change
+// TestTopKConcurrentReadsEachVectorOnce: searches running beside a graph
+// writer, against a source whose vectors keep changing, read each vertex's
+// vector once per search, so a search scores every vertex with one vector.
+func TestTopKConcurrentReadsEachVectorOnce(t *testing.T) {
+	g, topicOf := hubGraph()
+	var flipped atomic.Bool
+	vector := func(id graph.VertexID) []float64 {
+		v := topicOf[id]
+		if flipped.Load() {
+			v = append([]float64(nil), v...)
+			slices.Reverse(v)
+		}
+		return v
 	}
-	done := make(chan struct{})
+	var stop atomic.Bool
+	var writer sync.WaitGroup
+	writer.Add(1)
 	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			s.SetTopics(topicOf)
-			s.SetTopics(swapped)
+		defer writer.Done()
+		rng := rand.New(rand.NewSource(3))
+		for !stop.Load() {
+			mustEdge(g, graph.VertexID(rng.Intn(600)), graph.VertexID(rng.Intn(600)), "partnersWith")
+			flipped.Store(!flipped.Load())
 		}
 	}()
-	for i := 0; i < 100; i++ {
-		if got := s.TopK(src, dst, Options{K: 3}); len(got) == 0 {
-			t.Fatal("no paths during topic swaps")
-		}
-		if got := s.BFSPaths(src, dst, Options{K: 3}); len(got) == 0 {
-			t.Fatal("no BFS paths during topic swaps")
-		}
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			calls := map[graph.VertexID]int{}
+			s := New(g, func(id graph.VertexID) []float64 {
+				calls[id]++
+				return vector(id)
+			})
+			for i := 0; i < 10; i++ {
+				clear(calls)
+				src, dst := graph.VertexID(r*7+i), graph.VertexID(450-r)
+				paths := s.TopK(src, dst, Options{})
+				for id, n := range calls {
+					if n > 1 {
+						t.Errorf("search %d->%d read vertex %d's vector %d times", src, dst, id, n)
+					}
+				}
+				for _, p := range paths {
+					if p.Vertices[0] != src || p.Vertices[len(p.Vertices)-1] != dst || len(p.Edges) != len(p.Vertices)-1 {
+						t.Errorf("malformed path %v", p)
+					}
+				}
+			}
+		}(r)
 	}
-	<-done
+	readers.Wait()
+	stop.Store(true)
+	writer.Wait()
 }
 
 // lessVerts is the lexicographic vertex-sequence order the reference

@@ -121,8 +121,8 @@ func newDiffCase(seed int64) diffCase {
 		opt.Predicate = labels[r.Intn(len(labels))]
 	}
 	return diffCase{
-		full:    New(full, topicOf),
-		vis:     New(vis, topicOf),
+		full:    New(full, mapTopics(topicOf)),
+		vis:     New(vis, mapTopics(topicOf)),
 		visFull: visFull,
 		src:     graph.VertexID(r.Intn(nVerts)),
 		dst:     graph.VertexID(r.Intn(nVerts)),

@@ -20,12 +20,20 @@ type refPartial struct {
 	divSum  float64
 }
 
+// refDivergence is the references' divergence: both vectors read straight
+// from the searcher's source, with no per-search memo.
+func (s *Searcher) refDivergence(a, b graph.VertexID) float64 {
+	if s.topics == nil {
+		return 0
+	}
+	return divergence(s.topics(a), s.topics(b))
+}
+
 func (s *Searcher) refTopK(src, dst graph.VertexID, opt Options) []Path {
 	opt = opt.withDefaults()
 	if !s.g.HasVertex(src) || !s.g.HasVertex(dst) || src == dst {
 		return nil
 	}
-	topicOf := s.topicsMap()
 	start := refPartial{
 		verts:   []graph.VertexID{src},
 		visited: map[graph.VertexID]bool{src: true},
@@ -49,7 +57,7 @@ func (s *Searcher) refTopK(src, dst graph.VertexID, opt Options) []Path {
 				if p.visited[nb] {
 					continue
 				}
-				step := divergence(topicOf, cur, nb)
+				step := s.refDivergence(cur, nb)
 				np := refPartial{
 					verts:   append(append([]graph.VertexID{}, p.verts...), nb),
 					edges:   append(append([]graph.Edge{}, p.edges...), e),
@@ -72,7 +80,7 @@ func (s *Searcher) refTopK(src, dst graph.VertexID, opt Options) []Path {
 					}
 					continue
 				}
-				next = append(next, scoredRef{p: np, lookahead: np.divSum + divergence(topicOf, nb, dst)})
+				next = append(next, scoredRef{p: np, lookahead: np.divSum + s.refDivergence(nb, dst)})
 			}
 		}
 		sort.SliceStable(next, func(i, j int) bool {
@@ -109,7 +117,6 @@ func (s *Searcher) refBFS(src, dst graph.VertexID, opt Options) []Path {
 	if !s.g.HasVertex(src) || !s.g.HasVertex(dst) || src == dst {
 		return nil
 	}
-	topicOf := s.topicsMap()
 	var found []Path
 	seen := map[string]bool{}
 	frontier := []refPartial{{
@@ -132,7 +139,7 @@ func (s *Searcher) refBFS(src, dst graph.VertexID, opt Options) []Path {
 					verts:   append(append([]graph.VertexID{}, p.verts...), nb),
 					edges:   append(append([]graph.Edge{}, p.edges...), e),
 					visited: map[graph.VertexID]bool{},
-					divSum:  p.divSum + divergence(topicOf, cur, nb),
+					divSum:  p.divSum + s.refDivergence(cur, nb),
 				}
 				for v := range p.visited {
 					np.visited[v] = true
@@ -225,7 +232,7 @@ func TestTopKMatchesSeedReference(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 7, 42} {
 		g, topicOf := randomFixture(30, 120, seed)
-		s := New(g, topicOf)
+		s := New(g, mapTopics(topicOf))
 		ids := make([]graph.VertexID, 0, 30)
 		for i := 0; i < 30; i++ {
 			ids = append(ids, graph.VertexID(i))
@@ -242,7 +249,7 @@ func TestTopKMatchesSeedReference(t *testing.T) {
 	}
 	// The planted evaluation fixture too.
 	g, src, dst, _, _, _, topicOf := plantedGraph()
-	s := New(g, topicOf)
+	s := New(g, mapTopics(topicOf))
 	for _, opt := range []Options{{}, {K: 5, MaxDepth: 4}, {K: 5, MaxDepth: 4, Predicate: "acquired"}} {
 		if got, want := s.TopK(src, dst, opt), s.refTopK(src, dst, opt); !reflect.DeepEqual(got, want) {
 			t.Fatalf("planted fixture diverged:\n got %v\nwant %v", got, want)
@@ -253,7 +260,7 @@ func TestTopKMatchesSeedReference(t *testing.T) {
 func TestBFSMatchesSeedReference(t *testing.T) {
 	for _, seed := range []uint64{3, 11} {
 		g, topicOf := randomFixture(25, 100, seed)
-		s := New(g, topicOf)
+		s := New(g, mapTopics(topicOf))
 		for _, opt := range []Options{{}, {K: 8, MaxDepth: 5, Beam: 8}, {K: 3, MaxDepth: 4, Predicate: "acquired"}} {
 			for _, pair := range [][2]graph.VertexID{{0, 24}, {5, 13}} {
 				got := s.BFSPaths(pair[0], pair[1], opt)
@@ -265,7 +272,7 @@ func TestBFSMatchesSeedReference(t *testing.T) {
 		}
 	}
 	g, src, dst, _, _, _, topicOf := plantedGraph()
-	s := New(g, topicOf)
+	s := New(g, mapTopics(topicOf))
 	if got, want := s.BFSPaths(src, dst, Options{K: 3, MaxDepth: 4}), s.refBFS(src, dst, Options{K: 3, MaxDepth: 4}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("planted fixture diverged:\n got %v\nwant %v", got, want)
 	}
@@ -275,7 +282,7 @@ func TestBFSMatchesSeedReference(t *testing.T) {
 // beam against the seed's per-expansion deep copies.
 func BenchmarkTopKAllocs(b *testing.B) {
 	g, topicOf := randomFixture(60, 400, 9)
-	s := New(g, topicOf)
+	s := New(g, mapTopics(topicOf))
 	b.Run("linked", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

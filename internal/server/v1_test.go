@@ -246,9 +246,17 @@ func TestV1EntityParam(t *testing.T) {
 }
 
 // TestV1TimeoutEnvelope: a timed-out request must still produce the
-// envelope with the timeout code.
+// envelope with the timeout code. The ask seam blocks until the test has
+// read the response, so the handler can never beat the deadline.
 func TestV1TimeoutEnvelope(t *testing.T) {
-	ts := serve(t, NewWithTimeout(testPipeline(t), time.Nanosecond))
+	s := NewWithTimeout(nous.NewPipeline(nous.NewKG(nil), nous.DefaultConfig()), time.Nanosecond)
+	read := make(chan struct{})
+	defer close(read)
+	s.ask = func(string, nous.Window) (nous.Answer, error) {
+		<-read
+		return nous.Answer{}, nil
+	}
+	ts := serve(t, s)
 	res, err := http.Get(ts.URL + "/api/v1/ask?q=Tell+me+about+DJI")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package topics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -90,6 +91,60 @@ func TestEmptyAndUnknownDocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestInferDocMatchesTraining(t *testing.T) {
+	docs, _ := twoTopicCorpus(40, 4)
+	m := Fit(docs, DefaultConfig(2))
+	aviation := m.InferDoc([]string{"drone", "flight", "aerial", "rotor", "camera", "pilot"}, 50, 9)
+	finance := m.InferDoc([]string{"fund", "stock", "equity", "bond", "capital"}, 50, 9)
+	if JSDivergence(aviation, finance) < 0.05 {
+		t.Fatalf("inferred thetas not separated: %v vs %v", aviation, finance)
+	}
+	// The inferred aviation doc is closer to a training aviation doc (even
+	// index) than to a finance doc.
+	if JSDivergence(aviation, m.DocTopics(0)) >= JSDivergence(aviation, m.DocTopics(1)) {
+		t.Fatal("inferred aviation doc closer to finance docs")
+	}
+	// A fold-in is a function of (model, doc, sweeps, seed), and unknown
+	// words are skipped.
+	again := m.InferDoc([]string{"drone", "neverseen", "flight", "aerial", "rotor", "camera", "pilot"}, 50, 9)
+	if !reflect.DeepEqual(again, aviation) {
+		t.Fatalf("fold-in not deterministic: %v vs %v", again, aviation)
+	}
+	unknown := m.InferDoc([]string{"neverseen", "words"}, 20, 1)
+	for _, p := range unknown {
+		if math.Abs(p-0.5) > 1e-9 {
+			t.Fatalf("unknown-vocabulary doc not uniform: %v", unknown)
+		}
+	}
+}
+
+// TestFitUsesConfigAsGiven: Fit replaces no zero field with a default.
+// Zero sweeps leave the random initial assignment (before, 100 sweeps ran),
+// and a zero K is refused (before, it became 8).
+func TestFitUsesConfigAsGiven(t *testing.T) {
+	docs, _ := twoTopicCorpus(20, 6)
+	none := DefaultConfig(2)
+	none.Iters = 0
+	hundred := none
+	hundred.Iters = 100
+	a, b := Fit(docs, none), Fit(docs, hundred)
+	same := true
+	for d := range docs {
+		if !reflect.DeepEqual(a.DocTopics(d), b.DocTopics(d)) {
+			same = false
+		}
+	}
+	if same {
+		t.Fatal("Iters = 0 fitted like Iters = 100")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Fit with K = 0 did not panic")
+		}
+	}()
+	Fit(docs, Config{Alpha: 0.2, Beta: 0.01, Iters: 10, Seed: 1})
 }
 
 func TestDeterministicWithSeed(t *testing.T) {

@@ -18,7 +18,6 @@
 //	kg, _ := world.LoadKG()
 //	p := nous.NewPipeline(kg, nous.DefaultConfig())
 //	p.IngestAll(nous.GenerateArticles(world, nous.DefaultArticleConfig(500)))
-//	p.BuildTopics()
 //	ans, _ := p.Ask("Tell me about DJI")
 //	fmt.Println(ans.Text)
 package nous
@@ -34,9 +33,7 @@ import (
 	"nous/internal/corpus"
 	"nous/internal/disambig"
 	"nous/internal/fgm"
-	"nous/internal/graph"
 	"nous/internal/linkpred"
-	"nous/internal/nlp"
 	"nous/internal/ontology"
 	"nous/internal/pathsearch"
 	"nous/internal/persist"
@@ -45,7 +42,6 @@ import (
 	"nous/internal/repl"
 	"nous/internal/stream"
 	"nous/internal/temporal"
-	"nous/internal/topics"
 	"nous/internal/trends"
 	"nous/internal/trust"
 )
@@ -168,15 +164,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// The LDA fit behind path-search coherence (BuildTopics): 8 topics, 100
-// Gibbs sweeps, seed 1. Link prediction trains with its own seed
-// (linkpred.DefaultConfig).
-const (
-	topicCount = 8
-	ldaIters   = 100
-	ldaSeed    = 1
-)
-
 // Pipeline is the end-to-end NOUS system: ingestion, mining, trends,
 // topics, search and question answering over one dynamic KG.
 type Pipeline struct {
@@ -214,7 +201,6 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	// importance, the disambiguation prior and topic vectors for every
 	// consumer — the plan executor, the linker and the path searcher.
 	p.analytics = analytics.New(kg)
-	p.analytics.SetTopicsFn(p.computeTopics)
 
 	// Seed the miner with the pre-existing facts, then subscribe to live
 	// updates. Seeding costs O(window), not O(facts): AddBatch mines only
@@ -260,7 +246,7 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	}
 
 	p.stream = stream.NewWith(kg, cfg.Stream, p.analytics, facts)
-	p.searcher = pathsearch.New(kg.Graph(), nil)
+	p.searcher = pathsearch.New(kg.Graph(), p.analytics.Topics())
 	p.exec = plan.NewExecutor(plan.Deps{
 		KG:        kg,
 		Trends:    p.trends,
@@ -424,37 +410,11 @@ func (p *Pipeline) advance(t time.Time) {
 	}
 }
 
-// BuildTopics fits the LDA model over per-entity profile documents (name,
-// neighborhood, supporting sentences) and attaches topic vectors to the
-// path searcher. Call after ingestion (and again after large updates).
-// Concurrent calls coalesce into one fit through the analytics cache; the
-// built vectors stay memoized (with their epoch reported in QueryStats)
-// until the next call. Safe to call while queries are being served: the
-// searcher swaps its topic map atomically, so in-flight path queries keep
-// the vectors they started with.
-func (p *Pipeline) BuildTopics() {
-	p.searcher.SetTopics(p.analytics.RefreshTopics())
-}
-
-// computeTopics is the LDA fit the analytics cache memoizes.
-func (p *Pipeline) computeTopics() map[graph.VertexID][]float64 {
-	names := p.kg.Entities()
-	docs := make([][]string, len(names))
-	for i, n := range names {
-		docs[i] = p.entityDoc(n)
-	}
-	cfg := topics.DefaultConfig(topicCount)
-	cfg.Iters = ldaIters
-	cfg.Seed = ldaSeed
-	model := topics.Fit(docs, cfg)
-	topicOf := make(map[graph.VertexID][]float64, len(names))
-	for i, n := range names {
-		if id, ok := p.kg.Entity(n); ok {
-			topicOf[id] = model.DocTopics(i)
-		}
-	}
-	return topicOf
-}
+// BuildTopics does nothing and is kept only for the benchmark's call, which
+// predates this. Topic vectors are a function of the fact log: the analytics
+// cache fits the topic model on the first relationship read and folds each
+// entity in as it is read (internal/analytics/topics.go).
+func (p *Pipeline) BuildTopics() {}
 
 // Analytics exposes the epoch-versioned artifact cache shared by the query
 // engine (for benchmarks and diagnostics).
@@ -484,33 +444,8 @@ func (p *Pipeline) RecentFacts(w Window, k int) []Fact {
 }
 
 // QueryStats reports the read layer's cache behaviour: current mutation
-// epoch, artifact hits/misses/recomputes and the topic model's epoch lag.
+// epoch and artifact hits/misses/recomputes.
 func (p *Pipeline) QueryStats() QueryStats { return p.analytics.Stats() }
-
-// entityDoc builds the "document" of an entity for LDA: its name, its
-// type, the predicates and neighbor names around it, and the content words
-// of supporting sentences.
-func (p *Pipeline) entityDoc(name string) []string {
-	var words []string
-	add := func(text string) {
-		for _, s := range nlp.Process(text) {
-			words = append(words, nlp.ContentWords(s)...)
-		}
-	}
-	add(name)
-	for _, f := range p.kg.FactsAbout(name) {
-		words = append(words, f.Predicate)
-		if f.Subject == name {
-			add(f.Object)
-		} else {
-			add(f.Subject)
-		}
-		if f.Provenance.Sentence != "" {
-			add(f.Provenance.Sentence)
-		}
-	}
-	return words
-}
 
 // Ask parses and answers a natural-language-like question (the five query
 // classes of the paper's Fig 5). Temporal qualifiers in the question ("last

@@ -38,7 +38,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestAllFiveQueryClasses(t *testing.T) {
 	p, _ := buildSystem(t, 120)
-	p.BuildTopics()
 
 	questions := []string{
 		"What is trending?",
@@ -78,7 +77,6 @@ func TestEntityQueryFig6(t *testing.T) {
 
 func TestExplainWithTopics(t *testing.T) {
 	p, _ := buildSystem(t, 100)
-	p.BuildTopics()
 	a, err := p.Explain("DJI", "Shenzhen", "", 3)
 	if err != nil {
 		t.Fatal(err)

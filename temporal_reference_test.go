@@ -16,7 +16,6 @@ import (
 // relationship paths, fact lookups, trending and graph exports.
 func TestFullRangeWindowReferenceIdentical(t *testing.T) {
 	p, _ := buildSystem(t, 120)
-	p.BuildTopics()
 
 	questions := []string{
 		"What is trending?",
@@ -85,7 +84,6 @@ func TestFullRangeWindowReferenceIdentical(t *testing.T) {
 // line may differ.
 func TestWideBoundedWindowSameAnswers(t *testing.T) {
 	p, _ := buildSystem(t, 120)
-	p.BuildTopics()
 	wide := Window{Since: math.MinInt64 + 1, Until: math.MaxInt64 - 1}
 
 	plain, err := p.About("DJI")
