@@ -240,7 +240,7 @@ func pathBenchGraph() (*pathsearch.Searcher, graph.VertexID, graph.VertexID) {
 	g := graph.New()
 	topicOf := map[graph.VertexID][]float64{}
 	addV := func(topic []float64) graph.VertexID {
-		id := g.AddVertex("Company")
+		id := g.AddVertex("Company", "")
 		topicOf[id] = topic
 		return id
 	}

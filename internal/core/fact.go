@@ -70,21 +70,18 @@ func (kg *KG) decodeLocked(e *graph.EdgeScan) Fact {
 }
 
 // endpointType resolves a fact endpoint's type: the type recorded on the
-// edge wins; an edge that records none falls back to the vertex's own, read
-// through the scan's lock (EdgeScan.Vertex) — not Graph.Vertex, whose second
-// read lock would deadlock once a writer queues in between.
+// edge wins; an edge that records none falls back to the vertex's label,
+// read through the scan's lock (EdgeScan.VertexLabel) — not Graph.Vertex,
+// whose second read lock would deadlock once a writer queues in between.
 func endpointType(e *graph.EdgeScan, recorded string, id graph.VertexID) ontology.EntityType {
 	if recorded != "" {
 		return ontology.EntityType(recorded)
 	}
-	v, ok := e.Vertex(id)
+	label, ok := e.VertexLabel(id)
 	if !ok {
 		return ontology.TypeAny
 	}
-	if t, ok := v.Props["type"]; ok {
-		return ontology.EntityType(t)
-	}
-	return ontology.EntityType(v.Label)
+	return ontology.EntityType(label)
 }
 
 // undated is the membership rule of KG.undated: an extracted fact whose edge

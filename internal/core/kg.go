@@ -170,15 +170,16 @@ func (kg *KG) addEntityLocked(name string, typ ontology.EntityType, aliases ...s
 	}
 	id, ok := kg.byName[name]
 	if !ok {
-		id = kg.g.AddVertexWithProps(string(typ), map[string]string{"name": name})
+		id = kg.g.AddVertex(string(typ), name)
 		kg.byName[name] = id
 		kg.names[id] = name
 		kg.addAliasLocked(name, name)
 	} else if typ != ontology.TypeAny {
+		// Upgrade a generic placeholder to the specific type. The label is
+		// the type's only copy, so an upgraded entity is no longer generic
+		// and a later specific type leaves it as it is.
 		if v, ok := kg.g.Vertex(id); ok && v.Label == string(ontology.TypeAny) {
-			// Upgrade a generic placeholder to the specific type by
-			// re-labeling through the props API.
-			kg.g.SetVertexProp(id, "type", string(typ))
+			kg.g.SetVertexLabel(id, string(typ))
 		}
 	}
 	for _, a := range aliases {
@@ -200,11 +201,7 @@ func (kg *KG) addAliasLocked(alias, canonical string) {
 		return
 	}
 	if id, ok := kg.byName[canonical]; ok {
-		if cur, _ := kg.g.VertexProp(id, aliasesProp); cur == "" {
-			kg.g.SetVertexProp(id, aliasesProp, key)
-		} else {
-			kg.g.SetVertexProp(id, aliasesProp, cur+aliasesSep+key)
-		}
+		kg.g.AddVertexAlias(id, key)
 	}
 }
 
@@ -224,14 +221,6 @@ func (kg *KG) registerAliasLocked(alias, canonical string) (key string, added bo
 	kg.byAlias[key] = append(kg.byAlias[key], canonical)
 	return key, true
 }
-
-// aliasesProp is the vertex property mirroring an entity's alias set;
-// aliasesSep (US, 0x1f) separates the entries. Both are private to the
-// KG ↔ graph mapping.
-const (
-	aliasesProp = "aliases"
-	aliasesSep  = "\x1f"
-)
 
 // Entity returns the vertex ID for a canonical name.
 func (kg *KG) Entity(name string) (graph.VertexID, bool) {
@@ -260,9 +249,6 @@ func (kg *KG) EntityType(name string) (ontology.EntityType, bool) {
 	v, ok := kg.g.Vertex(id)
 	if !ok {
 		return "", false
-	}
-	if t, ok2 := v.Props["type"]; ok2 {
-		return ontology.EntityType(t), true
 	}
 	return ontology.EntityType(v.Label), true
 }

@@ -227,6 +227,29 @@ func TestEntityTypeUpgrade(t *testing.T) {
 	}
 }
 
+// TestEntityTypeUpgradeHappensOnce: a generic entity is upgraded by the
+// first specific type it is given and then keeps it. A later specific type
+// neither replaces it nor logs a write; before the label became the type's
+// only copy, each repeat logged another and the last type won.
+func TestEntityTypeUpgradeHappensOnce(t *testing.T) {
+	kg := NewKG(nil)
+	var kinds []graph.MutationKind
+	kg.Graph().AddMutationHook(func(m graph.Mutation) { kinds = append(kinds, m.Kind) })
+	kg.AddEntity("Windermere", ontology.TypeAny)
+	kg.AddEntity("Windermere", ontology.TypeCompany)
+	kg.AddEntity("Windermere", ontology.TypePerson)
+	kg.AddEntity("Windermere", ontology.TypePerson)
+	if typ, _ := kg.EntityType("Windermere"); typ != ontology.TypeCompany {
+		t.Errorf("type = %v, want Company", typ)
+	}
+	if want := []graph.MutationKind{graph.MutAddVertex, graph.MutSetVertexLabel}; !slices.Equal(kinds, want) {
+		t.Errorf("logged %v, want %v", kinds, want)
+	}
+	if e := kg.Graph().Epoch(); e != 2 {
+		t.Errorf("epoch = %d, want 2", e)
+	}
+}
+
 func TestNeighborhoodHops(t *testing.T) {
 	kg := NewKG(nil)
 	kg.AddFact(curated("A Co", "acquired", "B Co"))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"nous/internal/graph"
 )
@@ -16,7 +15,7 @@ import (
 // must be freshly constructed (no entities or facts indexed); the graph is
 // only read, never written, so rebuilding logs nothing to an attached WAL.
 //
-// Names and aliases live on the vertices as properties. The temporal index is
+// Names and aliases live on the vertices' rows. The temporal index is
 // re-scanned from graph state because a snapshot load restores edges without
 // emitting the mutations that normally keep it in sync. WAL replay emits
 // them (it applies records through graph.ApplyReplicated, as a replica
@@ -33,12 +32,11 @@ func (kg *KG) Rebuild() error {
 		if !ok {
 			continue
 		}
-		name := v.Props["name"]
-		if name == "" {
-			return fmt.Errorf("core: recovered vertex %d has no name property", id)
+		if v.Name == "" {
+			return fmt.Errorf("core: recovered vertex %d has no name", id)
 		}
-		if prev, dup := kg.byName[name]; dup {
-			return fmt.Errorf("core: recovered vertices %d and %d share the name %q", prev, id, name)
+		if prev, dup := kg.byName[v.Name]; dup {
+			return fmt.Errorf("core: recovered vertices %d and %d share the name %q", prev, id, v.Name)
 		}
 		kg.indexVertexLocked(v)
 	}
@@ -53,13 +51,10 @@ func (kg *KG) Rebuild() error {
 // indexVertexLocked registers a named vertex, with the alias set mirrored on
 // it, in the entity indexes.
 func (kg *KG) indexVertexLocked(v graph.Vertex) {
-	name := v.Props["name"]
-	kg.byName[name] = v.ID
-	kg.names[v.ID] = name
-	kg.registerAliasLocked(name, name)
-	if aliases := v.Props[aliasesProp]; aliases != "" {
-		for _, a := range strings.Split(aliases, aliasesSep) {
-			kg.registerAliasLocked(a, name)
-		}
+	kg.byName[v.Name] = v.ID
+	kg.names[v.ID] = v.Name
+	kg.registerAliasLocked(v.Name, v.Name)
+	for _, a := range v.Aliases {
+		kg.registerAliasLocked(a, v.Name)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"nous/internal/graph"
 )
@@ -45,18 +44,14 @@ func (kg *KG) ApplyReplicated(m graph.Mutation) error {
 		// bootstrap snapshot already held it) is left alone; a nameless
 		// vertex has no entity identity and is indexed by the graph layer
 		// only.
-		if name := m.Vertex.Props["name"]; name != "" {
+		if name := m.Vertex.Name; name != "" {
 			if _, dup := kg.byName[name]; !dup {
 				kg.indexVertexLocked(m.Vertex)
 			}
 		}
-	case graph.MutSetVertexProp:
-		if m.Key == aliasesProp {
-			if name, ok := kg.names[m.VertexID]; ok {
-				for _, a := range strings.Split(m.Value, aliasesSep) {
-					kg.registerAliasLocked(a, name)
-				}
-			}
+	case graph.MutAddVertexAlias:
+		if name, ok := kg.names[m.VertexID]; ok {
+			kg.registerAliasLocked(m.Alias, name)
 		}
 	}
 	return nil

@@ -15,7 +15,7 @@ func TestAddEdgesBatch(t *testing.T) {
 	g := New()
 	var vids []VertexID
 	for i := 0; i < 40; i++ {
-		vids = append(vids, g.AddVertex("V"))
+		vids = append(vids, g.AddVertex("V", ""))
 	}
 	specs := make([]EdgeSpec, 0, 100)
 	for i := 0; i < 100; i++ {
@@ -61,8 +61,8 @@ func TestAddEdgesBatch(t *testing.T) {
 
 func TestAddEdgesValidatesAtomically(t *testing.T) {
 	g := New()
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
+	a := g.AddVertex("A", "")
+	b := g.AddVertex("B", "")
 	_, err := g.AddEdges([]EdgeSpec{
 		{Src: a, Dst: b, Label: "ok"},
 		{Src: a, Dst: 999, Label: "bad"},
@@ -75,10 +75,11 @@ func TestAddEdgesValidatesAtomically(t *testing.T) {
 	}
 }
 
-// TestAddVertexWithPropsAtomic verifies the insert-then-attach-props race
-// is gone: no reader may observe a vertex created by AddVertexWithProps
-// without its properties.
-func TestAddVertexWithPropsAtomic(t *testing.T) {
+// TestAddVertexRowAtomic: each vertex write lands whole and in order. A
+// writer creates a named vertex, appends two aliases and then relabels it;
+// no reader may observe a vertex without its name, with aliases out of
+// order, or relabelled without both aliases.
+func TestAddVertexRowAtomic(t *testing.T) {
 	g := New()
 	done := make(chan struct{})
 	var writer sync.WaitGroup
@@ -86,9 +87,13 @@ func TestAddVertexWithPropsAtomic(t *testing.T) {
 	go func() {
 		defer writer.Done()
 		for i := 0; i < 2000; i++ {
-			g.AddVertexWithProps("P", map[string]string{"name": "x"})
+			id := g.AddVertex("Any", "x")
+			g.AddVertexAlias(id, "a")
+			g.AddVertexAlias(id, "b")
+			g.SetVertexLabel(id, "P")
 		}
 	}()
+	want := []string{"a", "b"}
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
@@ -105,8 +110,9 @@ func TestAddVertexWithPropsAtomic(t *testing.T) {
 					if !ok {
 						continue
 					}
-					if v.Label == "P" && v.Props["name"] != "x" {
-						t.Error("observed vertex without its props")
+					if v.Name != "x" || !slices.Equal(v.Aliases, want[:len(v.Aliases)]) ||
+						(v.Label == "P" && len(v.Aliases) != len(want)) {
+						t.Errorf("observed a partial vertex row: %+v", v)
 						return
 					}
 				}
@@ -128,7 +134,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 	const nVerts = 64
 	var vids []VertexID
 	for i := 0; i < nVerts; i++ {
-		vids = append(vids, g.AddVertex("V"))
+		vids = append(vids, g.AddVertex("V", ""))
 	}
 
 	var (
@@ -204,8 +210,9 @@ func TestConcurrentMutationStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			id := g.AddVertexWithProps("W", map[string]string{"n": fmt.Sprint(i)})
-			g.SetVertexProp(id, "extra", "e")
+			id := g.AddVertex("Any", fmt.Sprint(i))
+			g.AddVertexAlias(id, "w")
+			g.SetVertexLabel(id, "W")
 		}
 	}()
 	// Readers over every access path.
@@ -263,7 +270,7 @@ func TestConcurrentPageRankDuringWrites(t *testing.T) {
 	g := New()
 	var vids []VertexID
 	for i := 0; i < 50; i++ {
-		vids = append(vids, g.AddVertex("V"))
+		vids = append(vids, g.AddVertex("V", ""))
 	}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 200; i++ {
@@ -304,7 +311,7 @@ func TestConcurrentPageRankDuringWrites(t *testing.T) {
 // those in the stripes already passed.
 func TestCompileIsExactCut(t *testing.T) {
 	g := New()
-	a, b := g.AddVertex("V"), g.AddVertex("V")
+	a, b := g.AddVertex("V", ""), g.AddVertex("V", "")
 	const batches = 300
 	var done atomic.Bool
 	var views, torn atomic.Int64
@@ -360,7 +367,7 @@ func TestConcurrentRemoveEdgeStress(t *testing.T) {
 	g := New()
 	var verts []VertexID
 	for i := 0; i < 10; i++ {
-		verts = append(verts, g.AddVertex("Company"))
+		verts = append(verts, g.AddVertex("Company", ""))
 	}
 	const workers, perWorker = 4, 150
 	idCh := make(chan EdgeID, workers*perWorker)
@@ -451,8 +458,8 @@ func TestMultipleMutationHooks(t *testing.T) {
 	removeC1 := g.AddMutationHook(count)
 	g.AddMutationHook(count)
 
-	v1 := g.AddVertex("Company")
-	v2 := g.AddVertex("Company")
+	v1 := g.AddVertex("Company", "")
+	v2 := g.AddVertex("Company", "")
 	if _, err := g.AddEdge(v1, v2, "acquired"); err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +471,7 @@ func TestMultipleMutationHooks(t *testing.T) {
 	removeC1()
 	removeC1() // removing twice is a no-op
 	order, c = nil, 0
-	g.AddVertex("Company")
+	g.AddVertex("Company", "")
 	if !slices.Equal(order, []string{"b"}) || c != 1 {
 		t.Fatalf("after removal: deliveries = %v and %d counts, want [b] and 1", order, c)
 	}

@@ -41,9 +41,10 @@ func TestEpochBumpsOnEveryMutation(t *testing.T) {
 		want int // records the hook must see; the epoch moves by as many
 	}
 	rows := []row{
-		{"AddVertex", leader, func() { a = leader.AddVertex("X") }, 1},
-		{"AddVertexWithProps", leader, func() { b = leader.AddVertexWithProps("X", map[string]string{"k": "v"}) }, 1},
-		{"SetVertexProp", leader, func() { leader.SetVertexProp(a, "k", "v") }, 1},
+		{"AddVertex", leader, func() { a = leader.AddVertex("X", "") }, 1},
+		{"AddVertex(named)", leader, func() { b = leader.AddVertex("X", "b") }, 1},
+		{"SetVertexLabel", leader, func() { leader.SetVertexLabel(a, "Y") }, 1},
+		{"AddVertexAlias", leader, func() { leader.AddVertexAlias(a, "k") }, 1},
 		{"AddEdge", leader, func() { e, _ = leader.AddEdge(a, b, "r") }, 1},
 		{"RemoveEdge", leader, func() { leader.RemoveEdge(e) }, 1},
 		{"AddEdges", leader, func() {
@@ -65,7 +66,11 @@ func TestEpochBumpsOnEveryMutation(t *testing.T) {
 	for i := 0; i < live; i++ {
 		rows = append(rows, row{"ApplyReplicated(" + rows[i].name + ")", replica, apply(i), 1})
 	}
-	rows = append(rows, row{"duplicate ApplyReplicated(AddEdges)", replica, apply(live - 1), 0})
+	rows = append(rows,
+		row{"duplicate ApplyReplicated(AddEdges)", replica, apply(live - 1), 0},
+		row{"duplicate ApplyReplicated(AddVertexAlias)", replica, apply(3), 0},
+		row{"duplicate ApplyReplicated(SetVertexLabel)", replica, apply(2), 0},
+		row{"duplicate ApplyReplicated(AddVertex)", replica, apply(1), 0})
 
 	for _, r := range rows {
 		before, n := r.g.Epoch(), len(*seen[r.g])
@@ -93,8 +98,11 @@ func TestEpochBumpsOnEveryMutation(t *testing.T) {
 	}
 
 	// Failed mutations must not move the epoch either.
-	if g.SetVertexProp(9999, "k", "v") {
-		t.Fatal("SetVertexProp on missing vertex succeeded")
+	if g.SetVertexLabel(9999, "Y") || g.AddVertexAlias(9999, "k") {
+		t.Fatal("vertex write on missing vertex succeeded")
+	}
+	if g.SetVertexLabel(a, "Y") || g.AddVertexAlias(a, "k") {
+		t.Fatal("vertex write that changes nothing reported a change")
 	}
 	if g.RemoveEdge(9999) {
 		t.Fatal("RemoveEdge on missing edge succeeded")
@@ -114,7 +122,7 @@ func TestEpochBumpsOnEveryMutation(t *testing.T) {
 // writers mutate, and ends at the exact mutation count.
 func TestEpochConcurrentReaders(t *testing.T) {
 	g := New()
-	root := g.AddVertex("X")
+	root := g.AddVertex("X", "")
 	const writers, perWriter = 4, 100
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -144,7 +152,7 @@ func TestEpochConcurrentReaders(t *testing.T) {
 		go func() {
 			defer ww.Done()
 			for i := 0; i < perWriter; i++ {
-				v := g.AddVertex("Y")
+				v := g.AddVertex("Y", "")
 				if _, err := g.AddEdge(root, v, "r"); err != nil {
 					t.Error(err)
 				}

@@ -2,8 +2,9 @@
 // temporal edges and compiled views for whole-graph
 // kernels (view.go). It is the substrate NOUS's paper built on Apache Spark
 // GraphX; this implementation keeps the parts of that API surface NOUS uses —
-// vertices carrying string properties, edges carrying one fixed fact row,
-// neighborhood iteration and PageRank — at single-process scale.
+// vertices carrying one fixed entity row (type, name, aliases), edges
+// carrying one fixed fact row, neighborhood iteration and PageRank — at
+// single-process scale.
 //
 // Storage is partitioned into numShards stripes: a vertex and its adjacency
 // lists live in the stripe owning the vertex ID, while an edge record lives
@@ -29,14 +30,15 @@
 // edge is its removal. So an edge ID read at one epoch names the same edge
 // value at every later epoch at which the edge is still live, and a reader
 // that validates an answer by re-reading Epoch has only edge insertions,
-// removals and vertex writes to account for, never an edge edited in place.
+// removals and vertex writes (a new vertex, a relabel, an appended alias) to
+// account for, never an edge edited in place.
 //
-// Memory layout: strings (labels, predicates, vertex prop keys, sources and
-// fact types) are interned into dense SymIDs (internal/graph/symtab) and edge
-// records live in per-stripe columnar slabs (slab.go) addressed by compact
-// 4-byte refs, not as individually heap-allocated *Edge values. Edges are
-// read through scan.go's slab-native views; only Edge, Snapshot and mutation
-// hooks materialize exported Edge values with plain strings.
+// Memory layout: strings (labels, predicates, sources and fact types) are
+// interned into dense SymIDs (internal/graph/symtab) and edge records live in
+// per-stripe columnar slabs (slab.go) addressed by compact 4-byte refs, not
+// as individually heap-allocated *Edge values. Edges are read through
+// scan.go's slab-native views; only Edge, Snapshot and mutation hooks
+// materialize exported Edge values with plain strings.
 package graph
 
 import (
@@ -57,11 +59,13 @@ type EdgeID int64
 // NilVertex is returned by lookups that find no vertex.
 const NilVertex VertexID = -1
 
-// Vertex is a labeled node with arbitrary string properties.
+// Vertex is an entity node: one type label, a canonical name and the alias
+// keys bound to it.
 type Vertex struct {
-	ID    VertexID
-	Label string // entity type, e.g. "Organization"
-	Props map[string]string
+	ID      VertexID
+	Label   string   // entity type, e.g. "Organization"
+	Name    string   // canonical name; "" for an unnamed vertex
+	Aliases []string // alias keys, in insertion order
 }
 
 // Edge is a directed, labeled, timestamped edge with a weight and a fact
@@ -94,10 +98,18 @@ type FactRow struct {
 // split to the stripe count and with it the snapshot layout.
 const numShards = 1 << shardBits
 
-// vertexRec is a vertex's stored form: interned label, interned-key props.
+// vertexRec is a vertex's stored form: its interned label, its name and its
+// aliases. Names and aliases stay plain strings: they are near-unique and
+// would only bloat the interner.
 type vertexRec struct {
-	label symtab.SymID
-	props propMap
+	label   symtab.SymID
+	name    string
+	aliases []string
+}
+
+// export materializes the stored row as a Vertex with its own alias slice.
+func (rec *vertexRec) export(id VertexID) Vertex {
+	return Vertex{ID: id, Label: symtab.Resolve(rec.label), Name: rec.name, Aliases: slices.Clone(rec.aliases)}
 }
 
 // shard is one stripe. Vertices (with their adjacency lists) are owned by
@@ -173,84 +185,77 @@ func shardIdx(id uint64) int { return int(id & (numShards - 1)) }
 func (g *Graph) vshard(id VertexID) *shard { return &g.shards[shardIdx(uint64(id))] }
 func (g *Graph) eshard(id EdgeID) *shard   { return &g.shards[shardIdx(uint64(id))] }
 
-// AddVertex inserts a vertex with the given label and returns its ID.
-func (g *Graph) AddVertex(label string) VertexID {
-	return g.AddVertexWithProps(label, nil)
-}
-
-// AddVertexWithProps inserts a vertex carrying the given properties.
-// The props map is copied. The vertex and its properties become visible
-// atomically: no reader can observe the vertex without them.
-func (g *Graph) AddVertexWithProps(label string, props map[string]string) VertexID {
-	rec := vertexRec{label: symtab.Intern(label), props: internProps(props)}
+// AddVertex inserts a vertex with the given label and name, and no
+// aliases, and returns its ID.
+func (g *Graph) AddVertex(label, name string) VertexID {
+	sym := symtab.Intern(label)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	id := VertexID(g.nextVertex)
 	g.nextVertex++
-	g.vshard(id).vertices[id] = rec
+	g.vshard(id).vertices[id] = vertexRec{label: sym, name: name}
 	m := Mutation{Kind: MutAddVertex}
 	if len(g.hooks) > 0 {
-		m.Vertex = Vertex{ID: id, Label: label, Props: copyProps(props)}
+		m.Vertex = Vertex{ID: id, Label: label, Name: name}
 	}
 	g.commitLocked(m, false)
 	return id
 }
 
-// SetVertexProp sets one property on a vertex. It reports whether the vertex
-// exists.
-func (g *Graph) SetVertexProp(id VertexID, key, value string) bool {
-	return g.setVertexProp(Mutation{Kind: MutSetVertexProp, VertexID: id, Key: key, Value: value}, false)
+// SetVertexLabel changes a vertex's label. It reports whether the label
+// changed: a missing vertex, or one that already carries the label, is a
+// no-op that emits nothing.
+func (g *Graph) SetVertexLabel(id VertexID, label string) bool {
+	return g.setVertexLabel(Mutation{Kind: MutSetVertexLabel, VertexID: id, Label: label}, false)
 }
 
-// setVertexProp applies a MutSetVertexProp record and commits it. A missing
-// vertex is a no-op that emits nothing.
-func (g *Graph) setVertexProp(m Mutation, replicated bool) bool {
-	sym := symtab.Intern(m.Key)
+// setVertexLabel applies a MutSetVertexLabel record and commits it.
+func (g *Graph) setVertexLabel(m Mutation, replicated bool) bool {
+	sym := symtab.Intern(m.Label)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	s := g.vshard(m.VertexID)
 	rec, ok := s.vertices[m.VertexID]
-	if !ok {
+	if !ok || rec.label == sym {
 		return false
 	}
-	if rec.props == nil {
-		rec.props = make(propMap, 1)
-		s.vertices[m.VertexID] = rec
-	}
-	rec.props[sym] = m.Value
-	g.commitLocked(Mutation{Kind: MutSetVertexProp, Epoch: m.Epoch, VertexID: m.VertexID, Key: m.Key, Value: m.Value}, replicated)
+	rec.label = sym
+	s.vertices[m.VertexID] = rec
+	g.commitLocked(Mutation{Kind: MutSetVertexLabel, Epoch: m.Epoch, VertexID: m.VertexID, Label: m.Label}, replicated)
 	return true
 }
 
-// VertexProp returns a property of a vertex.
-func (g *Graph) VertexProp(id VertexID, key string) (string, bool) {
-	sym, known := symtab.Lookup(key)
-	if !known {
-		return "", false // a never-interned key is set on no element
+// AddVertexAlias appends one alias key to a vertex. It reports whether the
+// alias was added: a missing vertex, or one that already carries the alias,
+// is a no-op that emits nothing.
+func (g *Graph) AddVertexAlias(id VertexID, alias string) bool {
+	return g.addVertexAlias(Mutation{Kind: MutAddVertexAlias, VertexID: id, Alias: alias}, false)
+}
+
+// addVertexAlias applies a MutAddVertexAlias record and commits it.
+func (g *Graph) addVertexAlias(m Mutation, replicated bool) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	s := g.vshard(m.VertexID)
+	rec, ok := s.vertices[m.VertexID]
+	if !ok || slices.Contains(rec.aliases, m.Alias) {
+		return false
 	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	rec, ok := g.vshard(id).vertices[id]
-	if !ok || rec.props == nil {
-		return "", false
-	}
-	val, ok := rec.props[sym]
-	return val, ok
+	rec.aliases = append(rec.aliases, m.Alias)
+	s.vertices[m.VertexID] = rec
+	g.commitLocked(Mutation{Kind: MutAddVertexAlias, Epoch: m.Epoch, VertexID: m.VertexID, Alias: m.Alias}, replicated)
+	return true
 }
 
 // Vertex returns a copy of the vertex with the given ID.
 func (g *Graph) Vertex(id VertexID) (Vertex, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.vertexLocked(id)
-}
-
-func (g *Graph) vertexLocked(id VertexID) (Vertex, bool) {
 	rec, ok := g.vshard(id).vertices[id]
 	if !ok {
 		return Vertex{}, false
 	}
-	return Vertex{ID: id, Label: symtab.Resolve(rec.label), Props: exportProps(rec.props)}, true
+	return rec.export(id), true
 }
 
 // HasVertex reports whether the vertex exists.
@@ -447,18 +452,4 @@ func removeRef(list []edgeRef, ref edgeRef) []edgeRef {
 		}
 	}
 	return list
-}
-
-// copyProps clones an exported vertex props map, returning nil when the
-// input is nil or empty: prop-less vertices carry a nil map at the API
-// boundary, not an allocated empty one.
-func copyProps(p map[string]string) map[string]string {
-	if len(p) == 0 {
-		return nil
-	}
-	cp := make(map[string]string, len(p))
-	for k, v := range p {
-		cp[k] = v
-	}
-	return cp
 }

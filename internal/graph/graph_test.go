@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -57,8 +58,8 @@ func countLabel(g *Graph, label string) int {
 
 func TestAddVertexAssignsDistinctIDs(t *testing.T) {
 	g := New()
-	a := g.AddVertex("Person")
-	b := g.AddVertex("Org")
+	a := g.AddVertex("Person", "")
+	b := g.AddVertex("Org", "")
 	if a == b {
 		t.Fatalf("expected distinct IDs, got %d twice", a)
 	}
@@ -73,7 +74,7 @@ func TestAddVertexAssignsDistinctIDs(t *testing.T) {
 
 func TestAddEdgeRequiresEndpoints(t *testing.T) {
 	g := New()
-	a := g.AddVertex("A")
+	a := g.AddVertex("A", "")
 	if _, err := g.AddEdge(a, 999, "rel"); err == nil {
 		t.Fatal("expected error for missing destination")
 	}
@@ -84,9 +85,9 @@ func TestAddEdgeRequiresEndpoints(t *testing.T) {
 
 func TestEdgeLookupAndDegree(t *testing.T) {
 	g := New()
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
-	c := g.AddVertex("C")
+	a := g.AddVertex("A", "")
+	b := g.AddVertex("B", "")
+	c := g.AddVertex("C", "")
 	e1, err := g.AddEdge(a, b, "knows")
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +116,8 @@ func TestEdgeLookupAndDegree(t *testing.T) {
 
 func TestRemoveEdgeCleansIndexes(t *testing.T) {
 	g := New()
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
+	a := g.AddVertex("A", "")
+	b := g.AddVertex("B", "")
 	id, _ := g.AddEdge(a, b, "rel")
 	if !g.RemoveEdge(id) {
 		t.Fatal("RemoveEdge returned false for existing edge")
@@ -136,8 +137,8 @@ func TestRemoveEdgeCleansIndexes(t *testing.T) {
 // core.KG does: an out-scan filtered by destination and interned label.
 func TestFindEdgesFiltersByLabel(t *testing.T) {
 	g := New()
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
+	a := g.AddVertex("A", "")
+	b := g.AddVertex("B", "")
 	g.AddEdge(a, b, "x")
 	g.AddEdge(a, b, "y")
 	find := func(src, dst VertexID, label string) int {
@@ -163,9 +164,9 @@ func TestFindEdgesFiltersByLabel(t *testing.T) {
 
 func TestNeighborsUndirectedDistinct(t *testing.T) {
 	g := New()
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
-	c := g.AddVertex("C")
+	a := g.AddVertex("A", "")
+	b := g.AddVertex("B", "")
+	c := g.AddVertex("C", "")
 	g.AddEdge(a, b, "r")
 	g.AddEdge(b, a, "r") // both directions: still one neighbor
 	g.AddEdge(c, a, "r")
@@ -175,19 +176,25 @@ func TestNeighborsUndirectedDistinct(t *testing.T) {
 	}
 }
 
+// TestVertexAndEdgeProps: a vertex's label, name and aliases and an edge's
+// fields and fact row read back as written.
 func TestVertexAndEdgeProps(t *testing.T) {
 	g := New()
-	a := g.AddVertexWithProps("A", map[string]string{"name": "DJI"})
-	if v, _ := g.Vertex(a); v.Props["name"] != "DJI" {
-		t.Fatalf("props not stored: %+v", v)
+	a := g.AddVertex("Any", "DJI")
+	if !g.AddVertexAlias(a, "dji technology") || !g.AddVertexAlias(a, "da-jiang") {
+		t.Fatal("AddVertexAlias failed")
 	}
-	if !g.SetVertexProp(a, "hq", "Shenzhen") {
-		t.Fatal("SetVertexProp failed")
+	if g.AddVertexAlias(a, "dji technology") {
+		t.Fatal("AddVertexAlias appended an alias the vertex already has")
 	}
-	if got, ok := g.VertexProp(a, "hq"); !ok || got != "Shenzhen" {
-		t.Fatalf("VertexProp = %q, %v", got, ok)
+	if !g.SetVertexLabel(a, "Company") {
+		t.Fatal("SetVertexLabel failed")
 	}
-	b := g.AddVertex("B")
+	want := Vertex{ID: a, Label: "Company", Name: "DJI", Aliases: []string{"dji technology", "da-jiang"}}
+	if v, _ := g.Vertex(a); !reflect.DeepEqual(v, want) {
+		t.Fatalf("vertex = %+v, want %+v", v, want)
+	}
+	b := g.AddVertex("B", "")
 	row := FactRow{Source: "wsj", Doc: "d1", Sentence: "A bought B.", SType: "Org", OType: "Org", Curated: true}
 	id, _ := addEdge(g, a, b, "rel", 0.5, 1234, row)
 	e, _ := g.Edge(id)
@@ -207,12 +214,14 @@ func addEdge(g *Graph, src, dst VertexID, label string, weight float64, ts int64
 
 func TestVertexCopiesAreIsolated(t *testing.T) {
 	g := New()
-	a := g.AddVertexWithProps("A", map[string]string{"k": "v"})
+	a := g.AddVertex("A", "a")
+	g.AddVertexAlias(a, "v")
 	v, _ := g.Vertex(a)
-	v.Props["k"] = "mutated"
+	v.Aliases[0] = "mutated"
+	_ = append(v.Aliases[:0], "appended")
 	v2, _ := g.Vertex(a)
-	if v2.Props["k"] != "v" {
-		t.Fatal("Vertex returned a shared props map")
+	if v2.Aliases[0] != "v" {
+		t.Fatal("Vertex returned a shared alias slice")
 	}
 }
 
@@ -225,7 +234,7 @@ func TestDegreeInvariantQuick(t *testing.T) {
 		var vids []VertexID
 		var eids []EdgeID
 		for i := 0; i < 8; i++ {
-			vids = append(vids, g.AddVertex("T"))
+			vids = append(vids, g.AddVertex("T", ""))
 		}
 		for _, op := range ops {
 			switch op % 3 {
@@ -261,7 +270,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 	n := 20
 	var ids []VertexID
 	for i := 0; i < n; i++ {
-		ids = append(ids, g.AddVertex("V"))
+		ids = append(ids, g.AddVertex("V", ""))
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 60; i++ {
@@ -282,9 +291,9 @@ func TestPageRankSumsToOne(t *testing.T) {
 func TestPageRankFavorsSink(t *testing.T) {
 	// star: everyone points at hub; hub should have max rank.
 	g := New()
-	hub := g.AddVertex("hub")
+	hub := g.AddVertex("hub", "")
 	for i := 0; i < 10; i++ {
-		v := g.AddVertex("leaf")
+		v := g.AddVertex("leaf", "")
 		g.AddEdge(v, hub, "r")
 	}
 	pr := Compile(g, nil).PageRank(0.85, 25, nil)
@@ -305,7 +314,7 @@ func BenchmarkAddEdge(b *testing.B) {
 	g := New()
 	var ids []VertexID
 	for i := 0; i < 1000; i++ {
-		ids = append(ids, g.AddVertex("V"))
+		ids = append(ids, g.AddVertex("V", ""))
 	}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
@@ -318,7 +327,7 @@ func BenchmarkAddEdgesBatch(b *testing.B) {
 	g := New()
 	var ids []VertexID
 	for i := 0; i < 1000; i++ {
-		ids = append(ids, g.AddVertex("V"))
+		ids = append(ids, g.AddVertex("V", ""))
 	}
 	rng := rand.New(rand.NewSource(1))
 	const batch = 64

@@ -16,19 +16,21 @@ import (
 type MutationKind uint8
 
 // Mutation kinds. Values are part of the on-disk WAL format — append new
-// kinds, never renumber. Values 5 and 6 are reserved: they were edge-property
-// and edge-weight updates, which nothing writes since facts became
-// write-once, and a record carrying either is now an unknown kind.
+// kinds, never renumber. Values 2, 5 and 6 are reserved: they were the
+// generic vertex-property set and the edge-property and edge-weight updates,
+// which nothing writes since a vertex and a fact became fixed rows, and a
+// record carrying any of them is now an unknown kind.
 const (
-	MutAddVertex     MutationKind = 1 // one vertex inserted (Vertex)
-	MutSetVertexProp MutationKind = 2 // one vertex property set (VertexID, Key, Value)
-	MutAddEdges      MutationKind = 3 // a batch of edges inserted (Edges)
-	MutRemoveEdge    MutationKind = 4 // one edge removed (EdgeID)
+	MutAddVertex      MutationKind = 1 // one vertex inserted (Vertex)
+	MutAddEdges       MutationKind = 3 // a batch of edges inserted (Edges)
+	MutRemoveEdge     MutationKind = 4 // one edge removed (EdgeID)
+	MutSetVertexLabel MutationKind = 7 // one vertex relabelled (VertexID, Label)
+	MutAddVertexAlias MutationKind = 8 // one alias appended to a vertex (VertexID, Alias)
 )
 
 // Mutation describes one completed graph write. Only the fields relevant to
-// Kind are populated; Vertex.Props is a private copy and Edges a private
-// slice, both of which the subscriber may retain.
+// Kind are populated; Vertex.Aliases and Edges are private slices, which the
+// subscriber may retain.
 type Mutation struct {
 	Kind MutationKind
 	// Epoch is the graph's mutation epoch after this write. Live writes are
@@ -37,10 +39,10 @@ type Mutation struct {
 
 	Vertex   Vertex   // MutAddVertex
 	Edges    []Edge   // MutAddEdges (a single AddEdge logs a batch of one)
-	VertexID VertexID // MutSetVertexProp
+	VertexID VertexID // MutSetVertexLabel, MutAddVertexAlias
 	EdgeID   EdgeID   // MutRemoveEdge
-	Key      string   // MutSetVertexProp
-	Value    string   // MutSetVertexProp
+	Label    string   // MutSetVertexLabel: the new label
+	Alias    string   // MutAddVertexAlias: the appended alias
 }
 
 // MutationHook receives every completed mutation. It is invoked synchronously
@@ -86,12 +88,13 @@ func (g *Graph) AddMutationHook(h MutationHook) (remove func()) {
 
 // RestoreVertices bulk-loads vertices under one write-lock acquisition,
 // inserting or overwriting each under its explicit ID and advancing the
-// vertex ID allocator past it. Labels and props are interned before the lock
-// is taken, so concurrent calls (one per snapshot section) overlap that work.
+// vertex ID allocator past it. The graph keeps each vertex's Aliases slice
+// rather than copying it. Labels are interned before the lock is taken, so
+// concurrent calls (one per snapshot section) overlap that work.
 func (g *Graph) RestoreVertices(vs []Vertex) {
 	recs := make([]vertexRec, len(vs))
 	for i := range vs {
-		recs[i] = vertexRec{label: symtab.Intern(vs[i].Label), props: internProps(vs[i].Props)}
+		recs[i] = vertexRec{label: symtab.Intern(vs[i].Label), name: vs[i].Name, aliases: vs[i].Aliases}
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -304,7 +307,7 @@ func (g *Graph) Snapshot() *GraphSnapshot {
 		s := &g.shards[i]
 		vs := make([]Vertex, 0, len(s.vertices))
 		for id, rec := range s.vertices {
-			vs = append(vs, Vertex{ID: id, Label: symtab.Resolve(rec.label), Props: exportProps(rec.props)})
+			vs = append(vs, rec.export(id))
 		}
 		es := make([]Edge, 0, s.live)
 		for slot := uint32(0); slot < s.slab.len; slot++ {

@@ -68,7 +68,7 @@ func randomMultigraph(rng *rand.Rand) *Graph {
 	n := 1 + rng.Intn(60)
 	ids := make([]VertexID, n)
 	for i := range ids {
-		ids[i] = g.AddVertex("V")
+		ids[i] = g.AddVertex("V", "")
 	}
 	// Sources come from a prefix and destinations from a suffix of varying
 	// size, so some vertices dangle and some stay isolated.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"nous/internal/graph/symtab"
 )
@@ -34,28 +35,36 @@ func (g *Graph) ApplyReplicated(m Mutation) error {
 	switch m.Kind {
 	case MutAddVertex:
 		g.applyVertexReplicated(m)
-	case MutSetVertexProp:
-		g.setVertexProp(m, true)
 	case MutAddEdges:
 		return g.applyAddEdgesReplicated(m)
 	case MutRemoveEdge:
 		g.removeEdge(m, true)
+	case MutSetVertexLabel:
+		g.setVertexLabel(m, true)
+	case MutAddVertexAlias:
+		g.addVertexAlias(m, true)
 	default:
 		return fmt.Errorf("graph: apply replicated: unknown mutation kind %d", m.Kind)
 	}
 	return nil
 }
 
-// applyVertexReplicated inserts (or overwrites, for re-delivered records) a
-// vertex with its leader-assigned ID. Overwriting converges because every
-// later property write is also re-applied from the stream.
+// applyVertexReplicated inserts a vertex with its leader-assigned ID. A
+// vertex already present (a re-delivered record, or one the bootstrap
+// snapshot held) is left as it is and nothing is emitted: its later relabel
+// and aliases are already on it, and the stream never shrinks a vertex row.
 func (g *Graph) applyVertexReplicated(m Mutation) {
-	rec := vertexRec{label: symtab.Intern(m.Vertex.Label), props: internProps(m.Vertex.Props)}
+	v := m.Vertex
+	rec := vertexRec{label: symtab.Intern(v.Label), name: v.Name, aliases: slices.Clone(v.Aliases)}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.vshard(m.Vertex.ID).vertices[m.Vertex.ID] = rec
-	advancePast(&g.nextVertex, int64(m.Vertex.ID))
-	g.commitLocked(Mutation{Kind: MutAddVertex, Epoch: m.Epoch, Vertex: m.Vertex}, true)
+	advancePast(&g.nextVertex, int64(v.ID))
+	s := g.vshard(v.ID)
+	if _, ok := s.vertices[v.ID]; ok {
+		return
+	}
+	s.vertices[v.ID] = rec
+	g.commitLocked(Mutation{Kind: MutAddVertex, Epoch: m.Epoch, Vertex: v}, true)
 }
 
 // applyAddEdgesReplicated inserts a batch of leader-assigned edges and emits

@@ -13,10 +13,11 @@ func TestApplyReplicatedBasics(t *testing.T) {
 	g.AddMutationHook(func(m Mutation) { got = append(got, m) })
 
 	muts := []Mutation{
-		{Kind: MutAddVertex, Epoch: 10, Vertex: Vertex{ID: 0, Label: "Org", Props: map[string]string{"name": "acme"}}},
-		{Kind: MutAddVertex, Epoch: 11, Vertex: Vertex{ID: 1, Label: "Person", Props: map[string]string{"name": "ada"}}},
+		{Kind: MutAddVertex, Epoch: 10, Vertex: Vertex{ID: 0, Label: "Org", Name: "acme"}},
+		{Kind: MutAddVertex, Epoch: 11, Vertex: Vertex{ID: 1, Label: "Person", Name: "ada", Aliases: []string{"ada l"}}},
 		{Kind: MutAddEdges, Epoch: 12, Edges: []Edge{{ID: 0, Src: 0, Dst: 1, Label: "employs", Weight: 0.9, Timestamp: 100}}},
-		{Kind: MutSetVertexProp, Epoch: 13, VertexID: 0, Key: "type", Value: "Organization"},
+		{Kind: MutSetVertexLabel, Epoch: 13, VertexID: 0, Label: "Organization"},
+		{Kind: MutAddVertexAlias, Epoch: 14, VertexID: 0, Alias: "acme corp"},
 	}
 	for _, m := range muts {
 		if err := g.ApplyReplicated(m); err != nil {
@@ -24,8 +25,8 @@ func TestApplyReplicatedBasics(t *testing.T) {
 		}
 	}
 
-	if e := g.Epoch(); e != 13 {
-		t.Fatalf("epoch = %d, want 13 (adopted from the stream)", e)
+	if e := g.Epoch(); e != 14 {
+		t.Fatalf("epoch = %d, want 14 (adopted from the stream)", e)
 	}
 	if n := g.NumVertices(); n != 2 {
 		t.Fatalf("vertices = %d, want 2", n)
@@ -34,8 +35,11 @@ func TestApplyReplicatedBasics(t *testing.T) {
 	if !ok || e.Weight != 0.9 || e.Timestamp != 100 {
 		t.Fatalf("edge 0 = %+v ok=%v, want weight 0.9 timestamp 100", e, ok)
 	}
-	if v, _ := g.VertexProp(0, "type"); v != "Organization" {
-		t.Fatalf("vertex prop type = %q", v)
+	if v, _ := g.Vertex(0); !reflect.DeepEqual(v, Vertex{ID: 0, Label: "Organization", Name: "acme", Aliases: []string{"acme corp"}}) {
+		t.Fatalf("vertex 0 = %+v", v)
+	}
+	if v, _ := g.Vertex(1); !reflect.DeepEqual(v, Vertex{ID: 1, Label: "Person", Name: "ada", Aliases: []string{"ada l"}}) {
+		t.Fatalf("vertex 1 = %+v", v)
 	}
 	if len(got) != len(muts) {
 		t.Fatalf("hook saw %d mutations, want %d", len(got), len(muts))
@@ -48,7 +52,7 @@ func TestApplyReplicatedBasics(t *testing.T) {
 
 	// The allocators must have advanced past the leader-assigned IDs so a
 	// promoted follower would not re-mint them.
-	if id := g.AddVertex("X"); id != 2 {
+	if id := g.AddVertex("X", ""); id != 2 {
 		t.Fatalf("next local vertex ID = %d, want 2", id)
 	}
 }
@@ -58,10 +62,12 @@ func TestApplyReplicatedBasics(t *testing.T) {
 func TestApplyReplicatedIdempotent(t *testing.T) {
 	g := New()
 	muts := []Mutation{
-		{Kind: MutAddVertex, Epoch: 1, Vertex: Vertex{ID: 0, Label: "Org", Props: map[string]string{"name": "acme"}}},
-		{Kind: MutAddVertex, Epoch: 2, Vertex: Vertex{ID: 1, Label: "Org", Props: map[string]string{"name": "globex"}}},
+		{Kind: MutAddVertex, Epoch: 1, Vertex: Vertex{ID: 0, Label: "Any", Name: "acme"}},
+		{Kind: MutAddVertex, Epoch: 2, Vertex: Vertex{ID: 1, Label: "Org", Name: "globex"}},
 		{Kind: MutAddEdges, Epoch: 3, Edges: []Edge{{ID: 0, Src: 0, Dst: 1, Label: "acquired", Weight: 1, Timestamp: 50}}},
 		{Kind: MutRemoveEdge, Epoch: 4, EdgeID: 0},
+		{Kind: MutAddVertexAlias, Epoch: 5, VertexID: 0, Alias: "acme corp"},
+		{Kind: MutSetVertexLabel, Epoch: 6, VertexID: 0, Label: "Org"},
 	}
 	for _, m := range muts {
 		if err := g.ApplyReplicated(m); err != nil {
@@ -77,21 +83,23 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 	}
 	// Replaying the range re-runs the edge's full lifecycle (the remove made
 	// its re-insert "fresh" again), so subscribers may see add+remove again —
-	// but always in add-before-remove order, so they converge too.
+	// but always in add-before-remove order, so they converge too. The
+	// vertex records are already in effect and reach no subscriber.
 	var lifecycle []MutationKind
 	for _, m := range dup {
-		if m.Kind == MutAddEdges || m.Kind == MutRemoveEdge {
-			lifecycle = append(lifecycle, m.Kind)
-		}
+		lifecycle = append(lifecycle, m.Kind)
 	}
 	if !reflect.DeepEqual(lifecycle, []MutationKind{MutAddEdges, MutRemoveEdge}) {
-		t.Fatalf("replayed edge lifecycle = %v, want [MutAddEdges MutRemoveEdge]", lifecycle)
+		t.Fatalf("replayed lifecycle = %v, want [MutAddEdges MutRemoveEdge]", lifecycle)
 	}
 	if n := g.NumEdges(); n != 0 {
 		t.Fatalf("edges = %d, want 0 after replayed remove", n)
 	}
-	if e := g.Epoch(); e != 4 {
-		t.Fatalf("epoch = %d, want 4", e)
+	if v, _ := g.Vertex(0); !reflect.DeepEqual(v, Vertex{ID: 0, Label: "Org", Name: "acme", Aliases: []string{"acme corp"}}) {
+		t.Fatalf("vertex 0 after replay = %+v", v)
+	}
+	if e := g.Epoch(); e != 6 {
+		t.Fatalf("epoch = %d, want 6", e)
 	}
 }
 
@@ -130,14 +138,15 @@ func TestApplyReplicatedPartialBatch(t *testing.T) {
 	}
 }
 
-// TestApplyReplicatedMissingTargets: a property write or a remove whose
+// TestApplyReplicatedMissingTargets: a vertex write or a remove whose
 // target is absent (it predates the bootstrap snapshot) is a silent no-op.
 func TestApplyReplicatedMissingTargets(t *testing.T) {
 	g := New()
 	var got []Mutation
 	g.AddMutationHook(func(m Mutation) { got = append(got, m) })
 	for _, m := range []Mutation{
-		{Kind: MutSetVertexProp, Epoch: 9, VertexID: 7, Key: "k", Value: "v"},
+		{Kind: MutSetVertexLabel, Epoch: 8, VertexID: 7, Label: "V"},
+		{Kind: MutAddVertexAlias, Epoch: 9, VertexID: 7, Alias: "k"},
 		{Kind: MutRemoveEdge, Epoch: 10, EdgeID: 7},
 	} {
 		if err := g.ApplyReplicated(m); err != nil {

@@ -15,7 +15,7 @@ import "nous/internal/graph/symtab"
 // included. A callback must therefore not call back into the graph: a second
 // read lock deadlocks as soon as a writer queues between the two. What a
 // callback needs beyond the edge itself it reads through the view
-// (EdgeScan.Vertex).
+// (EdgeScan.VertexLabel).
 
 // EdgeScan is a read-only view of one edge's slab record. It is valid only
 // for the duration of the callback it is passed to: the graph retains
@@ -41,10 +41,17 @@ func (e *EdgeScan) Curated() bool { return e.c.curated[e.off] }
 // Row returns a copy of the edge's fact row.
 func (e *EdgeScan) Row() FactRow { return e.c.row(int(e.off)) }
 
-// Vertex returns a copy of vertex id — typically the edge's Src or Dst —
-// read under the lock the scan already holds. It is how a callback reads a
-// vertex: calling Graph.Vertex there would take the read lock twice.
-func (e *EdgeScan) Vertex(id VertexID) (Vertex, bool) { return e.g.vertexLocked(id) }
+// VertexLabel returns the label of vertex id — typically the edge's Src or
+// Dst — read under the lock the scan already holds. It is how a callback
+// reads an endpoint's type: calling Graph.Vertex there would take the read
+// lock twice.
+func (e *EdgeScan) VertexLabel(id VertexID) (string, bool) {
+	rec, ok := e.g.vshard(id).vertices[id]
+	if !ok {
+		return "", false
+	}
+	return symtab.Resolve(rec.label), true
+}
 
 // Materialize copies the view into an owned Edge value that remains valid
 // after the callback returns.

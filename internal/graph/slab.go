@@ -37,11 +37,6 @@ const (
 	maxSlabVertex = 1<<32 - 1
 )
 
-// propMap is the interned-key in-memory form of a vertex's properties.
-// Values stay plain strings (names and alias lists are near-unique and would
-// bloat an interner).
-type propMap map[symtab.SymID]string
-
 // edgeChunk is one fixed-capacity block of columnar edge storage. A slot's
 // fields are immutable after insertion except the dead flag, which
 // RemoveEdge sets (releasing the slot's strings with it). The fact-row
@@ -177,31 +172,4 @@ func (s *shard) clearIdx(seq uint32) {
 	if int(seq) < len(s.idx) {
 		s.idx[seq] = 0
 	}
-}
-
-// internProps converts an exported vertex props map to interned form,
-// returning nil for empty input.
-func internProps(p map[string]string) propMap {
-	if len(p) == 0 {
-		return nil
-	}
-	ip := make(propMap, len(p))
-	for k, v := range p {
-		ip[symtab.Intern(k)] = v
-	}
-	return ip
-}
-
-// exportProps materializes an interned vertex props map for the API
-// boundary, returning nil for empty input — exported vertices without
-// properties carry a nil map, never an allocated empty one.
-func exportProps(p propMap) map[string]string {
-	if len(p) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(p))
-	for k, v := range p {
-		out[symtab.Resolve(k)] = v
-	}
-	return out
 }

@@ -6,20 +6,20 @@ import (
 )
 
 // TestEmptyPropsExportNil pins the export-path allocation contract: vertices
-// created with empty (or nil) property maps materialize with Props == nil on
-// every read path, never an allocated empty map, and an edge added with the
-// zero fact row reads back the zero row.
+// without aliases materialize with Aliases == nil on every read path, never
+// an allocated empty slice, and an edge added with the zero fact row reads
+// back the zero row.
 func TestEmptyPropsExportNil(t *testing.T) {
 	g := New()
-	a := g.AddVertexWithProps("Person", map[string]string{})
-	b := g.AddVertex("Person")
+	a := g.AddVertex("Person", "a")
+	b := g.AddVertex("Person", "")
 	id, err := addEdge(g, a, b, "knows", 1, 100, FactRow{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if v, ok := g.Vertex(a); !ok || v.Props != nil {
-		t.Errorf("Vertex(a).Props: want nil, got %#v", v.Props)
+	if v, ok := g.Vertex(a); !ok || v.Aliases != nil {
+		t.Errorf("Vertex(a).Aliases: want nil, got %#v", v.Aliases)
 	}
 	if e, ok := g.Edge(id); !ok || e.Row != (FactRow{}) {
 		t.Errorf("Edge(id).Row: want zero, got %#v", e.Row)
@@ -27,8 +27,8 @@ func TestEmptyPropsExportNil(t *testing.T) {
 	snap := g.Snapshot()
 	for _, vs := range snap.Vertices {
 		for _, v := range vs {
-			if v.Props != nil {
-				t.Errorf("snapshot vertex props: want nil, got %#v", v.Props)
+			if v.Aliases != nil {
+				t.Errorf("snapshot vertex aliases: want nil, got %#v", v.Aliases)
 			}
 		}
 	}
@@ -47,15 +47,32 @@ func TestEmptyPropsExportNil(t *testing.T) {
 	})
 }
 
-// TestExportedPropsAreCopies pins that materialized vertex Props maps are
-// owned by the caller: mutating them must not leak back into the graph.
+// TestExportedPropsAreCopies pins that the alias slices a snapshot and a
+// replicated vertex record hand out are owned by their holders: mutating
+// them must not leak into the graph, nor the graph's later appends into them.
 func TestExportedPropsAreCopies(t *testing.T) {
 	g := New()
-	a := g.AddVertexWithProps("Person", map[string]string{"name": "Ada"})
-	v, _ := g.Vertex(a)
-	v.Props["name"] = "clobbered"
-	if got, _ := g.VertexProp(a, "name"); got != "Ada" {
-		t.Errorf("vertex prop leaked through exported map: got %q", got)
+	a := g.AddVertex("Person", "Ada")
+	g.AddVertexAlias(a, "ada")
+	snap := g.Snapshot().Vertices[a]
+	snap[0].Aliases[0] = "clobbered"
+	g.AddVertexAlias(a, "countess")
+	if v, _ := g.Vertex(a); !reflect.DeepEqual(v.Aliases, []string{"ada", "countess"}) {
+		t.Errorf("snapshot alias slice leaked into the graph: %v", v.Aliases)
+	}
+	if len(snap[0].Aliases) != 1 {
+		t.Errorf("graph append leaked into the snapshot: %v", snap[0].Aliases)
+	}
+
+	r := New()
+	aliases := []string{"ada"}
+	if err := r.ApplyReplicated(Mutation{Kind: MutAddVertex, Epoch: 1,
+		Vertex: Vertex{ID: 0, Label: "Person", Name: "Ada", Aliases: aliases}}); err != nil {
+		t.Fatal(err)
+	}
+	aliases[0] = "clobbered"
+	if v, _ := r.Vertex(0); v.Aliases[0] != "ada" {
+		t.Errorf("replicated record's alias slice leaked into the graph: %v", v.Aliases)
 	}
 }
 
@@ -63,9 +80,9 @@ func TestExportedPropsAreCopies(t *testing.T) {
 // the materializing one: same edges, same field values, same order.
 func TestScanViewsMatchMaterialized(t *testing.T) {
 	g := New()
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
-	c := g.AddVertex("C")
+	a := g.AddVertex("A", "")
+	b := g.AddVertex("B", "")
+	c := g.AddVertex("C", "")
 	row := FactRow{Source: "s", Doc: "v", SType: "A", Curated: true}
 	if _, err := addEdge(g, a, b, "x", 0.5, 10, row); err != nil {
 		t.Fatal(err)

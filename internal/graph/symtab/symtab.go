@@ -1,5 +1,5 @@
 // Package symtab implements the global string interner backing the graph's
-// memory-lean core. Vertex labels, edge predicates and property keys are
+// memory-lean core. Vertex labels, edge predicates, sources and fact types are
 // drawn from small, heavily repeated vocabularies; interning maps each
 // distinct string to a dense SymID (a uint32) with a single canonical string
 // per symbol, so the graph's columnar storage and indexes key off 4-byte IDs

@@ -16,7 +16,7 @@ func syntheticGraph(tb testing.TB, edges int) *Graph {
 	g := New()
 	ids := make([]VertexID, max(edges/5, 2))
 	for i := range ids {
-		ids[i] = g.AddVertex("V")
+		ids[i] = g.AddVertex("V", "")
 	}
 	rng := rand.New(rand.NewSource(11))
 	specs := make([]EdgeSpec, edges)

@@ -19,11 +19,11 @@ func plantedTrials(seed int64, trials int) (coherenceWins, bfsHubPicks int) {
 		topicOf := map[graph.VertexID][]float64{}
 		onTopic := func() []float64 { return []float64{0.85 + rng.Float64()*0.1, 0.05} }
 		offTopic := func() []float64 { return []float64{0.05, 0.85 + rng.Float64()*0.1} }
-		src := g.AddVertex("Company")
-		dst := g.AddVertex("Company")
-		a := g.AddVertex("Company")
-		b := g.AddVertex("Company")
-		hub := g.AddVertex("Company")
+		src := g.AddVertex("Company", "")
+		dst := g.AddVertex("Company", "")
+		a := g.AddVertex("Company", "")
+		b := g.AddVertex("Company", "")
+		hub := g.AddVertex("Company", "")
 		topicOf[src], topicOf[dst] = onTopic(), onTopic()
 		topicOf[a], topicOf[b] = onTopic(), onTopic()
 		topicOf[hub] = offTopic()
@@ -33,7 +33,7 @@ func plantedTrials(seed int64, trials int) (coherenceWins, bfsHubPicks int) {
 		mustEdge(g, src, hub, "invests")
 		mustEdge(g, hub, dst, "invests")
 		for i := 0; i < 8; i++ {
-			v := g.AddVertex("Company")
+			v := g.AddVertex("Company", "")
 			topicOf[v] = offTopic()
 			mustEdge(g, hub, v, "invests")
 		}

@@ -100,7 +100,7 @@ func divergence(ta, tb []float64) float64 {
 
 // pathEdge is the compact form a partial path stores per hop: enough to
 // rank, deduplicate and constrain paths (ID, endpoints, interned predicate)
-// without carrying a materialized graph.Edge — weights, timestamps and props
+// without carrying a materialized graph.Edge — weights, timestamps and rows
 // are fetched once per *returned* path, not per beam candidate.
 type pathEdge struct {
 	id       graph.EdgeID

@@ -17,11 +17,11 @@ import (
 // Topic space: [drone, finance].
 func plantedGraph() (g *graph.Graph, src, dst, a, b, hub graph.VertexID, topicOf map[graph.VertexID][]float64) {
 	g = graph.New()
-	src = g.AddVertex("Company")
-	dst = g.AddVertex("Company")
-	a = g.AddVertex("Company")
-	b = g.AddVertex("Company")
-	hub = g.AddVertex("Company")
+	src = g.AddVertex("Company", "")
+	dst = g.AddVertex("Company", "")
+	a = g.AddVertex("Company", "")
+	b = g.AddVertex("Company", "")
+	hub = g.AddVertex("Company", "")
 
 	mustEdge(g, src, a, "partnersWith")
 	mustEdge(g, a, b, "suppliesTo")
@@ -38,7 +38,7 @@ func plantedGraph() (g *graph.Graph, src, dst, a, b, hub graph.VertexID, topicOf
 	}
 	// hub is high-degree: attach noise spokes
 	for i := 0; i < 10; i++ {
-		v := g.AddVertex("Company")
+		v := g.AddVertex("Company", "")
 		mustEdge(g, hub, v, "invests")
 		topicOf[v] = []float64{0.5, 0.5}
 	}
@@ -140,9 +140,9 @@ func TestPathsAreValidAndAcyclic(t *testing.T) {
 
 func TestNoPathCases(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("X")
-	b := g.AddVertex("X")
-	c := g.AddVertex("X") // isolated
+	a := g.AddVertex("X", "")
+	b := g.AddVertex("X", "")
+	c := g.AddVertex("X", "") // isolated
 	mustEdge(g, a, b, "r")
 	s := New(g, nil)
 	if got := s.TopK(a, c, Options{}); len(got) != 0 {
@@ -160,7 +160,7 @@ func TestMaxDepthRespected(t *testing.T) {
 	g := graph.New()
 	var ids []graph.VertexID
 	for i := 0; i < 6; i++ {
-		ids = append(ids, g.AddVertex("X"))
+		ids = append(ids, g.AddVertex("X", ""))
 	}
 	for i := 0; i+1 < len(ids); i++ {
 		mustEdge(g, ids[i], ids[i+1], "r")
@@ -191,9 +191,9 @@ func TestNilTopicsDegradesGracefully(t *testing.T) {
 func TestUndirectedTraversal(t *testing.T) {
 	// dst→mid edge points backwards; search must still find src→mid→dst.
 	g := graph.New()
-	src := g.AddVertex("X")
-	mid := g.AddVertex("X")
-	dst := g.AddVertex("X")
+	src := g.AddVertex("X", "")
+	mid := g.AddVertex("X", "")
+	dst := g.AddVertex("X", "")
 	mustEdge(g, src, mid, "r")
 	mustEdge(g, dst, mid, "r")
 	s := New(g, nil)
@@ -244,7 +244,7 @@ func hubGraph() (*graph.Graph, map[graph.VertexID][]float64) {
 	topicOf := map[graph.VertexID][]float64{}
 	ids := make([]graph.VertexID, 600)
 	for i := range ids {
-		ids[i] = g.AddVertex("Company")
+		ids[i] = g.AddVertex("Company", "")
 		v := make([]float64, 8)
 		sum := 0.0
 		for k := range v {

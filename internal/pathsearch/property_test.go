@@ -54,8 +54,8 @@ func newDiffCase(seed int64) diffCase {
 	topicOf := map[graph.VertexID][]float64{}
 	full, vis := graph.New(), graph.New()
 	for i := 0; i < nVerts; i++ {
-		id := full.AddVertex("Company")
-		if vis.AddVertex("Company") != id {
+		id := full.AddVertex("Company", "")
+		if vis.AddVertex("Company", "") != id {
 			panic("vertex IDs diverge between the two builds")
 		}
 		if r.Intn(10) == 0 {

@@ -203,7 +203,7 @@ func randomFixture(nVerts, nEdges int, seed uint64) (*graph.Graph, map[graph.Ver
 	}
 	ids := make([]graph.VertexID, nVerts)
 	for i := range ids {
-		ids[i] = g.AddVertex("Company")
+		ids[i] = g.AddVertex("Company", "")
 		a := float64(next(100)) / 100
 		topicOf[ids[i]] = []float64{a, 1 - a}
 	}

@@ -14,10 +14,10 @@ import (
 func windowedGraph(t *testing.T) (*graph.Graph, graph.VertexID, graph.VertexID) {
 	t.Helper()
 	g := graph.New()
-	src := g.AddVertex("Company")
-	dst := g.AddVertex("Company")
-	mid1 := g.AddVertex("Company")
-	mid2 := g.AddVertex("Company")
+	src := g.AddVertex("Company", "")
+	dst := g.AddVertex("Company", "")
+	mid1 := g.AddVertex("Company", "")
+	mid2 := g.AddVertex("Company", "")
 	mustEdge := func(a, b graph.VertexID, label string, ts int64, curated bool) {
 		t.Helper()
 		if _, err := g.AddEdges([]graph.EdgeSpec{{Src: a, Dst: b, Label: label, Weight: 1, Timestamp: ts,

@@ -10,13 +10,15 @@ import (
 	"nous/internal/graph"
 )
 
-// smallGraph is the graph a fuzzed record applies to: four vertices and
-// four edges, so records that name existing IDs reach the update paths.
+// smallGraph is the graph a fuzzed record applies to: four vertices, the
+// first with an alias, and four edges, so records that name existing IDs
+// reach the update paths.
 func smallGraph(t *testing.T) *graph.Graph {
 	g := graph.New()
 	for i := 0; i < 4; i++ {
-		g.AddVertexWithProps("V", map[string]string{"name": string(rune('a' + i))})
+		g.AddVertex("V", string(rune('a'+i)))
 	}
+	g.AddVertexAlias(0, "ay")
 	for i := 0; i < 4; i++ {
 		if _, err := g.AddEdges([]graph.EdgeSpec{{Src: graph.VertexID(i), Dst: graph.VertexID((i + 1) % 4), Label: "x", Weight: 1, Timestamp: int64(i)}}); err != nil {
 			t.Fatal(err)
@@ -32,8 +34,8 @@ func smallGraph(t *testing.T) *graph.Graph {
 // reflect.DeepEqual to itself.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, m := range []graph.Mutation{
-		{Kind: graph.MutAddVertex, Epoch: 9, Vertex: graph.Vertex{ID: 4, Label: "Company", Props: map[string]string{"name": "Apex"}}},
-		{Kind: graph.MutSetVertexProp, Epoch: 10, VertexID: 1, Key: "aliases", Value: "b\x1fbee"},
+		{Kind: graph.MutAddVertex, Epoch: 9, Vertex: graph.Vertex{ID: 4, Label: "Company", Name: "Apex"}},
+		{Kind: graph.MutSetVertexLabel, Epoch: 10, VertexID: 1, Label: "Company"},
 		{Kind: graph.MutAddEdges, Epoch: 11, Edges: []graph.Edge{
 			{ID: 4, Src: 0, Dst: 2, Label: "acquired", Weight: 0.5, Timestamp: 1700000000, Row: graph.FactRow{
 				Source: "wsj", Doc: "wsj-1", Sentence: "a acquired c.", SType: "Company", OType: "Company"}},
@@ -93,9 +95,10 @@ func snapshotImage(syms, shard []byte, si int) []byte {
 }
 
 // seedSections returns a valid symbol-table section and shard-0 section:
-// vertices 0 and 16 and edges 0 and 16, all owned by shard 0.
+// vertices 0 and 16, with one and two aliases, and edges 0 and 16, all
+// owned by shard 0.
 func seedSections() (syms, shard []byte) {
-	table := []string{"", "V", "a", "b", "d1", "name", "wsj", "x"}
+	table := []string{"", "V", "a", "ay", "b", "bee", "d1", "wsj", "x"}
 	sort.Strings(table)
 	index := make(map[string]uint32, len(table))
 	symc := &codec{}
@@ -106,8 +109,8 @@ func seedSections() (syms, shard []byte) {
 	}
 	c := &codec{syms: index}
 	c.putUvarint(2)
-	c.putVertex(graph.Vertex{ID: 0, Label: "V", Props: map[string]string{"name": "a"}})
-	c.putVertex(graph.Vertex{ID: 16, Label: "V", Props: map[string]string{"name": "b"}})
+	c.putVertex(graph.Vertex{ID: 0, Label: "V", Name: "a", Aliases: []string{"ay"}})
+	c.putVertex(graph.Vertex{ID: 16, Label: "V", Name: "b", Aliases: []string{"bee", "b"}})
 	c.putUvarint(2)
 	c.putEdge(graph.Edge{ID: 0, Src: 0, Dst: 16, Label: "x", Weight: 0.5, Timestamp: 7,
 		Row: graph.FactRow{Source: "wsj", Doc: "d1", SType: "V"}})
@@ -122,6 +125,8 @@ func FuzzSnapshotSections(f *testing.F) {
 	f.Add(syms, shard, uint8(0))
 	f.Add(syms, shard, uint8(5))
 	f.Add([]byte{0}, []byte{0, 0}, uint8(0))
+	// One vertex whose alias count (2^20) exceeds its section.
+	f.Add([]byte{1, 0}, binary.AppendUvarint([]byte{1, 0, 0, 0}, 1<<20), uint8(0))
 	f.Fuzz(func(t *testing.T, syms, shard []byte, si uint8) {
 		snap, _, err := decodeSnapshot(snapshotImage(syms, shard, int(si)%graph.ShardCount()), "fuzz")
 		if err != nil {

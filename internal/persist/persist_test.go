@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -39,10 +40,12 @@ func mustOpen(t *testing.T, dir string, g *graph.Graph, opt Options) *Store {
 // buildSample drives one of every mutation kind through a durable graph.
 func buildSample(t *testing.T, g *graph.Graph) {
 	t.Helper()
-	a := g.AddVertexWithProps("Company", map[string]string{"name": "Apex"})
-	b := g.AddVertexWithProps("Company", map[string]string{"name": "Borealis"})
-	c := g.AddVertex("Person")
-	g.SetVertexProp(c, "name", "Cora")
+	a := g.AddVertex("Company", "Apex")
+	b := g.AddVertex("Company", "Borealis")
+	c := g.AddVertex("Any", "Cora")
+	g.SetVertexLabel(c, "Person")
+	g.AddVertexAlias(a, "apex inc")
+	g.AddVertexAlias(a, "apex")
 	if _, err := g.AddEdges([]graph.EdgeSpec{
 		{Src: a, Dst: b, Label: "acquired", Weight: 0.9, Timestamp: 1700000000, Row: graph.FactRow{
 			Source: "wsj", Doc: "wsj-1", Sentence: "Apex acquired Borealis.", SType: "Company", OType: "Company", Curated: true}},
@@ -62,7 +65,7 @@ func buildSample(t *testing.T, g *graph.Graph) {
 	g.RemoveEdge(e2)
 }
 
-// assertGraphsEqual compares full graph contents: vertices with props, edges
+// assertGraphsEqual compares full graph contents: vertex rows, edges
 // with all fields, and the mutation epoch.
 func assertGraphsEqual(t *testing.T, want, got *graph.Graph) {
 	t.Helper()
@@ -106,15 +109,16 @@ func edgeIDs(g *graph.Graph) []graph.EdgeID {
 
 func TestMutationCodecRoundTrip(t *testing.T) {
 	muts := []graph.Mutation{
-		{Kind: graph.MutAddVertex, Epoch: 1, Vertex: graph.Vertex{ID: 7, Label: "Company", Props: map[string]string{"name": "Apex", "type": "Company"}}},
+		{Kind: graph.MutAddVertex, Epoch: 1, Vertex: graph.Vertex{ID: 7, Label: "Company", Name: "Apex", Aliases: []string{"apex inc", "apex"}}},
 		{Kind: graph.MutAddVertex, Epoch: 2, Vertex: graph.Vertex{ID: 8, Label: "Person"}},
-		{Kind: graph.MutSetVertexProp, Epoch: 3, VertexID: 7, Key: "aliases", Value: "apex\x1fapex inc"},
-		{Kind: graph.MutAddEdges, Epoch: 4, Edges: []graph.Edge{
+		{Kind: graph.MutAddVertexAlias, Epoch: 3, VertexID: 7, Alias: "apex holdings"},
+		{Kind: graph.MutSetVertexLabel, Epoch: 4, VertexID: 8, Label: "Person"},
+		{Kind: graph.MutAddEdges, Epoch: 5, Edges: []graph.Edge{
 			{ID: 1, Src: 7, Dst: 8, Label: "employs", Weight: 0.25, Timestamp: -62135596800, Row: graph.FactRow{Doc: "d1", OType: "Person"}},
 			{ID: 2, Src: 8, Dst: 7, Label: "founded", Weight: 1, Timestamp: 1700000000, Row: graph.FactRow{
 				Source: "wsj", Doc: "d2", Sentence: "Cora founded Apex.", SType: "Person", OType: "Company", Curated: true}},
 		}},
-		{Kind: graph.MutRemoveEdge, Epoch: 5, EdgeID: 2},
+		{Kind: graph.MutRemoveEdge, Epoch: 6, EdgeID: 2},
 	}
 	for _, m := range muts {
 		b := encodeMutation(m)
@@ -132,20 +136,27 @@ func TestDecodeMutationRejectsGarbage(t *testing.T) {
 	if _, err := decodeMutation(nil); err == nil {
 		t.Error("empty record: want error")
 	}
-	// 5 and 6 were the edge-property and edge-weight updates: reserved, and
-	// unknown since facts became write-once.
-	for _, kind := range []byte{0, 5, 6, 99} {
+	// 2 was the generic vertex-property set, 5 and 6 the edge-property and
+	// edge-weight updates: reserved, and unknown since vertices and facts
+	// became fixed rows. Each payload is a property set's (vertex 0, "k", "v").
+	for _, kind := range []byte{0, 2, 5, 6, 99} {
 		if _, err := decodeMutation([]byte{kind, 1, 0, 1, 'k', 1, 'v'}); err == nil || !strings.Contains(err.Error(), "unknown mutation kind") {
 			t.Errorf("kind %d: err = %v, want unknown mutation kind", kind, err)
 		}
 	}
 	// A valid record truncated mid-payload must fail decode, not panic.
 	full := encodeMutation(graph.Mutation{Kind: graph.MutAddVertex, Epoch: 1,
-		Vertex: graph.Vertex{ID: 1, Label: "Company", Props: map[string]string{"name": "Apex"}}})
+		Vertex: graph.Vertex{ID: 1, Label: "Company", Name: "Apex", Aliases: []string{"apex inc"}}})
 	for cut := 1; cut < len(full); cut++ {
 		if _, err := decodeMutation(full[:cut]); err == nil {
 			t.Errorf("truncated at %d bytes: want error", cut)
 		}
+	}
+	// An alias count beyond the record's bytes fails before it sizes the
+	// alias slice: vertex 1, label "C", name "", then a count of 2^40.
+	huge := binary.AppendUvarint([]byte{byte(graph.MutAddVertex), 1, 2, 1, 'C', 0}, 1<<40)
+	if _, err := decodeMutation(huge); err == nil || !strings.Contains(err.Error(), "alias count") {
+		t.Errorf("alias count 2^40: err = %v, want a refused alias count", err)
 	}
 }
 
@@ -154,8 +165,9 @@ func TestDecodeMutationRejectsGarbage(t *testing.T) {
 // case decoded without error before the end-of-payload check.
 func TestDecodersRefuseTrailingBytes(t *testing.T) {
 	for _, m := range []graph.Mutation{
-		{Kind: graph.MutAddVertex, Epoch: 1, Vertex: graph.Vertex{ID: 1, Label: "Company", Props: map[string]string{"name": "Apex"}}},
-		{Kind: graph.MutSetVertexProp, Epoch: 2, VertexID: 1, Key: "k", Value: "v"},
+		{Kind: graph.MutAddVertex, Epoch: 1, Vertex: graph.Vertex{ID: 1, Label: "Company", Name: "Apex", Aliases: []string{"apex inc"}}},
+		{Kind: graph.MutSetVertexLabel, Epoch: 2, VertexID: 1, Label: "Person"},
+		{Kind: graph.MutAddVertexAlias, Epoch: 2, VertexID: 1, Alias: "apex"},
 		{Kind: graph.MutAddEdges, Epoch: 3, Edges: []graph.Edge{{ID: 1, Src: 1, Dst: 1, Label: "x", Row: graph.FactRow{Doc: "d"}}}},
 		{Kind: graph.MutRemoveEdge, Epoch: 4, EdgeID: 1},
 	} {
@@ -181,27 +193,29 @@ func TestDecodersRefuseTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestReplayRefusesOldWALVersion: a version-1 segment is refused by replay
-// and by Open, not misread. testdata/parent-v1.wal holds buildSample's
-// records as the version-1 writer logged them, with each edge's props as a
-// (key, value) list.
+// TestReplayRefusesOldWALVersion: a version-2 segment is refused by replay
+// and by Open, not misread. testdata/parent-v2.wal holds buildSample's
+// records, with an alias, as the version-2 writer logged them, with each
+// vertex's props as a (key, value) list and a generic property-set record.
 func TestReplayRefusesOldWALVersion(t *testing.T) {
 	dir := t.TempDir()
 	path := copyParentWAL(t, dir)
-	if _, _, err := replayWAL(graph.New(), path); err == nil || !strings.Contains(err.Error(), "unsupported WAL version 1") {
-		t.Errorf("replayWAL: err = %v, want unsupported WAL version 1", err)
+	if _, _, err := replayWAL(graph.New(), path); err == nil || !strings.Contains(err.Error(), "unsupported WAL version 2") {
+		t.Errorf("replayWAL: err = %v, want unsupported WAL version 2", err)
 	}
-	if st, err := Open(dir, graph.New(), testOptions()); err == nil {
-		st.Close()
-		t.Error("Open replayed a version-1 segment")
+	if st, err := Open(dir, graph.New(), testOptions()); err == nil || !strings.Contains(err.Error(), "unsupported WAL version 2") {
+		if st != nil {
+			st.Close()
+		}
+		t.Errorf("Open over a version-2 segment: err = %v, want unsupported WAL version 2", err)
 	}
 }
 
-// copyParentWAL copies testdata/parent-v1.wal into dir as segment 0 and
+// copyParentWAL copies testdata/parent-v2.wal into dir as segment 0 and
 // returns its path.
 func copyParentWAL(t *testing.T, dir string) string {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "parent-v1.wal"))
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent-v2.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +244,7 @@ func TestWALOnlyRecovery(t *testing.T) {
 	}
 
 	// New IDs must not collide with recovered ones.
-	id := g2.AddVertex("Company")
+	id := g2.AddVertex("Company", "")
 	if g.HasVertex(id) {
 		t.Errorf("new vertex ID %d collides with recovered ID space", id)
 	}
@@ -269,8 +283,8 @@ func TestRecoveryAfterSnapshotPlusTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-checkpoint writes live only in the WAL tail.
-	v := g.AddVertexWithProps("Company", map[string]string{"name": "Delta"})
-	g.SetVertexProp(v, "hq", "Reykjavik")
+	v := g.AddVertex("Company", "Delta")
+	g.AddVertexAlias(v, "delta hf")
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +312,9 @@ func TestTornWALTailLosesOnlyFinalRecord(t *testing.T) {
 	dir := t.TempDir()
 	g := graph.New()
 	st := mustOpen(t, dir, g, testOptions())
-	v := g.AddVertexWithProps("Company", map[string]string{"name": "Apex"})
-	g.SetVertexProp(v, "status", "before")
-	g.SetVertexProp(v, "status", "after") // the record the tear destroys
+	v := g.AddVertex("Company", "Apex")
+	g.AddVertexAlias(v, "before")
+	g.AddVertexAlias(v, "after") // the record the tear destroys
 	preTearEpoch := g.Epoch() - 1
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -319,8 +333,8 @@ func TestTornWALTailLosesOnlyFinalRecord(t *testing.T) {
 	g2 := graph.New()
 	st2 := mustOpen(t, dir, g2, testOptions())
 	defer st2.Close()
-	if got, _ := g2.VertexProp(v, "status"); got != "before" {
-		t.Errorf("status = %q, want pre-tear value %q", got, "before")
+	if got, _ := g2.Vertex(v); !slices.Equal(got.Aliases, []string{"before"}) {
+		t.Errorf("aliases = %q, want the pre-tear %q", got.Aliases, []string{"before"})
 	}
 	if g2.Epoch() != preTearEpoch {
 		t.Errorf("epoch = %d, want %d", g2.Epoch(), preTearEpoch)
@@ -338,9 +352,9 @@ func TestBitFlippedWALTailLosesOnlyFinalRecord(t *testing.T) {
 	dir := t.TempDir()
 	g := graph.New()
 	st := mustOpen(t, dir, g, testOptions())
-	v := g.AddVertexWithProps("Company", map[string]string{"name": "Apex"})
-	g.SetVertexProp(v, "status", "before")
-	g.SetVertexProp(v, "status", "after")
+	v := g.AddVertex("Company", "Apex")
+	g.AddVertexAlias(v, "before")
+	g.AddVertexAlias(v, "after")
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +372,8 @@ func TestBitFlippedWALTailLosesOnlyFinalRecord(t *testing.T) {
 	g2 := graph.New()
 	st2 := mustOpen(t, dir, g2, testOptions())
 	defer st2.Close()
-	if got, _ := g2.VertexProp(v, "status"); got != "before" {
-		t.Errorf("status = %q, want %q (corrupt record dropped)", got, "before")
+	if got, _ := g2.Vertex(v); !slices.Equal(got.Aliases, []string{"before"}) {
+		t.Errorf("aliases = %q, want %q (corrupt record dropped)", got.Aliases, []string{"before"})
 	}
 	if st2.Stats().ReplayedRecords != 2 {
 		t.Errorf("replayed %d records, want 2", st2.Stats().ReplayedRecords)
@@ -370,11 +384,11 @@ func TestCorruptSnapshotFallsBackToOlderGeneration(t *testing.T) {
 	dir := t.TempDir()
 	g := graph.New()
 	st := mustOpen(t, dir, g, testOptions())
-	g.AddVertexWithProps("Company", map[string]string{"name": "Apex"})
+	g.AddVertex("Company", "Apex")
 	if err := st.Checkpoint(); err != nil { // generation 1
 		t.Fatal(err)
 	}
-	g.AddVertexWithProps("Company", map[string]string{"name": "Borealis"})
+	g.AddVertex("Company", "Borealis")
 	if err := st.Checkpoint(); err != nil { // generation 2
 		t.Fatal(err)
 	}
@@ -411,7 +425,7 @@ func TestOpenRefusesWhenEverySnapshotIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	g := graph.New()
 	st := mustOpen(t, dir, g, testOptions())
-	g.AddVertexWithProps("Company", map[string]string{"name": "Apex"})
+	g.AddVertex("Company", "Apex")
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +455,7 @@ func TestCheckpointPrunesOldGenerations(t *testing.T) {
 	opt.RetainSnapshots = 2
 	st := mustOpen(t, dir, g, opt)
 	for i := 0; i < 5; i++ {
-		g.AddVertex("Company")
+		g.AddVertex("Company", "")
 		if err := st.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +489,7 @@ func TestAutoCheckpointOnWALBudget(t *testing.T) {
 	opt.FlushInterval = 5 * time.Millisecond
 	st := mustOpen(t, dir, g, opt)
 	for i := 0; i < 200; i++ {
-		g.AddVertexWithProps("Company", map[string]string{"name": "padding-padding-padding"})
+		g.AddVertex("Company", "padding-padding-padding")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for st.Stats().Checkpoints == 0 && time.Now().Before(deadline) {
@@ -509,8 +523,8 @@ func TestConcurrentIngestWhileCheckpointing(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < perWriter; i++ {
-					a := g.AddVertexWithProps("Company", map[string]string{"name": "x"})
-					b := g.AddVertex("Person")
+					a := g.AddVertex("Company", "x")
+					b := g.AddVertex("Person", "")
 					if _, err := g.AddEdges([]graph.EdgeSpec{{Src: a, Dst: b, Label: "employs", Weight: 1}}); err != nil {
 						t.Error(err)
 						return
@@ -574,8 +588,8 @@ func TestReplayRemoveAndReaddKeepsTimeIndexConsistent(t *testing.T) {
 	g := graph.New()
 	st := mustOpen(t, dir, g, testOptions())
 
-	a := g.AddVertexWithProps("Company", map[string]string{"name": "Apex"})
-	b := g.AddVertexWithProps("Company", map[string]string{"name": "Borealis"})
+	a := g.AddVertex("Company", "Apex")
+	b := g.AddVertex("Company", "Borealis")
 	var ids []graph.EdgeID
 	for ts := int64(100); ts < 110; ts++ {
 		got, err := g.AddEdges([]graph.EdgeSpec{{Src: a, Dst: b, Label: "acquired", Weight: 1, Timestamp: ts}})

@@ -2,7 +2,7 @@
 // combines two artifacts on disk:
 //
 //   - Snapshots: versioned binary files holding a consistent point-in-time
-//     copy of the whole graph — vertices with their properties, edges with
+//     copy of the whole graph — vertices with their entity rows, edges with
 //     their fact rows, and the mutation epoch — with each of the store's
 //     stripes encoded as an independent CRC-protected section, so snapshot
 //     encode/decode parallelizes across stripes.
@@ -11,8 +11,9 @@
 //     mutation records (one per graph write, batch writes log one record)
 //     with group-commit buffering, so bulk ingest amortizes fsyncs.
 //
-// Vertices are encoded with their (key, value) property lists; edges with
-// their fixed fact row (graph.FactRow), field by field, with no key strings.
+// Vertices are encoded with their fixed entity row (label, name, then an
+// alias count and the aliases); edges with their fixed fact row
+// (graph.FactRow), field by field. No record or section carries a key string.
 // Every decoder reads a record or section to its last byte and refuses one
 // with bytes left over.
 //
@@ -29,14 +30,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"nous/internal/graph"
 )
 
 // codec is a little append-only buffer with the encoders the snapshot and
 // WAL formats share. All integers are varint-encoded except fixed-width
-// format fields; strings and maps are length-prefixed.
+// format fields; strings and lists are length-prefixed.
 //
 // Strings go through str. A WAL record writes them inline. A snapshot shard
 // section sets syms, and str writes each string as a uvarint reference into
@@ -83,27 +83,16 @@ func (c *codec) putBool(v bool) {
 	}
 }
 
-// putProps encodes a vertex's props as (key, value) pairs in sorted-key
-// order. Props restore to a map, so the order only makes equal state encode
-// to equal bytes; with symbol references it is also ascending reference
-// order, because references are assigned in lexicographic order.
-func (c *codec) putProps(p map[string]string) {
-	c.putUvarint(uint64(len(p)))
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		c.str(k)
-		c.str(p[k])
-	}
-}
-
+// putVertex encodes a vertex: its ID, label and name, then its alias count
+// and aliases in insertion order.
 func (c *codec) putVertex(v graph.Vertex) {
 	c.putVarint(int64(v.ID))
 	c.str(v.Label)
-	c.putProps(v.Props)
+	c.str(v.Name)
+	c.putUvarint(uint64(len(v.Aliases)))
+	for _, a := range v.Aliases {
+		c.str(a)
+	}
 }
 
 // putEdge encodes an edge: its fixed fields, then its fact row's five
@@ -249,29 +238,15 @@ func (d *decoder) str() string {
 	return d.syms[i]
 }
 
-func (d *decoder) props() map[string]string {
-	n := d.count("props count")
-	if n == 0 {
-		return nil
-	}
-	p := make(map[string]string, n)
-	for i := uint64(0); i < n; i++ {
-		k := d.str()
-		v := d.str()
-		if d.err != nil {
-			return nil
-		}
-		p[k] = v
-	}
-	return p
-}
-
 func (d *decoder) vertex() graph.Vertex {
-	return graph.Vertex{
-		ID:    graph.VertexID(d.varint()),
-		Label: d.str(),
-		Props: d.props(),
+	v := graph.Vertex{ID: graph.VertexID(d.varint()), Label: d.str(), Name: d.str()}
+	if n := d.count("alias count"); n > 0 {
+		v.Aliases = make([]string, 0, n)
+		for i := uint64(0); i < n && d.err == nil; i++ {
+			v.Aliases = append(v.Aliases, d.str())
+		}
 	}
+	return v
 }
 
 func (d *decoder) edge() graph.Edge {
@@ -297,10 +272,6 @@ func encodeMutation(m graph.Mutation) []byte {
 	switch m.Kind {
 	case graph.MutAddVertex:
 		c.putVertex(m.Vertex)
-	case graph.MutSetVertexProp:
-		c.putVarint(int64(m.VertexID))
-		c.putString(m.Key)
-		c.putString(m.Value)
 	case graph.MutAddEdges:
 		c.putUvarint(uint64(len(m.Edges)))
 		for _, e := range m.Edges {
@@ -308,6 +279,12 @@ func encodeMutation(m graph.Mutation) []byte {
 		}
 	case graph.MutRemoveEdge:
 		c.putVarint(int64(m.EdgeID))
+	case graph.MutSetVertexLabel:
+		c.putVarint(int64(m.VertexID))
+		c.putString(m.Label)
+	case graph.MutAddVertexAlias:
+		c.putVarint(int64(m.VertexID))
+		c.putString(m.Alias)
 	}
 	return c.bytes()
 }
@@ -323,10 +300,6 @@ func decodeMutation(b []byte) (graph.Mutation, error) {
 	switch m.Kind {
 	case graph.MutAddVertex:
 		m.Vertex = d.vertex()
-	case graph.MutSetVertexProp:
-		m.VertexID = graph.VertexID(d.varint())
-		m.Key = d.string()
-		m.Value = d.string()
 	case graph.MutAddEdges:
 		n := d.count("edge count")
 		m.Edges = make([]graph.Edge, 0, n)
@@ -335,6 +308,12 @@ func decodeMutation(b []byte) (graph.Mutation, error) {
 		}
 	case graph.MutRemoveEdge:
 		m.EdgeID = graph.EdgeID(d.varint())
+	case graph.MutSetVertexLabel:
+		m.VertexID = graph.VertexID(d.varint())
+		m.Label = d.string()
+	case graph.MutAddVertexAlias:
+		m.VertexID = graph.VertexID(d.varint())
+		m.Alias = d.string()
 	default:
 		return m, fmt.Errorf("persist: unknown mutation kind %d", m.Kind)
 	}

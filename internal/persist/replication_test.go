@@ -43,7 +43,7 @@ func drain(t *testing.T, cur *WALCursor) []uint64 {
 }
 
 // TestWALCursorRefusesOldWALVersion: a follower's cursor refuses a
-// version-1 segment instead of shipping records no reader decodes.
+// version-2 segment instead of shipping records no reader decodes.
 func TestWALCursorRefusesOldWALVersion(t *testing.T) {
 	dir := t.TempDir()
 	copyParentWAL(t, dir)
@@ -52,8 +52,8 @@ func TestWALCursorRefusesOldWALVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	if _, err := cur.Next(); err == nil || !strings.Contains(err.Error(), "unsupported WAL version 1") {
-		t.Errorf("Next: err = %v, want unsupported WAL version 1", err)
+	if _, err := cur.Next(); err == nil || !strings.Contains(err.Error(), "unsupported WAL version 2") {
+		t.Errorf("Next: err = %v, want unsupported WAL version 2", err)
 	}
 }
 
@@ -66,8 +66,8 @@ func TestWALCursorTailsAcrossRotation(t *testing.T) {
 	}
 	defer st.Close()
 
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
+	a := g.AddVertex("A", "")
+	b := g.AddVertex("B", "")
 	if _, err := g.AddEdge(a, b, "x"); err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,8 @@ func TestWALCursorBufferedTailNotLost(t *testing.T) {
 	}
 	defer st.Close()
 
-	g.AddVertex("A")
-	g.AddVertex("B")
+	g.AddVertex("A", "")
+	g.AddVertex("B", "")
 	cur, err := OpenWALCursor(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestWALCursorSegmentGap(t *testing.T) {
 	}
 	defer st.Close()
 
-	g.AddVertex("A")
+	g.AddVertex("A", "")
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestWALCursorSegmentGap(t *testing.T) {
 		if err := st.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		g.AddVertex("B")
+		g.AddVertex("B", "")
 		if err := st.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -192,11 +192,11 @@ func TestSnapshotDiscoveryAndFloor(t *testing.T) {
 		t.Fatalf("FloorEpoch on empty dir = ok=%v err=%v", ok, err)
 	}
 
-	g.AddVertex("A")
+	g.AddVertex("A", "")
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	g.AddVertex("B")
+	g.AddVertex("B", "")
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSnapshotDiscoveryAndFloor(t *testing.T) {
 }
 
 // TestReopenAndReplicaApplyAgree pins the one apply path: over random
-// streams of vertex adds, vertex property writes, edge batches and edge
+// streams of vertex adds, relabels and alias appends, edge batches and edge
 // removals, with a checkpoint at a random point, reopening the directory
 // gives a graph equal to the live one, epoch included. So does a fresh
 // graph fed the way a follower is: the checkpoint's snapshot, then every
@@ -252,13 +252,17 @@ func TestReopenAndReplicaApplyAgree(t *testing.T) {
 			}
 			switch op := rng.Intn(4); {
 			case op == 0 || len(vs) == 0:
-				var props map[string]string
+				var name string
 				if rng.Intn(2) == 0 {
-					props = map[string]string{"name": fmt.Sprint("v", i)}
+					name = fmt.Sprint("v", i)
 				}
-				vs = append(vs, live.AddVertexWithProps(fmt.Sprint("L", rng.Intn(3)), props))
+				vs = append(vs, live.AddVertex(fmt.Sprint("L", rng.Intn(3)), name))
 			case op == 1:
-				live.SetVertexProp(vs[rng.Intn(len(vs))], fmt.Sprint("k", rng.Intn(3)), fmt.Sprint(i))
+				if v := vs[rng.Intn(len(vs))]; rng.Intn(2) == 0 {
+					live.SetVertexLabel(v, fmt.Sprint("L", rng.Intn(3)))
+				} else {
+					live.AddVertexAlias(v, fmt.Sprint("a", rng.Intn(3)))
+				}
 			case op == 2:
 				specs := make([]graph.EdgeSpec, 1+rng.Intn(4))
 				for j := range specs {

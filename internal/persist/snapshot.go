@@ -16,7 +16,7 @@ import (
 // Snapshot file layout (all fixed-width fields little-endian):
 //
 //	magic    [8]byte  "NOUSNAP1"
-//	version  uint32   4
+//	version  uint32   5
 //	shards   uint32   graph.ShardCount()
 //	epoch    uint64   graph mutation epoch at the cut
 //	nextV    uint64   vertex ID allocator
@@ -34,16 +34,17 @@ import (
 //	  payload         vcount uvarint, vertices...; ecount uvarint, edges...
 //
 // The symbol-table section stores each distinct string once — labels,
-// vertex property keys and values, and the strings of each edge's fact row —
-// and shard payloads encode elements with uvarint references into it. A
-// vertex is its ID, label reference and (key, value) reference pairs; an edge
-// is its ID, endpoints, label reference, weight, timestamp, then its fact row:
-// source, doc, sentence, stype and otype references and a curated byte. The
-// table is sorted, so equal graph state produces byte-identical files.
-// Version 4 is the only version written and the only one read: it is
-// version 3 with the fact row in place of each edge's property list, and the
-// shard count is a constant of the graph, so a file with another version or
-// count is refused. The header CRC matters beyond the load: a flipped bit in
+// vertex names and aliases, and the strings of each edge's fact row — and
+// shard payloads encode elements with uvarint references into it. A vertex is
+// its ID, label and name references, then an alias count and the alias
+// references in insertion order; an edge is its ID, endpoints, label
+// reference, weight, timestamp, then its fact row: source, doc, sentence,
+// stype and otype references and a curated byte. The table is sorted, so
+// equal graph state produces byte-identical files. Version 5 is the only
+// version written and the only one read: it is version 4 with the vertex row
+// in place of each vertex's (key, value) property list, and the shard count
+// is a constant of the graph, so a file with another version or count is
+// refused. The header CRC matters beyond the load: a flipped bit in
 // nextE sized a stripe's seq index to the bogus ID on the next AddEdge, and a
 // flipped bit in walSeq would let prune delete WAL segments the snapshot does
 // not cover.
@@ -54,7 +55,7 @@ import (
 
 const (
 	snapMagic   = "NOUSNAP1"
-	snapVersion = 4
+	snapVersion = 5
 	snapSuffix  = ".snap"
 	// snapHeaderLen is the header's length, its CRC included.
 	snapHeaderLen = 52
@@ -87,9 +88,9 @@ func writeSnapshot(dir string, snap *graph.GraphSnapshot, walSeq uint64) (string
 			set := make(map[string]struct{})
 			for _, v := range snap.Vertices[i] {
 				set[v.Label] = struct{}{}
-				for k, val := range v.Props {
-					set[k] = struct{}{}
-					set[val] = struct{}{}
+				set[v.Name] = struct{}{}
+				for _, a := range v.Aliases {
+					set[a] = struct{}{}
 				}
 			}
 			for _, e := range snap.Edges[i] {

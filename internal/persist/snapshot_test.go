@@ -8,12 +8,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"nous/internal/graph"
 )
 
-// TestSnapshotSymbolTableRoundTrip pins the v4 format: the symbol table is
+// TestSnapshotSymbolTableRoundTrip pins the v5 format: the symbol table is
 // the first framed section, holds every distinct string exactly once in
 // sorted order, and decoding through it reproduces the graph bit-for-bit.
 func TestSnapshotSymbolTableRoundTrip(t *testing.T) {
@@ -32,8 +33,8 @@ func TestSnapshotSymbolTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != 4 {
-		t.Fatalf("version: want 4, got %d", v)
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != 5 {
+		t.Fatalf("version: want 5, got %d", v)
 	}
 	n := binary.LittleEndian.Uint64(raw[snapHeaderLen:])
 	d := newDecoder(raw[snapHeaderLen+12 : snapHeaderLen+12+int(n)])
@@ -55,10 +56,13 @@ func TestSnapshotSymbolTableRoundTrip(t *testing.T) {
 			t.Errorf("symbol table not strictly sorted at %d: %q >= %q", i, syms[i-1], s)
 		}
 	}
-	for _, want := range []string{"Company", "Person", "acquired", "name", "Apex", "wsj", "wsj-1", "Apex acquired Borealis."} {
+	for _, want := range []string{"Company", "Person", "acquired", "Apex", "apex inc", "wsj", "wsj-1", "Apex acquired Borealis."} {
 		if !seen[want] {
 			t.Errorf("symbol table missing %q", want)
 		}
+	}
+	if seen["name"] || seen["aliases"] {
+		t.Error("symbol table holds a property key")
 	}
 
 	// Full round trip through the reader and the bulk restore path.
@@ -104,9 +108,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 // TestSnapshotRejectsForeignFormat pins the one snapshot format: a
-// version-3 file (testdata/parent-v3.snap, buildSample's graph as the
-// writer that stored edge props as (key, value) lists wrote it), a version-5
-// header and a foreign shard count are each refused, and Open over a
+// version-4 file (testdata/parent-v4.snap, buildSample's graph, with an
+// alias, as the writer that stored vertex props as (key, value) lists wrote
+// it), a version-6 header and a foreign shard count are each refused, and
+// Open over a
 // directory whose only snapshot is such a file refuses to open, as it does
 // when every snapshot is corrupt. Every header carries a valid header CRC,
 // so the version and shard checks are what refuse them.
@@ -118,27 +123,30 @@ func TestSnapshotRejectsForeignFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4, err := os.ReadFile(path)
+	v5, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withHeader := func(at int, v uint32) []byte {
-		raw := bytes.Clone(v4)
+		raw := bytes.Clone(v5)
 		binary.LittleEndian.PutUint32(raw[at:], v)
 		binary.LittleEndian.PutUint32(raw[snapHeaderLen-4:], crc32.Checksum(raw[:snapHeaderLen-4], castagnoli))
 		return raw
 	}
-	v3, err := os.ReadFile(filepath.Join("testdata", "parent-v3.snap"))
+	v4, err := os.ReadFile(filepath.Join("testdata", "parent-v4.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(v3[8:]); v != 3 {
-		t.Fatalf("testdata/parent-v3.snap has version %d", v)
+	if v := binary.LittleEndian.Uint32(v4[8:]); v != 4 {
+		t.Fatalf("testdata/parent-v4.snap has version %d", v)
+	}
+	if _, _, err := decodeSnapshot(v4, "parent-v4.snap"); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 4") {
+		t.Errorf("parent-v4.snap: err = %v, want unsupported snapshot version 4", err)
 	}
 
 	for name, raw := range map[string][]byte{
-		"version 3":  v3,
-		"version 5":  withHeader(8, 5),
+		"version 4":  v4,
+		"version 6":  withHeader(8, 6),
 		"8 shards":   withHeader(12, 8),
 		"shards + 1": withHeader(12, uint32(graph.ShardCount()+1)),
 	} {
@@ -170,11 +178,11 @@ func TestSnapshotHeaderCRC(t *testing.T) {
 		opt := testOptions()
 		opt.RetainSnapshots = 2
 		st := mustOpen(t, dir, g, opt)
-		g.AddVertexWithProps("Company", map[string]string{"name": "Apex"})
+		g.AddVertex("Company", "Apex")
 		if err := st.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		g.AddVertexWithProps("Company", map[string]string{"name": "Borealis"})
+		g.AddVertex("Company", "Borealis")
 		snaps, _ := listSnapshots(dir)
 		raw, err := os.ReadFile(snaps[0])
 		if err != nil {
@@ -232,14 +240,17 @@ func TestSnapshotCountsBoundedBySection(t *testing.T) {
 		"symbol count": {huge, {0, 0}},
 		"vertex count": {{0}, huge},
 		"edge count":   {{0}, append([]byte{0}, huge...)},
+		// One vertex (ID 0, label and name both symbol 0, the empty string)
+		// whose alias count exceeds the section.
+		"alias count": {{1, 0}, append([]byte{1, 0, 0, 0}, huge...)},
 	} {
 		raw := snapshotImage(sections[0], sections[1], 0)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, _, err := decodeSnapshot(raw, name)
 		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Errorf("%s: decoded a section whose count exceeds its bytes", name)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want a refused %s", name, err, name)
 		}
 		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
 			t.Errorf("%s: decode allocated %d bytes", name, n)

@@ -16,10 +16,10 @@ import (
 	"nous/internal/graph"
 )
 
-// WAL segment layout (version 2):
+// WAL segment layout (version 3):
 //
 //	magic   [8]byte  "NOUSWAL1"
-//	version uint32   2
+//	version uint32   3
 //	seq     uint64   segment sequence number
 //	then records, back to back:
 //	  length uint32  payload byte count
@@ -33,13 +33,16 @@ import (
 // a record over the replication wire (internal/repl), and ReadFrame parses it
 // for replay, for the WAL cursor and for the follower.
 //
-// Version 2 is the only version written and the only one read: its AddEdges
-// record carries each edge's fact row field by field, where version 1 carried
-// a (key, value) property list. A segment of another version is refused.
+// Version 3 is the only version written and the only one read. Its AddVertex
+// record carries the vertex row (label, name, aliases), and a relabel and an
+// appended alias are records of their own, where version 2 carried a vertex's
+// (key, value) property list and a generic property-set record; version 2
+// already carried each edge's fact row field by field. A segment of another
+// version is refused.
 
 const (
 	walMagic      = "NOUSWAL1"
-	walVersion    = 2
+	walVersion    = 3
 	walSuffix     = ".wal"
 	walHeaderSize = 8 + 4 + 8
 	// maxRecordSize bounds a single record so a corrupt length field cannot

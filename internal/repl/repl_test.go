@@ -11,6 +11,7 @@ import (
 
 	"nous/internal/core"
 	"nous/internal/graph"
+	"nous/internal/ontology"
 	"nous/internal/persist"
 )
 
@@ -26,6 +27,13 @@ func newLeaderServer(t *testing.T) (*core.KG, *Leader, *httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
+	l, srv := serveLeader(t, kg, st)
+	return kg, l, srv
+}
+
+// serveLeader puts the two replication endpoints in front of a durable KG.
+func serveLeader(t *testing.T, kg *core.KG, st *persist.Store) (*Leader, *httptest.Server) {
+	t.Helper()
 	l := NewLeader(kg.Graph(), st)
 	l.Poll = 5 * time.Millisecond
 	l.Heartbeat = 20 * time.Millisecond
@@ -46,7 +54,7 @@ func newLeaderServer(t *testing.T) (*core.KG, *Leader, *httptest.Server) {
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return kg, l, srv
+	return l, srv
 }
 
 func addFact(t *testing.T, kg *core.KG, subj, obj string, ts int64) {
@@ -104,6 +112,116 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 	if !st.Connected || st.Lag != 0 || st.LastError != "" {
 		t.Fatalf("status = %+v, want connected, lag 0, no error", st)
 	}
+}
+
+// TestEntityRowsAgreeAcrossPaths: an entity's vertex row — label, name and
+// aliases in insertion order — and the alias index derived from it read the
+// same on four KGs: the one built live, one recovered by replaying its WAL
+// alone, one reopened from a snapshot that covers every write, and a
+// follower that bootstrapped from a snapshot taken midway and applied the
+// rest from the stream. The writes after the follower's bootstrap include
+// an alias bound to an existing entity and a generic entity's relabel, so
+// both reach the follower as records of their own.
+func TestEntityRowsAgreeAcrossPaths(t *testing.T) {
+	opts := persist.Options{DisableAutoCheckpoint: true, GroupCommitBytes: 1, FlushInterval: time.Hour}
+	dir, walDir := t.TempDir(), t.TempDir()
+	live := core.NewKG(nil)
+	st, err := persist.Open(dir, live.Graph(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// A second store on the same graph logs every write and never
+	// checkpoints, so its directory recovers by WAL replay alone.
+	walStore, err := persist.Open(walDir, live.Graph(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	live.AddEntity("DJI", ontology.TypeCompany, "DJI Technology", "Da-Jiang")
+	live.AddEntity("Windermere", ontology.TypeAny)
+	live.AddEntity("Parrot", ontology.TypeCompany)
+	addFact(t, live, "DJI", "Parrot", 100)
+
+	_, srv := serveLeader(t, live, st)
+	fkg := core.NewKG(nil)
+	f := NewFollower(srv.URL, fkg)
+	f.MinBackoff = 5 * time.Millisecond
+	if err := f.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Close()
+
+	live.AddEntity("Parrot", ontology.TypeCompany, "Parrot SA")
+	live.AddEntity("Windermere", ontology.TypeCompany)
+	live.AddEntity("Windermere", ontology.TypePerson) // upgraded already: no write
+	live.AddEntity("DJI", ontology.TypeCompany, "dji technology", "SZ DJI")
+	addFact(t, live, "Windermere", "DJI", 200)
+	waitConverged(t, f, live)
+
+	if err := walStore.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walKG := reopenKG(t, walDir, opts)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snapKG := reopenKG(t, dir, opts)
+
+	for name, want := range map[string]graph.Vertex{
+		"DJI":        {Label: "Company", Name: "DJI", Aliases: []string{"dji technology", "da-jiang", "sz dji"}},
+		"Windermere": {Label: "Company", Name: "Windermere"},
+		"Parrot":     {Label: "Company", Name: "Parrot", Aliases: []string{"parrot sa"}},
+	} {
+		id, _ := live.Entity(name)
+		want.ID = id
+		if got, _ := live.Graph().Vertex(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("live %s = %+v, want %+v", name, got, want)
+		}
+	}
+	for path, kg := range map[string]*core.KG{"WAL replay": walKG, "snapshot reopen": snapKG, "follower": fkg} {
+		if got, want := kg.Graph().Epoch(), live.Graph().Epoch(); got != want {
+			t.Errorf("%s: epoch %d, want %d", path, got, want)
+		}
+		if got, want := kg.Entities(), live.Entities(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: entities %v, want %v", path, got, want)
+		}
+		for _, name := range live.Entities() {
+			id, _ := live.Entity(name)
+			want, _ := live.Graph().Vertex(id)
+			if got, _ := kg.Graph().Vertex(id); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: vertex %s = %+v, want %+v", path, name, got, want)
+			}
+			lt, _ := live.EntityType(name)
+			if typ, _ := kg.EntityType(name); typ != lt {
+				t.Errorf("%s: type of %s = %s, want %s", path, name, typ, lt)
+			}
+			for _, alias := range append([]string{name}, want.Aliases...) {
+				if got, want := kg.Candidates(alias), live.Candidates(alias); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Candidates(%q) = %v, want %v", path, alias, got, want)
+				}
+			}
+		}
+	}
+}
+
+// reopenKG recovers a KG from a data directory the way a restart does: the
+// store restores the graph, Rebuild derives the KG's indexes over it.
+func reopenKG(t *testing.T, dir string, opts persist.Options) *core.KG {
+	t.Helper()
+	kg := core.NewKG(nil)
+	st, err := persist.Open(dir, kg.Graph(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := kg.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	return kg
 }
 
 // TestFollowerReconnects: killing the stream mid-flight makes the follower

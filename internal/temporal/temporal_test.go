@@ -44,7 +44,7 @@ func TestWindowContains(t *testing.T) {
 
 func TestWindowContainsEdgeCuratedAlwaysPasses(t *testing.T) {
 	g := graph.New()
-	a, b := g.AddVertex("Company"), g.AddVertex("Company")
+	a, b := g.AddVertex("Company", ""), g.AddVertex("Company", "")
 	curated, _ := addEdge(g, a, b, "acquired", Timeless, true)
 	extractedIn, _ := addEdge(g, a, b, "acquired", 150, false)
 	extractedOut, _ := addEdge(g, a, b, "acquired", 50, false)
@@ -99,8 +99,8 @@ func TestWindowIntersect(t *testing.T) {
 
 func TestIndexTracksAddsAndRemoves(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 
@@ -142,8 +142,8 @@ func TestIndexTracksAddsAndRemoves(t *testing.T) {
 
 func TestLatestIn(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 	var ids []graph.EdgeID
@@ -178,8 +178,8 @@ func TestLatestIn(t *testing.T) {
 // sentinel never fills it.
 func TestLatestInSkipsTimeless(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 	for i := 0; i < 4; i++ {
@@ -206,8 +206,8 @@ func TestLatestInSkipsTimeless(t *testing.T) {
 
 func TestIndexEmptyWindowQueries(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 	for _, ts := range []int64{10, 20, 30} {
@@ -226,8 +226,8 @@ func TestIndexEmptyWindowQueries(t *testing.T) {
 
 func TestSpanExcludesTimelessSubstrate(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 	// A curated fact's edge carries the zero-provenance-time sentinel; it
@@ -256,8 +256,8 @@ func TestSpanExcludesTimelessSubstrate(t *testing.T) {
 
 func TestDatedInSkipsTimelessSubstrate(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 	if _, err := addEdge(g, a, b, "manufactures", Timeless, true); err != nil {
@@ -290,8 +290,8 @@ func TestDatedInSkipsTimelessSubstrate(t *testing.T) {
 
 func TestIndexScansPreexistingEdges(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	if _, err := addEdge(g, a, b, "acquired", 7, false); err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +303,8 @@ func TestIndexScansPreexistingEdges(t *testing.T) {
 
 func TestIndexRebuildMatchesGraph(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	var ids []graph.EdgeID
 	for ts := int64(0); ts < 10; ts++ {
 		id, err := addEdge(g, a, b, "acquired", ts, false)
@@ -338,8 +338,8 @@ func TestIndexRebuildMatchesGraph(t *testing.T) {
 
 func TestIndexDetachStopsTracking(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	if _, err := addEdge(g, a, b, "acquired", 1, false); err != nil {
 		t.Fatal(err)
@@ -368,8 +368,8 @@ func TestIndexNoGhostEntriesUnderScavenging(t *testing.T) {
 		return ids
 	}
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 
@@ -425,7 +425,7 @@ func TestIndexConcurrentAddRemove(t *testing.T) {
 	g := graph.New()
 	var verts []graph.VertexID
 	for i := 0; i < 8; i++ {
-		verts = append(verts, g.AddVertex("Company"))
+		verts = append(verts, g.AddVertex("Company", ""))
 	}
 	ix := Attach(g)
 	defer ix.Detach()
@@ -498,8 +498,8 @@ func TestIndexConcurrentAddRemove(t *testing.T) {
 // correctness gate for the lazy per-stripe flush.
 func TestIndexReverseChronologicalBackfill(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 
@@ -538,8 +538,8 @@ func TestIndexReverseChronologicalBackfill(t *testing.T) {
 // would leave every stripe fully sorted here.
 func TestReverseBackfillAppendsWithoutSorting(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 
@@ -578,8 +578,8 @@ func TestReverseBackfillAppendsWithoutSorting(t *testing.T) {
 // with reads so every read finds a fresh unsorted tail to flush.
 func TestIndexInterleavedOutOfOrderInsertAndRead(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 
@@ -600,8 +600,8 @@ func TestIndexInterleavedOutOfOrderInsertAndRead(t *testing.T) {
 // in the unsorted append tail; the removal must flush and splice correctly.
 func TestIndexRemoveWithPendingTail(t *testing.T) {
 	g := graph.New()
-	a := g.AddVertex("Company")
-	b := g.AddVertex("Company")
+	a := g.AddVertex("Company", "")
+	b := g.AddVertex("Company", "")
 	ix := Attach(g)
 	defer ix.Detach()
 

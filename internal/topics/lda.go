@@ -35,15 +35,15 @@ type Model struct {
 	cfg   Config
 	vocab map[string]int // word -> index
 
-	// counters from the final Gibbs state
-	docTopic  [][]int // d -> k
+	// topic-word counters from the final Gibbs state; InferDoc folds new
+	// documents in against them
 	topicWord [][]int // k -> w
 	topicSum  []int   // k
-	docLen    []int
 }
 
 // Fit runs collapsed Gibbs sampling over the documents (bags of words).
-// Empty documents are allowed and receive the uniform distribution. cfg is
+// Empty documents are allowed. The model keeps only the topic-word counters
+// (documents' topic mixtures are read by folding a document in, InferDoc). cfg is
 // used as given (start from DefaultConfig); K must be positive.
 func Fit(docs [][]string, cfg Config) *Model {
 	if cfg.K <= 0 {
@@ -65,20 +65,18 @@ func Fit(docs [][]string, cfg Config) *Model {
 	}
 	V := len(m.vocab)
 	K := cfg.K
-	m.docTopic = makeInts(len(docs), K)
+	docTopic := makeInts(len(docs), K) // d -> k, needed only while sampling
 	m.topicWord = makeInts(K, V)
 	m.topicSum = make([]int, K)
-	m.docLen = make([]int, len(docs))
 	assign := make([][]int, len(docs)) // d -> position -> topic
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for d, ids := range wordIDs {
 		assign[d] = make([]int, len(ids))
-		m.docLen[d] = len(ids)
 		for i, w := range ids {
 			k := rng.Intn(K)
 			assign[d][i] = k
-			m.docTopic[d][k]++
+			docTopic[d][k]++
 			m.topicWord[k][w]++
 			m.topicSum[k]++
 		}
@@ -89,13 +87,13 @@ func Fit(docs [][]string, cfg Config) *Model {
 		for d, ids := range wordIDs {
 			for i, w := range ids {
 				old := assign[d][i]
-				m.docTopic[d][old]--
+				docTopic[d][old]--
 				m.topicWord[old][w]--
 				m.topicSum[old]--
 
 				total := 0.0
 				for k := 0; k < K; k++ {
-					p := (float64(m.docTopic[d][k]) + cfg.Alpha) *
+					p := (float64(docTopic[d][k]) + cfg.Alpha) *
 						(float64(m.topicWord[k][w]) + cfg.Beta) /
 						(float64(m.topicSum[k]) + cfg.Beta*float64(V))
 					probs[k] = p
@@ -103,7 +101,7 @@ func Fit(docs [][]string, cfg Config) *Model {
 				}
 				next := draw(probs, rng.Float64()*total)
 				assign[d][i] = next
-				m.docTopic[d][next]++
+				docTopic[d][next]++
 				m.topicWord[next][w]++
 				m.topicSum[next]++
 			}
@@ -120,24 +118,6 @@ func draw(probs []float64, u float64) int {
 		acc += probs[next]
 	}
 	return next
-}
-
-// DocTopics returns the smoothed topic distribution θ_d of training
-// document d. Empty documents get the uniform distribution.
-func (m *Model) DocTopics(d int) []float64 {
-	K := m.cfg.K
-	out := make([]float64, K)
-	if d < 0 || d >= len(m.docLen) {
-		for k := range out {
-			out[k] = 1.0 / float64(K)
-		}
-		return out
-	}
-	denom := float64(m.docLen[d]) + m.cfg.Alpha*float64(K)
-	for k := 0; k < K; k++ {
-		out[k] = (float64(m.docTopic[d][k]) + m.cfg.Alpha) / denom
-	}
-	return out
 }
 
 // InferDoc folds a new document into the fitted model: a Gibbs chain of

@@ -35,12 +35,22 @@ func twoTopicCorpus(n int, seed int64) ([][]string, []int) {
 	return docs, labels
 }
 
+// foldIn is the topic mixture of each document, read the one way a fitted
+// model exposes it: by folding the document in.
+func foldIn(m *Model, docs [][]string) [][]float64 {
+	out := make([][]float64, len(docs))
+	for d, doc := range docs {
+		out[d] = m.InferDoc(doc, 50, int64(d))
+	}
+	return out
+}
+
 func TestThetaSumsToOne(t *testing.T) {
 	docs, _ := twoTopicCorpus(20, 1)
 	m := Fit(docs, DefaultConfig(4))
-	for d := 0; d < len(docs); d++ {
+	for d, theta := range foldIn(m, docs) {
 		sum := 0.0
-		for _, p := range m.DocTopics(d) {
+		for _, p := range theta {
 			if p < 0 {
 				t.Fatalf("negative topic probability in doc %d", d)
 			}
@@ -56,12 +66,13 @@ func TestSeparatesTwoTopics(t *testing.T) {
 	docs, labels := twoTopicCorpus(40, 2)
 	cfg := DefaultConfig(2)
 	m := Fit(docs, cfg)
+	theta := foldIn(m, docs)
 
 	// Within-class JS divergence must be smaller than between-class.
 	var within, between []float64
 	for i := 0; i < len(docs); i++ {
 		for j := i + 1; j < len(docs); j++ {
-			d := JSDivergence(m.DocTopics(i), m.DocTopics(j))
+			d := JSDivergence(theta[i], theta[j])
 			if labels[i] == labels[j] {
 				within = append(within, d)
 			} else {
@@ -74,20 +85,18 @@ func TestSeparatesTwoTopics(t *testing.T) {
 	}
 }
 
+// TestEmptyAndUnknownDocs: an empty training document does not break the
+// fit, and an empty document, like one of unknown words only, folds in to
+// the uniform mixture.
 func TestEmptyAndUnknownDocs(t *testing.T) {
 	docs, _ := twoTopicCorpus(10, 5)
 	docs = append(docs, nil) // empty doc
 	m := Fit(docs, DefaultConfig(3))
-	theta := m.DocTopics(len(docs) - 1)
-	for _, p := range theta {
-		if math.Abs(p-1.0/3.0) > 1e-9 {
-			t.Fatalf("empty doc theta not uniform: %v", theta)
-		}
-	}
-	for _, d := range []int{-1, len(docs)} {
-		for _, p := range m.DocTopics(d) {
+	for _, doc := range [][]string{nil, {}, {"neverseen"}} {
+		theta := m.InferDoc(doc, 20, 1)
+		for _, p := range theta {
 			if math.Abs(p-1.0/3.0) > 1e-9 {
-				t.Fatalf("unknown doc %d theta not uniform: %v", d, m.DocTopics(d))
+				t.Fatalf("doc %q theta not uniform: %v", doc, theta)
 			}
 		}
 	}
@@ -103,7 +112,7 @@ func TestInferDocMatchesTraining(t *testing.T) {
 	}
 	// The inferred aviation doc is closer to a training aviation doc (even
 	// index) than to a finance doc.
-	if JSDivergence(aviation, m.DocTopics(0)) >= JSDivergence(aviation, m.DocTopics(1)) {
+	if JSDivergence(aviation, m.InferDoc(docs[0], 50, 9)) >= JSDivergence(aviation, m.InferDoc(docs[1], 50, 9)) {
 		t.Fatal("inferred aviation doc closer to finance docs")
 	}
 	// A fold-in is a function of (model, doc, sweeps, seed), and unknown
@@ -129,14 +138,7 @@ func TestFitUsesConfigAsGiven(t *testing.T) {
 	none.Iters = 0
 	hundred := none
 	hundred.Iters = 100
-	a, b := Fit(docs, none), Fit(docs, hundred)
-	same := true
-	for d := range docs {
-		if !reflect.DeepEqual(a.DocTopics(d), b.DocTopics(d)) {
-			same = false
-		}
-	}
-	if same {
+	if a, b := Fit(docs, none), Fit(docs, hundred); sameCounters(a, b) {
 		t.Fatal("Iters = 0 fitted like Iters = 100")
 	}
 	defer func() {
@@ -151,14 +153,15 @@ func TestDeterministicWithSeed(t *testing.T) {
 	docs, _ := twoTopicCorpus(15, 6)
 	a := Fit(docs, DefaultConfig(3))
 	b := Fit(docs, DefaultConfig(3))
-	for d := 0; d < len(docs); d++ {
-		ta, tb := a.DocTopics(d), b.DocTopics(d)
-		for k := range ta {
-			if ta[k] != tb[k] {
-				t.Fatalf("same seed, different theta at doc %d", d)
-			}
-		}
+	if !sameCounters(a, b) {
+		t.Fatal("same seed, different fitted topic-word counters")
 	}
+}
+
+// sameCounters reports whether two fits ended in the same Gibbs state: the
+// topic-word counters are all a model keeps of it.
+func sameCounters(a, b *Model) bool {
+	return reflect.DeepEqual(a.topicWord, b.topicWord) && reflect.DeepEqual(a.topicSum, b.topicSum)
 }
 
 func TestJSDivergenceProperties(t *testing.T) {
