@@ -11,7 +11,7 @@ import (
 // The fact schema. A fact is stored exactly once, as a graph edge — the KG
 // keeps no second copy — so this file is the whole mapping between the two:
 //
-//	src, dst        subject and object (entity vertices; names via kg.names)
+//	src, dst        subject and object (entity vertices; names read off their rows)
 //	label           predicate
 //	weight          confidence
 //	timestamp       provenance time in unix seconds (temporal.Timeless = undated)
@@ -22,7 +22,7 @@ import (
 //	Row.Doc         provenance document ID
 //	Row.Sentence    supporting sentence
 //
-// factEdge is the only writer of the row and decodeLocked the only reader
+// factEdge is the only writer of the row and decode the only reader
 // that turns it back into a Fact; the WAL, snapshots and replication carry
 // the edge and nothing else.
 
@@ -42,15 +42,16 @@ func factEdge(t Triple, src, dst graph.VertexID) graph.EdgeSpec {
 	}
 }
 
-// decodeLocked builds the fact an edge stores. It copies every field out of
-// the view, so the result is owned by the caller. The caller holds kg.mu and
-// runs inside a graph scan callback.
-func (kg *KG) decodeLocked(e *graph.EdgeScan) Fact {
+// decode builds the fact an edge stores. It copies every field out of the
+// view, so the result is owned by the caller; the endpoints' names are read
+// off their rows through the scan's lock. It runs inside a graph scan
+// callback.
+func decode(e *graph.EdgeScan) Fact {
 	row := e.Row()
 	f := Fact{ID: e.ID, Src: e.Src, Dst: e.Dst, Triple: Triple{
-		Subject:     kg.names[e.Src],
+		Subject:     e.VertexName(e.Src),
 		Predicate:   e.LabelName(),
-		Object:      kg.names[e.Dst],
+		Object:      e.VertexName(e.Dst),
 		SubjectType: endpointType(e, row.SType, e.Src),
 		ObjectType:  endpointType(e, row.OType, e.Dst),
 		Confidence:  e.Weight,
@@ -102,7 +103,7 @@ func (kg *KG) trackUndatedLocked(e *graph.EdgeScan) {
 
 // factLocked decodes one fact by ID.
 func (kg *KG) factLocked(id FactID) (f Fact, ok bool) {
-	ok = kg.g.ScanEdge(id, func(e *graph.EdgeScan) { f = kg.decodeLocked(e) })
+	ok = kg.g.ScanEdge(id, func(e *graph.EdgeScan) { f = decode(e) })
 	return f, ok
 }
 
@@ -111,7 +112,7 @@ func (kg *KG) factsLocked(scan func(func(*graph.EdgeScan) bool), w temporal.Wind
 	var out []Fact
 	scan(func(e *graph.EdgeScan) bool {
 		if w.ContainsScan(e) {
-			out = append(out, kg.decodeLocked(e))
+			out = append(out, decode(e))
 		}
 		return true
 	})

@@ -8,10 +8,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -73,12 +74,10 @@ const (
 type KG struct {
 	mu sync.RWMutex
 
+	// g holds every entity as a vertex row (type, name, aliases) and files
+	// it in its entity index, which all name lookups read.
 	g   *graph.Graph
 	ont *ontology.Ontology
-
-	byName  map[string]graph.VertexID // canonical name -> vertex
-	byAlias map[string][]string       // lowercase alias -> canonical names
-	names   map[graph.VertexID]string
 
 	// tix is the per-shard time-ordered edge index, kept in sync through the
 	// graph's mutation stream. It serves windowed reads and drives
@@ -105,9 +104,6 @@ func NewKG(ont *ontology.Ontology) *KG {
 		g:       graph.New(),
 		ont:     ont,
 		undated: make(map[FactID]struct{}),
-		byName:  make(map[string]graph.VertexID),
-		byAlias: make(map[string][]string),
-		names:   make(map[graph.VertexID]string),
 	}
 	kg.tix = temporal.Attach(kg.g)
 	return kg
@@ -157,7 +153,13 @@ func (kg *KG) ReadLocked(fn func()) {
 // AddEntity registers an entity with a canonical name, a type and optional
 // aliases, returning its vertex ID. Adding an existing name returns the
 // existing vertex (aliases are merged; a more specific type overwrites a
-// generic one).
+// generic one). The empty name names no entity: AddEntity writes nothing
+// for it and returns graph.NilVertex.
+//
+// Names are case-sensitive ("Apple" and "APPLE" are two entities); the
+// surface forms Candidates matches are not. Each entity is found under the
+// key (graph.Key) of its name and of each alias; an alias whose key is
+// empty is dropped.
 func (kg *KG) AddEntity(name string, typ ontology.EntityType, aliases ...string) graph.VertexID {
 	kg.mu.Lock()
 	defer kg.mu.Unlock()
@@ -165,139 +167,115 @@ func (kg *KG) AddEntity(name string, typ ontology.EntityType, aliases ...string)
 }
 
 func (kg *KG) addEntityLocked(name string, typ ontology.EntityType, aliases ...string) graph.VertexID {
+	if name == "" {
+		return graph.NilVertex
+	}
 	if typ == "" {
 		typ = ontology.TypeAny
 	}
-	id, ok := kg.byName[name]
+	id, ok := kg.g.Named(name)
 	if !ok {
 		id = kg.g.AddVertex(string(typ), name)
-		kg.byName[name] = id
-		kg.names[id] = name
-		kg.addAliasLocked(name, name)
 	} else if typ != ontology.TypeAny {
 		// Upgrade a generic placeholder to the specific type. The label is
 		// the type's only copy, so an upgraded entity is no longer generic
 		// and a later specific type leaves it as it is.
-		if v, ok := kg.g.Vertex(id); ok && v.Label == string(ontology.TypeAny) {
+		if label, _ := kg.g.VertexLabel(id); label == string(ontology.TypeAny) {
 			kg.g.SetVertexLabel(id, string(typ))
 		}
 	}
-	for _, a := range aliases {
-		kg.addAliasLocked(a, name)
-	}
-	return id
-}
-
-func (kg *KG) addAliasLocked(alias, canonical string) {
-	key, added := kg.registerAliasLocked(alias, canonical)
-	if !added {
-		return
-	}
-	// Mirror the binding onto the canonical entity's vertex so the alias
-	// index — which lives only in this KG wrapper — can be rebuilt from a
-	// recovered graph (see Rebuild). The entity's own name needs no mirror:
-	// rebuilding re-derives the self-alias.
-	if key == strings.ToLower(strings.TrimSpace(canonical)) {
-		return
-	}
-	if id, ok := kg.byName[canonical]; ok {
-		kg.g.AddVertexAlias(id, key)
-	}
-}
-
-// registerAliasLocked adds the binding to the in-memory alias index only,
-// reporting the normalized key and whether it was new. Rebuild uses it
-// directly: recovered bindings are already mirrored in the graph.
-func (kg *KG) registerAliasLocked(alias, canonical string) (key string, added bool) {
-	key = strings.ToLower(strings.TrimSpace(alias))
-	if key == "" {
-		return key, false
-	}
-	for _, n := range kg.byAlias[key] {
-		if n == canonical {
-			return key, false
+	if len(aliases) > 0 {
+		// The row stores alias keys. The name's own key needs no alias: the
+		// graph files the name under it already.
+		own := graph.Key(name)
+		for _, a := range aliases {
+			if key := graph.Key(a); key != "" && key != own {
+				kg.g.AddVertexAlias(id, key)
+			}
 		}
 	}
-	kg.byAlias[key] = append(kg.byAlias[key], canonical)
-	return key, true
+	return id
 }
 
 // Entity returns the vertex ID for a canonical name.
 func (kg *KG) Entity(name string) (graph.VertexID, bool) {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	id, ok := kg.byName[name]
-	return id, ok
+	return kg.g.Named(name)
 }
 
 // EntityName returns the canonical name of a vertex.
 func (kg *KG) EntityName(id graph.VertexID) (string, bool) {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	n, ok := kg.names[id]
-	return n, ok
+	return kg.g.VertexName(id)
 }
 
 // EntityType returns the type of an entity by name.
 func (kg *KG) EntityType(name string) (ontology.EntityType, bool) {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	id, ok := kg.byName[name]
+	id, ok := kg.g.Named(name)
 	if !ok {
 		return "", false
 	}
-	v, ok := kg.g.Vertex(id)
-	if !ok {
-		return "", false
-	}
-	return ontology.EntityType(v.Label), true
+	label, ok := kg.g.VertexLabel(id)
+	return ontology.EntityType(label), ok
 }
 
-// Candidates returns the canonical names whose alias set contains the given
-// surface form (case-insensitive), plus prefix-token fallback matches
-// ("DJI" matches alias "dji technology").
+// Candidates returns the canonical names of the entities filed under the
+// given surface form's key (case-insensitive), or, when none is, the
+// token-affix fallback matches: entities with a key that begins or ends
+// with the surface as a whole word ("DJI" matches alias "dji technology").
+// A surface whose key is empty matches nothing.
 func (kg *KG) Candidates(surface string) []string {
-	key := strings.ToLower(strings.TrimSpace(surface))
+	key := graph.Key(surface)
+	if key == "" {
+		return nil
+	}
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	seen := map[string]bool{}
 	var out []string
-	for _, n := range kg.byAlias[key] {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+	kg.g.ScanFiled(key, func(v *graph.VertexScan) { out = append(out, v.Name) })
+	if len(out) == 0 {
+		prefix, suffix := []byte(key+" "), []byte(" "+key)
+		var buf []byte // one key at a time, built in place
+		affixed := func(s string) bool {
+			buf = graph.AppendKey(buf[:0], s)
+			return bytes.HasPrefix(buf, prefix) || bytes.HasSuffix(buf, suffix)
 		}
-	}
-	// fallback: alias token-prefix match for multiword aliases
-	if len(out) == 0 && key != "" {
-		for alias, names := range kg.byAlias {
-			if strings.HasPrefix(alias, key+" ") || strings.HasSuffix(alias, " "+key) {
-				for _, n := range names {
-					if !seen[n] {
-						seen[n] = true
-						out = append(out, n)
-					}
-				}
+		kg.g.ScanNamed(func(v *graph.VertexScan) bool {
+			if affixed(v.Name) || slices.ContainsFunc(v.Aliases, affixed) {
+				out = append(out, v.Name)
 			}
-		}
+			return true
+		})
 	}
 	sort.Strings(out)
 	return out
 }
 
-// ForEachAlias calls fn for every (alias, canonical, type) binding. Used to
-// build NER gazetteers from the curated KB.
+// ForEachAlias calls fn for every (alias, canonical, type) binding: each
+// entity's name key and alias keys, bound to its name and type, in
+// (alias, canonical) order. The empty key binds nothing. Used to build NER
+// gazetteers from the curated KB.
 func (kg *KG) ForEachAlias(fn func(alias, canonical string, typ ontology.EntityType)) {
-	kg.mu.RLock()
 	type binding struct {
 		alias, canonical string
+		typ              ontology.EntityType
 	}
 	var all []binding
-	for alias, names := range kg.byAlias {
-		for _, n := range names {
-			all = append(all, binding{alias, n})
+	kg.mu.RLock()
+	kg.g.ScanNamed(func(v *graph.VertexScan) bool {
+		typ := ontology.EntityType(v.Label())
+		if key := graph.Key(v.Name); key != "" {
+			all = append(all, binding{key, v.Name, typ})
 		}
-	}
+		for _, a := range v.Aliases {
+			all = append(all, binding{a, v.Name, typ})
+		}
+		return true
+	})
 	kg.mu.RUnlock()
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].alias != all[j].alias {
@@ -306,19 +284,19 @@ func (kg *KG) ForEachAlias(fn func(alias, canonical string, typ ontology.EntityT
 		return all[i].canonical < all[j].canonical
 	})
 	for _, b := range all {
-		typ, _ := kg.EntityType(b.canonical)
-		fn(b.alias, b.canonical, typ)
+		fn(b.alias, b.canonical, b.typ)
 	}
 }
 
 // Entities returns all canonical entity names, sorted.
 func (kg *KG) Entities() []string {
 	kg.mu.RLock()
-	defer kg.mu.RUnlock()
-	out := make([]string, 0, len(kg.byName))
-	for n := range kg.byName {
-		out = append(out, n)
-	}
+	out := make([]string, 0, kg.g.NumNamed())
+	kg.g.ScanNamed(func(v *graph.VertexScan) bool {
+		out = append(out, v.Name)
+		return true
+	})
+	kg.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -430,8 +408,8 @@ func (kg *KG) AddFacts(ts []Triple) ([]FactID, []error) {
 func (kg *KG) PredicatesBetween(subject, object string) []string {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	s, ok1 := kg.byName[subject]
-	o, ok2 := kg.byName[object]
+	s, ok1 := kg.g.Named(subject)
+	o, ok2 := kg.g.Named(object)
 	if !ok1 || !ok2 {
 		return nil
 	}
@@ -459,8 +437,8 @@ func (kg *KG) HasFact(subject, predicate, object string) bool {
 func (kg *KG) HasFactWindow(subject, predicate, object string, w temporal.Window) bool {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	s, ok1 := kg.byName[subject]
-	o, ok2 := kg.byName[object]
+	s, ok1 := kg.g.Named(subject)
+	o, ok2 := kg.g.Named(object)
 	if !ok1 || !ok2 {
 		return false
 	}
@@ -535,7 +513,7 @@ func (kg *KG) FactsAbout(name string) []Fact {
 func (kg *KG) FactsAboutWindow(name string, w temporal.Window) []Fact {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	id, ok := kg.byName[name]
+	id, ok := kg.g.Named(name)
 	if !ok {
 		return nil
 	}
@@ -578,7 +556,7 @@ func (kg *KG) NumFacts() int {
 func (kg *KG) NumEntities() int {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	return len(kg.byName)
+	return kg.g.NumNamed()
 }
 
 // ObjectsOfWindow returns the object names of facts (subject, pred, *)
@@ -604,14 +582,14 @@ func (kg *KG) scoredEndpoints(name, pred string, w temporal.Window,
 	scan func(graph.VertexID, func(*graph.EdgeScan) bool), far func(*graph.EdgeScan) graph.VertexID) []ScoredEntity {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	id, ok := kg.byName[name]
+	id, ok := kg.g.Named(name)
 	if !ok {
 		return nil
 	}
 	var out []ScoredEntity
 	scan(id, func(e *graph.EdgeScan) bool {
 		if (pred == "" || e.LabelName() == pred) && w.ContainsScan(e) {
-			if n, ok := kg.names[far(e)]; ok {
+			if n := e.VertexName(far(e)); n != "" {
 				out = append(out, ScoredEntity{Name: n, Score: e.Weight})
 			}
 		}
@@ -638,7 +616,7 @@ type ScoredEntity struct {
 func (kg *KG) Neighborhood(name string, hops int) []string {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	src, ok := kg.byName[name]
+	src, ok := kg.g.Named(name)
 	if !ok || hops <= 0 {
 		return nil
 	}
@@ -648,16 +626,20 @@ func (kg *KG) Neighborhood(name string, hops int) []string {
 	for depth := 0; depth < hops && len(frontier) > 0; depth++ {
 		var next []graph.VertexID
 		for _, u := range frontier {
-			for _, v := range kg.g.Neighbors(u) {
-				if seen[v] {
-					continue
+			kg.g.ForEachIncidentScan(u, func(e *graph.EdgeScan) bool {
+				v := e.Dst
+				if v == u {
+					v = e.Src
 				}
-				seen[v] = true
-				next = append(next, v)
-				if n, ok := kg.names[v]; ok {
-					out = append(out, n)
+				if !seen[v] {
+					seen[v] = true
+					next = append(next, v)
+					if n := e.VertexName(v); n != "" {
+						out = append(out, n)
+					}
 				}
-			}
+				return true
+			})
 		}
 		frontier = next
 	}

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"nous/internal/graph"
 	"nous/internal/ontology"
 	"nous/internal/persist"
 )
@@ -136,10 +138,74 @@ func TestRebuildPreservesEvictionTimeline(t *testing.T) {
 	}
 }
 
-func TestRebuildRequiresFreshKG(t *testing.T) {
+// TestRebuildTwiceDerivesTheSameState: Rebuild derives the KG's own state
+// from the graph and writes nothing, so running it on a populated KG leaves
+// every read and the epoch as they were.
+func TestRebuildTwiceDerivesTheSameState(t *testing.T) {
 	kg := sampleKG(t)
-	if err := kg.Rebuild(); err == nil {
-		t.Error("Rebuild on a populated KG: want error")
+	var before bytes.Buffer
+	if err := kg.ExportJSON(&before); err != nil {
+		t.Fatal(err)
+	}
+	entities, epoch, undated := kg.Entities(), kg.Graph().Epoch(), len(kg.undated)
+	for i := 0; i < 2; i++ {
+		if err := kg.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var after bytes.Buffer
+	if err := kg.ExportJSON(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) || !reflect.DeepEqual(kg.Entities(), entities) ||
+		kg.Graph().Epoch() != epoch || len(kg.undated) != undated {
+		t.Errorf("Rebuild changed the KG")
+	}
+}
+
+// TestRecoveryRefusesBrokenEntityIdentity: an entity is its name, so a data
+// directory whose snapshot holds two vertices with one name, or a vertex with
+// no name, is refused when it is opened.
+func TestRecoveryRefusesBrokenEntityIdentity(t *testing.T) {
+	opt := persist.Options{DisableAutoCheckpoint: true, FlushInterval: time.Hour}
+	for _, tc := range []struct {
+		name  string
+		names []string
+		want  string
+	}{
+		{"shared name", []string{"Acme", "Globex", "Acme"}, `share the name "Acme"`},
+		{"nameless vertex", []string{"Acme", ""}, "no name"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			g := graph.New()
+			st, err := persist.Open(dir, g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range tc.names {
+				g.AddVertex(string(ontology.TypeCompany), name)
+			}
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			kg := NewKG(nil)
+			st2, err := persist.Open(dir, kg.Graph(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			if got := kg.Graph().NumVertices(); got != len(tc.names) {
+				t.Fatalf("snapshot restored %d vertices, want %d", got, len(tc.names))
+			}
+			if err := kg.Rebuild(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Rebuild = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -8,15 +8,17 @@ import (
 
 // ApplyReplicated applies one leader-authored mutation to a follower KG: the
 // graph mutation goes through graph.ApplyReplicated (which adopts the
-// leader's epoch stamp and feeds the attached temporal index), and with it
-// every fact it carries — the edge is the fact. What the KG keeps outside
-// the graph — entity name maps, alias index, the undated set — is maintained
-// incrementally with the same derivations Rebuild uses on a full scan.
-// Fact-level listeners see FactAdded/FactEvicted exactly as they would on a
-// leader, so the miner and the trend table stay live on a replica.
+// leader's epoch stamp, files vertex rows in the graph's entity index and
+// feeds the attached temporal index), and with it every fact it carries —
+// the edge is the fact. The one thing the KG keeps outside the graph, the
+// undated set, is maintained incrementally with the derivation Rebuild
+// uses on a full scan. Fact-level listeners see FactAdded/FactEvicted
+// exactly as they would on a leader, so the miner and the trend table stay
+// live on a replica.
 //
 // Duplicate delivery (a resumed stream re-sending applied records) converges:
-// adds of known facts and removes of unknown ones are no-ops.
+// adds of known facts and removes of unknown ones are no-ops. A new vertex
+// that reuses another vertex's name is refused, as recovery refuses it.
 func (kg *KG) ApplyReplicated(m graph.Mutation) error {
 	kg.mu.Lock()
 	defer kg.mu.Unlock()
@@ -34,27 +36,14 @@ func (kg *KG) ApplyReplicated(m graph.Mutation) error {
 			kg.notifyLocked(Event{Kind: FactEvicted, Fact: f})
 		}
 		return nil
-	}
-	if err := kg.g.ApplyReplicated(m); err != nil {
-		return err
-	}
-	switch m.Kind {
 	case graph.MutAddVertex:
-		// A vertex whose name is already bound (duplicate delivery, or the
-		// bootstrap snapshot already held it) is left alone; a nameless
-		// vertex has no entity identity and is indexed by the graph layer
-		// only.
-		if name := m.Vertex.Name; name != "" {
-			if _, dup := kg.byName[name]; !dup {
-				kg.indexVertexLocked(m.Vertex)
+		if v := m.Vertex; v.Name != "" {
+			if id, ok := kg.g.Named(v.Name); ok && id != v.ID {
+				return fmt.Errorf("core: replicated vertex %d reuses the name %q of vertex %d", v.ID, v.Name, id)
 			}
 		}
-	case graph.MutAddVertexAlias:
-		if name, ok := kg.names[m.VertexID]; ok {
-			kg.registerAliasLocked(m.Alias, name)
-		}
 	}
-	return nil
+	return kg.g.ApplyReplicated(m)
 }
 
 // replicateEdgesLocked applies a replicated edge batch and announces the
@@ -63,8 +52,8 @@ func (kg *KG) ApplyReplicated(m graph.Mutation) error {
 func (kg *KG) replicateEdgesLocked(m graph.Mutation) error {
 	fresh := make([]graph.EdgeID, 0, len(m.Edges))
 	for _, e := range m.Edges {
-		_, ok1 := kg.names[e.Src]
-		_, ok2 := kg.names[e.Dst]
+		_, ok1 := kg.g.VertexName(e.Src)
+		_, ok2 := kg.g.VertexName(e.Dst)
 		if !ok1 || !ok2 {
 			return fmt.Errorf("core: replicated edge %d references unnamed vertices (%d -> %d)", e.ID, e.Src, e.Dst)
 		}
@@ -79,7 +68,7 @@ func (kg *KG) replicateEdgesLocked(m graph.Mutation) error {
 		var f Fact
 		kg.g.ScanEdge(id, func(e *graph.EdgeScan) {
 			kg.trackUndatedLocked(e)
-			f = kg.decodeLocked(e)
+			f = decode(e)
 		})
 		kg.notifyLocked(Event{Kind: FactAdded, Fact: f}) // listeners run outside the graph lock
 	}

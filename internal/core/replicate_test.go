@@ -185,3 +185,24 @@ func TestKGApplyReplicatedAfterBootstrap(t *testing.T) {
 		t.Fatalf("epoch = %d, want %d", got, want)
 	}
 }
+
+// TestKGApplyReplicatedRefusesReusedName: a replicated vertex that carries
+// another vertex's name is refused and leaves the follower as it was, as
+// recovery refuses a snapshot holding two vertices with one name.
+func TestKGApplyReplicatedRefusesReusedName(t *testing.T) {
+	follower := NewKG(nil)
+	acme := graph.Mutation{Kind: graph.MutAddVertex, Epoch: 1, Vertex: graph.Vertex{ID: 0, Label: "Company", Name: "Acme"}}
+	if err := follower.ApplyReplicated(acme); err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.ApplyReplicated(acme); err != nil {
+		t.Fatalf("re-delivered vertex: %v", err)
+	}
+	twin := graph.Mutation{Kind: graph.MutAddVertex, Epoch: 2, Vertex: graph.Vertex{ID: 1, Label: "Company", Name: "Acme"}}
+	if err := follower.ApplyReplicated(twin); err == nil {
+		t.Fatal("a second vertex named Acme was applied")
+	}
+	if n, e := follower.Graph().NumVertices(), follower.Graph().Epoch(); n != 1 || e != 1 {
+		t.Fatalf("follower holds %d vertices at epoch %d, want 1 at 1", n, e)
+	}
+}

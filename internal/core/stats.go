@@ -28,7 +28,7 @@ func (kg *KG) Stats() Stats {
 	// bit-equal means whatever order their slabs were filled in.
 	facts := byID(kg.factsLocked(kg.g.ScanEdges, temporal.All()))
 	s := Stats{
-		Entities:        len(kg.byName),
+		Entities:        kg.g.NumNamed(),
 		Facts:           len(facts),
 		PredicateCounts: make(map[string]int),
 		SourceCounts:    make(map[string]int),

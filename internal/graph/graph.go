@@ -38,7 +38,9 @@
 // per-stripe columnar slabs (slab.go) addressed by compact 4-byte refs, not
 // as individually heap-allocated *Edge values. Edges are read through
 // scan.go's slab-native views; only Edge, Snapshot and mutation hooks
-// materialize exported Edge values with plain strings.
+// materialize exported Edge values with plain strings. Named vertices are
+// found through the entity index (index.go), which the vertex write paths
+// keep beside the rows.
 package graph
 
 import (
@@ -135,6 +137,11 @@ type Graph struct {
 	nextVertex int64
 	nextEdge   int64
 
+	// index files each named vertex under the hashes of its name and alias
+	// keys, and named counts the named vertices (index.go).
+	index map[uint64][]VertexID
+	named int
+
 	// epoch counts completed mutations. It moves under the write lock, after
 	// the write's data landed and before its hook delivery, so a reader that
 	// holds the lock and reads epoch E observes exactly the state of E. It is
@@ -170,7 +177,7 @@ func (g *Graph) commitLocked(m Mutation, replicated bool) {
 
 // New returns an empty graph.
 func New() *Graph {
-	g := &Graph{}
+	g := &Graph{index: make(map[uint64][]VertexID)}
 	for i := range g.shards {
 		s := &g.shards[i]
 		s.vertices = make(map[VertexID]vertexRec)
@@ -186,14 +193,16 @@ func (g *Graph) vshard(id VertexID) *shard { return &g.shards[shardIdx(uint64(id
 func (g *Graph) eshard(id EdgeID) *shard   { return &g.shards[shardIdx(uint64(id))] }
 
 // AddVertex inserts a vertex with the given label and name, and no
-// aliases, and returns its ID.
+// aliases, and returns its ID. A non-empty name files the vertex in the
+// entity index (index.go).
 func (g *Graph) AddVertex(label, name string) VertexID {
 	sym := symtab.Intern(label)
+	hs := [1]uint64{keyHash(name)}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	id := VertexID(g.nextVertex)
 	g.nextVertex++
-	g.vshard(id).vertices[id] = vertexRec{label: sym, name: name}
+	g.insertVertexLocked(id, vertexRec{label: sym, name: name}, hs[:])
 	m := Mutation{Kind: MutAddVertex}
 	if len(g.hooks) > 0 {
 		m.Vertex = Vertex{ID: id, Label: label, Name: name}
@@ -225,15 +234,17 @@ func (g *Graph) setVertexLabel(m Mutation, replicated bool) bool {
 	return true
 }
 
-// AddVertexAlias appends one alias key to a vertex. It reports whether the
-// alias was added: a missing vertex, or one that already carries the alias,
-// is a no-op that emits nothing.
+// AddVertexAlias appends one alias to a vertex and, if the vertex is
+// named, files it under the alias's key. It reports whether the alias was
+// added: a missing vertex, or one that already carries the alias, is a
+// no-op that emits nothing.
 func (g *Graph) AddVertexAlias(id VertexID, alias string) bool {
 	return g.addVertexAlias(Mutation{Kind: MutAddVertexAlias, VertexID: id, Alias: alias}, false)
 }
 
 // addVertexAlias applies a MutAddVertexAlias record and commits it.
 func (g *Graph) addVertexAlias(m Mutation, replicated bool) bool {
+	h := keyHash(m.Alias)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	s := g.vshard(m.VertexID)
@@ -243,6 +254,9 @@ func (g *Graph) addVertexAlias(m Mutation, replicated bool) bool {
 	}
 	rec.aliases = append(rec.aliases, m.Alias)
 	s.vertices[m.VertexID] = rec
+	if rec.name != "" {
+		g.fileLocked(h, m.VertexID)
+	}
 	g.commitLocked(Mutation{Kind: MutAddVertexAlias, Epoch: m.Epoch, VertexID: m.VertexID, Alias: m.Alias}, replicated)
 	return true
 }

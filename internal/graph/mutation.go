@@ -87,20 +87,26 @@ func (g *Graph) AddMutationHook(h MutationHook) (remove func()) {
 // ApplyReplicated, exactly as a replica applies its leader's stream.
 
 // RestoreVertices bulk-loads vertices under one write-lock acquisition,
-// inserting or overwriting each under its explicit ID and advancing the
-// vertex ID allocator past it. The graph keeps each vertex's Aliases slice
-// rather than copying it. Labels are interned before the lock is taken, so
-// concurrent calls (one per snapshot section) overlap that work.
+// inserting each under its explicit ID, filing it in the entity index and
+// advancing the vertex ID allocator past it. A vertex already present is
+// left as it is, as ApplyReplicated leaves it. The graph keeps each vertex's
+// Aliases slice rather than copying it. Labels are interned and index keys
+// hashed before the lock is taken, so concurrent calls (one per
+// snapshot section) overlap that work.
 func (g *Graph) RestoreVertices(vs []Vertex) {
 	recs := make([]vertexRec, len(vs))
+	hs := make([][]uint64, len(vs))
 	for i := range vs {
 		recs[i] = vertexRec{label: symtab.Intern(vs[i].Label), name: vs[i].Name, aliases: vs[i].Aliases}
+		hs[i] = rowHashes(&recs[i])
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for i := range vs {
-		g.vshard(vs[i].ID).vertices[vs[i].ID] = recs[i]
 		advancePast(&g.nextVertex, int64(vs[i].ID))
+		if !g.hasVertexLocked(vs[i].ID) {
+			g.insertVertexLocked(vs[i].ID, recs[i], hs[i])
+		}
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 //     mints epochs of its own — the follower adopts the leader's stamps so
 //     both sides agree on what "epoch N" means;
 //   - like the live mutators, it emits every applied record to the mutation
-//     hooks, so the temporal index, epoch-keyed caches and core.KG's
-//     secondary indexes stay in sync without a rebuild.
+//     hooks, so the temporal index and epoch-keyed caches stay in sync
+//     without a rebuild.
 //
 // Each record is applied by the same code as its live mutator, under the
 // write lock, and committed through commitLocked with the leader's stamp.
@@ -56,14 +56,14 @@ func (g *Graph) ApplyReplicated(m Mutation) error {
 func (g *Graph) applyVertexReplicated(m Mutation) {
 	v := m.Vertex
 	rec := vertexRec{label: symtab.Intern(v.Label), name: v.Name, aliases: slices.Clone(v.Aliases)}
+	hs := rowHashes(&rec)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	advancePast(&g.nextVertex, int64(v.ID))
-	s := g.vshard(v.ID)
-	if _, ok := s.vertices[v.ID]; ok {
+	if g.hasVertexLocked(v.ID) {
 		return
 	}
-	s.vertices[v.ID] = rec
+	g.insertVertexLocked(v.ID, rec, hs)
 	g.commitLocked(Mutation{Kind: MutAddVertex, Epoch: m.Epoch, Vertex: v}, true)
 }
 

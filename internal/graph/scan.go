@@ -15,7 +15,7 @@ import "nous/internal/graph/symtab"
 // included. A callback must therefore not call back into the graph: a second
 // read lock deadlocks as soon as a writer queues between the two. What a
 // callback needs beyond the edge itself it reads through the view
-// (EdgeScan.VertexLabel).
+// (EdgeScan.VertexLabel, EdgeScan.VertexName).
 
 // EdgeScan is a read-only view of one edge's slab record. It is valid only
 // for the duration of the callback it is passed to: the graph retains
@@ -52,6 +52,10 @@ func (e *EdgeScan) VertexLabel(id VertexID) (string, bool) {
 	}
 	return symtab.Resolve(rec.label), true
 }
+
+// VertexName returns the name of vertex id ("" for a missing or unnamed
+// vertex), read under the lock the scan already holds.
+func (e *EdgeScan) VertexName(id VertexID) string { return e.g.vshard(id).vertices[id].name }
 
 // Materialize copies the view into an owned Edge value that remains valid
 // after the callback returns.
