@@ -23,7 +23,7 @@ func eventEdges(seed int64, n int) []Edge {
 		return id
 	}
 	out := make([]Edge, 0, len(w.Events))
-	for i, e := range w.Events {
+	for _, e := range w.Events {
 		st, ot := "Any", "Any"
 		if ent, ok := w.Entity(e.Subject); ok {
 			st = string(ent.Type)
@@ -33,7 +33,7 @@ func eventEdges(seed int64, n int) []Edge {
 		}
 		out = append(out, Edge{
 			Src: idOf(e.Subject), Dst: idOf(e.Object),
-			SrcLabel: st, DstLabel: ot, Label: e.Predicate, Time: int64(i),
+			SrcLabel: st, DstLabel: ot, Label: e.Predicate,
 		})
 	}
 	return out

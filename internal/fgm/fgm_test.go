@@ -30,7 +30,6 @@ func randomStream(n int, seed int64) []Edge {
 			Src: s, Dst: d,
 			SrcLabel: vlabels[s%2], DstLabel: vlabels[d%2],
 			Label: labels[rng.Intn(len(labels))],
-			Time:  int64(i),
 		}
 	}
 	return out
@@ -135,6 +134,8 @@ func TestEvictedEdgeTakesItsTypeAlong(t *testing.T) {
 	}
 }
 
+// Removing edges from anywhere in the window — the oldest 40 here, in
+// shuffled order — leaves the counts a recount of the survivors gives.
 func TestTimeEvictionMatchesRecount(t *testing.T) {
 	stream := randomStream(80, 11)
 	cfg := Config{MaxEdges: 3, MinSupport: 1}
@@ -142,13 +143,17 @@ func TestTimeEvictionMatchesRecount(t *testing.T) {
 	for _, ed := range stream {
 		m.Add(ed)
 	}
-	evicted := m.EvictBefore(40)
-	if evicted != 40 {
-		t.Fatalf("evicted %d, want 40", evicted)
+	for _, id := range rand.New(rand.NewSource(11)).Perm(40) {
+		if !m.Remove(int64(id)) {
+			t.Fatalf("edge %d was not resident", id)
+		}
+	}
+	if m.Remove(3) || m.Remove(80) {
+		t.Fatal("Remove found an edge that is gone or never came")
 	}
 	fresh := minerForWindow(m.window(), cfg)
 	if !reflect.DeepEqual(countsOf(m), countsOf(fresh)) {
-		t.Fatal("time-based eviction desynced counts")
+		t.Fatal("removal desynced counts")
 	}
 	if m.WindowLen() != 40 {
 		t.Fatalf("window len = %d", m.WindowLen())
@@ -254,15 +259,15 @@ func TestClosedPatternsFilter(t *testing.T) {
 func TestReconstructionAfterInfrequency(t *testing.T) {
 	cfg := Config{MaxEdges: 2, MinSupport: 3}
 	m := NewMiner(cfg)
-	// three chain instances at times 0,1,2 — chain frequent
+	// three chain instances, seqs 0–5 — chain frequent
 	for i := int64(0); i < 3; i++ {
-		m.Add(Edge{Src: i * 10, Dst: i*10 + 1, SrcLabel: "C", DstLabel: "C", Label: "acquired", Time: i})
-		m.Add(Edge{Src: i*10 + 1, Dst: i*10 + 2, SrcLabel: "C", DstLabel: "P", Label: "manufactures", Time: i})
+		m.Add(Edge{Src: i * 10, Dst: i*10 + 1, SrcLabel: "C", DstLabel: "C", Label: "acquired"})
+		m.Add(Edge{Src: i*10 + 1, Dst: i*10 + 2, SrcLabel: "C", DstLabel: "P", Label: "manufactures"})
 	}
-	// plus 2 extra lone acquired edges at later times (so the 1-edge
-	// pattern stays frequent after the first chain evicts)
-	m.Add(Edge{Src: 200, Dst: 201, SrcLabel: "C", DstLabel: "C", Label: "acquired", Time: 5})
-	m.Add(Edge{Src: 300, Dst: 301, SrcLabel: "C", DstLabel: "C", Label: "acquired", Time: 5})
+	// plus 2 extra lone acquired edges (so the 1-edge pattern stays
+	// frequent after the first chain is removed)
+	m.Add(Edge{Src: 200, Dst: 201, SrcLabel: "C", DstLabel: "C", Label: "acquired"})
+	m.Add(Edge{Src: 300, Dst: 301, SrcLabel: "C", DstLabel: "C", Label: "acquired"})
 
 	entered, left := m.Transitions()
 	if len(entered) == 0 || len(left) != 0 {
@@ -278,8 +283,9 @@ func TestReconstructionAfterInfrequency(t *testing.T) {
 		t.Fatal("chain pattern not closed before eviction")
 	}
 
-	// Evict time < 1: first chain instance dies; chain support 2 < 3.
-	m.EvictBefore(1)
+	// Remove seqs 0 and 1: the first chain instance dies; chain support 2 < 3.
+	m.Remove(0)
+	m.Remove(1)
 	entered, left = m.Transitions()
 	chainLeft := false
 	for _, p := range left {
@@ -496,7 +502,6 @@ func benchStream(n int, seed int64) []Edge {
 			Src: s, Dst: d,
 			SrcLabel: vlabels[s%2], DstLabel: vlabels[d%2],
 			Label: labels[rng.Intn(len(labels))],
-			Time:  int64(i),
 		}
 	}
 	return out

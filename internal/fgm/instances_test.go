@@ -16,7 +16,7 @@ import (
 func (m *Miner) WindowLen() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.windowLen()
+	return len(m.queue) - m.head
 }
 
 // EmbeddingsTouched returns the cumulative number of embeddings enumerated —
@@ -31,14 +31,14 @@ func (m *Miner) EmbeddingsTouched() int64 {
 func (m *Miner) edgeAt(slot int32) Edge {
 	e := &m.edges[slot]
 	return Edge{
-		Src: e.src, Dst: e.dst, Time: e.time,
+		Src: e.src, Dst: e.dst, ID: e.seq,
 		SrcLabel: m.labels[e.sl], DstLabel: m.labels[e.dl], Label: m.labels[e.el],
 	}
 }
 
 // window copies the resident edges in arrival order.
 func (m *Miner) window() []Edge {
-	out := make([]Edge, 0, m.windowLen())
+	out := make([]Edge, 0, len(m.queue)-m.head)
 	for _, slot := range m.queue[m.head:] {
 		out = append(out, m.edgeAt(slot))
 	}

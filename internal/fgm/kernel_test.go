@@ -37,7 +37,6 @@ func hubStream(n, nVerts int, seed int64) []Edge {
 			Src: s, Dst: d,
 			SrcLabel: types[r.src], DstLabel: types[r.dst],
 			Label: r.label,
-			Time:  int64(i),
 		}
 	}
 	return out
@@ -101,12 +100,15 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			}
 		}(read)
 	}
+	var gone int64 // every seq below it has been removed
 	for i := 100; i+20 <= len(stream); i += 20 {
 		m.AddBatch(stream[i : i+10])
 		for _, e := range stream[i+10 : i+20] {
 			m.Add(e)
 		}
-		m.EvictBefore(int64(i - 60))
+		for ; gone < int64(i-60); gone++ {
+			m.Remove(gone)
+		}
 	}
 	close(stop)
 	readers.Wait()
@@ -181,12 +183,17 @@ func TestClosedPatternsConcurrentWithAdd(t *testing.T) {
 			}
 		}()
 	}
+	var gone int64 // every seq below it has been removed
 	for i := 100; i+20 <= len(stream); i += 20 {
 		mutate(func() { m.AddBatch(stream[i : i+10]) })
 		for _, e := range stream[i+10 : i+20] {
 			mutate(func() { m.Add(e) })
 		}
-		mutate(func() { m.EvictBefore(int64(i - 60)) })
+		mutate(func() {
+			for ; gone < int64(i-60); gone++ {
+				m.Remove(gone)
+			}
+		})
 	}
 	close(stop)
 	readers.Wait()

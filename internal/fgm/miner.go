@@ -13,8 +13,11 @@ type Config struct {
 	MaxEdges int
 	// MinSupport is the frequency threshold, an embedding count. Default 3.
 	MinSupport int
-	// WindowSize caps the number of stream edges kept; 0 disables
-	// count-based eviction (use EvictBefore for time-based windows).
+	// WindowSize bounds the window to the newest WindowSize seqs (see
+	// Edge.ID): an edge leaves once the frontier is WindowSize past its seq.
+	// Edges that carry no ID get consecutive seqs, so the window is the last
+	// WindowSize arrivals; edges numbered by a log position keep the window
+	// a function of that log. 0 keeps every edge until Remove.
 	WindowSize int
 	// Workers parallelizes AddBatch across hash partitions. Default
 	// GOMAXPROCS.
@@ -45,9 +48,8 @@ func (c Config) withDefaults() Config {
 // string or a map. The type labels stay with the edge that asserts them: an
 // entity has no type of its own in the window (see kernel.count).
 type winEdge struct {
-	seq        int64 // arrival order; an embedding is born with its highest seq
-	src, dst   int64 // concrete entity ids
-	time       int64
+	seq        int64  // stream position; an embedding is born with its highest seq
+	src, dst   int64  // concrete entity ids
 	sv, dv     int32  // slots in Miner.verts
 	sl, dl, el uint32 // interned SrcLabel, DstLabel, Label
 }
@@ -69,10 +71,10 @@ type Miner struct {
 	mu  sync.RWMutex
 	cfg Config
 
-	nextSeq   int64
+	nextSeq   int64     // the frontier: one past the newest seq
 	edges     []winEdge // slab; queue and adjacency lists hold slots into it
 	freeEdges []int32
-	queue     []int32 // arrival order; the window is queue[head:]
+	queue     []int32 // ascending seq; the window is queue[head:]
 	head      int
 	verts     []winVertex // slab
 	freeVerts []int32
@@ -102,40 +104,46 @@ func NewMiner(cfg Config) *Miner {
 	return m
 }
 
-func (m *Miner) windowLen() int { return len(m.queue) - m.head }
+// claim returns the seq of an edge with the given ID and moves the frontier
+// past it.
+func (m *Miner) claim(id int64) int64 {
+	seq := max(m.nextSeq, id)
+	m.nextSeq = seq + 1
+	return seq
+}
 
-// Add inserts one stream edge: it first evicts the oldest edges the
-// count-based window has no room for, then counts the embeddings born with
-// the newcomer.
+// Add inserts one stream edge: it first evicts the edges the count window
+// slides past, then counts the embeddings born with the newcomer.
 func (m *Miner) Add(e Edge) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.makeRoom(1)
-	slot := m.insert(e)
-	m.seqK.run(slot, m.edges[slot].seq, +1)
+	seq := m.claim(e.ID)
+	m.slide()
+	slot := m.insert(e, seq)
+	m.seqK.run(slot, seq, +1)
 }
 
 // AddBatch inserts a batch of edges and updates counts in parallel across
 // workers. Each new embedding is attributed to exactly one new edge — the
 // one with the maximum seq it contains — so counts are exact. Edges the
-// count-based window would displace are evicted before anything is counted,
-// and of a batch larger than the window only the surviving tail is mined.
+// count window slides past are evicted before anything is counted, and of
+// the batch only the edges still inside the window are mined.
 func (m *Miner) AddBatch(es []Edge) {
 	if len(es) == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ws := m.cfg.WindowSize; ws > 0 && len(es) >= ws {
-		m.resetWindow()
-		m.nextSeq += int64(len(es) - ws)
-		es = es[len(es)-ws:]
-	} else {
-		m.makeRoom(len(es))
+	seqs := make([]int64, len(es))
+	for i := range es {
+		seqs[i] = m.claim(es[i].ID)
 	}
-	batch := make([]int32, len(es))
-	for i, e := range es {
-		batch[i] = m.insert(e)
+	m.slide()
+	batch := make([]int32, 0, len(es))
+	for i := range es {
+		if m.inWindow(seqs[i]) {
+			batch = append(batch, m.insert(es[i], seqs[i]))
+		}
 	}
 
 	workers := m.cfg.Workers
@@ -176,37 +184,49 @@ func (m *Miner) AddBatch(es []Edge) {
 	}
 }
 
-// EvictBefore removes all window edges with Time < cutoff (time-based
-// sliding window), decrementing affected pattern counts. It returns the
-// number of evicted edges.
-func (m *Miner) EvictBefore(cutoff int64) int {
+// Advance moves the frontier to next when it is behind it, as though edges
+// up to seq next-1 had arrived, and evicts what the count window slides
+// past. The pipeline calls it once seeded, with the graph's edge allocator,
+// so a reopened miner's window ends where the live one's did.
+func (m *Miner) Advance(next int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var victims []int32
-	kept := m.queue[:0]
-	for _, slot := range m.queue[m.head:] {
-		if m.edges[slot].time < cutoff {
-			victims = append(victims, slot)
-		} else {
-			kept = append(kept, slot)
-		}
+	if next > m.nextSeq {
+		m.nextSeq = next
+		m.slide()
 	}
-	m.queue, m.head = kept, 0
-	// One at a time: each victim takes with it the embeddings it shares
-	// with the edges still resident.
-	for _, slot := range victims {
-		m.evict(slot)
-	}
-	return len(victims)
 }
 
-// makeRoom evicts the oldest edges until n more fit the count-based window.
-func (m *Miner) makeRoom(n int) {
-	ws := m.cfg.WindowSize
-	if ws <= 0 {
-		return
+// Remove takes the edge of seq id out of the window, un-counting every
+// embedding that contains it, and reports whether it was resident. An
+// edge's seq is its ID whenever IDs arrive in increasing order, as fact IDs
+// do.
+func (m *Miner) Remove(id int64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	w := m.queue[m.head:]
+	i := sort.Search(len(w), func(i int) bool { return m.edges[w[i]].seq >= id })
+	if i == len(w) || m.edges[w[i]].seq != id {
+		return false
 	}
-	for m.windowLen()+n > ws && m.windowLen() > 0 {
+	slot := w[i]
+	copy(w[i:], w[i+1:])
+	m.queue = m.queue[:len(m.queue)-1]
+	m.evict(slot)
+	return true
+}
+
+// inWindow reports whether the count window, at the current frontier,
+// holds seq.
+func (m *Miner) inWindow(seq int64) bool {
+	ws := m.cfg.WindowSize
+	return ws <= 0 || seq >= m.nextSeq-int64(ws)
+}
+
+// slide evicts the oldest edges until every resident seq is inside the
+// count window.
+func (m *Miner) slide() {
+	for m.head < len(m.queue) && !m.inWindow(m.edges[m.queue[m.head]].seq) {
 		slot := m.queue[m.head]
 		m.head++
 		m.evict(slot)
@@ -224,16 +244,6 @@ func (m *Miner) makeRoom(n int) {
 func (m *Miner) evict(slot int32) {
 	m.seqK.run(slot, math.MaxInt64, -1)
 	m.remove(slot)
-}
-
-// resetWindow empties the window and zeroes every count; the shape memo and
-// the pattern table survive.
-func (m *Miner) resetWindow() {
-	m.edges, m.freeEdges = m.edges[:0], m.freeEdges[:0]
-	m.verts, m.freeVerts = m.verts[:0], m.freeVerts[:0]
-	m.queue, m.head = m.queue[:0], 0
-	clear(m.vertOf)
-	clear(m.counts)
 }
 
 func (m *Miner) intern(label string) uint32 {
@@ -264,13 +274,13 @@ func (m *Miner) vertexSlot(id int64) int32 {
 	return slot
 }
 
-// insert appends the edge to the window and returns its slot.
-func (m *Miner) insert(e Edge) int32 {
+// insert appends the edge, of the newest seq, to the window and returns its
+// slot.
+func (m *Miner) insert(e Edge, seq int64) int32 {
 	we := winEdge{
-		seq: m.nextSeq, src: e.Src, dst: e.Dst, time: e.Time,
+		seq: seq, src: e.Src, dst: e.Dst,
 		sl: m.intern(e.SrcLabel), dl: m.intern(e.DstLabel), el: m.intern(e.Label),
 	}
-	m.nextSeq++
 	we.sv = m.vertexSlot(e.Src)
 	we.dv = m.vertexSlot(e.Dst)
 	var slot int32

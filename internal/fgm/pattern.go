@@ -35,7 +35,14 @@ type Edge struct {
 	Src, Dst           int64  // entity identities
 	SrcLabel, DstLabel string // entity types
 	Label              string // predicate
-	Time               int64  // event time (used by time-based eviction)
+	// ID places the edge in the stream: its seq is ID when that is past
+	// every earlier edge's seq, else the next seq after them. Edges without
+	// an ID therefore get consecutive seqs; the pipeline passes fact IDs.
+	// Remove names an edge by its seq.
+	ID int64
+	// Time is unused: an edge leaves the window by Remove or by the count
+	// window, never by its time.
+	Time int64
 }
 
 // PatternEdge is one edge of an abstract pattern between canonical vertex

@@ -16,8 +16,10 @@ import (
 // canonical codes found per embedding through fmt/sort/strings signatures,
 // counts in maps keyed by code, insert-then-evict windows — and the tests
 // demand identical (Code, Support, VertexLabels, Edges) from
-// FrequentPatterns, ClosedPatterns and Transitions after arbitrary operation
-// sequences. Only sortPatterns, which the kernel did not touch, is shared
+// FrequentPatterns, ClosedPatterns and Transitions, and identical Remove
+// results, after arbitrary operation sequences. Its window follows the seq
+// rule: an edge's seq is max(frontier, Edge.ID), the frontier moves one
+// past it, and the window holds the newest WindowSize seqs. Only sortPatterns, which the kernel did not touch, is shared
 // with the production code. ClosedPatterns(k) must equal the first k of
 // closedOf, the pairwise closedness filter (closedOf, subPatternOf,
 // edgesContained) that production used before its sub-pattern lattice and
@@ -29,17 +31,17 @@ import (
 // newest first, so the oldest edge decides.
 
 type refWindowEdge struct {
-	id int64
+	id int64 // the seq
 	Edge
 }
 
 type refMiner struct {
 	cfg Config
 
-	nextID int64
-	queue  []*refWindowEdge
-	adj    map[int64][]*refWindowEdge
-	counts map[string]int
+	nextSeq int64
+	queue   []*refWindowEdge
+	adj     map[int64][]*refWindowEdge
+	counts  map[string]int
 
 	canon        *refCanonicalizer
 	patterns     map[string]Pattern
@@ -57,9 +59,17 @@ func newRefMiner(cfg Config) *refMiner {
 	}
 }
 
+func (m *refMiner) newEdge(e Edge) *refWindowEdge {
+	we := &refWindowEdge{id: m.nextSeq, Edge: e}
+	if e.ID > we.id {
+		we.id = e.ID
+	}
+	m.nextSeq = we.id + 1
+	return we
+}
+
 func (m *refMiner) Add(e Edge) {
-	we := &refWindowEdge{id: m.nextID, Edge: e}
-	m.nextID++
+	we := m.newEdge(e)
 	m.insert(we)
 	m.applyEmbeddings(we, +1)
 	m.enforceWindow()
@@ -68,8 +78,7 @@ func (m *refMiner) Add(e Edge) {
 func (m *refMiner) AddBatch(es []Edge) {
 	batch := make([]*refWindowEdge, len(es))
 	for i, e := range es {
-		we := &refWindowEdge{id: m.nextID, Edge: e}
-		m.nextID++
+		we := m.newEdge(e)
 		m.insert(we)
 		batch[i] = we
 	}
@@ -79,29 +88,30 @@ func (m *refMiner) AddBatch(es []Edge) {
 	m.enforceWindow()
 }
 
-func (m *refMiner) EvictBefore(cutoff int64) int {
-	kept := m.queue[:0]
-	var victims []*refWindowEdge
-	for _, we := range m.queue {
-		if we.Time < cutoff {
-			victims = append(victims, we)
-		} else {
-			kept = append(kept, we)
+func (m *refMiner) Advance(next int64) {
+	if next > m.nextSeq {
+		m.nextSeq = next
+		m.enforceWindow()
+	}
+}
+
+func (m *refMiner) Remove(id int64) bool {
+	for i, we := range m.queue {
+		if we.id == id {
+			m.queue = append(m.queue[:i:i], m.queue[i+1:]...)
+			m.applyEmbeddings(we, -1)
+			m.remove(we)
+			return true
 		}
 	}
-	m.queue = kept
-	for _, we := range victims {
-		m.applyEmbeddings(we, -1)
-		m.remove(we)
-	}
-	return len(victims)
+	return false
 }
 
 func (m *refMiner) enforceWindow() {
 	if m.cfg.WindowSize <= 0 {
 		return
 	}
-	for len(m.queue) > m.cfg.WindowSize {
+	for len(m.queue) > 0 && m.queue[0].id < m.nextSeq-int64(m.cfg.WindowSize) {
 		we := m.queue[0]
 		m.queue = m.queue[1:]
 		m.applyEmbeddings(we, -1)
@@ -449,16 +459,16 @@ func refBuildSig(emb []refEmbEdge, rawPos map[int64]int, vids []int64, labels ma
 
 // minerOp is one step of a differential run.
 type minerOp struct {
-	kind   byte // 'a' Add, 'b' AddBatch, 'e' EvictBefore, 't' Transitions
-	edges  []Edge
-	cutoff int64
+	kind  byte // 'a' Add, 'b' AddBatch, 'r' Remove, 'v' Advance, 't' Transitions
+	edges []Edge
+	id    int64 // Remove's seq, Advance's frontier
 }
 
 // shapedStream draws edges that exercise every enumeration corner: a small
 // vertex alphabet (shared hubs, triangles, parallel and anti-parallel
 // edges), self-loops, and one type per vertex bar the odd edge that
-// disagrees with the rest about an endpoint. Time is the arrival index.
-func shapedStream(rng *rand.Rand, n, nVerts int, t0 int64) []Edge {
+// disagrees with the rest about an endpoint. The edges carry no ID.
+func shapedStream(rng *rand.Rand, n, nVerts int) []Edge {
 	labels := []string{"acquired", "partnersWith", "invests"}
 	vlabels := []string{"C", "P", "Q"}
 	out := make([]Edge, n)
@@ -475,7 +485,6 @@ func shapedStream(rng *rand.Rand, n, nVerts int, t0 int64) []Edge {
 			Src: s, Dst: d,
 			SrcLabel: vlabels[s%3], DstLabel: vlabels[d%3],
 			Label: labels[rng.Intn(len(labels))],
-			Time:  t0 + int64(i),
 		}
 		switch rng.Intn(12) {
 		case 0:
@@ -488,36 +497,52 @@ func shapedStream(rng *rand.Rand, n, nVerts int, t0 int64) []Edge {
 }
 
 // randomOps builds an operation sequence from a seed: single adds, batches
-// both smaller and larger than the count window, time evictions that cut
-// into the middle of the window, and Transitions probes. At most budget
-// edges are added in all: the reference's DFS visits every ordering of an
-// embedding, so a dense unbounded window costs it seconds.
+// both smaller and larger than the count window, removals that cut into
+// the middle of the window, frontier advances and Transitions probes. Most
+// edges carry increasing IDs with gaps, some none and some an ID behind the
+// frontier, so every branch of the seq rule is met. A removal names a seq
+// drawn at or below the frontier: resident, already gone or never used. At
+// most budget edges are added in all: the reference's DFS visits every
+// ordering of an embedding, so a dense unbounded window costs it seconds.
 func randomOps(seed int64, nOps, window, budget int) []minerOp {
 	rng := rand.New(rand.NewSource(seed))
 	nVerts := 4 + rng.Intn(8)
 	var ops []minerOp
-	var clock int64
+	var frontier int64 // the miner's, tracked by the seq rule
+	number := func(es []Edge) []Edge {
+		for i := range es {
+			switch r := rng.Intn(8); {
+			case r == 0: // no ID
+			case r == 1: // an ID behind the frontier
+				es[i].ID = frontier - 1 - int64(rng.Intn(4))
+			default: // ahead of it, with a gap
+				es[i].ID = frontier + int64(rng.Intn(3))
+			}
+			frontier = max(frontier, es[i].ID) + 1
+		}
+		return es
+	}
 	for i := 0; i < nOps; i++ {
-		r := rng.Intn(10)
+		r := rng.Intn(12)
 		if budget <= 0 && r < 8 {
-			r = 8 + r%2
+			r = 8 + r%4
 		}
 		switch {
 		case r < 5:
-			ops = append(ops, minerOp{kind: 'a', edges: shapedStream(rng, 1, nVerts, clock)})
-			clock++
+			ops = append(ops, minerOp{kind: 'a', edges: number(shapedStream(rng, 1, nVerts))})
 			budget--
 		case r < 8:
 			n := 1 + rng.Intn(2*window+2)
 			if window == 0 {
 				n = 1 + rng.Intn(8)
 			}
-			ops = append(ops, minerOp{kind: 'b', edges: shapedStream(rng, n, nVerts, clock)})
-			clock += int64(n)
+			ops = append(ops, minerOp{kind: 'b', edges: number(shapedStream(rng, n, nVerts))})
 			budget -= n
-		case r < 9:
-			back := int64(rng.Intn(12))
-			ops = append(ops, minerOp{kind: 'e', cutoff: clock - back})
+		case r < 10:
+			ops = append(ops, minerOp{kind: 'r', id: frontier - int64(rng.Intn(2*window+8))})
+		case r < 11:
+			frontier += int64(rng.Intn(3))
+			ops = append(ops, minerOp{kind: 'v', id: frontier})
 		default:
 			ops = append(ops, minerOp{kind: 't'})
 		}
@@ -529,7 +554,8 @@ func randomOps(seed int64, nOps, window, budget int) []minerOp {
 type miner interface {
 	Add(Edge)
 	AddBatch([]Edge)
-	EvictBefore(int64) int
+	Advance(int64)
+	Remove(int64) bool
 	FrequentPatterns() []Pattern
 	ClosedPatterns(k int) []Pattern
 	Transitions() (entered, left []Pattern)
@@ -547,10 +573,13 @@ func diffAgainstReference(cfg Config, ops []minerOp) string {
 		case 'b':
 			got.AddBatch(op.edges)
 			want.AddBatch(op.edges)
-		case 'e':
-			if g, w := got.EvictBefore(op.cutoff), want.EvictBefore(op.cutoff); g != w {
-				return fmt.Sprintf("op %d: EvictBefore(%d) evicted %d, reference %d", i, op.cutoff, g, w)
+		case 'r':
+			if g, w := got.Remove(op.id), want.Remove(op.id); g != w {
+				return fmt.Sprintf("op %d: Remove(%d) = %v, reference %v", i, op.id, g, w)
 			}
+		case 'v':
+			got.Advance(op.id)
+			want.Advance(op.id)
 		case 't':
 			ge, gl := got.Transitions()
 			we, wl := want.Transitions()
@@ -586,8 +615,10 @@ func TestLatticeMatchesSubPatternOfQuick(t *testing.T) {
 				m.Add(op.edges[0])
 			case 'b':
 				m.AddBatch(op.edges)
-			case 'e':
-				m.EvictBefore(op.cutoff)
+			case 'r':
+				m.Remove(op.id)
+			case 'v':
+				m.Advance(op.id)
 			case 't':
 				m.ClosedPatterns(1)
 			}

@@ -105,7 +105,7 @@ func TestAddVertexRowAtomic(t *testing.T) {
 					return
 				default:
 				}
-				for _, id := range g.VertexIDs() {
+				for _, id := range vertexIDs(g) {
 					v, ok := g.Vertex(id)
 					if !ok {
 						continue
@@ -242,7 +242,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 
 	// Quiesced invariants: adjacency, edge slabs and the edge count agree.
 	sumOut, sumIn := 0, 0
-	for _, id := range g.VertexIDs() {
+	for _, id := range vertexIDs(g) {
 		sumOut += len(outEdges(g, id))
 		sumIn += len(inEdges(g, id))
 	}

@@ -396,6 +396,15 @@ func (g *Graph) NumEdges() int {
 	return g.numEdgesLocked()
 }
 
+// NextEdge returns the edge ID allocator: the ID the next added edge gets.
+// Snapshots persist it and replicated edges advance it, so a reopened graph
+// and a follower read what the leader does at the same log position.
+func (g *Graph) NextEdge() EdgeID {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return EdgeID(g.nextEdge)
+}
+
 func (g *Graph) numEdgesLocked() int {
 	n := 0
 	for i := range g.shards {
@@ -432,15 +441,6 @@ func (g *Graph) Neighbors(id VertexID) []VertexID {
 	for v := range seen {
 		ids = append(ids, v)
 	}
-	slices.Sort(ids)
-	return ids
-}
-
-// VertexIDs returns all vertex IDs in ascending order.
-func (g *Graph) VertexIDs() []VertexID {
-	g.mu.RLock()
-	ids := g.vertexIDsLocked()
-	g.mu.RUnlock()
 	slices.Sort(ids)
 	return ids
 }

@@ -33,6 +33,15 @@ func incidentEdges(g *Graph, id VertexID) []Edge {
 	return collectEdges(func(fn func(*EdgeScan) bool) { g.ForEachIncidentScan(id, fn) })
 }
 
+// vertexIDs lists every vertex ID in ascending order.
+func vertexIDs(g *Graph) []VertexID {
+	g.mu.RLock()
+	ids := g.vertexIDsLocked()
+	g.mu.RUnlock()
+	slices.Sort(ids)
+	return ids
+}
+
 // liveEdgeIDs lists every live edge ID in ascending order.
 func liveEdgeIDs(g *Graph) []EdgeID {
 	var ids []EdgeID

@@ -19,7 +19,7 @@ func refPageRank(g *Graph, damping float64, iters int, keep func(*EdgeScan) bool
 		return map[VertexID]float64{}
 	}
 	base := (1 - damping) / float64(n)
-	ids := g.VertexIDs()
+	ids := vertexIDs(g)
 	outdeg := make(map[VertexID]float64)
 	g.ScanEdges(func(e *EdgeScan) bool {
 		if keep == nil || keep(e) {

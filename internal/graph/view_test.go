@@ -80,7 +80,7 @@ func TestViewOrderIgnoresInsertionOrder(t *testing.T) {
 	}
 	rand.New(rand.NewSource(5)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	shuffled := New()
-	for _, id := range g.VertexIDs() {
+	for _, id := range vertexIDs(g) {
 		v, _ := g.Vertex(id)
 		if err := shuffled.ApplyReplicated(Mutation{Kind: MutAddVertex, Epoch: shuffled.Epoch() + 1, Vertex: v}); err != nil {
 			t.Fatal(err)

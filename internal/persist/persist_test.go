@@ -72,7 +72,7 @@ func assertGraphsEqual(t *testing.T, want, got *graph.Graph) {
 	if we, ge := want.Epoch(), got.Epoch(); we != ge {
 		t.Errorf("epoch: want %d, got %d", we, ge)
 	}
-	wv, gv := want.VertexIDs(), got.VertexIDs()
+	wv, gv := vertexIDs(want), vertexIDs(got)
 	if !reflect.DeepEqual(wv, gv) {
 		t.Fatalf("vertex IDs: want %v, got %v", wv, gv)
 	}
@@ -94,6 +94,18 @@ func assertGraphsEqual(t *testing.T, want, got *graph.Graph) {
 			t.Errorf("edge %d: want %+v, got %+v", id, w, g2)
 		}
 	}
+}
+
+// vertexIDs lists a graph's vertex IDs in ascending order.
+func vertexIDs(g *graph.Graph) []graph.VertexID {
+	var ids []graph.VertexID
+	for _, shard := range g.Snapshot().Vertices {
+		for _, v := range shard {
+			ids = append(ids, v.ID)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // edgeIDs lists a graph's live edge IDs in ascending order.

@@ -31,8 +31,10 @@ import (
 // Config tunes the pipeline. The zero Config evicts nothing, extracts on
 // GOMAXPROCS workers and never learns.
 type Config struct {
-	// Window evicts extracted facts older than this horizon relative to
-	// the newest document; 0 disables eviction.
+	// Window evicts extracted facts dated more than this before the newest
+	// dated fact in the KG; 0 disables eviction. The horizon moves only with
+	// stored facts: an article that adds none leaves it where it was, so
+	// what the window holds is a function of the fact log.
 	Window time.Duration
 	// Workers parallelizes extraction. Default GOMAXPROCS.
 	Workers int
@@ -87,10 +89,9 @@ type Pipeline struct {
 	linker    *disambig.Linker
 	tracker   *trust.Tracker
 
-	mu         sync.Mutex
-	stats      Stats
-	learnBuf   []extract.RawTriple
-	latestSeen time.Time
+	mu       sync.Mutex
+	stats    Stats
+	learnBuf []extract.RawTriple
 }
 
 // NewWith builds a pipeline over a KG already loaded with the curated KB.
@@ -175,7 +176,7 @@ func (p *Pipeline) Stats() Stats {
 
 // Process runs one article through the pipeline.
 func (p *Pipeline) Process(a corpus.Article) {
-	p.integrate(a, p.extractArticle(a))
+	p.integrate(p.extractArticle(a))
 }
 
 // Run processes articles through a bounded worker pool: the embarrassingly
@@ -223,8 +224,8 @@ func (p *Pipeline) Run(articles []corpus.Article) Stats {
 	}()
 
 	// In-order integration, pipelined against extraction.
-	for i, a := range articles {
-		p.integrate(a, <-results[i])
+	for _, res := range results {
+		p.integrate(<-res)
 	}
 	return p.Stats()
 }
@@ -252,7 +253,7 @@ func (p *Pipeline) extractArticle(a corpus.Article) extraction {
 
 // integrate maps, disambiguates, scores and stores one document's raw
 // triples; it must run in document order.
-func (p *Pipeline) integrate(a corpus.Article, ex extraction) {
+func (p *Pipeline) integrate(ex extraction) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
@@ -322,12 +323,11 @@ func (p *Pipeline) integrate(a corpus.Article, ex extraction) {
 	// so one per-document bracket equals the old per-fact accounting.
 	p.stats.NewEntities += p.kg.NumEntities() - entitiesBefore
 
-	// Sliding window.
-	if !a.Date.IsZero() && a.Date.After(p.latestSeen) {
-		p.latestSeen = a.Date
-	}
-	if p.cfg.Window > 0 && !p.latestSeen.IsZero() {
-		p.stats.FactsEvicted += p.kg.EvictBefore(p.latestSeen.Add(-p.cfg.Window))
+	// Sliding window, against the newest dated fact the KG holds.
+	if p.cfg.Window > 0 {
+		if _, newest, ok := p.kg.TemporalIndex().Span(); ok {
+			p.stats.FactsEvicted += p.kg.EvictBefore(time.Unix(newest, 0).Add(-p.cfg.Window))
+		}
 	}
 
 	// Periodic semi-supervised expansion and trust fixpoint. The

@@ -24,7 +24,6 @@ package nous
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -188,11 +187,11 @@ type Pipeline struct {
 }
 
 // NewPipeline assembles the system over a KG pre-loaded with curated
-// knowledge. The miner is seeded with the facts already in the KG (the most
-// recent Miner.WindowSize of them), so mined patterns span both curated and
-// extracted structure, and the trend table counts every dated extracted
-// fact in the KG, so a reopened or replicated pipeline trends like the one
-// that wrote its facts.
+// knowledge. The miner is seeded with the facts already in the KG (those of
+// the newest Miner.WindowSize fact IDs), so mined patterns span both
+// curated and extracted structure, and the trend table counts every dated
+// extracted fact in the KG, so a reopened or replicated pipeline trends and
+// mines like the one that wrote its facts.
 func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	p := &Pipeline{cfg: cfg, kg: kg}
 	p.miner = fgm.NewMiner(cfg.Miner)
@@ -203,30 +202,37 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	p.analytics = analytics.New(kg)
 
 	// Seed the miner with the pre-existing facts, then subscribe to live
-	// updates. Seeding costs O(window), not O(facts): AddBatch mines only
-	// the tail the count window keeps. Curated facts get an infinite
-	// timestamp, so time-based eviction (EvictBefore) never removes them;
-	// the count window is FIFO over arrivals and does evict them once
-	// Miner.WindowSize newer facts have come in.
+	// updates. A miner edge's seq is its fact ID, and the count window holds
+	// the newest Miner.WindowSize IDs up to the graph's edge allocator,
+	// which snapshots persist and followers replicate; so the seeded window
+	// holds exactly the facts a live miner would still hold, curated ones
+	// included. Seeding costs O(window), not O(facts): AddBatch mines only
+	// the facts inside the window. The window loses a fact when the KG
+	// evicts it (the FactEvicted branch below) or when the allocator moves
+	// Miner.WindowSize past its ID.
 	// The fact list is decoded from the graph once and shared with the
 	// stream assembly below (link-prediction training on its curated facts,
 	// trust seeding).
 	facts := kg.AllFacts()
 	seed := make([]fgm.Edge, len(facts))
 	for i, f := range facts {
-		seed[i] = p.minerEdge(f)
+		seed[i] = minerEdge(f)
 	}
 	p.miner.AddBatch(seed)
+	p.miner.Advance(int64(kg.Graph().NextEdge()))
 	// The trend table is seeded from the same list and then moves with
 	// every addition and eviction; it is read under the KG's lock, so it
 	// never lags the graph epoch a cached answer is keyed by.
 	p.trends = trends.Track(kg, cfg.Trends, facts)
 	kg.Subscribe(func(ev core.Event) {
-		if ev.Kind == core.FactAdded {
-			p.miner.Add(p.minerEdge(ev.Fact))
+		switch ev.Kind {
+		case core.FactAdded:
+			p.miner.Add(minerEdge(ev.Fact))
 			if t := ev.Fact.Provenance.Time; !t.IsZero() {
 				p.advance(t)
 			}
+		case core.FactEvicted:
+			p.miner.Remove(int64(ev.Fact.ID))
 		}
 	})
 
@@ -356,15 +362,11 @@ func (p *Pipeline) PersistStats() (PersistStats, bool) {
 	return p.store.Stats(), true
 }
 
-func (p *Pipeline) minerEdge(f Fact) fgm.Edge {
-	ts := int64(math.MaxInt64) // curated: never evict
-	if !f.Curated {
-		ts = f.Provenance.Time.Unix()
-	}
+func minerEdge(f Fact) fgm.Edge {
 	return fgm.Edge{
 		Src: int64(f.Src), Dst: int64(f.Dst),
 		SrcLabel: string(f.SubjectType), DstLabel: string(f.ObjectType),
-		Label: f.Predicate, Time: ts,
+		Label: f.Predicate, ID: int64(f.ID),
 	}
 }
 
@@ -391,22 +393,15 @@ func (p *Pipeline) IngestAll(articles []Article) StreamStats {
 	return p.stream.Run(articles)
 }
 
-// advance moves the pipeline clock forward to t (never back) and, with a
-// stream window, slides the miner's time window along with it. Safe to call
+// advance moves the pipeline clock forward to t (never back). Safe to call
 // while queries read the clock.
 func (p *Pipeline) advance(t time.Time) {
 	ts := t.Unix()
 	for {
 		cur := p.clock.Load()
-		if ts <= cur {
+		if ts <= cur || p.clock.CompareAndSwap(cur, ts) {
 			return
 		}
-		if p.clock.CompareAndSwap(cur, ts) {
-			break
-		}
-	}
-	if w := p.cfg.Stream.Window; w > 0 {
-		p.miner.EvictBefore(t.Add(-w).Unix())
 	}
 }
 
