@@ -43,7 +43,7 @@ func main() {
 		fmt.Printf("  support=%-4d %s\n", p.Support, p)
 	}
 
-	// Who is the most cited paper about? Entity query over a paper.
+	// An entity query over the first paper the world names.
 	papers := world.EntitiesOfType("Paper")
 	if len(papers) > 0 {
 		ans, err := pipeline.About(papers[0])

@@ -1,9 +1,15 @@
 // Insider demonstrates the insider-threat domain from §3.1: enterprise log
 // events (file access, logins, email, copies) stream into the dynamic KG,
-// and the streaming frequent-graph miner surfaces the planted exfiltration
-// motif (access → copy-to-removable-media) as it becomes frequent in the
-// window — the paper's "discover trends in streaming data" capability on a
-// security workload.
+// and the streaming frequent-graph miner reports the patterns that became
+// frequent in the detection window, the last quarter of the stream: the
+// paper's "discover trends in streaming data" capability on a security
+// workload. The planted exfiltration motif (access → copy to the removable
+// drive) is not among them. The miner counts patterns over entity types,
+// and random accesses and copies already form access → copy patterns
+// thousands of times in the baseline, so the motif is frequent before it
+// is planted. The plant shows in the drill-down on the drive instead: its
+// recent activity bursts in the detection window, and most of its facts
+// are copies into it.
 package main
 
 import (
@@ -56,21 +62,14 @@ func main() {
 	fmt.Printf("events streamed: %d (baseline %d + detection window %d)\n",
 		len(articles), split, len(articles)-split)
 	fmt.Printf("\n== Patterns that BECAME frequent in the detection window ==\n")
-	exfil := false
 	for _, p := range entered {
 		fmt.Printf("  support=%-4d %s\n", p.Support, p)
-		if strings.Contains(p.Code, "copiedTo") && strings.Contains(p.Code, "accessed") {
-			exfil = true
-		}
 	}
 	if len(left) > 0 {
 		fmt.Printf("\n== Patterns that dropped out ==\n")
 		for _, p := range left {
 			fmt.Printf("  %s\n", p)
 		}
-	}
-	if exfil {
-		fmt.Println("\nALERT: access→copy exfiltration motif crossed the support threshold.")
 	}
 
 	// Drill-down: who is touching the removable-media sink?

@@ -72,11 +72,21 @@ func (pm *predModel) positive(s, o int32) bool {
 	return ok
 }
 
-// Model is a trained collection of per-predicate BPR models. It is safe
-// for concurrent use: Update takes the write lock, and scoring takes the
-// read lock. The ingest pipeline never calls Update, so its model does not
-// change once trained.
+// Model is a collection of per-predicate BPR models, fitted on its first
+// read: New captures the training triples and seed, and the first Score,
+// Predicates, String or Update fits the factors and drops the triples.
+// Train fits at once. Either way the fit is the same function of the same
+// triples, so a model fitted late is bit-identical to one fitted early.
+//
+// A Model is safe for concurrent use: concurrent first reads wait for one
+// fit, Update takes the write lock, and scoring takes the read lock. The
+// ingest pipeline never calls Update, so its model does not change once
+// fitted.
 type Model struct {
+	fitOnce sync.Once
+	triples []core.Triple // the training set, nil once fitted
+	seed    int64
+
 	mu     sync.RWMutex
 	hp     hyper
 	preds  map[string]*predModel
@@ -84,8 +94,16 @@ type Model struct {
 	global float64 // global mean score used for unseen predicates
 }
 
-// Train fits a model on the given triples. The ingest pipeline passes the
-// curated KB's facts alone (stream.NewWith).
+// New returns a model that fits on the given triples at its first read.
+// The caller must not change triples afterwards. The ingest pipeline passes
+// the curated KB's facts alone, as collected at assembly (stream.NewWith),
+// so a reopen or a follower bootstrap pays for no fit until a document is
+// gated or a fact's plausibility is asked.
+func New(triples []core.Triple, cfg Config) *Model {
+	return newWith(triples, cfg.Seed, defaultHyper)
+}
+
+// Train fits a model on the given triples at once: New followed by the fit.
 //
 // The epochs run on two sides. This goroutine makes every step's random
 // choices (draw) in the serial order — epoch, predicate, pair, sample — and
@@ -99,12 +117,31 @@ func Train(triples []core.Triple, cfg Config) *Model {
 	return trainWith(triples, cfg.Seed, defaultHyper)
 }
 
+// newWith is New under the given seed and hyperparameters.
+func newWith(triples []core.Triple, seed int64, hp hyper) *Model {
+	return &Model{triples: triples, seed: seed, hp: hp, global: 0.5}
+}
+
 // trainWith is Train under the given seed and hyperparameters.
 func trainWith(triples []core.Triple, seed int64, hp hyper) *Model {
-	m := &Model{hp: hp, preds: make(map[string]*predModel), rng: rand.New(rand.NewSource(seed)), global: 0.5}
-	for _, t := range triples {
+	m := newWith(triples, seed, hp)
+	m.fitted()
+	return m
+}
+
+// fitted fits the model on its captured triples the first time it is
+// called; every later call, from any goroutine, returns once that fit is
+// done.
+func (m *Model) fitted() { m.fitOnce.Do(m.fit) }
+
+// fit trains the factors on m.triples and then drops them.
+func (m *Model) fit() {
+	hp := m.hp
+	m.preds, m.rng = make(map[string]*predModel), rand.New(rand.NewSource(m.seed))
+	for _, t := range m.triples {
 		m.observe(t)
 	}
+	m.triples = nil
 	names := m.predicates() // deterministic epoch order
 
 	// free holds the blocks not in flight; each queue can take all of
@@ -165,7 +202,6 @@ func trainWith(triples []core.Triple, seed int64, hp hyper) *Model {
 		close(q)
 	}
 	wg.Wait()
-	return m
 }
 
 // Training moves its drawn steps in trainBlocks blocks of at most
@@ -187,7 +223,7 @@ type step struct{ s, o, negS, negO int32 }
 
 // observe registers a triple with its predicate model, initializing factors
 // for unseen entities, and returns the model with the triple's rows. The
-// caller holds the write lock, or owns the model before it is shared.
+// caller holds the write lock, or is the fit, which every reader waits for.
 func (m *Model) observe(t core.Triple) (pm *predModel, s, o int32) {
 	pm, ok := m.preds[t.Predicate]
 	if !ok {
@@ -278,6 +314,7 @@ func (m *Model) apply(pm *predModel, st step) {
 // factor product. Unseen predicates or entities fall back to neutral 0.5
 // scaled by how much of the triple is known.
 func (m *Model) Score(s, p, o string) float64 {
+	m.fitted()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.score(s, p, o)
@@ -306,6 +343,7 @@ func (m *Model) rowScore(pm *predModel, s, o int32) float64 {
 // it; its only caller outside tests is the system benchmark's traced
 // linkpred.update span.
 func (m *Model) Update(t core.Triple, steps int) {
+	m.fitted()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	pm, s, o := m.observe(t)
@@ -318,6 +356,7 @@ func (m *Model) Update(t core.Triple, steps int) {
 
 // Predicates returns the predicates the model covers, sorted.
 func (m *Model) Predicates() []string {
+	m.fitted()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.predicates()
@@ -334,6 +373,7 @@ func (m *Model) predicates() []string {
 
 // String summarises the model.
 func (m *Model) String() string {
+	m.fitted()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	n := 0

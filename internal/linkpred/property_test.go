@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"testing/quick"
 
 	"nous/internal/core"
 )
@@ -97,9 +99,16 @@ func newRefWorld(seed int64) refWorld {
 	return w
 }
 
+// model is what sameModel reads of a Model or a refModel.
+type model interface {
+	Scorer
+	Predicates() []string
+	String() string
+}
+
 // sameModel demands equal Score bits on every (s, p, o) of the world, and
 // equal Predicates and String.
-func sameModel(t *testing.T, seed int64, when string, w refWorld, got *Model, want *refModel) {
+func sameModel(t *testing.T, seed int64, when string, w refWorld, got, want model) {
 	t.Helper()
 	for _, p := range w.preds {
 		for _, s := range w.names {
@@ -221,6 +230,87 @@ func TestTrainConcurrentMatchesReference(t *testing.T) {
 		}
 		for j, m := range got {
 			check(fmt.Sprintf("in concurrent Train %d", j), m)
+		}
+	}
+}
+
+// TestDeferredFitMatchesTrainProperty: on random worlds, a model from
+// newWith holds no factors before its first read, and after it, whether
+// that read is Score, Predicates, String or Update, it is bit-identical to
+// trainWith's on every (s, p, o) of the world.
+func TestDeferredFitMatchesTrainProperty(t *testing.T) {
+	f := func(seed int64, first uint8) bool {
+		w := newRefWorld(seed)
+		lazy, eager := newWith(w.train, w.seed, w.hp), trainWith(w.train, w.seed, w.hp)
+		if lazy.preds != nil || lazy.rng != nil {
+			t.Logf("seed %d: factors before the first read", seed)
+			return false
+		}
+		switch first % 4 {
+		case 0:
+			lazy.Score(w.names[0], w.preds[0], w.names[1])
+		case 1:
+			lazy.Predicates()
+		case 2:
+			_ = lazy.String()
+		case 3:
+			u := core.Triple{Subject: w.names[0], Predicate: w.preds[0], Object: w.names[1]}
+			lazy.Update(u, 2)
+			eager.Update(u, 2)
+		}
+		if lazy.triples != nil {
+			t.Logf("seed %d: training triples kept after the fit", seed)
+			return false
+		}
+		sameModel(t, seed, fmt.Sprintf("deferred, first read %d", first%4), w, lazy, eager)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentFirstReadsFitOnce starts 8 goroutines at once on a fresh
+// deferred model, each making the model's first Score on a triple of its
+// own and then scoring every training triple. All must agree with Train
+// bit for bit.
+func TestConcurrentFirstReadsFitOnce(t *testing.T) {
+	type fresh struct {
+		train   []core.Triple
+		want, m *Model
+	}
+	train, _, _ := blockWorld(6, 4)
+	cases := []fresh{{train, Train(train, DefaultConfig()), New(train, DefaultConfig())}}
+	for seed := int64(1); seed <= 20; seed++ {
+		if w := newRefWorld(seed); len(w.train) > 0 {
+			cases = append(cases, fresh{w.train, trainWith(w.train, w.seed, w.hp), newWith(w.train, w.seed, w.hp)})
+		}
+	}
+	for i, c := range cases {
+		const readers = 8
+		got := make([][]float64, readers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				<-start
+				first := c.train[r%len(c.train)]
+				c.m.Score(first.Subject, first.Predicate, first.Object)
+				for _, tr := range c.train {
+					got[r] = append(got[r], c.m.Score(tr.Subject, tr.Predicate, tr.Object))
+				}
+			}(r)
+		}
+		close(start)
+		wg.Wait()
+		for r, scores := range got {
+			for j, tr := range c.train {
+				if x := c.want.Score(tr.Subject, tr.Predicate, tr.Object); math.Float64bits(scores[j]) != math.Float64bits(x) {
+					t.Fatalf("case %d reader %d: Score(%v) = %v, Train %v", i, r, tr, scores[j], x)
+				}
+			}
 		}
 	}
 }

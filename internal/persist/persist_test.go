@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -587,6 +588,80 @@ func TestOpenOnFreshDirIsEmpty(t *testing.T) {
 	s := st.Stats()
 	if s.WALSeq != 0 || s.SnapshotEpoch != 0 {
 		t.Errorf("fresh stats = %+v", s)
+	}
+}
+
+// TestIdleReopensLeaveOneEmptySegment opens and closes one directory four
+// times with no write in between. Each open replaces the header-only segment
+// the one before it left, so the directory ends with one such segment, not
+// four, and the graph and its epoch are unchanged. A write after the
+// reopens lands in that segment, and a WALCursor reads every record with no
+// sequence gap.
+func TestIdleReopensLeaveOneEmptySegment(t *testing.T) {
+	dir := t.TempDir()
+	g := graph.New()
+	st := mustOpen(t, dir, g, testOptions())
+	buildSample(t, g)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	g.AddVertex("Company", "Delta") // the tail above the snapshot's cut
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 4; i++ {
+		g2 := graph.New()
+		st2 := mustOpen(t, dir, g2, testOptions())
+		assertGraphsEqual(t, g, g2)
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wals, err := listWALs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var empty []string
+	for _, p := range wals {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == walHeaderSize {
+			empty = append(empty, filepath.Base(p))
+		}
+	}
+	if len(wals) != 2 || len(empty) != 1 {
+		t.Fatalf("after 4 idle reopens: segments %d, header-only %v; want 2 and 1", len(wals), empty)
+	}
+
+	g3 := graph.New()
+	st3 := mustOpen(t, dir, g3, testOptions())
+	defer st3.Close()
+	assertGraphsEqual(t, g, g3)
+	g3.AddVertex("Company", "Epsilon")
+	if err := st3.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := OpenWALCursor(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	records := 0
+	for {
+		_, err := cur.Next()
+		if errors.Is(err, ErrCaughtUp) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("cursor after %d records: %v", records, err)
+		}
+		records++
+	}
+	if records != 2 {
+		t.Errorf("cursor read %d records, want 2 (Delta and Epsilon)", records)
 	}
 }
 

@@ -121,8 +121,9 @@ type Store struct {
 
 // Open attaches durable storage at dir to g: it restores the newest valid
 // snapshot, replays the WAL tail on top (truncating a torn final record),
-// starts a fresh WAL segment, installs the mutation hook and (unless
-// disabled) a background group-commit flusher + size-budget checkpointer.
+// starts a fresh WAL segment (in place of an empty newest one), installs
+// the mutation hook and (unless disabled) a background group-commit
+// flusher + size-budget checkpointer.
 //
 // The graph must be empty and not yet mutating; Open is the first thing that
 // writes it. Replay applies records through graph.ApplyReplicated, so hooks
@@ -203,15 +204,23 @@ func Open(dir string, g *graph.Graph, opt Options) (*Store, error) {
 	g.SetEpoch(maxEpoch)
 
 	// 3. Fresh live segment (never append to a recovered one: its tail may
-	// have been truncated, and a clean boundary keeps recovery simple). The
-	// new sequence must exceed both every existing segment and the loaded
-	// snapshot's cut, or the next recovery would skip the new segment.
-	if walStart > maxSeq {
-		maxSeq = walStart
-	}
-	st.seq = maxSeq + 1
+	// have been truncated, and a clean boundary keeps recovery simple). Its
+	// sequence must exceed every segment that holds records and reach the
+	// loaded snapshot's cut, or the next recovery would skip it. A newest
+	// segment at or above the cut that holds only its header (an idle
+	// open's) is removed and its sequence reused, so reopens do not pile up
+	// empty segments and the sequence stays contiguous for a WALCursor.
+	st.seq = max(maxSeq+1, walStart+1)
 	if len(wals) == 0 && len(snaps) == 0 {
 		st.seq = 0
+	} else if len(wals) > 0 && maxSeq >= walStart {
+		newest := wals[len(wals)-1]
+		if fi, err := os.Stat(newest); err == nil && fi.Size() == walHeaderSize {
+			if err := os.Remove(newest); err != nil {
+				return nil, err
+			}
+			st.seq = maxSeq
+		}
 	}
 	st.wal, err = createWAL(dir, st.seq, opt.GroupCommitBytes)
 	if err != nil {

@@ -96,11 +96,13 @@ type Pipeline struct {
 
 // NewWith builds a pipeline over a KG already loaded with the curated KB.
 // The NER gazetteer and source trust are initialized from the KG's current
-// contents; the link-prediction model is trained on its curated facts alone
-// and never updated afterwards, so it is the same after any restart. The
-// given analytics cache serves the disambiguation popularity prior. facts
-// is the KG's current fact list (kg.AllFacts()), passed in so an assembler
-// that already decoded it does not pay for a second pass over the graph.
+// contents. The link-prediction model is fitted on first read (the first
+// gated document or Predict) from the curated triples captured here, and
+// never updated afterwards, so it is the same after any restart and
+// assembly fits nothing. The given analytics cache serves the
+// disambiguation popularity prior. facts is the KG's current fact list
+// (kg.AllFacts()), passed in so an assembler that already decoded it does
+// not pay for a second pass over the graph.
 func NewWith(kg *core.KG, cfg Config, ac *analytics.Cache, facts []core.Fact) *Pipeline {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -119,7 +121,7 @@ func NewWith(kg *core.KG, cfg Config, ac *analytics.Cache, facts []core.Fact) *P
 	}
 	// The gate model is a function of the curated substrate: extracted
 	// facts, the gate's own output, never train it.
-	model := linkpred.Train(curated, linkpred.DefaultConfig())
+	model := linkpred.New(curated, linkpred.DefaultConfig())
 
 	// Source-level trust (§3.4): curated sources anchor the fixpoint;
 	// stream sources earn trust through corroboration.

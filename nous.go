@@ -211,8 +211,8 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	// evicts it (the FactEvicted branch below) or when the allocator moves
 	// Miner.WindowSize past its ID.
 	// The fact list is decoded from the graph once and shared with the
-	// stream assembly below (link-prediction training on its curated facts,
-	// trust seeding).
+	// stream assembly below (the link-prediction model's curated training
+	// set, which it fits on first read; trust seeding).
 	facts := kg.AllFacts()
 	seed := make([]fgm.Edge, len(facts))
 	for i, f := range facts {
