@@ -108,6 +108,12 @@ func (r *refIndex) bindings() []binding {
 			all = append(all, binding{alias, n, r.types[n]})
 		}
 	}
+	return sortBindings(all)
+}
+
+// sortBindings orders bindings by (alias, canonical), so two lists compare
+// as multisets: ForEachAlias promises no order.
+func sortBindings(all []binding) []binding {
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].alias != all[j].alias {
 			return all[i].alias < all[j].alias
@@ -126,12 +132,13 @@ func (r *refIndex) entities() []string {
 	return out
 }
 
+// kgBindings lists kg's ForEachAlias calls, sorted.
 func kgBindings(kg *KG) []binding {
 	var all []binding
 	kg.ForEachAlias(func(alias, canonical string, typ ontology.EntityType) {
 		all = append(all, binding{alias, canonical, typ})
 	})
-	return all
+	return sortBindings(all)
 }
 
 // Names and aliases the generated operations draw from: names that differ

@@ -256,36 +256,25 @@ func (kg *KG) Candidates(surface string) []string {
 }
 
 // ForEachAlias calls fn for every (alias, canonical, type) binding: each
-// entity's name key and alias keys, bound to its name and type, in
-// (alias, canonical) order. The empty key binds nothing. Used to build NER
-// gazetteers from the curated KB.
+// entity's name key and alias keys, bound to its name and type. The empty
+// key binds nothing. Used to build NER gazetteers from the curated KB. fn
+// runs inside one pass over the entity rows, under the KG's read lock, in
+// no set order: it must not call back into the KG, and a consumer whose
+// result depended on the order would need to sort. The gazetteer does not
+// (ner.Recognizer.AddGazetteer is order-independent).
 func (kg *KG) ForEachAlias(fn func(alias, canonical string, typ ontology.EntityType)) {
-	type binding struct {
-		alias, canonical string
-		typ              ontology.EntityType
-	}
-	var all []binding
 	kg.mu.RLock()
+	defer kg.mu.RUnlock()
 	kg.g.ScanNamed(func(v *graph.VertexScan) bool {
 		typ := ontology.EntityType(v.Label())
 		if key := graph.Key(v.Name); key != "" {
-			all = append(all, binding{key, v.Name, typ})
+			fn(key, v.Name, typ)
 		}
 		for _, a := range v.Aliases {
-			all = append(all, binding{a, v.Name, typ})
+			fn(a, v.Name, typ)
 		}
 		return true
 	})
-	kg.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].alias != all[j].alias {
-			return all[i].alias < all[j].alias
-		}
-		return all[i].canonical < all[j].canonical
-	})
-	for _, b := range all {
-		fn(b.alias, b.canonical, b.typ)
-	}
 }
 
 // Entities returns all canonical entity names, sorted.
@@ -532,17 +521,28 @@ func (kg *KG) AllFacts() []Fact {
 	return kg.allFacts(temporal.All())
 }
 
-// allFacts returns every stored fact inside the window, ordered by ID.
+// allFacts returns every stored fact inside the window, ordered by ID (the
+// scan's order).
 func (kg *KG) allFacts(w temporal.Window) []Fact {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	return byID(kg.factsLocked(kg.g.ScanEdges, w))
+	return kg.factsLocked(kg.g.ScanEdges, w)
 }
 
-// byID orders facts by ID in place.
-func byID(fs []Fact) []Fact {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].ID < fs[j].ID })
-	return fs
+// ScanFacts calls fn with every stored fact, in ID order, under one
+// acquisition of the KG's read lock. Each fact is decoded into one value
+// that every call reuses, so the pass builds no fact list: fn must copy out
+// what it keeps, must not retain f, and must not call back into the KG.
+// Pipeline assembly seeds each of its folds from this one pass.
+func (kg *KG) ScanFacts(fn func(f *Fact)) {
+	kg.mu.RLock()
+	defer kg.mu.RUnlock()
+	var f Fact
+	kg.g.ScanEdges(func(e *graph.EdgeScan) bool {
+		f = decode(e)
+		fn(&f)
+		return true
+	})
 }
 
 // NumFacts returns the number of stored facts.

@@ -24,9 +24,9 @@ type Stats struct {
 func (kg *KG) Stats() Stats {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	// ID order fixes the float summation order, so equal graphs report
-	// bit-equal means whatever order their slabs were filled in.
-	facts := byID(kg.factsLocked(kg.g.ScanEdges, temporal.All()))
+	// The scan's ID order fixes the float summation order, so equal graphs
+	// report bit-equal means whatever order their slabs were filled in.
+	facts := kg.factsLocked(kg.g.ScanEdges, temporal.All())
 	s := Stats{
 		Entities:        kg.g.NumNamed(),
 		Facts:           len(facts),

@@ -71,9 +71,9 @@ func (e *EdgeScan) Materialize() Edge {
 	}
 }
 
-// fill loads a slab slot into the view.
-func (e *EdgeScan) fill(si int, c *edgeChunk, off int) {
-	e.ID = idOf(si, c.seq[off])
+// fill loads the slab slot of edge id into the view.
+func (e *EdgeScan) fill(id EdgeID, c *edgeChunk, off int) {
+	e.ID = id
 	e.Src = VertexID(c.src[off])
 	e.Dst = VertexID(c.dst[off])
 	e.Label = c.label[off]
@@ -87,7 +87,7 @@ func (g *Graph) scanRefs(refs []edgeRef, ev *EdgeScan, fn func(*EdgeScan) bool) 
 	for _, ref := range refs {
 		si := ref.shard()
 		c, off := g.shards[si].slab.chunk(ref.slot())
-		ev.fill(si, c, off)
+		ev.fill(idOf(si, c.seq[off]), c, off)
 		if !fn(ev) {
 			return false
 		}
@@ -137,37 +137,55 @@ func (g *Graph) ScanEdge(id EdgeID, fn func(*EdgeScan)) bool {
 		return false
 	}
 	ev := EdgeScan{g: g}
-	ev.fill(shardIdx(uint64(id)), c, off)
+	ev.fill(id, c, off)
 	fn(&ev)
 	return true
 }
 
-// ScanEdges calls fn with a view of every live edge while fn returns true —
-// stripe by stripe, in slab (insertion) order within each stripe. This is the
-// sequential-memory whole-graph scan: one pass over the columnar chunks with
-// no per-edge allocation. fn must not call back into the graph or retain the
-// view.
-func (g *Graph) ScanEdges(fn func(*EdgeScan) bool) {
+// ScanEdges calls fn with a view of every live edge while fn returns true,
+// in increasing ID order: the order the edges were allocated in, whatever
+// order a snapshot restore, a WAL replay or a replica's stream filled the
+// slabs in. Every whole-graph reader — fact decoding, assembly's seeding
+// folds, View compilation, index rebuilds — therefore sees one order, and
+// none sorts. The pass allocates nothing per edge. fn must not call back
+// into the graph or retain the view.
+func (g *Graph) ScanEdges(fn func(*EdgeScan) bool) { g.ScanEdgesFrom(0, fn) }
+
+// ScanEdgesFrom is ScanEdges over the suffix of edges whose ID is at least
+// from.
+func (g *Graph) ScanEdgesFrom(from EdgeID, fn func(*EdgeScan) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	g.scanEdgesLocked(fn)
+	g.scanEdgesLocked(from, fn)
 }
 
-func (g *Graph) scanEdgesLocked(fn func(*EdgeScan) bool) {
-	ev := EdgeScan{g: g}
+// scanEdgesLocked walks the stripes' dense seq → slot indexes side by side.
+// An edge ID is seq<<shardBits | stripe, so IDs order by seq first and by
+// stripe second: visiting each seq in every stripe in turn yields them in
+// increasing order. Each stripe's index is read front to back, so the pass
+// stays a set of sequential streams, one per stripe. A removed edge's
+// index entry is cleared, so every entry found is live.
+func (g *Graph) scanEdgesLocked(from EdgeID, fn func(*EdgeScan) bool) {
+	from = max(from, 0)
+	end := 0
 	for si := range g.shards {
-		s := &g.shards[si]
-		for ci, c := range s.slab.chunks {
-			end := min(chunkSize, int(s.slab.len)-ci<<chunkBits)
-			for off := 0; off < end; off++ {
-				if c.dead[off] {
-					continue
-				}
-				ev.fill(si, c, off)
-				if !fn(&ev) {
-					return
-				}
+		end = max(end, len(g.shards[si].idx))
+	}
+	ev := EdgeScan{g: g}
+	// The first seq starts at from's stripe; every later one at stripe 0.
+	first := shardIdx(uint64(from))
+	for seq := uint64(from) >> shardBits; seq < uint64(end); seq++ {
+		for si := first; si < numShards; si++ {
+			s := &g.shards[si]
+			if seq >= uint64(len(s.idx)) || s.idx[seq] == 0 {
+				continue
+			}
+			c, off := s.slab.chunk(s.idx[seq] - 1)
+			ev.fill(idOf(si, uint32(seq)), c, off)
+			if !fn(&ev) {
+				return
 			}
 		}
+		first = 0
 	}
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"runtime"
 	"slices"
 	"sort"
@@ -33,9 +32,9 @@ type View struct {
 	timeless []bool     // the caller's "visible in every window" rule, evaluated at compile
 }
 
-// viewEdge is one edge copied out of a scan view during Compile.
+// viewEdge is one edge copied out of a scan view during Compile, which
+// copies them in ID order.
 type viewEdge struct {
-	id       EdgeID
 	src, dst VertexID
 	ts       int64
 	timeless bool
@@ -53,8 +52,8 @@ type viewEdge struct {
 func Compile(g *Graph, timeless func(*EdgeScan) bool) *View {
 	g.mu.RLock()
 	edges := make([]viewEdge, 0, g.numEdgesLocked())
-	g.scanEdgesLocked(func(e *EdgeScan) bool {
-		edges = append(edges, viewEdge{id: e.ID, src: e.Src, dst: e.Dst, ts: e.Timestamp,
+	g.scanEdgesLocked(0, func(e *EdgeScan) bool {
+		edges = append(edges, viewEdge{src: e.Src, dst: e.Dst, ts: e.Timestamp,
 			timeless: timeless != nil && timeless(e)})
 		return true
 	})
@@ -63,8 +62,9 @@ func Compile(g *Graph, timeless func(*EdgeScan) bool) *View {
 	slices.Sort(ids)
 	n, m := len(ids), len(edges)
 
-	// Counting sort by destination index, then edge-ID order inside each
-	// group: O(m) plus small per-group sorts instead of one m·log m sort.
+	// Counting sort by destination index. The scan yields the edges in ID
+	// order and the counting sort is stable, so each group comes out in ID
+	// order with no sort of its own: O(n + m).
 	start := make([]int32, n+1)
 	dst := make([]int32, m)
 	for k := range edges {
@@ -82,11 +82,6 @@ func Compile(g *Graph, timeless func(*EdgeScan) bool) *View {
 		cursor[d]++
 	}
 	v := &View{ids: ids, start: start, src: make([]int32, m), ts: make([]int64, m), timeless: make([]bool, m)}
-	for i := 0; i < n; i++ {
-		if grp := order[start[i]:start[i+1]]; len(grp) > 1 {
-			slices.SortFunc(grp, func(a, b int32) int { return cmp.Compare(edges[a].id, edges[b].id) })
-		}
-	}
 	for p, k := range order {
 		e := &edges[k]
 		v.src[p] = mustIndex(ids, e.src)

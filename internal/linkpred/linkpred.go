@@ -73,19 +73,20 @@ func (pm *predModel) positive(s, o int32) bool {
 }
 
 // Model is a collection of per-predicate BPR models, fitted on its first
-// read: New captures the training triples and seed, and the first Score,
-// Predicates, String or Update fits the factors and drops the triples.
-// Train fits at once. Either way the fit is the same function of the same
-// triples, so a model fitted late is bit-identical to one fitted early.
+// read: New returns a model that holds its seed, Capture adds training
+// triples to it, and the first Score, Predicates, String or Update fits the
+// factors and drops the captured triples. Train fits at once. Either way
+// the fit is the same function of the same triples, so a model fitted late
+// is bit-identical to one fitted early.
 //
 // A Model is safe for concurrent use: concurrent first reads wait for one
 // fit, Update takes the write lock, and scoring takes the read lock. The
 // ingest pipeline never calls Update, so its model does not change once
 // fitted.
 type Model struct {
-	fitOnce sync.Once
-	triples []core.Triple // the training set, nil once fitted
-	seed    int64
+	fitOnce  sync.Once
+	captured []spo // the training set, nil once fitted
+	seed     int64
 
 	mu     sync.RWMutex
 	hp     hyper
@@ -94,16 +95,28 @@ type Model struct {
 	global float64 // global mean score used for unseen predicates
 }
 
-// New returns a model that fits on the given triples at its first read.
-// The caller must not change triples afterwards. The ingest pipeline passes
-// the curated KB's facts alone, as collected at assembly (stream.NewWith),
-// so a reopen or a follower bootstrap pays for no fit until a document is
-// gated or a fact's plausibility is asked.
-func New(triples []core.Triple, cfg Config) *Model {
-	return newWith(triples, cfg.Seed, defaultHyper)
+// spo is one captured training triple: the subject, predicate and object,
+// which are all the fit reads of a fact.
+type spo struct{ s, p, o string }
+
+// New returns a model with an empty training set. Capture fills it, and the
+// first read fits on what was captured. The ingest pipeline captures the
+// curated KB's facts alone, during assembly's seeding pass
+// (stream.Pipeline.Seed), so a reopen or a follower bootstrap pays for no
+// fit until a document is gated or a fact's plausibility is asked.
+func New(cfg Config) *Model {
+	return newWith(nil, cfg.Seed, defaultHyper)
 }
 
-// Train fits a model on the given triples at once: New followed by the fit.
+// Capture appends (s, p, o) to the training set. Every Capture must happen
+// before the model's first read, from one goroutine: the fit consumes the
+// set once, and a triple captured after it is never trained on.
+func (m *Model) Capture(s, p, o string) {
+	m.captured = append(m.captured, spo{s, p, o})
+}
+
+// Train fits a model on the given triples at once: New, a Capture of each
+// triple, then the fit.
 //
 // The epochs run on two sides. This goroutine makes every step's random
 // choices (draw) in the serial order — epoch, predicate, pair, sample — and
@@ -117,9 +130,14 @@ func Train(triples []core.Triple, cfg Config) *Model {
 	return trainWith(triples, cfg.Seed, defaultHyper)
 }
 
-// newWith is New under the given seed and hyperparameters.
+// newWith is New under the given seed and hyperparameters, with triples
+// captured.
 func newWith(triples []core.Triple, seed int64, hp hyper) *Model {
-	return &Model{triples: triples, seed: seed, hp: hp, global: 0.5}
+	m := &Model{seed: seed, hp: hp, global: 0.5}
+	for _, t := range triples {
+		m.Capture(t.Subject, t.Predicate, t.Object)
+	}
+	return m
 }
 
 // trainWith is Train under the given seed and hyperparameters.
@@ -134,14 +152,14 @@ func trainWith(triples []core.Triple, seed int64, hp hyper) *Model {
 // done.
 func (m *Model) fitted() { m.fitOnce.Do(m.fit) }
 
-// fit trains the factors on m.triples and then drops them.
+// fit trains the factors on the captured triples and then drops them.
 func (m *Model) fit() {
 	hp := m.hp
 	m.preds, m.rng = make(map[string]*predModel), rand.New(rand.NewSource(m.seed))
-	for _, t := range m.triples {
-		m.observe(t)
+	for _, t := range m.captured {
+		m.observe(t.s, t.p, t.o)
 	}
-	m.triples = nil
+	m.captured = nil
 	names := m.predicates() // deterministic epoch order
 
 	// free holds the blocks not in flight; each queue can take all of
@@ -221,27 +239,28 @@ const (
 // corrupted rows (negS, negO).
 type step struct{ s, o, negS, negO int32 }
 
-// observe registers a triple with its predicate model, initializing factors
-// for unseen entities, and returns the model with the triple's rows. The
-// caller holds the write lock, or is the fit, which every reader waits for.
-func (m *Model) observe(t core.Triple) (pm *predModel, s, o int32) {
-	pm, ok := m.preds[t.Predicate]
+// observe registers the triple (subj, pred, obj) with its predicate model,
+// initializing factors for unseen entities, and returns the model with the
+// triple's rows. The caller holds the write lock, or is the fit, which
+// every reader waits for.
+func (m *Model) observe(subj, pred, obj string) (pm *predModel, s, o int32) {
+	pm, ok := m.preds[pred]
 	if !ok {
 		pm = &predModel{
 			subjIdx:   make(map[string]int32),
 			objIdx:    make(map[string]int32),
 			positives: make(map[uint64]struct{}),
 		}
-		m.preds[t.Predicate] = pm
+		m.preds[pred] = pm
 	}
-	if s, ok = pm.subjIdx[t.Subject]; !ok {
+	if s, ok = pm.subjIdx[subj]; !ok {
 		s = int32(len(pm.subjIdx))
-		pm.subjIdx[t.Subject] = s
+		pm.subjIdx[subj] = s
 		pm.subj = m.appendRandVec(pm.subj)
 	}
-	if o, ok = pm.objIdx[t.Object]; !ok {
+	if o, ok = pm.objIdx[obj]; !ok {
 		o = int32(len(pm.objIdx))
-		pm.objIdx[t.Object] = o
+		pm.objIdx[obj] = o
 		pm.obj = m.appendRandVec(pm.obj)
 	}
 	if !pm.positive(s, o) {
@@ -346,7 +365,7 @@ func (m *Model) Update(t core.Triple, steps int) {
 	m.fitted()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	pm, s, o := m.observe(t)
+	pm, s, o := m.observe(t.Subject, t.Predicate, t.Object)
 	for i := 0; i < steps; i++ {
 		if st, ok := m.draw(pm, s, o); ok {
 			m.apply(pm, st)

@@ -258,7 +258,7 @@ func TestDeferredFitMatchesTrainProperty(t *testing.T) {
 			lazy.Update(u, 2)
 			eager.Update(u, 2)
 		}
-		if lazy.triples != nil {
+		if lazy.captured != nil {
 			t.Logf("seed %d: training triples kept after the fit", seed)
 			return false
 		}
@@ -280,7 +280,11 @@ func TestConcurrentFirstReadsFitOnce(t *testing.T) {
 		want, m *Model
 	}
 	train, _, _ := blockWorld(6, 4)
-	cases := []fresh{{train, Train(train, DefaultConfig()), New(train, DefaultConfig())}}
+	captured := New(DefaultConfig())
+	for _, tr := range train {
+		captured.Capture(tr.Subject, tr.Predicate, tr.Object)
+	}
+	cases := []fresh{{train, Train(train, DefaultConfig()), captured}}
 	for seed := int64(1); seed <= 20; seed++ {
 		if w := newRefWorld(seed); len(w.train) > 0 {
 			cases = append(cases, fresh{w.train, trainWith(w.train, w.seed, w.hp), newWith(w.train, w.seed, w.hp)})

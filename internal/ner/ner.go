@@ -7,6 +7,7 @@ package ner
 import (
 	"sort"
 	"strings"
+	"unicode"
 
 	"nous/internal/nlp"
 	"nous/internal/ontology"
@@ -33,24 +34,37 @@ func NewRecognizer() *Recognizer {
 	return &Recognizer{gazetteer: make(map[string]ontology.EntityType), maxLen: 1}
 }
 
-// AddGazetteer registers a surface form with its type. Later registrations
-// of the same surface with a more specific type win; conflicting specific
-// types degrade to their common ancestor.
+// AddGazetteer registers a surface form with its type. A surface keeps its
+// type while every registration of it agrees; once two disagree, in
+// whatever order they come, it is ambiguous and recorded as TypeAny for the
+// disambiguator to decide. The gazetteer, like maxLen, is therefore the
+// same for every order of the same registrations, which lets callers feed
+// it in no particular order (core.KG.ForEachAlias).
 func (r *Recognizer) AddGazetteer(surface string, typ ontology.EntityType) {
 	key := strings.ToLower(strings.TrimSpace(surface))
 	if key == "" {
 		return
 	}
 	if prev, ok := r.gazetteer[key]; ok && prev != typ {
-		// Ambiguous surface across types: record as Any and let the
-		// disambiguator decide.
 		r.gazetteer[key] = ontology.TypeAny
 	} else {
 		r.gazetteer[key] = typ
 	}
-	if n := len(strings.Fields(key)); n > r.maxLen {
-		r.maxLen = n
+	r.maxLen = max(r.maxLen, words(key))
+}
+
+// words counts the whitespace-separated words of s, as len(strings.Fields(s))
+// does, without building the slice.
+func words(s string) int {
+	n, inWord := 0, false
+	for _, c := range s {
+		space := unicode.IsSpace(c)
+		if !space && !inWord {
+			n++
+		}
+		inWord = !space
 	}
+	return n
 }
 
 // orgSuffixes mark a trailing token as corporate.

@@ -1,7 +1,11 @@
 package ner
 
 import (
+	"maps"
+	"math/rand"
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"nous/internal/nlp"
 	"nous/internal/ontology"
@@ -144,5 +148,59 @@ func TestNoMentionsInPlainSentence(t *testing.T) {
 	ms := recognize(rec(), "the deal is subject to regulatory approval.")
 	if len(ms) != 0 {
 		t.Fatalf("unexpected mentions: %+v", ms)
+	}
+}
+
+// TestGazetteerOrderIndependentProperty: every permutation of a list of
+// registrations builds the same gazetteer and the same maxLen, so a caller
+// may feed AddGazetteer in any order (core.KG.ForEachAlias promises none).
+// The surfaces repeat under clashing and agreeing types, and vary in case,
+// padding and inner whitespace.
+func TestGazetteerOrderIndependentProperty(t *testing.T) {
+	surfaces := []string{"DJI", "dji", " DJI ", "Phantom 3", "phantom\t3", "Federal Aviation Administration",
+		"a b c d e", "Parrot", "Shen zhen", "", "  "}
+	types := []ontology.EntityType{ontology.TypeCompany, ontology.TypeProduct, ontology.TypeCity, ontology.TypeAny}
+	type binding struct {
+		surface string
+		typ     ontology.EntityType
+	}
+	build := func(bs []binding) *Recognizer {
+		r := NewRecognizer()
+		for _, b := range bs {
+			r.AddGazetteer(b.surface, b.typ)
+		}
+		return r
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		bs := make([]binding, rng.Intn(24))
+		for i := range bs {
+			bs[i] = binding{surfaces[rng.Intn(len(surfaces))], types[rng.Intn(len(types))]}
+		}
+		want := build(bs)
+		for k := 0; k < 8; k++ {
+			rng.Shuffle(len(bs), func(i, j int) { bs[i], bs[j] = bs[j], bs[i] })
+			if got := build(bs); got.maxLen != want.maxLen || !maps.Equal(got.gazetteer, want.gazetteer) {
+				t.Logf("seed %d: order %v built %v (maxLen %d), first order %v (maxLen %d)",
+					seed, bs, got.gazetteer, got.maxLen, want.gazetteer, want.maxLen)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWordsMatchesFields: words counts what strings.Fields splits.
+func TestWordsMatchesFields(t *testing.T) {
+	for _, s := range []string{"", " ", "a", " a ", "a b", "a\tb\nc", "x y", " lead", "tail "} {
+		if got, want := words(s), len(strings.Fields(s)); got != want {
+			t.Errorf("words(%q) = %d, want %d", s, got, want)
+		}
+	}
+	if err := quick.Check(func(s string) bool { return words(s) == len(strings.Fields(s)) }, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -29,7 +29,7 @@ func window(a, b int) temporal.Window {
 func buildExecutor(t *testing.T) *Executor {
 	t.Helper()
 	kg := core.NewKG(nil)
-	tab := trends.Track(kg, trends.DefaultConfig(), nil)
+	tab := trends.Track(kg, trends.DefaultConfig())
 	triples := []core.Triple{
 		{Subject: "DJI", Predicate: "manufactures", Object: "Phantom 3", Confidence: 1, Curated: true, Provenance: core.Provenance{Source: "kb"}},
 	}

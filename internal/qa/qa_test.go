@@ -146,7 +146,7 @@ func buildExecutor(t *testing.T) *plan.Executor {
 		{Subject: "Windermere", Predicate: "deploys", Object: "Phantom 3", Confidence: 0.7, Provenance: core.Provenance{Source: "web", Time: day}},
 		{Subject: "GoPro", Predicate: "acquired", Object: "Aeros Labs", Confidence: 0.9, Provenance: core.Provenance{Source: "wsj", Time: day}},
 	}
-	tab := trends.Track(kg, trends.DefaultConfig(), nil)
+	tab := trends.Track(kg, trends.DefaultConfig())
 	miner := fgm.NewMiner(fgm.Config{MaxEdges: 2, MinSupport: 2})
 	kg.Subscribe(func(ev core.Event) {
 		if ev.Kind == core.FactAdded {

@@ -76,8 +76,8 @@ type Stats struct {
 	CorefResolved int
 }
 
-// Pipeline is the end-to-end processor. Construct with NewWith, then feed
-// documents with Process or Run.
+// Pipeline is the end-to-end processor. Construct with NewWith, Seed it
+// with the KG's facts, then feed documents with Process or Run.
 type Pipeline struct {
 	cfg       Config
 	threshold float64
@@ -95,15 +95,15 @@ type Pipeline struct {
 }
 
 // NewWith builds a pipeline over a KG already loaded with the curated KB.
-// The NER gazetteer and source trust are initialized from the KG's current
-// contents. The link-prediction model is fitted on first read (the first
-// gated document or Predict) from the curated triples captured here, and
-// never updated afterwards, so it is the same after any restart and
-// assembly fits nothing. The given analytics cache serves the
-// disambiguation popularity prior. facts is the KG's current fact list
-// (kg.AllFacts()), passed in so an assembler that already decoded it does
-// not pay for a second pass over the graph.
-func NewWith(kg *core.KG, cfg Config, ac *analytics.Cache, facts []core.Fact) *Pipeline {
+// The NER gazetteer is built from the KG's entities here. The state derived
+// from the fact log starts empty, and the caller folds every fact the KG
+// holds into it with Seed, while nothing writes the KG, before the first
+// document: source trust, and the training set of the link-prediction
+// model, which fits on its first read (the first gated document or
+// Predict) and is never updated afterwards, so it is the same after any
+// restart and assembly fits nothing. The given analytics cache serves the
+// disambiguation popularity prior.
+func NewWith(kg *core.KG, cfg Config, ac *analytics.Cache) *Pipeline {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -113,28 +113,6 @@ func NewWith(kg *core.KG, cfg Config, ac *analytics.Cache, facts []core.Fact) *P
 	})
 	mapper := predmap.NewMapper(kg.Ontology(), predmap.DefaultConfig())
 	mapper.AddDefaultSeeds()
-	var curated []core.Triple
-	for _, f := range facts {
-		if f.Curated {
-			curated = append(curated, f.Triple)
-		}
-	}
-	// The gate model is a function of the curated substrate: extracted
-	// facts, the gate's own output, never train it.
-	model := linkpred.New(curated, linkpred.DefaultConfig())
-
-	// Source-level trust (§3.4): curated sources anchor the fixpoint;
-	// stream sources earn trust through corroboration.
-	tracker := trust.NewTracker(kg.Ontology(), trust.DefaultConfig())
-	for _, f := range facts {
-		if f.Curated && f.Provenance.Source != "" {
-			tracker.Pin(f.Provenance.Source, 0.95)
-		}
-		tracker.Observe(trust.Assertion{
-			Source: f.Provenance.Source, Subject: f.Subject,
-			Predicate: f.Predicate, Object: f.Object,
-		})
-	}
 	return &Pipeline{
 		cfg:       cfg,
 		threshold: confidenceThreshold,
@@ -142,10 +120,30 @@ func NewWith(kg *core.KG, cfg Config, ac *analytics.Cache, facts []core.Fact) *P
 		rec:       rec,
 		ext:       extract.New(rec, kg.Ontology()),
 		mapper:    mapper,
-		model:     model,
+		model:     linkpred.New(linkpred.DefaultConfig()),
 		linker:    disambig.NewLinker(kg, ac),
-		tracker:   tracker,
+		tracker:   trust.NewTracker(kg.Ontology(), trust.DefaultConfig()),
 	}
+}
+
+// Seed folds one fact the KG held at assembly into the pipeline's
+// fact-log state, in ID order (core.KG.ScanFacts): a curated fact joins the
+// gate model's training set, as (subject, predicate, object) alone, since
+// extracted facts, the gate's own output, never train it; and every fact is
+// an assertion of its source, curated sources anchoring the trust fixpoint
+// (§3.4) and stream sources earning trust through corroboration. It keeps
+// no reference to f.
+func (p *Pipeline) Seed(f *core.Fact) {
+	if f.Curated {
+		p.model.Capture(f.Subject, f.Predicate, f.Object)
+		if f.Provenance.Source != "" {
+			p.tracker.Pin(f.Provenance.Source, 0.95)
+		}
+	}
+	p.tracker.Observe(trust.Assertion{
+		Source: f.Provenance.Source, Subject: f.Subject,
+		Predicate: f.Predicate, Object: f.Object,
+	})
 }
 
 // KG returns the pipeline's knowledge graph.
@@ -153,6 +151,10 @@ func (p *Pipeline) KG() *core.KG { return p.kg }
 
 // Model returns the link-prediction model (for QA plausibility scoring).
 func (p *Pipeline) Model() *linkpred.Model { return p.model }
+
+// Recognizer returns the NER stage, whose gazetteer assembly built from the
+// KG's entities.
+func (p *Pipeline) Recognizer() *ner.Recognizer { return p.rec }
 
 // Mapper returns the predicate mapper (to inspect learned rules).
 func (p *Pipeline) Mapper() *predmap.Mapper { return p.mapper }

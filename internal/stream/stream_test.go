@@ -12,9 +12,12 @@ import (
 	"nous/internal/trust"
 )
 
-// newPipeline assembles a pipeline over kg with a cache of its own.
+// newPipeline assembles a pipeline over kg with a cache of its own, seeded
+// with every fact kg holds.
 func newPipeline(kg *core.KG, cfg Config) *Pipeline {
-	return NewWith(kg, cfg, analytics.New(kg), kg.AllFacts())
+	p := NewWith(kg, cfg, analytics.New(kg))
+	kg.ScanFacts(p.Seed)
+	return p
 }
 
 func smallWorld() *corpus.World {

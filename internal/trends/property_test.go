@@ -84,7 +84,7 @@ func matchesReference(data []byte) error {
 			return err
 		}
 	}
-	tab := Track(kg, cfg, kg.AllFacts())
+	tab := track(kg, cfg)
 	for n := c.next(48); n > 0; n-- {
 		switch c.next(10) {
 		case 0:
@@ -196,7 +196,7 @@ func FuzzTrendsMatchReference(f *testing.F) {
 func TestTableConcurrentReadersAndWriters(t *testing.T) {
 	kg := core.NewKG(nil)
 	cfg := Config{Bucket: 24 * time.Hour}
-	tab := Track(kg, cfg, kg.AllFacts())
+	tab := Track(kg, cfg)
 	const facts = 400
 	var wg sync.WaitGroup
 	done := make(chan struct{})

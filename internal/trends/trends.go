@@ -76,16 +76,16 @@ var kinds = [2]Kind{KindEntity, KindPredicate}
 // label symbol, both dense, so a name costs one slice header plus its runs;
 // names are resolved only when an answer is built.
 //
-// The fact log is the source: Track seeds the table from every fact the KG
-// holds and subscribes it to the KG, so additions and evictions, live or
-// replicated, move it. A reader that read the graph epoch before asking
-// must see the table at or after that epoch, or the epoch-keyed plan-result
-// cache would keep a stale answer. Of the two ways to get that — update
-// from the graph's mutation hook, as temporal.Index is updated, or under
-// core.KG's lock — the table takes the second: a KG listener runs under the
-// KG's write lock, inside the writer's critical section, and every read
-// here holds the read side (core.KG.ReadLocked). The table has no lock of
-// its own. (The hook would also need each removed edge's endpoints, which a
+// The fact log is the source: the table is seeded with every fact the KG
+// holds (Seed) and subscribed to the KG (Track), so additions and
+// evictions, live or replicated, move it. A reader that read the graph
+// epoch before asking must see the table at or after that epoch, or the
+// epoch-keyed plan-result cache would keep a stale answer. Of the two ways
+// to get that — update from the graph's mutation hook, as temporal.Index
+// is updated, or under core.KG's lock — the table takes the second: a KG
+// listener runs under the KG's write lock, inside the writer's critical
+// section, and every read here holds the read side (core.KG.ReadLocked).
+// The table has no lock of its own. (The hook would also need each removed edge's endpoints, which a
 // remove mutation does not carry.)
 type Table struct {
 	kg         *core.KG
@@ -94,35 +94,37 @@ type Table struct {
 	rows       [2][][]run // entities by graph.VertexID, predicates by symtab.SymID
 }
 
-// Track builds the table over kg's fact log and keeps it in step with kg.
-// facts must be every fact kg holds (kg.AllFacts()), read while nothing
-// writes kg: the pipeline passes the list it decodes at assembly, so seeding
-// costs no extra decode.
-func Track(kg *core.KG, cfg Config, facts []core.Fact) *Table {
+// Track returns an empty table subscribed to kg, so every later addition
+// and eviction moves it. The facts kg already holds reach it through Seed:
+// the caller folds each of them in, while nothing writes kg, before the
+// table is read. The pipeline does that in its one assembly pass over the
+// fact log (core.KG.ScanFacts), which seeds every fold at once.
+func Track(kg *core.KG, cfg Config) *Table {
 	if cfg.Bucket <= 0 {
 		cfg = DefaultConfig()
 	}
 	t := &Table{kg: kg, cfg: cfg, minCurrent: minCurrent}
 	t.rows[0] = make([][]run, 0, kg.NumEntities())
-	for _, f := range facts {
-		t.apply(f, 1)
-	}
 	kg.Subscribe(func(ev core.Event) {
 		switch ev.Kind {
 		case core.FactAdded:
-			t.apply(ev.Fact, 1)
+			t.apply(&ev.Fact, 1)
 		case core.FactEvicted:
-			t.apply(ev.Fact, -1)
+			t.apply(&ev.Fact, -1)
 		}
 	})
 	return t
 }
 
+// Seed counts in one fact the KG held before Track subscribed the table.
+// It keeps nothing of f.
+func (t *Table) Seed(f *core.Fact) { t.apply(f, 1) }
+
 // apply counts one fact in (delta 1) or out (delta -1). Only extracted facts
 // with a provenance time count: curated facts are background knowledge, not
 // news, and undated ones (core's rule: at or before temporal.Timeless) have
 // no bucket.
-func (t *Table) apply(f core.Fact, delta int) {
+func (t *Table) apply(f *core.Fact, delta int) {
 	ts := f.Provenance.Time.Unix()
 	if f.Curated || ts <= temporal.Timeless {
 		return

@@ -21,7 +21,15 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	kg := core.NewKG(nil)
-	return &fixture{t: t, kg: kg, tab: Track(kg, DefaultConfig(), kg.AllFacts())}
+	return &fixture{t: t, kg: kg, tab: Track(kg, DefaultConfig())}
+}
+
+// track is Track seeded with every fact kg holds, as the pipeline seeds it
+// at assembly.
+func track(kg *core.KG, cfg Config) *Table {
+	t := Track(kg, cfg)
+	kg.ScanFacts(t.Seed)
+	return t
 }
 
 // add stores one fact; a zero time stores it undated.
@@ -192,7 +200,7 @@ func TestKGIntegration(t *testing.T) {
 	}
 	add()
 	add()
-	tab := Track(kg, DefaultConfig(), kg.AllFacts())
+	tab := track(kg, DefaultConfig())
 	add()
 	ts := tab.Trending(day(0), 5)
 	if len(ts) == 0 || ts[0].Current != 3 {

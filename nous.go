@@ -191,7 +191,8 @@ type Pipeline struct {
 // the newest Miner.WindowSize fact IDs), so mined patterns span both
 // curated and extracted structure, and the trend table counts every dated
 // extracted fact in the KG, so a reopened or replicated pipeline trends and
-// mines like the one that wrote its facts.
+// mines like the one that wrote its facts. Nothing may write the KG while
+// the pipeline assembles.
 func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	p := &Pipeline{cfg: cfg, kg: kg}
 	p.miner = fgm.NewMiner(cfg.Miner)
@@ -201,33 +202,43 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	// consumer — the plan executor, the linker and the path searcher.
 	p.analytics = analytics.New(kg)
 
-	// Seed the miner with the pre-existing facts, then subscribe to live
-	// updates. A miner edge's seq is its fact ID, and the count window holds
-	// the newest Miner.WindowSize IDs up to the graph's edge allocator,
-	// which snapshots persist and followers replicate; so the seeded window
-	// holds exactly the facts a live miner would still hold, curated ones
-	// included. Seeding costs O(window), not O(facts): AddBatch mines only
-	// the facts inside the window. The window loses a fact when the KG
-	// evicts it (the FactEvicted branch below) or when the allocator moves
-	// Miner.WindowSize past its ID.
-	// The fact list is decoded from the graph once and shared with the
-	// stream assembly below (the link-prediction model's curated training
-	// set, which it fits on first read; trust seeding).
-	facts := kg.AllFacts()
-	seed := make([]fgm.Edge, len(facts))
-	for i, f := range facts {
-		seed[i] = minerEdge(f)
+	// The trend table moves with every addition and eviction; it is read
+	// under the KG's lock, so it never lags the graph epoch a cached answer
+	// is keyed by.
+	p.trends = trends.Track(kg, cfg.Trends)
+	p.stream = stream.NewWith(kg, cfg.Stream, p.analytics)
+
+	// Every fold over the fact log is seeded from one pass over the graph in
+	// fact-ID order, which decodes each fact once into a reused value and
+	// builds no fact list: the trend table, source trust and the gate
+	// model's curated training set (stream.Pipeline.Seed), and the miner. A
+	// miner edge's seq is its fact ID, and the count window holds the newest
+	// Miner.WindowSize IDs up to the graph's edge allocator, which snapshots
+	// persist and followers replicate; so only the facts with IDs from
+	// NextEdge - WindowSize on are handed to the miner, and the seeded
+	// window holds exactly the facts a live miner would still hold, curated
+	// ones included. Seeding the miner costs O(window), not O(facts). The
+	// window loses a fact when the KG evicts it (the FactEvicted branch
+	// below) or when the allocator moves Miner.WindowSize past its ID.
+	next := kg.Graph().NextEdge()
+	from := core.FactID(0)
+	if ws := cfg.Miner.WindowSize; ws > 0 {
+		from = next - core.FactID(ws)
 	}
+	var seed []fgm.Edge
+	kg.ScanFacts(func(f *Fact) {
+		p.trends.Seed(f)
+		p.stream.Seed(f)
+		if f.ID >= from {
+			seed = append(seed, minerEdge(f))
+		}
+	})
 	p.miner.AddBatch(seed)
-	p.miner.Advance(int64(kg.Graph().NextEdge()))
-	// The trend table is seeded from the same list and then moves with
-	// every addition and eviction; it is read under the KG's lock, so it
-	// never lags the graph epoch a cached answer is keyed by.
-	p.trends = trends.Track(kg, cfg.Trends, facts)
+	p.miner.Advance(int64(next))
 	kg.Subscribe(func(ev core.Event) {
 		switch ev.Kind {
 		case core.FactAdded:
-			p.miner.Add(minerEdge(ev.Fact))
+			p.miner.Add(minerEdge(&ev.Fact))
 			if t := ev.Fact.Provenance.Time; !t.IsZero() {
 				p.advance(t)
 			}
@@ -251,7 +262,6 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 		p.advance(time.Unix(newest, 0))
 	}
 
-	p.stream = stream.NewWith(kg, cfg.Stream, p.analytics, facts)
 	p.searcher = pathsearch.New(kg.Graph(), p.analytics.Topics())
 	p.exec = plan.NewExecutor(plan.Deps{
 		KG:        kg,
@@ -362,7 +372,7 @@ func (p *Pipeline) PersistStats() (PersistStats, bool) {
 	return p.store.Stats(), true
 }
 
-func minerEdge(f Fact) fgm.Edge {
+func minerEdge(f *Fact) fgm.Edge {
 	return fgm.Edge{
 		Src: int64(f.Src), Dst: int64(f.Dst),
 		SrcLabel: string(f.SubjectType), DstLabel: string(f.ObjectType),
