@@ -241,9 +241,7 @@ func TestEntityIndexMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		follower := NewKG(nil)
-		for _, vs := range boot.Vertices {
-			follower.Graph().RestoreVertices(vs)
-		}
+		follower.Graph().RestoreVertices(boot.Vertices)
 		follower.Graph().AdvanceIDs(boot.NextVertex, boot.NextEdge)
 		follower.Graph().SetEpoch(boot.Epoch)
 		if err := follower.Rebuild(); err != nil {

@@ -154,9 +154,7 @@ func TestKGApplyReplicatedAfterBootstrap(t *testing.T) {
 	// Bootstrap: copy the leader's graph state wholesale, then Rebuild.
 	follower := NewKG(nil)
 	snap := leader.Graph().Snapshot()
-	for _, vs := range snap.Vertices {
-		follower.Graph().RestoreVertices(vs)
-	}
+	follower.Graph().RestoreVertices(snap.Vertices)
 	follower.Graph().AdvanceIDs(snap.NextVertex, snap.NextEdge)
 	if err := follower.Graph().RestoreEdges(snap.Edges); err != nil {
 		t.Fatal(err)

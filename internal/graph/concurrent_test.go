@@ -126,7 +126,7 @@ func TestAddVertexRowAtomic(t *testing.T) {
 
 // TestConcurrentMutationStress hammers the store from many goroutines —
 // vertex inserts, single and batch edge inserts, removals, edge mutations
-// and a full set of readers — then checks the cross-stripe index
+// and a full set of readers — then checks the slab and adjacency
 // invariants. Run under -race this doubles as the data-race gate for the
 // graph's locking.
 func TestConcurrentMutationStress(t *testing.T) {
@@ -302,13 +302,12 @@ func TestConcurrentPageRankDuringWrites(t *testing.T) {
 }
 
 // TestCompileIsExactCut runs Compile with no outer lock beside one writer
-// that adds edges in batches of ShardCount, so each batch's consecutive IDs
-// fall in consecutive stripes — one edge per stripe. Each edge is stamped
-// with its write index. Every view must hold exactly a prefix of the writes:
-// writes 0..k-1 and nothing else. A scan that reads the stripes one after
-// another breaks this whenever a batch lands between two of its stripes —
-// the view then holds the batch's edges in the stripes still ahead but not
-// those in the stripes already passed.
+// that adds edges in batches of 16. Each edge is stamped with its write
+// index. Every view must hold exactly a prefix of the writes: writes 0..k-1
+// and nothing else. A compile that read the graph in more than one lock
+// acquisition — a part of the slab, then the rest — would break this
+// whenever a batch landed between two of its reads: the view would hold the
+// batch's edges in the part still ahead but not those in the part passed.
 func TestCompileIsExactCut(t *testing.T) {
 	g := New()
 	a, b := g.AddVertex("V", ""), g.AddVertex("V", "")
@@ -342,7 +341,7 @@ func TestCompileIsExactCut(t *testing.T) {
 		}()
 	}
 	ready.Wait()
-	batch := make([]EdgeSpec, ShardCount())
+	batch := make([]EdgeSpec, 16)
 	for w := 0; w < batches*len(batch); w += len(batch) {
 		for i := range batch {
 			batch[i] = EdgeSpec{Src: a, Dst: b, Label: "r", Weight: 1, Timestamp: int64(w + i)}

@@ -6,12 +6,12 @@
 // carrying one fixed fact row, neighborhood iteration and PageRank — at
 // single-process scale.
 //
-// Storage is partitioned into numShards stripes: a vertex and its adjacency
-// lists live in the stripe owning the vertex ID, while an edge record lives
-// in the stripe owning the edge ID. Stripes are data
-// partitions only. They give snapshots their per-stripe sections, let
-// snapshot encode, decode and restore run one worker per stripe, and keep
-// each stripe's seq → slot index dense.
+// Storage is two structures: one map from VertexID to the vertex's row
+// (label, name, aliases and its out and in adjacency lists), and one
+// columnar edge slab whose slot is the edge ID (slab.go). Adjacency lists
+// hold edge IDs in ascending order, the order live writes append them in and
+// the order a snapshot restore rebuilds them in, so the graph reads the same
+// whichever path built it.
 //
 // Concurrency: one sync.RWMutex (Graph.mu) guards the whole graph. Every
 // write holds it exclusively from validation through its epoch move and hook
@@ -35,8 +35,8 @@
 //
 // Memory layout: strings (labels, predicates, sources and fact types) are
 // interned into dense SymIDs (internal/graph/symtab) and edge records live in
-// per-stripe columnar slabs (slab.go) addressed by compact 4-byte refs, not
-// as individually heap-allocated *Edge values. Edges are read through
+// the columnar slab, addressed by 4-byte refs, not as individually
+// heap-allocated *Edge values. Edges are read through
 // scan.go's slab-native views; only Edge, Snapshot and mutation hooks
 // materialize exported Edge values with plain strings. Named vertices are
 // found through the entity index (index.go), which the vertex write paths
@@ -95,44 +95,29 @@ type FactRow struct {
 	Curated      bool // a curated fact, visible in every time window
 }
 
-// numShards is the stripe count. A power of two so ID → stripe is a mask.
-// Must equal 1<<shardBits (slab.go), which ties the EdgeID ↔ (shard, seq)
-// split to the stripe count and with it the snapshot layout.
-const numShards = 1 << shardBits
-
-// vertexRec is a vertex's stored form: its interned label, its name and its
-// aliases. Names and aliases stay plain strings: they are near-unique and
-// would only bloat the interner.
-type vertexRec struct {
+// vertexRow is a vertex's stored form: its interned label, its name, its
+// aliases and its adjacency — the refs of its outgoing and incoming edges,
+// in ascending ID order. Names and aliases stay plain strings: they are
+// near-unique and would only bloat the interner.
+type vertexRow struct {
 	label   symtab.SymID
 	name    string
 	aliases []string
+	out, in []edgeRef
 }
 
 // export materializes the stored row as a Vertex with its own alias slice.
-func (rec *vertexRec) export(id VertexID) Vertex {
-	return Vertex{ID: id, Label: symtab.Resolve(rec.label), Name: rec.name, Aliases: slices.Clone(rec.aliases)}
-}
-
-// shard is one stripe. Vertices (with their adjacency lists) are owned by
-// the stripe of their VertexID; edge records (slab slots) are owned by the
-// stripe of their EdgeID. An adjacency ref may point
-// into another stripe's slab.
-type shard struct {
-	vertices map[VertexID]vertexRec
-	out      map[VertexID][]edgeRef
-	in       map[VertexID][]edgeRef
-	slab     edgeSlab
-	idx      []uint32 // seq -> slab slot + 1; 0 = absent
-	live     int      // edges owned here that are not tombstoned
+func (row *vertexRow) export(id VertexID) Vertex {
+	return Vertex{ID: id, Label: symtab.Resolve(row.label), Name: row.name, Aliases: slices.Clone(row.aliases)}
 }
 
 // Graph is a mutable directed multigraph. All exported methods are safe for
 // concurrent use.
 type Graph struct {
 	// mu guards every field below except epoch (see the package comment).
-	mu     sync.RWMutex
-	shards [numShards]shard
+	mu       sync.RWMutex
+	vertices map[VertexID]vertexRow
+	slab     edgeSlab
 
 	nextVertex int64
 	nextEdge   int64
@@ -177,20 +162,8 @@ func (g *Graph) commitLocked(m Mutation, replicated bool) {
 
 // New returns an empty graph.
 func New() *Graph {
-	g := &Graph{index: make(map[uint64][]VertexID)}
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.vertices = make(map[VertexID]vertexRec)
-		s.out = make(map[VertexID][]edgeRef)
-		s.in = make(map[VertexID][]edgeRef)
-	}
-	return g
+	return &Graph{vertices: make(map[VertexID]vertexRow), index: make(map[uint64][]VertexID)}
 }
-
-func shardIdx(id uint64) int { return int(id & (numShards - 1)) }
-
-func (g *Graph) vshard(id VertexID) *shard { return &g.shards[shardIdx(uint64(id))] }
-func (g *Graph) eshard(id EdgeID) *shard   { return &g.shards[shardIdx(uint64(id))] }
 
 // AddVertex inserts a vertex with the given label and name, and no
 // aliases, and returns its ID. A non-empty name files the vertex in the
@@ -202,7 +175,7 @@ func (g *Graph) AddVertex(label, name string) VertexID {
 	defer g.mu.Unlock()
 	id := VertexID(g.nextVertex)
 	g.nextVertex++
-	g.insertVertexLocked(id, vertexRec{label: sym, name: name}, hs[:])
+	g.insertVertexLocked(id, vertexRow{label: sym, name: name}, hs[:])
 	m := Mutation{Kind: MutAddVertex}
 	if len(g.hooks) > 0 {
 		m.Vertex = Vertex{ID: id, Label: label, Name: name}
@@ -223,13 +196,12 @@ func (g *Graph) setVertexLabel(m Mutation, replicated bool) bool {
 	sym := symtab.Intern(m.Label)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	s := g.vshard(m.VertexID)
-	rec, ok := s.vertices[m.VertexID]
-	if !ok || rec.label == sym {
+	row, ok := g.vertices[m.VertexID]
+	if !ok || row.label == sym {
 		return false
 	}
-	rec.label = sym
-	s.vertices[m.VertexID] = rec
+	row.label = sym
+	g.vertices[m.VertexID] = row
 	g.commitLocked(Mutation{Kind: MutSetVertexLabel, Epoch: m.Epoch, VertexID: m.VertexID, Label: m.Label}, replicated)
 	return true
 }
@@ -247,14 +219,13 @@ func (g *Graph) addVertexAlias(m Mutation, replicated bool) bool {
 	h := keyHash(m.Alias)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	s := g.vshard(m.VertexID)
-	rec, ok := s.vertices[m.VertexID]
-	if !ok || slices.Contains(rec.aliases, m.Alias) {
+	row, ok := g.vertices[m.VertexID]
+	if !ok || slices.Contains(row.aliases, m.Alias) {
 		return false
 	}
-	rec.aliases = append(rec.aliases, m.Alias)
-	s.vertices[m.VertexID] = rec
-	if rec.name != "" {
+	row.aliases = append(row.aliases, m.Alias)
+	g.vertices[m.VertexID] = row
+	if row.name != "" {
 		g.fileLocked(h, m.VertexID)
 	}
 	g.commitLocked(Mutation{Kind: MutAddVertexAlias, Epoch: m.Epoch, VertexID: m.VertexID, Alias: m.Alias}, replicated)
@@ -265,11 +236,11 @@ func (g *Graph) addVertexAlias(m Mutation, replicated bool) bool {
 func (g *Graph) Vertex(id VertexID) (Vertex, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	rec, ok := g.vshard(id).vertices[id]
+	row, ok := g.vertices[id]
 	if !ok {
 		return Vertex{}, false
 	}
-	return rec.export(id), true
+	return row.export(id), true
 }
 
 // HasVertex reports whether the vertex exists.
@@ -280,7 +251,7 @@ func (g *Graph) HasVertex(id VertexID) bool {
 }
 
 func (g *Graph) hasVertexLocked(id VertexID) bool {
-	_, ok := g.vshard(id).vertices[id]
+	_, ok := g.vertices[id]
 	return ok
 }
 
@@ -295,23 +266,21 @@ func (g *Graph) AddEdge(src, dst VertexID, label string) (EdgeID, error) {
 	return ids[0], nil
 }
 
-// insertEdgeLocked appends an edge into its owning stripe and wires it into
-// both endpoints' adjacency lists.
+// insertEdgeLocked writes an edge into its slab slot and appends it to both
+// endpoints' adjacency lists.
 func (g *Graph) insertEdgeLocked(id EdgeID, src, dst VertexID, label string, weight float64, ts int64, row *FactRow) {
-	ref := g.eshard(id).appendEdge(id, src, dst, label, weight, ts, row)
-	ss, ds := g.vshard(src), g.vshard(dst)
-	ss.out[src] = append(ss.out[src], ref)
-	ds.in[dst] = append(ds.in[dst], ref)
+	g.slab.put(id, src, dst, symtab.Intern(label), weight, ts, row)
+	g.linkLocked(edgeRef(id), src, dst)
 }
 
-// appendEdge stores an edge record in this (its owning) stripe's slab and seq
-// index and returns its ref. Adjacency is the caller's.
-func (s *shard) appendEdge(id EdgeID, src, dst VertexID, label string, weight float64, ts int64, row *FactRow) edgeRef {
-	seq := seqOf(id)
-	slot := s.slab.append(seq, src, dst, symtab.Intern(label), weight, ts, row)
-	s.setIdx(seq, slot)
-	s.live++
-	return makeRef(shardIdx(uint64(id)), slot)
+// linkLocked appends ref to src's out list and dst's in list.
+func (g *Graph) linkLocked(ref edgeRef, src, dst VertexID) {
+	s := g.vertices[src]
+	s.out = append(s.out, ref)
+	g.vertices[src] = s
+	d := g.vertices[dst]
+	d.in = append(d.in, ref)
+	g.vertices[dst] = d
 }
 
 // RemoveEdge deletes an edge. It reports whether the edge existed.
@@ -320,80 +289,53 @@ func (g *Graph) RemoveEdge(id EdgeID) bool {
 }
 
 // removeEdge applies a MutRemoveEdge record and commits it: the edge's slab
-// slot is tombstoned and unwired from the seq index and both adjacency lists. A missing edge is a no-op that emits nothing.
+// slot is cleared and the edge unwired from both adjacency lists. A missing
+// edge is a no-op that emits nothing.
 func (g *Graph) removeEdge(m Mutation, replicated bool) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	es := g.eshard(m.EdgeID)
-	slot, ok := es.lookup(seqOf(m.EdgeID))
+	c, off, ok := g.slab.cell(m.EdgeID)
 	if !ok {
 		return false
 	}
-	c, off := es.slab.chunk(slot)
 	src, dst := VertexID(c.src[off]), VertexID(c.dst[off])
-	c.dead[off] = true
-	c.doc[off], c.sentence[off] = "", "" // release the strings; the slot is never reused
-	es.clearIdx(seqOf(m.EdgeID))
-	es.live--
-	ref := makeRef(shardIdx(uint64(m.EdgeID)), slot)
-	ss, ds := g.vshard(src), g.vshard(dst)
-	ss.out[src] = removeRef(ss.out[src], ref)
-	ds.in[dst] = removeRef(ds.in[dst], ref)
+	g.slab.remove(c, off)
+	ref := edgeRef(m.EdgeID)
+	s := g.vertices[src]
+	s.out = removeRef(s.out, ref)
+	g.vertices[src] = s
+	d := g.vertices[dst]
+	d.in = removeRef(d.in, ref)
+	g.vertices[dst] = d
 	g.commitLocked(Mutation{Kind: MutRemoveEdge, Epoch: m.Epoch, EdgeID: m.EdgeID}, replicated)
 	return true
-}
-
-// edgeCellsLocked resolves a live edge to its slab chunk and offset.
-func (g *Graph) edgeCellsLocked(id EdgeID) (*edgeChunk, int, bool) {
-	s := g.eshard(id)
-	slot, ok := s.lookup(seqOf(id))
-	if !ok {
-		return nil, 0, false
-	}
-	c, off := s.slab.chunk(slot)
-	return c, off, true
 }
 
 // Edge returns a copy of the edge with the given ID.
 func (g *Graph) Edge(id EdgeID) (Edge, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	c, off, ok := g.edgeCellsLocked(id)
+	c, off, ok := g.slab.cell(id)
 	if !ok {
 		return Edge{}, false
 	}
-	return materializeEdge(shardIdx(uint64(id)), c, off), true
-}
-
-// materializeEdge builds an exported Edge value from a slab slot.
-func materializeEdge(si int, c *edgeChunk, off int) Edge {
-	return Edge{
-		ID:        idOf(si, c.seq[off]),
-		Src:       VertexID(c.src[off]),
-		Dst:       VertexID(c.dst[off]),
-		Label:     symtab.Resolve(c.label[off]),
-		Weight:    c.weight[off],
-		Timestamp: c.ts[off],
-		Row:       c.row(off),
-	}
+	var ev EdgeScan
+	ev.fill(id, c, off)
+	return ev.Materialize(), true
 }
 
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n := 0
-	for i := range g.shards {
-		n += len(g.shards[i].vertices)
-	}
-	return n
+	return len(g.vertices)
 }
 
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.numEdgesLocked()
+	return g.slab.live
 }
 
 // NextEdge returns the edge ID allocator: the ID the next added edge gets.
@@ -405,20 +347,12 @@ func (g *Graph) NextEdge() EdgeID {
 	return EdgeID(g.nextEdge)
 }
 
-func (g *Graph) numEdgesLocked() int {
-	n := 0
-	for i := range g.shards {
-		n += g.shards[i].live
-	}
-	return n
-}
-
 // Degree returns in-degree + out-degree.
 func (g *Graph) Degree(id VertexID) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	s := g.vshard(id)
-	return len(s.out[id]) + len(s.in[id])
+	row := g.vertices[id]
+	return len(row.out) + len(row.in)
 }
 
 // Neighbors returns the distinct vertices adjacent to id in either direction,
@@ -426,13 +360,13 @@ func (g *Graph) Degree(id VertexID) int {
 func (g *Graph) Neighbors(id VertexID) []VertexID {
 	seen := make(map[VertexID]struct{})
 	g.mu.RLock()
-	s := g.vshard(id)
-	for _, ref := range s.out[id] {
-		c, off := g.shards[ref.shard()].slab.chunk(ref.slot())
+	row := g.vertices[id]
+	for _, ref := range row.out {
+		c, off := g.slab.at(ref)
 		seen[VertexID(c.dst[off])] = struct{}{}
 	}
-	for _, ref := range s.in[id] {
-		c, off := g.shards[ref.shard()].slab.chunk(ref.slot())
+	for _, ref := range row.in {
+		c, off := g.slab.at(ref)
 		seen[VertexID(c.src[off])] = struct{}{}
 	}
 	g.mu.RUnlock()
@@ -447,23 +381,17 @@ func (g *Graph) Neighbors(id VertexID) []VertexID {
 
 // vertexIDsLocked lists every vertex ID, unsorted.
 func (g *Graph) vertexIDsLocked() []VertexID {
-	var ids []VertexID
-	for i := range g.shards {
-		for id := range g.shards[i].vertices {
-			ids = append(ids, id)
-		}
+	ids := make([]VertexID, 0, len(g.vertices))
+	for id := range g.vertices {
+		ids = append(ids, id)
 	}
 	return ids
 }
 
-// removeRef drops one ref from an adjacency list by swap-with-last, the same
-// order-destroying removal the pointer-based layout used.
+// removeRef drops one ref from an adjacency list, keeping the rest in order.
 func removeRef(list []edgeRef, ref edgeRef) []edgeRef {
-	for i, r := range list {
-		if r == ref {
-			list[i] = list[len(list)-1]
-			return list[:len(list)-1]
-		}
+	if i := slices.Index(list, ref); i >= 0 {
+		return slices.Delete(list, i, i+1)
 	}
 	return list
 }

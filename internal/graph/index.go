@@ -64,13 +64,13 @@ func keyHash(s string) uint64 {
 
 // rowHashes returns the key hashes of a vertex row, its name's first; nil
 // for an unnamed vertex, which is not filed.
-func rowHashes(rec *vertexRec) []uint64 {
-	if rec.name == "" {
+func rowHashes(row *vertexRow) []uint64 {
+	if row.name == "" {
 		return nil
 	}
-	hs := make([]uint64, 1, 1+len(rec.aliases))
-	hs[0] = keyHash(rec.name)
-	for _, a := range rec.aliases {
+	hs := make([]uint64, 1, 1+len(row.aliases))
+	hs[0] = keyHash(row.name)
+	for _, a := range row.aliases {
 		hs = append(hs, keyHash(a))
 	}
 	return hs
@@ -79,9 +79,9 @@ func rowHashes(rec *vertexRec) []uint64 {
 // insertVertexLocked stores a new vertex row and files it under hs, the
 // hashes of its name's and aliases' keys, which the caller computed before
 // taking the write lock.
-func (g *Graph) insertVertexLocked(id VertexID, rec vertexRec, hs []uint64) {
-	g.vshard(id).vertices[id] = rec
-	if rec.name == "" {
+func (g *Graph) insertVertexLocked(id VertexID, row vertexRow, hs []uint64) {
+	g.vertices[id] = row
+	if row.name == "" {
 		return
 	}
 	g.named++
@@ -99,14 +99,14 @@ func (g *Graph) fileLocked(h uint64, id VertexID) {
 	}
 }
 
-// filedUnder reports whether rec is filed under key: its name's key or one
+// filedUnder reports whether row is filed under key: its name's key or one
 // of its aliases' is key.
-func filedUnder(rec *vertexRec, key string) bool {
+func filedUnder(row *vertexRow, key string) bool {
 	var buf [64]byte
-	if string(AppendKey(buf[:0], rec.name)) == key {
+	if string(AppendKey(buf[:0], row.name)) == key {
 		return true
 	}
-	for _, a := range rec.aliases {
+	for _, a := range row.aliases {
 		if Key(a) == key {
 			return true
 		}
@@ -120,7 +120,7 @@ func (g *Graph) Named(name string) (VertexID, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	for _, id := range g.index[h] {
-		if g.vshard(id).vertices[id].name == name {
+		if g.vertices[id].name == name {
 			return id, true
 		}
 	}
@@ -139,7 +139,7 @@ func (g *Graph) NumNamed() int {
 func (g *Graph) VertexName(id VertexID) (string, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	name := g.vshard(id).vertices[id].name
+	name := g.vertices[id].name
 	return name, name != ""
 }
 
@@ -148,11 +148,11 @@ func (g *Graph) VertexName(id VertexID) (string, bool) {
 func (g *Graph) VertexLabel(id VertexID) (string, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	rec, ok := g.vshard(id).vertices[id]
+	row, ok := g.vertices[id]
 	if !ok {
 		return "", false
 	}
-	return symtab.Resolve(rec.label), true
+	return symtab.Resolve(row.label), true
 }
 
 // VertexScan is a read-only view of one named vertex's row. It is valid
@@ -167,8 +167,8 @@ type VertexScan struct {
 // Label resolves the vertex's label.
 func (v *VertexScan) Label() string { return symtab.Resolve(v.label) }
 
-func (v *VertexScan) fill(id VertexID, rec *vertexRec) {
-	v.ID, v.Name, v.Aliases, v.label = id, rec.name, rec.aliases, rec.label
+func (v *VertexScan) fill(id VertexID, row *vertexRow) {
+	v.ID, v.Name, v.Aliases, v.label = id, row.name, row.aliases, row.label
 }
 
 // ScanFiled calls fn with a view of each vertex filed under key, which must
@@ -180,8 +180,8 @@ func (g *Graph) ScanFiled(key string, fn func(*VertexScan)) {
 	defer g.mu.RUnlock()
 	var v VertexScan
 	for _, id := range g.index[h] {
-		if rec := g.vshard(id).vertices[id]; filedUnder(&rec, key) {
-			v.fill(id, &rec)
+		if row := g.vertices[id]; filedUnder(&row, key) {
+			v.fill(id, &row)
 			fn(&v)
 		}
 	}
@@ -194,15 +194,13 @@ func (g *Graph) ScanNamed(fn func(*VertexScan) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var v VertexScan
-	for i := range g.shards {
-		for id, rec := range g.shards[i].vertices {
-			if rec.name == "" {
-				continue
-			}
-			v.fill(id, &rec)
-			if !fn(&v) {
-				return
-			}
+	for id, row := range g.vertices {
+		if row.name == "" {
+			continue
+		}
+		v.fill(id, &row)
+		if !fn(&v) {
+			return
 		}
 	}
 }

@@ -77,9 +77,7 @@ func TestIndexFilesNamedVertices(t *testing.T) {
 
 	// A snapshot restored into another graph files the same vertices.
 	r := New()
-	for _, vs := range g.Snapshot().Vertices {
-		r.RestoreVertices(vs)
-	}
+	r.RestoreVertices(g.Snapshot().Vertices)
 	for _, key := range []string{"apple", "apple inc", ""} {
 		if got, want := filedNames(r, key), filedNames(g, key); !reflect.DeepEqual(got, want) {
 			t.Errorf("restored: filed under %q: %q, want %q", key, got, want)

@@ -1,10 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 
 	"nous/internal/graph/symtab"
 )
@@ -86,26 +85,29 @@ func (g *Graph) AddMutationHook(h MutationHook) (remove func()) {
 // record is not restored through them: replay applies it with
 // ApplyReplicated, exactly as a replica applies its leader's stream.
 
-// RestoreVertices bulk-loads vertices under one write-lock acquisition,
-// inserting each under its explicit ID, filing it in the entity index and
-// advancing the vertex ID allocator past it. A vertex already present is
-// left as it is, as ApplyReplicated leaves it. The graph keeps each vertex's
-// Aliases slice rather than copying it. Labels are interned and index keys
-// hashed before the lock is taken, so concurrent calls (one per
-// snapshot section) overlap that work.
+// RestoreVertices bulk-loads vertices, in any order, under one write-lock
+// acquisition, inserting each under its explicit ID, filing it in the entity
+// index and advancing the vertex ID allocator past it. A vertex already
+// present is left as it is, as ApplyReplicated leaves it. The graph keeps
+// each vertex's Aliases slice rather than copying it. Labels are interned
+// and index keys hashed before the lock is taken.
 func (g *Graph) RestoreVertices(vs []Vertex) {
-	recs := make([]vertexRec, len(vs))
+	rows := make([]vertexRow, len(vs))
 	hs := make([][]uint64, len(vs))
 	for i := range vs {
-		recs[i] = vertexRec{label: symtab.Intern(vs[i].Label), name: vs[i].Name, aliases: vs[i].Aliases}
-		hs[i] = rowHashes(&recs[i])
+		rows[i] = vertexRow{label: symtab.Intern(vs[i].Label), name: vs[i].Name, aliases: vs[i].Aliases}
+		hs[i] = rowHashes(&rows[i])
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if len(g.vertices) == 0 { // a snapshot's load: size the maps once
+		g.vertices = make(map[VertexID]vertexRow, len(vs))
+		g.index = make(map[uint64][]VertexID, len(vs))
+	}
 	for i := range vs {
 		advancePast(&g.nextVertex, int64(vs[i].ID))
 		if !g.hasVertexLocked(vs[i].ID) {
-			g.insertVertexLocked(vs[i].ID, recs[i], hs[i])
+			g.insertVertexLocked(vs[i].ID, rows[i], hs[i])
 		}
 	}
 }
@@ -118,8 +120,7 @@ func (g *Graph) RestoreVertices(vs []Vertex) {
 // AddEdges hands out IDs contiguously under the write lock, so a batch that
 // a graph logged holds no ID at or above the allocator it started from plus
 // the batch's length. An ID beyond that is refused: it can only come from a
-// corrupt or forged record, and it would size the stripe's seq index to the
-// ID.
+// corrupt or forged record, and it would size the slab to the ID.
 func (g *Graph) insertExplicitLocked(es []Edge, op string) ([]Edge, error) {
 	limit := g.nextEdge + int64(len(es))
 	for i := range es {
@@ -131,7 +132,7 @@ func (g *Graph) insertExplicitLocked(es []Edge, op string) ([]Edge, error) {
 	for i := range es {
 		e := &es[i]
 		advancePast(&g.nextEdge, int64(e.ID))
-		if _, ok := g.eshard(e.ID).lookup(seqOf(e.ID)); ok {
+		if _, _, ok := g.slab.cell(e.ID); ok {
 			continue // already present: duplicate delivery converges silently
 		}
 		g.insertEdgeLocked(e.ID, e.Src, e.Dst, e.Label, e.Weight, e.Timestamp, &e.Row)
@@ -142,7 +143,7 @@ func (g *Graph) insertExplicitLocked(es []Edge, op string) ([]Edge, error) {
 
 // checkExplicitLocked validates one explicit-ID edge from a snapshot, the
 // WAL or a replication leader: its ID must lie below limit and fit the
-// slab's packed columns with its endpoints, and both endpoints must exist.
+// slab with its endpoints, and both endpoints must exist.
 func (g *Graph) checkExplicitLocked(e *Edge, limit int64, op string) error {
 	switch {
 	case !edgeFits(e):
@@ -157,103 +158,42 @@ func (g *Graph) checkExplicitLocked(e *Edge, limit int64, op string) error {
 	return nil
 }
 
-// RestoreEdges bulk-loads a snapshot's edges, rebuilding the columnar slabs
-// in parallel per stripe. byOwner must be indexed by owning shard (ShardCount
-// groups, edge ID mod ShardCount == group index), the per-shard layout
-// snapshots already use. Endpoints must all exist (vertices restore first),
-// and every ID must lie below the edge allocator, which the snapshot's
-// header sets through AdvanceIDs before its edges load.
+// RestoreEdges bulk-loads a snapshot's edges, in any order. Endpoints must
+// all exist (vertices restore first), and every ID must lie below the edge
+// allocator, which the snapshot's header sets through AdvanceIDs before its
+// edges load; the whole batch is checked before any edge is written. Edges
+// whose ID is already present are skipped (idempotence), as ApplyReplicated
+// skips them.
 //
-// The load holds the write lock throughout and runs in two phases of one
-// worker per stripe, each writing only its own stripe: phase one appends each
-// stripe's edges into its slab; phase two distributes
-// adjacency refs, each worker owning one target stripe and appending its refs
-// sorted by edge ID — a deterministic order regardless of worker scheduling.
-// Edges whose ID is already present are skipped (idempotence), as
-// ApplyReplicated skips them.
-func (g *Graph) RestoreEdges(byOwner [][]Edge) error {
-	if len(byOwner) != numShards {
-		return fmt.Errorf("graph: restore edges: got %d shard groups, want %d", len(byOwner), numShards)
-	}
+// Each edge is written into its own slot. Adjacency is then rebuilt by one
+// walk over the slab in ID order, so every list comes out ascending, as live
+// writes leave it, with nothing to sort. Into an empty graph — the restore
+// case — that walk appends each edge once; a graph that already held edges
+// has its lists cleared first so they stay ascending too.
+func (g *Graph) RestoreEdges(es []Edge) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for si, es := range byOwner {
-		for i := range es {
-			if shardIdx(uint64(es[i].ID)) != si {
-				return fmt.Errorf("graph: restore edges: edge %d in shard group %d", es[i].ID, si)
-			}
-			if err := g.checkExplicitLocked(&es[i], g.nextEdge, "restore"); err != nil {
-				return err
-			}
+	for i := range es {
+		if err := g.checkExplicitLocked(&es[i], g.nextEdge, "restore"); err != nil {
+			return err
 		}
 	}
-
-	// Phase one: per owning stripe, append slab slots.
-	// Each inserted edge's ref is collected for phase two.
-	type pendingRef struct {
-		id  EdgeID
-		ref edgeRef
+	if g.slab.live > 0 {
+		for id, row := range g.vertices {
+			row.out, row.in = row.out[:0], row.in[:0]
+			g.vertices[id] = row
+		}
 	}
-	inserted := make([][]pendingRef, numShards)
-	var wg sync.WaitGroup
-	for si := 0; si < numShards; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			s := &g.shards[si]
-			refs := make([]pendingRef, 0, len(byOwner[si]))
-			for i := range byOwner[si] {
-				e := &byOwner[si][i]
-				if _, ok := s.lookup(seqOf(e.ID)); ok {
-					continue // already present: replay idempotence
-				}
-				ref := s.appendEdge(e.ID, e.Src, e.Dst, e.Label, e.Weight, e.Timestamp, &e.Row)
-				refs = append(refs, pendingRef{id: e.ID, ref: ref})
-			}
-			inserted[si] = refs
-		}(si)
+	for i := range es {
+		e := &es[i]
+		if _, _, ok := g.slab.cell(e.ID); !ok {
+			g.slab.put(e.ID, e.Src, e.Dst, symtab.Intern(e.Label), e.Weight, e.Timestamp, &e.Row)
+		}
 	}
-	wg.Wait()
-
-	// Phase two: distribute adjacency refs. Worker t owns target stripe t and
-	// appends every inserted edge's out-ref (source owned by t) and in-ref
-	// (destination owned by t), sorted by edge ID so adjacency order is
-	// deterministic and matches ascending-ID insertion.
-	for t := 0; t < numShards; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			type adj struct {
-				id   EdgeID
-				v    VertexID
-				ref  edgeRef
-				isIn bool
-			}
-			var mine []adj
-			for si := range inserted {
-				for _, pr := range inserted[si] {
-					c, off := g.shards[si].slab.chunk(pr.ref.slot())
-					src, dst := VertexID(c.src[off]), VertexID(c.dst[off])
-					if shardIdx(uint64(src)) == t {
-						mine = append(mine, adj{id: pr.id, v: src, ref: pr.ref})
-					}
-					if shardIdx(uint64(dst)) == t {
-						mine = append(mine, adj{id: pr.id, v: dst, ref: pr.ref, isIn: true})
-					}
-				}
-			}
-			sort.Slice(mine, func(i, j int) bool { return mine[i].id < mine[j].id })
-			s := &g.shards[t]
-			for _, a := range mine {
-				if a.isIn {
-					s.in[a.v] = append(s.in[a.v], a.ref)
-				} else {
-					s.out[a.v] = append(s.out[a.v], a.ref)
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
+	g.scanEdgesLocked(0, func(e *EdgeScan) bool {
+		g.linkLocked(edgeRef(e.ID), e.Src, e.Dst)
+		return true
+	})
 	return nil
 }
 
@@ -281,16 +221,13 @@ func advancePast(ctr *int64, id int64) {
 
 // --- Snapshot API ----------------------------------------------------------
 
-// ShardCount returns the number of stripes. Snapshot files encode each
-// stripe's contents independently so encoding and decoding parallelize.
-func ShardCount() int { return numShards }
-
-// GraphSnapshot is a point-in-time copy of a graph: per-shard owned vertices
-// and edges (sorted by ID for deterministic encoding), the epoch and the ID
-// allocators, all captured atomically with respect to mutations.
+// GraphSnapshot is a point-in-time copy of a graph: its vertices and edges,
+// the epoch and the ID allocators, all captured atomically with respect to
+// mutations. Graph.Snapshot lists the vertices and edges in ascending ID
+// order; the Restore API accepts them in any order.
 type GraphSnapshot struct {
-	Vertices   [][]Vertex // [shard][...]: vertices owned by that shard
-	Edges      [][]Edge   // [shard][...]: edges owned by that shard
+	Vertices   []Vertex
+	Edges      []Edge
 	Epoch      uint64
 	NextVertex int64
 	NextEdge   int64
@@ -298,37 +235,26 @@ type GraphSnapshot struct {
 
 // Snapshot copies the whole graph under the read lock, so the copy is an
 // exact cut at the epoch it records — no edge can reference a vertex the
-// copy lacks. Writers block for the duration of the memory copy only;
-// sorting and encoding happen after the lock is released.
+// copy lacks. Writers block for the duration of the memory copy only; the
+// edges come out of the slab in ID order, and the vertices are sorted after
+// the lock is released.
 func (g *Graph) Snapshot() *GraphSnapshot {
 	g.mu.RLock()
 	snap := &GraphSnapshot{
-		Vertices:   make([][]Vertex, numShards),
-		Edges:      make([][]Edge, numShards),
+		Vertices:   make([]Vertex, 0, len(g.vertices)),
+		Edges:      make([]Edge, 0, g.slab.live),
 		Epoch:      g.epoch.Load(),
 		NextVertex: g.nextVertex,
 		NextEdge:   g.nextEdge,
 	}
-	for i := range g.shards {
-		s := &g.shards[i]
-		vs := make([]Vertex, 0, len(s.vertices))
-		for id, rec := range s.vertices {
-			vs = append(vs, rec.export(id))
-		}
-		es := make([]Edge, 0, s.live)
-		for slot := uint32(0); slot < s.slab.len; slot++ {
-			if c, off := s.slab.chunk(slot); !c.dead[off] {
-				es = append(es, materializeEdge(i, c, off))
-			}
-		}
-		snap.Vertices[i] = vs
-		snap.Edges[i] = es
+	for id, row := range g.vertices {
+		snap.Vertices = append(snap.Vertices, row.export(id))
 	}
+	g.scanEdgesLocked(0, func(e *EdgeScan) bool {
+		snap.Edges = append(snap.Edges, e.Materialize())
+		return true
+	})
 	g.mu.RUnlock()
-	for i := range snap.Vertices {
-		vs, es := snap.Vertices[i], snap.Edges[i]
-		sort.Slice(vs, func(a, b int) bool { return vs[a].ID < vs[b].ID })
-		sort.Slice(es, func(a, b int) bool { return es[a].ID < es[b].ID })
-	}
+	slices.SortFunc(snap.Vertices, func(a, b Vertex) int { return cmp.Compare(a.ID, b.ID) })
 	return snap
 }

@@ -14,6 +14,9 @@ import (
 // (same per-stripe partial sums, same merge order), so a rank it returns is
 // bit for bit what the parent commit served.
 func refPageRank(g *Graph, damping float64, iters int, keep func(*EdgeScan) bool) map[VertexID]float64 {
+	// stripes is the count of the replaced implementation's stripes: edge ID
+	// % stripes picked the map an edge's contribution summed into.
+	const stripes = 16
 	n := g.NumVertices()
 	if n == 0 {
 		return map[VertexID]float64{}
@@ -33,10 +36,10 @@ func refPageRank(g *Graph, damping float64, iters int, keep func(*EdgeScan) bool
 	}
 	for it := 0; it < iters; it++ {
 		contrib := make(map[VertexID]float64, n)
-		for si := 0; si < numShards; si++ {
+		for si := 0; si < stripes; si++ {
 			local := make(map[VertexID]float64)
 			g.ScanEdges(func(e *EdgeScan) bool {
-				if shardIdx(uint64(e.ID)) == si && (keep == nil || keep(e)) {
+				if int(e.ID%stripes) == si && (keep == nil || keep(e)) {
 					local[e.Dst] += ranks[e.Src] / outdeg[e.Src]
 				}
 				return true

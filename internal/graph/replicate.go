@@ -55,15 +55,15 @@ func (g *Graph) ApplyReplicated(m Mutation) error {
 // and aliases are already on it, and the stream never shrinks a vertex row.
 func (g *Graph) applyVertexReplicated(m Mutation) {
 	v := m.Vertex
-	rec := vertexRec{label: symtab.Intern(v.Label), name: v.Name, aliases: slices.Clone(v.Aliases)}
-	hs := rowHashes(&rec)
+	row := vertexRow{label: symtab.Intern(v.Label), name: v.Name, aliases: slices.Clone(v.Aliases)}
+	hs := rowHashes(&row)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	advancePast(&g.nextVertex, int64(v.ID))
 	if g.hasVertexLocked(v.ID) {
 		return
 	}
-	g.insertVertexLocked(v.ID, rec, hs)
+	g.insertVertexLocked(v.ID, row, hs)
 	g.commitLocked(Mutation{Kind: MutAddVertex, Epoch: m.Epoch, Vertex: v}, true)
 }
 

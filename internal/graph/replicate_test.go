@@ -169,7 +169,7 @@ func TestApplyReplicatedMissingTargets(t *testing.T) {
 // TestApplyReplicatedRejectsEdgeBeyondAllocator: a logged edge batch holds
 // IDs below the allocator it started from plus its length, because AddEdges
 // hands IDs out contiguously. A record with an ID beyond that is refused
-// before it sizes the stripe's seq index to the ID, and a replayed one is
+// before it sizes the edge slab to the ID, and a replayed one is
 // refused the same way (persist's TestOpenRejectsEdgeBeyondAllocator).
 func TestApplyReplicatedRejectsEdgeBeyondAllocator(t *testing.T) {
 	g := New()
@@ -182,10 +182,8 @@ func TestApplyReplicatedRejectsEdgeBeyondAllocator(t *testing.T) {
 	if err := g.ApplyReplicated(far); err == nil {
 		t.Fatal("edge 1<<20 on a graph whose allocator is at 0 was accepted")
 	}
-	for i := range g.shards {
-		if n := len(g.shards[i].idx); n != 0 {
-			t.Fatalf("stripe %d seq index grew to %d entries for a refused edge", i, n)
-		}
+	if n := len(g.slab.chunks); n != 0 {
+		t.Fatalf("the edge slab grew to %d chunks for a refused edge", n)
 	}
 	if g.NumEdges() != 0 || g.Epoch() != 2 {
 		t.Fatalf("refused batch left %d edges, epoch %d", g.NumEdges(), g.Epoch())

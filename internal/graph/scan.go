@@ -46,16 +46,16 @@ func (e *EdgeScan) Row() FactRow { return e.c.row(int(e.off)) }
 // reads an endpoint's type: calling Graph.Vertex there would take the read
 // lock twice.
 func (e *EdgeScan) VertexLabel(id VertexID) (string, bool) {
-	rec, ok := e.g.vshard(id).vertices[id]
+	row, ok := e.g.vertices[id]
 	if !ok {
 		return "", false
 	}
-	return symtab.Resolve(rec.label), true
+	return symtab.Resolve(row.label), true
 }
 
 // VertexName returns the name of vertex id ("" for a missing or unnamed
 // vertex), read under the lock the scan already holds.
-func (e *EdgeScan) VertexName(id VertexID) string { return e.g.vshard(id).vertices[id].name }
+func (e *EdgeScan) VertexName(id VertexID) string { return e.g.vertices[id].name }
 
 // Materialize copies the view into an owned Edge value that remains valid
 // after the callback returns.
@@ -85,9 +85,8 @@ func (e *EdgeScan) fill(id EdgeID, c *edgeChunk, off int) {
 // scanRefs iterates a ref list into a reused view.
 func (g *Graph) scanRefs(refs []edgeRef, ev *EdgeScan, fn func(*EdgeScan) bool) bool {
 	for _, ref := range refs {
-		si := ref.shard()
-		c, off := g.shards[si].slab.chunk(ref.slot())
-		ev.fill(idOf(si, c.seq[off]), c, off)
+		c, off := g.slab.at(ref)
+		ev.fill(EdgeID(ref), c, off)
 		if !fn(ev) {
 			return false
 		}
@@ -101,7 +100,7 @@ func (g *Graph) ForEachOutScan(id VertexID, fn func(*EdgeScan) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	ev := EdgeScan{g: g}
-	g.scanRefs(g.vshard(id).out[id], &ev, fn)
+	g.scanRefs(g.vertices[id].out, &ev, fn)
 }
 
 // ForEachInScan calls fn with a view of each incoming edge of id while fn
@@ -110,19 +109,19 @@ func (g *Graph) ForEachInScan(id VertexID, fn func(*EdgeScan) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	ev := EdgeScan{g: g}
-	g.scanRefs(g.vshard(id).in[id], &ev, fn)
+	g.scanRefs(g.vertices[id].in, &ev, fn)
 }
 
 // ForEachIncidentScan calls fn with a view of each edge incident to id —
-// outgoing first, then incoming, each in insertion order — while fn returns
-// true. fn must not call back into the graph or retain the view.
+// outgoing first, then incoming, each in ascending ID order — while fn
+// returns true. fn must not call back into the graph or retain the view.
 func (g *Graph) ForEachIncidentScan(id VertexID, fn func(*EdgeScan) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	s := g.vshard(id)
+	row := g.vertices[id]
 	ev := EdgeScan{g: g}
-	if g.scanRefs(s.out[id], &ev, fn) {
-		g.scanRefs(s.in[id], &ev, fn)
+	if g.scanRefs(row.out, &ev, fn) {
+		g.scanRefs(row.in, &ev, fn)
 	}
 }
 
@@ -132,7 +131,7 @@ func (g *Graph) ForEachIncidentScan(id VertexID, fn func(*EdgeScan) bool) {
 func (g *Graph) ScanEdge(id EdgeID, fn func(*EdgeScan)) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	c, off, ok := g.edgeCellsLocked(id)
+	c, off, ok := g.slab.cell(id)
 	if !ok {
 		return false
 	}
@@ -145,7 +144,7 @@ func (g *Graph) ScanEdge(id EdgeID, fn func(*EdgeScan)) bool {
 // ScanEdges calls fn with a view of every live edge while fn returns true,
 // in increasing ID order: the order the edges were allocated in, whatever
 // order a snapshot restore, a WAL replay or a replica's stream filled the
-// slabs in. Every whole-graph reader — fact decoding, assembly's seeding
+// slab in. Every whole-graph reader — fact decoding, assembly's seeding
 // folds, View compilation, index rebuilds — therefore sees one order, and
 // none sorts. The pass allocates nothing per edge. fn must not call back
 // into the graph or retain the view.
@@ -159,33 +158,25 @@ func (g *Graph) ScanEdgesFrom(from EdgeID, fn func(*EdgeScan) bool) {
 	g.scanEdgesLocked(from, fn)
 }
 
-// scanEdgesLocked walks the stripes' dense seq → slot indexes side by side.
-// An edge ID is seq<<shardBits | stripe, so IDs order by seq first and by
-// stripe second: visiting each seq in every stripe in turn yields them in
-// increasing order. Each stripe's index is read front to back, so the pass
-// stays a set of sequential streams, one per stripe. A removed edge's
-// index entry is cleared, so every entry found is live.
+// scanEdgesLocked walks the slab's chunks in order from from's slot and
+// visits every live slot. A slot is its edge's ID, so the walk is in
+// increasing ID order with nothing to merge; a nil chunk holds no edge.
 func (g *Graph) scanEdgesLocked(from EdgeID, fn func(*EdgeScan) bool) {
 	from = max(from, 0)
-	end := 0
-	for si := range g.shards {
-		end = max(end, len(g.shards[si].idx))
-	}
 	ev := EdgeScan{g: g}
-	// The first seq starts at from's stripe; every later one at stripe 0.
-	first := shardIdx(uint64(from))
-	for seq := uint64(from) >> shardBits; seq < uint64(end); seq++ {
-		for si := first; si < numShards; si++ {
-			s := &g.shards[si]
-			if seq >= uint64(len(s.idx)) || s.idx[seq] == 0 {
-				continue
-			}
-			c, off := s.slab.chunk(s.idx[seq] - 1)
-			ev.fill(idOf(si, uint32(seq)), c, off)
-			if !fn(&ev) {
-				return
+	off := int(from & chunkMask)
+	for ci := uint64(from) >> chunkBits; ci < uint64(len(g.slab.chunks)); ci, off = ci+1, 0 {
+		c := g.slab.chunks[ci]
+		if c == nil {
+			continue
+		}
+		for ; off < chunkSize; off++ {
+			if c.live[off] {
+				ev.fill(EdgeID(ci<<chunkBits|uint64(off)), c, off)
+				if !fn(&ev) {
+					return
+				}
 			}
 		}
-		first = 0
 	}
 }

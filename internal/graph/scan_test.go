@@ -75,6 +75,26 @@ func checkScanOrder(g *Graph, live map[EdgeID]bool) error {
 	return nil
 }
 
+// checkIncidentOrder holds a restored graph's adjacency to the live one's:
+// every vertex lists its incident edges in the same order in both, whatever
+// edges the live graph removed along the way.
+func checkIncidentOrder(live, restored *Graph) error {
+	incident := func(g *Graph, v VertexID) []EdgeID {
+		var ids []EdgeID
+		g.ForEachIncidentScan(v, func(e *EdgeScan) bool {
+			ids = append(ids, e.ID)
+			return true
+		})
+		return ids
+	}
+	for v := VertexID(0); v < VertexID(live.NumVertices()); v++ {
+		if a, b := incident(live, v), incident(restored, v); !slices.Equal(a, b) {
+			return fmt.Errorf("vertex %d: the live graph lists incident edges %v, the restored one %v", v, a, b)
+		}
+	}
+	return nil
+}
+
 // scanWorld builds graphs for the scan-order property from one seed.
 type scanWorld struct {
 	rng   *rand.Rand
@@ -129,8 +149,8 @@ func (w *scanWorld) addAndRemove(g *Graph, remove bool) (map[EdgeID]bool, error)
 // yields its live edges in strictly increasing ID order, and ScanEdgesFrom(k)
 // is that scan filtered to IDs ≥ k. The graphs are built four ways: AddEdges
 // batches; AddEdges with RemoveEdge of random edges; RestoreEdges from a
-// snapshot whose per-stripe edge lists are shuffled, so slab order is not ID
-// order; and ApplyReplicated records whose IDs leave gaps (re-delivered edges
+// snapshot whose edge list is shuffled, so insertion order is not ID order;
+// and ApplyReplicated records whose IDs leave gaps (re-delivered edges
 // padding a batch, allocator jumps, removals).
 func TestScanEdgesIDOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -159,17 +179,21 @@ func TestScanEdgesIDOrderProperty(t *testing.T) {
 		}
 
 		snap := g.Snapshot()
-		for _, es := range snap.Edges {
-			w.rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
-		}
+		es := snap.Edges
+		w.rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
 		restored := New()
-		for _, vs := range snap.Vertices {
-			restored.RestoreVertices(vs)
-		}
+		restored.RestoreVertices(snap.Vertices)
 		restored.AdvanceIDs(snap.NextVertex, snap.NextEdge)
-		err = restored.RestoreEdges(snap.Edges)
+		err = restored.RestoreEdges(es)
+		if err == nil {
+			// A second load of the same edges changes nothing.
+			err = restored.RestoreEdges(es)
+		}
 		if err == nil {
 			err = checkScanOrder(restored, live)
+		}
+		if err == nil {
+			err = checkIncidentOrder(g, restored)
 		}
 		if err != nil {
 			return fail("RestoreEdges from a shuffled snapshot", err)
@@ -240,4 +264,29 @@ func replicatedWithGaps(seed int64) error {
 		}
 	}
 	return nil
+}
+
+// BenchmarkScanEdges is one whole-graph ID-ordered scan whose callback reads
+// one field of each edge, as assembly's folds and the index rebuilds do. At
+// 7,000 edges it is about the graph a restart_recover reopen scans.
+func BenchmarkScanEdges(b *testing.B) {
+	for _, edges := range []int{7_000, 100_000} {
+		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
+			g := syntheticGraph(b, edges)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kept := 0
+				g.ScanEdges(func(e *EdgeScan) bool {
+					if e.Timestamp%3 != 0 {
+						kept++
+					}
+					return true
+				})
+				if kept == 0 {
+					b.Fatal("the scan kept no edge")
+				}
+			}
+		})
+	}
 }

@@ -25,18 +25,14 @@ func TestEmptyPropsExportNil(t *testing.T) {
 		t.Errorf("Edge(id).Row: want zero, got %#v", e.Row)
 	}
 	snap := g.Snapshot()
-	for _, vs := range snap.Vertices {
-		for _, v := range vs {
-			if v.Aliases != nil {
-				t.Errorf("snapshot vertex aliases: want nil, got %#v", v.Aliases)
-			}
+	for _, v := range snap.Vertices {
+		if v.Aliases != nil {
+			t.Errorf("snapshot vertex aliases: want nil, got %#v", v.Aliases)
 		}
 	}
-	for _, es := range snap.Edges {
-		for _, e := range es {
-			if e.Row != (FactRow{}) {
-				t.Errorf("snapshot edge row: want zero, got %#v", e.Row)
-			}
+	for _, e := range snap.Edges {
+		if e.Row != (FactRow{}) {
+			t.Errorf("snapshot edge row: want zero, got %#v", e.Row)
 		}
 	}
 	g.ForEachOutScan(a, func(e *EdgeScan) bool {
@@ -55,13 +51,13 @@ func TestExportedPropsAreCopies(t *testing.T) {
 	a := g.AddVertex("Person", "Ada")
 	g.AddVertexAlias(a, "ada")
 	snap := g.Snapshot().Vertices[a]
-	snap[0].Aliases[0] = "clobbered"
+	snap.Aliases[0] = "clobbered"
 	g.AddVertexAlias(a, "countess")
 	if v, _ := g.Vertex(a); !reflect.DeepEqual(v.Aliases, []string{"ada", "countess"}) {
 		t.Errorf("snapshot alias slice leaked into the graph: %v", v.Aliases)
 	}
-	if len(snap[0].Aliases) != 1 {
-		t.Errorf("graph append leaked into the snapshot: %v", snap[0].Aliases)
+	if len(snap.Aliases) != 1 {
+		t.Errorf("graph append leaked into the snapshot: %v", snap.Aliases)
 	}
 
 	r := New()

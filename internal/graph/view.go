@@ -17,7 +17,7 @@ import (
 // by destination and ordered by edge ID inside a group (CSR over in-edges:
 // the edges into vertex i are [start[i], start[i+1]), so the destination
 // column is implicit). That order depends only on the edge set — not on
-// stripe, slab slot or insertion interleaving — so two graphs holding the
+// insertion interleaving or on the path that filled the slab — so two graphs holding the
 // same edges (a leader, a replica fed its mutation stream, a snapshot+WAL
 // reopen) compile to identical views, and a kernel that sums in view order
 // gives them bitwise-equal results.
@@ -51,7 +51,7 @@ type viewEdge struct {
 // the lock is released.
 func Compile(g *Graph, timeless func(*EdgeScan) bool) *View {
 	g.mu.RLock()
-	edges := make([]viewEdge, 0, g.numEdgesLocked())
+	edges := make([]viewEdge, 0, g.slab.live)
 	g.scanEdgesLocked(0, func(e *EdgeScan) bool {
 		edges = append(edges, viewEdge{src: e.Src, dst: e.Dst, ts: e.Timestamp,
 			timeless: timeless != nil && timeless(e)})

@@ -8,9 +8,8 @@ import (
 	"testing"
 )
 
-// syntheticGraph builds a random multigraph with edges/5 vertices, edge
-// timestamps 0..edges-1 in insertion order (IDs round-robin over the stripes,
-// so every stripe holds edges).
+// syntheticGraph builds a random multigraph with edges/5 vertices and edge
+// timestamps 0..edges-1 in insertion order.
 func syntheticGraph(tb testing.TB, edges int) *Graph {
 	tb.Helper()
 	g := New()

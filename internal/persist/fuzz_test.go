@@ -66,14 +66,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// snapshotImage frames a symbol-table payload and one shard payload into a
-// snapshot with valid CRCs, so a fuzzed payload gets past the checksums. Every other shard holds the empty payload (no vertices, no
-// edges). The header's edge allocator is 64, which bounds the edge IDs a
+// snapshotImage frames a symbol-table payload and one element-section
+// payload, section si, into a snapshot with valid CRCs, so a fuzzed payload
+// gets past the checksums. Every other section holds the empty payload (no
+// vertices, no edges). The header's edge allocator is 64, which bounds the edge IDs a
 // restore accepts.
 func snapshotImage(syms, shard []byte, si int) []byte {
 	raw := []byte(snapMagic)
 	raw = binary.LittleEndian.AppendUint32(raw, snapVersion)
-	raw = binary.LittleEndian.AppendUint32(raw, uint32(graph.ShardCount()))
+	raw = binary.LittleEndian.AppendUint32(raw, snapSections)
 	for _, v := range []uint64{1, 64, 64, 0} { // epoch, nextV, nextE, walSeq
 		raw = binary.LittleEndian.AppendUint64(raw, v)
 	}
@@ -84,7 +85,7 @@ func snapshotImage(syms, shard []byte, si int) []byte {
 		raw = append(raw, p...)
 	}
 	frame(syms)
-	for i := 0; i < graph.ShardCount(); i++ {
+	for i := 0; i < snapSections; i++ {
 		if i == si {
 			frame(shard)
 		} else {
@@ -94,9 +95,9 @@ func snapshotImage(syms, shard []byte, si int) []byte {
 	return raw
 }
 
-// seedSections returns a valid symbol-table section and shard-0 section:
+// seedSections returns a valid symbol-table section and section-0 payload:
 // vertices 0 and 16, with one and two aliases, and edges 0 and 16, all
-// owned by shard 0.
+// in section 0.
 func seedSections() (syms, shard []byte) {
 	table := []string{"", "V", "a", "ay", "b", "bee", "d1", "wsj", "x"}
 	sort.Strings(table)
@@ -128,7 +129,7 @@ func FuzzSnapshotSections(f *testing.F) {
 	// One vertex whose alias count (2^20) exceeds its section.
 	f.Add([]byte{1, 0}, binary.AppendUvarint([]byte{1, 0, 0, 0}, 1<<20), uint8(0))
 	f.Fuzz(func(t *testing.T, syms, shard []byte, si uint8) {
-		snap, _, err := decodeSnapshot(snapshotImage(syms, shard, int(si)%graph.ShardCount()), "fuzz")
+		snap, _, err := decodeSnapshot(snapshotImage(syms, shard, int(si)%snapSections), "fuzz")
 		if err != nil {
 			return
 		}

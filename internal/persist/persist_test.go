@@ -100,10 +100,8 @@ func assertGraphsEqual(t *testing.T, want, got *graph.Graph) {
 // vertexIDs lists a graph's vertex IDs in ascending order.
 func vertexIDs(g *graph.Graph) []graph.VertexID {
 	var ids []graph.VertexID
-	for _, shard := range g.Snapshot().Vertices {
-		for _, v := range shard {
-			ids = append(ids, v.ID)
-		}
+	for _, v := range g.Snapshot().Vertices {
+		ids = append(ids, v.ID)
 	}
 	slices.Sort(ids)
 	return ids
@@ -203,6 +201,20 @@ func TestDecodersRefuseTrailingBytes(t *testing.T) {
 		if _, _, err := decodeSnapshot(raw, name); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 			t.Errorf("%s: err = %v, want trailing bytes", name, err)
 		}
+	}
+}
+
+// TestSnapshotRefusesMisfiledElements: an element section holding a vertex
+// or edge whose ID % 16 is another section's is refused by the load. The
+// writer never files an element there, so such a file is corrupt or forged.
+func TestSnapshotRefusesMisfiledElements(t *testing.T) {
+	syms, shard := seedSections() // vertices and edges 0 and 16: section 0
+	snap, _, err := decodeSnapshot(snapshotImage(syms, shard, 5), "misfiled")
+	if err == nil {
+		err = restoreSnapshot(graph.New(), snap)
+	}
+	if err == nil {
+		t.Error("a section holding another section's elements was loaded")
 	}
 }
 

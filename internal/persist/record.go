@@ -1,11 +1,11 @@
-// Package persist makes the sharded, epoch-versioned graph durable. It
-// combines two artifacts on disk:
+// Package persist makes the epoch-versioned graph durable. It combines two
+// artifacts on disk:
 //
 //   - Snapshots: versioned binary files holding a consistent point-in-time
 //     copy of the whole graph — vertices with their entity rows, edges with
-//     their fact rows, and the mutation epoch — with each of the store's
-//     stripes encoded as an independent CRC-protected section, so snapshot
-//     encode/decode parallelizes across stripes.
+//     their fact rows, and the mutation epoch — split by element ID into a
+//     fixed number of independent CRC-protected sections, so snapshot
+//     encode/decode parallelizes across sections.
 //
 //   - A write-ahead log (WAL): an append-only sequence of CRC-framed
 //     mutation records (one per graph write, batch writes log one record)
@@ -38,7 +38,7 @@ import (
 // WAL formats share. All integers are varint-encoded except fixed-width
 // format fields; strings and lists are length-prefixed.
 //
-// Strings go through str. A WAL record writes them inline. A snapshot shard
+// Strings go through str. A WAL record writes them inline. A snapshot element
 // section sets syms, and str writes each string as a uvarint reference into
 // the snapshot's symbol table section (strings sorted lexicographically,
 // referenced by rank). The table is built deterministically from the snapshot
@@ -49,7 +49,7 @@ import (
 // per-record table would cost more than it saves.
 type codec struct {
 	b    []byte
-	syms map[string]uint32 // symbol references, for a snapshot shard section
+	syms map[string]uint32 // symbol references, for a snapshot element section
 }
 
 func (c *codec) bytes() []byte { return c.b }
@@ -115,7 +115,7 @@ func (c *codec) putEdge(e graph.Edge) {
 
 // decoder walks an encoded payload. Every read validates remaining length;
 // the first malformed field poisons the decoder and err reports it. A
-// decoder for a snapshot shard section has syms set (non-nil, possibly
+// decoder for a snapshot element section has syms set (non-nil, possibly
 // empty), and its element strings are references into it.
 type decoder struct {
 	b    []byte

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,7 +18,7 @@ import (
 //
 //	magic    [8]byte  "NOUSNAP1"
 //	version  uint32   5
-//	shards   uint32   graph.ShardCount()
+//	sections uint32   snapSections
 //	epoch    uint64   graph mutation epoch at the cut
 //	nextV    uint64   vertex ID allocator
 //	nextE    uint64   edge ID allocator
@@ -28,29 +29,29 @@ import (
 //	  crc    uint32   CRC-32C (Castagnoli) of the payload
 //	  payload         count uvarint, then count length-prefixed strings,
 //	                  sorted lexicographically (reference = sort rank)
-//	then per shard, in stripe order:
+//	then snapSections element sections, section i holding the vertices
+//	and edges whose ID % snapSections is i, each in ascending ID order:
 //	  length uint64   payload byte count
 //	  crc    uint32   CRC-32C (Castagnoli) of the payload
 //	  payload         vcount uvarint, vertices...; ecount uvarint, edges...
 //
 // The symbol-table section stores each distinct string once — labels,
 // vertex names and aliases, and the strings of each edge's fact row — and
-// shard payloads encode elements with uvarint references into it. A vertex is
+// element sections encode elements with uvarint references into it. A vertex is
 // its ID, label and name references, then an alias count and the alias
 // references in insertion order; an edge is its ID, endpoints, label
 // reference, weight, timestamp, then its fact row: source, doc, sentence,
 // stype and otype references and a curated byte. The table is sorted, so
 // equal graph state produces byte-identical files. Version 5 is the only
 // version written and the only one read: it is version 4 with the vertex row
-// in place of each vertex's (key, value) property list, and the shard count
-// is a constant of the graph, so a file with another version or count is
-// refused. The header CRC matters beyond the load: a flipped bit in
-// nextE sized a stripe's seq index to the bogus ID on the next AddEdge, and a
-// flipped bit in walSeq would let prune delete WAL segments the snapshot does
-// not cover.
+// in place of each vertex's (key, value) property list, and a file with
+// another version or section count is refused. The header CRC matters beyond
+// the load: a flipped bit in nextE would size the edge slab to the bogus ID on
+// the next AddEdge, and a flipped bit in walSeq would let prune delete WAL
+// segments the snapshot does not cover.
 //
-// Shard payloads are self-contained given the symbol table, so the writer
-// encodes all stripes in parallel and the loader decodes them in parallel
+// Element sections are self-contained given the symbol table, so the writer
+// encodes all of them in parallel and the loader decodes them in parallel
 // from their offsets.
 
 const (
@@ -59,7 +60,14 @@ const (
 	snapSuffix  = ".snap"
 	// snapHeaderLen is the header's length, its CRC included.
 	snapHeaderLen = 52
+	// snapSections is the number of element sections. It is a property of
+	// the file format alone: the header records it, and a reader refuses a
+	// file with another count.
+	snapSections = 16
 )
+
+// section returns the element section that holds ID id.
+func section(id int64) int { return int(uint64(id) % snapSections) }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -73,38 +81,49 @@ func snapName(epoch uint64) string { return fmt.Sprintf("snap-%016x%s", epoch, s
 // never leaves a partially-written file that could be mistaken for a valid
 // snapshot.
 func writeSnapshot(dir string, snap *graph.GraphSnapshot, walSeq uint64) (string, int64, error) {
-	shards := len(snap.Vertices)
+	// Deal the elements into their sections. Each section keeps the
+	// snapshot's ascending ID order.
+	vertices := make([][]graph.Vertex, snapSections)
+	for _, v := range snap.Vertices {
+		i := section(int64(v.ID))
+		vertices[i] = append(vertices[i], v)
+	}
+	edges := make([][]graph.Edge, snapSections)
+	for _, e := range snap.Edges {
+		i := section(int64(e.ID))
+		edges[i] = append(edges[i], e)
+	}
 
-	// Pass one: collect every distinct string per stripe in parallel, then
+	// Pass one: collect every distinct string per section in parallel, then
 	// merge and sort into the snapshot's symbol table. Sorting makes ID
 	// assignment deterministic regardless of collection order, which keeps
 	// equal state encoding to byte-identical files.
-	perShard := make([]map[string]struct{}, shards)
+	perSection := make([]map[string]struct{}, snapSections)
 	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
+	for i := 0; i < snapSections; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			set := make(map[string]struct{})
-			for _, v := range snap.Vertices[i] {
+			for _, v := range vertices[i] {
 				set[v.Label] = struct{}{}
 				set[v.Name] = struct{}{}
 				for _, a := range v.Aliases {
 					set[a] = struct{}{}
 				}
 			}
-			for _, e := range snap.Edges[i] {
+			for _, e := range edges[i] {
 				r := &e.Row
 				for _, s := range [...]string{e.Label, r.Source, r.Doc, r.Sentence, r.SType, r.OType} {
 					set[s] = struct{}{}
 				}
 			}
-			perShard[i] = set
+			perSection[i] = set
 		}(i)
 	}
 	wg.Wait()
 	merged := make(map[string]struct{})
-	for _, set := range perShard {
+	for _, set := range perSection {
 		for s := range set {
 			merged[s] = struct{}{}
 		}
@@ -124,19 +143,19 @@ func writeSnapshot(dir string, snap *graph.GraphSnapshot, walSeq uint64) (string
 		symc.putString(s)
 	}
 
-	// Pass two: encode stripes in parallel against the read-only index.
-	payloads := make([][]byte, shards)
-	for i := 0; i < shards; i++ {
+	// Pass two: encode the sections in parallel against the read-only index.
+	payloads := make([][]byte, snapSections)
+	for i := 0; i < snapSections; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			c := &codec{b: make([]byte, 0, 1<<12), syms: index}
-			c.putUvarint(uint64(len(snap.Vertices[i])))
-			for _, v := range snap.Vertices[i] {
+			c.putUvarint(uint64(len(vertices[i])))
+			for _, v := range vertices[i] {
 				c.putVertex(v)
 			}
-			c.putUvarint(uint64(len(snap.Edges[i])))
-			for _, e := range snap.Edges[i] {
+			c.putUvarint(uint64(len(edges[i])))
+			for _, e := range edges[i] {
 				c.putEdge(e)
 			}
 			payloads[i] = c.bytes()
@@ -149,7 +168,7 @@ func writeSnapshot(dir string, snap *graph.GraphSnapshot, walSeq uint64) (string
 	head := make([]byte, 0, snapHeaderLen)
 	head = append(head, snapMagic...)
 	head = binary.LittleEndian.AppendUint32(head, snapVersion)
-	head = binary.LittleEndian.AppendUint32(head, uint32(shards))
+	head = binary.LittleEndian.AppendUint32(head, snapSections)
 	head = binary.LittleEndian.AppendUint64(head, snap.Epoch)
 	head = binary.LittleEndian.AppendUint64(head, uint64(snap.NextVertex))
 	head = binary.LittleEndian.AppendUint64(head, uint64(snap.NextEdge))
@@ -199,7 +218,7 @@ func writeSnapshot(dir string, snap *graph.GraphSnapshot, walSeq uint64) (string
 	return final, fi.Size(), nil
 }
 
-// readSnapshot decodes a snapshot file into per-shard vertex and edge sets.
+// readSnapshot decodes a snapshot file into its vertices and edges.
 // Any framing, CRC or payload error fails the whole file: a snapshot is
 // either fully valid or unusable (the caller then falls back to an older one).
 func readSnapshot(path string) (*graph.GraphSnapshot, uint64, error) {
@@ -212,22 +231,20 @@ func readSnapshot(path string) (*graph.GraphSnapshot, uint64, error) {
 
 // decodeSnapshot parses an in-memory snapshot image. path only labels errors;
 // replication followers decode snapshots fetched over HTTP without touching
-// disk.
+// disk. The snapshot lists the elements section by section, which is not ID
+// order; the graph's Restore API takes them in any order.
 func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, error) {
 	snap, walSeq, err := parseSnapshotHeader(raw, path)
 	if err != nil {
 		return nil, 0, err
 	}
-	shards := graph.ShardCount()
-	snap.Vertices = make([][]graph.Vertex, shards)
-	snap.Edges = make([][]graph.Edge, shards)
 
 	// Frame pass: locate and CRC-check every section before decoding: the
-	// symbol table, then one section per shard.
-	type section struct{ start, end int }
-	sections := make([]section, 1+shards)
+	// symbol table, then the element sections.
+	type span struct{ start, end int }
+	spans := make([]span, 1+snapSections)
 	off := snapHeaderLen
-	for i := range sections {
+	for i := range spans {
 		if off+12 > len(raw) {
 			return nil, 0, fmt.Errorf("persist: %s: truncated at section %d frame", path, i)
 		}
@@ -241,12 +258,12 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 		if crc32.Checksum(raw[off:end], castagnoli) != crc {
 			return nil, 0, fmt.Errorf("persist: %s: section %d CRC mismatch", path, i)
 		}
-		sections[i] = section{off, end}
+		spans[i] = span{off, end}
 		off = end
 	}
 
-	// Symbol table first: shard decoding references it.
-	d := newDecoder(raw[sections[0].start:sections[0].end])
+	// Symbol table first: element decoding references it.
+	d := newDecoder(raw[spans[0].start:spans[0].end])
 	n := d.count("symbol count")
 	syms := make([]string, 0, n)
 	for j := uint64(0); j < n && d.err == nil; j++ {
@@ -256,33 +273,40 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 	if d.err != nil {
 		return nil, 0, fmt.Errorf("persist: %s: symbol table: %w", path, d.err)
 	}
-	sections = sections[1:]
+	spans = spans[1:]
 
-	// Decode pass: shard sections are independent, decode them in parallel.
-	errs := make([]error, shards)
+	// Decode pass: element sections are independent, decode them in parallel.
+	vertices := make([][]graph.Vertex, snapSections)
+	edges := make([][]graph.Edge, snapSections)
+	errs := make([]error, snapSections)
 	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
+	for i := 0; i < snapSections; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d := &decoder{b: raw[sections[i].start:sections[i].end], syms: syms}
+			d := &decoder{b: raw[spans[i].start:spans[i].end], syms: syms}
 			nv := d.count("vertex count")
 			vs := make([]graph.Vertex, 0, nv)
 			for j := uint64(0); j < nv && d.err == nil; j++ {
 				vs = append(vs, d.vertex())
+				if section(int64(vs[j].ID)) != i {
+					d.fail("vertex of another section")
+				}
 			}
 			ne := d.count("edge count")
 			es := make([]graph.Edge, 0, ne)
 			for j := uint64(0); j < ne && d.err == nil; j++ {
 				es = append(es, d.edge())
+				if section(int64(es[j].ID)) != i {
+					d.fail("edge of another section")
+				}
 			}
-			d.end("shard")
+			d.end("section")
 			if d.err != nil {
-				errs[i] = fmt.Errorf("persist: %s: shard %d: %w", path, i, d.err)
+				errs[i] = fmt.Errorf("persist: %s: element section %d: %w", path, i, d.err)
 				return
 			}
-			snap.Vertices[i] = vs
-			snap.Edges[i] = es
+			vertices[i], edges[i] = vs, es
 		}(i)
 	}
 	wg.Wait()
@@ -291,11 +315,12 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 			return nil, 0, err
 		}
 	}
+	snap.Vertices, snap.Edges = slices.Concat(vertices...), slices.Concat(edges...)
 	return snap, walSeq, nil
 }
 
 // parseSnapshotHeader checks a snapshot's header — magic, version, header
-// CRC, shard count — and returns the epoch and ID allocators it records, as
+// CRC, section count — and returns the epoch and ID allocators it records, as
 // a snapshot with no elements yet, and its WAL cut. It is the one reader of
 // the header: decodeSnapshot and snapshotWALSeq both go through it, so no
 // header field is used unchecked.
@@ -309,8 +334,8 @@ func parseSnapshotHeader(raw []byte, path string) (*graph.GraphSnapshot, uint64,
 	if crc32.Checksum(raw[:snapHeaderLen-4], castagnoli) != binary.LittleEndian.Uint32(raw[snapHeaderLen-4:]) {
 		return nil, 0, fmt.Errorf("persist: %s: header CRC mismatch", path)
 	}
-	if n, want := binary.LittleEndian.Uint32(raw[12:]), graph.ShardCount(); n != uint32(want) {
-		return nil, 0, fmt.Errorf("persist: %s: snapshot has %d shards, want %d", path, n, want)
+	if n := binary.LittleEndian.Uint32(raw[12:]); n != snapSections {
+		return nil, 0, fmt.Errorf("persist: %s: snapshot has %d sections, want %d", path, n, snapSections)
 	}
 	return &graph.GraphSnapshot{
 		Epoch:      binary.LittleEndian.Uint64(raw[16:]),
@@ -320,20 +345,10 @@ func parseSnapshotHeader(raw []byte, path string) (*graph.GraphSnapshot, uint64,
 }
 
 // restoreSnapshot loads a decoded snapshot into an empty graph: vertices
-// first (one RestoreVertices call per shard, whose interning runs in
-// parallel), then the ID allocators, then edges via the bulk RestoreEdges
-// path, which rebuilds each stripe's columnar slab with one worker per shard
-// and refuses an edge ID at or above the header's edge allocator.
+// first, then the ID allocators, then the edges, which RestoreEdges refuses
+// at or above the header's edge allocator.
 func restoreSnapshot(g *graph.Graph, snap *graph.GraphSnapshot) error {
-	var wg sync.WaitGroup
-	for i := range snap.Vertices {
-		wg.Add(1)
-		go func(vs []graph.Vertex) {
-			defer wg.Done()
-			g.RestoreVertices(vs)
-		}(snap.Vertices[i])
-	}
-	wg.Wait()
+	g.RestoreVertices(snap.Vertices)
 	g.AdvanceIDs(snap.NextVertex, snap.NextEdge)
 	if err := g.RestoreEdges(snap.Edges); err != nil {
 		return err

@@ -3,7 +3,9 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -80,6 +82,78 @@ func TestSnapshotSymbolTableRoundTrip(t *testing.T) {
 	assertGraphsEqual(t, g, g2)
 }
 
+// TestSnapshotGoldenV5 pins the v5 bytes. testdata/v5.snap is buildSample's
+// graph and testdata/v5-wide.snap is buildWide's, each written with WAL cut
+// 7 by the writer whose graph kept its storage in 16 stripes. Today's writer
+// must reproduce both byte for byte, and the reader must restore each to a
+// graph equal to the one built.
+func TestSnapshotGoldenV5(t *testing.T) {
+	for name, build := range map[string]func(*testing.T, *graph.Graph){"v5.snap": buildSample, "v5-wide.snap": buildWide} {
+		g := graph.New()
+		build(t, g)
+		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, _, err := writeSnapshot(t.TempDir(), g.Snapshot(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, golden) {
+			t.Errorf("%s: the writer's %d bytes differ from the golden %d", name, len(raw), len(golden))
+		}
+		snap, walSeq, err := decodeSnapshot(golden, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walSeq != 7 {
+			t.Errorf("%s: walSeq %d, want 7", name, walSeq)
+		}
+		restored := graph.New()
+		if err := restoreSnapshot(restored, snap); err != nil {
+			t.Fatal(err)
+		}
+		assertGraphsEqual(t, g, restored)
+	}
+}
+
+// buildWide fills g with a graph whose element IDs span every snapshot
+// section: 40 vertices, every third with an alias, and 300 edges added in
+// batches of ten, every seventh removed again.
+func buildWide(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	var vs []graph.VertexID
+	for i := 0; i < 40; i++ {
+		v := g.AddVertex([]string{"Company", "Person"}[i%2], fmt.Sprintf("v%d", i))
+		if i%3 == 0 {
+			g.AddVertexAlias(v, fmt.Sprintf("alias %d", i))
+		}
+		vs = append(vs, v)
+	}
+	for b := 0; b < 30; b++ {
+		specs := make([]graph.EdgeSpec, 10)
+		for i := range specs {
+			specs[i] = graph.EdgeSpec{Src: vs[rng.Intn(len(vs))], Dst: vs[rng.Intn(len(vs))],
+				Label: []string{"acquired", "employs", "founded"}[rng.Intn(3)], Weight: float64(rng.Intn(10)) / 10,
+				Timestamp: 1700000000 + rng.Int63n(1_000_000), Row: graph.FactRow{Source: "wsj", Doc: fmt.Sprintf("d%d", b)}}
+		}
+		ids, err := g.AddEdges(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if id%7 == 0 {
+				g.RemoveEdge(id)
+			}
+		}
+	}
+}
+
 // TestSnapshotDeterministic pins that equal graph state encodes to
 // byte-identical files: the symbol table is sorted and vertex props are
 // emitted in key order, so there is no map-iteration nondeterminism in the
@@ -110,11 +184,11 @@ func TestSnapshotDeterministic(t *testing.T) {
 // TestSnapshotRejectsForeignFormat pins the one snapshot format: a
 // version-4 file (testdata/parent-v4.snap, buildSample's graph, with an
 // alias, as the writer that stored vertex props as (key, value) lists wrote
-// it), a version-6 header and a foreign shard count are each refused, and
+// it), a version-6 header and a foreign section count are each refused, and
 // Open over a
 // directory whose only snapshot is such a file refuses to open, as it does
 // when every snapshot is corrupt. Every header carries a valid header CRC,
-// so the version and shard checks are what refuse them.
+// so the version and section checks are what refuse them.
 func TestSnapshotRejectsForeignFormat(t *testing.T) {
 	g := graph.New()
 	buildSample(t, g)
@@ -145,10 +219,10 @@ func TestSnapshotRejectsForeignFormat(t *testing.T) {
 	}
 
 	for name, raw := range map[string][]byte{
-		"version 4":  v4,
-		"version 6":  withHeader(8, 6),
-		"8 shards":   withHeader(12, 8),
-		"shards + 1": withHeader(12, uint32(graph.ShardCount()+1)),
+		"version 4":    v4,
+		"version 6":    withHeader(8, 6),
+		"8 sections":   withHeader(12, 8),
+		"sections + 1": withHeader(12, snapSections+1),
 	} {
 		if _, _, err := decodeSnapshot(raw, name); err == nil {
 			t.Errorf("%s: decodeSnapshot accepted it", name)

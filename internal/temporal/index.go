@@ -30,9 +30,12 @@ func entryLess(a, b entry) bool {
 	return a.id < b.id
 }
 
-// ishard is one stripe of the index: a data partition, not a lock. Edges are
-// assigned to the stripe of their edge ID with the same mapping the graph's
-// own stripes use.
+// stripes is the number of partitions the index splits its entries into:
+// an edge goes in stripe ID % stripes.
+const stripes = 16
+
+// ishard is one stripe of the index: a data partition, not a lock. It holds
+// the edges whose ID % stripes is its position.
 //
 // entries[:sorted] is in (ts, id) order; entries[sorted:] is an unsorted
 // append tail. The live insert path only ever appends — in-order entries
@@ -95,7 +98,7 @@ func Attach(g *graph.Graph) *Index {
 }
 
 func newIndex(g *graph.Graph) *Index {
-	ix := &Index{g: g, shards: make([]ishard, graph.ShardCount())}
+	ix := &Index{g: g, shards: make([]ishard, stripes)}
 	ix.resetLocked()
 	return ix
 }

@@ -6,11 +6,11 @@
 // five classes of questions — trending, entity, relationship (explanatory),
 // pattern and fact queries — over the fused, dynamic graph.
 //
-// The graph substrate is a striped store behind one read-write lock (see
-// internal/graph) and ingestion is concurrent end to end: IngestAll fans the
-// per-article extraction stage out across a worker pool and batches each
-// document's KG writes, while queries stay safe to run against the live
-// graph.
+// The graph substrate is one vertex map and one edge slab behind one
+// read-write lock (see internal/graph) and ingestion is concurrent end to
+// end: IngestAll fans the per-article extraction stage out across a worker
+// pool and batches each document's KG writes, while queries stay safe to run
+// against the live graph.
 //
 // Quickstart:
 //
@@ -396,8 +396,8 @@ func (p *Pipeline) Ingest(a Article) {
 // IngestAll processes a batch through the concurrent ingestion path:
 // extraction fans out across a bounded worker pool (Config.Stream.Workers,
 // default GOMAXPROCS) while integration consumes completed extractions in
-// document order, writing each document's accepted facts to the sharded
-// graph store as one batch. Results are identical to ingesting the articles
+// document order, writing each document's accepted facts to the graph
+// store as one batch. Results are identical to ingesting the articles
 // one at a time. It returns the cumulative stream statistics.
 func (p *Pipeline) IngestAll(articles []Article) StreamStats {
 	return p.stream.Run(articles)
