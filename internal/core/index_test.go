@@ -241,8 +241,10 @@ func TestEntityIndexMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		follower := NewKG(nil)
-		follower.Graph().RestoreVertices(boot.Vertices)
 		follower.Graph().AdvanceIDs(boot.NextVertex, boot.NextEdge)
+		if err := follower.Graph().RestoreVertices(boot.Vertices); err != nil {
+			t.Fatal(err)
+		}
 		follower.Graph().SetEpoch(boot.Epoch)
 		if err := follower.Rebuild(); err != nil {
 			t.Fatal(err)

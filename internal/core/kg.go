@@ -79,7 +79,7 @@ type KG struct {
 	g   *graph.Graph
 	ont *ontology.Ontology
 
-	// tix is the per-shard time-ordered edge index, kept in sync through the
+	// tix is the time-ordered edge index, kept in sync through the
 	// graph's mutation stream. It serves windowed reads and drives
 	// EvictBefore: eviction reads the index prefix strictly before the
 	// cutoff, so the KG needs no separate insertion-order timeline.
@@ -259,9 +259,9 @@ func (kg *KG) Candidates(surface string) []string {
 // entity's name key and alias keys, bound to its name and type. The empty
 // key binds nothing. Used to build NER gazetteers from the curated KB. fn
 // runs inside one pass over the entity rows, under the KG's read lock, in
-// no set order: it must not call back into the KG, and a consumer whose
-// result depended on the order would need to sort. The gazetteer does not
-// (ner.Recognizer.AddGazetteer is order-independent).
+// vertex ID order: it must not call back into the KG. The gazetteer does
+// not depend on the order (ner.Recognizer.AddGazetteer is
+// order-independent).
 func (kg *KG) ForEachAlias(fn func(alias, canonical string, typ ontology.EntityType)) {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()

@@ -154,8 +154,10 @@ func TestKGApplyReplicatedAfterBootstrap(t *testing.T) {
 	// Bootstrap: copy the leader's graph state wholesale, then Rebuild.
 	follower := NewKG(nil)
 	snap := leader.Graph().Snapshot()
-	follower.Graph().RestoreVertices(snap.Vertices)
 	follower.Graph().AdvanceIDs(snap.NextVertex, snap.NextEdge)
+	if err := follower.Graph().RestoreVertices(snap.Vertices); err != nil {
+		t.Fatal(err)
+	}
 	if err := follower.Graph().RestoreEdges(snap.Edges); err != nil {
 		t.Fatal(err)
 	}

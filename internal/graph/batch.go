@@ -25,7 +25,7 @@ func (g *Graph) AddEdges(specs []EdgeSpec) ([]EdgeID, error) {
 	defer g.mu.Unlock()
 	for i := range specs {
 		for _, v := range [2]VertexID{specs[i].Src, specs[i].Dst} {
-			if !g.hasVertexLocked(v) {
+			if !g.row(v).live {
 				return nil, fmt.Errorf("graph: add edges: endpoint vertex %d does not exist", v)
 			}
 		}

@@ -6,9 +6,11 @@
 // carrying one fixed fact row, neighborhood iteration and PageRank — at
 // single-process scale.
 //
-// Storage is two structures: one map from VertexID to the vertex's row
-// (label, name, aliases and its out and in adjacency lists), and one
-// columnar edge slab whose slot is the edge ID (slab.go). Adjacency lists
+// Storage is two structures, each addressed by ID: one slice of vertex rows
+// whose index is the VertexID (label, name, aliases and the out and in
+// adjacency lists), and one columnar edge slab whose slot is the edge ID
+// (slab.go). Vertex IDs come from one dense allocator and no write removes a
+// vertex, so the rows are nearly gap-free. Adjacency lists
 // hold edge IDs in ascending order, the order live writes append them in and
 // the order a snapshot restore rebuilds them in, so the graph reads the same
 // whichever path built it.
@@ -98,8 +100,11 @@ type FactRow struct {
 // vertexRow is a vertex's stored form: its interned label, its name, its
 // aliases and its adjacency — the refs of its outgoing and incoming edges,
 // in ascending ID order. Names and aliases stay plain strings: they are
-// near-unique and would only bloat the interner.
+// near-unique and would only bloat the interner. A row holds a vertex only
+// while live is set, so a zero row is absent: an ID the allocator skipped
+// (AdvanceIDs) reads as no vertex.
 type vertexRow struct {
+	live    bool
 	label   symtab.SymID
 	name    string
 	aliases []string
@@ -115,9 +120,10 @@ func (row *vertexRow) export(id VertexID) Vertex {
 // concurrent use.
 type Graph struct {
 	// mu guards every field below except epoch (see the package comment).
-	mu       sync.RWMutex
-	vertices map[VertexID]vertexRow
-	slab     edgeSlab
+	mu          sync.RWMutex
+	vertices    []vertexRow // row i is vertex i
+	numVertices int         // live rows
+	slab        edgeSlab
 
 	nextVertex int64
 	nextEdge   int64
@@ -162,7 +168,16 @@ func (g *Graph) commitLocked(m Mutation, replicated bool) {
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{vertices: make(map[VertexID]vertexRow), index: make(map[uint64][]VertexID)}
+	return &Graph{index: make(map[uint64][]VertexID)}
+}
+
+// row returns a copy of vertex id's row: the zero row, which is not live,
+// when no vertex has the ID. The caller holds the lock.
+func (g *Graph) row(id VertexID) vertexRow {
+	if uint64(id) < uint64(len(g.vertices)) {
+		return g.vertices[id]
+	}
+	return vertexRow{}
 }
 
 // AddVertex inserts a vertex with the given label and name, and no
@@ -196,12 +211,10 @@ func (g *Graph) setVertexLabel(m Mutation, replicated bool) bool {
 	sym := symtab.Intern(m.Label)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	row, ok := g.vertices[m.VertexID]
-	if !ok || row.label == sym {
+	if row := g.row(m.VertexID); !row.live || row.label == sym {
 		return false
 	}
-	row.label = sym
-	g.vertices[m.VertexID] = row
+	g.vertices[m.VertexID].label = sym
 	g.commitLocked(Mutation{Kind: MutSetVertexLabel, Epoch: m.Epoch, VertexID: m.VertexID, Label: m.Label}, replicated)
 	return true
 }
@@ -219,12 +232,11 @@ func (g *Graph) addVertexAlias(m Mutation, replicated bool) bool {
 	h := keyHash(m.Alias)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	row, ok := g.vertices[m.VertexID]
-	if !ok || slices.Contains(row.aliases, m.Alias) {
+	row := g.row(m.VertexID)
+	if !row.live || slices.Contains(row.aliases, m.Alias) {
 		return false
 	}
-	row.aliases = append(row.aliases, m.Alias)
-	g.vertices[m.VertexID] = row
+	g.vertices[m.VertexID].aliases = append(row.aliases, m.Alias)
 	if row.name != "" {
 		g.fileLocked(h, m.VertexID)
 	}
@@ -236,8 +248,8 @@ func (g *Graph) addVertexAlias(m Mutation, replicated bool) bool {
 func (g *Graph) Vertex(id VertexID) (Vertex, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	row, ok := g.vertices[id]
-	if !ok {
+	row := g.row(id)
+	if !row.live {
 		return Vertex{}, false
 	}
 	return row.export(id), true
@@ -247,12 +259,7 @@ func (g *Graph) Vertex(id VertexID) (Vertex, bool) {
 func (g *Graph) HasVertex(id VertexID) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.hasVertexLocked(id)
-}
-
-func (g *Graph) hasVertexLocked(id VertexID) bool {
-	_, ok := g.vertices[id]
-	return ok
+	return g.row(id).live
 }
 
 // AddEdge inserts a directed edge and returns its ID. Both endpoints must
@@ -275,12 +282,10 @@ func (g *Graph) insertEdgeLocked(id EdgeID, src, dst VertexID, label string, wei
 
 // linkLocked appends ref to src's out list and dst's in list.
 func (g *Graph) linkLocked(ref edgeRef, src, dst VertexID) {
-	s := g.vertices[src]
+	s := &g.vertices[src]
 	s.out = append(s.out, ref)
-	g.vertices[src] = s
-	d := g.vertices[dst]
+	d := &g.vertices[dst]
 	d.in = append(d.in, ref)
-	g.vertices[dst] = d
 }
 
 // RemoveEdge deletes an edge. It reports whether the edge existed.
@@ -289,8 +294,10 @@ func (g *Graph) RemoveEdge(id EdgeID) bool {
 }
 
 // removeEdge applies a MutRemoveEdge record and commits it: the edge's slab
-// slot is cleared and the edge unwired from both adjacency lists. A missing
-// edge is a no-op that emits nothing.
+// slot is cleared and the edge unwired from both adjacency lists. The
+// committed record carries the edge's timestamp, read from its slot, so a
+// subscriber finds the edge by time. A missing edge is a no-op that emits
+// nothing.
 func (g *Graph) removeEdge(m Mutation, replicated bool) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -298,16 +305,14 @@ func (g *Graph) removeEdge(m Mutation, replicated bool) bool {
 	if !ok {
 		return false
 	}
-	src, dst := VertexID(c.src[off]), VertexID(c.dst[off])
+	src, dst, ts := VertexID(c.src[off]), VertexID(c.dst[off]), c.ts[off]
 	g.slab.remove(c, off)
 	ref := edgeRef(m.EdgeID)
-	s := g.vertices[src]
+	s := &g.vertices[src]
 	s.out = removeRef(s.out, ref)
-	g.vertices[src] = s
-	d := g.vertices[dst]
+	d := &g.vertices[dst]
 	d.in = removeRef(d.in, ref)
-	g.vertices[dst] = d
-	g.commitLocked(Mutation{Kind: MutRemoveEdge, Epoch: m.Epoch, EdgeID: m.EdgeID}, replicated)
+	g.commitLocked(Mutation{Kind: MutRemoveEdge, Epoch: m.Epoch, EdgeID: m.EdgeID, Timestamp: ts}, replicated)
 	return true
 }
 
@@ -328,7 +333,7 @@ func (g *Graph) Edge(id EdgeID) (Edge, bool) {
 func (g *Graph) NumVertices() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.vertices)
+	return g.numVertices
 }
 
 // NumEdges returns the edge count.
@@ -351,41 +356,27 @@ func (g *Graph) NextEdge() EdgeID {
 func (g *Graph) Degree(id VertexID) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	row := g.vertices[id]
+	row := g.row(id)
 	return len(row.out) + len(row.in)
 }
 
 // Neighbors returns the distinct vertices adjacent to id in either direction,
 // in ascending order.
 func (g *Graph) Neighbors(id VertexID) []VertexID {
-	seen := make(map[VertexID]struct{})
+	var ids []VertexID
 	g.mu.RLock()
-	row := g.vertices[id]
+	row := g.row(id)
 	for _, ref := range row.out {
 		c, off := g.slab.at(ref)
-		seen[VertexID(c.dst[off])] = struct{}{}
+		ids = append(ids, VertexID(c.dst[off]))
 	}
 	for _, ref := range row.in {
 		c, off := g.slab.at(ref)
-		seen[VertexID(c.src[off])] = struct{}{}
+		ids = append(ids, VertexID(c.src[off]))
 	}
 	g.mu.RUnlock()
-	delete(seen, id)
-	ids := make([]VertexID, 0, len(seen))
-	for v := range seen {
-		ids = append(ids, v)
-	}
 	slices.Sort(ids)
-	return ids
-}
-
-// vertexIDsLocked lists every vertex ID, unsorted.
-func (g *Graph) vertexIDsLocked() []VertexID {
-	ids := make([]VertexID, 0, len(g.vertices))
-	for id := range g.vertices {
-		ids = append(ids, id)
-	}
-	return ids
+	return slices.DeleteFunc(slices.Compact(ids), func(v VertexID) bool { return v == id })
 }
 
 // removeRef drops one ref from an adjacency list, keeping the rest in order.

@@ -36,9 +36,13 @@ func incidentEdges(g *Graph, id VertexID) []Edge {
 // vertexIDs lists every vertex ID in ascending order.
 func vertexIDs(g *Graph) []VertexID {
 	g.mu.RLock()
-	ids := g.vertexIDsLocked()
-	g.mu.RUnlock()
-	slices.Sort(ids)
+	defer g.mu.RUnlock()
+	var ids []VertexID
+	for i := range g.vertices {
+		if g.vertices[i].live {
+			ids = append(ids, VertexID(i))
+		}
+	}
 	return ids
 }
 

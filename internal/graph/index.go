@@ -76,11 +76,14 @@ func rowHashes(row *vertexRow) []uint64 {
 	return hs
 }
 
-// insertVertexLocked stores a new vertex row and files it under hs, the
-// hashes of its name's and aliases' keys, which the caller computed before
-// taking the write lock.
+// insertVertexLocked stores a new vertex row at its ID, growing the rows to
+// reach it, and files it under hs, the hashes of its name's and aliases'
+// keys, which the caller computed before taking the write lock.
 func (g *Graph) insertVertexLocked(id VertexID, row vertexRow, hs []uint64) {
+	g.vertices = append(g.vertices, make([]vertexRow, max(0, int(id)+1-len(g.vertices)))...)
+	row.live = true
 	g.vertices[id] = row
+	g.numVertices++
 	if row.name == "" {
 		return
 	}
@@ -139,7 +142,7 @@ func (g *Graph) NumNamed() int {
 func (g *Graph) VertexName(id VertexID) (string, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	name := g.vertices[id].name
+	name := g.row(id).name
 	return name, name != ""
 }
 
@@ -148,11 +151,15 @@ func (g *Graph) VertexName(id VertexID) (string, bool) {
 func (g *Graph) VertexLabel(id VertexID) (string, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	row, ok := g.vertices[id]
-	if !ok {
-		return "", false
+	return g.vertexLabel(id)
+}
+
+// vertexLabel resolves vertex id's label. The caller holds the lock.
+func (g *Graph) vertexLabel(id VertexID) (string, bool) {
+	if row := g.row(id); row.live {
+		return symtab.Resolve(row.label), true
 	}
-	return symtab.Resolve(row.label), true
+	return "", false
 }
 
 // VertexScan is a read-only view of one named vertex's row. It is valid
@@ -180,27 +187,26 @@ func (g *Graph) ScanFiled(key string, fn func(*VertexScan)) {
 	defer g.mu.RUnlock()
 	var v VertexScan
 	for _, id := range g.index[h] {
-		if row := g.vertices[id]; filedUnder(&row, key) {
-			v.fill(id, &row)
+		if row := &g.vertices[id]; filedUnder(row, key) {
+			v.fill(id, row)
 			fn(&v)
 		}
 	}
 }
 
-// ScanNamed calls fn with a view of every named vertex, in no fixed order,
-// while fn returns true. fn must not call back into the graph or retain the
-// view.
+// ScanNamed calls fn with a view of every named vertex, in ascending ID
+// order, while fn returns true. fn must not call back into the graph or
+// retain the view.
 func (g *Graph) ScanNamed(fn func(*VertexScan) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var v VertexScan
-	for id, row := range g.vertices {
-		if row.name == "" {
-			continue
-		}
-		v.fill(id, &row)
-		if !fn(&v) {
-			return
+	for i := range g.vertices {
+		if row := &g.vertices[i]; row.name != "" { // an absent row is unnamed
+			v.fill(VertexID(i), row)
+			if !fn(&v) {
+				return
+			}
 		}
 	}
 }

@@ -77,7 +77,11 @@ func TestIndexFilesNamedVertices(t *testing.T) {
 
 	// A snapshot restored into another graph files the same vertices.
 	r := New()
-	r.RestoreVertices(g.Snapshot().Vertices)
+	snap := g.Snapshot()
+	r.AdvanceIDs(snap.NextVertex, snap.NextEdge)
+	if err := r.RestoreVertices(snap.Vertices); err != nil {
+		t.Fatal(err)
+	}
 	for _, key := range []string{"apple", "apple inc", ""} {
 		if got, want := filedNames(r, key), filedNames(g, key); !reflect.DeepEqual(got, want) {
 			t.Errorf("restored: filed under %q: %q, want %q", key, got, want)

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -22,7 +21,7 @@ type MutationKind uint8
 const (
 	MutAddVertex      MutationKind = 1 // one vertex inserted (Vertex)
 	MutAddEdges       MutationKind = 3 // a batch of edges inserted (Edges)
-	MutRemoveEdge     MutationKind = 4 // one edge removed (EdgeID)
+	MutRemoveEdge     MutationKind = 4 // one edge removed (EdgeID, Timestamp)
 	MutSetVertexLabel MutationKind = 7 // one vertex relabelled (VertexID, Label)
 	MutAddVertexAlias MutationKind = 8 // one alias appended to a vertex (VertexID, Alias)
 )
@@ -42,6 +41,10 @@ type Mutation struct {
 	EdgeID   EdgeID   // MutRemoveEdge
 	Label    string   // MutSetVertexLabel: the new label
 	Alias    string   // MutAddVertexAlias: the appended alias
+	// Timestamp is the removed edge's timestamp (MutRemoveEdge). The graph
+	// fills it from the edge's slot when it commits the removal, on every
+	// path; a record never carries it, so the WAL does not log it.
+	Timestamp int64
 }
 
 // MutationHook receives every completed mutation. It is invoked synchronously
@@ -86,12 +89,15 @@ func (g *Graph) AddMutationHook(h MutationHook) (remove func()) {
 // ApplyReplicated, exactly as a replica applies its leader's stream.
 
 // RestoreVertices bulk-loads vertices, in any order, under one write-lock
-// acquisition, inserting each under its explicit ID, filing it in the entity
-// index and advancing the vertex ID allocator past it. A vertex already
-// present is left as it is, as ApplyReplicated leaves it. The graph keeps
-// each vertex's Aliases slice rather than copying it. Labels are interned
-// and index keys hashed before the lock is taken.
-func (g *Graph) RestoreVertices(vs []Vertex) {
+// acquisition, inserting each under its explicit ID and filing it in the
+// entity index. Every ID must lie below the vertex allocator, which the
+// snapshot's header sets through AdvanceIDs before its vertices load; the
+// whole batch is checked before any vertex is written, so a forged ID can
+// neither size the rows nor land half a batch. A vertex already present is
+// left as it is, as ApplyReplicated leaves it. The graph keeps each vertex's
+// Aliases slice rather than copying it. Labels are interned and index keys
+// hashed before the lock is taken.
+func (g *Graph) RestoreVertices(vs []Vertex) error {
 	rows := make([]vertexRow, len(vs))
 	hs := make([][]uint64, len(vs))
 	for i := range vs {
@@ -100,16 +106,28 @@ func (g *Graph) RestoreVertices(vs []Vertex) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.vertices) == 0 { // a snapshot's load: size the maps once
-		g.vertices = make(map[VertexID]vertexRow, len(vs))
+	for i := range vs {
+		if !vertexFits(vs[i].ID, g.nextVertex) {
+			return fmt.Errorf("graph: restore vertex %d: ID beyond the vertex allocator (%d) or the storable range", vs[i].ID, g.nextVertex)
+		}
+	}
+	if g.numVertices == 0 { // a snapshot's load: size the rows and the index once
+		g.vertices = make([]vertexRow, 0, len(vs))
 		g.index = make(map[uint64][]VertexID, len(vs))
 	}
 	for i := range vs {
-		advancePast(&g.nextVertex, int64(vs[i].ID))
-		if !g.hasVertexLocked(vs[i].ID) {
+		if !g.row(vs[i].ID).live {
 			g.insertVertexLocked(vs[i].ID, rows[i], hs[i])
 		}
 	}
+	return nil
+}
+
+// vertexFits reports whether an explicit vertex ID from a snapshot, the WAL
+// or a replication leader lies below limit and fits the slab's 32-bit
+// endpoint columns.
+func vertexFits(id VertexID, limit int64) bool {
+	return id >= 0 && int64(id) < limit && uint64(id) <= maxSlabID
 }
 
 // insertExplicitLocked validates a batch of explicit-ID edges — all of them
@@ -150,9 +168,9 @@ func (g *Graph) checkExplicitLocked(e *Edge, limit int64, op string) error {
 		return fmt.Errorf("graph: %s edge %d: ID or endpoints exceed storable range", op, e.ID)
 	case int64(e.ID) >= limit:
 		return fmt.Errorf("graph: %s edge %d: ID beyond the edge allocator (%d)", op, e.ID, limit)
-	case !g.hasVertexLocked(e.Src):
+	case !g.row(e.Src).live:
 		return fmt.Errorf("graph: %s edge %d: source vertex %d does not exist", op, e.ID, e.Src)
-	case !g.hasVertexLocked(e.Dst):
+	case !g.row(e.Dst).live:
 		return fmt.Errorf("graph: %s edge %d: destination vertex %d does not exist", op, e.ID, e.Dst)
 	}
 	return nil
@@ -179,9 +197,8 @@ func (g *Graph) RestoreEdges(es []Edge) error {
 		}
 	}
 	if g.slab.live > 0 {
-		for id, row := range g.vertices {
-			row.out, row.in = row.out[:0], row.in[:0]
-			g.vertices[id] = row
+		for i := range g.vertices {
+			g.vertices[i].out, g.vertices[i].in = g.vertices[i].out[:0], g.vertices[i].in[:0]
 		}
 	}
 	for i := range es {
@@ -235,26 +252,27 @@ type GraphSnapshot struct {
 
 // Snapshot copies the whole graph under the read lock, so the copy is an
 // exact cut at the epoch it records — no edge can reference a vertex the
-// copy lacks. Writers block for the duration of the memory copy only; the
-// edges come out of the slab in ID order, and the vertices are sorted after
-// the lock is released.
+// copy lacks. Writers block for the duration of the memory copy only. Both
+// lists come out in ID order with nothing to sort: the vertices from a walk
+// over the rows, the edges from one over the slab.
 func (g *Graph) Snapshot() *GraphSnapshot {
 	g.mu.RLock()
+	defer g.mu.RUnlock()
 	snap := &GraphSnapshot{
-		Vertices:   make([]Vertex, 0, len(g.vertices)),
+		Vertices:   make([]Vertex, 0, g.numVertices),
 		Edges:      make([]Edge, 0, g.slab.live),
 		Epoch:      g.epoch.Load(),
 		NextVertex: g.nextVertex,
 		NextEdge:   g.nextEdge,
 	}
-	for id, row := range g.vertices {
-		snap.Vertices = append(snap.Vertices, row.export(id))
+	for i := range g.vertices {
+		if row := &g.vertices[i]; row.live {
+			snap.Vertices = append(snap.Vertices, row.export(VertexID(i)))
+		}
 	}
 	g.scanEdgesLocked(0, func(e *EdgeScan) bool {
 		snap.Edges = append(snap.Edges, e.Materialize())
 		return true
 	})
-	g.mu.RUnlock()
-	slices.SortFunc(snap.Vertices, func(a, b Vertex) int { return cmp.Compare(a.ID, b.ID) })
 	return snap
 }

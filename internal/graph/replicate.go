@@ -34,7 +34,7 @@ import (
 func (g *Graph) ApplyReplicated(m Mutation) error {
 	switch m.Kind {
 	case MutAddVertex:
-		g.applyVertexReplicated(m)
+		return g.applyVertexReplicated(m)
 	case MutAddEdges:
 		return g.applyAddEdgesReplicated(m)
 	case MutRemoveEdge:
@@ -53,18 +53,27 @@ func (g *Graph) ApplyReplicated(m Mutation) error {
 // vertex already present (a re-delivered record, or one the bootstrap
 // snapshot held) is left as it is and nothing is emitted: its later relabel
 // and aliases are already on it, and the stream never shrinks a vertex row.
-func (g *Graph) applyVertexReplicated(m Mutation) {
+//
+// The leader hands out vertex IDs one at a time, so a record names at most
+// the ID the allocator stands at. An ID beyond it is refused before anything
+// is sized: it can only come from a corrupt or forged record, and it would
+// size the vertex rows to the ID.
+func (g *Graph) applyVertexReplicated(m Mutation) error {
 	v := m.Vertex
 	row := vertexRow{label: symtab.Intern(v.Label), name: v.Name, aliases: slices.Clone(v.Aliases)}
 	hs := rowHashes(&row)
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if !vertexFits(v.ID, g.nextVertex+1) {
+		return fmt.Errorf("graph: apply replicated vertex %d: ID beyond the vertex allocator (%d) or the storable range", v.ID, g.nextVertex)
+	}
 	advancePast(&g.nextVertex, int64(v.ID))
-	if g.hasVertexLocked(v.ID) {
-		return
+	if g.row(v.ID).live {
+		return nil
 	}
 	g.insertVertexLocked(v.ID, row, hs)
 	g.commitLocked(Mutation{Kind: MutAddVertex, Epoch: m.Epoch, Vertex: v}, true)
+	return nil
 }
 
 // applyAddEdgesReplicated inserts a batch of leader-assigned edges and emits

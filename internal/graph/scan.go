@@ -46,16 +46,12 @@ func (e *EdgeScan) Row() FactRow { return e.c.row(int(e.off)) }
 // reads an endpoint's type: calling Graph.Vertex there would take the read
 // lock twice.
 func (e *EdgeScan) VertexLabel(id VertexID) (string, bool) {
-	row, ok := e.g.vertices[id]
-	if !ok {
-		return "", false
-	}
-	return symtab.Resolve(row.label), true
+	return e.g.vertexLabel(id)
 }
 
 // VertexName returns the name of vertex id ("" for a missing or unnamed
 // vertex), read under the lock the scan already holds.
-func (e *EdgeScan) VertexName(id VertexID) string { return e.g.vertices[id].name }
+func (e *EdgeScan) VertexName(id VertexID) string { return e.g.row(id).name }
 
 // Materialize copies the view into an owned Edge value that remains valid
 // after the callback returns.
@@ -99,8 +95,7 @@ func (g *Graph) scanRefs(refs []edgeRef, ev *EdgeScan, fn func(*EdgeScan) bool) 
 func (g *Graph) ForEachOutScan(id VertexID, fn func(*EdgeScan) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	ev := EdgeScan{g: g}
-	g.scanRefs(g.vertices[id].out, &ev, fn)
+	g.scanRefs(g.row(id).out, &EdgeScan{g: g}, fn)
 }
 
 // ForEachInScan calls fn with a view of each incoming edge of id while fn
@@ -108,8 +103,7 @@ func (g *Graph) ForEachOutScan(id VertexID, fn func(*EdgeScan) bool) {
 func (g *Graph) ForEachInScan(id VertexID, fn func(*EdgeScan) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	ev := EdgeScan{g: g}
-	g.scanRefs(g.vertices[id].in, &ev, fn)
+	g.scanRefs(g.row(id).in, &EdgeScan{g: g}, fn)
 }
 
 // ForEachIncidentScan calls fn with a view of each edge incident to id —
@@ -118,7 +112,7 @@ func (g *Graph) ForEachInScan(id VertexID, fn func(*EdgeScan) bool) {
 func (g *Graph) ForEachIncidentScan(id VertexID, fn func(*EdgeScan) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	row := g.vertices[id]
+	row := g.row(id)
 	ev := EdgeScan{g: g}
 	if g.scanRefs(row.out, &ev, fn) {
 		g.scanRefs(row.in, &ev, fn)

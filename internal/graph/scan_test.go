@@ -182,9 +182,11 @@ func TestScanEdgesIDOrderProperty(t *testing.T) {
 		es := snap.Edges
 		w.rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
 		restored := New()
-		restored.RestoreVertices(snap.Vertices)
 		restored.AdvanceIDs(snap.NextVertex, snap.NextEdge)
-		err = restored.RestoreEdges(es)
+		err = restored.RestoreVertices(snap.Vertices)
+		if err == nil {
+			err = restored.RestoreEdges(es)
+		}
 		if err == nil {
 			// A second load of the same edges changes nothing.
 			err = restored.RestoreEdges(es)

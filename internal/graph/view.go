@@ -57,9 +57,13 @@ func Compile(g *Graph, timeless func(*EdgeScan) bool) *View {
 			timeless: timeless != nil && timeless(e)})
 		return true
 	})
-	ids := g.vertexIDsLocked()
+	ids := make([]VertexID, 0, g.numVertices) // ascending: a walk over the rows
+	for i := range g.vertices {
+		if g.vertices[i].live {
+			ids = append(ids, VertexID(i))
+		}
+	}
 	g.mu.RUnlock()
-	slices.Sort(ids)
 	n, m := len(ids), len(edges)
 
 	// Counting sort by destination index. The scan yields the edges in ID

@@ -42,6 +42,9 @@ func FuzzDecodeRecord(f *testing.F) {
 			{ID: 5, Src: 2, Dst: 0, Label: "founded", Weight: 1, Row: graph.FactRow{Curated: true}},
 		}},
 		{Kind: graph.MutRemoveEdge, Epoch: 12, EdgeID: 2},
+		// A vertex far beyond the allocator, which would size the graph's
+		// vertex rows to its ID were it not refused.
+		{Kind: graph.MutAddVertex, Epoch: 13, Vertex: graph.Vertex{ID: 1 << 40, Label: "V"}},
 	} {
 		f.Add(encodeMutation(m))
 	}
@@ -119,6 +122,19 @@ func seedSections() (syms, shard []byte) {
 	return symc.bytes(), c.bytes()
 }
 
+// vertexSection returns a valid symbol-table section and an element section
+// holding one vertex, id, labelled and named "V", and no edge.
+func vertexSection(id graph.VertexID) (syms, shard []byte) {
+	symc := &codec{}
+	symc.putUvarint(1)
+	symc.putString("V")
+	c := &codec{syms: map[string]uint32{"V": 0}}
+	c.putUvarint(1)
+	c.putVertex(graph.Vertex{ID: id, Label: "V", Name: "V"})
+	c.putUvarint(0)
+	return symc.bytes(), c.bytes()
+}
+
 // FuzzSnapshotSections: decodeSnapshot followed by restoreSnapshot never
 // panics on sections that pass their CRC, whatever they hold.
 func FuzzSnapshotSections(f *testing.F) {
@@ -128,6 +144,9 @@ func FuzzSnapshotSections(f *testing.F) {
 	f.Add([]byte{0}, []byte{0, 0}, uint8(0))
 	// One vertex whose alias count (2^20) exceeds its section.
 	f.Add([]byte{1, 0}, binary.AppendUvarint([]byte{1, 0, 0, 0}, 1<<20), uint8(0))
+	// One vertex at 2^40, far beyond the header's vertex allocator.
+	syms, shard = vertexSection(1 << 40)
+	f.Add(syms, shard, uint8(0))
 	f.Fuzz(func(t *testing.T, syms, shard []byte, si uint8) {
 		snap, _, err := decodeSnapshot(snapshotImage(syms, shard, int(si)%snapSections), "fuzz")
 		if err != nil {

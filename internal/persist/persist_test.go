@@ -218,6 +218,28 @@ func TestSnapshotRefusesMisfiledElements(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsVertexBeyondAllocator: a vertex at or above the
+// header's vertex allocator (64 in snapshotImage) is refused by the load, as
+// an edge beyond the edge allocator is, and nothing is loaded. The graph
+// stores a vertex in the row its ID indexes, so a forged vertex at 2^40
+// would otherwise size the rows to the ID.
+func TestSnapshotRejectsVertexBeyondAllocator(t *testing.T) {
+	for _, id := range []graph.VertexID{64, 1 << 40} { // both in section 0
+		syms, shard := vertexSection(id)
+		snap, _, err := decodeSnapshot(snapshotImage(syms, shard, 0), "beyond")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := graph.New()
+		if err := restoreSnapshot(g, snap); err == nil {
+			t.Errorf("vertex %d loaded under a vertex allocator of 64", id)
+		}
+		if n := g.NumVertices(); n != 0 {
+			t.Errorf("vertex %d: refused snapshot left %d vertices", id, n)
+		}
+	}
+}
+
 // TestReplayRefusesOldWALVersion: a version-2 segment is refused by replay
 // and by Open, not misread. testdata/parent-v2.wal holds buildSample's
 // records, with an alias, as the version-2 writer logged them, with each
@@ -761,6 +783,36 @@ func TestReplayRemoveAndReaddKeepsTimeIndexConsistent(t *testing.T) {
 	verify(t, g3)
 	if ix := temporal.NewIndex(g3); len(ix.EdgesIn(temporal.Window{Since: 100, Until: 101})) != 0 {
 		t.Fatal("tail-replayed removal not reflected in time index")
+	}
+}
+
+// TestOpenRejectsVertexBeyondAllocator: a CRC-valid WAL record adding a
+// vertex beyond the vertex allocator is refused by replay, as a replica
+// refuses it, before it sizes the graph's vertex rows to the ID.
+func TestOpenRejectsVertexBeyondAllocator(t *testing.T) {
+	dir := t.TempDir()
+	w, err := createWAL(dir, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []graph.Mutation{
+		{Kind: graph.MutAddVertex, Epoch: 1, Vertex: graph.Vertex{ID: 0, Label: "V"}},
+		{Kind: graph.MutAddVertex, Epoch: 2, Vertex: graph.Vertex{ID: 1 << 40, Label: "V"}},
+	} {
+		if _, err := w.Append(encodeMutation(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New()
+	if st, err := Open(dir, g, testOptions()); err == nil {
+		st.Close()
+		t.Fatal("Open replayed a vertex 1<<40 onto a graph whose vertex allocator was at 1")
+	}
+	if n := g.NumVertices(); n != 1 {
+		t.Fatalf("refused record left %d vertices, want 1", n)
 	}
 }
 

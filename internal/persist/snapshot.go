@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -275,48 +274,69 @@ func decodeSnapshot(raw []byte, path string) (*graph.GraphSnapshot, uint64, erro
 	}
 	spans = spans[1:]
 
-	// Decode pass: element sections are independent, decode them in parallel.
-	vertices := make([][]graph.Vertex, snapSections)
-	edges := make([][]graph.Edge, snapSections)
-	errs := make([]error, snapSections)
+	// Decode pass: element sections are independent, so they decode in
+	// parallel, each straight into its own range of one list per kind.
+	// A section's vertex count leads it, so the vertex list is sized before
+	// any vertex decodes; its edge count follows its vertices, so the edge
+	// list is sized between the two parallel passes.
+	ds := make([]*decoder, snapSections)
+	vat := make([]int, snapSections+1) // section i's vertices are Vertices[vat[i]:vat[i+1]]
+	for i := range ds {
+		ds[i] = &decoder{b: raw[spans[i].start:spans[i].end], syms: syms}
+		vat[i+1] = vat[i] + int(ds[i].count("vertex count"))
+	}
+	snap.Vertices = make([]graph.Vertex, vat[snapSections])
+	eat := make([]int, snapSections+1) // section i's edges are Edges[eat[i]:eat[i+1]]
+	err = eachSection(ds, path, func(i int, d *decoder) {
+		vs := snap.Vertices[vat[i]:vat[i+1]]
+		for j := 0; j < len(vs) && d.err == nil; j++ {
+			if vs[j] = d.vertex(); section(int64(vs[j].ID)) != i {
+				d.fail("vertex of another section")
+			}
+		}
+		eat[i+1] = int(d.count("edge count"))
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	for i := range ds {
+		eat[i+1] += eat[i]
+	}
+	snap.Edges = make([]graph.Edge, eat[snapSections])
+	err = eachSection(ds, path, func(i int, d *decoder) {
+		es := snap.Edges[eat[i]:eat[i+1]]
+		for j := 0; j < len(es) && d.err == nil; j++ {
+			if es[j] = d.edge(); section(int64(es[j].ID)) != i {
+				d.fail("edge of another section")
+			}
+		}
+		d.end("section")
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return snap, walSeq, nil
+}
+
+// eachSection runs fn on every element section's decoder in parallel and
+// returns the error of the lowest-numbered section that failed, if any. A
+// decoder that already failed reads nothing more, so fn need not check.
+func eachSection(ds []*decoder, path string, fn func(i int, d *decoder)) error {
 	var wg sync.WaitGroup
-	for i := 0; i < snapSections; i++ {
+	for i, d := range ds {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, d *decoder) {
 			defer wg.Done()
-			d := &decoder{b: raw[spans[i].start:spans[i].end], syms: syms}
-			nv := d.count("vertex count")
-			vs := make([]graph.Vertex, 0, nv)
-			for j := uint64(0); j < nv && d.err == nil; j++ {
-				vs = append(vs, d.vertex())
-				if section(int64(vs[j].ID)) != i {
-					d.fail("vertex of another section")
-				}
-			}
-			ne := d.count("edge count")
-			es := make([]graph.Edge, 0, ne)
-			for j := uint64(0); j < ne && d.err == nil; j++ {
-				es = append(es, d.edge())
-				if section(int64(es[j].ID)) != i {
-					d.fail("edge of another section")
-				}
-			}
-			d.end("section")
-			if d.err != nil {
-				errs[i] = fmt.Errorf("persist: %s: element section %d: %w", path, i, d.err)
-				return
-			}
-			vertices[i], edges[i] = vs, es
-		}(i)
+			fn(i, d)
+		}(i, d)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
+	for i, d := range ds {
+		if d.err != nil {
+			return fmt.Errorf("persist: %s: element section %d: %w", path, i, d.err)
 		}
 	}
-	snap.Vertices, snap.Edges = slices.Concat(vertices...), slices.Concat(edges...)
-	return snap, walSeq, nil
+	return nil
 }
 
 // parseSnapshotHeader checks a snapshot's header — magic, version, header
@@ -344,12 +364,14 @@ func parseSnapshotHeader(raw []byte, path string) (*graph.GraphSnapshot, uint64,
 	}, binary.LittleEndian.Uint64(raw[40:]), nil
 }
 
-// restoreSnapshot loads a decoded snapshot into an empty graph: vertices
-// first, then the ID allocators, then the edges, which RestoreEdges refuses
-// at or above the header's edge allocator.
+// restoreSnapshot loads a decoded snapshot into an empty graph: the ID
+// allocators first, then the vertices and the edges, which RestoreVertices
+// and RestoreEdges refuse at or above the header's allocators.
 func restoreSnapshot(g *graph.Graph, snap *graph.GraphSnapshot) error {
-	g.RestoreVertices(snap.Vertices)
 	g.AdvanceIDs(snap.NextVertex, snap.NextEdge)
+	if err := g.RestoreVertices(snap.Vertices); err != nil {
+		return err
+	}
 	if err := g.RestoreEdges(snap.Edges); err != nil {
 		return err
 	}

@@ -77,7 +77,7 @@ type Deps struct {
 	// Analytics supplies epoch-memoized whole-graph artifacts (PageRank
 	// importance).
 	Analytics *analytics.Cache
-	// TIndex is the per-shard time-ordered edge index; whole-stream diffs
+	// TIndex is the time-ordered edge index; whole-stream diffs
 	// read it.
 	TIndex *temporal.Index
 	// Now supplies the query-time clock.

@@ -1,7 +1,8 @@
 package temporal
 
 import (
-	"math"
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -15,54 +16,53 @@ import (
 // dated stream, not the background substrate.
 var Timeless = time.Time{}.Unix()
 
-// entry is one indexed edge: its timestamp and ID. Entries within a shard
-// are kept sorted by (ts, id).
+// entry is one indexed edge: its timestamp and ID, and whether a removal
+// marked it dead. An edge ID fits 32 bits (the graph's slab bounds it), so
+// an entry is 16 bytes.
 type entry struct {
-	ts int64
-	id graph.EdgeID
+	ts   int64
+	id   uint32
+	dead bool
 }
 
-// entryLess is the (ts, id) order every shard maintains.
-func entryLess(a, b entry) bool {
-	if a.ts != b.ts {
-		return a.ts < b.ts
+// compareEntries is the (ts, id) order of the index's run.
+func compareEntries(a, b entry) int {
+	if c := cmp.Compare(a.ts, b.ts); c != 0 {
+		return c
 	}
-	return a.id < b.id
+	return cmp.Compare(a.id, b.id)
 }
 
-// stripes is the number of partitions the index splits its entries into:
-// an edge goes in stripe ID % stripes.
-const stripes = 16
-
-// ishard is one stripe of the index: a data partition, not a lock. It holds
-// the edges whose ID % stripes is its position.
+// Index is a time-ordered edge index over one graph: one run of entries in
+// (ts, id) order. It is kept in sync through the graph's mutation stream
+// (Attach) and can be rebuilt from graph state after recovery, when restores
+// bypass the mutation hooks. All methods are safe for concurrent use.
 //
-// entries[:sorted] is in (ts, id) order; entries[sorted:] is an unsorted
-// append tail. The live insert path only ever appends — in-order entries
-// (the roughly-chronological stream) extend the sorted run for free, while
-// out-of-order entries (reverse-chronological backfill) park in the tail and
-// are merged in one batch sort at the next read. That keeps the work done
-// under the writer's held locks O(1) instead of an O(stripe) memmove, which
-// made historical bulk import quadratic.
-type ishard struct {
-	entries []entry
-	sorted  int
-	byID    map[graph.EdgeID]int64 // id -> indexed timestamp, for removal
-}
-
-// Index is a per-stripe time-ordered edge index over one graph. It is kept in
-// sync through the graph's mutation stream (Attach) and can be rebuilt from
-// graph state after recovery, when restores bypass the mutation hooks. All
-// methods are safe for concurrent use.
+// entries[:sorted] is the sorted run, strictly increasing; entries[sorted:]
+// is an unsorted append tail. A write, which runs under the graph's held
+// write lock, never moves the run:
+//   - an insert appends. An in-order entry (the roughly chronological stream)
+//     extends the run; an out-of-order one (reverse-chronological backfill)
+//     or a second copy of an entry parks in the tail.
+//   - a removal finds its entry by the timestamp its MutRemoveEdge carries: a
+//     binary search of the run, where it marks the entry dead, and a pass
+//     over the tail, which drops every copy there.
 //
-// One RWMutex guards every stripe. The mutation hook takes it while the
-// graph's write lock is held, so it comes last in the store's lock order
-// (see package graph): nothing here calls into the graph while holding it.
+// The next read settles the index (settleLocked): it sorts the tail, merges
+// it into the run and drops dead entries and duplicates (an edge both the
+// attach-time scan and the hook indexed). A settled index answers every
+// window with one contiguous range of the run.
+//
+// One RWMutex guards the run. The mutation hook takes it while the graph's
+// write lock is held, so it comes last in the store's lock order (see
+// package graph): nothing here calls into the graph while holding it.
 type Index struct {
-	g      *graph.Graph
-	mu     sync.RWMutex
-	shards []ishard
-	detach func()
+	g       *graph.Graph
+	mu      sync.RWMutex
+	entries []entry
+	sorted  int // length of the sorted run
+	dead    int // entries in the run marked dead
+	detach  func()
 }
 
 // Stats is a snapshot of the index for /api/v1/stats.
@@ -79,37 +79,23 @@ type Stats struct {
 // NewIndex builds an index of g's current edges without subscribing to
 // future mutations. Most callers want Attach.
 func NewIndex(g *graph.Graph) *Index {
-	ix := newIndex(g)
+	ix := &Index{g: g}
 	ix.scan()
 	return ix
 }
 
 // Attach builds an index of g's current edges and subscribes to the graph's
 // mutation stream so every subsequent AddEdge/AddEdges/RemoveEdge keeps the
-// index in sync. The hook is installed before the initial scan and inserts
-// are idempotent, so edges added concurrently with the scan are indexed
-// exactly once; attach before concurrent *removals* begin (the pipeline
-// attaches at construction, ahead of ingestion). Call Detach to unsubscribe.
+// index in sync. The hook is installed before the initial scan and the
+// settle drops duplicates, so edges added concurrently with the scan are
+// indexed exactly once; attach before concurrent *removals* begin (the
+// pipeline attaches at construction, ahead of ingestion). Call Detach to
+// unsubscribe.
 func Attach(g *graph.Graph) *Index {
-	ix := newIndex(g)
+	ix := &Index{g: g}
 	ix.detach = g.AddMutationHook(ix.OnMutation)
 	ix.scan()
 	return ix
-}
-
-func newIndex(g *graph.Graph) *Index {
-	ix := &Index{g: g, shards: make([]ishard, stripes)}
-	ix.resetLocked()
-	return ix
-}
-
-// resetLocked empties every stripe. The caller holds the write lock.
-func (ix *Index) resetLocked() {
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		s.entries, s.sorted = s.entries[:0], 0
-		s.byID = make(map[graph.EdgeID]int64)
-	}
 }
 
 // Detach unsubscribes the index from the graph's mutation stream. The index
@@ -129,249 +115,206 @@ func (ix *Index) Detach() {
 // to be a consistent cut.
 func (ix *Index) Rebuild() {
 	ix.mu.Lock()
-	ix.resetLocked()
+	ix.entries, ix.sorted, ix.dead = ix.entries[:0], 0, 0
 	ix.mu.Unlock()
 	ix.scan()
 }
 
 // scan back-fills the index from the graph's current edges with one
-// slab-native pass (graph.ScanEdges): no per-edge materialization, no
-// ID-list sort — just the (timestamp, id) columns the index needs. Entries
-// are bucketed per stripe and each stripe is sorted once — O(E log E) total —
-// rather than insertion-sorted edge by edge, which would make recovery of a
-// large graph quadratic. The graph is read before the index lock is taken;
-// edges the mutation hook indexed in between are deduplicated through byID.
+// slab-native pass (graph.ScanEdges): no per-edge materialization, just the
+// (timestamp, id) columns the index needs. The entries join the tail and
+// are settled once — O(E log E) — rather than inserted one by one. The
+// graph is read before the index lock is taken; the settle drops the
+// entries the mutation hook indexed in between a second time.
 func (ix *Index) scan() {
-	buckets := make([][]entry, len(ix.shards))
+	var found []entry
 	ix.g.ScanEdges(func(e *graph.EdgeScan) bool {
-		si := int(uint64(e.ID) % uint64(len(ix.shards)))
-		buckets[si] = append(buckets[si], entry{ts: e.Timestamp, id: e.ID})
+		found = append(found, entry{ts: e.Timestamp, id: uint32(e.ID)})
 		return true
 	})
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for si, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		s := &ix.shards[si]
-		for _, en := range bucket {
-			if _, dup := s.byID[en.id]; dup {
-				continue
-			}
-			s.byID[en.id] = en.ts
-			s.entries = append(s.entries, en)
-		}
-		s.flushLocked()
-	}
+	ix.entries = append(ix.entries, found...)
+	ix.settleLocked()
 }
 
 // OnMutation consumes one graph mutation. Only edge insertions and removals
-// move the index; property and weight updates do not change timestamps.
+// move the index; vertex writes do not change timestamps.
 func (ix *Index) OnMutation(m graph.Mutation) {
 	switch m.Kind {
 	case graph.MutAddEdges:
 		ix.mu.Lock()
 		for i := range m.Edges {
-			ix.shardOf(m.Edges[i].ID).insert(m.Edges[i].ID, m.Edges[i].Timestamp)
+			ix.insertLocked(entry{ts: m.Edges[i].Timestamp, id: uint32(m.Edges[i].ID)})
 		}
 		ix.mu.Unlock()
 	case graph.MutRemoveEdge:
 		ix.mu.Lock()
-		ix.shardOf(m.EdgeID).remove(m.EdgeID)
+		ix.removeLocked(entry{ts: m.Timestamp, id: uint32(m.EdgeID)})
 		ix.mu.Unlock()
 	}
 }
 
-func (ix *Index) shardOf(id graph.EdgeID) *ishard {
-	return &ix.shards[uint64(id)%uint64(len(ix.shards))]
-}
-
-// insert indexes one edge. Inserting an already-indexed ID is a no-op, which
-// makes the attach-time scan idempotent against concurrently hooked inserts.
-// The write is an O(1) append: in-order entries extend the sorted run, and
-// out-of-order entries land in the unsorted tail flushed lazily by the next
-// read — a reverse-chronological backfill of n edges costs one O(n log n)
-// sort instead of n stripe-wide memmoves under the held lock.
-func (s *ishard) insert(id graph.EdgeID, ts int64) {
-	if _, dup := s.byID[id]; dup {
-		return
-	}
-	s.byID[id] = ts
-	en := entry{ts: ts, id: id}
-	s.entries = append(s.entries, en)
-	if s.sorted == len(s.entries)-1 && (s.sorted == 0 || !entryLess(en, s.entries[s.sorted-1])) {
-		s.sorted = len(s.entries)
+// insertLocked appends one entry, extending the sorted run when the entry
+// follows its last one.
+func (ix *Index) insertLocked(en entry) {
+	ix.entries = append(ix.entries, en)
+	if ix.sorted == len(ix.entries)-1 && (ix.sorted == 0 || compareEntries(ix.entries[ix.sorted-1], en) < 0) {
+		ix.sorted++
 	}
 }
 
-// flushLocked merges the unsorted append tail into the sorted run. The tail
-// is sorted on its own (t log t) and merged with the prefix in one linear
-// pass; the caller holds the index's write lock.
-func (s *ishard) flushLocked() {
-	if s.sorted == len(s.entries) {
+// removeLocked drops one edge: it marks its entry in the run dead and
+// deletes every copy from the tail. Removing an unindexed edge is a no-op.
+func (ix *Index) removeLocked(en entry) {
+	run := ix.entries[:ix.sorted]
+	if i, ok := slices.BinarySearchFunc(run, en, compareEntries); ok && !run[i].dead {
+		run[i].dead = true
+		ix.dead++
+	}
+	tail := slices.DeleteFunc(ix.entries[ix.sorted:], func(e entry) bool { return e.id == en.id })
+	ix.entries = ix.entries[:ix.sorted+len(tail)]
+}
+
+// settleLocked makes the index one sorted run with no dead entry and no
+// duplicate. The tail is sorted on its own (t log t) and merged with the
+// part of the run it interleaves with: the run's entries before the tail's
+// first stay where they are, so a tail that only extends a roughly
+// chronological run costs O(t) plus a search. Duplicates can only sit in
+// the merged part; dead entries, if any, are dropped in one pass in place.
+// The caller holds the write lock.
+func (ix *Index) settleLocked() {
+	if ix.settledLocked() {
 		return
 	}
-	tail := s.entries[s.sorted:]
-	sort.Slice(tail, func(i, j int) bool { return entryLess(tail[i], tail[j]) })
-	if s.sorted > 0 {
-		merged := make([]entry, 0, len(s.entries))
-		i, j := 0, s.sorted
-		for i < s.sorted && j < len(s.entries) {
-			if entryLess(s.entries[j], s.entries[i]) {
-				merged = append(merged, s.entries[j])
-				j++
-			} else {
-				merged = append(merged, s.entries[i])
-				i++
-			}
+	run, tail := ix.entries[:ix.sorted], ix.entries[ix.sorted:]
+	slices.SortFunc(tail, compareEntries)
+	if len(tail) > 0 {
+		from, _ := slices.BinarySearchFunc(run, tail[0], compareEntries)
+		if from < len(run) {
+			copy(ix.entries[from:], mergeRuns(run[from:], tail))
 		}
-		merged = append(merged, s.entries[i:s.sorted]...)
-		merged = append(merged, s.entries[j:]...)
-		s.entries = merged
+		merged := slices.Compact(ix.entries[from:]) // live entries are equal only as copies of one edge
+		ix.entries = ix.entries[:from+len(merged)]
 	}
-	s.sorted = len(s.entries)
+	if ix.dead > 0 {
+		ix.entries = slices.DeleteFunc(ix.entries, func(e entry) bool { return e.dead })
+	}
+	ix.sorted, ix.dead = len(ix.entries), 0
 }
 
-// read runs fn under the lock with every stripe's entries sorted. The fast
-// path (no pending append tail) runs fn under the read lock so concurrent
-// readers proceed in parallel; when a flush is needed, fn runs under the
-// write lock taken to flush — re-downgrading to a read lock would open an
-// unbounded retry loop against a steady out-of-order writer appending
-// between the unlock and re-lock.
+// mergeRuns returns the (ts, id)-ordered merge of two sorted runs in a new
+// slice.
+func mergeRuns(a, b []entry) []entry {
+	out := make([]entry, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if compareEntries(b[0], a[0]) < 0 {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// settledLocked reports whether the index is one sorted run with nothing
+// dead in it.
+func (ix *Index) settledLocked() bool { return ix.sorted == len(ix.entries) && ix.dead == 0 }
+
+// read runs fn under the lock with the index settled. The fast path (nothing
+// to settle) runs fn under the read lock so concurrent readers proceed in
+// parallel; when a settle is needed, fn runs under the write lock taken to
+// settle — re-downgrading to a read lock would open an unbounded retry loop
+// against a steady out-of-order writer appending between the unlock and
+// re-lock.
 func (ix *Index) read(fn func()) {
 	ix.mu.RLock()
-	if ix.flushedLocked() {
+	if ix.settledLocked() {
 		fn()
 		ix.mu.RUnlock()
 		return
 	}
 	ix.mu.RUnlock()
 	ix.mu.Lock()
-	for i := range ix.shards {
-		ix.shards[i].flushLocked()
-	}
+	ix.settleLocked()
 	fn()
 	ix.mu.Unlock()
 }
 
-// flushedLocked reports whether no stripe has a pending append tail.
-func (ix *Index) flushedLocked() bool {
-	for i := range ix.shards {
-		if s := &ix.shards[i]; s.sorted != len(s.entries) {
-			return false
-		}
-	}
-	return true
-}
-
-// remove drops one edge from the stripe. Removing an unindexed ID is a no-op.
-func (s *ishard) remove(id graph.EdgeID) {
-	ts, ok := s.byID[id]
-	if !ok {
-		return
-	}
-	delete(s.byID, id)
-	s.flushLocked()
-	i := sort.Search(len(s.entries), func(i int) bool {
-		e := s.entries[i]
-		return e.ts > ts || (e.ts == ts && e.id >= id)
-	})
-	if i < len(s.entries) && s.entries[i].id == id {
-		s.entries = append(s.entries[:i], s.entries[i+1:]...)
-		s.sorted = len(s.entries)
-	}
-}
-
 // Len returns the number of indexed edges.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := 0
-	for i := range ix.shards {
-		n += len(ix.shards[i].entries)
-	}
+func (ix *Index) Len() (n int) {
+	ix.read(func() { n = len(ix.entries) })
 	return n
 }
 
-// rangeOf returns the half-open entry range of w within a stripe's sorted
-// entries. The caller runs inside read.
-func (s *ishard) rangeOf(w Window) (lo, hi int) {
-	if w.IsAll() {
-		return 0, len(s.entries)
-	}
-	lo = sort.Search(len(s.entries), func(i int) bool { return s.entries[i].ts >= w.Since })
-	hi = sort.Search(len(s.entries), func(i int) bool { return s.entries[i].ts >= w.Until })
-	if hi < lo {
-		// An empty/inverted window (e.g. a disjoint intersection) searches
-		// to hi < lo; clamp so callers get an empty range, not a panic.
-		hi = lo
-	}
-	return lo, hi
+// from returns the position of the first entry whose timestamp is at least
+// ts. The caller runs inside read.
+func (ix *Index) from(ts int64) int {
+	return sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].ts >= ts })
 }
 
-// datedFrom returns the first entry after the timeless prefix.
-func (s *ishard) datedFrom() int {
-	return sort.Search(len(s.entries), func(i int) bool { return s.entries[i].ts > Timeless })
+// rangeOf returns the half-open entry range of w. The caller runs inside
+// read.
+func (ix *Index) rangeOf(w Window) (lo, hi int) {
+	if w.IsAll() {
+		return 0, len(ix.entries)
+	}
+	// An empty/inverted window (e.g. a disjoint intersection) searches to
+	// hi < lo; clamp so callers get an empty range.
+	lo = ix.from(w.Since)
+	return lo, max(lo, ix.from(w.Until))
 }
+
+// datedFrom returns the first entry after the timeless prefix. The caller
+// runs inside read.
+func (ix *Index) datedFrom() int { return ix.from(Timeless + 1) }
 
 // EdgesIn returns the IDs of edges whose timestamp lies in w, ordered by
 // (timestamp, ID).
 func (ix *Index) EdgesIn(w Window) []graph.EdgeID {
-	return idsOf(ix.gather(func(s *ishard) (int, int) { return s.rangeOf(w) }))
+	return ix.idsIn(func() (int, int) { return ix.rangeOf(w) })
 }
 
 // DatedIn is EdgesIn restricted to dated edges: entries at or before the
 // timeless sentinel (zero provenance time, i.e. the curated substrate) are
-// skipped via the same sorted-prefix search Span uses, so a window unbounded
-// below never materializes the curated substrate. It is the right read for
+// skipped via the same search Span uses, so a window unbounded below never
+// materializes the curated substrate. It is the right read for
 // stream-shaped consumers (eviction, whole-stream scans) for which curated
 // knowledge is timeless background, not part of the stream.
 func (ix *Index) DatedIn(w Window) []graph.EdgeID {
-	return idsOf(ix.gather(func(s *ishard) (int, int) {
-		lo, hi := s.rangeOf(w)
-		return max(lo, s.datedFrom()), hi
-	}))
+	return ix.idsIn(func() (int, int) {
+		lo, hi := ix.rangeOf(w)
+		return max(lo, ix.datedFrom()), hi
+	})
 }
 
 // LatestIn returns the IDs of the newest k dated edges whose timestamps lie
 // in w, ordered oldest-to-newest. Like DatedIn it skips the timeless prefix,
-// so the undated curated substrate never fills the feed. Only the tail of
-// each stripe's in-window range is read — O(stripes·(log n + k)) — which is
-// what makes the index cheaper than a full edge scan for feed-style "what
-// just happened" queries.
+// so the undated curated substrate never fills the feed. Only the last k
+// entries of the in-window range are read — O(log n + k) — which is what
+// makes the index cheaper than a full edge scan for feed-style "what just
+// happened" queries.
 func (ix *Index) LatestIn(w Window, k int) []graph.EdgeID {
 	if k <= 0 {
 		return nil
 	}
-	all := ix.gather(func(s *ishard) (int, int) {
-		lo, hi := s.rangeOf(w)
-		return max(lo, hi-k, s.datedFrom()), hi
+	return ix.idsIn(func() (int, int) {
+		lo, hi := ix.rangeOf(w)
+		return max(lo, hi-k, ix.datedFrom()), hi
 	})
-	return idsOf(all[max(0, len(all)-k):])
 }
 
-// gather concatenates the entry range pick chooses in every stripe, read
-// with the stripes sorted, and returns it in (ts, id) order.
-func (ix *Index) gather(pick func(*ishard) (lo, hi int)) []entry {
-	var all []entry
+// idsIn returns the IDs of the entry range pick chooses, read with the index
+// settled, in (ts, id) order.
+func (ix *Index) idsIn(pick func() (lo, hi int)) []graph.EdgeID {
+	var ids []graph.EdgeID
 	ix.read(func() {
-		for i := range ix.shards {
-			s := &ix.shards[i]
-			if lo, hi := pick(s); lo < hi {
-				all = append(all, s.entries[lo:hi]...)
-			}
+		lo, hi := pick()
+		ids = make([]graph.EdgeID, 0, max(hi-lo, 0))
+		for i := lo; i < hi; i++ {
+			ids = append(ids, graph.EdgeID(ix.entries[i].id))
 		}
 	})
-	sort.Slice(all, func(i, j int) bool { return entryLess(all[i], all[j]) })
-	return all
-}
-
-func idsOf(es []entry) []graph.EdgeID {
-	ids := make([]graph.EdgeID, len(es))
-	for i, e := range es {
-		ids[i] = e.id
-	}
 	return ids
 }
 
@@ -380,26 +323,12 @@ func idsOf(es []entry) []graph.EdgeID {
 // curated substrate) are skipped, so the span describes the stream. ok is
 // false when no dated edge is indexed.
 func (ix *Index) Span() (min, max int64, ok bool) {
-	min, max = math.MaxInt64, math.MinInt64
 	ix.read(func() {
-		for i := range ix.shards {
-			s := &ix.shards[i]
-			// Entries are sorted by timestamp; skip the timeless prefix.
-			if lo := s.datedFrom(); lo < len(s.entries) {
-				ok = true
-				if first := s.entries[lo].ts; first < min {
-					min = first
-				}
-				if last := s.entries[len(s.entries)-1].ts; last > max {
-					max = last
-				}
-			}
+		if lo := ix.datedFrom(); lo < len(ix.entries) {
+			min, max, ok = ix.entries[lo].ts, ix.entries[len(ix.entries)-1].ts, true
 		}
 	})
-	if !ok {
-		return 0, 0, false
-	}
-	return min, max, true
+	return min, max, ok
 }
 
 // Stats snapshots the index state.

@@ -532,10 +532,10 @@ func TestIndexReverseChronologicalBackfill(t *testing.T) {
 }
 
 // TestReverseBackfillAppendsWithoutSorting pins the write path's O(1) append:
-// out-of-order inserts park in each stripe's unsorted tail (only a stripe's
-// first entry joins the sorted run) and nothing sorts until a read. An
-// insertion-sort write path — quadratic on a reverse-chronological import —
-// would leave every stripe fully sorted here.
+// out-of-order inserts park in the run's unsorted tail (only the first entry
+// joins the sorted run) and nothing sorts until a read. An insertion-sort
+// write path — quadratic on a reverse-chronological import — would leave the
+// run fully sorted here.
 func TestReverseBackfillAppendsWithoutSorting(t *testing.T) {
 	g := graph.New()
 	a := g.AddVertex("Company", "")
@@ -543,34 +543,27 @@ func TestReverseBackfillAppendsWithoutSorting(t *testing.T) {
 	ix := Attach(g)
 	defer ix.Detach()
 
-	n := 8 * len(ix.shards)
+	const n = 128
 	for i := 0; i < n; i++ {
 		if _, err := addEdge(g, a, b, "acquired", int64(n-i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	total := 0
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		if s.sorted > 1 {
-			t.Fatalf("stripe %d: sorted prefix %d of %d entries before any read, want <= 1", i, s.sorted, len(s.entries))
-		}
-		if len(s.entries) > 1 && s.sorted != 1 {
-			t.Fatalf("stripe %d: sorted prefix %d, want 1 with a %d-entry tail", i, s.sorted, len(s.entries)-1)
-		}
-		total += len(s.entries)
+	if ix.sorted > 1 {
+		t.Fatalf("sorted prefix %d of %d entries before any read, want <= 1", ix.sorted, len(ix.entries))
 	}
-	if total != n {
-		t.Fatalf("stripes hold %d entries, want %d", total, n)
+	if len(ix.entries) > 1 && ix.sorted != 1 {
+		t.Fatalf("sorted prefix %d, want 1 with a %d-entry tail", ix.sorted, len(ix.entries)-1)
+	}
+	if len(ix.entries) != n {
+		t.Fatalf("run holds %d entries, want %d", len(ix.entries), n)
 	}
 
 	if got := len(ix.EdgesIn(All())); got != n {
 		t.Fatalf("EdgesIn = %d edges, want %d", got, n)
 	}
-	for i := range ix.shards {
-		if s := &ix.shards[i]; s.sorted != len(s.entries) {
-			t.Fatalf("stripe %d after read: sorted %d of %d entries, want all", i, s.sorted, len(s.entries))
-		}
+	if ix.sorted != len(ix.entries) {
+		t.Fatalf("after read: sorted %d of %d entries, want all", ix.sorted, len(ix.entries))
 	}
 }
 

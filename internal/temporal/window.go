@@ -7,9 +7,10 @@
 //     traversal consumers (pathsearch, the QA executor, the entity-summary
 //     and export paths) accept as a read view. The zero Window is unbounded,
 //     so every pre-existing call site keeps its exact semantics.
-//   - Index, a per-shard time-ordered edge index kept in sync with the graph
-//     through its mutation stream and rebuilt from graph state on recovery,
-//     answering "which edges fall inside this window" without a full scan.
+//   - Index, one time-ordered run of edge entries kept in sync with the
+//     graph through its mutation stream and rebuilt from graph state on
+//     recovery, answering "which edges fall inside this window" with one
+//     contiguous range and no full scan.
 //
 // Windowing follows the paper's fusion model: curated facts are the
 // persistent background substrate and are always in scope; a window scopes

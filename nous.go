@@ -6,8 +6,8 @@
 // five classes of questions — trending, entity, relationship (explanatory),
 // pattern and fact queries — over the fused, dynamic graph.
 //
-// The graph substrate is one vertex map and one edge slab behind one
-// read-write lock (see internal/graph) and ingestion is concurrent end to
+// The graph substrate is ID-indexed vertex rows and one edge slab behind
+// one read-write lock (see internal/graph) and ingestion is concurrent end to
 // end: IngestAll fans the per-article extraction stage out across a worker
 // pool and batches each document's KG writes, while queries stay safe to run
 // against the live graph.
@@ -425,7 +425,7 @@ func (p *Pipeline) BuildTopics() {}
 // engine (for benchmarks and diagnostics).
 func (p *Pipeline) Analytics() *analytics.Cache { return p.analytics }
 
-// TemporalIndex exposes the per-shard time-ordered edge index (for
+// TemporalIndex exposes the time-ordered edge index (for
 // benchmarks and diagnostics).
 func (p *Pipeline) TemporalIndex() *temporal.Index { return p.tindex }
 
@@ -435,7 +435,7 @@ func (p *Pipeline) TemporalStats() TemporalStats { return p.tindex.Stats() }
 
 // RecentFacts returns the newest k facts whose timestamps fall inside the
 // window, oldest first — the "what just happened" feed over the dynamic
-// stream. It is answered from the per-shard time index (tail reads only),
+// stream. It is answered from the time index (one tail read),
 // not by scanning the fact set.
 func (p *Pipeline) RecentFacts(w Window, k int) []Fact {
 	ids := p.tindex.LatestIn(w, k)
