@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint nouslint fmt bench sysbench loc
+.PHONY: all build test lint nouslint fmt bench sysbench loc locdiff
 
 all: build test lint
 
@@ -63,3 +63,23 @@ loc:
 		echo "$$pkg $$(cat $$files | grep -v '^[[:space:]]*//' | grep -cv '^[[:space:]]*$$')"; \
 	done | awk '{ printf "%-28s %6d\n", $$1, $$2; total[$$1 == "nous/benchmark" ? "benchmark" : "system"] += $$2 } \
 		END { printf "%-28s %6d\n%-28s %6d\n", "system", total["system"], "benchmark", total["benchmark"] }'
+
+# locdiff compares make loc at BASE (any git revision) with the working tree:
+# it prints each package whose count moved, then the system and benchmark
+# totals, as base -> tree and the difference. BASE is unpacked with git
+# archive into a temp dir that is removed afterwards.
+locdiff:
+	@test -n "$(BASE)" || { echo "usage: make locdiff BASE=<rev>" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive "$(BASE)" | tar -x -C "$$tmp" && \
+	base=$$($(MAKE) -s --no-print-directory -C "$$tmp" -f "$(CURDIR)/Makefile" loc) && \
+	tree=$$($(MAKE) -s --no-print-directory loc) && \
+	{ echo "$$base" | sed 's/^/B /'; echo "$$tree" | sed 's/^/T /'; } | awk ' \
+		!($$2 in seen) { seen[$$2]; order[++n] = $$2 } \
+		$$1 == "B" { b[$$2] = $$3 } \
+		$$1 == "T" { t[$$2] = $$3 } \
+		function row(p) { printf "%-28s %6d -> %6d  %+d\n", p, b[p], t[p], t[p] - b[p] } \
+		END { \
+			for (i = 1; i <= n; i++) { p = order[i]; if (p != "system" && p != "benchmark" && b[p] != t[p]) row(p) } \
+			row("system"); row("benchmark") \
+		}'

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nous/internal/analytics"
+	"nous/internal/core"
 	"nous/internal/corpus"
 	"nous/internal/disambig"
 	"nous/internal/extract"
@@ -192,6 +193,32 @@ func BenchmarkC2_ClosedPatternReporting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.ClosedPatterns(0)
 	}
+}
+
+// BenchmarkMinerSeedArticles is an assembly's miner seed over the facts the
+// system serves: the default world plus 400 articles, then per op one
+// AddBatch of the window's facts into a fresh miner, as NewPipeline does.
+func BenchmarkMinerSeedArticles(b *testing.B) {
+	w := GenerateWorld(DefaultWorldConfig())
+	kg, err := w.LoadKG()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	NewPipeline(kg, cfg).IngestAll(GenerateArticles(w, DefaultArticleConfig(400)))
+	from := kg.Graph().NextEdge() - core.FactID(cfg.Miner.WindowSize)
+	var seed []fgm.Edge
+	kg.ScanFacts(func(f *Fact) {
+		if f.ID >= from {
+			seed = append(seed, minerEdge(f))
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fgm.NewMiner(cfg.Miner).AddBatch(seed)
+	}
+	b.ReportMetric(float64(len(seed)), "facts")
 }
 
 // linkpredData builds train/test positives for the "acquired" predicate.

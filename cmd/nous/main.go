@@ -112,8 +112,9 @@ func addCommonFlags(fs *flag.FlagSet) *buildFlags {
 
 // assemble builds the pipeline per flags. With -data-dir it opens the
 // durable store first: a non-empty store resumes from disk and skips
-// seeding/ingest entirely; an empty one seeds and ingests through the
-// store so every write is persisted as it happens, then checkpoints.
+// seeding/ingest entirely; an empty one is seeded, reopened, then ingests
+// through the store so every write is persisted as it happens, then
+// checkpoints.
 // Ingestion watches ctx and stops at a chunk boundary when a shutdown
 // signal arrives, so partial progress still reaches the final checkpoint.
 func assemble(ctx context.Context, bf *buildFlags) (*nous.Pipeline, *nous.World) {
@@ -137,7 +138,13 @@ func assemble(ctx context.Context, bf *buildFlags) (*nous.Pipeline, *nous.World)
 			}
 			return p, w
 		}
+		// Reopen the seeded store so the pipeline assembles over the curated
+		// KB, as NewPipeline does in memory: the gate and the link predictor
+		// fold what is in the KG when they are built.
 		fatalIf(w.SeedKG(p.KG()))
+		fatalIf(p.Close())
+		p, err = nous.Open(bf.dataDir, w.Ontology, cfg)
+		fatalIf(err)
 	} else {
 		kg, err := w.LoadKG()
 		fatalIf(err)

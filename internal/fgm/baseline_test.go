@@ -12,12 +12,10 @@ func MineWindow(edges []Edge, cfg Config) []Pattern {
 	return minerForWindow(edges, cfg).FrequentPatterns()
 }
 
-// minerForWindow loads a whole window into a fresh sequential miner in one
-// batch: all edges are inserted first, then every embedding is counted once,
-// at its newest edge.
+// minerForWindow loads a whole window into a fresh miner in one batch, which
+// counts every embedding once, at its newest edge.
 func minerForWindow(edges []Edge, cfg Config) *Miner {
 	cfg.WindowSize = 0 // no eviction inside a snapshot
-	cfg.Workers = 1
 	m := NewMiner(cfg)
 	m.AddBatch(edges)
 	return m

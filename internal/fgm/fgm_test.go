@@ -160,36 +160,16 @@ func TestTimeEvictionMatchesRecount(t *testing.T) {
 	}
 }
 
-func TestAddBatchParallelMatchesSequential(t *testing.T) {
+func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 	stream := randomStream(120, 13)
-	seq := NewMiner(Config{MaxEdges: 3, MinSupport: 1, Workers: 1})
+	seq := NewMiner(Config{MaxEdges: 3, MinSupport: 1})
 	for _, ed := range stream {
 		seq.Add(ed)
 	}
-	par := NewMiner(Config{MaxEdges: 3, MinSupport: 1, Workers: 4})
-	par.AddBatch(stream)
-	if !reflect.DeepEqual(countsOf(seq), countsOf(par)) {
-		t.Fatal("parallel AddBatch diverged from sequential Add")
-	}
-}
-
-// TestMineWindowParallelMatchesSerial checks the from-scratch baseline
-// against the same window loaded by a four-worker AddBatch.
-func TestMineWindowParallelMatchesSerial(t *testing.T) {
-	stream := randomStream(100, 17)
-	cfg := Config{MaxEdges: 3, MinSupport: 2}
-	serial := MineWindow(stream, cfg)
-	cfg.Workers = 4
-	m := NewMiner(cfg)
-	m.AddBatch(stream)
-	parallel := m.FrequentPatterns()
-	if len(serial) != len(parallel) {
-		t.Fatalf("serial %d vs parallel %d patterns", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].Code != parallel[i].Code || serial[i].Support != parallel[i].Support {
-			t.Fatalf("pattern %d differs: %+v vs %+v", i, serial[i], parallel[i])
-		}
+	batch := NewMiner(Config{MaxEdges: 3, MinSupport: 1})
+	batch.AddBatch(stream)
+	if !reflect.DeepEqual(countsOf(seq), countsOf(batch)) {
+		t.Fatal("AddBatch diverged from sequential Add")
 	}
 }
 

@@ -3,7 +3,6 @@ package fgm
 import (
 	"encoding/binary"
 	"math"
-	"sync"
 )
 
 // The embedding kernel. Counting the embeddings that contain one window edge
@@ -27,10 +26,6 @@ import (
 // news stream) onto its public code, which is why codes are byte-identical to the
 // string-signature miner's.
 type shapeMemo struct {
-	// mu orders AddBatch workers among themselves: they hold the read lock
-	// while enumerating and trade it for the write lock on a miss. Every
-	// other access happens under Miner.mu alone.
-	mu       sync.RWMutex
 	sigs     map[string]int32 // raw signature -> pattern id
 	pidOf    map[string]int32 // canonical code -> pattern id
 	patterns []Pattern        // by pattern id; Support unset
@@ -62,14 +57,11 @@ type vertexType struct {
 	label uint32
 }
 
-// kernel enumerates and counts the embeddings around one anchor edge at a
-// time. Its slices are scratch reused across runs; a kernel belongs to one
-// goroutine.
+// kernel enumerates the embeddings around one anchor edge at a time and
+// counts them into the miner's table. Its slices are scratch reused across
+// runs; it runs under the miner's write lock.
 type kernel struct {
-	m      *Miner
-	counts *[]int64 // by pattern id; the miner's own, or a worker's delta
-	emb    *int64   // embeddings counted, likewise
-	shared bool     // an AddBatch worker: the memo is guarded by memo.mu
+	m *Miner
 
 	anchor int32
 	limit  int64 // extend only with edges of seq below this
@@ -87,10 +79,10 @@ type kernel struct {
 	sig []byte   // the raw signature
 }
 
-func newKernel(m *Miner, counts *[]int64, emb *int64, shared bool) kernel {
+func newKernel(m *Miner) kernel {
 	maxE := m.cfg.MaxEdges
 	return kernel{
-		m: m, counts: counts, emb: emb, shared: shared,
+		m:   m,
 		set: make([]embEdge, 0, maxE),
 		vs:  make([]int32, 0, maxE+1),
 		typ: make([]vertexType, maxE+1),
@@ -105,10 +97,6 @@ func newKernel(m *Miner, counts *[]int64, emb *int64, shared bool) kernel {
 // its own seq (the embeddings born with it); an eviction passes no limit
 // (the embeddings that die with it).
 func (k *kernel) run(anchor int32, limit, sign int64) {
-	if k.shared {
-		k.m.memo.mu.RLock()
-		defer k.m.memo.mu.RUnlock()
-	}
 	k.anchor, k.limit, k.sign = anchor, limit, sign
 	e := &k.m.edges[anchor]
 	k.set = append(k.set[:0], embEdge{label: e.el})
@@ -253,37 +241,19 @@ func (k *kernel) count() {
 		pid = k.missed()
 	}
 
-	*k.emb++
-	counts := *k.counts
-	if int(pid) >= len(counts) { // a worker's delta lags the pattern table
-		counts = append(counts, make([]int64, int(pid)+1-len(counts))...)
-		*k.counts = counts
-	}
-	counts[pid] += k.sign
+	k.m.emb++
+	k.m.counts[pid] += k.sign
 }
 
 // missed registers the current embedding's raw signature, which the memo
-// does not hold. A worker swaps its read lock for the write lock and looks
-// again first: another worker may have met the same shape meanwhile.
+// does not hold.
 func (k *kernel) missed() int32 {
-	memo := &k.m.memo
-	if k.shared {
-		memo.mu.RUnlock()
-		memo.mu.Lock()
-		defer func() {
-			memo.mu.Unlock()
-			memo.mu.RLock()
-		}()
-		if pid, ok := memo.sigs[string(k.sig)]; ok {
-			return pid
-		}
-	}
 	vlabels := make([]string, len(k.ord))
 	for i := range k.ord {
 		vlabels[i] = k.m.labels[k.typ[k.ord[i].found].label]
 	}
 	pid := k.m.addShape(vlabels, k.tri)
-	memo.sigs[string(k.sig)] = pid
+	k.m.memo.sigs[string(k.sig)] = pid
 	return pid
 }
 

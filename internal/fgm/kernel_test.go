@@ -74,7 +74,7 @@ func TestAddSteadyStateAllocs(t *testing.T) {
 // readers against the writers under -race.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	stream := hubStream(600, 60, 5)
-	m := NewMiner(Config{MaxEdges: 3, MinSupport: 2, WindowSize: 120, Workers: 4})
+	m := NewMiner(Config{MaxEdges: 3, MinSupport: 2, WindowSize: 120})
 	m.AddBatch(stream[:100])
 	probe := m.FrequentPatterns()[0]
 
@@ -120,7 +120,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 // also race one another to fill the lattice.
 func TestClosedPatternsConcurrentWithAdd(t *testing.T) {
 	stream := hubStream(340, 60, 6)
-	m := NewMiner(Config{MaxEdges: 3, MinSupport: 2, WindowSize: 120, Workers: 4})
+	m := NewMiner(Config{MaxEdges: 3, MinSupport: 2, WindowSize: 120})
 	m.AddBatch(stream[:100])
 
 	// seq is odd while the writer mutates; at each even value it has stored

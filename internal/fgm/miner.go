@@ -2,7 +2,6 @@ package fgm
 
 import (
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 )
@@ -19,9 +18,6 @@ type Config struct {
 	// WindowSize arrivals; edges numbered by a log position keep the window
 	// a function of that log. 0 keeps every edge until Remove.
 	WindowSize int
-	// Workers parallelizes AddBatch across hash partitions. Default
-	// GOMAXPROCS.
-	Workers int
 }
 
 // DefaultConfig returns the configuration used in the paper-style
@@ -36,9 +32,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinSupport <= 0 {
 		c.MinSupport = 3
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -62,8 +55,8 @@ type winVertex struct {
 
 // Miner is the streaming closed-frequent-pattern miner. All exported
 // methods are safe for concurrent use (pattern queries run while the
-// ingestion path feeds the window); AddBatch additionally parallelizes its
-// own enumeration internally.
+// ingestion path feeds the window); every mutation counts on the caller's
+// goroutine, in seq order, with the miner's one kernel.
 //
 // Pattern counts are a pure function of the window's contents, so every
 // mutation evicts first and counts the newcomers against the smaller window.
@@ -84,7 +77,7 @@ type Miner struct {
 
 	memo   shapeMemo
 	counts []int64         // embedding count by pattern id
-	seqK   kernel          // scratch of the sequential paths (Add, evictions)
+	k      kernel          // counts every arrival and eviction
 	emb    int64           // embeddings counted so far
 	prev   map[string]bool // frequent codes at the last Transitions call
 	lat    lattice         // sub-pattern links for ClosedPatterns
@@ -100,7 +93,7 @@ func NewMiner(cfg Config) *Miner {
 		prev:    make(map[string]bool),
 		lat:     lattice{pending: make(map[string][]int32)},
 	}
-	m.seqK = newKernel(m, &m.counts, &m.emb, false)
+	m.k = newKernel(m)
 	return m
 }
 
@@ -120,14 +113,15 @@ func (m *Miner) Add(e Edge) {
 	seq := m.claim(e.ID)
 	m.slide()
 	slot := m.insert(e, seq)
-	m.seqK.run(slot, seq, +1)
+	m.k.run(slot, seq, +1)
 }
 
-// AddBatch inserts a batch of edges and updates counts in parallel across
-// workers. Each new embedding is attributed to exactly one new edge — the
-// one with the maximum seq it contains — so counts are exact. Edges the
-// count window slides past are evicted before anything is counted, and of
-// the batch only the edges still inside the window are mined.
+// AddBatch inserts a batch of edges as Add would one by one, but evicts
+// once: it claims every seq, slides the count window past the batch's
+// frontier, then inserts and counts each edge still inside the window in
+// seq order. Counting an edge as it is inserted is exact, because the
+// kernel extends an arrival only through edges of a lower seq, which are
+// all resident by then; each embedding is counted once, at its newest edge.
 func (m *Miner) AddBatch(es []Edge) {
 	if len(es) == 0 {
 		return
@@ -139,47 +133,9 @@ func (m *Miner) AddBatch(es []Edge) {
 		seqs[i] = m.claim(es[i].ID)
 	}
 	m.slide()
-	batch := make([]int32, 0, len(es))
-	for i := range es {
-		if m.inWindow(seqs[i]) {
-			batch = append(batch, m.insert(es[i], seqs[i]))
-		}
-	}
-
-	workers := m.cfg.Workers
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	if workers <= 1 {
-		for _, slot := range batch {
-			m.seqK.run(slot, m.edges[slot].seq, +1)
-		}
-		return
-	}
-	// Workers read the window (frozen until they finish), share the shape
-	// memo and count into private deltas that merge once all are done.
-	deltas := make([]struct {
-		counts []int64
-		emb    int64
-	}, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			d := &deltas[w]
-			k := newKernel(m, &d.counts, &d.emb, true)
-			for i := w; i < len(batch); i += workers {
-				k.run(batch[i], m.edges[batch[i]].seq, +1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i := range deltas {
-		d := &deltas[i]
-		m.emb += d.emb
-		for pid, c := range d.counts {
-			m.counts[pid] += c
+	for i, seq := range seqs {
+		if m.inWindow(seq) {
+			m.k.run(m.insert(es[i], seq), seq, +1)
 		}
 	}
 }
@@ -242,7 +198,7 @@ func (m *Miner) slide() {
 // evict un-counts every embedding that contains the edge (it must already be
 // off the queue) and removes it from the window.
 func (m *Miner) evict(slot int32) {
-	m.seqK.run(slot, math.MaxInt64, -1)
+	m.k.run(slot, math.MaxInt64, -1)
 	m.remove(slot)
 }
 

@@ -659,28 +659,19 @@ func TestLatticeMatchesSubPatternOfQuick(t *testing.T) {
 }
 
 // configFromBits spreads a fuzz/quick input over the configuration space:
-// MaxEdges 1–4, MinSupport 1–3, Workers 1 or 4, and count windows from none
-// up to 11 edges (smaller than most batches). Bit 2 is unused.
+// MaxEdges 1–4, MinSupport 1–3, and count windows from none up to 11 edges
+// (smaller than most batches). Bits 2 and 5 are unused.
 func configFromBits(bits uint16) Config {
-	cfg := Config{
+	return Config{
 		MaxEdges:   1 + int(bits&3),
 		MinSupport: 1 + int(bits>>3&3)%3,
-		Workers:    1,
 		WindowSize: int(bits>>6) % 12,
 	}
-	if bits&32 != 0 {
-		cfg.Workers = 4
-	}
-	return cfg
 }
 
 // bitsFor is configFromBits' inverse, for readable seed corpora.
 func bitsFor(cfg Config) uint16 {
-	bits := uint16(cfg.MaxEdges-1) | uint16(cfg.MinSupport-1)<<3 | uint16(cfg.WindowSize)<<6
-	if cfg.Workers == 4 {
-		bits |= 32
-	}
-	return bits
+	return uint16(cfg.MaxEdges-1) | uint16(cfg.MinSupport-1)<<3 | uint16(cfg.WindowSize)<<6
 }
 
 // opsFor sizes a differential run to what the reference can replay quickly.
@@ -710,13 +701,13 @@ func TestMinerMatchesReferenceQuick(t *testing.T) {
 // operation sequence; every prefix must agree with the reference.
 func FuzzMinerMatchesReference(f *testing.F) {
 	for i, cfg := range []Config{
-		{MaxEdges: 3, MinSupport: 1, Workers: 1},
-		{MaxEdges: 3, MinSupport: 1, Workers: 1, WindowSize: 5},
-		{MaxEdges: 4, MinSupport: 1, Workers: 4, WindowSize: 2},
-		{MaxEdges: 2, MinSupport: 2, Workers: 4, WindowSize: 11},
-		{MaxEdges: 1, MinSupport: 1, Workers: 1, WindowSize: 1},
-		{MaxEdges: 3, MinSupport: 3, Workers: 4, WindowSize: 6},
-		{MaxEdges: 4, MinSupport: 2, Workers: 1},
+		{MaxEdges: 3, MinSupport: 1},
+		{MaxEdges: 3, MinSupport: 1, WindowSize: 5},
+		{MaxEdges: 4, MinSupport: 1, WindowSize: 2},
+		{MaxEdges: 2, MinSupport: 2, WindowSize: 11},
+		{MaxEdges: 1, MinSupport: 1, WindowSize: 1},
+		{MaxEdges: 3, MinSupport: 3, WindowSize: 6},
+		{MaxEdges: 4, MinSupport: 2},
 	} {
 		f.Add(int64(i+1), bitsFor(cfg), uint8(30))
 	}
