@@ -55,8 +55,12 @@ type winVertex struct {
 
 // Miner is the streaming closed-frequent-pattern miner. All exported
 // methods are safe for concurrent use (pattern queries run while the
-// ingestion path feeds the window); every mutation counts on the caller's
-// goroutine, in seq order, with the miner's one kernel.
+// ingestion path feeds the window). A synchronous mutation (Add, AddBatch,
+// Advance, Remove) counts on the caller's goroutine; a posted one (Post,
+// PostRemove) counts on the feed's drain goroutine (feed.go), beside the
+// poster. Either way one kernel counts every mutation under mu, in the
+// order the mutations were made, and every read and every synchronous
+// mutation first waits until the posts made before it are counted.
 //
 // Pattern counts are a pure function of the window's contents, so every
 // mutation evicts first and counts the newcomers against the smaller window.
@@ -81,6 +85,8 @@ type Miner struct {
 	emb    int64           // embeddings counted so far
 	prev   map[string]bool // frequent codes at the last Transitions call
 	lat    lattice         // sub-pattern links for ClosedPatterns
+
+	feed feed // posted mutations, counted behind the poster
 }
 
 // NewMiner returns an empty miner.
@@ -94,6 +100,7 @@ func NewMiner(cfg Config) *Miner {
 		lat:     lattice{pending: make(map[string][]int32)},
 	}
 	m.k = newKernel(m)
+	m.feed.cond.L = &m.feed.mu
 	return m
 }
 
@@ -108,8 +115,13 @@ func (m *Miner) claim(id int64) int64 {
 // Add inserts one stream edge: it first evicts the edges the count window
 // slides past, then counts the embeddings born with the newcomer.
 func (m *Miner) Add(e Edge) {
+	m.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.addLocked(e)
+}
+
+func (m *Miner) addLocked(e Edge) {
 	seq := m.claim(e.ID)
 	m.slide()
 	slot := m.insert(e, seq)
@@ -126,6 +138,7 @@ func (m *Miner) AddBatch(es []Edge) {
 	if len(es) == 0 {
 		return
 	}
+	m.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	seqs := make([]int64, len(es))
@@ -145,6 +158,7 @@ func (m *Miner) AddBatch(es []Edge) {
 // past. The pipeline calls it once seeded, with the graph's edge allocator,
 // so a reopened miner's window ends where the live one's did.
 func (m *Miner) Advance(next int64) {
+	m.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if next > m.nextSeq {
@@ -158,8 +172,13 @@ func (m *Miner) Advance(next int64) {
 // edge's seq is its ID whenever IDs arrive in increasing order, as fact IDs
 // do.
 func (m *Miner) Remove(id int64) bool {
+	m.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.removeLocked(id)
+}
+
+func (m *Miner) removeLocked(id int64) bool {
 	w := m.queue[m.head:]
 	i := sort.Search(len(w), func(i int) bool { return m.edges[w[i]].seq >= id })
 	if i == len(w) || m.edges[w[i]].seq != id {
@@ -285,6 +304,7 @@ func (m *Miner) unlink(v, slot int32) {
 // FrequentPatterns returns all patterns at or above MinSupport, largest
 // support first.
 func (m *Miner) FrequentPatterns() []Pattern {
+	m.Wait()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.rankLocked(0, anyPattern)
@@ -301,6 +321,7 @@ func (m *Miner) FrequentPatterns() []Pattern {
 // One pass over the count table answers it: only a frequent pattern that
 // would enter the top k is checked against its lattice links.
 func (m *Miner) ClosedPatterns(k int) []Pattern {
+	m.Wait()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	m.lat.fill(&m.memo)
@@ -341,6 +362,7 @@ func (m *Miner) closed(r ranked) bool {
 // since the previous call — the signal used to "reconstruct smaller
 // patterns from larger patterns that just turned infrequent".
 func (m *Miner) Transitions() (entered, left []Pattern) {
+	m.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := map[string]bool{}

@@ -9,8 +9,9 @@
 // The graph substrate is ID-indexed vertex rows and one edge slab behind
 // one read-write lock (see internal/graph) and ingestion is concurrent end to
 // end: IngestAll fans the per-article extraction stage out across a worker
-// pool and batches each document's KG writes, while queries stay safe to run
-// against the live graph.
+// pool and batches each document's KG writes, the miner counts those writes
+// on its own goroutine beside them, and queries stay safe to run against the
+// live graph.
 //
 // Quickstart:
 //
@@ -220,6 +221,13 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	// ones included. Seeding the miner costs O(window), not O(facts). The
 	// window loses a fact when the KG evicts it (the FactEvicted branch
 	// below) or when the allocator moves Miner.WindowSize past its ID.
+	//
+	// The listener below runs under the KG's write lock and does not count:
+	// it posts each change to the miner's feed, which the miner drains on
+	// its own goroutine, in post order, beside extraction and integration.
+	// Every miner read waits for the posts made before it, so a pattern
+	// query sees every fact the KG held when it was asked; Ingest,
+	// IngestAll and Close return only once what they posted is counted.
 	next := kg.Graph().NextEdge()
 	from := core.FactID(0)
 	if ws := cfg.Miner.WindowSize; ws > 0 {
@@ -238,12 +246,12 @@ func NewPipeline(kg *KG, cfg Config) *Pipeline {
 	kg.Subscribe(func(ev core.Event) {
 		switch ev.Kind {
 		case core.FactAdded:
-			p.miner.Add(minerEdge(&ev.Fact))
+			p.miner.Post(minerEdge(&ev.Fact))
 			if t := ev.Fact.Provenance.Time; !t.IsZero() {
 				p.advance(t)
 			}
 		case core.FactEvicted:
-			p.miner.Remove(int64(ev.Fact.ID))
+			p.miner.PostRemove(int64(ev.Fact.ID))
 		}
 	})
 
@@ -349,13 +357,15 @@ func (p *Pipeline) Checkpoint() error {
 }
 
 // Close flushes and detaches the durable store (a no-op on an in-memory
-// pipeline) and stops a replica's tailing loop. Stop ingesting before
-// calling Close; queries may continue against the in-memory graph
-// afterwards, but nothing further is logged or replicated.
+// pipeline), stops a replica's tailing loop and waits until the miner has
+// counted every fact the KG posted to it. Stop ingesting before calling
+// Close; queries may continue against the in-memory graph afterwards, but
+// nothing further is logged or replicated.
 func (p *Pipeline) Close() error {
 	if p.follower != nil {
 		p.follower.Close()
 	}
+	p.miner.Wait()
 	if p.store == nil {
 		return nil
 	}
@@ -388,9 +398,11 @@ func (p *Pipeline) now() time.Time {
 }
 
 // Ingest processes one article through extraction, mapping, confidence
-// estimation and KG update.
+// estimation and KG update, and returns once the miner has counted the
+// facts it added and evicted.
 func (p *Pipeline) Ingest(a Article) {
 	p.stream.Process(a)
+	p.miner.Wait()
 }
 
 // IngestAll processes a batch through the concurrent ingestion path:
@@ -398,9 +410,13 @@ func (p *Pipeline) Ingest(a Article) {
 // default GOMAXPROCS) while integration consumes completed extractions in
 // document order, writing each document's accepted facts to the graph
 // store as one batch. Results are identical to ingesting the articles
-// one at a time. It returns the cumulative stream statistics.
+// one at a time. The miner counts the facts beside integration; IngestAll
+// returns once it has counted them. It returns the cumulative stream
+// statistics.
 func (p *Pipeline) IngestAll(articles []Article) StreamStats {
-	return p.stream.Run(articles)
+	st := p.stream.Run(articles)
+	p.miner.Wait()
+	return st
 }
 
 // advance moves the pipeline clock forward to t (never back). Safe to call

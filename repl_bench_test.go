@@ -17,11 +17,12 @@ import (
 // benchmark/ drives. They report facts/s; neither is a regression gate.
 
 // replLeaderFacts sizes the catch-up leader. At 20,000 synthetic facts a
-// follower catches up at ≈ 18,000–20,000 facts/s on a 2-core Xeon, and
-// both benchmarks together add ≈ 3 s to CI's `-bench=. -benchtime=1x`
-// smoke. At 100,000 facts the same machine loaded the leader at ≈ 29,500
-// facts/s and caught a follower up at ≈ 12,900–13,900 facts/s: catch-up is
-// slower than live ingest, and slows as the leader grows.
+// follower catches up at ≈ 170,000–230,000 facts/s on 2 vCPUs, and both
+// benchmarks together add a few seconds to CI's `-bench=. -benchtime=1x`
+// smoke. At 100,000 facts the same machine loaded the leader at
+// ≈ 155,000–205,000 facts/s and caught a follower up at ≈ 185,000–260,000
+// facts/s: a follower of a checkpointed leader restores a snapshot, which
+// is no slower than the leader's own load.
 const replLeaderFacts = 20_000
 
 // replLeader is a durable leader on the seed-42 world's curated KB, serving
